@@ -31,7 +31,7 @@ or full (8-20 qubits)::
 
     PYTHONPATH=src python benchmarks/bench_sharded_backend.py
 
-BENCH_sharded.json schema: ``{"quick": bool, "n_shards": int, "results":
+BENCH_sharded.json schema: ``{"quick": bool, "n_shards": int, "cpu_count": int, "results":
 [{"kernel", "n_qubits", "shared_gates_per_s", "sharded_gates_per_s",
 "speedup"}]}``. BENCH_fusion.json rows additionally carry
 ``sharded_unfused/fused_gates_per_s``, ``fused_speedup`` (sharded
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -195,6 +196,7 @@ def run_fusion(quick: bool, n_shards: int, min_time: float, min_reps: int) -> di
     return {
         "quick": quick,
         "n_shards": n_shards,
+        "cpu_count": os.cpu_count() or 1,
         "depth": FUSION_DEPTH,
         "qubit_counts": qubit_counts,
         "results": results,
@@ -231,6 +233,7 @@ def run(quick: bool, n_shards: int, min_time: float, min_reps: int) -> dict:
     return {
         "quick": quick,
         "n_shards": n_shards,
+        "cpu_count": os.cpu_count() or 1,
         "qubit_counts": qubit_counts,
         "results": results,
     }

@@ -43,10 +43,10 @@ def main():
     args = ap.parse_args()
     if args.workers and args.backend != "sharded":
         ap.error("--workers requires --backend sharded")
-    backend_opts = {"workers": args.workers} if args.workers else None
+    backend_kw = {"workers": args.workers} if args.workers else {}
     for trial in range(4):
         world = qmpi_run(2, main_program, seed=trial, backend=args.backend,
-                         backend_opts=backend_opts)
+                         **backend_kw)
         a, b = world.results
         assert a == b, "EPR halves must agree!"
         print(f"trial {trial}: both ranks measured {a}  "

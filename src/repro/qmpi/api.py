@@ -17,7 +17,6 @@ the paper's listings.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Sequence
 
 from ..mpi.comm import Communicator
@@ -341,7 +340,7 @@ class QmpiComm:
 # ----------------------------------------------------------------------
 # GATESET-generated gate methods (h, x, ..., swap, crz, cphase, ...)
 # ----------------------------------------------------------------------
-def _comm_gate_shim(gd: GateDef):
+def _install_comm_shim(gd: GateDef) -> None:
     n_args = gd.n_qubits + gd.n_params
 
     def shim(self: QmpiComm, *args):
@@ -352,22 +351,14 @@ def _comm_gate_shim(gd: GateDef):
             )
         self.stream.append(Op(gd.name, args[: gd.n_qubits], args[gd.n_qubits :]))
 
-    shim.__name__ = gd.name
-    shim.__qualname__ = f"QmpiComm.{gd.name}"
-    shim.__doc__ = (
+    _ops.install_gate_method(
+        QmpiComm,
+        gd,
+        shim,
         f"``{gd.name}({gd.signature()})`` — recorded on this rank's op "
         f"stream (fused/batched; applied no later than the next flush "
-        f"boundary)."
+        f"boundary).",
     )
-    shim._gateset_shim = True
-    return shim
-
-
-def _install_comm_shim(gd: GateDef) -> None:
-    existing = getattr(QmpiComm, gd.name, None)
-    if existing is not None and not getattr(existing, "_gateset_shim", False):
-        raise ValueError(f"gate name {gd.name!r} would shadow QmpiComm.{gd.name}")
-    setattr(QmpiComm, gd.name, _comm_gate_shim(gd))
 
 
 _ops.bind_gateset(_install_comm_shim)
@@ -486,7 +477,6 @@ def qmpi_run(
     seed: int | None = 0,
     timeout: float = 120.0,
     backend: "str | type[QuantumBackend] | QuantumBackend" = "shared",
-    backend_opts: dict | None = None,
     fusion="auto",
     shots: int | None = None,
     transport="inproc",
@@ -512,10 +502,6 @@ def qmpi_run(
         :class:`~repro.qmpi.backend.QuantumBackend` instance. Plain
         ``"sharded"`` sizes the chunk count to ``n_ranks`` (next power of
         two). See :func:`repro.qmpi.backend.make_backend`.
-    backend_opts:
-        Deprecated — pass backend constructor options as plain keyword
-        arguments instead (see ``**backend_kw``). Still honored, with a
-        :class:`DeprecationWarning`; explicit keywords win on conflict.
     fusion:
         Per-rank gate-stream fusion: ``"auto"`` (default) buffers,
         fuses, coalesces diagonal runs into
@@ -561,15 +547,6 @@ def qmpi_run(
         ``spill_budget`` RAM budget (see
         :class:`~repro.sim.sharded.ShardedStateVector`).
     """
-    if backend_opts is not None:
-        warnings.warn(
-            "backend_opts is deprecated; pass backend options as plain "
-            "keyword arguments: qmpi_run(..., backend='sharded', "
-            "workers=2, n_shards=8)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        backend_kw = {**backend_opts, **backend_kw}
     if isinstance(backend, QuantumBackend) and seed == 0:
         # The default seed must not trigger the prebuilt-instance
         # warning in make_backend; only an explicit seed should.

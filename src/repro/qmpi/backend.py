@@ -19,6 +19,13 @@ but decouples it from how the amplitudes are stored:
 Both are drop-in interchangeable anywhere a backend is consumed; pick one
 via :func:`make_backend` or the ``backend=`` argument of
 :func:`repro.qmpi.api.qmpi_run`.
+
+Like the prototype, there is one gate path: whatever enters —
+a flushed stream buffer (:meth:`QuantumBackend.apply_flush`) or an
+already-lowered batch (:meth:`QuantumBackend.apply_ops`) — is compiled,
+frozen and run by the engine's single executor, ``execute_frozen``.
+The five-method engine contract is stated once, in
+:class:`QuantumBackend`'s docstring.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ import numpy as np
 
 from ..sim import gates as _gates
 from ..sim.cache import ScheduleCache
-from ..sim.diag import DiagBatch
 from ..sim.parallel import PARALLEL_MIN_CHUNK
 from ..sim.schedule import DEFAULT_COST_MODEL, lower_flush
 from ..sim.sharded import ShardedStateVector
@@ -64,8 +70,28 @@ class QuantumBackend:
     :class:`~repro.sim.statevector.StateVector` surface); this base class
     owns the lock, the ownership table, and locality enforcement.
 
-    All gates funnel through :meth:`apply_ops`, the single batched entry
-    point. Named gate methods (``h(rank, q)``, ``cnot(rank, c, t)``,
+    **Engine contract.** Besides allocation, measurement and inspection,
+    an engine executes gate batches through exactly five methods:
+
+    * ``layout_key(qubit_ids)`` — hashable fingerprint of everything a
+      frozen program depends on (positions of the touched qubits, chunk
+      layout, shots axis, dtype); equal keys mean a program frozen
+      under one is exact under the other;
+    * ``compile_batch(lowered_ops)`` — lowered records to a segment
+      list (:func:`repro.sim.schedule.compile_segments`);
+    * ``freeze_segments(segments)`` — segments to a replay program
+      against the current layout, referencing the live segments so
+      in-place rebinding flows through;
+    * ``execute_frozen(program)`` — run it: the engine's **only**
+      gate-batch executor;
+    * ``apply_ops(lowered_ops)`` — the one-shot composition
+      compile → freeze → execute.
+
+    :meth:`apply_flush` (a rank's flushed buffer: lowered, compiled and
+    frozen through the schedule cache) and :meth:`apply_ops`
+    (already-lowered batches, chiefly the protocols' one-op batches)
+    are the two gate entry points; both end in ``execute_frozen``.
+    Named gate methods (``h(rank, q)``, ``cnot(rank, c, t)``,
     ``crz(rank, c, t, theta)``, ...) are generated from the
     :data:`~repro.qmpi.ops.GATESET` registry — one shim per gate, each
     emitting a one-op batch — so registering a new
@@ -83,14 +109,10 @@ class QuantumBackend:
         self.shots: int | None = None
         self._measure_log: list[tuple[int, object]] = []
         #: The flush-schedule cache (see :mod:`repro.sim.cache`), or
-        #: ``None`` with ``cache="off"`` or an engine without the
-        #: cache API (``layout_key``/``compile_batch``/``execute_segments``).
-        self.schedule_cache: ScheduleCache | None = None
-        if cache == "on" and all(
-            hasattr(engine, m)
-            for m in ("layout_key", "compile_batch", "execute_segments")
-        ):
-            self.schedule_cache = ScheduleCache()
+        #: ``None`` with ``cache="off"``.
+        self.schedule_cache: ScheduleCache | None = (
+            ScheduleCache() if cache == "on" else None
+        )
 
     # ------------------------------------------------------------------
     # shot-batched mode
@@ -216,24 +238,21 @@ class QuantumBackend:
     # gates: one batched entry point (rank-checked and serialized)
     # ------------------------------------------------------------------
     def apply_ops(self, rank: int, ops) -> None:
-        """Execute a batch of :class:`~repro.qmpi.ops.Op` records.
+        """Execute a batch of already-lowered op records, uncached.
 
-        This is the *only* gate path: ownership of every operand is
-        checked and the whole batch is handed to the engine under one
-        lock acquisition. The named convenience methods (``h``, ``x``,
-        ..., one per :data:`~repro.qmpi.ops.GATESET` entry) are thin
-        shims emitting one-op batches.
+        Ownership of every operand is checked and the whole batch is
+        handed to the engine's ``apply_ops`` (compile, freeze, execute)
+        under one lock acquisition. The named convenience methods
+        (``h``, ``x``, ..., one per :data:`~repro.qmpi.ops.GATESET`
+        entry) are thin shims emitting one-op batches through here.
 
         Batches may contain :class:`~repro.qmpi.ops.DiagBatch` records —
         coalesced runs of diagonal ops (see
         :func:`repro.sim.diag.coalesce_diagonals`) — and
         :class:`~repro.qmpi.ops.ContractionPlan` records — fused
-        small-op windows (see :func:`repro.sim.plan.plan_contractions`).
-        Engines with their own ``apply_ops`` are expected to handle them
-        (the shipped engines apply one precomputed phase vector per
-        batch and one matmul per plan); the generic unroll for engines
-        without ``apply_ops`` expands batches through
-        ``DiagBatch.terms()`` and applies plans as plain unitaries.
+        small-op windows (see :func:`repro.sim.plan.plan_contractions`);
+        the engines apply one precomputed phase vector per batch and
+        one matmul per plan.
         """
         ops = tuple(ops)
         if not ops:
@@ -241,20 +260,7 @@ class QuantumBackend:
         with self._lock:
             for op in ops:
                 self._check_owner(rank, *op.qubits)
-            sv_apply_ops = getattr(self._sv, "apply_ops", None)
-            if sv_apply_ops is not None:
-                sv_apply_ops(ops)
-            else:  # engines predating the op IR: unroll generically
-                for op in ops:
-                    if isinstance(op, DiagBatch):
-                        for qs, table in op.terms():
-                            self._sv.apply(np.diag(table), *qs)
-                    elif op.n_controls:
-                        self._sv.apply_controlled(
-                            op.target_matrix(), list(op.controls), list(op.targets)
-                        )
-                    else:
-                        self._sv.apply(op.target_matrix(), *op.targets)
+            self._sv.apply_ops(ops)
 
     def apply_flush(
         self,
@@ -276,7 +282,8 @@ class QuantumBackend:
         any rotation angles) replay their compiled segment list with
         the parameters rebound instead of recompiling.  With
         ``cache="off"`` (or a cache bypass) the buffer is lowered and
-        executed one-shot, through exactly the same numeric pipeline.
+        handed to the engine's one-shot ``apply_ops``, which freezes
+        and runs it through the same executor.
         """
         ops = tuple(ops)
         if not ops:
@@ -287,39 +294,24 @@ class QuantumBackend:
             for op in ops:
                 self._check_owner(rank, *op.qubits)
             n = self._sv.num_qubits
-            if self.schedule_cache is not None:
-                self.schedule_cache.execute(
-                    self._sv,
-                    ops,
-                    num_qubits=n,
-                    diag_batching=diag_batching,
-                    planning=planning,
-                    cost_model=cost_model,
-                )
+            if self.schedule_cache is not None and self.schedule_cache.execute(
+                self._sv,
+                ops,
+                num_qubits=n,
+                diag_batching=diag_batching,
+                planning=planning,
+                cost_model=cost_model,
+            ):
                 return
-            lowered = tuple(
+            self._sv.apply_ops(
                 lower_flush(
-                    list(ops),
+                    ops,
                     n,
                     diag_batching=diag_batching,
                     planning=planning,
                     cost_model=cost_model,
                 )
             )
-            sv_apply_ops = getattr(self._sv, "apply_ops", None)
-            if sv_apply_ops is not None:
-                sv_apply_ops(lowered)
-            else:  # engines predating the op IR: unroll generically
-                for op in lowered:
-                    if isinstance(op, DiagBatch):
-                        for qs, table in op.terms():
-                            self._sv.apply(np.diag(table), *qs)
-                    elif op.n_controls:
-                        self._sv.apply_controlled(
-                            op.target_matrix(), list(op.controls), list(op.targets)
-                        )
-                    else:
-                        self._sv.apply(op.target_matrix(), *op.targets)
 
     def cache_info(self) -> dict | None:
         """Schedule-cache counters, or ``None`` when caching is off."""
@@ -535,11 +527,11 @@ class ShardedBackend(QuantumBackend):
 # ----------------------------------------------------------------------
 # GATESET-generated gate shims
 # ----------------------------------------------------------------------
-def _backend_gate_shim(gd: GateDef):
+def _install_backend_shim(gd: GateDef) -> None:
     n_args = gd.n_qubits + gd.n_params
 
     def shim(self, rank: int, *args):
-        """Generated gate shim (docstring replaced per gate below)."""
+        """Generated gate shim (docstring replaced per gate on install)."""
         if len(args) != n_args:
             raise TypeError(
                 f"{gd.name}(rank, {gd.signature()}) takes {n_args} operands, "
@@ -547,23 +539,13 @@ def _backend_gate_shim(gd: GateDef):
             )
         self.apply_ops(rank, (Op(gd.name, args[: gd.n_qubits], args[gd.n_qubits :]),))
 
-    shim.__name__ = gd.name
-    shim.__qualname__ = f"QuantumBackend.{gd.name}"
-    shim.__doc__ = (
+    _ops.install_gate_method(
+        QuantumBackend,
+        gd,
+        shim,
         f"``{gd.name}(rank, {gd.signature()})`` — rank-checked, emitted as a "
-        f"one-op batch through :meth:`apply_ops`."
+        f"one-op batch through :meth:`apply_ops`.",
     )
-    shim._gateset_shim = True
-    return shim
-
-
-def _install_backend_shim(gd: GateDef) -> None:
-    existing = getattr(QuantumBackend, gd.name, None)
-    if existing is not None and not getattr(existing, "_gateset_shim", False):
-        raise ValueError(
-            f"gate name {gd.name!r} would shadow QuantumBackend.{gd.name}"
-        )
-    setattr(QuantumBackend, gd.name, _backend_gate_shim(gd))
 
 
 _ops.bind_gateset(_install_backend_shim)

@@ -13,23 +13,34 @@ per-gate backend call. Ops are the unit the whole pipeline speaks:
 
 The :data:`GATESET` registry is the canonical description of every
 named gate — operand signature, control count, target matrix, and
-diagonality — replacing the per-gate method forest that used to live in
-``QuantumBackend``. Registering a new :class:`GateDef` via
-:func:`register_gate` automatically installs the matching convenience
-method on ``QuantumBackend`` and ``QmpiComm`` (they subscribe through
-:func:`bind_gateset`).
+diagonality. The table itself (:class:`GateDef`, :data:`GATESET`,
+:func:`register_gate`, :func:`bind_gateset`) lives in
+:mod:`repro.sim.gates`, beside the matrices, so the engines can
+generate their eager gate methods from it without importing this
+package; the names below are re-exports of those same objects — one
+registry, not two. Registering a new :class:`GateDef` via
+:func:`register_gate` installs the matching method on ``QmpiComm``,
+``QuantumBackend``, ``BackendProxy`` and all three engines (each
+subscribes through :func:`bind_gateset`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 
 from ..sim import gates as G
 from ..sim.diag import DiagBatch
+from ..sim.gates import (
+    GATESET,
+    UNITARY,
+    GateDef,
+    bind_gateset,
+    install_gate_method,
+    register_gate,
+)
 from ..sim.plan import ContractionPlan
 from ..sim.statevector import SimulationError
 
@@ -42,55 +53,8 @@ __all__ = [
     "UNITARY",
     "register_gate",
     "bind_gateset",
+    "install_gate_method",
 ]
-
-#: Pseudo-gate name for an Op carrying an explicit unitary payload
-#: (generic ``apply`` calls and fused single-qubit products).
-UNITARY = "unitary"
-
-
-@dataclass(frozen=True)
-class GateDef:
-    """Registry entry describing one named gate.
-
-    ``qubit_args``/``param_args`` name the operands (used for generated
-    method signatures and error messages); the first ``n_controls``
-    qubit operands are control qubits, the rest are targets. ``const``
-    or ``builder`` supplies the matrix *on the targets only* —
-    ``Op.matrix()`` extends it with the controls. ``diagonal`` states
-    whether the full operator (controls included) is diagonal in the
-    computational basis, which is what the fusion and sharded-dispatch
-    layers key on.
-    """
-
-    name: str
-    qubit_args: tuple[str, ...]
-    param_args: tuple[str, ...] = ()
-    n_controls: int = 0
-    const: np.ndarray | None = None
-    builder: Callable[..., np.ndarray] | None = None
-    diagonal: bool = False
-
-    @property
-    def n_qubits(self) -> int:
-        """Number of qubit operands (controls included)."""
-        return len(self.qubit_args)
-
-    @property
-    def n_params(self) -> int:
-        """Number of rotation-parameter operands."""
-        return len(self.param_args)
-
-    def signature(self) -> str:
-        """Human-readable operand list, e.g. ``"c, t, theta"``."""
-        return ", ".join(self.qubit_args + self.param_args)
-
-    def target_matrix(self, params: Sequence[float]) -> np.ndarray:
-        """The unitary on the target qubits for the given parameters."""
-        if self.builder is not None:
-            return self.builder(*params)
-        assert self.const is not None
-        return self.const
 
 
 @dataclass(frozen=True)
@@ -217,74 +181,3 @@ class Op:
     def is_single(self) -> bool:
         """An uncontrolled one-qubit op (the fusable kind)."""
         return len(self.qubits) == 1 and self.n_controls == 0
-
-
-# ----------------------------------------------------------------------
-# the canonical gate set
-# ----------------------------------------------------------------------
-GATESET: dict[str, GateDef] = {}
-
-#: Shim installers (``QuantumBackend``, ``QmpiComm``) notified on every
-#: registration; see :func:`bind_gateset`.
-_BINDERS: list[Callable[[GateDef], None]] = []
-
-
-def register_gate(gd: GateDef) -> None:
-    """Add a gate to the registry and install its convenience methods.
-
-    The name must be a valid identifier and must not shadow an existing
-    non-gate attribute of a bound class (``measure``, ``barrier``,
-    ``send``, ...) — a collision would silently replace protocol methods
-    with a gate shim.
-    """
-    if gd.name == UNITARY:
-        raise ValueError(f"{UNITARY!r} is reserved for explicit-matrix ops")
-    if gd.name in GATESET:
-        raise ValueError(f"gate {gd.name!r} already registered")
-    if not gd.name.isidentifier():
-        raise ValueError(f"gate name {gd.name!r} is not a valid identifier")
-    GATESET[gd.name] = gd
-    try:
-        for binder in _BINDERS:
-            binder(gd)
-    except Exception:
-        del GATESET[gd.name]
-        raise
-
-
-def bind_gateset(binder: Callable[[GateDef], None]) -> None:
-    """Subscribe a shim installer to the gate registry.
-
-    The installer is applied to every already-registered gate
-    immediately and to each future :func:`register_gate`.
-    """
-    _BINDERS.append(binder)
-    for gd in GATESET.values():
-        binder(gd)
-
-
-for _gd in [
-    # single-qubit constants
-    GateDef("h", ("q",), const=G.H),
-    GateDef("x", ("q",), const=G.X),
-    GateDef("y", ("q",), const=G.Y),
-    GateDef("z", ("q",), const=G.Z, diagonal=True),
-    GateDef("s", ("q",), const=G.S, diagonal=True),
-    GateDef("sdg", ("q",), const=G.SDG, diagonal=True),
-    GateDef("t", ("q",), const=G.T, diagonal=True),
-    GateDef("tdg", ("q",), const=G.TDG, diagonal=True),
-    # single-qubit rotations
-    GateDef("rx", ("q",), ("theta",), builder=G.rx),
-    GateDef("ry", ("q",), ("theta",), builder=G.ry),
-    GateDef("rz", ("q",), ("theta",), builder=G.rz, diagonal=True),
-    GateDef("phase", ("q",), ("lam",), builder=G.phase, diagonal=True),
-    # two-qubit
-    GateDef("swap", ("a", "b"), const=G.SWAP),
-    GateDef("cnot", ("c", "t"), n_controls=1, const=G.X),
-    GateDef("cz", ("c", "t"), n_controls=1, const=G.Z, diagonal=True),
-    GateDef("crz", ("c", "t"), ("theta",), n_controls=1, builder=G.rz, diagonal=True),
-    GateDef("cphase", ("c", "t"), ("lam",), n_controls=1, builder=G.phase, diagonal=True),
-    # three-qubit
-    GateDef("toffoli", ("c1", "c2", "t"), n_controls=2, const=G.X),
-]:
-    GATESET[_gd.name] = _gd

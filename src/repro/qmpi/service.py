@@ -204,7 +204,7 @@ class BackendProxy:
         return self._call("num_qubits")
 
 
-def _proxy_gate_shim(gd: GateDef):
+def _install_proxy_shim(gd: GateDef) -> None:
     n_args = gd.n_qubits + gd.n_params
 
     def shim(self, rank, *args):
@@ -215,21 +215,13 @@ def _proxy_gate_shim(gd: GateDef):
             )
         self.apply_ops(rank, (Op(gd.name, args[: gd.n_qubits], args[gd.n_qubits :]),))
 
-    shim.__name__ = gd.name
-    shim.__qualname__ = f"BackendProxy.{gd.name}"
-    shim.__doc__ = (
+    _ops.install_gate_method(
+        BackendProxy,
+        gd,
+        shim,
         f"``{gd.name}(rank, {gd.signature()})`` — forwarded to the parent "
-        f"backend as a one-op RPC batch."
+        f"backend as a one-op RPC batch.",
     )
-    shim._gateset_shim = True
-    return shim
-
-
-def _install_proxy_shim(gd: GateDef) -> None:
-    existing = getattr(BackendProxy, gd.name, None)
-    if existing is not None and not getattr(existing, "_gateset_shim", False):
-        raise ValueError(f"gate name {gd.name!r} would shadow BackendProxy.{gd.name}")
-    setattr(BackendProxy, gd.name, _proxy_gate_shim(gd))
 
 
 _ops.bind_gateset(_install_proxy_shim)

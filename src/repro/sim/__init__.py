@@ -8,7 +8,8 @@ Public surface:
 * :mod:`~repro.sim.diag` — diagonal phase-vector batching (``DiagBatch``)
 * :mod:`~repro.sim.plan` — per-chunk contraction plans (``ContractionPlan``)
 * :mod:`~repro.sim.parallel` — process-parallel chunk executor
-* :mod:`~repro.sim.gates` — gate matrices
+* :mod:`~repro.sim.gates` — gate matrices and the ``GATESET`` table the
+  engines' named-gate methods are generated from
 * :mod:`~repro.sim.pauli` — Pauli-string application / rotation
 * :mod:`~repro.sim.arith` — reversible adders for QMPI_SUM reductions
 """

@@ -25,14 +25,24 @@ The key insight is the split between a batch's **structure** and its
 A cache entry (:class:`CachedSchedule`) holds the lowered template and,
 per *engine layout* (:meth:`layout_key` — qubit positions, chunk
 boundary, chunk count, shots branch axis, dtype), one
-:class:`CompiledLayout`: the compiled segment list plus *binders* that
-know which segment parts are value-dependent.  Replay then rebinds only
-those parts — rebuilt matrices for parametric kernel entries, fresh
-phase tables for :class:`~repro.sim.diag.DiagBatch` segments, fresh
-window products for :class:`~repro.sim.plan.ContractionPlan` segments —
-through the *same* numeric routines the cold compiler uses, so cached
-replay is float-identical to a cold compile (the differential fuzz
-suite asserts per-shot bit-equality).
+:class:`CompiledLayout`: the compiled segment list, *binders* that
+know which segment parts are value-dependent, and the engine's frozen
+program over those segments (``engine.freeze_segments``).  Replay then
+rebinds only the value-dependent parts — rebuilt matrices for
+parametric kernel entries, fresh phase tables for
+:class:`~repro.sim.diag.DiagBatch` segments, fresh window products for
+:class:`~repro.sim.plan.ContractionPlan` segments — through the *same*
+numeric routines the cold compiler uses, and runs the program.
+
+There is one executor: a miss, a hit, ``cache="off"`` and a bypass all
+end in ``engine.execute_frozen`` (the last two through
+``engine.apply_ops``, which freezes and runs once), so cached replay
+is float-identical to a cold run by construction — and the
+differential fuzz suite checks both against a dense oracle that shares
+no code with this pipeline (``tests/_dense_oracle.py``).  The engine
+contract the cache relies on (``layout_key`` / ``compile_batch`` /
+``freeze_segments`` / ``execute_frozen``) is stated in
+:class:`repro.qmpi.backend.QuantumBackend`.
 
 Safety relies on two invariants established in
 :mod:`repro.sim.schedule`:
@@ -484,7 +494,7 @@ class ScheduleCache:
     Counters: ``hits``/``misses`` count structural-key lookups,
     ``evictions`` counts entries dropped by the LRU bound, ``bypasses``
     counts flushes that could not be cached (non-Op records, ambiguous
-    payload mapping) and ran through the one-shot path instead.
+    payload mapping) and ran through the caller's one-shot path instead.
     """
 
     def __init__(self, maxsize: int = 128, max_layouts: int = 8):
@@ -531,14 +541,16 @@ class ScheduleCache:
         diag_batching: bool = True,
         planning: bool = True,
         cost_model=DEFAULT_COST_MODEL,
-    ) -> None:
+    ) -> bool:
         """Execute a flush buffer through the cache.
 
         Key the buffer structurally; on a miss, lower once and remember
-        the template; per engine layout, compile once and remember the
-        segments; then bind the payload and interpret.  Anything the
-        cache cannot key safely falls back to the one-shot
-        lower-compile-execute path (counted in ``bypasses``).
+        the template; per engine layout, compile and freeze once and
+        remember the program; then bind the payload and run it — a miss
+        and a hit execute the same frozen program, the hit just skips
+        building it.  Returns ``False`` without executing (counted in
+        ``bypasses``) for anything the cache cannot key safely; the
+        caller then runs its one-shot lower-then-``apply_ops`` path.
         """
         keyed = structural_key(
             ops, num_qubits, diag_batching, planning, cost_model
@@ -561,15 +573,7 @@ class ScheduleCache:
                         self.evictions += 1
         if entry is None:
             self.bypasses += 1
-            lowered = lower_flush(
-                list(ops),
-                num_qubits,
-                diag_batching=diag_batching,
-                planning=planning,
-                cost_model=cost_model,
-            )
-            engine.execute_segments(engine.compile_batch(lowered))
-            return
+            return False
         lk = engine.layout_key(ids)
         layout = entry.layouts.get(lk)
         if layout is None:
@@ -582,20 +586,16 @@ class ScheduleCache:
         else:
             entry.layouts.move_to_end(lk)
         segments = layout.bind(ids, payload)
-        # Engines exposing a freeze surface replay through a per-layout
-        # frozen program: the same arithmetic with the interpreter's
-        # per-op dispatch precompiled away (see ``freeze_segments`` on
-        # the engines).  The sharded engine additionally packs runs of
-        # strided steps into contiguous typed opcode arrays that the
-        # native kernel driver (:mod:`repro.sim.kernels`) walks in one
-        # call per chunk when ``kernels`` dispatch selects the jit path.
-        # The program references the live segment objects, so in-place
+        # One frozen program per layout: the engine's per-op dispatch is
+        # decided once at freeze time (see ``freeze_segments`` on the
+        # engines; the sharded engine additionally packs runs of strided
+        # steps into contiguous typed opcode arrays that the native
+        # kernel driver (:mod:`repro.sim.kernels`) walks in one call per
+        # chunk when ``kernels`` dispatch selects the jit path).  The
+        # program references the live segment objects, so in-place
         # rebinds flow through automatically — matrices are re-read at
         # execute time, not freeze time.
-        execute_frozen = getattr(engine, "execute_frozen", None)
-        if execute_frozen is not None:
-            if layout.frozen is None:
-                layout.frozen = engine.freeze_segments(segments)
-            execute_frozen(layout.frozen)
-        else:
-            engine.execute_segments(segments)
+        if layout.frozen is None:
+            layout.frozen = engine.freeze_segments(segments)
+        engine.execute_frozen(layout.frozen)
+        return True

@@ -7,13 +7,33 @@ axis of the matrix (row-major Kronecker ordering ``U = U_q0 ⊗ U_q1``).
 
 The set matches the paper's §2: Hadamard, S, T, the Paulis, controlled
 Paulis, and Pauli rotations ``R_P(theta) = exp(-i theta P / 2)``.
+
+The :data:`GATESET` registry at the bottom is the canonical description
+of every *named* gate — operand signature, control count, target matrix,
+diagonality — and the one table every per-gate method in the repository
+is generated from: the eager ``h``/``cnot``/... methods of the three
+engines (:func:`bind_engine_gates`) and, one layer up, the op-recording
+shims of ``QmpiComm``, ``QuantumBackend`` and ``BackendProxy``
+(:mod:`repro.qmpi.ops` re-exports these same objects).  It lives here,
+beside the matrices, so that :mod:`repro.sim` stays importable without
+:mod:`repro.qmpi`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
 import numpy as np
 
 __all__ = [
+    "GateDef",
+    "GATESET",
+    "UNITARY",
+    "register_gate",
+    "bind_gateset",
+    "install_gate_method",
+    "bind_engine_gates",
     "I2",
     "X",
     "Y",
@@ -134,3 +154,182 @@ def is_unitary(u: np.ndarray, atol: float = 1e-10) -> bool:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     return bool(np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=atol))
+
+
+# ----------------------------------------------------------------------
+# the canonical gate set
+# ----------------------------------------------------------------------
+#: Pseudo-gate name for an op carrying an explicit unitary payload
+#: (generic ``apply`` calls and fused single-qubit products).
+UNITARY = "unitary"
+
+
+@dataclass(frozen=True)
+class GateDef:
+    """Registry entry describing one named gate.
+
+    ``qubit_args``/``param_args`` name the operands (used for generated
+    method signatures and error messages); the first ``n_controls``
+    qubit operands are control qubits, the rest are targets. ``const``
+    or ``builder`` supplies the matrix *on the targets only* —
+    ``Op.matrix()`` extends it with the controls. ``diagonal`` states
+    whether the full operator (controls included) is diagonal in the
+    computational basis, which is what the fusion and sharded-dispatch
+    layers key on.
+    """
+
+    name: str
+    qubit_args: tuple[str, ...]
+    param_args: tuple[str, ...] = ()
+    n_controls: int = 0
+    const: np.ndarray | None = None
+    builder: Callable[..., np.ndarray] | None = None
+    diagonal: bool = False
+
+    @property
+    def n_qubits(self) -> int:
+        """Number of qubit operands (controls included)."""
+        return len(self.qubit_args)
+
+    @property
+    def n_params(self) -> int:
+        """Number of rotation-parameter operands."""
+        return len(self.param_args)
+
+    def signature(self) -> str:
+        """Human-readable operand list, e.g. ``"c, t, theta"``."""
+        return ", ".join(self.qubit_args + self.param_args)
+
+    def target_matrix(self, params: Sequence[float]) -> np.ndarray:
+        """The unitary on the target qubits for the given parameters."""
+        if self.builder is not None:
+            return self.builder(*params)
+        assert self.const is not None
+        return self.const
+
+
+GATESET: dict[str, GateDef] = {}
+
+#: Method installers (the three engines, ``QuantumBackend``,
+#: ``QmpiComm``, ``BackendProxy``) notified on every registration; see
+#: :func:`bind_gateset`.
+_BINDERS: list[Callable[[GateDef], None]] = []
+
+
+def register_gate(gd: GateDef) -> None:
+    """Add a gate to the registry and install its convenience methods.
+
+    The name must be a valid identifier and must not shadow an existing
+    non-gate attribute of a bound class (``measure``, ``barrier``,
+    ``send``, ...) — a collision would silently replace protocol methods
+    with a gate shim.
+    """
+    if gd.name == UNITARY:
+        raise ValueError(f"{UNITARY!r} is reserved for explicit-matrix ops")
+    if gd.name in GATESET:
+        raise ValueError(f"gate {gd.name!r} already registered")
+    if not gd.name.isidentifier():
+        raise ValueError(f"gate name {gd.name!r} is not a valid identifier")
+    GATESET[gd.name] = gd
+    try:
+        for binder in _BINDERS:
+            binder(gd)
+    except Exception:
+        del GATESET[gd.name]
+        raise
+
+
+def bind_gateset(binder: Callable[[GateDef], None]) -> None:
+    """Subscribe a method installer to the gate registry.
+
+    The installer is applied to every already-registered gate
+    immediately and to each future :func:`register_gate`.
+    """
+    _BINDERS.append(binder)
+    for gd in GATESET.values():
+        binder(gd)
+
+
+def install_gate_method(cls, gd: GateDef, method, doc: str) -> None:
+    """Install a generated per-gate ``method`` as ``cls.<gd.name>``.
+
+    The one place the shadowing rule lives: a gate may replace an
+    earlier generated method (re-binding, subclass wrappers) but never
+    a hand-written attribute of ``cls``.
+    """
+    existing = getattr(cls, gd.name, None)
+    if existing is not None and not getattr(existing, "_gateset_shim", False):
+        raise ValueError(
+            f"gate name {gd.name!r} would shadow {cls.__name__}.{gd.name}"
+        )
+    method.__name__ = gd.name
+    method.__qualname__ = f"{cls.__name__}.{gd.name}"
+    method.__doc__ = doc
+    method._gateset_shim = True
+    setattr(cls, gd.name, method)
+
+
+def bind_engine_gates(cls, wrap=None) -> None:
+    """Generate ``cls``'s eager named-gate methods from the registry.
+
+    Every :class:`GateDef` becomes one method ``name(*qubits, *params)``
+    that builds the target matrix and calls the engine's own
+    ``apply`` / ``apply_controlled`` — the single definition of the
+    ``h`` ... ``toffoli`` forest all three engines share.  ``wrap``
+    (optional) maps ``(gd, method)`` to the method actually installed;
+    the gate-counting engine uses it to tally by gate name.
+    """
+
+    def install(gd: GateDef) -> None:
+        n_qubits, n_controls = gd.n_qubits, gd.n_controls
+        n_args = n_qubits + gd.n_params
+
+        def method(self, *args):
+            if len(args) != n_args:
+                raise TypeError(
+                    f"{gd.name}({gd.signature()}) takes {n_args} operands, "
+                    f"got {len(args)}"
+                )
+            u = gd.target_matrix(args[n_qubits:])
+            if n_controls:
+                self.apply_controlled(
+                    u, args[:n_controls], args[n_controls:n_qubits]
+                )
+            else:
+                self.apply(u, *args[:n_qubits])
+
+        install_gate_method(
+            cls,
+            gd,
+            method if wrap is None else wrap(gd, method),
+            f"``{gd.name}({gd.signature()})`` — applied eagerly.",
+        )
+
+    bind_gateset(install)
+
+
+for _gd in [
+    # single-qubit constants
+    GateDef("h", ("q",), const=H),
+    GateDef("x", ("q",), const=X),
+    GateDef("y", ("q",), const=Y),
+    GateDef("z", ("q",), const=Z, diagonal=True),
+    GateDef("s", ("q",), const=S, diagonal=True),
+    GateDef("sdg", ("q",), const=SDG, diagonal=True),
+    GateDef("t", ("q",), const=T, diagonal=True),
+    GateDef("tdg", ("q",), const=TDG, diagonal=True),
+    # single-qubit rotations
+    GateDef("rx", ("q",), ("theta",), builder=rx),
+    GateDef("ry", ("q",), ("theta",), builder=ry),
+    GateDef("rz", ("q",), ("theta",), builder=rz, diagonal=True),
+    GateDef("phase", ("q",), ("lam",), builder=phase, diagonal=True),
+    # two-qubit
+    GateDef("swap", ("a", "b"), const=SWAP),
+    GateDef("cnot", ("c", "t"), n_controls=1, const=X),
+    GateDef("cz", ("c", "t"), n_controls=1, const=Z, diagonal=True),
+    GateDef("crz", ("c", "t"), ("theta",), n_controls=1, builder=rz, diagonal=True),
+    GateDef("cphase", ("c", "t"), ("lam",), n_controls=1, builder=phase, diagonal=True),
+    # three-qubit
+    GateDef("toffoli", ("c1", "c2", "t"), n_controls=2, const=X),
+]:
+    GATESET[_gd.name] = _gd

@@ -36,13 +36,18 @@ While fewer than ``log2(R)`` qubits exist the engine runs with
 ``min(R, 2^n)`` active chunks and grows to the full shard count as qubits
 are allocated; releasing a high-axis qubit compacts the chunk list again.
 
-Batched execution interprets the compiled execution schedule
-(:mod:`repro.sim.schedule` — see :meth:`ShardedStateVector.apply_ops`):
-every record of a flushed batch is classified against the chunk layout
+Batched execution has one path: the compiled execution schedule
+(:mod:`repro.sim.schedule`) is frozen into a per-chunk program and run
+(:meth:`ShardedStateVector.freeze_segments` /
+:meth:`~ShardedStateVector.execute_frozen` — a cold batch freezes and
+runs once, the schedule cache keeps the program for replay).  Every
+record of a flushed batch is classified against the chunk layout
 exactly once, communication-free stretches execute chunk-by-chunk in
 one pass (kernel runs, plan sub-blocks, and
 :class:`~repro.sim.diag.DiagBatch` phase vectors materialized once per
-shard-bit signature), and only ``mixing`` segments exchange chunks.
+shard-bit signature), and only ``mixing`` segments exchange chunks —
+through the eager :meth:`~ShardedStateVector.apply` /
+:meth:`~ShardedStateVector.apply_controlled` exchange implementations.
 With ``workers=N`` each stretch ships to a persistent process pool
 (:class:`~repro.sim.parallel.ChunkPool`) as one task per worker over a
 static chunk partition, mutating shared-memory chunk buffers in place.
@@ -721,8 +726,9 @@ class ShardedStateVector:
         The batch is compiled once into typed segments by
         :func:`repro.sim.schedule.compile_segments` — every record is
         classified against the chunk layout exactly once (local /
-        block-diagonal-shard-axes / mixing) — and this engine merely
-        *interprets* the segments: maximal communication-free stretches
+        block-diagonal-shard-axes / mixing) — then frozen and run (the
+        same freeze-then-:meth:`execute_frozen` path a schedule-cache
+        miss takes): maximal communication-free stretches
         execute chunk-by-chunk in one pass (kernel runs, sub-block
         selections and phase-vector multiplies), and only a ``mixing``
         segment exchanges chunks through the fabric.  With ``workers=N``
@@ -734,7 +740,7 @@ class ShardedStateVector:
         self.execute_segments(self.compile_batch(ops))
 
     # ------------------------------------------------------------------
-    # schedule-cache engine API (see repro.sim.cache)
+    # engine contract (see repro.qmpi.backend.QuantumBackend)
     # ------------------------------------------------------------------
     def layout_key(self, qubits):
         """Layout fingerprint of this engine for the touched ``qubits``.
@@ -742,10 +748,10 @@ class ShardedStateVector:
         Pins each touched qubit's global bit position, the chunk
         boundary, the active chunk count, the presence of shot-branch
         rows, and the amplitude dtype — everything
-        :meth:`compile_batch`'s classification *and* the segment
-        interpreters depend on.  Equal keys mean a cached segment list
-        compiled under one is exact under the other; unknown qubit ids
-        raise, so a recycled engine can never bind a stale schedule.
+        :meth:`compile_batch`'s classification *and* the frozen
+        programs depend on.  Equal keys mean a program frozen under one
+        is exact under the other; unknown qubit ids raise, so a
+        recycled engine can never bind a stale schedule.
         """
         return (
             "sharded",
@@ -761,29 +767,9 @@ class ShardedStateVector:
         return compile_segments(ops, bit=self._bit, n_local=self.n_local)
 
     def execute_segments(self, segments) -> None:
-        """Interpret an already-compiled segment list (cache replay path)."""
-        for stretch, barrier in iter_stretches(segments):
-            self.segments_executed += len(stretch) + (0 if barrier is None else 1)
-            if stretch:
-                self._apply_stretch(stretch)
-            if barrier is None:
-                continue
-            if isinstance(barrier, PlanSegment):
-                # Shard-axis-mixing plan: one exchange for the whole
-                # fused run instead of one per constituent op.
-                self.apply(barrier.plan.u, *barrier.plan.qubits)
-            else:
-                op = barrier.op
-                if op.controls:
-                    self.apply_controlled(
-                        op.target_matrix(), list(op.controls), list(op.targets)
-                    )
-                else:
-                    self.apply(op.target_matrix(), *op.targets)
+        """Run a compiled segment list once: freeze, then execute."""
+        self.execute_frozen(self.freeze_segments(segments))
 
-    # ------------------------------------------------------------------
-    # frozen replay (schedule-cache warm path)
-    # ------------------------------------------------------------------
     def freeze_segments(self, segments):
         """Freeze a bound segment list into a replay program.
 
@@ -796,8 +782,7 @@ class ShardedStateVector:
         control-mask participation, index-tuple construction) is decided
         once here.  Steps reference the live segment objects and re-read
         their entries on every execution, so the cache's in-place
-        parameter rebinding flows through; the arithmetic on the
-        amplitudes is the interpreter's, expression for expression.
+        parameter rebinding flows through.
         """
         nl = self.n_local
         n_chunks = len(self._chunks)
@@ -819,9 +804,7 @@ class ShardedStateVector:
                 if run:
                     folds.append(("run", self._freeze_run(run, nl, n_chunks)))
                 cost = sum(seg.cost for seg in stretch)
-                steps.append(
-                    ("stretch", tuple(stretch), cost, tuple(folds), len(stretch))
-                )
+                steps.append(("stretch", cost, tuple(folds), len(stretch)))
             if barrier is not None:
                 steps.append(("barrier", barrier))
         return tuple(steps)
@@ -836,15 +819,17 @@ class ShardedStateVector:
         Only ``(seg, i)`` references are stored for the matrices, which
         rebinding replaces inside the live segments.
 
-        Returns ``(per_chunk, native)``: the tagged python step lists
-        (the planar-numpy arm) and, per chunk, the same program packed
+        Returns ``(per_chunk, native, segs)``: the tagged python step
+        lists (the planar-numpy arm); per chunk, the same program packed
         into contiguous typed step arrays — maximal ``("blk", codes,
         arg0, arg1, refs)`` runs of :mod:`repro.sim.kernels` opcodes
         that one native ``drive`` call walks per chunk, broken by
         ``("py", step)`` items for the generic ``ct``/``csel`` entries
         (whose matmul stays on BLAS in every mode).  Which arm executes
         is decided per chunk per flush by the engine's dispatch; both
-        arms replay the identical planar expression tree.
+        arms replay the identical planar expression tree.  ``segs`` are
+        the fold's live source segments, whose entries the pool
+        dispatch ships to the workers (:meth:`_dispatch_stretch`).
         """
         per_chunk: list[list] = [[] for _ in range(n_chunks)]
         raw_native: list[list] = [[] for _ in range(n_chunks)]
@@ -924,12 +909,7 @@ class ShardedStateVector:
                         per_chunk[ci].append(("g", src, i))
                         raw_native[ci].append(("p", ("g", src, i)))
         native = tuple(_pack_native(seq) for seq in raw_native)
-        return tuple(tuple(s) for s in per_chunk), native
-
-    def _exec_frozen_run(self, frozen, nl) -> None:
-        """Run one frozen kernel fold chunk by chunk."""
-        for ci, chunk in enumerate(self._chunks):
-            self._exec_frozen_chunk(frozen, nl, ci, chunk)
+        return tuple(tuple(s) for s in per_chunk), native, tuple(segs)
 
     def _exec_frozen_chunk(self, frozen, nl, ci, chunk) -> None:
         """Replay one chunk's frozen kernel-fold program.
@@ -944,7 +924,7 @@ class ShardedStateVector:
         matrices are rounded to the chunk dtype exactly once here (the
         rounding boundary) in both arms.
         """
-        per_chunk, native = frozen
+        per_chunk, native, _ = frozen
         kd = self._kernels
         c64 = chunk.dtype == np.complex64
         if kd.native(chunk.size):
@@ -1016,14 +996,14 @@ class ShardedStateVector:
                 apply_run(chunk, (st[1].entry,), nl, ci, kd)
 
     def execute_frozen(self, program) -> None:
-        """Replay a frozen program (same arithmetic as the interpreter)."""
+        """Execute a frozen program: the engine's only gate-batch path."""
         nl = self.n_local
         for step in program:
             if step[0] == "stretch":
-                _, stretch, cost, folds, n_segments = step
+                _, cost, folds, n_segments = step
                 self.segments_executed += n_segments
                 if self._parallel_ready(cost):
-                    self._dispatch_stretch(stretch)
+                    self._dispatch_stretch(folds)
                     continue
                 # Chunk-major: materialize every fold's phase tensors
                 # first, then touch each chunk exactly once for the whole
@@ -1041,85 +1021,22 @@ class ShardedStateVector:
                 for ci, chunk in enumerate(self._chunks):
                     for kind, payload in prepped:
                         if kind == "diag":
+                            # Leading -1 axis folds in any shot-branch
+                            # rows; the phase tensor (ndim nl)
+                            # broadcasts over it right-aligned.
                             vecs, sig_of = payload
                             v = chunk.reshape((-1,) + (2,) * nl)
                             v *= vecs[sig_of[ci]]
                         else:
                             self._exec_frozen_chunk(payload, nl, ci, chunk)
                 continue
+            # Barrier: the eager exchange implementations.  A mixing
+            # plan quacks like an uncontrolled op — one exchange for the
+            # whole fused run instead of one per constituent op.
             barrier = step[1]
             self.segments_executed += 1
-            if isinstance(barrier, PlanSegment):
-                self.apply(barrier.plan.u, *barrier.plan.qubits)
-            else:
-                op = barrier.op
-                if op.controls:
-                    self.apply_controlled(
-                        op.target_matrix(), list(op.controls), list(op.targets)
-                    )
-                else:
-                    self.apply(op.target_matrix(), *op.targets)
-
-    @staticmethod
-    def _fold_stretch(stretch):
-        """Fold a stretch into bulk payloads: the one shared walk.
-
-        Yields ``("run", entries)`` for each maximal run of kernel
-        entries (:class:`~repro.sim.schedule.KernelRun` entries plus
-        communication-free :class:`~repro.sim.schedule.PlanSegment`
-        entries, merged across segment boundaries) and
-        ``("diag", batch)`` for each diagonal segment, in program
-        order.  Both the serial executor and the run-level pool
-        dispatch consume this, so the two paths cannot drift.
-        """
-        entries: list = []
-        for seg in stretch:
-            if isinstance(seg, DiagSegment):
-                if entries:
-                    yield ("run", tuple(entries))
-                    entries = []
-                yield ("diag", seg.batch)
-            elif isinstance(seg, KernelRun):
-                entries.extend(seg.entries)
-            else:  # communication-free PlanSegment
-                entries.append(seg.entry)
-        if entries:
-            yield ("run", tuple(entries))
-
-    def _apply_stretch(self, stretch) -> None:
-        """Execute one communication-free stretch of segments.
-
-        Serially this is one pass over each chunk per kernel run plus
-        one vectorized multiply per diagonal segment — identical
-        arithmetic to the worker path (:func:`repro.sim.parallel.apply_run`).
-        With the pool ready — a cost-aware decision: the segments' cost
-        tags weigh the stretch against the per-dispatch round-trip (see
-        :meth:`_parallel_ready`) — the whole stretch ships as one
-        ``("segments", ...)`` task per worker (see :meth:`_dispatch_stretch`).
-        """
-        if self._parallel_ready(sum(seg.cost for seg in stretch)):
-            self._dispatch_stretch(stretch)
-            return
-        nl = self.n_local
-        kd = self._kernels
-        # Chunk-major (see execute_frozen): prepare every fold, then one
-        # pass over the chunks applying all of them — each chunk is
-        # touched exactly once per communication-free stretch, which is
-        # what lets spilled registers stream through the page cache.
-        prepped = [
-            ("diag", self._prep_diag_batch(payload))
-            if kind == "diag"
-            else ("run", payload)
-            for kind, payload in self._fold_stretch(stretch)
-        ]
-        for ci, c in enumerate(self._chunks):
-            for kind, payload in prepped:
-                if kind == "run":
-                    apply_run(c, payload, nl, ci, kd)
-                else:
-                    vecs, sig_of = payload
-                    v = c.reshape((-1,) + (2,) * nl)
-                    v *= vecs[sig_of[ci]]
+            rec = barrier.plan if isinstance(barrier, PlanSegment) else barrier.op
+            self.apply_controlled(rec.target_matrix(), rec.controls, rec.targets)
 
     def _batch_tables(self, batch: DiagBatch):
         """A batch's phase tables keyed by bit position (chunk layout)."""
@@ -1147,28 +1064,15 @@ class ShardedStateVector:
         )
         return vecs, sig_of
 
-    def _apply_diag_batch(self, batch: DiagBatch) -> None:
-        """Apply a coalesced diagonal batch as per-chunk phase vectors.
-
-        Each chunk updates with a single vectorized in-place multiply;
-        no chunk ever exchanges amplitudes, regardless of which axes the
-        batch touches.
-        """
-        nl = self.n_local
-        vecs, sig_of = self._prep_diag_batch(batch)
-        for ci, c in enumerate(self._chunks):
-            # Leading -1 axis folds in any shot-branch rows; the phase
-            # tensor (ndim nl) broadcasts over it right-aligned.
-            v = c.reshape((-1,) + (2,) * nl)
-            v *= vecs[sig_of[ci]]
-
-    def _dispatch_stretch(self, stretch) -> None:
+    def _dispatch_stretch(self, folds) -> None:
         """Ship a communication-free stretch to the pool, run-level.
 
-        The stretch is folded into worker payloads — consecutive kernel
-        entries merge into ``("run", entries)`` records, each diagonal
-        segment stages its per-signature phase tensors once in scratch
-        shared memory and becomes ``("mul", high_bits, vec_map)`` — and
+        The stretch's frozen folds become worker payloads — a
+        kernel-run fold ships its segments' live entries merged into
+        one ``("run", entries)`` record (re-read per flush, so cache
+        rebinding flows through), each diagonal segment stages its
+        per-signature phase tensors once in scratch shared memory and
+        becomes ``("mul", high_bits, vec_map)`` — and
         the chunks are partitioned statically: **one**
         ``("segments", chunk_slice, ...)`` task per worker covers the
         whole stretch, so queue round-trips are O(workers) per stretch
@@ -1179,11 +1083,17 @@ class ShardedStateVector:
         payloads: list[tuple] = []
         scratch: list[shared_memory.SharedMemory] = []
         try:
-            for kind, payload in self._fold_stretch(stretch):
+            for kind, payload in folds:
                 if kind == "run":
-                    payloads.append(("run", payload))
+                    entries: list = []
+                    for seg in payload[2]:
+                        if isinstance(seg, KernelRun):
+                            entries.extend(seg.entries)
+                        else:  # communication-free PlanSegment
+                            entries.append(seg.entry)
+                    payloads.append(("run", tuple(entries)))
                     continue
-                singles, pairs = self._batch_tables(payload)
+                singles, pairs = self._batch_tables(payload.batch)
                 high_bits, vecs, _ = signature_vectors(
                     singles, pairs, nl, len(self._chunks), kernels=self._kernels
                 )
@@ -1486,58 +1396,6 @@ class ShardedStateVector:
         for i in parts:
             self._chunks[i].reshape((-1,) + (2,) * nl)[idx] = new[i]
 
-    # -- conveniences ---------------------------------------------------
-    def h(self, q: int) -> None:
-        self.apply(G.H, q)
-
-    def x(self, q: int) -> None:
-        self.apply(G.X, q)
-
-    def y(self, q: int) -> None:
-        self.apply(G.Y, q)
-
-    def z(self, q: int) -> None:
-        self.apply(G.Z, q)
-
-    def s(self, q: int) -> None:
-        self.apply(G.S, q)
-
-    def sdg(self, q: int) -> None:
-        self.apply(G.SDG, q)
-
-    def t(self, q: int) -> None:
-        self.apply(G.T, q)
-
-    def tdg(self, q: int) -> None:
-        self.apply(G.TDG, q)
-
-    def rx(self, q: int, theta: float) -> None:
-        self.apply(G.rx(theta), q)
-
-    def ry(self, q: int, theta: float) -> None:
-        self.apply(G.ry(theta), q)
-
-    def rz(self, q: int, theta: float) -> None:
-        self.apply(G.rz(theta), q)
-
-    def cnot(self, control: int, target: int) -> None:
-        self.apply_controlled(G.X, [control], [target])
-
-    def cz(self, control: int, target: int) -> None:
-        self.apply_controlled(G.Z, [control], [target])
-
-    def crz(self, control: int, target: int, theta: float) -> None:
-        self.apply_controlled(G.rz(theta), [control], [target])
-
-    def cphase(self, control: int, target: int, lam: float) -> None:
-        self.apply_controlled(G.phase(lam), [control], [target])
-
-    def swap(self, a: int, b: int) -> None:
-        self.apply(G.SWAP, a, b)
-
-    def toffoli(self, c1: int, c2: int, target: int) -> None:
-        self.apply_controlled(G.X, [c1, c2], [target])
-
     # ------------------------------------------------------------------
     # measurement and inspection
     # ------------------------------------------------------------------
@@ -1823,3 +1681,6 @@ class ShardedStateVector:
             f"<ShardedStateVector n={self.num_qubits} chunks={self.num_chunks}"
             f"x{self.chunk_size} ids={self.qubit_ids}>"
         )
+
+
+G.bind_engine_gates(ShardedStateVector)

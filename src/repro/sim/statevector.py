@@ -10,9 +10,12 @@ Design notes
 * The state is stored as an ndarray of shape ``(2,) * n``; qubit handles
   are stable integer ids mapped to tensor axes, so qubits can be allocated
   and released dynamically (``QMPI_Alloc_qmem`` / ``QMPI_Free_qmem``).
-* Gate application uses ``np.tensordot`` + ``np.moveaxis`` — vectorized,
-  no Python loop over amplitudes (per the HPC guide: avoid explicit loops,
-  operate on views).
+* Gate application is one transpose + reshape + ``np.dot`` contraction
+  (``_contract``) shared by the eager ``apply`` family and the frozen
+  programs that execute every batch — vectorized, no Python loop over
+  amplitudes (per the HPC guide: avoid explicit loops, operate on views).
+* The named-gate methods (``h``, ``cnot``, ``phase``, ...) are generated
+  from :data:`repro.sim.gates.GATESET` at the bottom of this module.
 * Measurement uses an injectable :class:`numpy.random.Generator` so that
   distributed runs are reproducible.
 """
@@ -227,6 +230,50 @@ class StateVector:
     # ------------------------------------------------------------------
     # gate application
     # ------------------------------------------------------------------
+    @staticmethod
+    def _freeze_contraction(target_axes, ndim):
+        """Precompute the axis plan of one ``2^k x 2^k`` contraction.
+
+        The plan drives :meth:`_contract`: transpose the contracted axes
+        to the front, flatten to a ``(2^k, rest)`` matrix, one
+        ``np.dot``, then the inverse permutation that puts the ``k`` new
+        axes back in place.  Eager calls build it per call; frozen
+        programs build it once per engine layout.
+        """
+        k = len(target_axes)
+        notin = tuple(a for a in range(ndim) if a not in target_axes)
+        perm_in = tuple(target_axes) + notin
+        order = list(range(k, ndim))
+        for dest, src in sorted(zip(target_axes, range(k))):
+            order.insert(dest, src)
+        return k, 1 << k, notin, perm_in, tuple(order)
+
+    @staticmethod
+    def _contract(u, psi, k, rows, notin, perm_in, perm_out):
+        """Contract ``u`` into ``psi`` along a :meth:`_freeze_contraction`
+        plan — the one dense kernel behind :meth:`apply`,
+        :meth:`apply_controlled` and every frozen matrix step, so eager
+        and replayed gates are the same array operations on the same
+        values (bit-identical)."""
+        st = psi.transpose(perm_in).reshape(rows, -1)
+        shape = (2,) * k + tuple(psi.shape[a] for a in notin)
+        return np.dot(u, st).reshape(shape).transpose(perm_out)
+
+    def _freeze_controlled(self, controls, targets, ndim):
+        """Index of the all-ones control slice (a view on the state —
+        no ``2^k``-dim controlled matrix is ever materialized) and the
+        contraction plan of ``targets`` within it."""
+        c_axes = [self._axis(q) for q in controls]
+        idx: list = [slice(None)] * ndim
+        for a in c_axes:
+            idx[a] = 1
+        # Target axes shift down past the removed control axes.
+        t_axes = []
+        for q in targets:
+            a = self._axis(q)
+            t_axes.append(a - sum(1 for c in c_axes if c < a))
+        return tuple(idx), self._freeze_contraction(t_axes, ndim - len(c_axes))
+
     def apply(self, u: np.ndarray, *qubits: int) -> None:
         """Apply a ``2^k x 2^k`` unitary to ``k`` qubits.
 
@@ -245,20 +292,13 @@ class StateVector:
                 f"matrix shape {u.shape} does not match {k} qubits"
             )
         axes = [self._axis(q) for q in qubits]
-        ut = u.reshape((2,) * (2 * k))
-        # Contract the "column" indices of U with the state's qubit axes.
-        psi = np.tensordot(ut, self._psi, axes=(range(k, 2 * k), axes))
-        # tensordot puts the k new indices first; move them back in place.
-        self._psi = np.moveaxis(psi, range(k), axes)
+        plan = self._freeze_contraction(axes, self._psi.ndim)
+        self._psi = self._contract(u, self._psi, *plan)
 
     def apply_controlled(
         self, u: np.ndarray, controls: Sequence[int], targets: Sequence[int]
     ) -> None:
-        """Apply ``u`` on ``targets`` conditioned on all ``controls`` = |1>.
-
-        Works on the |1...1> control slice in place — no ``2^k``-dim
-        controlled matrix is ever materialized.
-        """
+        """Apply ``u`` on ``targets`` conditioned on all ``controls`` = |1>."""
         controls = list(controls)
         targets = list(targets)
         if set(controls) & set(targets):
@@ -269,52 +309,34 @@ class StateVector:
             raise SimulationError(
                 f"matrix shape {u.shape} does not match {k} targets"
             )
-        c_axes = [self._axis(q) for q in controls]
-        view = self._psi
-        # Slice out the all-ones control subspace (a view on the state).
-        idx: list = [slice(None)] * view.ndim
-        for a in c_axes:
-            idx[a] = 1
-        sub = view[tuple(idx)]
-        # Target axes within the sliced view: axes shift down past removed
-        # control axes.
-        t_axes = []
-        for q in targets:
-            a = self._axis(q)
-            t_axes.append(a - sum(1 for c in c_axes if c < a))
-        ut = u.reshape((2,) * (2 * k))
-        new = np.tensordot(ut, sub, axes=(range(k, 2 * k), t_axes))
-        view[tuple(idx)] = np.moveaxis(new, range(k), t_axes)
+        idx, plan = self._freeze_controlled(controls, targets, self._psi.ndim)
+        self._psi[idx] = self._contract(u, self._psi[idx], *plan)
 
     def apply_ops(self, ops) -> None:
         """Execute a batch of typed op records (see :mod:`repro.qmpi.ops`).
 
         The batch is compiled into typed segments by
         :func:`repro.sim.schedule.compile_segments` (layout-less: one
-        flat array means everything is communication-free) and this
-        engine merely interprets them: each
-        :class:`~repro.sim.schedule.KernelRun` is an in-order loop of
-        duck-typed ops, each :class:`~repro.sim.schedule.DiagSegment`
-        one broadcasted phase-vector multiply, and each
-        :class:`~repro.sim.schedule.PlanSegment` one tensor contraction
-        of its precontracted window unitary (one pass over the
-        amplitudes for the whole fused run); the sharded engine overlays
-        real per-chunk batching and worker dispatch on the same IR.
+        flat array means everything is communication-free), frozen
+        against the current axis layout and run — the same
+        freeze-then-:meth:`execute_frozen` path a schedule-cache miss
+        takes, so a cold batch and a warm replay differ only in who
+        kept the program.
         """
         self.execute_segments(self.compile_batch(ops))
 
     # ------------------------------------------------------------------
-    # schedule-cache engine API (see repro.sim.cache)
+    # engine contract (see repro.qmpi.backend.QuantumBackend)
     # ------------------------------------------------------------------
     def layout_key(self, qubits):
         """Layout fingerprint of this engine for the touched ``qubits``.
 
-        Two calls returning equal keys guarantee that a segment list
-        compiled under the first is valid under the second: the key
-        pins the axis of every touched qubit, the total axis count, the
-        presence of the shots branch axis, and the amplitude dtype.
-        Unknown qubit ids raise, so a stale cached schedule can never
-        bind to a recycled engine that no longer owns them.
+        Two calls returning equal keys guarantee that a program frozen
+        under the first is valid under the second: the key pins the
+        axis of every touched qubit, the total axis count, the presence
+        of the shots branch axis, and the amplitude dtype.  Unknown
+        qubit ids raise, so a stale cached schedule can never bind to a
+        recycled engine that no longer owns them.
         """
         branch = self._shots is not None
         return (
@@ -330,43 +352,8 @@ class StateVector:
         return compile_segments(ops)
 
     def execute_segments(self, segments) -> None:
-        """Interpret an already-compiled segment list (cache replay path)."""
-        for seg in segments:
-            self.segments_executed += 1
-            if isinstance(seg, KernelRun):
-                for op in seg.ops:
-                    controls = op.controls
-                    if controls:
-                        self.apply_controlled(
-                            op.target_matrix(), list(controls), list(op.targets)
-                        )
-                    else:
-                        self.apply(op.target_matrix(), *op.targets)
-            elif isinstance(seg, DiagSegment):
-                self._apply_diag_batch(seg.batch)
-            else:  # PlanSegment (ExchangeSegment never occurs layout-less)
-                self.apply(seg.plan.u, *seg.plan.qubits)
-
-    # ------------------------------------------------------------------
-    # frozen replay (schedule-cache warm path)
-    # ------------------------------------------------------------------
-    def _freeze_contraction(self, target_axes, ndim):
-        """Precompute the transpose/reshape/dot pipeline of one ``apply``.
-
-        Replicates exactly what ``np.tensordot(ut, psi, (col_axes,
-        target_axes))`` followed by ``np.moveaxis(res, range(k), axes)``
-        does: transpose the contracted axes to the front, flatten to a
-        ``(2^k, rest)`` matrix, one ``np.dot``, then the inverse
-        permutation — the same array operations on the same values, so
-        the result is bit-identical to the interpreter.
-        """
-        k = len(target_axes)
-        notin = tuple(a for a in range(ndim) if a not in target_axes)
-        perm_in = tuple(target_axes) + notin
-        order = list(range(k, ndim))
-        for dest, src in sorted(zip(target_axes, range(k))):
-            order.insert(dest, src)
-        return k, 1 << k, notin, perm_in, tuple(order)
+        """Run a compiled segment list once: freeze, then execute."""
+        self.execute_frozen(self.freeze_segments(segments))
 
     def freeze_segments(self, segments):
         """Freeze a bound segment list into a replay program.
@@ -384,78 +371,49 @@ class StateVector:
         n_segments = 0
         for seg in segments:
             n_segments += 1
-            if isinstance(seg, KernelRun):
-                for i, op in enumerate(seg.ops):
-                    controls = op.controls
-                    if not controls:
-                        axes = [self._axis(q) for q in op.targets]
-                        steps.append(
-                            ("k", seg, i, [None, None],
-                             *self._freeze_contraction(axes, ndim))
-                        )
-                        continue
-                    c_axes = [self._axis(q) for q in controls]
-                    idx: list = [slice(None)] * ndim
-                    for a in c_axes:
-                        idx[a] = 1
-                    t_axes = []
-                    for q in op.targets:
-                        a = self._axis(q)
-                        t_axes.append(a - sum(1 for c in c_axes if c < a))
-                    steps.append(
-                        ("c", seg, i, [None, None], tuple(idx),
-                         *self._freeze_contraction(t_axes, ndim - len(c_axes)))
-                    )
-            elif isinstance(seg, DiagSegment):
+            if isinstance(seg, DiagSegment):
                 steps.append(("d", seg))
-            else:  # PlanSegment
+            elif isinstance(seg, KernelRun):
+                for i, op in enumerate(seg.ops):
+                    if op.controls:
+                        idx, plan = self._freeze_controlled(
+                            op.controls, op.targets, ndim
+                        )
+                    else:
+                        axes = [self._axis(q) for q in op.targets]
+                        idx, plan = None, self._freeze_contraction(axes, ndim)
+                    steps.append(("k", seg, i, [None, None], idx, plan))
+            else:  # PlanSegment (ExchangeSegment never occurs layout-less)
                 axes = [self._axis(q) for q in seg.plan.qubits]
-                steps.append(
-                    ("p", seg, *self._freeze_contraction(axes, ndim))
-                )
+                steps.append(("p", seg, self._freeze_contraction(axes, ndim)))
         return n_segments, tuple(steps)
 
     def execute_frozen(self, program) -> None:
-        """Replay a frozen program (same arithmetic as the interpreter)."""
+        """Execute a frozen program: the engine's only gate-batch path."""
         n_segments, steps = program
         self.segments_executed += n_segments
-        dot = np.dot
+        contract = self._contract
         for step in steps:
             kind = step[0]
-            if kind == "k":
-                _, seg, i, cell, k, rows, notin, perm_in, perm_out = step
-                op = seg.ops[i]
-                if op is cell[0]:
-                    u = cell[1]
-                else:
-                    u = np.asarray(op.target_matrix(), dtype=self._dtype)
-                    cell[0], cell[1] = op, u
-                psi = self._psi
-                st = psi.transpose(perm_in).reshape(rows, -1)
-                shape = (2,) * k + tuple(psi.shape[a] for a in notin)
-                self._psi = dot(u, st).reshape(shape).transpose(perm_out)
-            elif kind == "c":
-                _, seg, i, cell, idx, k, rows, notin, perm_in, perm_out = step
-                op = seg.ops[i]
-                if op is cell[0]:
-                    u = cell[1]
-                else:
-                    u = np.asarray(op.target_matrix(), dtype=self._dtype)
-                    cell[0], cell[1] = op, u
-                view = self._psi
-                sub = view[idx]
-                st = sub.transpose(perm_in).reshape(rows, -1)
-                shape = (2,) * k + tuple(sub.shape[a] for a in notin)
-                view[idx] = dot(u, st).reshape(shape).transpose(perm_out)
-            elif kind == "d":
+            if kind == "d":
                 self._apply_diag_batch(step[1].batch)
-            else:  # "p"
-                _, seg, k, rows, notin, perm_in, perm_out = step
+                continue
+            idx = None
+            if kind == "p":
+                # The window product is re-read: a rebind swaps seg.plan.
+                _, seg, plan = step
                 u = np.asarray(seg.plan.u, dtype=self._dtype)
-                psi = self._psi
-                st = psi.transpose(perm_in).reshape(rows, -1)
-                shape = (2,) * k + tuple(psi.shape[a] for a in notin)
-                self._psi = dot(u, st).reshape(shape).transpose(perm_out)
+            else:
+                _, seg, i, cell, idx, plan = step
+                op = seg.ops[i]
+                if op is not cell[0]:
+                    cell[0] = op
+                    cell[1] = np.asarray(op.target_matrix(), dtype=self._dtype)
+                u = cell[1]
+            if idx is None:
+                self._psi = contract(u, self._psi, *plan)
+            else:
+                self._psi[idx] = contract(u, self._psi[idx], *plan)
 
     def _apply_diag_batch(self, batch: DiagBatch) -> None:
         """One vectorized multiply for a whole coalesced diagonal run.
@@ -474,58 +432,6 @@ class StateVector:
             for (a, b), t in batch.phases2.items()
         ]
         self._psi *= chunk_phase(singles, pairs, n, kernels=self._kernels)
-
-    # -- conveniences ---------------------------------------------------
-    def h(self, q: int) -> None:
-        self.apply(G.H, q)
-
-    def x(self, q: int) -> None:
-        self.apply(G.X, q)
-
-    def y(self, q: int) -> None:
-        self.apply(G.Y, q)
-
-    def z(self, q: int) -> None:
-        self.apply(G.Z, q)
-
-    def s(self, q: int) -> None:
-        self.apply(G.S, q)
-
-    def sdg(self, q: int) -> None:
-        self.apply(G.SDG, q)
-
-    def t(self, q: int) -> None:
-        self.apply(G.T, q)
-
-    def tdg(self, q: int) -> None:
-        self.apply(G.TDG, q)
-
-    def rx(self, q: int, theta: float) -> None:
-        self.apply(G.rx(theta), q)
-
-    def ry(self, q: int, theta: float) -> None:
-        self.apply(G.ry(theta), q)
-
-    def rz(self, q: int, theta: float) -> None:
-        self.apply(G.rz(theta), q)
-
-    def cnot(self, control: int, target: int) -> None:
-        self.apply_controlled(G.X, [control], [target])
-
-    def cz(self, control: int, target: int) -> None:
-        self.apply_controlled(G.Z, [control], [target])
-
-    def crz(self, control: int, target: int, theta: float) -> None:
-        self.apply_controlled(G.rz(theta), [control], [target])
-
-    def cphase(self, control: int, target: int, lam: float) -> None:
-        self.apply_controlled(G.phase(lam), [control], [target])
-
-    def swap(self, a: int, b: int) -> None:
-        self.apply(G.SWAP, a, b)
-
-    def toffoli(self, c1: int, c2: int, target: int) -> None:
-        self.apply_controlled(G.X, [c1, c2], [target])
 
     # ------------------------------------------------------------------
     # measurement and inspection
@@ -732,3 +638,6 @@ class StateVector:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<StateVector n={self.num_qubits} ids={self.qubit_ids}>"
+
+
+G.bind_engine_gates(StateVector)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 __all__ = ["GateCounts", "TrackedStateVector"]
 
 from .diag import DiagBatch
+from .gates import bind_engine_gates
 from .statevector import StateVector
 
 
@@ -69,107 +70,51 @@ class TrackedStateVector(StateVector):
         self.counts.measurements += 1
         return bit
 
+    #: Gate name a generated named-gate method is running under: its
+    #: apply()/apply_controlled() call tallies that instead of the
+    #: generic tag, keeping the counts human readable.
+    _named: str | None = None
+
     def apply(self, u, *qubits) -> None:
         super().apply(u, *qubits)
-        self.counts.gates[f"u{len(qubits)}"] += 1
+        self.counts.gates[self._named or f"u{len(qubits)}"] += 1
 
     def apply_controlled(self, u, controls, targets) -> None:
         super().apply_controlled(u, controls, targets)
-        self.counts.gates[f"c{len(list(controls))}u{len(list(targets))}"] += 1
+        generic = f"c{len(list(controls))}u{len(list(targets))}"
+        self.counts.gates[self._named or generic] += 1
 
     def apply_ops(self, ops) -> None:
-        # Re-tag registry-named ops so batched execution counts like the
-        # named conveniences; fused/unitary ops keep the generic tag.
-        # A coalesced DiagBatch bypasses apply()/apply_controlled(), so
-        # tally its phase tables directly — one u1 per single-qubit
-        # table, one u2 per pair table — matching the engine work the
-        # batch actually performs (merged repeats count once, exactly
-        # like peephole-fused products).
+        # Batches execute as frozen programs that never pass through
+        # apply()/apply_controlled(), so tally at the op level: the gate
+        # name for registry ops, u{k} for explicit matrices (fused /
+        # unitary ops and contraction plans carry no controls), and for
+        # a coalesced DiagBatch its phase tables — one u1 per
+        # single-qubit table, one u2 per pair table — matching the
+        # engine work the batch actually performs (merged repeats count
+        # once, exactly like peephole-fused products).
+        ops = tuple(ops)
+        super().apply_ops(ops)
+        gates = self.counts.gates
         for op in ops:
-            super().apply_ops((op,))
             if isinstance(op, DiagBatch):
                 if op.phases1:
-                    self.counts.gates["u1"] += len(op.phases1)
+                    gates["u1"] += len(op.phases1)
                 if op.phases2:
-                    self.counts.gates["u2"] += len(op.phases2)
-            elif op.spec is not None:
-                nc = op.n_controls
-                generic = f"c{nc}u{len(op.targets)}" if nc else f"u{len(op.targets)}"
-                self._named(op.gate, generic)
+                    gates["u2"] += len(op.phases2)
+            else:
+                gates[op.gate if op.spec is not None else f"u{len(op.qubits)}"] += 1
 
-    # Re-tag the named gates so counts are human readable. The base class
-    # conveniences call apply()/apply_controlled(); we override to replace
-    # the generic tag with the gate name.
-    def _named(self, name: str, generic: str) -> None:
-        self.counts.gates[generic] -= 1
-        if self.counts.gates[generic] == 0:
-            del self.counts.gates[generic]
-        self.counts.gates[name] += 1
 
-    def h(self, q):
-        super().h(q)
-        self._named("h", "u1")
+def _count_by_name(gd, method):
+    def counted(self, *args):
+        self._named = gd.name
+        try:
+            method(self, *args)
+        finally:
+            self._named = None
 
-    def x(self, q):
-        super().x(q)
-        self._named("x", "u1")
+    return counted
 
-    def y(self, q):
-        super().y(q)
-        self._named("y", "u1")
 
-    def z(self, q):
-        super().z(q)
-        self._named("z", "u1")
-
-    def s(self, q):
-        super().s(q)
-        self._named("s", "u1")
-
-    def sdg(self, q):
-        super().sdg(q)
-        self._named("sdg", "u1")
-
-    def t(self, q):
-        super().t(q)
-        self._named("t", "u1")
-
-    def tdg(self, q):
-        super().tdg(q)
-        self._named("tdg", "u1")
-
-    def rx(self, q, theta):
-        super().rx(q, theta)
-        self._named("rx", "u1")
-
-    def ry(self, q, theta):
-        super().ry(q, theta)
-        self._named("ry", "u1")
-
-    def rz(self, q, theta):
-        super().rz(q, theta)
-        self._named("rz", "u1")
-
-    def cnot(self, c, t):
-        super().cnot(c, t)
-        self._named("cnot", "c1u1")
-
-    def cz(self, c, t):
-        super().cz(c, t)
-        self._named("cz", "c1u1")
-
-    def crz(self, c, t, theta):
-        super().crz(c, t, theta)
-        self._named("crz", "c1u1")
-
-    def cphase(self, c, t, lam):
-        super().cphase(c, t, lam)
-        self._named("cphase", "c1u1")
-
-    def swap(self, a, b):
-        super().swap(a, b)
-        self._named("swap", "u2")
-
-    def toffoli(self, c1, c2, t):
-        super().toffoli(c1, c2, t)
-        self._named("toffoli", "c2u1")
+bind_engine_gates(TrackedStateVector, wrap=_count_by_name)

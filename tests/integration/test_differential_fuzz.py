@@ -28,6 +28,13 @@ A third sweep adds the **dtype axis**: the same differential bars
 *within* a dtype — the mixed-precision contract of
 :mod:`repro.sim.kernels` — never across dtypes.
 
+A fourth sweep checks the pipeline against something that is *not*
+the pipeline: ``tests/_dense_oracle.py`` (literal gate matrices,
+kron-embedded, applied gate by gate; imports nothing from ``repro``).
+Every differential bar above compares two configurations that share
+``gates.py``, ``lower_flush``, ``compile_segments`` and the frozen
+executors; the oracle arm is what would catch a bug in those.
+
 Environment knobs (used by CI):
 
 * ``QMPI_FUZZ_SEED`` — base corpus seed (fixed default for PRs; CI
@@ -39,6 +46,7 @@ base seed, circuit index, full configuration, and the op-list repr —
 enough to replay one circuit in isolation.
 """
 
+import itertools
 import os
 
 import numpy as np
@@ -46,12 +54,14 @@ import pytest
 
 from repro.qmpi import qmpi_run
 from repro.sim.kernels import provider_name
+from tests import _dense_oracle
 
 BASE_SEED = int(os.environ.get("QMPI_FUZZ_SEED", "20260808"))
 N_CIRCUITS = int(os.environ.get("QMPI_FUZZ_CIRCUITS", "200"))
 N_SHOT_CIRCUITS = max(4, N_CIRCUITS // 20)
 N_KERNEL_CIRCUITS = max(8, N_CIRCUITS // 2)
 N_DTYPE_CIRCUITS = max(8, N_CIRCUITS // 4)
+N_ORACLE_CIRCUITS = max(8, N_CIRCUITS // 4)
 
 # (gate, arity, n_params) — parameterized rotations + Cliffords.
 GATE_POOL = (
@@ -74,6 +84,9 @@ FUSIONS = ("auto", "noplan", "nodiag", "off")
 RANKS = (1, 2, 4)
 DTYPES = ("complex128", "complex64")
 PASSES = 3  # same shape, fresh angles — passes 2..3 replay warm
+#: Oracle bar per register dtype: float64 rounding over <= 54 gates vs
+#: the float32 short-circuit bar of ``tests/_precision.py``.
+ORACLE_ATOL = {"complex128": 1e-10, "complex64": 1e-5}
 
 
 def _gen_circuit(rng):
@@ -369,3 +382,34 @@ def test_fuzz_dtype_shots_per_shot_bits_identical():
         )
         assert bits_on == bits_off, f"per-shot bits diverged\n{label}"
         assert w_on.counts == w_off.counts, f"shot counts diverged\n{label}"
+
+
+def test_fuzz_against_independent_dense_oracle():
+    """Final amplitudes match a reference that shares no code with repro.
+
+    Measurement-free corpus circuits, one configuration each, strided
+    through the full backend x fusion x ranks x cache x dtype product
+    so every axis value meets every other within the quick corpus.
+    """
+    configs = list(itertools.product(BACKENDS, FUSIONS, RANKS, ("on", "off"), DTYPES))
+    for i, circ, passes in _corpus(N_ORACLE_CIRCUITS, 8):
+        n_qubits, ops, _ = circ
+        circ = (n_qubits, ops, ())
+        # 37 is coprime to len(configs) == 96: a full-period stride.
+        backend, fusion, n_ranks, cache, dtype = configs[(37 * i) % len(configs)]
+        label = "engine vs dense oracle\n" + _describe(
+            i, circ, passes, backend, fusion, n_ranks, cache=cache, dtype=dtype
+        )
+        _, sv, _ = _run(circ, passes, backend, fusion, n_ranks, cache, dtype=dtype)
+        expected = _dense_oracle.run(
+            n_qubits,
+            [
+                (gate, qs, theta)
+                for angles in passes
+                for (gate, qs, _), theta in zip(ops, angles)
+            ],
+        )
+        worst = float(np.max(np.abs(sv - expected)))
+        assert worst <= ORACLE_ATOL[dtype], (
+            f"amplitudes off the oracle by {worst:.3e}\n{label}"
+        )

@@ -129,17 +129,6 @@ def test_qmpi_run_sharded_backend_instance_exposed():
     assert w.backend.n_shards == 2
 
 
-def test_qmpi_run_backend_opts_passthrough():
-    w = qmpi_run(
-        2,
-        lambda qc: qc.backend.n_shards,
-        seed=0,
-        backend="sharded",
-        backend_opts={"n_shards": 8},
-    )
-    assert w.results == [8, 8]
-
-
 def test_locality_violation_on_sharded_backend():
     def prog(qc):
         q = qc.alloc_qmem(1)

@@ -274,14 +274,6 @@ def test_world_indexing_iteration_and_context_manager():
     w.close()
 
 
-def test_backend_opts_deprecated_but_working():
-    with pytest.deprecated_call():
-        w = qmpi_run(1, _ghz, args=(2,), seed=0, backend="sharded",
-                     backend_opts={"n_shards": 2})
-    assert w.backend._sv.n_shards == 2
-    w.close()
-
-
 def test_backend_plain_keyword_construction():
     w = qmpi_run(1, _ghz, args=(2,), seed=0, backend="sharded", n_shards=8)
     assert w.backend._sv.n_shards == 8

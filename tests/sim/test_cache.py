@@ -572,28 +572,42 @@ def test_max_layouts_eviction():
     assert np.array_equal(be.statevector(), ref.statevector())
 
 
-def test_engine_without_freeze_surface_uses_segment_interpreter():
-    # Engines are only required to expose compile_batch/execute_segments;
-    # the frozen-replay surface is optional.
+def test_minimal_engine_is_frozen_once_per_layout_and_replayed():
+    # The cache needs exactly layout_key/compile_batch/freeze_segments/
+    # execute_frozen from an engine: one freeze per layout on the miss,
+    # the same program replayed on the hit, a fresh freeze when the
+    # layout key changes.
     class _MiniEngine:
         def __init__(self):
-            self.executed = 0
+            self.layout = "a"
+            self.frozen = []
+            self.executed = []
 
         def layout_key(self, ids):
-            return ("mini", tuple(ids))
+            return ("mini", self.layout, tuple(ids))
 
         def compile_batch(self, lowered):
             return list(lowered)
 
-        def execute_segments(self, segments):
-            self.executed += 1
+        def freeze_segments(self, segments):
+            program = ("program", len(self.frozen), tuple(segments))
+            self.frozen.append(program)
+            return program
+
+        def execute_frozen(self, program):
+            self.executed.append(program)
 
     cache = ScheduleCache()
     eng = _MiniEngine()
     for _ in range(2):
-        cache.execute(eng, (Op("rz", (0,), (0.3,)),), num_qubits=1)
-    assert eng.executed == 2
+        assert cache.execute(eng, (Op("rz", (0,), (0.3,)),), num_qubits=1)
+    assert len(eng.frozen) == 1
+    assert eng.executed == [eng.frozen[0]] * 2
     assert cache.info()["hits"] == 1 and cache.info()["misses"] == 1
+    eng.layout = "b"
+    assert cache.execute(eng, (Op("rz", (0,), (0.3,)),), num_qubits=1)
+    assert len(eng.frozen) == 2 and eng.executed[-1] is eng.frozen[1]
+    assert cache.info()["hits"] == 2 and len(cache) == 1
 
 
 def test_parametric_generic_run_entries_rebind():

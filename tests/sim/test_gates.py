@@ -85,3 +85,61 @@ def test_is_unitary_rejects_junk():
     assert not G.is_unitary(np.ones((2, 2)))
     assert not G.is_unitary(np.ones((2, 3)))
     assert not G.is_unitary(np.ones(4))
+
+
+# ----------------------------------------------------------------------
+# the gate table: one registry, methods generated on every engine
+# ----------------------------------------------------------------------
+def _engines():
+    from repro.sim import ShardedStateVector, StateVector, TrackedStateVector
+
+    return {
+        "shared": lambda: StateVector(4, seed=0),
+        # two chunks: qubit 0 (first allocated, MSB) is the shard axis
+        "sharded": lambda: ShardedStateVector(4, seed=0, n_shards=2),
+        "tracked": lambda: TrackedStateVector(4, seed=0),
+    }
+
+
+@pytest.mark.parametrize("operands", [(0, 2, 3), (3, 1, 0)], ids=["hi-first", "hi-last"])
+@pytest.mark.parametrize("engine", ["shared", "sharded", "tracked"])
+@pytest.mark.parametrize("name", sorted(G.GATESET))
+def test_every_registered_gate_is_an_engine_method(name, engine, operands):
+    from repro.qmpi.ops import Op
+    from tests._dense_oracle import GATES, embed
+    from tests._precision import STATE_ATOL
+
+    gd = G.GATESET[name]
+    qubits = operands[: gd.n_qubits]
+    params = tuple(0.37 * (i + 1) for i in range(gd.n_params))
+    sv = _engines()[engine]()
+    for q in range(4):  # a generic product state, so every gate is visible
+        sv.apply(np.array(GATES["rz"](0.4 + q)) @ np.array(GATES["ry"](0.7 * (q + 1))), q)
+    before = sv.statevector()
+    getattr(sv, name)(*qubits, *params)
+    full = Op(name, qubits, params).matrix()
+    # the registry's matrix against the oracle's literal one ...
+    np.testing.assert_allclose(full, np.array(GATES[name](*params)), atol=1e-15)
+    # ... and the generated method against that matrix applied densely
+    np.testing.assert_allclose(
+        sv.statevector(), embed(full, qubits, 4) @ before, atol=STATE_ATOL
+    )
+    if engine == "tracked":
+        assert sv.counts.gates == {"u1": 4, name: 1}
+
+
+def test_register_gate_installs_on_comm_backends_and_all_engines():
+    from repro.qmpi import GateDef, QmpiComm, QuantumBackend, register_gate
+    from repro.qmpi import ops
+    from repro.sim import ShardedStateVector, StateVector, TrackedStateVector
+
+    assert ops.GATESET is G.GATESET and ops.GateDef is G.GateDef
+    if "t_sx" not in G.GATESET:
+        register_gate(GateDef("t_sx", ("q",), const=G.SX))
+    for cls in (QmpiComm, QuantumBackend, StateVector, ShardedStateVector):
+        assert "t_sx" in vars(cls), cls
+    sv = TrackedStateVector(1, seed=0)
+    sv.t_sx(0)
+    sv.t_sx(0)  # sqrt(X) twice is X
+    assert abs(sv.amplitude([1])) == pytest.approx(1.0)
+    assert sv.counts.gates == {"t_sx": 2}
