@@ -12,7 +12,14 @@ the engine individually) against contraction planning
   planner keeps one window per interaction cluster);
 * ``brickwork`` — alternating layers of ry+cnot+crz+cnot blocks on
   even/odd pairs (each block fuses into one 4x4, windows stay open
-  across the interleaved disjoint pairs).
+  across the interleaved disjoint pairs);
+* ``tfim_step`` — Listing 1's Trotter step: a cnot-rz-cnot ring, then
+  an rx layer (every rx rides in a ring window: the planner's
+  single-qubit absorption rules are what this row measures).
+
+Every plan row also reports ``lowered_records`` — how many records the
+fused arm's flush lowers to, i.e. the number of sweeps over the
+amplitudes (``tfim_step``: ``records_per_step`` beside it).
 
 Workers phase — the run-level pool dispatch on planned batches: a
 pre-lowered brickwork batch (plans forced open) applied with
@@ -65,6 +72,7 @@ WORKER_QUICK_QUBITS = [12]
 WORKER_FULL_QUBITS = [16, 20]
 RAND_DEPTH_PER_QUBIT = 12
 BRICK_LAYERS = 4
+TFIM_STEPS = 4
 
 
 def _rand2q_ops(qubits, seed=5):
@@ -102,6 +110,21 @@ def _brickwork_ops(qubits, seed=9):
     return ops
 
 
+def _tfim_step_ops(qubits, seed=None):
+    """TFIM Trotter steps: cnot-rz-cnot ring, then the rx layer."""
+    n = len(qubits)
+    ops = []
+    for step in range(TFIM_STEPS):
+        for i in range(n):
+            a, b = qubits[i], qubits[(i + 1) % n]
+            ops.append(Op("cnot", (a, b)))
+            ops.append(Op("rz", (b,), (0.3 + 0.1 * step,)))
+            ops.append(Op("cnot", (a, b)))
+        for q in qubits:
+            ops.append(Op("rx", (q,), (-0.4 - 0.1 * step,)))
+    return ops
+
+
 def _qft_ladder_ops(qubits, seed=None):
     """The QFT controlled-phase ladder: all distinct cphase pairs."""
     n = len(qubits)
@@ -112,12 +135,20 @@ def _qft_ladder_ops(qubits, seed=None):
     ]
 
 
-PLAN_KERNELS = {"rand2q": _rand2q_ops, "brickwork": _brickwork_ops}
+PLAN_KERNELS = {
+    "rand2q": _rand2q_ops,
+    "brickwork": _brickwork_ops,
+    "tfim_step": _tfim_step_ops,
+}
 DIAG_KERNELS = {"qft_ladder": _qft_ladder_ops}
 
 
 def _time_ops(make_backend, ops_builder, n_qubits, fusion, min_time, min_reps):
-    """Gates/second replaying a fixed op list through the stream path."""
+    """Gates/second replaying a fixed op list through the stream path.
+
+    Also returns the number of records the (single) flush lowered to,
+    read off the schedule-cache entry the warm-up pass created.
+    """
     be = make_backend()
     qubits = tuple(be.alloc(0, n_qubits))
     ops = ops_builder(qubits)
@@ -129,6 +160,7 @@ def _time_ops(make_backend, ops_builder, n_qubits, fusion, min_time, min_reps):
         stream.flush()
 
     one_pass()  # warm-up
+    (entry,) = be.schedule_cache._entries.values()
     best = float("inf")
     elapsed = 0.0
     reps = 0
@@ -139,7 +171,7 @@ def _time_ops(make_backend, ops_builder, n_qubits, fusion, min_time, min_reps):
         best = min(best, dt / len(ops))
         elapsed += dt
         reps += 1
-    return 1.0 / best
+    return 1.0 / best, len(entry.lowered)
 
 
 def run_phase(kernels, quick, n_shards, min_time, min_reps):
@@ -151,10 +183,10 @@ def run_phase(kernels, quick, n_shards, min_time, min_reps):
                 ("shared", lambda: SharedBackend(seed=0)),
                 ("sharded", lambda: ShardedBackend(seed=0, n_shards=n_shards)),
             ):
-                unfused = _time_ops(
+                unfused, _ = _time_ops(
                     factory, builder, n_qubits, "nodiag", min_time, min_reps
                 )
-                fused = _time_ops(
+                fused, records = _time_ops(
                     factory, builder, n_qubits, "auto", min_time, min_reps
                 )
                 row = {
@@ -164,12 +196,15 @@ def run_phase(kernels, quick, n_shards, min_time, min_reps):
                     "unfused_gates_per_s": round(unfused, 1),
                     "fused_gates_per_s": round(fused, 1),
                     "speedup": round(fused / unfused, 3),
+                    "lowered_records": records,
                 }
+                if name == "tfim_step":
+                    row["records_per_step"] = round(records / TFIM_STEPS, 2)
                 rows.append(row)
                 print(
                     f"{name:<10} n={n_qubits:>2} {label:<8} "
                     f"per-op {unfused:>10.0f}  fused {fused:>10.0f} gates/s  "
-                    f"x{row['speedup']}"
+                    f"x{row['speedup']}  ({records} records)"
                 )
     return rows
 
@@ -267,6 +302,7 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count() or 1,
         "rand_depth_per_qubit": RAND_DEPTH_PER_QUBIT,
         "brick_layers": BRICK_LAYERS,
+        "tfim_steps": TFIM_STEPS,
         "plan": plan_rows,
         "diag": diag_rows,
         "workers": workers_rows,

@@ -16,10 +16,31 @@ windows stay open at once: because ops on *disjoint* qubit sets
 commute, an op interleaved between two independent interaction
 clusters (a brickwork entangler layer, gates on far-apart pairs) still
 lands in the window of the cluster it touches, and only an op that
-would push its window past the bound — or one that bridges two open
-windows that cannot merge — forces an emission.  Windows are pairwise
-qubit-disjoint by construction, which is exactly what makes the
-reordering exact.  Each engine then applies **one matmul per plan**
+would push its window past the bound — or one that bridges open
+windows that cannot all merge — forces an emission.  Windows are
+pairwise qubit-disjoint by construction, which is exactly what makes
+the reordering exact.
+
+The cost unit is the *sweep over the amplitudes*, not the gate: a pass
+is bandwidth-bound and costs about the same for a 2x2 as for a 16x16,
+so a single-qubit gate should never pay for its own sweep when a
+neighbouring window can carry it.  Three layout-free rules see to that:
+(a) a bridging op that overflows the merge bound takes along the hit
+windows that still fit beside it, smallest first, and only the rest are
+emitted — the lone ``{rx(q)}`` left by a rotation layer rides into the
+next step's ``cnot(q-1, q)`` instead of being flushed by it; (b) a
+window holding a single op does not count toward the open-window bound
+and is never evicted for it (keeping it costs nothing, emitting it
+costs a sweep); (c) whenever the windows are drained — end of the
+buffer or a barrier record — the lone single-qubit ops still open are
+packed into shared windows first, so a trailing rotation layer on n
+qubits is ``ceil(n / max_window)`` passes, not n.  All three only ever
+delay an op past ops on *other* qubits (the windows are disjoint and
+an emitted window's qubits are re-opened by whatever touches them
+next), so every pair of ops that shares a qubit keeps its program
+order — the one condition the reordering needs to be exact.
+
+Each engine then applies **one matmul per plan**
 instead of one pass per op; on the sharded engine a plan is
 additionally *classified once* against the chunk layout (see
 :meth:`repro.sim.sharded.ShardedStateVector.apply_ops`):
@@ -279,21 +300,36 @@ def plan_contractions(
     * an op touching exactly one window joins it if the union still
       fits; otherwise that window is emitted and the op opens a fresh
       one (the classic break on a fourth distinct qubit);
-    * an op touching no window opens a new one (oldest-first emission
-      keeps at most ``max_open`` windows alive);
+    * an op touching no window opens a new one;
     * an op bridging several windows merges them when the combined
-      qubit set fits, and emits them otherwise;
+      qubit set fits ``merge_window``; otherwise it absorbs the hit
+      windows that still fit beside it, smallest first, and only the
+      rest are emitted (rule a);
+    * at most ``max_open`` windows holding *several* ops stay alive
+      (oldest emitted first); a window holding a lone op is free to
+      keep and is never evicted (rule b);
     * anything non-plannable — :class:`~repro.sim.diag.DiagBatch`
-      records, three-qubit ops — is a barrier: every window is emitted
-      and the op passes through unchanged.
+      records, three-qubit ops — is a barrier: the windows are drained
+      and the op passes through unchanged.  A drain (here and at the
+      end of the buffer) first packs the lone single-qubit ops still
+      open into shared windows of up to ``max_window`` qubits (rule c).
 
     Windows holding fewer than ``min_ops`` ops — or fewer ops than
     window qubits (the fused ``2^w`` matmul only pays once it replaces
     about one op per qubit) — pass their ops through untouched, so
-    single gates and sparse runs keep the engines' specialized paths.
-    Because distinct windows never share a qubit, ops are only ever
-    commuted past ops they trivially commute with, and each window's
-    internal order is program order — the result is exact.
+    single gates and sparse runs keep the engines' specialized paths;
+    that density rule is also why only lone *single-qubit* ops are
+    worth packing at a drain: a window short of one op per qubit stays
+    short however it is combined with others.
+
+    Exactness: the open windows are pairwise qubit-disjoint at every
+    step, each window's run is in program order, a merged run
+    concatenates runs on disjoint qubits, and an op on a qubit of an
+    emitted window opens a window that is emitted later.  So two ops
+    that share a qubit always come out in program order, and an op is
+    only ever delayed past ops on other qubits, with which it commutes
+    — rules (a)-(c) included, since absorbing, keeping or packing a
+    lone single-qubit op moves it only relative to other windows.
 
     With ``max_window`` above :data:`MAX_WINDOW` (size-aware widening,
     see :meth:`repro.sim.schedule.CostModel.plan_window`), only
@@ -309,8 +345,7 @@ def plan_contractions(
     costs the ``brickwork`` 20q shared row ~10% while growth-only
     widening keeps ``rand2q``'s 11-16% win.
     """
-    if merge_window is None:
-        merge_window = max_window
+    merge_window = max_window if merge_window is None else min(merge_window, max_window)
     out: list = []
     windows: list[tuple[list, set[int]]] = []  # (run, qubit set)
 
@@ -328,35 +363,60 @@ def plan_contractions(
             return
         out.append(ContractionPlan.from_ops(run))
 
+    def drain() -> None:
+        # Rule (c): of the windows the density rule would pass through,
+        # only lone single-qubit ops can be lifted — a window short of
+        # one op per qubit stays short however it is packed — so they
+        # share windows of up to max_window qubits, one pass per group.
+        lone, rest = [], []
+        for w in windows:
+            (lone if len(w[0]) == 1 == len(w[1]) else rest).append(w)
+        if len(lone) > 1:
+            windows[:] = rest
+            for i in range(0, len(lone), max_window):
+                group = lone[i : i + max_window]
+                windows.append(
+                    ([run[0] for run, _ in group], {q for _, wq in group for q in wq})
+                )
+        while windows:
+            emit(0)
+
     for op in ops:
         if not _plannable(op):
-            while windows:
-                emit(0)
+            drain()
             out.append(op)
             continue
         qs = set(op.qubits)
         hits = [i for i, (_, wq) in enumerate(windows) if wq & qs]
-        if len(hits) == 1:
+        if len(hits) == 1 and len(windows[hits[0]][1] | qs) <= max_window:
             run, wq = windows[hits[0]]
-            if len(wq | qs) <= max_window:
-                run.append(op)
-                wq |= qs
-                continue
-            emit(hits[0])
-        elif hits:
-            merged = set().union(qs, *(windows[i][1] for i in hits))
-            if len(merged) <= merge_window:
-                run = [o for i in hits for o in windows[i][0]]
-                run.append(op)
-                for i in reversed(hits):
-                    windows.pop(i)
-                windows.append((run, merged))
-                continue
+            run.append(op)
+            wq |= qs
+        else:
+            # Rule (a): the op takes along every hit window that still
+            # fits beside it, smallest first (all of them when the
+            # union fits — the plain merge); only the rest are emitted.
+            # A single hit got here by overflowing max_window, so it
+            # cannot fit the tighter merge bound either.
+            fits = []
+            for i in sorted(hits, key=lambda i: len(windows[i][1])):
+                if len(qs | windows[i][1]) <= merge_window:
+                    qs |= windows[i][1]
+                    fits.append(i)
+            run = [o for i in sorted(fits) for o in windows[i][0]]
+            run.append(op)
             for i in reversed(hits):
-                emit(i)
-        windows.append(([op], qs))
-        if len(windows) > max_open:
-            emit(0)
-    while windows:
-        emit(0)
+                if i in fits:
+                    del windows[i]
+                else:
+                    emit(i)
+            windows.append((run, qs))
+        # Rule (b): only windows holding several ops count toward
+        # max_open (oldest evicted first; an op makes at most one more
+        # of them) — a lone op costs nothing to keep and a whole pass
+        # to emit.
+        grown = [i for i, (run, _) in enumerate(windows) if len(run) > 1]
+        if len(grown) > max_open:
+            emit(grown[0])
+    drain()
     return out

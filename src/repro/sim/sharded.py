@@ -1213,39 +1213,56 @@ class ShardedStateVector:
             contract_local(c, u, bits, nl)
 
     def _apply_mixed(self, u: np.ndarray, bits: Sequence[int]) -> None:
-        # At least one high axis: gather the 2^h group chunks, contract the
-        # full group tensor, keep our slice. (Each member recomputes the
-        # group tensor — redundant by 2^h, but h <= log2(n_shards) and
-        # high-axis multi-qubit gates are the rare, communication-bound
-        # case by construction.)
+        # At least one shard axis: the 2^h chunks agreeing on every
+        # other shard bit exchange all-to-all, then each member computes
+        # only its own slice,
+        #     new[own] = sum_src U[own, src] . chunk[src],
+        # where U[own, src] is the 2^l x 2^l sub-block over the window's
+        # l local qubits — one row-block matmul against the members'
+        # amplitudes staged window-axes-first.  The staging walks the
+        # chunks in 2^h slabs (fixed values of the top free local bits:
+        # the contraction never couples them), so the transient is one
+        # chunk of staged copies plus one product, never a group tensor;
+        # and because the stage is a copy, each member's slab is written
+        # straight back into its live chunk (shm/memmap stay in place).
         k = len(bits)
         nl = self.n_local
-        shard_bits = sorted({b - nl for b in bits if b >= nl})
-        h = len(shard_bits)
-        groups, gathered = self._group_exchange(shard_bits)
-        ut = u.reshape((2,) * (2 * k))
-        # Group-tensor axes: h shard axes first (most significant shard bit
-        # first), then a folded shot-branch axis (size 1 when unbranched),
-        # then the n_local intra-chunk axes (bit nl-1 first).
-        axes = [
-            (h - 1 - shard_bits.index(b - nl)) if b >= nl else (h + 1 + nl - 1 - b)
-            for b in bits
-        ]
-        # Per-group compute-then-write: the gathered payloads alias live
-        # member chunks, so every member's new slice is computed before
-        # any member is mutated — and groups are disjoint, so finishing
-        # one group before starting the next keeps peak transient RAM at
-        # O(group) instead of a second full register.
+        hi = sorted((i for i, b in enumerate(bits) if b >= nl), key=lambda i: -bits[i])
+        lo = [i for i, b in enumerate(bits) if b < nl]
+        h, l = len(hi), len(lo)
+        groups, gathered = self._group_exchange(sorted(bits[i] - nl for i in hi))
+        # Row/column index = (member rank within its group, local window
+        # index): members ascend with the shard-bit coordinate, most
+        # significant shard bit first.
+        pos = hi + lo
+        u = np.ascontiguousarray(
+            u.reshape((2,) * (2 * k)).transpose(pos + [k + i for i in pos])
+        ).reshape(1 << k, 1 << k)
+        # Chunk view axes: [shot-branch rows, local bit nl-1, ..., bit 0].
+        lo_axes = [nl - bits[i] for i in lo]
+        free = [ax for ax in range(1, nl + 1) if ax not in lo_axes]
+        order = lo_axes + [0] + free
+        lead = (slice(None),) * (l + 1)
+        slabs = [lead + idx for idx in np.ndindex((2,) * min(h, len(free)))]
+
+        def staged(chunk):
+            return chunk.reshape((-1,) + (2,) * nl).transpose(order)
+
+        shape = staged(self._chunks[0])[slabs[0]].shape
+        stage = np.empty((1 << h,) + shape, dtype=u.dtype)
+        flat = stage.reshape(1 << k, -1)
+        prod = np.empty((1 << l, flat.shape[1]), dtype=u.dtype)
         for members in groups.values():
-            new: dict[int, np.ndarray] = {}
-            for dst in members:
-                t = np.stack(gathered[dst]).reshape((2,) * h + (-1,) + (2,) * nl)
-                t = np.tensordot(ut, t, axes=(range(k, 2 * k), axes))
-                t = np.moveaxis(t, range(k), axes)
-                own = tuple((dst >> shard_bits[h - 1 - i]) & 1 for i in range(h))
-                new[dst] = np.ascontiguousarray(t[own]).reshape(-1)
-            for dst in members:
-                self._set_chunk(dst, new[dst])
+            # Every member gathers the same 2^h chunks, so one stage
+            # serves the whole group.
+            srcs = [staged(c) for c in gathered[members[0]]]
+            outs = [staged(self._chunks[c]) for c in members]
+            for sel in slabs:
+                for j, v in enumerate(srcs):
+                    stage[j] = v[sel]
+                for j, v in enumerate(outs):
+                    np.dot(u[j << l : (j + 1) << l], flat, out=prod)
+                    v[sel] = prod.reshape(shape)
 
     def apply_controlled(
         self, u: np.ndarray, controls: Sequence[int], targets: Sequence[int]
@@ -1451,22 +1468,25 @@ class ShardedStateVector:
         nl = self.n_local
         csize = self.chunk_size
         B_old = self._n_branches
+        src, outcome, scale = spec
+        # Scale in the register's own real dtype (exact for float64) so
+        # a complex64 register is not promoted.
+        scale = scale.astype(self._chunks[0].real.dtype)[:, None]
+        rows = np.arange(len(src))
         new_chunks = []
         for ci, c in enumerate(self._chunks):
             v = c.reshape(B_old, csize)
-            out = np.zeros((len(spec), csize), dtype=self._dtype)
-            for i, (src, outcome, scale) in enumerate(spec):
-                # float(scale) keeps the scalar weak under NEP 50 so a
-                # complex64 register is not promoted (exact for float64).
-                if b < nl:
-                    row = v[src] * float(scale)
-                    row.reshape(-1, 2, 1 << b)[:, 1 - outcome, :] = 0.0
-                    out[i] = row
-                elif ((ci >> (b - nl)) & 1) == outcome:
-                    out[i] = v[src] * float(scale)
-                # else: this chunk holds the projected-away half — zero.
+            if b < nl:
+                out = v[src] * scale
+                out.reshape(len(src), -1, 2, 1 << b)[rows, :, 1 - outcome, :] = 0.0
+            else:
+                # Rows whose outcome is the other chunk's half of the
+                # shard axis are projected away here — zero.
+                keep = outcome == ((ci >> (b - nl)) & 1)
+                out = np.zeros((len(src), csize), dtype=self._dtype)
+                out[keep] = v[src[keep]] * scale[keep]
             new_chunks.append(out.reshape(-1))
-        self._n_branches = len(spec)
+        self._n_branches = len(src)
         self._store_chunks(new_chunks)
         return bits
 

@@ -33,7 +33,6 @@ shares the same measurement history.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 import numpy as np
@@ -196,9 +195,10 @@ def fork_outcomes(p1, shot_of, rng):
     -------
     (bits, new_shot_of, spec):
         ``bits`` — :class:`ShotBits` of the sampled outcomes;
-        ``new_shot_of`` — the post-fork assignment; ``spec`` — one
-        ``(old_branch, outcome, scale)`` triple per *surviving* new
-        branch, in new-branch order, where ``scale`` is the
+        ``new_shot_of`` — the post-fork assignment; ``spec`` — three
+        parallel arrays ``(old_branch, outcome, scale)`` with one entry
+        per *surviving* new branch, in new-branch order (sorted by
+        ``(old_branch, outcome)``), where ``scale`` is the
         renormalization factor ``1/sqrt(P(outcome))`` the engine applies
         to the projected amplitudes.  Branches that received no shots
         are dropped.
@@ -207,18 +207,13 @@ def fork_outcomes(p1, shot_of, rng):
     shot_of = np.asarray(shot_of)
     draws = rng.random(shot_of.size)
     bits = (draws < p1[shot_of]).astype(np.int64)
-    spec: list[tuple[int, int, float]] = []
-    new_shot_of = np.empty_like(shot_of)
-    for b in range(p1.size):
-        in_branch = shot_of == b
-        for outcome in (0, 1):
-            sel = in_branch & (bits == outcome)
-            if not np.any(sel):
-                continue
-            p = p1[b] if outcome else 1.0 - p1[b]
-            new_shot_of[sel] = len(spec)
-            spec.append((b, outcome, 1.0 / math.sqrt(p)))
-    return ShotBits(bits), new_shot_of, spec
+    # One sort instead of a mask pass per (branch, outcome): the unique
+    # keys come out (branch, outcome)-ordered, the inverse is the new
+    # assignment.
+    keys, new_shot_of = np.unique(2 * shot_of + bits, return_inverse=True)
+    branch, outcome = keys >> 1, keys & 1
+    scale = 1.0 / np.sqrt(np.where(outcome == 1, p1[branch], 1.0 - p1[branch]))
+    return ShotBits(bits), new_shot_of.reshape(shot_of.shape), (branch, outcome, scale)
 
 
 def branch_mask(cond, shot_of, n_branches: int) -> np.ndarray:

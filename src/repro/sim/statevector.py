@@ -53,9 +53,10 @@ class StateVector:
     kernels:
         Kernel dispatch mode (``"auto"``/``"numpy"``/``"jit"``; ``None``
         reads ``REPRO_QMPI_KERNELS``).  On the shared engine only the
-        diagonal phase-table materializer dispatches natively — the
-        dense axis kernels are single ``tensordot``/BLAS calls already,
-        and no native rewrite of those could stay bit-identical (see
+        diagonal phase-table materializer dispatches natively — every
+        dense step is already one transpose + ``np.dot`` (BLAS) along a
+        frozen contraction plan (:meth:`_contract`), and no native
+        rewrite of that could stay bit-identical (see
         :mod:`repro.sim.kernels`).  Amplitudes are bit-identical in
         every mode.
     dtype:
@@ -477,11 +478,12 @@ class StateVector:
         bits, self._shot_of, spec = fork_outcomes(p1, self._shot_of, self.rng)
         ax = self._axis(qubit)
         moved = np.moveaxis(self._psi, ax, 1)  # (B, 2, ...)
-        new = np.zeros((len(spec),) + moved.shape[1:], dtype=moved.dtype)
-        for i, (b, outcome, scale) in enumerate(spec):
-            # float(scale) keeps the scalar weak under NEP 50 so a
-            # complex64 state is not promoted (exact for float64).
-            new[i, outcome] = moved[b, outcome] * float(scale)
+        src, outcome, scale = spec
+        # Scale in the state's own real dtype (exact for float64) so a
+        # complex64 state is not promoted.
+        scale = scale.astype(moved.real.dtype).reshape((-1,) + (1,) * (moved.ndim - 2))
+        new = np.zeros((len(src),) + moved.shape[1:], dtype=moved.dtype)
+        new[np.arange(len(src)), outcome] = moved[src, outcome] * scale
         self._psi = np.moveaxis(new, 1, ax)
         return bits
 

@@ -67,19 +67,43 @@ class TestForkHelpers:
         shot_of = np.zeros(16, dtype=np.int64)
         bits, new_shot_of, spec = fork_outcomes(np.array([1.0]), shot_of, rng)
         assert list(bits) == [1] * 16
-        assert spec == [(0, 1, 1.0)]
+        assert [a.tolist() for a in spec] == [[0], [1], [1.0]]
         assert np.all(new_shot_of == 0)
 
     def test_fork_splits_and_renormalizes(self):
         rng = np.random.default_rng(1)
         shot_of = np.zeros(1000, dtype=np.int64)
         bits, new_shot_of, spec = fork_outcomes(np.array([0.5]), shot_of, rng)
-        assert {o for (_, o, _) in spec} == {0, 1}
-        for _, _, scale in spec:
-            assert scale == pytest.approx(math.sqrt(2.0))
-        for s in range(1000):
-            branch = new_shot_of[s]
-            assert spec[branch][1] == bits[s]
+        _, outcome, scale = spec
+        assert outcome.tolist() == [0, 1]
+        assert scale == pytest.approx(math.sqrt(2.0))
+        assert np.array_equal(outcome[new_shot_of], bits.values)
+
+    def test_fork_matches_the_per_branch_loop_it_replaced(self):
+        # The O(B*S) loop the one-sort fork replaced, kept as the
+        # reference: same draws, so bits, assignment and spec must be
+        # equal to the last bit (counts per seed, inproc == mp).
+        def loop_fork(p1, shot_of, rng):
+            bits = (rng.random(shot_of.size) < p1[shot_of]).astype(np.int64)
+            spec, new_shot_of = [], np.empty_like(shot_of)
+            for b in range(p1.size):
+                for outcome in (0, 1):
+                    sel = (shot_of == b) & (bits == outcome)
+                    if sel.any():
+                        p = p1[b] if outcome else 1.0 - p1[b]
+                        new_shot_of[sel] = len(spec)
+                        spec.append((b, outcome, 1.0 / math.sqrt(p)))
+            return bits, new_shot_of, spec
+
+        rng = np.random.default_rng(5)
+        p1 = rng.random(48)
+        p1[[3, 17]] = 0.0, 1.0  # deterministic branches never fork
+        shot_of = rng.integers(0, 40, size=700)  # branches 40..47 hold no shot
+        bits, new_shot_of, spec = fork_outcomes(p1, shot_of, np.random.default_rng(9))
+        ref_bits, ref_shot_of, ref_spec = loop_fork(p1, shot_of, np.random.default_rng(9))
+        assert np.array_equal(bits.values, ref_bits)
+        assert np.array_equal(new_shot_of, ref_shot_of)
+        assert [tuple(t) for t in zip(*(a.tolist() for a in spec))] == ref_spec
 
     def test_branch_mask_unanimity(self):
         shot_of = np.array([0, 0, 1, 1])
