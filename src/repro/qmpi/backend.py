@@ -70,8 +70,11 @@ class QuantumBackend:
     :class:`~repro.sim.statevector.StateVector` surface); this base class
     owns the lock, the ownership table, and locality enforcement.
 
-    **Engine contract.** Besides allocation, measurement and inspection,
-    an engine executes gate batches through exactly five methods:
+    **Engine contract.** Besides allocation (an engine may keep a fresh
+    qubit as a pending product factor until a call couples it to the
+    register; ``num_qubits``/``qubit_ids`` count it from ``alloc`` on),
+    measurement and inspection, an engine executes gate batches through
+    exactly five methods:
 
     * ``layout_key(qubit_ids)`` — hashable fingerprint of everything a
       frozen program depends on (positions of the touched qubits, chunk
@@ -398,10 +401,13 @@ class QuantumBackend:
     # internal / diagnostic access (not rank-scoped)
     # ------------------------------------------------------------------
     def entangle_pair(self, qa: int, qb: int) -> None:
-        """|00> -> (|00>+|11>)/sqrt(2); used by the EPR service only."""
+        """|00> -> (|00>+|11>)/sqrt(2); used by the EPR service only.
+
+        The engine's ``entangle_fresh``: ``h`` + ``cnot``, or on the shared
+        engine a pending Bell factor when both qubits are untouched.
+        """
         with self._lock:
-            self._sv.h(qa)
-            self._sv.cnot(qa, qb)
+            self._sv.entangle_fresh(qa, qb)
 
     def lock(self):
         """The global lock (context manager) for composite inspections."""

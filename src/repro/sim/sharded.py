@@ -652,6 +652,11 @@ class ShardedStateVector:
         self.release(qubit)
         return bit
 
+    def entangle_fresh(self, qa: int, qb: int) -> None:
+        """``|00> -> (|00>+|11>)/sqrt(2)`` on ``qa``, ``qb`` (eager here)."""
+        self.h(qa)
+        self.cnot(qa, qb)
+
     def _bit(self, qubit: int) -> int:
         try:
             return self._bit_of[qubit]

@@ -8,8 +8,15 @@ adds the rank-0-style serialization on top.
 Design notes
 ------------
 * The state is stored as an ndarray of shape ``(2,) * n``; qubit handles
-  are stable integer ids mapped to tensor axes, so qubits can be allocated
-  and released dynamically (``QMPI_Alloc_qmem`` / ``QMPI_Free_qmem``).
+  are stable integer ids mapped to tensor axes *or to a pending product
+  factor*, so qubits can be allocated and released dynamically
+  (``QMPI_Alloc_qmem`` / ``QMPI_Free_qmem``).
+* A fresh qubit is a pending factor — ``|0>``, or a Bell half after
+  :meth:`StateVector.entangle_fresh` — not yet an axis.  A tensor factor
+  commutes with every operation that does not touch it, so it is merged
+  (one zero-padded allocation appending trailing axes) by the first call
+  that couples it to the register: an EPR half costs one resize up and
+  one down.
 * Gate application is one transpose + reshape + ``np.dot`` contraction
   (``_contract``) shared by the eager ``apply`` family and the frozen
   programs that execute every batch — vectorized, no Python loop over
@@ -35,6 +42,11 @@ from .shots import ShotBits, branch_mask, fork_outcomes
 
 __all__ = ["StateVector", "SimulationError"]
 
+#: A pending factor is |0> (one nonzero amplitude, 1) or the Bell pair
+#: ``h`` + ``cnot`` make of |00>: |00> and |11>, each with this amplitude
+#: (``h``'s matrix entry).
+_BELL_AMP = float(G.H[0, 0].real)
+
 
 class SimulationError(RuntimeError):
     """Raised on invalid simulator operations (bad qubit ids, non-unitary
@@ -43,6 +55,9 @@ class SimulationError(RuntimeError):
 
 class StateVector:
     """A dynamically sized full state-vector simulator.
+
+    Qubit handles are stable ids mapped to tensor axes or to a pending
+    product factor (see the module docstring).
 
     Parameters
     ----------
@@ -98,6 +113,8 @@ class StateVector:
             self._zero_atol, self._norm_eps, self._agree_eps = 1e-9, 1e-12, 1e-9
         self._psi = np.ones((), dtype=self._dtype)  # shape () == zero qubits
         self._axis_of: dict[int, int] = {}
+        # Pending product factors: qid -> Bell partner, or None for |0>.
+        self._pending: dict[int, int | None] = {}
         self._next_id = 0
         self._shots: int | None = None
         self._shot_of: np.ndarray | None = None
@@ -132,7 +149,7 @@ class StateVector:
         measurement-induced fork, typically right after construction.
         """
         if self._shots is not None:
-            if self._axis_of:
+            if self.num_qubits:
                 raise SimulationError(
                     "begin_shots() called twice on a non-empty engine"
                 )
@@ -144,6 +161,7 @@ class StateVector:
             raise SimulationError(f"shots must be >= 1, got {shots}")
         self._shots = int(shots)
         self._shot_of = np.zeros(self._shots, dtype=np.int64)
+        # Pending factors carry no branch axis until they are merged.
         self._psi = self._psi[None]
         for q in self._axis_of:
             self._axis_of[q] += 1
@@ -161,7 +179,7 @@ class StateVector:
     @property
     def num_qubits(self) -> int:
         """Number of currently allocated qubits."""
-        return len(self._axis_of)
+        return len(self._axis_of) + len(self._pending)
 
     @property
     def dtype(self) -> str:
@@ -174,24 +192,33 @@ class StateVector:
 
     @property
     def qubit_ids(self) -> tuple[int, ...]:
-        """Allocated qubit ids in axis order (allocation order)."""
-        order = sorted(self._axis_of, key=self._axis_of.__getitem__)
-        return tuple(order)
+        """Allocated qubit ids in ascending id order (allocation order).
+
+        Not axis order: axes follow the order in which pending qubits
+        were merged into the array.
+        """
+        return tuple(sorted((*self._axis_of, *self._pending)))
 
     def alloc(self, n: int = 1) -> list[int]:
         """Allocate ``n`` fresh qubits in |0> and return their ids."""
         if n < 1:
             raise SimulationError(f"cannot allocate {n} qubits")
-        ids = []
-        for _ in range(n):
-            qid = self._next_id
-            self._next_id += 1
-            self._axis_of[qid] = self._psi.ndim
-            pad = np.zeros((2,), dtype=self._dtype)
-            pad[0] = 1.0
-            self._psi = np.multiply.outer(self._psi, pad)
-            ids.append(qid)
+        ids = list(range(self._next_id, self._next_id + n))
+        self._next_id += n
+        self._pending.update(dict.fromkeys(ids))
         return ids
+
+    def entangle_fresh(self, qa: int, qb: int) -> None:
+        """``|00> -> (|00>+|11>)/sqrt(2)`` on ``qa``, ``qb`` (``h`` + ``cnot``).
+
+        Two still-pending ``|0>`` qubits become one pending 4-amplitude
+        Bell factor without touching the array.
+        """
+        if qa != qb and self._is_fresh_zero(qa) and self._is_fresh_zero(qb):
+            self._pending[qa], self._pending[qb] = qb, qa
+            return
+        self.h(qa)
+        self.cnot(qa, qb)
 
     def release(self, qubit: int) -> None:
         """Release a qubit that is disentangled and in state |0>.
@@ -199,22 +226,48 @@ class StateVector:
         Mirrors ``QMPI_Free_qmem``: freeing a qubit that still carries
         amplitude in |1> (or is entangled) is a program error.
         """
-        ax = self._axis(qubit)
-        moved = np.moveaxis(self._psi, ax, 0)
-        if not np.allclose(moved[1], 0.0, atol=self._zero_atol):
+        if self._is_fresh_zero(qubit):
+            del self._pending[qubit]
+            return
+        # A qubit still pending here is a Bell half: entangled.
+        ax = None if qubit in self._pending else self._axis(qubit)
+        if ax is None or not np.allclose(
+            np.moveaxis(self._psi, ax, 0)[1], 0.0, atol=self._zero_atol
+        ):
             raise SimulationError(
                 f"qubit {qubit} is not in |0> (or is entangled); "
                 "measure/uncompute before releasing"
             )
-        self._psi = moved[0]
-        self._drop_axis(qubit, ax)
+        self._drop_axis(qubit, ax, 0)
 
     def measure_and_release(self, qubit: int) -> int:
-        """Measure ``qubit`` in the Z basis, then remove it. Returns the bit."""
-        bit = self.measure(qubit)
-        self.apply_pauli_if(bit, "X", qubit)
-        self.release(qubit)
-        return bit
+        """Measure ``qubit`` in the Z basis, then remove it. Returns the bit.
+
+        One probability reduction, then one scaled copy of the chosen
+        half: that half *is* the released state.
+        """
+        if self._is_fresh_zero(qubit):
+            bit = self._measure_fresh_zero()
+            del self._pending[qubit]
+            return bit
+        self._merge((qubit,))
+        ax = self._axis(qubit)
+        if self._shots is None:
+            p1 = self.prob_one(qubit)
+            bit = int(self.rng.random() < p1)
+            p = p1 if bit else 1.0 - p1
+            if p < self._norm_eps**2:
+                raise SimulationError(
+                    f"measuring qubit {qubit} as {bit}: outcome has zero probability"
+                )
+            self._drop_axis(qubit, ax, bit, p**-0.5)
+            return bit
+        p1 = self._branch_prob_one(qubit)
+        bits, self._shot_of, (src, outcome, scale) = fork_outcomes(
+            p1, self._shot_of, self.rng
+        )
+        self._drop_axis(qubit, ax, (src, outcome), scale)
+        return bits
 
     def _axis(self, qubit: int) -> int:
         try:
@@ -222,7 +275,64 @@ class StateVector:
         except KeyError:
             raise SimulationError(f"unknown qubit id {qubit}") from None
 
-    def _drop_axis(self, qubit: int, ax: int) -> None:
+    def _is_fresh_zero(self, qubit: int) -> bool:
+        """Whether ``qubit`` is still a pending ``|0>`` factor."""
+        return self._pending.get(qubit, qubit) is None
+
+    def _measure_fresh_zero(self):
+        """Measure a pending ``|0>``: always 0, array untouched; draws what
+        :meth:`measure` draws, so per-seed outcomes are unchanged."""
+        if self._shots is None:
+            self.rng.random()
+            return 0
+        self.rng.random(self._shots)
+        return ShotBits(np.zeros(self._shots, dtype=np.int64))
+
+    def _merge(self, qubits: Iterable[int]) -> None:
+        """Materialize the pending factors of ``qubits`` as trailing axes,
+        all in one zero-padded allocation (existing axes never shift).
+        Callers merge *before* reading ``ndim`` or any axis."""
+        pending = self._pending
+        if not pending:
+            return
+        # The factors' product as (trailing index, amplitude) of its nonzero
+        # entries: one per setting of the Bell bits, whatever the |0> count.
+        fresh, terms = [], [((), 1.0)]
+        for q in qubits:
+            if q in pending:
+                partner = pending.pop(q)
+                if partner is None:
+                    fresh.append(q)
+                    terms = [(i + (0,), a) for i, a in terms]
+                else:
+                    del pending[partner]
+                    fresh += (q, partner)
+                    terms = [(i + (b, b), a * _BELL_AMP) for i, a in terms for b in (0, 1)]
+        if not fresh:
+            return
+        psi = self._psi
+        self._axis_of.update((q, psi.ndim + i) for i, q in enumerate(fresh))
+        new = np.zeros(psi.shape + (2,) * len(fresh), dtype=psi.dtype)
+        for idx, amp in terms:
+            np.multiply(psi, amp, out=new[(..., *idx)])
+        self._psi = new
+
+    def _drop_axis(self, qubit: int, ax: int, keep, scale=1.0) -> None:
+        """Remove ``qubit``'s axis, keeping index ``keep`` of it, scaled.
+
+        ``keep`` is 0/1 (``scale`` a Python float) or, at a shots fork,
+        the surviving branches' ``(branch, outcome)`` index arrays (one
+        ``scale`` each).  The result is a fresh contiguous array, never
+        a view that keeps the doubled buffer alive.
+        """
+        if isinstance(keep, tuple):
+            psi = np.moveaxis(self._psi, ax, 1)[keep]  # (B', ...) gather
+            # Scale in the state's own real dtype (exact for float64) so
+            # a complex64 state is not promoted.
+            psi *= scale.astype(psi.real.dtype).reshape((-1,) + (1,) * (psi.ndim - 1))
+        else:
+            psi = np.moveaxis(self._psi, ax, 0)[keep] * scale
+        self._psi = psi
         del self._axis_of[qubit]
         for q, a in self._axis_of.items():
             if a > ax:
@@ -292,6 +402,7 @@ class StateVector:
             raise SimulationError(
                 f"matrix shape {u.shape} does not match {k} qubits"
             )
+        self._merge(qubits)
         axes = [self._axis(q) for q in qubits]
         plan = self._freeze_contraction(axes, self._psi.ndim)
         self._psi = self._contract(u, self._psi, *plan)
@@ -310,6 +421,7 @@ class StateVector:
             raise SimulationError(
                 f"matrix shape {u.shape} does not match {k} targets"
             )
+        self._merge(controls + targets)
         idx, plan = self._freeze_controlled(controls, targets, self._psi.ndim)
         self._psi[idx] = self._contract(u, self._psi[idx], *plan)
 
@@ -324,6 +436,9 @@ class StateVector:
         takes, so a cold batch and a warm replay differ only in who
         kept the program.
         """
+        if self._pending:
+            ops = tuple(ops)
+            self._merge(q for op in ops for q in op.qubits)
         self.execute_segments(self.compile_batch(ops))
 
     # ------------------------------------------------------------------
@@ -337,8 +452,11 @@ class StateVector:
         axis of every touched qubit, the total axis count, the presence
         of the shots branch axis, and the amplitude dtype.  Unknown
         qubit ids raise, so a stale cached schedule can never bind to a
-        recycled engine that no longer owns them.
+        recycled engine that no longer owns them.  Pending qubits among
+        ``qubits`` are merged first: the key describes the array the
+        program will run on.
         """
+        self._merge(qubits)
         branch = self._shots is not None
         return (
             "shared",
@@ -365,7 +483,8 @@ class StateVector:
         :meth:`layout_key`).  Steps hold references to the live segment
         objects, so the cache's in-place parameter rebinding flows
         through; matrices are memoized per op *object* (a rebind swaps
-        the op, invalidating the memo).
+        the op, invalidating the memo).  Touched qubits must be axes
+        already: :meth:`layout_key` / :meth:`apply_ops` merge pending ones.
         """
         ndim = self._psi.ndim
         steps = []
@@ -452,6 +571,7 @@ class StateVector:
         probability branch-dependent, the per-shot values are returned
         as an array instead.
         """
+        self._merge((qubit,))
         if self._shots is None:
             ax = self._axis(qubit)
             moved = np.moveaxis(self._psi, ax, 0)
@@ -469,6 +589,9 @@ class StateVector:
         state forks into one branch per surviving ``(branch, outcome)``
         pair.
         """
+        if self._is_fresh_zero(qubit):
+            return self._measure_fresh_zero()
+        self._merge((qubit,))
         if self._shots is None:
             p1 = self.prob_one(qubit)
             bit = int(self.rng.random() < p1)
@@ -496,33 +619,34 @@ class StateVector:
         satisfy it — the vectorized form of the protocols' classical
         ``if m: X`` fixups.
         """
-        u = G.PAULIS[pauli.upper()]
+        pauli = pauli.upper()
+        if pauli not in G.PAULIS:
+            raise KeyError(pauli)
         if self._shots is None:
-            if cond:
-                self.apply(u, qubit)
-            return
-        mask = branch_mask(cond, self._shot_of, self._psi.shape[0])
-        if not mask.any():
-            return
-        if mask.all():
-            self.apply(u, qubit)
-            return
-        ax = self._axis(qubit)
-        moved = np.moveaxis(self._psi, ax, 1)  # (B, 2, ...)
-        p = pauli.upper()
-        if p == "X":
-            moved[mask] = moved[mask][:, ::-1]
-        elif p == "Z":
-            moved[mask, 1] = moved[mask, 1] * -1.0
-        else:  # Y
-            sel = moved[mask]
-            out = np.empty_like(sel)
-            out[:, 0] = -1j * sel[:, 1]
-            out[:, 1] = 1j * sel[:, 0]
-            moved[mask] = out
+            rows = ... if cond else None
+        else:
+            mask = branch_mask(cond, self._shot_of, self._psi.shape[0])
+            rows = ... if mask.all() else mask if mask.any() else None
+        if rows is not None:
+            self._apply_pauli(pauli, qubit, rows)
+
+    def _apply_pauli(self, pauli: str, qubit: int, rows) -> None:
+        """X/Y/Z on ``qubit`` in place: a swap of its two halves, a
+        negation of one, or both — no contraction.  ``rows`` is ``...``
+        or, in shots mode, the boolean mask of the branches to act on."""
+        self._merge((qubit,))
+        moved = np.moveaxis(self._psi, self._axis(qubit), 0)
+        zero, one = moved[0, ...], moved[1, ...]
+        if pauli == "X":
+            zero[rows], one[rows] = one[rows], zero[rows].copy()
+        elif pauli == "Y":
+            zero[rows], one[rows] = -1j * one[rows], 1j * zero[rows]
+        elif pauli == "Z":
+            one[rows] *= -1
 
     def postselect(self, qubit: int, bit: int) -> None:
         """Project ``qubit`` onto ``|bit>`` and renormalize (per branch)."""
+        self._merge((qubit,))
         ax = self._axis(qubit)
         moved = np.moveaxis(self._psi, ax, 0)
         moved[1 - bit] = 0.0
@@ -559,6 +683,7 @@ class StateVector:
         if len(qubits) != self.num_qubits:
             raise SimulationError("amplitude() requires all qubits")
         self._require_unforked("amplitude")
+        self._merge(qubits)
         idx = [0] * self._psi.ndim
         for b, q in zip(bits, qubits):
             idx[self._axis(q)] = int(b)
@@ -571,9 +696,10 @@ class StateVector:
         allocation order.
         """
         qubits = list(qubits) if qubits is not None else list(self.qubit_ids)
-        if sorted(qubits) != sorted(self._axis_of):
+        if sorted(qubits) != list(self.qubit_ids):
             raise SimulationError("statevector() requires all qubit ids exactly once")
         self._require_unforked("statevector")
+        self._merge(qubits)
         axes = [self._axis(q) for q in qubits]
         if self._shots is not None:
             moved = np.moveaxis(self._psi, axes, range(1, len(axes) + 1))
@@ -606,6 +732,7 @@ class StateVector:
     def expectation_pauli(self, mapping: dict[int, str]) -> float:
         """Expectation value of a Pauli string ``{qubit: 'X'|'Y'|'Z'}``."""
         self._require_unforked("expectation_pauli")
+        self._merge(mapping)
         tmp = self._psi.copy()
         saved = self._psi
         try:
@@ -631,6 +758,7 @@ class StateVector:
         out._agree_eps = self._agree_eps
         out._psi = self._psi.copy()
         out._axis_of = dict(self._axis_of)
+        out._pending = dict(self._pending)
         out._next_id = self._next_id
         out._shots = self._shots
         out._shot_of = None if self._shot_of is None else self._shot_of.copy()

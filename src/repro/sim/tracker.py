@@ -70,6 +70,17 @@ class TrackedStateVector(StateVector):
         self.counts.measurements += 1
         return bit
 
+    def measure_and_release(self, qubit: int) -> int:
+        # The fused primitive passes through neither hook above.
+        bit = super().measure_and_release(qubit)
+        self.counts.measurements += 1
+        self.counts.releases += 1
+        return bit
+
+    def _apply_pauli(self, pauli, qubit, rows) -> None:
+        super()._apply_pauli(pauli, qubit, rows)
+        self.counts.gates["u1"] += 1
+
     #: Gate name a generated named-gate method is running under: its
     #: apply()/apply_controlled() call tallies that instead of the
     #: generic tag, keeping the counts human readable.

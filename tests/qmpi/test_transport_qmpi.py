@@ -77,6 +77,28 @@ def cat_bcast_prog(qc):
     return qc.measure(q)
 
 
+def dcnot_prog(qc):
+    """Distributed CNOT rank 0 -> last rank: send/recv, then unrecv/unsend."""
+    q, copy = _ordered_alloc(qc, 2)
+    last = qc.size - 1
+    if qc.rank == 0:
+        qc.h(q)
+        qc.send([q], dest=last, tag=7)
+        qc.unsend([q], dest=last, tag=7)
+    elif qc.rank == last:
+        qc.recv([copy], source=0, tag=7)
+        qc.cnot(copy, q)
+        qc.unrecv([copy], source=0, tag=7)
+    if qc.rank != last:
+        qc.free_qmem([copy])
+    out = None
+    for r in range(qc.size):  # readout in rank order: one RNG stream
+        if qc.rank == r:
+            out = qc.measure(q)
+        qc.barrier()
+    return out
+
+
 def locality_prog(qc):
     regs = _ordered_alloc(qc, 1)
     if qc.rank == 1:
@@ -108,6 +130,7 @@ PROGRAMS = {
     "teleport": (teleport_prog, (0.7,)),
     "fanout": (fanout_prog, ()),
     "cat-bcast": (cat_bcast_prog, ()),
+    "dcnot": (dcnot_prog, ()),
 }
 
 

@@ -34,6 +34,27 @@ def test_alloc_release_measure_counts():
     assert c.peak_qubits == 3
 
 
+def test_epr_round_counts():
+    # Pending qubits count as allocated, and the fused measure-out
+    # counts as one measurement and one release although it passes
+    # through neither measure() nor release().
+    sv = TrackedStateVector(2, seed=0)
+    sv.h(0)
+    e, f = sv.alloc(2)
+    assert sv.counts.peak_qubits == 4
+    sv.entangle_fresh(e, f)
+    sv.cnot(0, e)
+    bit = sv.measure_and_release(e)
+    sv.apply_pauli_if(bit, "X", f)
+    (g,) = sv.alloc(1)
+    assert sv.measure_and_release(g) == 0  # never merged: still counted
+    c = sv.counts
+    assert (c.allocations, c.measurements, c.releases, c.peak_qubits) == (5, 2, 2, 4)
+    assert c.gates["h"] == 1 and c.gates["cnot"] == 1
+    assert c.gates["u1"] == bit  # the conditional fixup, when it ran
+    assert sv.prob_one(0) == sv.prob_one(f)
+
+
 def test_as_dict_roundtrip():
     sv = TrackedStateVector(1, seed=0)
     sv.h(0)
