@@ -37,7 +37,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..sim import gates as _gates
 from ..sim.cache import ScheduleCache
 from ..sim.parallel import PARALLEL_MIN_CHUNK
 from ..sim.schedule import DEFAULT_COST_MODEL, lower_flush
@@ -73,8 +72,13 @@ class QuantumBackend:
     **Engine contract.** Besides allocation (an engine may keep a fresh
     qubit as a pending product factor until a call couples it to the
     register; ``num_qubits``/``qubit_ids`` count it from ``alloc`` on),
-    measurement and inspection, an engine executes gate batches through
-    exactly five methods:
+    measurement and inspection — which include, called directly and
+    never probed for, ``begin_shots(shots)``, ``reseed(seed)``,
+    ``apply_pauli_if(cond, pauli, qubit)`` and
+    ``measure_and_release(qubit, basis="Z", control=None)``
+    (``cnot(control, qubit)`` if ``control`` is given, ``h(qubit)`` if
+    ``basis == "X"``, then Z-measure and remove) — an engine executes
+    gate batches through exactly five methods:
 
     * ``layout_key(qubit_ids)`` — hashable fingerprint of everything a
       frozen program depends on (positions of the touched qubits, chunk
@@ -129,13 +133,7 @@ class QuantumBackend:
         :meth:`counts`. Must be called before any measurement.
         """
         with self._lock:
-            starter = getattr(self._sv, "begin_shots", None)
-            if starter is None:
-                raise SimulationError(
-                    f"engine {type(self._sv).__name__} does not support "
-                    "shot-batched execution (no begin_shots method)"
-                )
-            starter(shots)
+            self._sv.begin_shots(shots)
             self.shots = int(shots)
             self._measure_log = []
 
@@ -146,11 +144,7 @@ class QuantumBackend:
         reproducible RNG stream on a reused backend.
         """
         with self._lock:
-            reseeder = getattr(self._sv, "reseed", None)
-            if reseeder is not None:
-                reseeder(seed)
-            else:
-                self._sv.rng = np.random.default_rng(seed)
+            self._sv.reseed(seed)
             self._measure_log = []
 
     def counts(self) -> Counter:
@@ -360,17 +354,22 @@ class QuantumBackend:
                 self._measure_log.append((rank, bit))
             return bit
 
-    def measure_and_release(self, rank: int, q: int) -> int:
+    def measure_and_release(
+        self, rank: int, q: int, basis: str = "Z", control: int | None = None
+    ) -> int:
         """Measure an owned qubit, then free it. Returns the bit.
 
-        Unlike :meth:`measure`, the outcome is *not* recorded in the
-        shot-batched measurement log — this is the protocol-internal
-        primitive (EPR parity bits, teleport corrections), and
-        :meth:`counts` should reflect only user-level measurements.
+        The protocols' one measurement: ``cnot(control, q)`` first when
+        an owned ``control`` is given (Fig. 3(a)'s fan-out onto an EPR
+        half), ``h(q)`` first for ``basis="X"`` (Fig. 1(b)'s uncopy) —
+        one engine call, so no other rank gets in between.  Unlike
+        :meth:`measure`, the outcome is *not* recorded in the shot-batched
+        measurement log: :meth:`counts` reflects only user-level
+        measurements, not EPR parity bits or teleport corrections.
         """
         with self._lock:
-            self._check_owner(rank, q)
-            bit = self._sv.measure_and_release(q)
+            self._check_owner(rank, *((q,) if control is None else (q, control)))
+            bit = self._sv.measure_and_release(q, basis, control)
             del self._owner[q]
             return bit
 
@@ -380,16 +379,11 @@ class QuantumBackend:
         ``cond`` is a classical bit (plain conditional) or per-shot
         measurement data (:class:`~repro.sim.shots.ShotBits`) — the
         vectorized replacement for ``if m: backend.x(...)`` fixups in
-        the QMPI protocols. Engines without the conditional hook fall
-        back to eager application, which requires a scalar condition.
+        the QMPI protocols.
         """
         with self._lock:
             self._check_owner(rank, q)
-            applier = getattr(self._sv, "apply_pauli_if", None)
-            if applier is not None:
-                applier(cond, pauli, q)
-            elif cond:
-                self._sv.apply(_gates.PAULIS[pauli.upper()], q)
+            self._sv.apply_pauli_if(cond, pauli, q)
 
     def prob_one(self, rank: int, q: int) -> float:
         """Probability of measuring |1> on an owned qubit (no collapse)."""

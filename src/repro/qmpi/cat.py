@@ -71,8 +71,7 @@ def cat_state_chain(qc, qubit: int, tag: int = 0) -> CatHandle:
         m = 0
         for r in range(1, size - 1):
             if rank == r:
-                qc.backend.cnot(rank, qubit, right)
-                m = qc.backend.measure_and_release(rank, right)
+                m = qc.backend.measure_and_release(rank, right, control=qubit)
                 qc.epr.consume(rank)
             qc.barrier()
         # The kept half ('qubit') leaves the EPR buffer: it is cat data now.
@@ -143,8 +142,7 @@ def cat_state_tree(qc, qubit: int, graph: nx.Graph | None = None, root: int = 0,
         for ch, half in child_halves.items():
             if half == qubit:
                 continue
-            qc.backend.cnot(rank, qubit, half)
-            outcomes[ch] = qc.backend.measure_and_release(rank, half)
+            outcomes[ch] = qc.backend.measure_and_release(rank, half, control=qubit)
             qc.epr.consume(rank)
         # The kept half ('qubit') is cat data now; every other prepared
         # half was consumed by its merge measurement above.
@@ -197,8 +195,7 @@ def uncat(qc, handle: CatHandle) -> None:
             qc.backend.free(rank, handle.qubit)
             return
         if rank != handle.root:
-            qc.backend.h(rank, handle.qubit)
-            m = qc.backend.measure_and_release(rank, handle.qubit)
+            m = qc.backend.measure_and_release(rank, handle.qubit, basis="X")
         else:
             m = 0
         total = qc.comm.reduce(m, reduce_ops.BXOR, root=handle.root)

@@ -121,8 +121,7 @@ def _bcast_cat_one(qc, qubit: int, root: int, tag: int) -> None:
         cat_state_chain(qc, share, tag)
         # Parity measurement between the data qubit and the root's cat
         # share extends the fanout to the data value (§7.1).
-        qc.backend.cnot(rank, qubit, share)
-        m = qc.backend.measure_and_release(rank, share)
+        m = qc.backend.measure_and_release(rank, share, control=qubit)
     else:
         cat_state_chain(qc, qubit, tag)
         m = None
@@ -146,8 +145,7 @@ def unbcast(qc, handle: BcastHandle) -> None:
             return
         for q in handle.qubits:
             if rank != handle.root:
-                qc.backend.h(rank, q)
-                m = qc.backend.measure_and_release(rank, q)
+                m = qc.backend.measure_and_release(rank, q, basis="X")
                 qc.ledger.record_classical(1)
             else:
                 m = 0

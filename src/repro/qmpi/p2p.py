@@ -12,6 +12,14 @@ Inverses: ``unsend``/``unrecv`` uncompute a fanned-out copy with *no* EPR
 pair and one classical bit (Fig. 1(b): X-basis measurement + conditional
 Z); ``unsend_move``/``unrecv_move`` teleport back (1 EPR pair + 2 bits).
 
+Both measurements are one backend call each:
+``measure_and_release(rank, e, control=q)`` is Fig. 3(a)'s "CNOT the
+data qubit onto the EPR half, measure the half", and
+``measure_and_release(rank, q, basis="X")`` Fig. 1(b)'s X-basis
+measurement — so no other rank's call lands between the gate and the
+measurement, and the shared engine never materialises the half a
+``send`` consumes (see ``StateVector.measure_and_release``).
+
 Every function takes the per-rank :class:`~repro.qmpi.api.QmpiComm` as its
 first argument; ``api.py`` binds them as methods. Registers (Qureg) are
 processed qubit-by-qubit — resources scale with message size exactly as
@@ -96,12 +104,10 @@ def isend(qc, qubits, dest: int, tag: int = 0, move: bool = False, _op: str | No
 
         def continuation(q=q, e=e):
             with qc.ledger.scope(op):
-                qc.backend.cnot(qc.rank, q, e)
-                m = qc.backend.measure_and_release(qc.rank, e)
+                m = qc.backend.measure_and_release(qc.rank, e, control=q)
                 qc.epr.consume(qc.rank)
                 if move:
-                    qc.backend.h(qc.rank, q)
-                    m |= 2 * qc.backend.measure_and_release(qc.rank, q)
+                    m |= 2 * qc.backend.measure_and_release(qc.rank, q, basis="X")
                     qc.send_bits(m, 2, dest, tag)
                 else:
                     qc.send_bits(m, 1, dest, tag)
@@ -161,8 +167,7 @@ def send(qc, qubits, dest: int, tag: int = 0, _op: str = "send") -> None:
         for q in qubits:
             e = qc.backend.alloc(qc.rank, 1)[0]
             qc.epr.prepare(qc.rank, e, dest, tag, qc.context, _dir(qc.rank))
-            qc.backend.cnot(qc.rank, q, e)
-            m = qc.backend.measure_and_release(qc.rank, e)
+            m = qc.backend.measure_and_release(qc.rank, e, control=q)
             qc.epr.consume(qc.rank)
             qc.send_bits(m, 1, dest, tag)
 
@@ -191,8 +196,7 @@ def unrecv(qc, qubits, source: int, tag: int = 0, _op: str = "unrecv") -> None:
     qubits = as_qureg(qubits)
     with qc.ledger.scope(_op):
         for q in qubits:
-            qc.backend.h(qc.rank, q)
-            m = qc.backend.measure_and_release(qc.rank, q)
+            m = qc.backend.measure_and_release(qc.rank, q, basis="X")
             qc.send_bits(m, 1, source, tag)
 
 
@@ -221,11 +225,9 @@ def send_move(qc, qubits, dest: int, tag: int = 0, _op: str = "send_move") -> No
         for q in qubits:
             e = qc.backend.alloc(qc.rank, 1)[0]
             qc.epr.prepare(qc.rank, e, dest, tag, qc.context, _dir(qc.rank))
-            qc.backend.cnot(qc.rank, q, e)
-            r = qc.backend.measure_and_release(qc.rank, e)
+            r = qc.backend.measure_and_release(qc.rank, e, control=q)
             qc.epr.consume(qc.rank)
-            qc.backend.h(qc.rank, q)
-            r |= 2 * qc.backend.measure_and_release(qc.rank, q)
+            r |= 2 * qc.backend.measure_and_release(qc.rank, q, basis="X")
             qc.send_bits(r, 2, dest, tag)
 
 

@@ -85,8 +85,7 @@ class PersistentChannel:
         with qc.ledger.scope("persistent_send"):
             for q in qubits:
                 e = self._take()
-                qc.backend.cnot(qc.rank, q, e)
-                m = qc.backend.measure_and_release(qc.rank, e)
+                m = qc.backend.measure_and_release(qc.rank, e, control=q)
                 qc.epr.consume(qc.rank)
                 qc.send_bits(m, 1, self.peer, self.tag)
 
@@ -113,11 +112,9 @@ class PersistentChannel:
         with qc.ledger.scope("persistent_send_move"):
             for q in qubits:
                 e = self._take()
-                qc.backend.cnot(qc.rank, q, e)
-                r = qc.backend.measure_and_release(qc.rank, e)
+                r = qc.backend.measure_and_release(qc.rank, e, control=q)
                 qc.epr.consume(qc.rank)
-                qc.backend.h(qc.rank, q)
-                r |= 2 * qc.backend.measure_and_release(qc.rank, q)
+                r |= 2 * qc.backend.measure_and_release(qc.rank, q, basis="X")
                 qc.send_bits(r, 2, self.peer, self.tag)
 
     def recv_move(self, n: int = 1) -> Qureg:

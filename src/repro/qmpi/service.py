@@ -34,6 +34,7 @@ Nothing in :mod:`repro.sim` changes: the engines see the same
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import threading
 from typing import Any, Callable, Sequence
@@ -146,8 +147,10 @@ class QmpiServiceHost:
 class BackendProxy:
     """Rank-process stand-in for the parent's :class:`QuantumBackend`.
 
-    Same call surface (the :data:`~repro.qmpi.ops.GATESET` shims are
-    installed on this class too), every method one synchronous RPC.
+    Same call surface, every method one synchronous RPC: the forwarders
+    are generated from :attr:`QmpiServiceHost.BACKEND_METHODS` below (as
+    are the :data:`~repro.qmpi.ops.GATESET` shims); only the methods
+    that normalise their arguments are written out.
     Large results — ``statevector`` above the transport's shm threshold —
     come back through the shared-memory data plane.
     """
@@ -158,9 +161,6 @@ class BackendProxy:
     def _call(self, name, *args):
         return self._rpc.call("backend", name, *args)
 
-    def alloc(self, rank, n=1):
-        return self._call("alloc", rank, n)
-
     def free(self, rank, qubits):
         self._call("free", rank, list(qubits) if not isinstance(qubits, int) else qubits)
 
@@ -169,39 +169,29 @@ class BackendProxy:
         if ops:
             self._call("apply_ops", rank, ops)
 
-    def apply(self, rank, u, *qubits):
-        self._call("apply", rank, u, *qubits)
-
-    def measure(self, rank, q):
-        return self._call("measure", rank, q)
-
-    def measure_and_release(self, rank, q):
-        return self._call("measure_and_release", rank, q)
-
-    def apply_pauli_if(self, rank, cond, pauli, q):
-        self._call("apply_pauli_if", rank, cond, pauli, q)
-
-    def prob_one(self, rank, q):
-        return self._call("prob_one", rank, q)
-
-    def statevector(self, qubits=None):
-        return self._call("statevector", qubits)
-
-    def owner(self, qubit):
-        return self._call("owner", qubit)
-
-    def owned_by(self, rank):
-        return self._call("owned_by", rank)
-
-    def transfer(self, qubit, new_rank):
-        self._call("transfer", qubit, new_rank)
-
-    def qubit_ids(self):
-        return self._call("qubit_ids")
-
     @property
     def num_qubits(self):
         return self._call("num_qubits")
+
+
+def _install_forwarder(name: str) -> None:
+    """One remotable backend method as a positional RPC: the signature
+    (keywords, defaults) is read off :class:`QuantumBackend`, never
+    restated here."""
+    signature = inspect.signature(getattr(QuantumBackend, name))
+
+    def forward(self, *args, **kwargs):
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        return self._call(name, *bound.args[1:])
+
+    forward.__name__ = name
+    forward.__doc__ = f"``QuantumBackend.{name}`` on the parent's backend, as one RPC."
+    setattr(BackendProxy, name, forward)
+
+
+for _name in sorted(QmpiServiceHost.BACKEND_METHODS - vars(BackendProxy).keys()):
+    _install_forwarder(_name)
 
 
 def _install_proxy_shim(gd: GateDef) -> None:

@@ -34,6 +34,7 @@ __all__ = [
     "bind_gateset",
     "install_gate_method",
     "bind_engine_gates",
+    "measurement_prelude",
     "I2",
     "X",
     "Y",
@@ -306,6 +307,18 @@ def bind_engine_gates(cls, wrap=None) -> None:
         )
 
     bind_gateset(install)
+
+
+def measurement_prelude(engine, qubit: int, basis: str, control) -> None:
+    """The gates ``measure_and_release(qubit, basis, control)`` stands for
+    ahead of its Z measurement, on either engine: ``cnot(control, qubit)``
+    if ``control`` is given, then ``h(qubit)`` if ``basis`` is ``"X"``."""
+    if basis not in ("Z", "X"):
+        raise ValueError(f'basis must be "Z" or "X", got {basis!r}')
+    if control is not None:
+        engine.cnot(control, qubit)
+    if basis == "X":
+        engine.h(qubit)
 
 
 for _gd in [

@@ -645,8 +645,11 @@ class ShardedStateVector:
             if bb > b:
                 self._bit_of[q] = bb - 1
 
-    def measure_and_release(self, qubit: int) -> int:
-        """Measure ``qubit`` in the Z basis, then remove it. Returns the bit."""
+    def measure_and_release(self, qubit: int, basis: str = "Z", control: int | None = None):
+        """``cnot(control, qubit)`` if ``control`` is given, ``h(qubit)`` if
+        ``basis == "X"``, then measure ``qubit`` in the Z basis and remove
+        it. Returns the bit."""
+        G.measurement_prelude(self, qubit, basis, control)
         bit = self.measure(qubit)
         self.apply_pauli_if(bit, "X", qubit)
         self.release(qubit)

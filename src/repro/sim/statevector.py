@@ -240,12 +240,20 @@ class StateVector:
             )
         self._drop_axis(qubit, ax, 0)
 
-    def measure_and_release(self, qubit: int) -> int:
-        """Measure ``qubit`` in the Z basis, then remove it. Returns the bit.
+    def measure_and_release(self, qubit: int, basis: str = "Z", control: int | None = None):
+        """``cnot(control, qubit)`` if ``control`` is given, ``h(qubit)`` if
+        ``basis == "X"``, then measure ``qubit`` in the Z basis and remove
+        it. Returns the bit.
 
-        One probability reduction, then one scaled copy of the chosen
-        half: that half *is* the released state.
+        The Z measurement is one probability reduction and one scaled
+        copy of the chosen half: that half *is* the released state.  Two
+        operand patterns skip the gate (:meth:`_fan_out`, :meth:`_measure_x`).
         """
+        if basis == "Z" and control in self._axis_of and self._pending.get(qubit) is not None:
+            return self._fan_out(qubit, control)
+        if basis == "X" and control is None and qubit in self._axis_of:
+            return self._measure_x(qubit)
+        G.measurement_prelude(self, qubit, basis, control)
         if self._is_fresh_zero(qubit):
             bit = self._measure_fresh_zero()
             del self._pending[qubit]
@@ -253,13 +261,7 @@ class StateVector:
         self._merge((qubit,))
         ax = self._axis(qubit)
         if self._shots is None:
-            p1 = self.prob_one(qubit)
-            bit = int(self.rng.random() < p1)
-            p = p1 if bit else 1.0 - p1
-            if p < self._norm_eps**2:
-                raise SimulationError(
-                    f"measuring qubit {qubit} as {bit}: outcome has zero probability"
-                )
+            bit, p = self._draw(qubit, self.prob_one(qubit))
             self._drop_axis(qubit, ax, bit, p**-0.5)
             return bit
         p1 = self._branch_prob_one(qubit)
@@ -267,6 +269,78 @@ class StateVector:
             p1, self._shot_of, self.rng
         )
         self._drop_axis(qubit, ax, (src, outcome), scale)
+        return bits
+
+    def _draw(self, qubit: int, p1: float) -> tuple[int, float]:
+        """Sample ``qubit``'s outcome from ``P(1)``: ``(bit, P(bit))``."""
+        bit = int(self.rng.random() < p1)
+        p = p1 if bit else 1.0 - p1
+        if p < self._norm_eps**2:
+            raise SimulationError(
+                f"measuring qubit {qubit} as {bit}: outcome has zero probability"
+            )
+        return bit, p
+
+    def _fan_out(self, qubit: int, control: int):
+        """``cnot(control, qubit)`` + Z measurement of a pending Bell half
+        whose partner ``p`` is not ``control`` (Fig. 3(a)), exactly.
+
+        The cnot leaves ``sum_c psi_c (|c, 0> + |1-c, 1>)/sqrt(2)`` on
+        ``(qubit, p)``; outcome ``m`` keeps ``psi_m |p=0> + psi_(1-m) |p=1>``,
+        of norm 1/2 whatever the state.  So ``m`` is a fair coin, ``p``
+        becomes one trailing axis holding ``c XOR m`` with the amplitudes
+        unchanged (``1/sqrt(2) * sqrt(2)``), and ``qubit`` is never an
+        axis: one zero-padded allocation, two half-copies.
+        """
+        partner = self._pending.pop(qubit)
+        del self._pending[partner]
+        psi, cax = self._psi, self._axis_of[control]
+        self._axis_of[partner] = psi.ndim
+        if self._shots is None:
+            bits = int(self.rng.random() < 0.5)
+            new = np.zeros(psi.shape + (2,), dtype=psi.dtype)
+            old, out = np.moveaxis(psi, cax, 0), np.moveaxis(new, cax, 0)
+            out[0, ..., bits] = old[0]
+            out[1, ..., 1 - bits] = old[1]
+        else:
+            bits, self._shot_of, (src, m, _) = fork_outcomes(
+                np.full(psi.shape[0], 0.5), self._shot_of, self.rng
+            )
+            new = np.zeros((len(src),) + psi.shape[1:] + (2,), dtype=psi.dtype)
+            old, out = np.moveaxis(psi, cax, 1), np.moveaxis(new, cax, 1)
+            rows = np.arange(len(src))
+            out[rows, 0, ..., m] = old[src, 0]
+            out[rows, 1, ..., 1 - m] = old[src, 1]
+        self._psi = new
+        return bits
+
+    def _measure_x(self, qubit: int):
+        """``h(qubit)`` + Z measurement + removal of a merged qubit, exactly.
+
+        ``h`` then outcome ``m`` is the projection ``(psi_0 + (-1)^m
+        psi_1)/sqrt(2)``, so ``P(1) = |psi_0 - psi_1|^2 / 2``: one
+        difference, one reduction, at most one sum and one scale — all
+        on the halved array.
+        """
+        ax = self._axis(qubit)
+        zero, one = np.moveaxis(self._psi, ax, 0)
+        psi = zero - one
+        if self._shots is None:
+            bits, p = self._draw(qubit, 0.5 * float(np.linalg.norm(psi)) ** 2)
+            if not bits:
+                np.add(zero, one, out=psi)
+            psi *= (2.0 * p) ** -0.5
+        else:
+            p1 = 0.5 * (np.abs(psi.reshape(len(psi), -1)) ** 2).sum(axis=1)
+            bits, self._shot_of, (src, m, scale) = fork_outcomes(
+                np.clip(p1, 0.0, 1.0), self._shot_of, self.rng
+            )
+            # In the state's own real dtype: complex64 is not promoted.
+            col, real = (-1,) + (1,) * (psi.ndim - 1), psi.real.dtype
+            psi = zero[src] + (1 - 2 * m).astype(real).reshape(col) * one[src]
+            psi *= (scale * _BELL_AMP).astype(real).reshape(col)
+        self._psi = psi
+        self._forget_axis(qubit, ax)
         return bits
 
     def _axis(self, qubit: int) -> int:
@@ -333,6 +407,9 @@ class StateVector:
         else:
             psi = np.moveaxis(self._psi, ax, 0)[keep] * scale
         self._psi = psi
+        self._forget_axis(qubit, ax)
+
+    def _forget_axis(self, qubit: int, ax: int) -> None:
         del self._axis_of[qubit]
         for q, a in self._axis_of.items():
             if a > ax:

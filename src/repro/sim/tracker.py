@@ -70,11 +70,19 @@ class TrackedStateVector(StateVector):
         self.counts.measurements += 1
         return bit
 
-    def measure_and_release(self, qubit: int) -> int:
-        # The fused primitive passes through neither hook above.
-        bit = super().measure_and_release(qubit)
+    def measure_and_release(self, qubit: int, basis: str = "Z", control: int | None = None):
+        # The fused primitive passes through neither hook above, and its
+        # short-cuts skip apply()/apply_controlled(): tally the gate the
+        # call stands for when no eager one was counted.
+        gates = self.counts.gates
+        seen = gates["cnot"], gates["h"]
+        bit = super().measure_and_release(qubit, basis, control)
         self.counts.measurements += 1
         self.counts.releases += 1
+        if control is not None and gates["cnot"] == seen[0]:
+            gates["cnot"] += 1
+        if basis == "X" and gates["h"] == seen[1]:
+            gates["h"] += 1
         return bit
 
     def _apply_pauli(self, pauli, qubit, rows) -> None:

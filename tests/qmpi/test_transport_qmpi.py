@@ -99,6 +99,45 @@ def dcnot_prog(qc):
     return out
 
 
+def protocol_sites_prog(qc, theta):
+    """Every protocol measurement (fan-out onto an EPR half, X-basis
+    uncopy, both halves of a teleport; blocking, non-blocking and over a
+    persistent channel) once on two ranks.  Each step ends in a classical
+    handshake, so the backend's RNG stream has one order."""
+    from repro.qmpi import PersistentChannel, p2p
+
+    (data,) = _ordered_alloc(qc, 1)
+    chan = PersistentChannel(qc, 1 - qc.rank, slots=2, tag=40, eager=False)
+    for r in range(qc.size):
+        if qc.rank == r:
+            chan.start()
+        qc.barrier()
+    chan.wait()
+    if qc.rank == 0:
+        qc.ry(data, theta)
+        qc.send([data], dest=1, tag=1)
+        qc.unsend([data], dest=1, tag=1)
+        p2p.isend(qc, [data], 1, tag=2).wait()
+        qc.unsend([data], dest=1, tag=2)
+        chan.send([data])
+        qc.unsend([data], dest=1, tag=3)
+        chan.send_move([data])
+        (back,) = qc.unsend_move(1, dest=1, tag=4)
+        return [qc.prob_one(back), qc.measure(back)]
+    out = []
+    (copy,) = qc.recv([data], source=0, tag=1)
+    out.append(qc.prob_one(copy))
+    qc.unrecv([copy], source=0, tag=1)
+    (copy,) = p2p.irecv(qc, qc.alloc_qmem(1), 0, tag=2).wait()
+    qc.unrecv([copy], source=0, tag=2)
+    (copy,) = chan.recv(1)
+    qc.unrecv([copy], source=0, tag=3)
+    (moved,) = chan.recv_move(1)
+    out.append(qc.prob_one(moved))
+    qc.unrecv_move([moved], source=0, tag=4)
+    return out
+
+
 def locality_prog(qc):
     regs = _ordered_alloc(qc, 1)
     if qc.rank == 1:
@@ -153,6 +192,29 @@ def test_mp_matches_inproc_per_shot(kernel, n_ranks, backend):
     assert outcome["mp"][1] == outcome["inproc"][1]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_protocol_measurements_match_across_transports(seed):
+    """Outcomes, probabilities and the ledger of every
+    ``measure_and_release(q, basis=, control=)`` site agree per seed."""
+    seen = {}
+    for transport in ("inproc", "mp"):
+        world = qmpi_run(
+            2, protocol_sites_prog, args=(0.4 + seed,), seed=seed, transport=transport
+        )
+        # Per row only the classical side: which scope an EPR pair lands
+        # in is decided by the thread that completes the match.
+        rows = {n: (r.classical_bits, r.calls) for n, r in world.ledger.rows.items()}
+        seen[transport] = (world.results, world.ledger.snapshot(), rows)
+        assert world.backend.num_qubits == 1  # the teleported-back qubit
+    for got, want in zip(seen["mp"][0], seen["inproc"][0]):
+        assert got == pytest.approx(want, abs=1e-12)
+    assert seen["mp"][1:] == seen["inproc"][1:]
+    # 2 pooled + send + isend + the teleport back; one bit per copy and
+    # uncopy, two per teleport.
+    totals = seen["mp"][1]
+    assert (totals.epr_pairs, totals.classical_bits) == (5, 10)
+
+
 def test_mp_matches_inproc_single_trajectory_state():
     """Without shots: same RNG draws, same collapses, same final state."""
     vecs = {}
@@ -189,6 +251,44 @@ def test_mp_ledger_matches_inproc():
     assert lm.epr_pairs == li.epr_pairs
     assert lm.classical_bits == li.classical_bits
     assert lm.classical_messages == li.classical_messages
+
+
+# ----------------------------------------------------------------------
+# the remotable table
+# ----------------------------------------------------------------------
+def test_proxy_forwarders_are_generated_from_the_remotable_table():
+    from repro.mpi.errors import TransportError
+    from repro.qmpi import SharedBackend
+    from repro.qmpi.service import BackendProxy, QmpiServiceHost
+
+    sent = []
+
+    class Rpc:
+        def call(self, plane, name, *args):
+            sent.append((name, args))
+
+    proxy = BackendProxy(Rpc())
+    assert all(callable(getattr(proxy, name)) for name in QmpiServiceHost.BACKEND_METHODS)
+    proxy.measure_and_release(1, 5, control=3)  # keywords and defaults: the backend's
+    proxy.measure_and_release(1, 5, basis="X")
+    proxy.alloc(2)
+    proxy.apply(0, np.eye(2), 4)
+    proxy.apply_ops(0, ())  # empty batch: no RPC
+    proxy.free(0, (7, 8))
+    assert [(name, args) for name, args in sent if name != "apply"] == [
+        ("measure_and_release", (1, 5, "Z", 3)),
+        ("measure_and_release", (1, 5, "X", None)),
+        ("alloc", (2, 1)),
+        ("free", (0, [7, 8])),
+    ]
+    assert sent[3][0] == "apply" and sent[3][1][2:] == (4,)
+    with pytest.raises(TypeError):
+        proxy.measure_and_release(1, 5, colour="red")
+    # Parent-only surfaces stay out of reach from either end.
+    assert not hasattr(proxy, "begin_shots")
+    host = QmpiServiceHost(SharedBackend(seed=0), None, None)
+    with pytest.raises(TransportError, match="not remotable"):
+        host.handle(0, "backend", "begin_shots", 4)
 
 
 # ----------------------------------------------------------------------

@@ -55,6 +55,38 @@ def test_epr_round_counts():
     assert sv.prob_one(0) == sv.prob_one(f)
 
 
+def test_protocol_measurement_counts_equal_the_two_call_spelling():
+    # The short-cuts run no gate, the fall-backs run an eager one: either
+    # way one cnot per control=, one h per basis="X", never two.
+    def run(one_call):
+        sv = TrackedStateVector(2, seed=3)
+        sv.ry(0, 0.7)
+        sv.cnot(0, 1)
+        e, copy = sv.alloc(2)
+        sv.entangle_fresh(e, copy)
+        (anc,) = sv.alloc(1)
+        if one_call:
+            bits = [
+                sv.measure_and_release(e, control=0),  # fan-out short-cut
+                sv.measure_and_release(copy, basis="X"),  # X-basis drop
+                sv.measure_and_release(anc, basis="X", control=1),  # composition
+            ]
+        else:
+            bits = []
+            for qubit, basis, control in ((e, "Z", 0), (copy, "X", None), (anc, "X", 1)):
+                if control is not None:
+                    sv.cnot(control, qubit)
+                if basis == "X":
+                    sv.h(qubit)
+                bits.append(sv.measure_and_release(qubit))
+        return bits, sv.counts.as_dict()
+
+    bits, counts = run(one_call=True)
+    assert (bits, counts) == run(one_call=False)
+    assert counts["gates"] == {"ry": 1, "cnot": 3, "h": 2}
+    assert (counts["measurements"], counts["releases"]) == (3, 3)
+
+
 def test_as_dict_roundtrip():
     sv = TrackedStateVector(1, seed=0)
     sv.h(0)
