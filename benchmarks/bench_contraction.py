@@ -14,8 +14,9 @@ the engine individually) against contraction planning
   even/odd pairs (each block fuses into one 4x4, windows stay open
   across the interleaved disjoint pairs);
 * ``tfim_step`` — Listing 1's Trotter step: a cnot-rz-cnot ring, then
-  an rx layer (every rx rides in a ring window: the planner's
-  single-qubit absorption rules are what this row measures).
+  an rx layer.  The stream folds every bond into one diagonal ``rzz``
+  in both arms, so the row measures one ``DiagBatch`` plus windows of
+  lone ``rx`` per step against per-op ``rzz``/``rx`` dispatch.
 
 Every plan row also reports ``lowered_records`` — how many records the
 fused arm's flush lowers to, i.e. the number of sweeps over the

@@ -5,13 +5,13 @@ modes are bit-identical, so the ratio is pure dispatch economics):
 
 Micro section (``kernels`` rows) — each dispatched kernel family timed
 in isolation on engine-shaped arrays: the strided single-qubit pass
-(``sq``), the locally-controlled pass (``cc``), the csel/ct sub-block
-contraction (``csel``), and the diagonal phase-table materializer
-(``diag``), at 12-20 qubits, both on one monolithic array (``shared``)
+(``sq``), the locally-controlled pass (``cc``) and the diagonal
+phase-table materializer (``diag``), at 12-20 qubits, both on one monolithic array (``shared``)
 and on a 4-chunk sharded layout (``sharded``).  These calibrate the
 ``jit_min_amps`` break-even in :data:`repro.sim.schedule.CostModel` and
 show where the single-pass native driver beats one numpy ufunc sweep
-per step.
+per step.  (The csel/ct window contraction has no row: it is one BLAS
+routine in both modes, so its ratio is 1.0 by definition.)
 
 Replay section (``replay`` rows) — the end-to-end acceptance row: a
 parameter-sweep circuit replayed through the schedule cache's frozen
@@ -59,7 +59,6 @@ except ImportError:  # script run without PYTHONPATH/install
 from repro.qmpi import Op, OpStream, SharedBackend, ShardedBackend  # noqa: E402
 from repro.sim.diag import chunk_phase  # noqa: E402
 from repro.sim.kernels import KernelDispatch, provider_name  # noqa: E402
-from repro.sim.parallel import contract_local  # noqa: E402
 
 QUBITS_FULL = [12, 16, 20]
 QUBITS_QUICK = [12, 16]
@@ -105,11 +104,9 @@ def _micro_ops(rng, n_qubits, backend):
     psi = _rand_state(rng, n_qubits)
     chunks, nl = _chunks(psi, backend)
     u2 = _rand_unitary(rng, 2)
-    u4 = _rand_unitary(rng, 4)
     b = nl // 2
     controls = (0, nl - 1)
     t_bit = nl // 2
-    ct_bits = (1, nl - 2)
     # diag workload: a coalesced batch touching every local axis (an rz
     # layer + a few crz couplings), so the materialized table spans the
     # chunk — capped under chunk_phase's 24-part angle-path threshold,
@@ -130,16 +127,11 @@ def _micro_ops(rng, n_qubits, backend):
         for c in chunks:
             kd.cc(c, u2, controls, t_bit, nl, diag=False)
 
-    def csel(kd):
-        for c in chunks:
-            if not kd.contract(c, u4, ct_bits, nl):
-                contract_local(c, u4, ct_bits, nl)
-
     def diag(kd):
         for ci in range(len(chunks)):
             chunk_phase(singles, pairs, nl, ci, kernels=kd)
 
-    return {"sq": sq, "cc": cc, "csel": csel, "diag": diag}
+    return {"sq": sq, "cc": cc, "diag": diag}
 
 
 def run_micro_section(sizes, min_reps, min_time):
@@ -152,8 +144,6 @@ def run_micro_section(sizes, min_reps, min_time):
             rng = np.random.default_rng((7, n_qubits))
             fams = _micro_ops(rng, n_qubits, backend)
             for family, fn in fams.items():
-                if family == "csel" and backend == "shared":
-                    continue  # csel/ct is the sharded engine's kernel
                 t_np = _best(lambda: fn(ref), min_reps, min_time)
                 t_jit = _best(lambda: fn(jit), min_reps, min_time)
                 row = {

@@ -12,8 +12,9 @@ per-gate backend call. Ops are the unit the whole pipeline speaks:
   execute a whole batch in one pass.
 
 The :data:`GATESET` registry is the canonical description of every
-named gate — operand signature, control count, target matrix, and
-diagonality. The table itself (:class:`GateDef`, :data:`GATESET`,
+named gate (h, x, y, z, s, sdg, t, tdg, rx, ry, rz, phase, swap, cnot,
+cz, crz, cphase, rzz, toffoli) — operand signature, control count,
+target matrix, and diagonality. The table itself (:class:`GateDef`, :data:`GATESET`,
 :func:`register_gate`, :func:`bind_gateset`) lives in
 :mod:`repro.sim.gates`, beside the matrices, so the engines can
 generate their eager gate methods from it without importing this

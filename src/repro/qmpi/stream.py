@@ -15,7 +15,15 @@ Fusion rules
   between either touches disjoint qubits or is, like the new op,
   diagonal in the Z basis. Products that collapse to the identity are
   dropped outright.
-* **Diagonal coalescing** — diagonal ops (z, s, t, rz, cz, crz, cphase)
+* **ZZ folding** — ``cnot(c, t) . rz(t, theta) . cnot(c, t)`` is the
+  diagonal ``exp(-i theta Z_c Z_t / 2)`` spelled with two non-diagonal
+  gates (Listing 1's bonds, the tail of every Pauli-string exponential).
+  Appending the closing ``cnot`` replaces the three records by one
+  ``rzz(c, t, theta)`` when, commuting backwards over disjoint ops, the
+  newest ops touching ``c`` or ``t`` are exactly that ``rz`` and that
+  ``cnot``; anything else in between means no fold. The identity is
+  exact, global phase included.
+* **Diagonal coalescing** — diagonal ops (z, s, t, rz, rzz, cz, crz, cphase)
   commute with each other even on shared qubits, so runs of diagonal
   ops are transparent to the backward scan; long Rz chains on one qubit
   coalesce into a single diagonal regardless of interleaved diagonal
@@ -139,7 +147,10 @@ class OpStream:
         if self._eager:
             self._backend.apply_ops(self._rank, (op,))
             return
-        if op.is_single and self._try_fuse(op):
+        if op.is_single:
+            if self._try_fuse(op):
+                return
+        elif op.gate == "cnot" and self._try_fold_zz(op):
             return
         self._buf.append(op)
         if len(self._buf) >= self._max_pending:
@@ -185,6 +196,31 @@ class OpStream:
             self._backend.apply_ops(self._rank, tuple(buf))
 
     # ------------------------------------------------------------------
+    def _try_fold_zz(self, op: Op) -> bool:
+        """Fold ``cnot(c, t) . rz(t, theta) . op`` into one ``rzz(c, t,
+        theta)`` when ``op`` is the closing ``cnot(c, t)``: commuting
+        backwards over disjoint ops, the newest buffered ops touching
+        ``c`` or ``t`` must be exactly the ``rz`` and, before it, the
+        opening ``cnot``. Returns True if folded."""
+        c, t = op.qubits
+        buf = self._buf
+        rz_at = None
+        for i in range(len(buf) - 1, -1, -1):
+            prior = buf[i]
+            if c not in prior.qubits and t not in prior.qubits:
+                continue
+            if rz_at is None:
+                if prior.gate != "rz" or prior.qubits[0] != t:
+                    return False
+                rz_at = i
+            elif prior.gate == "cnot" and prior.qubits == op.qubits:
+                buf[i] = Op("rzz", op.qubits, buf[rz_at].params)
+                del buf[rz_at]
+                return True
+            else:
+                return False
+        return False
+
     def _try_fuse(self, op: Op) -> bool:
         """Merge a single-qubit ``op`` into the newest compatible buffered
         one-qubit op on the same qubit, commuting backwards over disjoint

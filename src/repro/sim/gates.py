@@ -48,6 +48,7 @@ __all__ = [
     "rx",
     "ry",
     "rz",
+    "rzz",
     "rotation",
     "phase",
     "u3",
@@ -93,6 +94,12 @@ def rz(theta: float) -> np.ndarray:
     """Rotation about Z: ``exp(-i theta Z / 2)``."""
     e = np.exp(-0.5j * theta)
     return np.array([[e, 0], [0, np.conj(e)]], dtype=np.complex128)
+
+
+def rzz(theta: float) -> np.ndarray:
+    """ZZ coupling ``exp(-i theta Z⊗Z / 2)`` — what ``cnot . rz . cnot`` spells."""
+    e = np.exp(-0.5j * theta)
+    return np.diag([e, np.conj(e), np.conj(e), e])
 
 
 def rotation(pauli: str, theta: float) -> np.ndarray:
@@ -342,6 +349,7 @@ for _gd in [
     GateDef("cz", ("c", "t"), n_controls=1, const=Z, diagonal=True),
     GateDef("crz", ("c", "t"), ("theta",), n_controls=1, builder=rz, diagonal=True),
     GateDef("cphase", ("c", "t"), ("lam",), n_controls=1, builder=phase, diagonal=True),
+    GateDef("rzz", ("a", "b"), ("theta",), builder=rzz, diagonal=True),
     # three-qubit
     GateDef("toffoli", ("c1", "c2", "t"), n_controls=2, const=X),
 ]:

@@ -11,11 +11,10 @@ expression per step.  Three loop families are covered:
   arrays (``codes``/``arg0``/``arg1`` + a per-step 2x2 matrix table)
   that one compiled driver (:func:`_drive_py` and its native twins)
   walks per chunk in a single call;
-* the ``csel``/``ct`` per-shard-bit sub-block matmul — the strided
-  window gather/scatter is specialized through a precomputed index
-  matrix while the 2^k-dim matmul itself stays on BLAS (``np.dot`` is
-  already native code, and no reimplementation of zgemm could promise
-  bit-identity);
+* the ``csel``/``ct`` per-shard-bit sub-block matmul
+  (:meth:`KernelDispatch.contract`) — one routine in every mode: a
+  strided stage copy around one BLAS ``np.dot`` (already native code,
+  and no reimplementation of zgemm could promise bit-identity);
 * the doubling/DP diagonal phase-table materializer of
   :func:`repro.sim.diag.chunk_phase` (the multiply path; the wide-batch
   angle-accumulation path stays on numpy's vectorized cos/sin in every
@@ -866,7 +865,7 @@ class KernelDispatch:
         "_provider",
         "_resolved",
         "_error",
-        "_csel_memo",
+        "_stage",
         "_codes1",
         "_arg0_1",
         "_arg1_1",
@@ -894,7 +893,7 @@ class KernelDispatch:
         self._provider = None
         self._resolved = kernels == "numpy"  # numpy mode never resolves
         self._error = None
-        self._csel_memo: dict[tuple, np.ndarray] = {}
+        self._stage: np.ndarray | None = None  # contract()'s reused buffer
         self._codes1 = np.empty(1, dtype=np.int64)
         self._arg0_1 = np.empty(1, dtype=np.int64)
         self._arg1_1 = np.empty(1, dtype=np.int64)
@@ -1052,43 +1051,46 @@ class KernelDispatch:
             idx[1 + nl - 1 - b] = 1
         imul(view[tuple(idx)], f)
 
-    def contract(self, chunk, u, bits, nl: int) -> bool:
-        """Specialized window contraction ("ct"/"csel" sub-block matmul).
+    def contract(self, chunk, u, bits, nl: int) -> None:
+        """Contract a ``2^k x 2^k`` window unitary into ``chunk``, in place.
 
-        Returns True when handled here: the strided window gather and
-        scatter run through a precomputed index matrix (built once per
-        layout with the same transpose+reshape ``np.tensordot``
-        performs internally) around the very same BLAS ``np.dot`` —
-        data movement is exact and the matmul operands are identical,
-        so this path is bit-identical to
-        :func:`repro.sim.parallel.contract_local` by construction.
-        False sends the caller to ``contract_local`` (the numpy arm).
+        ``bits`` are chunk-local bit positions, first entry = the
+        matrix's most significant index bit (the
+        :class:`~repro.sim.plan.ContractionPlan` convention); the chunk
+        may carry leading shot-branch rows (flat size a multiple of
+        ``2^nl``).  ``u``'s index bits are first permuted to descending
+        bit order (a ``2^k x 2^k`` shuffle), so the amplitudes move in
+        the longest contiguous runs the window allows.  A window on the
+        chunk's ``k`` lowest bits is then a row-major ``(rest, 2^k)``
+        matrix as it lies: ``flat @ u.T`` into the stage buffer and one
+        contiguous copy back.  Any other window is staged
+        window-axes-first with one strided ``np.copyto``, multiplied
+        with one ``np.dot(u, stage, out=)`` and copied back through the
+        same strided view, so shm-/memmap-backed chunks mutate in
+        place.  The buffer is reused across calls (one allocation per
+        chunk size and dtype); every mode runs this same BLAS call on
+        the same operands.
         """
-        if not self.native(chunk.size):
-            self.counters["numpy_fallbacks"] += 1
-            return False
         k = len(bits)
-        key = (chunk.size, tuple(bits), nl)
-        idx = self._csel_memo.get(key)
-        if idx is None:
-            axes = [1 + nl - 1 - b for b in bits]
-            grid = np.arange(chunk.size, dtype=np.intp).reshape((-1,) + (2,) * nl)
-            order = tuple(axes) + tuple(
-                ax for ax in range(grid.ndim) if ax not in axes
-            )
-            idx = np.ascontiguousarray(grid.transpose(order).reshape(1 << k, -1))
-            self._csel_memo[key] = idx
-        flat = chunk.reshape(-1)
-        bt = flat[idx]
-        # Cast u to the chunk's precision (a no-op for complex128) so
-        # the matmul runs in the chunk dtype — the same cgemm/zgemm and
-        # operands as contract_local's tensordot.
-        t = np.dot(
-            np.ascontiguousarray(u, dtype=chunk.dtype).reshape(1 << k, 1 << k), bt
-        )
-        flat[idx] = t
+        dim = 1 << k
+        order = sorted(range(k), key=lambda i: -bits[i])
+        u = np.asarray(u, dtype=chunk.dtype).reshape((2,) * (2 * k))
+        u = u.transpose(order + [k + i for i in order]).reshape(dim, dim)
+        n = chunk.size
+        buf = self._stage
+        if buf is None or buf.size != 2 * n or buf.dtype != chunk.dtype:
+            buf = self._stage = np.empty(2 * n, dtype=chunk.dtype)
         self.counters["csel_hits"] += 1
-        return True
+        if bits[order[0]] == k - 1:
+            rows = chunk.reshape(-1, dim)
+            np.copyto(rows, np.dot(rows, u.T, out=buf[:n].reshape(-1, dim)))
+            return
+        axes = [nl - bits[i] for i in order]
+        rest = [ax for ax in range(nl + 1) if ax not in axes]
+        win = chunk.reshape((-1,) + (2,) * nl).transpose(axes + rest)
+        stage = buf[:n].reshape(dim, -1)
+        np.copyto(stage.reshape(win.shape), win)
+        np.copyto(win, np.dot(u, stage, out=buf[n:].reshape(dim, -1)).reshape(win.shape))
 
     def phase_fill(self, scalar, n_live: int, enc) -> np.ndarray | None:
         """Materialize a doubling phase table natively, or None.

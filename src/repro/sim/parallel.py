@@ -65,7 +65,7 @@ import numpy as np
 from .kernels import DEFAULT_KERNELS, KernelDispatch
 from .statevector import SimulationError
 
-__all__ = ["ChunkPool", "apply_run", "contract_local", "PARALLEL_MIN_CHUNK"]
+__all__ = ["ChunkPool", "apply_run", "PARALLEL_MIN_CHUNK"]
 
 #: Default smallest chunk size (amplitudes) worth dispatching to the
 #: pool.  Retuned from 2^14 to 2^12 for the run-level dispatch: one
@@ -80,31 +80,6 @@ __all__ = ["ChunkPool", "apply_run", "contract_local", "PARALLEL_MIN_CHUNK"]
 #: dispatch while the engine is still setting up, and the first timed
 #: stretch sees only steady-state cost.
 PARALLEL_MIN_CHUNK = 1 << 12
-
-
-def contract_local(chunk: np.ndarray, u: np.ndarray, bits, n_local: int) -> None:
-    """Contract a ``2^k x 2^k`` unitary into one chunk, in place.
-
-    ``bits`` are chunk-local bit positions, first entry = the matrix's
-    most significant index bit (the :class:`~repro.sim.plan.ContractionPlan`
-    convention). The result is written back through the chunk view so
-    shared-memory-backed chunks mutate in place.
-
-    The chunk may carry leading shot-branch rows (flat size a multiple
-    of ``2^n_local``, see :mod:`repro.sim.shots`): the leading ``-1``
-    view axis folds them in and the contraction broadcasts over it.
-    """
-    # Cast u to the chunk's precision (a no-op for complex128): the
-    # tensordot then runs cgemm/zgemm on the same rounded operands as
-    # KernelDispatch.contract, keeping the two arms bit-identical.
-    u = np.asarray(u, dtype=chunk.dtype)
-    k = len(bits)
-    axes = [1 + n_local - 1 - b for b in bits]
-    v = chunk.reshape((-1,) + (2,) * n_local)
-    t = np.tensordot(
-        u.reshape((2,) * (2 * k)), v, axes=(range(k, 2 * k), axes)
-    )
-    v[...] = np.moveaxis(t, range(k), axes)
 
 
 def apply_run(chunk: np.ndarray, run, n_local: int, ci: int, kernels=None) -> None:
@@ -124,7 +99,7 @@ def apply_run(chunk: np.ndarray, run, n_local: int, ci: int, kernels=None) -> No
       applies on the all-ones slice of the ``local_controls`` axes;
     * ``("ct", u, bits)`` — a :class:`~repro.sim.plan.ContractionPlan`
       whose window is entirely chunk-local: one matmul over the window
-      axes (:func:`contract_local`);
+      axes (:meth:`~repro.sim.kernels.KernelDispatch.contract`);
     * ``("csel", table, hi_bits, lo_bits)`` — a plan whose fused
       unitary is block-diagonal on its shard axes: ``hi_bits`` (shard
       bit positions, window order) select the chunk's signature index
@@ -160,8 +135,7 @@ def apply_run(chunk: np.ndarray, run, n_local: int, ci: int, kernels=None) -> No
                 kd.cc(chunk, u, local_controls, t_bit, n_local, diag)
         elif kind == "ct":
             _, u, bits = entry
-            if not kd.contract(chunk, u, bits, n_local):
-                contract_local(chunk, u, bits, n_local)
+            kd.contract(chunk, u, bits, n_local)
         elif kind == "csel":
             _, table, hi_bits, lo_bits = entry
             sig = 0
@@ -172,8 +146,8 @@ def apply_run(chunk: np.ndarray, run, n_local: int, ci: int, kernels=None) -> No
                 continue
             if not lo_bits:
                 kd.scale(chunk, u)  # all-shard window: a per-chunk scalar
-            elif not kd.contract(chunk, u, lo_bits, n_local):
-                contract_local(chunk, u, lo_bits, n_local)
+            else:
+                kd.contract(chunk, u, lo_bits, n_local)
         else:  # pragma: no cover - protocol error
             raise ValueError(f"unknown run entry kind {kind!r}")
 

@@ -73,7 +73,7 @@ from . import gates as G
 from . import kernels as _K
 from .diag import DiagBatch, signature_vectors
 from .kernels import KernelDispatch
-from .parallel import PARALLEL_MIN_CHUNK, ChunkPool, apply_run, contract_local
+from .parallel import PARALLEL_MIN_CHUNK, ChunkPool, apply_run
 from .schedule import (
     DEFAULT_COST_MODEL,
     DiagSegment,
@@ -833,7 +833,7 @@ class ShardedStateVector:
         arg0, arg1, refs)`` runs of :mod:`repro.sim.kernels` opcodes
         that one native ``drive`` call walks per chunk, broken by
         ``("py", step)`` items for the generic ``ct``/``csel`` entries
-        (whose matmul stays on BLAS in every mode).  Which arm executes
+        (one BLAS routine in every mode).  Which arm executes
         is decided per chunk per flush by the engine's dispatch; both
         arms replay the identical planar expression tree.  ``segs`` are
         the fold's live source segments, whose entries the pool
@@ -1216,9 +1216,8 @@ class ShardedStateVector:
     def _apply_local(self, u: np.ndarray, bits: Sequence[int]) -> None:
         # All axes intra-chunk: tensor contraction per chunk, no traffic
         # (the same in-place kernel the plan run entries use).
-        nl = self.n_local
         for c in self._chunks:
-            contract_local(c, u, bits, nl)
+            self._kernels.contract(c, u, bits, self.n_local)
 
     def _apply_mixed(self, u: np.ndarray, bits: Sequence[int]) -> None:
         # At least one shard axis: the 2^h chunks agreeing on every

@@ -48,7 +48,17 @@ class GateCounts:
 
 
 class TrackedStateVector(StateVector):
-    """A :class:`StateVector` that tallies every operation it performs."""
+    """A :class:`StateVector` that tallies every operation it performs.
+
+    Tallies are post-peephole: behind an :class:`~repro.qmpi.stream.OpStream`
+    the engine sees what the stream recorded, not what the program
+    spelled — fused single-qubit products count as ``u1``, a folded
+    ``cnot . rz . cnot`` as one ``rzz`` (a ``u2`` pair table once it is
+    coalesced into a ``DiagBatch``).  ``fusion="off"`` gives the
+    program's literal gates.  Batches are tallied in :meth:`apply_ops`,
+    which a backend's schedule cache replays past: count with
+    ``cache="off"``.
+    """
 
     def __init__(self, n_qubits: int = 0, seed=None):
         self.counts = GateCounts()

@@ -46,6 +46,11 @@ def _phase(lam):
     return [[1, 0], [0, cmath.exp(1j * lam)]]
 
 
+def _rzz(t):
+    e, ec = cmath.exp(-0.5j * t), cmath.exp(0.5j * t)
+    return [[e, 0, 0, 0], [0, ec, 0, 0], [0, 0, ec, 0], [0, 0, 0, e]]
+
+
 _X = [[0, 1], [1, 0]]
 _Z = [[1, 0], [0, -1]]
 
@@ -68,6 +73,7 @@ GATES = {
     "cz": lambda: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
     "crz": lambda t: _controlled(np.array(_rz(t))),
     "cphase": lambda lam: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, cmath.exp(1j * lam)]],
+    "rzz": _rzz,
     "toffoli": lambda: _controlled(_controlled(np.array(_X))),
 }
 

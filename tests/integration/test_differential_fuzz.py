@@ -1,7 +1,8 @@
 """Differential fuzzing of the schedule cache and the kernel dispatch.
 
-Seeded random circuits (parameterized rz/ry/rx/crz/cphase + Clifford
-h/x/s/cnot/cz/swap + end-of-circuit measurement) run twice — backend
+Seeded random circuits (parameterized rz/ry/rx/crz/cphase/rzz + Clifford
+h/x/s/cnot/cz/swap + the ``cnot . rz . cnot`` sandwich the stream folds
+into ``rzz`` + end-of-circuit measurement) run twice — backend
 ``cache="on"`` vs ``cache="off"`` — with identical seeds, and every
 run must agree **bit-identically**: the same measured bits and
 ``np.array_equal`` final amplitudes (no tolerance).  Configurations
@@ -63,6 +64,8 @@ N_KERNEL_CIRCUITS = max(8, N_CIRCUITS // 2)
 N_DTYPE_CIRCUITS = max(8, N_CIRCUITS // 4)
 N_ORACLE_CIRCUITS = max(8, N_CIRCUITS // 4)
 
+ZZ_SANDWICH = "cnot.rz.cnot"
+
 # (gate, arity, n_params) — parameterized rotations + Cliffords.
 GATE_POOL = (
     ("h", 1, 0),
@@ -77,6 +80,10 @@ GATE_POOL = (
     ("swap", 2, 0),
     ("crz", 2, 1),
     ("cphase", 2, 1),
+    ("rzz", 2, 1),
+    # Expands to cnot(c, t) . rz(t) . cnot(c, t): the idiom the stream's
+    # peephole folds into one rzz (in every fusion mode but "off").
+    (ZZ_SANDWICH, 2, 1),
 )
 
 BACKENDS = ("shared", "sharded")
@@ -84,7 +91,7 @@ FUSIONS = ("auto", "noplan", "nodiag", "off")
 RANKS = (1, 2, 4)
 DTYPES = ("complex128", "complex64")
 PASSES = 3  # same shape, fresh angles — passes 2..3 replay warm
-#: Oracle bar per register dtype: float64 rounding over <= 54 gates vs
+#: Oracle bar per register dtype: float64 rounding over <= 60 gates vs
 #: the float32 short-circuit bar of ``tests/_precision.py``.
 ORACLE_ATOL = {"complex128": 1e-10, "complex64": 1e-5}
 
@@ -99,12 +106,15 @@ def _gen_circuit(rng):
     n_qubits = int(rng.integers(2, 6))
     n_ops = int(rng.integers(6, 19))
     ops = []
-    for _ in range(n_ops):
+    while len(ops) < n_ops:
         gate, arity, n_params = GATE_POOL[int(rng.integers(len(GATE_POOL)))]
         qs = tuple(
             int(q) for q in rng.choice(n_qubits, size=arity, replace=False)
         )
-        ops.append((gate, qs, n_params))
+        if gate == ZZ_SANDWICH:
+            ops += [("cnot", qs, 0), ("rz", qs[1:], 1), ("cnot", qs, 0)]
+        else:
+            ops.append((gate, qs, n_params))
     n_meas = int(rng.integers(0, n_qubits + 1))
     measured = sorted(
         int(q) for q in rng.choice(n_qubits, size=n_meas, replace=False)

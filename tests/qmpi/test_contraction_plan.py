@@ -16,6 +16,7 @@ Four layers:
    shared/sharded x auto/noplan/off x 1/2/4 ranks.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +204,7 @@ def test_density_rule_still_passes_lone_shard_target_cnots_through():
     assert isinstance(out[3], ContractionPlan) and out[3].sources == tuple(rxs)
 
 
-def test_e2e_anneal_program_lowers_to_ten_records_per_trotter_step(monkeypatch):
+def test_e2e_anneal_program_lowers_to_one_diagonal_and_five_windows_per_trotter_step(monkeypatch):
     # Pass-count guard for the Listing-1 / Fig. 7 workload (no timing):
     # the benchmark's own program at 20 spins, as the stream flushes it.
     e2e = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
@@ -226,14 +227,23 @@ def test_e2e_anneal_program_lowers_to_ten_records_per_trotter_step(monkeypatch):
     couplings = [s / steps for s in range(steps)]
     world = qmpi_run(1, programs.anneal, args=(spins, couplings, 1.0), seed=0)
     assert world.backend.cache_info()["bypasses"] == 0
-    assert sum(len(b) for b in buffers) == spins * (1 + 4 * steps)
-    # Every h/rx rides in a window, whatever the stream's flush points...
+    # The stream folds every cnot . rz . cnot bond into one rzz ...
+    assert Counter(op.gate for b in buffers for op in b) == {
+        "rzz": spins * steps, "rx": spins * steps, "h": spins
+    }
+    # ... so a step's ZZ layer is one phase multiply holding 20 pair
+    # tables, and every h/rx rides in a window of four lone ops,
+    # whatever the stream's flush points ...
     records = [r for batch in lowered for r in batch]
-    assert all(isinstance(r, ContractionPlan) for r in records)
-    assert len(records) <= 10 * steps + 5 * (len(buffers) - 1)
-    # ... and the program as one buffer is ten sweeps per step.
+    batches = [r for r in records if isinstance(r, DiagBatch)]
+    assert len(batches) == steps
+    assert all(len(b.phases2) == spins and not b.phases1 for b in batches)
+    assert all(isinstance(r, (ContractionPlan, DiagBatch)) for r in records)
+    assert len(records) <= 7 * steps
+    # ... and the program as one buffer is six sweeps per step after
+    # the five windows of the h layer: 41 records.
     whole = lower_flush([op for b in buffers for op in b], spins)
-    assert len(whole) <= 10 * steps
+    assert len(whole) == 5 + 6 * steps
 
 
 def test_diag_batch_and_wide_ops_are_barriers():

@@ -37,7 +37,7 @@ from tests._precision import DEEP_ATOL, PROB_ABS, STATE_ATOL
 def test_gateset_contains_the_full_surface():
     expected = {
         "h", "x", "y", "z", "s", "sdg", "t", "tdg", "rx", "ry", "rz",
-        "phase", "swap", "cnot", "cz", "crz", "cphase", "toffoli",
+        "phase", "swap", "cnot", "cz", "crz", "cphase", "rzz", "toffoli",
     }
     assert expected <= set(GATESET)
 
@@ -118,6 +118,197 @@ def test_fusion_blocked_by_entangling_overlap():
     st.append(Op("cnot", (q[0], q[1])))
     st.append(Op("h", (q[0],)))  # must NOT merge back over the cnot
     assert st.pending == 3
+
+
+# -- ZZ folding: cnot(c, t) . rz(t, theta) . cnot(c, t) -> rzz(c, t, theta)
+def _sandwich(st, c, t, theta):
+    st.append(Op("cnot", (c, t)))
+    st.append(Op("rz", (t,), (theta,)))
+    st.append(Op("cnot", (c, t)))
+
+
+def test_zz_sandwich_folds_over_disjoint_ops():
+    st, _, q = _stream(4)
+    st.append(Op("cnot", (q[0], q[1])))
+    st.append(Op("h", (q[2],)))  # disjoint: transparent
+    st.append(Op("rz", (q[1],), (0.3,)))
+    st.append(Op("cnot", (q[2], q[3])))  # disjoint: transparent
+    st.append(Op("cnot", (q[0], q[1])))
+    assert st._buf == [
+        Op("rzz", (q[0], q[1]), (0.3,)),
+        Op("h", (q[2],)),
+        Op("cnot", (q[2], q[3])),
+    ]
+    # a ring of bonds sharing qubits folds bond by bond
+    st, _, q = _stream(3)
+    for c, t in ((0, 1), (1, 2), (2, 0)):
+        _sandwich(st, q[c], q[t], 0.1 * (c + 1))
+    assert [op.gate for op in st._buf] == ["rzz"] * 3
+    assert [op.params for op in st._buf] == [(0.1,), (0.2,), (0.30000000000000004,)]
+
+
+@pytest.mark.parametrize(
+    "between, closing",
+    [
+        ([("rz", (1,), (0.3,)), ("z", (0,), ())], (0, 1)),  # an op on c
+        ([("rz", (1,), (0.3,)), ("cz", (0, 2), ())], (0, 1)),  # ... even a diagonal one
+        ([("rx", (1,), (0.3,))], (0, 1)),  # a non-rz op on t
+        ([("rz", (1,), (0.3,)), ("rz", (1,), (0.2,))], (0, 1)),  # fused single: not an rz record
+        ([("rz", (1,), (0.3,)), ("cz", (1, 2), ())], (0, 1)),  # something else on t after the rz
+        ([("rz", (0,), (0.3,))], (0, 1)),  # rz on the control
+        ([("rz", (1,), (0.3,))], (1, 0)),  # reversed operands
+        ([], (0, 1)),  # no rz at all
+    ],
+)
+def test_zz_sandwich_does_not_fold_otherwise(between, closing):
+    st, be, q = _stream(3)
+    st.append(Op("h", (q[0],)))
+    st.append(Op("cnot", (q[0], q[1])))
+    for gate, qubits, params in between:
+        st.append(Op(gate, tuple(q[i] for i in qubits), params))
+    pending = st.pending
+    st.append(Op("cnot", tuple(q[i] for i in closing)))
+    assert st.pending == pending + 1
+    assert "rzz" not in [op.gate for op in st._buf]
+
+
+def test_zz_sandwich_does_not_fold_across_a_flush():
+    st, _, q = _stream(2)
+    st.append(Op("cnot", (q[0], q[1])))
+    st.append(Op("rz", (q[1],), (0.3,)))
+    st.flush()
+    st.append(Op("cnot", (q[0], q[1])))
+    assert st._buf == [Op("cnot", (q[0], q[1]))]
+    # the max_pending auto-flush is a flush like any other
+    st, _, q = _stream(3, max_pending=3)
+    st.append(Op("h", (q[2],)))
+    st.append(Op("cnot", (q[0], q[1])))
+    st.append(Op("rz", (q[1],), (0.3,)))  # third pending op: auto-flush
+    assert st.pending == 0
+    st.append(Op("cnot", (q[0], q[1])))
+    assert st._buf == [Op("cnot", (q[0], q[1]))]
+
+
+def test_zz_sandwich_does_not_fold_across_program_flush_points_or_eagerly():
+    def prog(qc, boundary):
+        q = qc.alloc_qmem(3)
+        qc.h(q[0])
+        qc.cnot(q[0], q[1])
+        qc.rz(q[1], 0.3)
+        if boundary == "flush_ops":
+            qc.flush_ops()
+        elif boundary == "measure":
+            qc.measure(q[2])
+        qc.cnot(q[0], q[1])
+        return [op.gate for op in qc.stream._buf]
+
+    assert qmpi_run(1, prog, args=(None,)).results[0] == ["h", "rzz"]
+    assert qmpi_run(1, prog, args=("flush_ops",)).results[0] == ["cnot"]
+    assert qmpi_run(1, prog, args=("measure",)).results[0] == ["cnot"]
+    assert qmpi_run(1, prog, args=(None,), fusion="off").results[0] == []
+
+
+def _zz_program(qc, n):
+    """Bonds on shard axes (the first-allocated qubits) and local ones,
+    disjoint ops interleaved; returns the literal gate list."""
+    q = qc.alloc_qmem(n)
+    gates = [("h", (i,), ()) for i in range(n)]
+    for c, t, theta in ((0, 1, 0.3), (1, 2, -0.7), (n - 1, 0, 1.1), (2, n - 2, 0.45)):
+        other = next(i for i in range(n) if i not in (c, t))
+        gates += [
+            ("cnot", (c, t), ()),
+            ("ry", (other,), (0.2 + theta,)),
+            ("rz", (t,), (theta,)),
+            ("cnot", (c, t), ()),
+        ]
+    gates += [("rx", (i,), (0.15 * (i + 1),)) for i in range(n)]
+    for gate, qubits, params in gates:
+        getattr(qc, gate)(*(q[i] for i in qubits), *params)
+    folded = [op.gate for op in qc.stream._buf].count("rzz")
+    qc.barrier()
+    return list(q), gates, folded
+
+
+@pytest.mark.parametrize("backend", ["shared", "sharded:2", "sharded:4"])
+def test_folded_and_unfolded_sandwiches_match_the_dense_oracle(backend):
+    from tests._dense_oracle import run
+
+    n = 5
+    states = {}
+    for fusion in ("auto", "nodiag", "off"):
+        world = qmpi_run(1, _zz_program, args=(n,), backend=backend, fusion=fusion)
+        q, gates, folded = world.results[0]
+        assert folded == (0 if fusion == "off" else 4)
+        states[fusion] = world.backend.statevector(q)
+    want = run(n, gates)
+    for fusion, got in states.items():
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=fusion)
+
+
+@pytest.mark.parametrize("fusion", ["auto", "nodiag"])
+def test_lone_rzz_flush_never_exchanges_on_the_sharded_engine(monkeypatch, fusion):
+    from repro.qmpi import ShardedBackend
+    from repro.sim import ShardedStateVector
+
+    be = ShardedBackend(seed=0, n_shards=4)
+    q = be.alloc(0, 4)  # q[0], q[1] are the shard axes
+    st = OpStream(be, 0, fusion=fusion)
+    for x in q:
+        st.append(Op("h", (x,)))
+    st.flush()
+    before = be.statevector(q)
+    calls = []
+
+    def spy(name):
+        def called(self, *args):
+            calls.append(name)
+            raise AssertionError(f"{name} called for a diagonal flush")
+
+        return called
+
+    for name in ("_pair_exchange", "_group_exchange"):
+        monkeypatch.setattr(ShardedStateVector, name, spy(name))
+    phase = np.ones(16, dtype=complex)
+    for (a, b), theta in (((0, 1), 0.3), ((1, 3), 0.5), ((2, 0), -0.9), ((2, 3), 0.2)):
+        st.append(Op("rzz", (q[a], q[b]), (theta,)))
+        st.flush()
+        idx = np.arange(16)
+        parity = ((idx >> (3 - a)) ^ (idx >> (3 - b))) & 1
+        phase *= np.exp(-0.5j * theta * (1 - 2 * parity))
+    assert calls == []
+    np.testing.assert_allclose(be.statevector(q), phase * before, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("backend", ["shared", "sharded:4"])
+def test_trotter_step_parameter_sweep_replays_one_cached_schedule(backend):
+    n, sweeps = 6, 5
+
+    def prog(qc, angles):
+        q = qc.alloc_qmem(n)
+        for x in q:
+            qc.h(x)
+        qc.flush_ops()
+        for zz, xx in angles:
+            for i in range(n):
+                c, t = q[i], q[(i + 1) % n]
+                qc.cnot(c, t)
+                qc.rz(t, zz)
+                qc.cnot(c, t)
+            for x in q:
+                qc.rx(x, xx)
+            qc.flush_ops()
+        return list(q)
+
+    angles = np.random.default_rng(5).uniform(0.1, 3.0, (sweeps, 2)).tolist()
+    on = qmpi_run(1, prog, args=(angles,), backend=backend, cache="on")
+    off = qmpi_run(1, prog, args=(angles,), backend=backend, cache="off")
+    info = on.backend.cache_info()
+    # one miss for the h layer, one for the first step; every later
+    # step rebinds the same frozen schedule with its own angles
+    assert (info["hits"], info["misses"], info["bypasses"]) == (sweeps - 1, 2, 0)
+    assert np.array_equal(
+        on.backend.statevector(on.results[0]), off.backend.statevector(off.results[0])
+    )
 
 
 def test_fusion_off_is_eager():

@@ -8,6 +8,9 @@ this environment — bit-identity of every dispatched kernel and of
 whole-engine runs between ``kernels="jit"`` and ``kernels="numpy"``.
 """
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from repro.sim.kernels import (
     provider_name,
     reset_provider_cache,
 )
-from repro.sim.parallel import contract_local
+from tests._dense_oracle import embed
 
 
 @pytest.fixture
@@ -288,11 +291,13 @@ class TestDispatchResolution:
         clone = KernelDispatch(mode, jit_min_amps=jma)
         assert (clone.mode, clone.jit_min_amps) == ("jit", 128)
 
-    def test_contract_numpy_mode_declines(self):
-        kd = KernelDispatch("numpy")
-        chunk = _rand_chunk(np.random.default_rng(1), 64)
-        assert kd.contract(chunk, np.eye(4, dtype=complex), (0, 1), 6) is False
-        assert kd.counters["numpy_fallbacks"] == 1
+    def test_contract_is_one_routine_in_every_mode(self):
+        for mode in ("numpy", "auto", "jit"):
+            kd = KernelDispatch(mode)
+            chunk = _rand_chunk(np.random.default_rng(1), 64)
+            assert kd.contract(chunk, np.eye(4, dtype=complex), (0, 1), 6) is None
+            assert kd.counters["csel_hits"] == 1  # counts contractions
+            assert kd.counters["numpy_fallbacks"] == kd.counters["jit_hits"] == 0
 
     def test_phase_fill_numpy_mode_declines(self):
         kd = KernelDispatch("numpy")
@@ -335,6 +340,99 @@ def test_numba_provider_self_checks():
 
 
 # ----------------------------------------------------------------------
+# the one window contraction
+# ----------------------------------------------------------------------
+CONTRACT_NL = 6
+
+
+def _contract_windows():
+    """Windows of 1-4 qubits: the lowest bits in every operand order,
+    straddling, and at the top local bits."""
+    nl = CONTRACT_NL
+    out = []
+    for k in range(1, 5):
+        out += list(itertools.permutations(range(k)))
+        out.append(tuple(range(nl - 1, nl - 1 - k, -1)))
+        out.append(tuple(range(nl - k, nl)))
+    out += [(3,), (0, 4), (4, 1), (5, 0, 2), (1, 3, 5), (4, 0, 5, 2), (2, 3, 4, 1)]
+    return out
+
+
+def _rand_window(rng, k):
+    return rng.standard_normal((1 << k, 1 << k)) + 1j * rng.standard_normal(
+        (1 << k, 1 << k)
+    )
+
+
+def _contract_oracle(chunk, u, bits, nl):
+    """``u`` kron-embedded over the chunk's bits, row by shot-branch row."""
+    full = embed(u, [nl - 1 - b for b in bits], nl)
+    return (chunk.reshape(-1, 1 << nl).astype(np.complex128) @ full.T).reshape(-1)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("rows", [1, 3], ids=["flat", "shot-rows"])
+def test_contract_matches_dense_oracle(dtype, rows):
+    nl = CONTRACT_NL
+    rng = np.random.default_rng(11)
+    kd, ref = KernelDispatch("jit"), KernelDispatch("numpy")
+    windows = _contract_windows()
+    for bits in windows:
+        u = _rand_window(rng, len(bits))
+        base = _rand_chunk(rng, rows << nl).astype(dtype)
+        a, b = base.copy(), base.copy()
+        kd.contract(a, u, bits, nl)
+        ref.contract(b, u, bits, nl)
+        assert _bits_equal(a, b), bits
+        want = _contract_oracle(base, u.astype(dtype), bits, nl)
+        tol = 1e-12 if dtype == np.complex128 else 2e-5
+        np.testing.assert_allclose(a, want, rtol=0, atol=tol * np.abs(want).max())
+    assert kd.counters["csel_hits"] == ref.counters["csel_hits"] == len(windows)
+
+
+def test_contract_mutates_a_memmap_chunk_in_place(tmp_path):
+    nl = CONTRACT_NL
+    rng = np.random.default_rng(12)
+    base = _rand_chunk(rng, 1 << nl)
+    chunk = np.memmap(tmp_path / "chunk.bin", dtype=np.complex128, mode="w+", shape=base.shape)
+    kd = KernelDispatch("numpy")
+    for bits in ((1, 0), (2, 0, 1), (4, 2), (5, 4, 3)):
+        chunk[:] = base
+        u = _rand_window(rng, len(bits))
+        kd.contract(chunk, u, bits, nl)
+        chunk.flush()
+        on_disk = np.fromfile(tmp_path / "chunk.bin", dtype=np.complex128)
+        np.testing.assert_allclose(
+            on_disk, _contract_oracle(base, u, bits, nl), rtol=0, atol=1e-12
+        )
+
+
+def test_contract_transient_is_two_chunks_and_windows_leave_no_residue():
+    nl = 14
+    rng = np.random.default_rng(13)
+    chunk = _rand_chunk(rng, 1 << nl)
+    windows = [(3, 2, 1, 0), (9, 8, 7, 6)]
+    windows += [(b, (b + 5) % nl) for b in range(nl)]
+    windows += [(b, (b + 3) % nl, (b + 7) % nl) for b in range(nl)]
+    assert len(set(windows)) == 30
+    us = [_rand_window(rng, len(bits)) / (1 << len(bits)) for bits in windows]
+    kd = KernelDispatch("numpy")
+    slack = chunk.nbytes // 8
+    tracemalloc.start()
+    try:
+        kd.contract(chunk, us[0], windows[0], nl)
+        after_one, _ = tracemalloc.get_traced_memory()
+        for bits, u in zip(windows[1:], us[1:]):
+            kd.contract(chunk, u, bits, nl)
+        after_all, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * chunk.nbytes + slack
+    # the reused stage buffer is all that stays: nothing per distinct window
+    assert after_all - after_one <= slack // 8
+
+
+# ----------------------------------------------------------------------
 # native-vs-numpy bit-identity (needs any provider in this environment)
 # ----------------------------------------------------------------------
 def _jit_or_skip():
@@ -369,26 +467,6 @@ class TestNativeBitIdentity:
         assert jit.counters["jit_hits"] == 6
         assert jit.counters["numpy_fallbacks"] == 0
         assert ref.counters["numpy_fallbacks"] == 6
-
-    def test_contract_matches_contract_local(self):
-        jit = _jit_or_skip()
-        rng = np.random.default_rng(11)
-        for bits in ((2,), (1, 4), (0, 3, 5)):
-            k = len(bits)
-            u = rng.standard_normal((1 << k, 1 << k)) + 1j * rng.standard_normal(
-                (1 << k, 1 << k)
-            )
-            a = _rand_chunk(rng, 1 << self.NL)
-            b = a.copy()
-            assert jit.contract(a, u, bits, self.NL) is True
-            contract_local(b, u, bits, self.NL)
-            assert _bits_equal(a, b)
-        assert jit.counters["csel_hits"] == 3
-        # the gather index is memoized per (size, bits, nl)
-        assert len(jit._csel_memo) == 3
-        a = _rand_chunk(rng, 1 << self.NL)
-        jit.contract(a, np.eye(2, dtype=complex), (2,), self.NL)
-        assert len(jit._csel_memo) == 3
 
     def test_phase_fill_matches_reference(self):
         jit = _jit_or_skip()

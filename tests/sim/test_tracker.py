@@ -104,3 +104,24 @@ def test_generic_apply_counts():
     assert sv.counts.gates["u2"] == 1
     sv.apply_controlled(np.eye(2), [0], [1])
     assert sv.counts.gates["c1u1"] == 1
+
+
+def test_tallies_are_post_peephole():
+    # The stream folds cnot . rz . cnot into one rzz before the engine
+    # sees it; fusion="off" gives the program's literal gates.
+    from repro.qmpi import QuantumBackend, qmpi_run
+
+    def prog(qc):
+        c, t = qc.alloc_qmem(2)
+        qc.cnot(c, t)
+        qc.rz(t, 0.4)
+        qc.cnot(c, t)
+
+    def tally(fusion):
+        sv = TrackedStateVector(seed=0)
+        # cache="off": a cached flush replays a frozen program past apply_ops
+        qmpi_run(1, prog, backend=QuantumBackend(sv, cache="off"), fusion=fusion)
+        return dict(sv.counts.gates)
+
+    assert tally("off") == {"cnot": 2, "rz": 1}
+    assert tally("nodiag") == tally("auto") == {"rzz": 1}
