@@ -13,14 +13,12 @@ while ``cache="on"`` replays the compiled segment list with a rebound
 payload, so the planner runs once per circuit shape.  The acceptance
 bar for this PR is warm >= 1.3x cold on these rows.
 
-Sweep phase — end-to-end TFIM-Trotter parameter sweeps through the
-three execution surfaces: plain statevector sweeps (``trotter``), one
-shot-batched world whose program sweeps internally
-(``trotter_shots``), and a stream of ``qmpi_submit`` jobs recycled
-onto one worker so the per-spec backend carries its cache across jobs
-(``trotter_jobs``).  These run the *default* deployment config (no
-forced planning) and include all non-compile work — program dispatch,
-measurement, job plumbing — so the ratios are heavily diluted: shared
+Sweep phase — end-to-end TFIM-Trotter parameter sweeps through two
+execution surfaces: plain statevector sweeps (``trotter``) and one
+shot-batched world whose program sweeps internally (``trotter_shots``).
+These run the *default* deployment config (no forced planning) and
+include all non-compile work — program dispatch and measurement — so
+the ratios are heavily diluted: shared
 rows stay clearly > 1.0, the sharded row hovers ~1.0 (execution
 dominates its flush cost at this size).  Their role in the bench-gate
 is regression protection, not a speedup floor.
@@ -56,7 +54,6 @@ except ImportError:  # script run without PYTHONPATH/install
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.qmpi import (  # noqa: E402
-    JobRunner,
     Op,
     OpStream,
     SharedBackend,
@@ -73,7 +70,7 @@ FLUSH_QUBITS = [6, 8, 10, 12]
 SWEEP_QUBITS = 8
 TROTTER_STEPS = 3
 SHOTS = 64
-N_JOBS_QUICK, N_JOBS_FULL = 8, 24
+N_POINTS_QUICK, N_POINTS_FULL = 8, 24
 
 
 def _layer_shape(n_qubits):
@@ -216,36 +213,9 @@ def _time_shots_sweep(shape, n_qubits, angle_sets, cache, reps):
     return best
 
 
-def _job_prog(qc, shape, n_qubits, angles):
-    q = qc.alloc_qmem(n_qubits)
-    for op in _materialize(shape, q, angles):
-        getattr(qc, op.gate)(*op.qubits, *op.params)
-    return [qc.measure_and_release(x) for x in q]
-
-
-def _time_jobs_sweep(shape, n_qubits, angle_sets, cache, reps):
-    """One-worker job stream: the recycled backend carries the cache."""
-    best = float("inf")
-    for _ in range(reps):
-        with JobRunner(max_workers=1, base_seed=0) as runner:
-            t0 = time.perf_counter()
-            futures = [
-                runner.submit(
-                    _job_prog,
-                    args=(shape, n_qubits, angles),
-                    cache=cache,
-                )
-                for angles in angle_sets
-            ]
-            for f in futures:
-                f.result()
-            best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def run_sweep_phase(n_jobs, reps):
+def run_sweep_phase(n_points, reps):
     shape = _trotter_shape(SWEEP_QUBITS)
-    angle_sets = _angle_sets(shape, n_jobs, seed=23)
+    angle_sets = _angle_sets(shape, n_points, seed=23)
     rows = []
 
     def row(kernel, backend, cold, warm):
@@ -274,10 +244,6 @@ def run_sweep_phase(n_jobs, reps):
     cold = _time_shots_sweep(shape, SWEEP_QUBITS, angle_sets, "off", reps)
     warm = _time_shots_sweep(shape, SWEEP_QUBITS, angle_sets, "on", reps)
     row("trotter_shots", "shared", cold, warm)
-
-    cold = _time_jobs_sweep(shape, SWEEP_QUBITS, angle_sets, "off", reps)
-    warm = _time_jobs_sweep(shape, SWEEP_QUBITS, angle_sets, "on", reps)
-    row("trotter_jobs", "shared", cold, warm)
     return rows
 
 
@@ -290,12 +256,12 @@ def main(argv=None) -> int:
 
     min_time, min_reps = (0.15, 6) if args.quick else (0.4, 8)
     sweep_reps = 2 if args.quick else 4
-    n_jobs = N_JOBS_QUICK if args.quick else N_JOBS_FULL
+    n_points = N_POINTS_QUICK if args.quick else N_POINTS_FULL
 
     print("# flush phase: warm (cache=on) vs cold (cache=off) per-flush rate")
     flush = run_flush_phase(args.n_shards, min_time, min_reps)
-    print("# sweep phase: trotter parameter sweeps (plain / shots / jobs)")
-    sweep = run_sweep_phase(n_jobs, sweep_reps)
+    print("# sweep phase: trotter parameter sweeps (plain / shots)")
+    sweep = run_sweep_phase(n_points, sweep_reps)
 
     payload = {
         "quick": args.quick,
@@ -303,7 +269,7 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count() or 1,
         "trotter_steps": TROTTER_STEPS,
         "shots": SHOTS,
-        "n_jobs": n_jobs,
+        "n_points": n_points,
         "flush": flush,
         "sweep": sweep,
     }

@@ -22,13 +22,6 @@ Every plan row also reports ``lowered_records`` — how many records the
 fused arm's flush lowers to, i.e. the number of sweeps over the
 amplitudes (``tfim_step``: ``records_per_step`` beside it).
 
-Workers phase — the run-level pool dispatch on planned batches: a
-pre-lowered brickwork batch (plans forced open) applied with
-``workers=0`` vs ``workers=2``, recording ``cpu_count`` next to the
-ratio (single-core hosts can only show overhead; the CI multi-core
-remeasure job regenerates these rows and
-``tools/fold_workers_ci.py`` folds them back in).
-
 Diag phase — the ``qft_ladder`` kernel of ``bench_diag_batching.py``
 (all ``n(n-1)/2`` distinct cphase pairs, the worst case for phase-table
 materialization), re-measured here because the doubling/DP materializer
@@ -65,12 +58,9 @@ except ImportError:  # script run without PYTHONPATH/install
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.qmpi import Op, OpStream, SharedBackend, ShardedBackend  # noqa: E402
-from repro.sim import CostModel, ShardedStateVector, lower_flush  # noqa: E402
 
 QUICK_QUBITS = [10, 12]
 FULL_QUBITS = [12, 16, 20]
-WORKER_QUICK_QUBITS = [12]
-WORKER_FULL_QUBITS = [16, 20]
 RAND_DEPTH_PER_QUBIT = 12
 BRICK_LAYERS = 4
 TFIM_STEPS = 4
@@ -210,93 +200,16 @@ def run_phase(kernels, quick, n_shards, min_time, min_reps):
     return rows
 
 
-# ----------------------------------------------------------------------
-# workers phase: planned runs through the chunk pool, serial vs workers
-# ----------------------------------------------------------------------
-def _time_worker_plan_run(n_qubits, n_shards, workers, min_time, min_reps):
-    """Gates/second applying a pre-lowered brickwork batch to the engine.
-
-    The batch is lowered once (plans included, windows forced open) so
-    the measurement isolates the engine's stretch execution — serial
-    chunk loop vs run-level pool dispatch of the same segment list.
-    """
-    sv = ShardedStateVector(
-        n_qubits, seed=0, n_shards=n_shards, workers=workers, parallel_min_chunk=1
-    )
-    try:
-        local = [q for q in sv.qubit_ids if sv._bit(q) < sv.n_local]
-        ops = lower_flush(
-            _brickwork_ops(tuple(local)), n_qubits,
-            cost_model=CostModel(plan_min_qubits=0),
-        )
-        n_gates = sum(getattr(o, "n_ops", 1) for o in ops)
-        sv.apply_ops(ops)  # warm-up (spawns the pool once)
-        best = float("inf")
-        elapsed = 0.0
-        reps = 0
-        while elapsed < min_time or reps < min_reps:
-            t0 = time.perf_counter()
-            sv.apply_ops(ops)
-            dt = time.perf_counter() - t0
-            best = min(best, dt / n_gates)
-            elapsed += dt
-            reps += 1
-        return 1.0 / best
-    finally:
-        sv.close()
-
-
-def run_workers(quick: bool, n_shards: int, min_time: float, min_reps: int) -> list:
-    qubit_counts = WORKER_QUICK_QUBITS if quick else WORKER_FULL_QUBITS
-    cpus = os.cpu_count() or 1
-    rows = []
-    for n_qubits in qubit_counts:
-        w0 = _time_worker_plan_run(n_qubits, n_shards, 0, min_time, min_reps)
-        w2 = _time_worker_plan_run(n_qubits, n_shards, 2, min_time, min_reps)
-        row = {
-            "kernel": "brickwork_plan_run",
-            "n_qubits": n_qubits,
-            "workers0_gates_per_s": round(w0, 1),
-            "workers2_gates_per_s": round(w2, 1),
-            "speedup": round(w2 / w0, 3),
-            "cpu_count": cpus,
-        }
-        rows.append(row)
-        print(
-            f"brickwork_plan_run n={n_qubits:>2}  workers=0 {w0:>10.0f}  "
-            f"workers=2 {w2:>10.0f} gates/s  x{row['speedup']} (cpus={cpus})"
-        )
-    return rows
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="small sizes, short passes (CI)")
     ap.add_argument("--n-shards", type=int, default=4, help="sharded engine chunk count")
     ap.add_argument("--out", default="BENCH_plan.json", help="output JSON path")
-    ap.add_argument(
-        "--skip-workers", action="store_true",
-        help="skip the worker-pool phase (e.g. sandboxes without shm)",
-    )
-    ap.add_argument(
-        "--only-workers", action="store_true",
-        help="run only the worker-pool phase (the CI multi-core remeasure "
-        "job writes it to BENCH_workers_plan_ci.json)",
-    )
     args = ap.parse_args(argv)
-    if args.skip_workers and args.only_workers:
-        ap.error("--skip-workers and --only-workers are mutually exclusive")
 
     min_time, min_reps = (0.05, 3) if args.quick else (0.4, 4)
-    if args.only_workers:
-        plan_rows, diag_rows = [], []
-    else:
-        plan_rows = run_phase(PLAN_KERNELS, args.quick, args.n_shards, min_time, min_reps)
-        diag_rows = run_phase(DIAG_KERNELS, args.quick, args.n_shards, min_time, min_reps)
-    workers_rows = (
-        [] if args.skip_workers
-        else run_workers(args.quick, args.n_shards, min_time, min_reps)
-    )
+    plan_rows = run_phase(PLAN_KERNELS, args.quick, args.n_shards, min_time, min_reps)
+    diag_rows = run_phase(DIAG_KERNELS, args.quick, args.n_shards, min_time, min_reps)
     payload = {
         "quick": args.quick,
         "n_shards": args.n_shards,
@@ -306,7 +219,6 @@ def main(argv=None) -> int:
         "tfim_steps": TFIM_STEPS,
         "plan": plan_rows,
         "diag": diag_rows,
-        "workers": workers_rows,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -1,4 +1,4 @@
-"""Diagonal phase-vector batching + parallel chunk executor -> BENCH_diag.json.
+"""Diagonal phase-vector batching -> BENCH_diag.json.
 
 Coalescing phase — diagonal-heavy sweeps through the full op-stream
 path (``OpStream`` -> ``apply_ops``), comparing the PR 2 dispatch
@@ -11,14 +11,6 @@ vectors):
   every pair is distinct);
 * ``tfim_zz``    — 8 Trotter layers of the TFIM ZZ chain (crz ladder)
   plus an Rz sweep per layer (repeated pairs merge into one table).
-
-Workers phase — the opt-in process-parallel chunk executor
-(``ShardedStateVector(workers=N)``): a communication-free Rx sweep over
-every local axis, executed as one ``apply_ops`` run, with ``workers=0``
-(serial) vs ``workers=2`` (persistent pool + shared-memory chunks).
-``cpu_count`` is recorded next to the numbers: on a single-core host
-the pool can only add IPC overhead, so the speedup column is only
-meaningful where ``cpu_count >= 2``.
 
 Run standalone (CI quick mode)::
 
@@ -47,14 +39,10 @@ except ImportError:  # script run without PYTHONPATH/install
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.qmpi import Op, OpStream, SharedBackend, ShardedBackend  # noqa: E402
-from repro.sim import ShardedStateVector  # noqa: E402
 
 QUICK_QUBITS = [10, 12]
 FULL_QUBITS = [12, 16, 20]
-WORKER_QUICK_QUBITS = [12]
-WORKER_FULL_QUBITS = [16, 20]
 TFIM_LAYERS = 8
-RUN_DEPTH = 4
 
 
 # ----------------------------------------------------------------------
@@ -139,101 +127,20 @@ def run_coalescing(quick: bool, n_shards: int, min_time: float, min_reps: int) -
     return rows
 
 
-# ----------------------------------------------------------------------
-# workers phase: communication-free sweeps, serial vs chunk pool
-# ----------------------------------------------------------------------
-def _worker_sweep_ops(sv: ShardedStateVector):
-    """Rx layers over every chunk-local axis: one communication-free run."""
-    nl = sv.n_local
-    local = [q for q in sv.qubit_ids if sv._bit(q) < nl]
-    ops = []
-    for d in range(RUN_DEPTH):
-        theta = 0.1 + 0.05 * d
-        ops.extend(Op("rx", (q,), (theta,)) for q in local)
-    return ops
-
-
-def _time_worker_sweep(n_qubits, n_shards, workers, min_time, min_reps):
-    sv = ShardedStateVector(
-        n_qubits, seed=0, n_shards=n_shards, workers=workers, parallel_min_chunk=1
-    )
-    try:
-        ops = _worker_sweep_ops(sv)
-        sv.apply_ops(ops)  # warm-up (spawns the pool once)
-        best = float("inf")
-        elapsed = 0.0
-        reps = 0
-        while elapsed < min_time or reps < min_reps:
-            t0 = time.perf_counter()
-            sv.apply_ops(ops)
-            dt = time.perf_counter() - t0
-            best = min(best, dt / len(ops))
-            elapsed += dt
-            reps += 1
-        return 1.0 / best
-    finally:
-        sv.close()
-
-
-def run_workers(quick: bool, n_shards: int, min_time: float, min_reps: int) -> list:
-    qubit_counts = WORKER_QUICK_QUBITS if quick else WORKER_FULL_QUBITS
-    cpus = os.cpu_count() or 1
-    rows = []
-    for n_qubits in qubit_counts:
-        w0 = _time_worker_sweep(n_qubits, n_shards, 0, min_time, min_reps)
-        w2 = _time_worker_sweep(n_qubits, n_shards, 2, min_time, min_reps)
-        row = {
-            "kernel": "rx_local_sweep",
-            "n_qubits": n_qubits,
-            "workers0_gates_per_s": round(w0, 1),
-            "workers2_gates_per_s": round(w2, 1),
-            "speedup": round(w2 / w0, 3),
-            "cpu_count": cpus,
-        }
-        rows.append(row)
-        print(
-            f"rx_local_sweep n={n_qubits:>2}  workers=0 {w0:>10.0f}  "
-            f"workers=2 {w2:>10.0f} gates/s  x{row['speedup']} "
-            f"(cpus={cpus})"
-        )
-    return rows
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="small sizes, short passes (CI)")
     ap.add_argument("--n-shards", type=int, default=4, help="sharded engine chunk count")
     ap.add_argument("--out", default="BENCH_diag.json", help="output JSON path")
-    ap.add_argument(
-        "--skip-workers", action="store_true",
-        help="skip the worker-pool phase (e.g. sandboxes without shm)",
-    )
-    ap.add_argument(
-        "--only-workers", action="store_true",
-        help="run only the worker-pool phase (the CI multi-core remeasure "
-        "job writes it to BENCH_workers_ci.json)",
-    )
     args = ap.parse_args(argv)
-    if args.skip_workers and args.only_workers:
-        ap.error("--skip-workers and --only-workers are mutually exclusive")
 
     min_time, min_reps = (0.05, 3) if args.quick else (0.5, 5)
-    coalescing = (
-        [] if args.only_workers
-        else run_coalescing(args.quick, args.n_shards, min_time, min_reps)
-    )
-    workers = (
-        [] if args.skip_workers
-        else run_workers(args.quick, args.n_shards, min_time, min_reps)
-    )
     payload = {
         "quick": args.quick,
         "n_shards": args.n_shards,
         "cpu_count": os.cpu_count() or 1,
         "tfim_layers": TFIM_LAYERS,
-        "run_depth": RUN_DEPTH,
-        "coalescing": coalescing,
-        "workers": workers,
+        "coalescing": run_coalescing(args.quick, args.n_shards, min_time, min_reps),
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -252,8 +252,8 @@ def main(argv=None) -> int:
     provider = provider_name()
     if provider is None:
         print(
-            "ERROR: no native kernel provider resolves (need numba or a C "
-            "toolchain for cffi); a jit-vs-numpy benchmark cannot run",
+            "ERROR: no native kernel provider resolves (need cffi and a C "
+            "toolchain); a jit-vs-numpy benchmark cannot run",
             file=sys.stderr,
         )
         return 1

@@ -1,6 +1,4 @@
-"""Shot batching + concurrent jobs throughput -> BENCH_shots.json.
-
-Two phases guarding the ISSUE 6 execution model:
+"""Shot batching throughput -> BENCH_shots.json.
 
 Batching phase — the same program sampled N times, two ways: a loop of
 independent single-shot ``qmpi_run`` calls (the only option before shot
@@ -9,11 +7,6 @@ the state evolution *once* and vectorizes sampling, so its shots/second
 column should beat the loop by orders of magnitude on measure-at-the-end
 circuits, and still win on mid-circuit-measurement programs (teleport),
 where trajectories fork into branch groups instead of re-running.
-
-Jobs phase — J independent shot-batched programs, run back-to-back vs
-submitted together through :func:`repro.qmpi.jobs.qmpi_submit` on a
-:class:`~repro.qmpi.jobs.JobRunner` pool; the concurrent column measures
-end-to-end wall-clock speedup of multiplexing jobs over worker threads.
 
 Run standalone (CI quick mode)::
 
@@ -40,7 +33,7 @@ try:
 except ImportError:  # script run without PYTHONPATH/install
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.qmpi import JobRunner, qmpi_run  # noqa: E402
+from repro.qmpi import qmpi_run  # noqa: E402
 
 
 def ghz(qc, n):
@@ -102,59 +95,19 @@ def bench_batching(n_qubits, shots, loop_iters):
     return rows
 
 
-def bench_jobs(n_qubits, n_jobs, shots, max_workers):
-    rows = []
-    for name, (fn, args, n_ranks) in KERNELS.items():
-        args = (n_qubits,) if args is None else args
-        t0 = time.perf_counter()
-        with JobRunner(max_workers=1, base_seed=0) as runner:
-            for _ in range(n_jobs):
-                runner.submit(fn, n_ranks=n_ranks, args=args, shots=shots).counts()
-        serial = n_jobs / (time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        with JobRunner(max_workers=max_workers, base_seed=0) as runner:
-            futures = [
-                runner.submit(fn, n_ranks=n_ranks, args=args, shots=shots)
-                for _ in range(n_jobs)
-            ]
-            for f in futures:
-                f.counts()
-        concurrent = n_jobs / (time.perf_counter() - t0)
-        row = {
-            "kernel": name,
-            "n_ranks": n_ranks,
-            "n_jobs": n_jobs,
-            "shots": shots,
-            "max_workers": max_workers,
-            "serial_jobs_per_s": round(serial, 2),
-            "concurrent_jobs_per_s": round(concurrent, 2),
-            "speedup": round(concurrent / serial, 2),
-        }
-        rows.append(row)
-        print(
-            f"{name:<10} jobs={n_jobs} shots={shots:>5} "
-            f"serial {serial:>7.2f}/s  concurrent {concurrent:>7.2f}/s "
-            f"x{row['speedup']}"
-        )
-    return rows
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="small sizes, short passes (CI)")
     ap.add_argument("--out", default="BENCH_shots.json", help="output JSON path")
-    ap.add_argument("--max-workers", type=int, default=8, help="job pool size")
     args = ap.parse_args(argv)
 
     if args.quick:
-        n_qubits, shots, loop_iters, n_jobs = 10, 512, 20, 8
+        n_qubits, shots, loop_iters = 10, 512, 20
     else:
-        n_qubits, shots, loop_iters, n_jobs = 16, 4096, 100, 16
+        n_qubits, shots, loop_iters = 16, 4096, 100
 
     print("# batching phase: looped single-shot runs vs one shots=N pass")
     batching = bench_batching(n_qubits, shots, loop_iters)
-    print("# jobs phase: back-to-back jobs vs concurrent qmpi_submit")
-    jobs = bench_jobs(n_qubits, n_jobs, shots, args.max_workers)
 
     payload = {
         "quick": args.quick,
@@ -163,7 +116,6 @@ def main(argv=None) -> int:
         "shots": shots,
         "loop_iters": loop_iters,
         "batching": batching,
-        "jobs": jobs,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -9,7 +9,7 @@ per-chunk phase-vector multiply (zero chunk communication on the
 sharded engine). Run:
 
     python examples/qft_distributed.py [--backend shared|sharded]
-                                       [--qubits N] [--workers W]
+                                       [--qubits N]
 
 The script QFTs |value> per rank, checks the state against the DFT
 column analytically, and prints the stream/batching statistics.
@@ -29,16 +29,10 @@ def main():
     ap.add_argument("--backend", default="sharded", choices=["shared", "sharded"])
     ap.add_argument("--qubits", type=int, default=6, help="qubits per rank")
     ap.add_argument("--ranks", type=int, default=2, help="quantum ranks")
-    ap.add_argument("--workers", type=int, default=0, metavar="W",
-                    help="chunk worker processes (sharded only)")
     args = ap.parse_args()
-    if args.workers and args.backend != "sharded":
-        ap.error("--workers requires --backend sharded")
-    backend_kw = {"workers": args.workers} if args.workers else {}
 
     # Prebuild the backend so one spy counts what all ranks dispatch.
-    backend = make_backend(args.backend, seed=0, n_ranks=args.ranks,
-                           **backend_kw)
+    backend = make_backend(args.backend, seed=0, n_ranks=args.ranks)
     batches = []
     n_total = args.ranks * args.qubits
     orig = backend.apply_flush
@@ -77,7 +71,6 @@ def main():
     print(f"global state vs DFT columns: max |amp error| = {err:.2e}")
     assert err < 1e-9, "QFT output does not match the DFT columns"
     assert n_diag > 0, "expected coalesced DiagBatch dispatch"
-    world.backend.close()
     print("\nEvery cphase ladder coalesced into a single phase-vector "
           "multiply — no per-gate dispatch, no chunk exchange.")
 

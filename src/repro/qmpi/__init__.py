@@ -15,7 +15,6 @@ Layering:
 * :mod:`~repro.qmpi.cat` — constant-depth cat states (Fig. 4)
 * :mod:`~repro.qmpi.persistent` — §4.7 persistent requests
 * :mod:`~repro.qmpi.api` — the QmpiComm facade and the qmpi_run launcher
-* :mod:`~repro.qmpi.jobs` — concurrent job submission (qmpi_submit)
 """
 
 from . import collectives, p2p
@@ -32,7 +31,6 @@ from .backend import (
 from .cat import CatHandle, cat_state_chain, cat_state_tree, uncat
 from .datatypes import QMPI_QUBIT, QubitType, type_contiguous, type_indexed, type_vector
 from .epr import EprBufferFull, EprService
-from .jobs import JobFuture, JobRunner, qmpi_submit
 from .ops import GATESET, UNITARY, ContractionPlan, DiagBatch, GateDef, Op, register_gate
 from .persistent import PersistentChannel
 from .qubit import Qureg
@@ -46,9 +44,6 @@ __all__ = [
     "QmpiComm",
     "QmpiWorld",
     "qmpi_run",
-    "qmpi_submit",
-    "JobRunner",
-    "JobFuture",
     "ShotBits",
     "ShotDivergenceError",
     "SharedBackend",

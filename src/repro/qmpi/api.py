@@ -373,8 +373,8 @@ class QmpiWorld:
     remain available for inspection as before. Runs started with
     ``shots=N`` expose the sampled measurement histogram as
     :attr:`counts`. The world is a context manager: ``with
-    qmpi_run(...) as world:`` closes worker-enabled backends (pool
-    processes, shared memory) on exit.
+    qmpi_run(...) as world:`` closes the backend (removing any spill
+    files) on exit.
     """
 
     def __init__(
@@ -414,7 +414,7 @@ class QmpiWorld:
         return self.backend.counts()
 
     def close(self) -> None:
-        """Release backend resources (worker pools, shared memory)."""
+        """Release backend resources (the sharded engine's spill files)."""
         self.backend.close()
 
     def __enter__(self) -> "QmpiWorld":
@@ -440,7 +440,7 @@ def _execute(
     fusion="auto",
     transport="inproc",
 ) -> tuple[list, Ledger]:
-    """Run ``fn`` SPMD on a ready backend; shared by qmpi_run and jobs."""
+    """Run ``fn`` SPMD on a ready backend (the body of :func:`qmpi_run`)."""
     from ..mpi.transport import make_transport
 
     t = make_transport(transport)
@@ -533,19 +533,29 @@ def qmpi_run(
         :class:`~repro.mpi.transport.Transport` class or instance.
     **backend_kw:
         Backend constructor options as plain keywords, e.g.
-        ``qmpi_run(..., backend="sharded", workers=2, n_shards=8)`` —
-        ``n_shards``, ``workers``, ``parallel_min_chunk``,
-        ``enforce_locality``, ``kernels``, ``dtype``, ``spill``,
-        ``spill_budget``. ``workers=N`` enables the sharded engine's
-        process-parallel chunk executor (close the backend when done:
-        ``with qmpi_run(...) as world:`` does so automatically).
+        ``qmpi_run(..., backend="sharded", n_shards=8)`` —
+        ``n_shards``, ``enforce_locality``, ``cache``, ``kernels``,
+        ``dtype``, ``spill``, ``spill_budget``.
         ``kernels="auto"/"numpy"/"jit"`` selects the native-kernel
         dispatch mode (see :mod:`repro.sim.kernels`); results are
         bit-identical across modes. ``dtype="complex64"`` selects the
         half-footprint mixed-precision tier, and ``spill=`` backs
         sharded chunks with memory-mapped files past the
         ``spill_budget`` RAM budget (see
-        :class:`~repro.sim.sharded.ShardedStateVector`).
+        :class:`~repro.sim.sharded.ShardedStateVector`; close the
+        backend when done: ``with qmpi_run(...) as world:`` does so
+        automatically).
+
+    A parameter sweep reuses one prebuilt backend: its schedule cache
+    survives across calls, and ``backend.reseed(seed)`` before each call
+    gives every sweep point its own reproducible measurement stream
+    (``prog`` releases its qubits, so the next shot batch can start)::
+
+        be = make_backend("shared")
+        for seed, theta in enumerate(grid):
+            be.reseed(seed)
+            counts = qmpi_run(2, prog, args=(theta,), backend=be,
+                              shots=256).counts
     """
     if isinstance(backend, QuantumBackend) and seed == 0:
         # The default seed must not trigger the prebuilt-instance

@@ -38,7 +38,6 @@ from typing import Sequence
 import numpy as np
 
 from ..sim.cache import ScheduleCache
-from ..sim.parallel import PARALLEL_MIN_CHUNK
 from ..sim.schedule import DEFAULT_COST_MODEL, lower_flush
 from ..sim.sharded import ShardedStateVector
 from ..sim.shots import ShotBits
@@ -140,8 +139,8 @@ class QuantumBackend:
     def reseed(self, seed) -> None:
         """Replace the engine's measurement RNG and clear the shot log.
 
-        The job runner uses this hook to give every job its own
-        reproducible RNG stream on a reused backend.
+        A sweep over one prebuilt backend calls this before each
+        ``qmpi_run`` to give every point its own reproducible stream.
         """
         with self._lock:
             self._sv.reseed(seed)
@@ -428,10 +427,10 @@ class QuantumBackend:
         return self._sv
 
     def close(self) -> None:
-        """Release engine resources (worker pools, shared memory).
+        """Release engine resources (the sharded engine's spill files).
 
         A no-op for engines without a ``close`` method. Idempotent, and
-        the shipped engines stay usable (serially) afterwards.
+        the shipped engines stay usable afterwards.
         """
         closer = getattr(self._sv, "close", None)
         if closer is not None:
@@ -471,26 +470,18 @@ class ShardedBackend(QuantumBackend):
     Local-axis gates run as vectorized strided kernels on each flat chunk;
     high-axis gates exchange pair chunks over a private
     :class:`repro.mpi.Fabric`. See :mod:`repro.sim.sharded` for the layout.
-
-    ``workers=N`` (default 0 = serial) enables the opt-in
-    process-parallel chunk executor: communication-free op runs and
-    coalesced diagonal phase-vector multiplies are mapped across the
-    chunks by ``N`` persistent worker processes operating on
-    shared-memory chunk buffers (see :mod:`repro.sim.parallel`). Call
-    :meth:`~QuantumBackend.close` to shut the pool down deterministically;
-    ``parallel_min_chunk`` tunes the smallest chunk size dispatched.
+    All chunks live in this process.
 
     ``kernels`` selects the native-kernel dispatch mode
     (``"auto"``/``"numpy"``/``"jit"``, default from
-    ``REPRO_QMPI_KERNELS``); see :mod:`repro.sim.kernels`. Worker
-    processes inherit the mode and warm the provider once per process
-    (at pool spawn, outside any timed stretch).
+    ``REPRO_QMPI_KERNELS``); see :mod:`repro.sim.kernels`.
 
     ``dtype`` selects the amplitude precision (``"complex128"`` default
     / ``"complex64"``, default from ``REPRO_QMPI_DTYPE``); ``spill``
     and ``spill_budget`` configure the out-of-core memory-mapped chunk
     store for registers past RAM (see
-    :class:`~repro.sim.sharded.ShardedStateVector`).
+    :class:`~repro.sim.sharded.ShardedStateVector`; call
+    :meth:`~QuantumBackend.close` to remove the spill files).
     """
 
     def __init__(
@@ -498,8 +489,6 @@ class ShardedBackend(QuantumBackend):
         seed=None,
         enforce_locality: bool = True,
         n_shards: int = 4,
-        workers: int = 0,
-        parallel_min_chunk: int = PARALLEL_MIN_CHUNK,
         cache: str = "on",
         kernels: str | None = None,
         dtype: str | None = None,
@@ -510,8 +499,6 @@ class ShardedBackend(QuantumBackend):
             ShardedStateVector(
                 seed=seed,
                 n_shards=n_shards,
-                workers=workers,
-                parallel_min_chunk=parallel_min_chunk,
                 kernels=kernels,
                 dtype=dtype,
                 spill=spill,
@@ -521,7 +508,6 @@ class ShardedBackend(QuantumBackend):
             cache=cache,
         )
         self.n_shards = n_shards
-        self.workers = workers
 
 
 # ----------------------------------------------------------------------

@@ -7,16 +7,14 @@ Public surface:
 * :class:`~repro.sim.tracker.TrackedStateVector` — engine + gate tallies
 * :mod:`~repro.sim.diag` — diagonal phase-vector batching (``DiagBatch``)
 * :mod:`~repro.sim.plan` — per-chunk contraction plans (``ContractionPlan``)
-* :mod:`~repro.sim.parallel` — process-parallel chunk executor
 * :mod:`~repro.sim.gates` — gate matrices and the ``GATESET`` table the
   engines' named-gate methods are generated from
 * :mod:`~repro.sim.pauli` — Pauli-string application / rotation
 * :mod:`~repro.sim.arith` — reversible adders for QMPI_SUM reductions
 """
 
-from . import arith, diag, gates, parallel, pauli, plan, schedule
+from . import arith, diag, gates, pauli, plan, schedule
 from .diag import DiagBatch, coalesce_diagonals
-from .parallel import ChunkPool
 from .plan import ContractionPlan, plan_contractions
 from .schedule import (
     DEFAULT_COST_MODEL,
@@ -40,7 +38,6 @@ __all__ = [
     "GateCounts",
     "DiagBatch",
     "ContractionPlan",
-    "ChunkPool",
     "coalesce_diagonals",
     "plan_contractions",
     "CostModel",
@@ -55,7 +52,6 @@ __all__ = [
     "SimulationError",
     "diag",
     "plan",
-    "parallel",
     "schedule",
     "gates",
     "pauli",

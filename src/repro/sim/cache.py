@@ -485,9 +485,9 @@ class ScheduleCache:
     """Bounded LRU cache of compiled execution schedules.
 
     One instance lives on each :class:`~repro.qmpi.backend.QuantumBackend`
-    built with ``cache="on"`` (the default); because the job runner
-    recycles backends per spec, the cache is automatically shared across
-    the jobs of one spec and travels with the recycled engine.  All
+    built with ``cache="on"`` (the default) and survives across
+    ``qmpi_run`` calls on that prebuilt backend, so a parameter sweep
+    driven through one backend compiles each flush shape once.  All
     calls happen under the backend lock, so binders may mutate cached
     segments in place.
 

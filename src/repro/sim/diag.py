@@ -23,12 +23,10 @@ each phase table folds in while the array is still small (as soon as
 its highest bit exists), so all-distinct pair sets like the QFT ladder
 cost ``sum_parts 2^(maxbit+1)`` updates instead of ``parts * 2^L``.
 Chunks sharing the same shard-bit signature share the same vector, so
-it is computed once per shape and reused (or recomputed per worker in
-the parallel executor, which is the same trade the QMPI paper's rank-0
-broadcast makes).
+it is computed once per shape and reused.
 
 This module lives in :mod:`repro.sim` (below the op IR) so both engines
-and the :mod:`repro.sim.parallel` workers can import it without cycles;
+can import it without cycles;
 :mod:`repro.qmpi.ops` re-exports :class:`DiagBatch` as part of the
 public IR.
 """

@@ -24,10 +24,9 @@ expression per step.  Three loop families are covered:
 ``kernels="jit"`` and ``kernels="numpy"`` produce *bit-identical*
 amplitudes (enforced by tests/integration/test_differential_fuzz.py).
 numpy's complex-multiply ufunc is free to use FMA-contracted SIMD
-paths that neither gcc (``-ffp-contract=off``) nor LLVM/numba will
-reproduce, so the contract is defined in **planar arithmetic**: every
-kernel computes separate real/imaginary parts through the fixed
-expression tree
+paths that gcc with ``-ffp-contract=off`` will not reproduce, so the
+contract is defined in **planar arithmetic**: every kernel computes
+separate real/imaginary parts through the fixed expression tree
 
     re = (ur*ar - ui*ai) + ...    im = (ur*ai + ui*ar) + ...
 
@@ -53,10 +52,10 @@ tables* (:mod:`repro.sim.diag`) stay complex128 in every mode: their
 application is an in-place same-kind multiply whose rounding is
 dtype-independent, so no float32 phase arm exists.
 
-**Providers.**  ``numba`` when importable (the ``pip install -e
-.[jit]`` extra; the CI jit leg), else a small C module compiled once
-through ``cffi`` + the system C compiler and cached on disk, else pure
-numpy.  Selection is observable through ``backend.kernel_info()``.
+**Provider.**  One native provider: a small C module compiled once
+through ``cffi`` + the system C compiler (the ``pip install -e .[jit]``
+extra; the CI jit leg) and cached on disk; without it, pure numpy.
+Selection is observable through ``backend.kernel_info()``.
 
 Environment knobs:
 
@@ -64,9 +63,7 @@ Environment knobs:
   when a backend is built without an explicit ``kernels=``;
 * ``REPRO_QMPI_DISABLE_JIT=1`` — no native provider is ever used (the
   CI fallback leg proves the pure-numpy path with this set);
-* ``REPRO_QMPI_KERNEL_PROVIDER`` — pin ``numba`` or ``cffi``;
-* ``REPRO_QMPI_KERNEL_CACHE`` — cffi build cache directory (numba's
-  own on-disk cache honors ``NUMBA_CACHE_DIR``).
+* ``REPRO_QMPI_KERNEL_CACHE`` — cffi build cache directory.
 """
 
 from __future__ import annotations
@@ -109,11 +106,11 @@ OP_MASK_SCALE = 5  # arg0 = control mask, arg1 = diagonal index
 # ----------------------------------------------------------------------
 # reference driver (pure python scalar loops)
 # ----------------------------------------------------------------------
-# This function is the executable specification: the numba provider
-# compiles it verbatim, the C source below transliterates it, and the
-# vectorized numpy fallbacks evaluate the same expression trees.  Unit
-# tests call it directly (on tiny chunks) so every opcode's semantics
-# are covered even where no native provider exists.
+# This function is the executable specification: the C source below
+# transliterates it, and the vectorized numpy fallbacks evaluate the
+# same expression trees.  Unit tests call it directly (on tiny chunks)
+# so every opcode's semantics are covered even where no native
+# provider exists.
 def _drive_py(af, codes, arg0, arg1, mats):
     n_amps = af.shape[0] >> 1
     for s in range(codes.shape[0]):
@@ -330,7 +327,7 @@ def cc_diag_view(view, idx0, idx1, u) -> None:
 
 
 # ----------------------------------------------------------------------
-# native providers
+# native provider
 # ----------------------------------------------------------------------
 _C_SOURCE = r"""
 /* Transliteration of kernels._drive_py / kernels._phase_py.  Compiled
@@ -601,23 +598,6 @@ void qk_phase(double *, long long, const long long *, const long long *,
 """
 
 
-class _NumbaProvider:
-    """``@njit`` wrappers around the reference driver (fastmath off)."""
-
-    name = "numba"
-
-    def __init__(self, numba):
-        jit = numba.njit(cache=True, fastmath=False)
-        self._drive = jit(_drive_py)
-        self._phase = jit(_phase_py)
-
-    def drive(self, af, codes, arg0, arg1, mats):
-        self._drive(af, codes, arg0, arg1, mats)
-
-    def phase(self, outf, n_live, lvl, kind, pa, pb, nzm, vals, sr, si):
-        self._phase(outf, n_live, lvl, kind, pa, pb, nzm, vals, sr, si)
-
-
 class _CffiProvider:
     """The cached-on-disk C module compiled through cffi + system cc."""
 
@@ -674,10 +654,9 @@ def _load_cffi():
     """Load (or build once, under a lock) the cached C kernel module.
 
     The module name carries a hash of the C source, so editing the
-    kernels invalidates stale builds; worker processes spawned after
-    the parent's warm-up find the built artifact and only pay an
-    import.  The file lock serializes concurrent cold builds (e.g.
-    pool workers warming up before the parent ever went native).
+    kernels invalidates stale builds; a later process finds the built
+    artifact and only pays an import.  The file lock serializes
+    concurrent cold builds (e.g. two test processes sharing a cache).
     """
     from cffi import FFI
 
@@ -771,15 +750,14 @@ def _self_check(provider) -> str | None:
 
 
 # (name, provider, compile_time, error) memoized per environment so
-# monkeypatched tests re-resolve; the heavy artifacts (numba compile
-# cache, the cffi .so) are cached on disk across processes anyway.
+# monkeypatched tests re-resolve; the cffi .so is cached on disk across
+# processes anyway.
 _PROVIDER_CACHE: dict[tuple, tuple] = {}
 
 
 def _env_key() -> tuple:
     return (
         os.environ.get("REPRO_QMPI_DISABLE_JIT"),
-        os.environ.get("REPRO_QMPI_KERNEL_PROVIDER"),
         os.environ.get("REPRO_QMPI_KERNEL_CACHE"),
     )
 
@@ -790,39 +768,21 @@ def _resolve_provider() -> tuple:
     if hit is not None:
         return hit
     disabled = (key[0] or "").lower() in ("1", "true", "yes", "on")
-    forced = key[1]
     name, provider, compile_time, error = None, None, 0.0, None
     if disabled:
         error = "disabled via REPRO_QMPI_DISABLE_JIT"
     else:
-        attempts = []
-        if forced in (None, "numba"):
-            attempts.append("numba")
-        if forced in (None, "cffi"):
-            attempts.append("cffi")
-        if not attempts:
-            error = f"unknown REPRO_QMPI_KERNEL_PROVIDER {forced!r}"
-        for cand in attempts:
-            t0 = time.perf_counter()
-            try:
-                if cand == "numba":
-                    import numba
-
-                    provider = _NumbaProvider(numba)
-                else:
-                    provider = _load_cffi()
-                # The self-check doubles as the warm-up compile for
-                # numba (first call triggers nopython compilation).
-                fail = _self_check(provider)
-                if fail is not None:
-                    raise RuntimeError(fail)
-                name = cand
-                compile_time = time.perf_counter() - t0
-                error = None
-                break
-            except Exception as exc:
-                provider = None
-                error = f"{cand}: {type(exc).__name__}: {exc}"
+        t0 = time.perf_counter()
+        try:
+            provider = _load_cffi()
+            fail = _self_check(provider)
+            if fail is not None:
+                raise RuntimeError(fail)
+            name = "cffi"
+            compile_time = time.perf_counter() - t0
+        except Exception as exc:
+            provider = None
+            error = f"cffi: {type(exc).__name__}: {exc}"
     result = (name, provider, compile_time, error)
     _PROVIDER_CACHE[key] = result
     return result
@@ -911,11 +871,10 @@ class KernelDispatch:
         return self._provider
 
     def warmup(self) -> None:
-        """Resolve (compile/load + self-check) the provider eagerly.
+        """Resolve (load or build + self-check) the provider eagerly.
 
-        Pool workers call this once per process before touching real
-        chunks, so cold numba compilation or a cold cffi build never
-        lands in the middle of a timed stretch.
+        Benchmarks call this before timing, so a cold cffi build never
+        lands in the middle of a timed run.
         """
         if self.mode != "numpy":
             self._ensure()
@@ -938,10 +897,6 @@ class KernelDispatch:
         out.update(self.counters)
         out["provider_error"] = self._error
         return out
-
-    def worker_args(self) -> tuple:
-        """The picklable spec pool workers rebuild their dispatch from."""
-        return (self.mode, self.jit_min_amps)
 
     # -- native entry points -------------------------------------------
     def _flat(self, chunk):
@@ -1066,8 +1021,7 @@ class KernelDispatch:
         contiguous copy back.  Any other window is staged
         window-axes-first with one strided ``np.copyto``, multiplied
         with one ``np.dot(u, stage, out=)`` and copied back through the
-        same strided view, so shm-/memmap-backed chunks mutate in
-        place.  The buffer is reused across calls (one allocation per
+        same strided view, so memmap-backed chunks mutate in place.  The buffer is reused across calls (one allocation per
         chunk size and dtype); every mode runs this same BLAS call on
         the same operands.
         """
@@ -1127,8 +1081,3 @@ class KernelDispatch:
         )
         self.counters["jit_hits"] += 1
         return out
-
-
-#: Shared numpy-mode dispatch for callers without an engine-owned one
-#: (direct :func:`repro.sim.parallel.apply_run` calls in tests).
-DEFAULT_KERNELS = KernelDispatch("numpy")

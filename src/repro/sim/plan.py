@@ -62,8 +62,7 @@ cz stays communication-free, a lone high-target CNOT keeps its
 restricted exchange).
 
 This module lives in :mod:`repro.sim` (below the op IR) next to
-:mod:`repro.sim.diag` so both engines and the parallel workers can
-import it without cycles; :mod:`repro.qmpi.ops` re-exports
+:mod:`repro.sim.diag` so both engines can import it without cycles; :mod:`repro.qmpi.ops` re-exports
 :class:`ContractionPlan` as part of the public IR.
 """
 

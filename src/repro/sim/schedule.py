@@ -1,13 +1,9 @@
-"""Unified execution-schedule IR: cost-classified segments for both engines.
+"""Unified execution-schedule IR: classified segments for both engines.
 
 The QMPI paper's performance model works because every operation is
-classified *once* — local vs. EPR-mediated, with a known cost — before
-execution.  Until this module existed, the flush pipeline had grown the
-opposite way: ``OpStream.flush`` handed each backend a heterogeneous
-``Op | DiagBatch | ContractionPlan`` list that ``StateVector``,
-``ShardedStateVector`` and the ``ChunkPool`` each re-interpreted and
-re-classified ad hoc.  This module is now the **single place where
-execution strategy is decided**, in two passes:
+classified *once* — local vs. EPR-mediated — before execution.  This
+module is the **single place where execution strategy is decided**, in
+two passes:
 
 :func:`lower_flush` — the stream-side pass (called by
 :meth:`repro.qmpi.stream.OpStream.flush`): diagonal coalescing followed
@@ -23,7 +19,7 @@ to ``wide_window``).
 :func:`compile_segments` — the engine-side pass (called by both
 ``apply_ops`` implementations): turns the lowered op list into an
 ordered list of typed **segments**, each tagged exactly once with its
-communication class and a cost estimate:
+communication class:
 
 * :class:`KernelRun`    — a maximal run of communication-free kernels
   (single-qubit strided passes, controlled gates with chunk-local
@@ -32,8 +28,7 @@ communication class and a cost estimate:
   always communication-free (phase-vector multiply per shard-bit
   signature);
 * :class:`PlanSegment`  — one :class:`~repro.sim.plan.ContractionPlan`,
-  classified against the chunk layout exactly once (the logic that
-  used to live in ``ShardedStateVector._classify_plan``);
+  classified against the chunk layout exactly once;
 * :class:`ExchangeSegment` — an op whose unitary genuinely mixes
   amplitudes across a shard axis (or a rare generic shape outside the
   kernel vocabulary): the engines fall back to their exchange paths.
@@ -44,9 +39,8 @@ chunk index, ``blockdiag`` selects per-chunk factors or sub-blocks from
 the shard-bit signature but never moves amplitude between chunks, and
 ``mixing`` requires chunk exchange.  A maximal run of non-``mixing``
 segments is a **communication-free stretch** — the unit
-:meth:`repro.sim.sharded.ShardedStateVector.apply_ops` ships to the
-worker pool as one task per worker (run-level dispatch) instead of one
-task per chunk per entry.
+:meth:`repro.sim.sharded.ShardedStateVector.execute_frozen` runs
+chunk-major, touching each chunk once per stretch.
 
 Engines are pure *interpreters* of this IR: they decide nothing, they
 only execute segments.  The shared engine compiles with no layout
@@ -93,16 +87,13 @@ MIXING = "mixing"
 
 @dataclass(frozen=True)
 class CostModel:
-    """Small calibratable model of per-amplitude execution cost.
+    """The calibrated execution thresholds.
 
-    Costs are in *per-amplitude work units* (roughly flops per amplitude
-    touched, with exchange bandwidth folded into the same scale);
-    multiply by ``2^n_qubits`` for an absolute estimate.  The planning
-    thresholds are the calibrated knobs: they come from the committed
-    ``BENCH_plan.json`` sweeps (fused matmuls lose below ~16 qubits,
-    where per-op dispatch overhead is cheaper than planning; the 16x16
-    four-qubit contraction wins from ~18 qubits, where one pass over the
-    amplitudes beats four).
+    The planning thresholds come from the committed ``BENCH_plan.json``
+    sweeps (fused matmuls lose below ~16 qubits, where per-op dispatch
+    overhead is cheaper than planning; the 16x16 four-qubit contraction
+    wins from ~18 qubits, where one pass over the amplitudes beats
+    four).
     """
 
     #: Register size below which contraction planning is bypassed
@@ -118,13 +109,6 @@ class CostModel:
     wide_window: int = 4
     #: Default window bound (:data:`repro.sim.plan.MAX_WINDOW`).
     base_window: int = MAX_WINDOW
-    #: Per-amplitude cost of a single-qubit strided kernel pass.
-    sq_flops: float = 2.0
-    #: Per-amplitude cost of a phase-vector multiply.
-    diag_flops: float = 1.0
-    #: Per-amplitude cost surcharge of shipping a chunk through the
-    #: fabric and recombining (bandwidth + latency, folded to one knob).
-    exchange_flops: float = 8.0
     #: Break-even chunk size (amplitudes) for the native kernel
     #: dispatch: ``kernels="auto"`` stays on the planar numpy fallback
     #: below it, where per-call staging overhead beats the single-pass
@@ -145,28 +129,6 @@ class CostModel:
             return self.wide_window
         return self.base_window
 
-    def contract_flops(self, window: int) -> float:
-        """Per-amplitude cost of a ``2^w x 2^w`` window contraction."""
-        return float(1 << window)
-
-
-    def entry_cost(self, entry) -> float:
-        """Per-amplitude cost of one kernel-run entry."""
-        kind = entry[0]
-        if kind == "sq" or kind == "cc":
-            return self.sq_flops
-        if kind == "ct":
-            return self.contract_flops(len(entry[2]))
-        # "csel": contraction over the local window qubits only.
-        return self.contract_flops(len(entry[3]))
-
-    def op_cost(self, op) -> float:
-        """Per-amplitude cost of one op executed without layout info."""
-        if isinstance(op, DiagBatch):
-            return self.diag_flops
-        k = len(op.qubits)
-        return self.sq_flops if k == 1 else self.contract_flops(k)
-
 
 #: The model used when none is supplied (thresholds calibrated against
 #: the committed BENCH_plan.json / BENCH_schedule.json sweeps).
@@ -174,38 +136,34 @@ DEFAULT_COST_MODEL = CostModel()
 
 
 class Segment:
-    """Base of all schedule segments: a communication class and a cost.
+    """Base of all schedule segments: a communication class.
 
-    ``comm`` is :data:`LOCAL`, :data:`BLOCKDIAG` or :data:`MIXING`;
-    ``cost`` is the cost model's per-amplitude work estimate for the
-    whole segment.  Segments are produced by :func:`compile_segments`
-    and consumed by the engine interpreters — they are never built by
-    user code.
+    ``comm`` is :data:`LOCAL`, :data:`BLOCKDIAG` or :data:`MIXING`.
+    Segments are produced by :func:`compile_segments` and consumed by
+    the engine interpreters — they are never built by user code.
     """
 
-    __slots__ = ("comm", "cost")
+    __slots__ = ("comm",)
 
-    def __init__(self, comm: str, cost: float):
+    def __init__(self, comm: str):
         self.comm = comm
-        self.cost = cost
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} comm={self.comm} cost={self.cost:.1f}>"
+        return f"<{type(self).__name__} comm={self.comm}>"
 
 
 class KernelRun(Segment):
     """A maximal run of communication-free kernels.
 
     ``ops`` are the source op records (what a layout-less interpreter
-    executes); ``entries`` are the tagged per-chunk kernel entries for
-    :func:`repro.sim.parallel.apply_run` (``None`` when compiled
-    without a layout).
+    executes); ``entries`` are the tagged per-chunk kernel entries the
+    sharded engine freezes (``None`` when compiled without a layout).
     """
 
     __slots__ = ("ops", "entries")
 
-    def __init__(self, ops, entries, comm, cost):
-        super().__init__(comm, cost)
+    def __init__(self, ops, entries, comm):
+        super().__init__(comm)
         self.ops = tuple(ops)
         self.entries = None if entries is None else tuple(entries)
 
@@ -215,8 +173,8 @@ class DiagSegment(Segment):
 
     __slots__ = ("batch",)
 
-    def __init__(self, batch: DiagBatch, comm, cost):
-        super().__init__(comm, cost)
+    def __init__(self, batch: DiagBatch, comm):
+        super().__init__(comm)
         self.batch = batch
 
 
@@ -231,8 +189,8 @@ class PlanSegment(Segment):
 
     __slots__ = ("plan", "entry")
 
-    def __init__(self, plan: ContractionPlan, entry, comm, cost):
-        super().__init__(comm, cost)
+    def __init__(self, plan: ContractionPlan, entry, comm):
+        super().__init__(comm)
         self.plan = plan
         self.entry = entry
 
@@ -242,8 +200,8 @@ class ExchangeSegment(Segment):
 
     __slots__ = ("op",)
 
-    def __init__(self, op, comm, cost):
-        super().__init__(comm, cost)
+    def __init__(self, op, comm):
+        super().__init__(comm)
         self.op = op
 
 
@@ -451,12 +409,7 @@ def plan_support(plan: ContractionPlan):
 # ----------------------------------------------------------------------
 # engine-side pass: op list -> segments
 # ----------------------------------------------------------------------
-def compile_segments(
-    ops,
-    bit=None,
-    n_local: int = 0,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-):
+def compile_segments(ops, bit=None, n_local: int = 0):
     """Compile a lowered op list into an ordered list of segments.
 
     ``bit`` is a callable mapping a qubit id to its global bit position
@@ -475,25 +428,22 @@ def compile_segments(
     run_ops: list = []
     run_entries: list | None = None if bit is None else []
     run_comm = LOCAL
-    run_cost = 0.0
 
     def close_run() -> None:
-        nonlocal run_ops, run_entries, run_comm, run_cost
+        nonlocal run_ops, run_entries, run_comm
         if run_ops:
-            segs.append(KernelRun(run_ops, run_entries, run_comm, run_cost))
+            segs.append(KernelRun(run_ops, run_entries, run_comm))
             run_ops = []
             run_entries = None if bit is None else []
             run_comm = LOCAL
-            run_cost = 0.0
 
     def push_entry(op, entry, comm) -> None:
-        nonlocal run_comm, run_cost
+        nonlocal run_comm
         run_ops.append(op)
         if run_entries is not None:
             run_entries.append(entry)
         if comm == BLOCKDIAG:
             run_comm = BLOCKDIAG
-        run_cost += cost_model.entry_cost(entry) if entry else cost_model.op_cost(op)
 
     for op in ops:
         if isinstance(op, DiagBatch):
@@ -501,35 +451,22 @@ def compile_segments(
             comm = LOCAL
             if bit is not None and any(bit(q) >= n_local for q in op.qubits):
                 comm = BLOCKDIAG
-            segs.append(DiagSegment(op, comm, cost_model.diag_flops))
+            segs.append(DiagSegment(op, comm))
             continue
         if isinstance(op, ContractionPlan):
             close_run()
             if bit is None:
-                segs.append(
-                    PlanSegment(
-                        op, None, LOCAL,
-                        cost_model.contract_flops(len(op.qubits)),
-                    )
-                )
+                segs.append(PlanSegment(op, None, LOCAL))
                 continue
             bits = [bit(q) for q in op.qubits]
             entry = classify_matrix(
                 op.u, bits, n_local, support=plan_support(op)
             )
             if entry is None:
-                segs.append(
-                    PlanSegment(
-                        op, None, MIXING,
-                        cost_model.contract_flops(len(op.qubits))
-                        + cost_model.exchange_flops,
-                    )
-                )
+                segs.append(PlanSegment(op, None, MIXING))
             else:
                 comm = LOCAL if entry[0] == "ct" else BLOCKDIAG
-                segs.append(
-                    PlanSegment(op, entry, comm, cost_model.entry_cost(entry))
-                )
+                segs.append(PlanSegment(op, entry, comm))
             continue
         if bit is None:
             # Layout-less compile: every op is a local kernel.
@@ -553,11 +490,7 @@ def compile_segments(
                 push_entry(op, ("sq", u, b, diag), BLOCKDIAG)
                 continue
             close_run()
-            segs.append(
-                ExchangeSegment(
-                    op, MIXING, cost_model.sq_flops + cost_model.exchange_flops
-                )
-            )
+            segs.append(ExchangeSegment(op, MIXING))
             continue
         if controls and len(targets) == 1:
             u = np.asarray(op.target_matrix(), dtype=np.complex128)
@@ -567,12 +500,7 @@ def compile_segments(
                 # Non-diagonal shard-axis target: restricted pair
                 # exchange (the engine's specialized path).
                 close_run()
-                segs.append(
-                    ExchangeSegment(
-                        op, MIXING,
-                        cost_model.sq_flops + cost_model.exchange_flops,
-                    )
-                )
+                segs.append(ExchangeSegment(op, MIXING))
                 continue
             c_bits = [bit(q) for q in controls]
             cmask = sum(1 << (b - n_local) for b in c_bits if b >= n_local)
@@ -589,13 +517,7 @@ def compile_segments(
         entry = classify_matrix(u, bits, n_local)
         if entry is None:
             close_run()
-            segs.append(
-                ExchangeSegment(
-                    op, MIXING,
-                    cost_model.contract_flops(len(bits))
-                    + cost_model.exchange_flops,
-                )
-            )
+            segs.append(ExchangeSegment(op, MIXING))
             continue
         comm = LOCAL if entry[0] == "ct" else BLOCKDIAG
         push_entry(op, entry, comm)
@@ -610,7 +532,7 @@ def iter_stretches(segments):
     (possibly empty) list of consecutive non-``mixing`` segments and
     ``barrier`` is the ``mixing`` segment that terminated it, or
     ``None`` for the final stretch.  A stretch is the unit the sharded
-    engine ships to the worker pool as one task per worker.
+    engine runs chunk-major.
     """
     stretch: list[Segment] = []
     for seg in segments:

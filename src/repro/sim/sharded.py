@@ -48,9 +48,8 @@ one pass (kernel runs, plan sub-blocks, and
 shard-bit signature), and only ``mixing`` segments exchange chunks —
 through the eager :meth:`~ShardedStateVector.apply` /
 :meth:`~ShardedStateVector.apply_controlled` exchange implementations.
-With ``workers=N`` each stretch ships to a persistent process pool
-(:class:`~repro.sim.parallel.ChunkPool`) as one task per worker over a
-static chunk partition, mutating shared-memory chunk buffers in place.
+One process owns every chunk: concurrency lives in the QMPI ranks above
+the backend, never in a second pool under it.
 
 The class mirrors :class:`repro.sim.statevector.StateVector`'s public API
 exactly (same methods, same error messages, same RNG draw discipline), so
@@ -63,7 +62,6 @@ from __future__ import annotations
 import itertools
 import os
 import tempfile
-from multiprocessing import shared_memory
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,7 +71,6 @@ from . import gates as G
 from . import kernels as _K
 from .diag import DiagBatch, signature_vectors
 from .kernels import KernelDispatch
-from .parallel import PARALLEL_MIN_CHUNK, ChunkPool, apply_run
 from .schedule import (
     DEFAULT_COST_MODEL,
     DiagSegment,
@@ -86,6 +83,33 @@ from .shots import branch_mask, fork_outcomes
 from .statevector import SimulationError
 
 __all__ = ["ShardedStateVector"]
+
+
+def _apply_generic(chunk, entry, nl: int, ci: int, kd: KernelDispatch) -> None:
+    """Apply one ``"ct"`` / ``"csel"`` plan entry to chunk ``ci``.
+
+    ``("ct", u, bits)`` is a window entirely inside the chunk: one
+    contraction.  ``("csel", table, hi_bits, lo_bits)`` is a window
+    block-diagonal on its shard axes: ``hi_bits`` (window order) select
+    the chunk's signature index into ``table``, whose entry is the local
+    sub-block to contract over ``lo_bits`` — ``None`` for an identity
+    sub-block (skip), a complex scalar when the window has no local
+    qubits.
+    """
+    if entry[0] == "ct":
+        kd.contract(chunk, entry[1], entry[2], nl)
+        return
+    _, table, hi_bits, lo_bits = entry
+    sig = 0
+    for sb in hi_bits:
+        sig = (sig << 1) | ((ci >> sb) & 1)
+    u = table[sig]
+    if u is None:
+        return
+    if not lo_bits:
+        kd.scale(chunk, u)  # all-shard window: a per-chunk scalar
+    else:
+        kd.contract(chunk, u, lo_bits, nl)
 
 
 def _pack_native(seq):
@@ -136,21 +160,6 @@ class ShardedStateVector:
     n_shards:
         Number of chunks the amplitudes are distributed over; must be a
         power of two. ``n_shards=1`` degenerates to a single flat array.
-    workers:
-        Number of persistent chunk-worker processes for the opt-in
-        parallel executor (default 0 = serial). When positive, chunks
-        live in shared-memory buffers and communication-free op runs and
-        diagonal phase-vector multiplies are mapped across the chunks by
-        a :class:`~repro.sim.parallel.ChunkPool`. Call :meth:`close`
-        when done (GC also closes as a safety net).
-    parallel_min_chunk:
-        Break-even chunk size (amplitudes) for dispatching a
-        *single-kernel* stretch to the pool (default
-        :data:`repro.sim.parallel.PARALLEL_MIN_CHUNK`). The gate is
-        cost-aware: a stretch whose segment cost tags sum to k kernels
-        dispatches at chunks k times smaller, because the one
-        run-level round-trip amortizes over the whole stretch (see
-        :meth:`_parallel_ready`). Tests force the pool with ``1``.
     kernels:
         Kernel dispatch mode — ``"auto"`` (native kernels at or above
         the :class:`~repro.sim.schedule.CostModel` break-even size
@@ -172,10 +181,8 @@ class ShardedStateVector:
         or a directory path (same, files created under that path).
         Spilled runs execute each communication-free stretch chunk by
         chunk in partition order, touching every chunk exactly once per
-        stretch.  Mutually exclusive with ``workers`` (the pool's
-        shared-memory backing is itself a storage tier).  Spill files
-        are removed when the register shrinks back under budget and on
-        :meth:`close`.
+        stretch.  Spill files are removed when the register shrinks
+        back under budget and on :meth:`close`.
     spill_budget:
         RAM budget in bytes for the ``spill`` decision (default: the
         ``REPRO_QMPI_SPILL_BUDGET`` environment variable, else 1 GiB).
@@ -195,8 +202,6 @@ class ShardedStateVector:
         n_qubits: int = 0,
         seed=None,
         n_shards: int = 4,
-        workers: int = 0,
-        parallel_min_chunk: int = PARALLEL_MIN_CHUNK,
         kernels: str | None = None,
         dtype: str | None = None,
         spill: str | None = None,
@@ -204,8 +209,6 @@ class ShardedStateVector:
     ):
         if n_shards < 1 or (n_shards & (n_shards - 1)):
             raise SimulationError(f"n_shards must be a power of two, got {n_shards}")
-        if workers < 0:
-            raise SimulationError(f"workers must be >= 0, got {workers}")
         if dtype is None:
             dtype = os.environ.get("REPRO_QMPI_DTYPE") or "complex128"
         if str(dtype) not in ("complex64", "complex128"):
@@ -219,10 +222,6 @@ class ShardedStateVector:
             self._zero_atol, self._norm_eps, self._agree_eps = 1e-4, 1e-6, 1e-5
         else:
             self._zero_atol, self._norm_eps, self._agree_eps = 1e-9, 1e-12, 1e-9
-        if spill is not None and workers:
-            raise SimulationError(
-                "spill= and workers= are mutually exclusive storage tiers"
-            )
         self._spill = str(spill) if spill is not None else None
         if spill_budget is None:
             spill_budget = int(
@@ -243,15 +242,6 @@ class ShardedStateVector:
         )
         self._fabric = Fabric(n_shards)
         self._tags = itertools.count()
-        self._workers = int(workers)
-        self._parallel_min_chunk = int(parallel_min_chunk)
-        self._pool: ChunkPool | None = None
-        self._shm: list[shared_memory.SharedMemory] | None = [] if workers else None
-        self._retired: list[shared_memory.SharedMemory] = []
-        # Memoized run-level task partition: ((n_chunks, n_tasks), refs)
-        # — reused verbatim across stretches (and cached-schedule
-        # replays) until the chunk layout reallocates.
-        self._partition_memo: tuple | None = None
         # Zero qubits == one chunk holding the single amplitude 1.
         self._chunks: list[np.ndarray] = []
         self._store_chunks([np.ones(1, dtype=self._dtype)])
@@ -289,8 +279,8 @@ class ShardedStateVector:
         shot): a chunk's flat array holds ``B`` stacked per-branch
         copies of its ``2^n_local`` amplitudes.  Strided local kernels
         and whole-chunk scalings are branch-agnostic on that layout, so
-        unitary segments — including the worker-pool path — run
-        untouched; only :meth:`measure` forks the rows.
+        unitary segments run untouched; only :meth:`measure` forks the
+        rows.
         """
         if self._shots is not None:
             if self._bit_of:
@@ -298,8 +288,8 @@ class ShardedStateVector:
                     "begin_shots() called twice on a non-empty engine"
                 )
             # Empty engine (all qubits released): drop the leftover branch
-            # rows (unobservable global phases) so a reused backend (job
-            # runner) can start a new shot batch.
+            # rows (unobservable global phases) so a reused backend can
+            # start a new shot batch.
             self._store_chunks([np.ones(1, dtype=self._dtype)])
             self._n_branches = 1
         if shots < 1:
@@ -308,7 +298,7 @@ class ShardedStateVector:
         self._shot_of = np.zeros(self._shots, dtype=np.int64)
 
     def reseed(self, seed) -> None:
-        """Replace the measurement RNG (per-job streams use this hook)."""
+        """Replace the measurement RNG (one stream per sweep point)."""
         if isinstance(seed, np.random.Generator):
             self.rng = seed
         else:
@@ -357,11 +347,6 @@ class ShardedStateVector:
         return tuple(sorted(self._bit_of, key=self._bit_of.__getitem__, reverse=True))
 
     @property
-    def workers(self) -> int:
-        """Worker-process count of the parallel chunk executor (0 = serial)."""
-        return self._workers
-
-    @property
     def dtype(self) -> str:
         """Amplitude dtype name, derived from the live chunks.
 
@@ -371,18 +356,14 @@ class ShardedStateVector:
         return self._chunks[0].dtype.name
 
     # ------------------------------------------------------------------
-    # chunk storage (shared-memory backed when workers are enabled)
+    # chunk storage (RAM arrays, or memory-mapped files past the budget)
     # ------------------------------------------------------------------
     def _store_chunks(self, arrs, layout: tuple[int, int] | None = None) -> None:
-        """Install a new chunk list, preserving the storage backing.
+        """Install a new chunk list.
 
-        With ``workers=0`` this is a plain rebind. With workers enabled,
-        a same-layout update copies into the existing shared-memory
-        buffers (chunk identity stays stable — no segment churn on
-        high-axis gates), while a layout change (alloc/release/
-        rebalance) reallocates the segments.  With ``spill=`` set the
-        storage tier (RAM arrays vs ``np.memmap`` files) is re-decided
-        against the budget on every layout change.
+        Without ``spill=`` this is a plain rebind.  With ``spill=`` set
+        the storage tier (RAM arrays vs ``np.memmap`` files) is
+        re-decided against the budget on every install.
 
         ``arrs`` may be a lazy iterable when ``layout`` — the new
         ``(n_chunks, flat_chunk_size)`` — is given, so alloc/release can
@@ -391,34 +372,7 @@ class ShardedStateVector:
         if self._spill is not None:
             self._store_spill(arrs, layout)
             return
-        arrs = list(arrs)
-        if self._shm is None:
-            self._chunks = arrs
-            return
-        if len(arrs) == len(self._chunks) and all(
-            a.size == c.size for a, c in zip(arrs, self._chunks)
-        ):
-            for a, c in zip(arrs, self._chunks):
-                if a is not c:
-                    c[:] = a
-            return
-        self._drain_retired()
-        self._partition_memo = None
-        old = self._shm
-        self._shm = []
-        chunks = []
-        for a in arrs:
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(16, a.size * a.dtype.itemsize)
-            )
-            self._shm.append(shm)
-            view = np.ndarray((a.size,), dtype=a.dtype, buffer=shm.buf)
-            view[:] = a
-            chunks.append(view)
-        self._chunks = chunks
-        del arrs
-        for s in old:
-            self._release_shm(s)
+        self._chunks = list(arrs)
 
     def _store_spill(self, arrs, layout: tuple[int, int] | None = None) -> None:
         """Spill-aware chunk install: memmap files past the RAM budget.
@@ -468,84 +422,21 @@ class ShardedStateVector:
                 self._spill_files = []
 
     def _set_chunk(self, i: int, arr: np.ndarray) -> None:
-        """Replace one same-size chunk (in place when shm/memmap backed)."""
-        if self._shm is None and not self._mmapped:
-            self._chunks[i] = arr
-        else:
+        """Replace one same-size chunk (in place when memmap backed)."""
+        if self._mmapped:
             self._chunks[i][:] = arr
-
-    def _release_shm(self, shm: shared_memory.SharedMemory) -> None:
-        # Unlink first (always possible); if a stale external view still
-        # pins the mapping, park the segment and retry the close later.
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-        try:
-            shm.close()
-        except BufferError:
-            self._retired.append(shm)
-
-    def _drain_retired(self) -> None:
-        still = []
-        for shm in self._retired:
-            try:
-                shm.close()
-            except BufferError:
-                still.append(shm)
-        self._retired = still
-
-    def _get_pool(self) -> ChunkPool:
-        if self._pool is None:
-            # Warm each worker's kernel dispatch at spawn: the one-off
-            # native provider import/compile then happens outside any
-            # timed stretch, so parallel_min_chunk stays a pure
-            # steady-state break-even (see repro.sim.parallel).
-            warm = (
-                self._kernels.worker_args()
-                if self._kernels.mode != "numpy"
-                else None
-            )
-            self._pool = ChunkPool(self._workers, warmup_args=warm)
-        return self._pool
-
-    def _parallel_ready(self, stretch_cost: float = DEFAULT_COST_MODEL.sq_flops) -> bool:
-        """True when a stretch of this cost should ship to the pool.
-
-        The gate is cost-aware: ``parallel_min_chunk`` is the break-even
-        chunk size for a *single-kernel* stretch (cost ``sq_flops``),
-        and run-level dispatch amortizes its one round-trip over the
-        whole stretch, so a stretch carrying k times the work pays off
-        at chunks k times smaller — ``chunk_size * stretch_cost`` is
-        compared against the single-kernel break-even product.
-        """
-        return (
-            self._workers > 0
-            and len(self._chunks) > 1
-            # Flat size (branch rows included): that is the work a
-            # worker actually does per chunk.
-            and self._chunks[0].size * stretch_cost
-            >= self._parallel_min_chunk * DEFAULT_COST_MODEL.sq_flops
-        )
+        else:
+            self._chunks[i] = arr
 
     def close(self) -> None:
-        """Shut down the worker pool and release shared-memory buffers.
+        """Release the spill files.
 
         The engine stays usable afterwards: amplitudes migrate back to
-        ordinary process-private arrays and execution continues
-        serially. Idempotent; garbage collection calls it as a safety
-        net, but deterministic cleanup (tests, long-lived services)
-        should call it explicitly.
+        ordinary in-RAM arrays and the spill tier is switched off.
+        Idempotent; garbage collection calls it as a safety net, but
+        deterministic cleanup (tests, long-lived services) should call
+        it explicitly.
         """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        if self._shm is not None:
-            self._chunks = [c.copy() for c in self._chunks]
-            shms, self._shm = self._shm, None
-            for s in shms:
-                self._release_shm(s)
-            self._workers = 0
         if self._mmapped:
             self._chunks = [np.array(c) for c in self._chunks]
             self._mmapped = False
@@ -562,7 +453,6 @@ class ShardedStateVector:
                 pass
             self._spill_dir = None
         self._spill = None
-        self._drain_retired()
 
     def __del__(self):  # pragma: no cover - GC safety net
         try:
@@ -739,11 +629,7 @@ class ShardedStateVector:
         miss takes): maximal communication-free stretches
         execute chunk-by-chunk in one pass (kernel runs, sub-block
         selections and phase-vector multiplies), and only a ``mixing``
-        segment exchanges chunks through the fabric.  With ``workers=N``
-        each stretch is shipped to the pool as **one task per worker**
-        covering a static partition of the chunks (run-level dispatch:
-        O(workers) queue round-trips per stretch instead of
-        O(chunks x entries)).
+        segment exchanges chunks through the fabric.
         """
         self.execute_segments(self.compile_batch(ops))
 
@@ -782,15 +668,13 @@ class ShardedStateVector:
         """Freeze a bound segment list into a replay program.
 
         Precomputes the stretch grouping (:func:`iter_stretches`), the
-        per-stretch cost tag (structural — rebinding never changes it),
-        the run/diag fold boundaries, and — per kernel-run fold — one
+        run/diag fold boundaries, and — per kernel-run fold — one
         specialized step list **per chunk** (:meth:`_freeze_run`): every
-        branch :func:`~repro.sim.parallel.apply_run` decides per entry
-        per chunk per flush (kind dispatch, shard-axis factor selection,
-        control-mask participation, index-tuple construction) is decided
-        once here.  Steps reference the live segment objects and re-read
-        their entries on every execution, so the cache's in-place
-        parameter rebinding flows through.
+        per-entry per-chunk branch (kind dispatch, shard-axis factor
+        selection, control-mask participation, index-tuple
+        construction) is decided once here.  Steps reference the live
+        segment objects and re-read their entries on every execution,
+        so the cache's in-place parameter rebinding flows through.
         """
         nl = self.n_local
         n_chunks = len(self._chunks)
@@ -811,8 +695,7 @@ class ShardedStateVector:
                         run.append(seg)
                 if run:
                     folds.append(("run", self._freeze_run(run, nl, n_chunks)))
-                cost = sum(seg.cost for seg in stretch)
-                steps.append(("stretch", cost, tuple(folds), len(stretch)))
+                steps.append(("stretch", tuple(folds), len(stretch)))
             if barrier is not None:
                 steps.append(("barrier", barrier))
         return tuple(steps)
@@ -821,23 +704,20 @@ class ShardedStateVector:
     def _freeze_run(segs, nl, n_chunks):
         """Specialize a kernel-run fold into per-chunk replay programs.
 
-        Mirrors :func:`~repro.sim.parallel.apply_run`'s dispatch exactly:
-        each entry becomes, per chunk, one precomputed step — or no step
+        Each entry becomes, per chunk, one precomputed step — or no step
         at all for a chunk whose shard-axis control bits rule it out.
         Only ``(seg, i)`` references are stored for the matrices, which
         rebinding replaces inside the live segments.
 
-        Returns ``(per_chunk, native, segs)``: the tagged python step
-        lists (the planar-numpy arm); per chunk, the same program packed
-        into contiguous typed step arrays — maximal ``("blk", codes,
-        arg0, arg1, refs)`` runs of :mod:`repro.sim.kernels` opcodes
-        that one native ``drive`` call walks per chunk, broken by
-        ``("py", step)`` items for the generic ``ct``/``csel`` entries
-        (one BLAS routine in every mode).  Which arm executes
-        is decided per chunk per flush by the engine's dispatch; both
-        arms replay the identical planar expression tree.  ``segs`` are
-        the fold's live source segments, whose entries the pool
-        dispatch ships to the workers (:meth:`_dispatch_stretch`).
+        Returns ``(per_chunk, native)``: the tagged python step lists
+        (the planar-numpy arm); per chunk, the same program packed into
+        contiguous typed step arrays — maximal ``("blk", codes, arg0,
+        arg1, refs)`` runs of :mod:`repro.sim.kernels` opcodes that one
+        native ``drive`` call walks per chunk, broken by ``("py",
+        step)`` items for the generic ``ct``/``csel`` entries
+        (:func:`_apply_generic`, one BLAS routine in every mode).  Which
+        arm executes is decided per chunk per flush by the engine's
+        dispatch; both arms replay the identical planar expression tree.
         """
         per_chunk: list[list] = [[] for _ in range(n_chunks)]
         raw_native: list[list] = [[] for _ in range(n_chunks)]
@@ -917,7 +797,7 @@ class ShardedStateVector:
                         per_chunk[ci].append(("g", src, i))
                         raw_native[ci].append(("p", ("g", src, i)))
         native = tuple(_pack_native(seq) for seq in raw_native)
-        return tuple(tuple(s) for s in per_chunk), native, tuple(segs)
+        return tuple(tuple(s) for s in per_chunk), native
 
     def _exec_frozen_chunk(self, frozen, nl, ci, chunk) -> None:
         """Replay one chunk's frozen kernel-fold program.
@@ -932,7 +812,7 @@ class ShardedStateVector:
         matrices are rounded to the chunk dtype exactly once here (the
         rounding boundary) in both arms.
         """
-        per_chunk, native, _ = frozen
+        per_chunk, native = frozen
         kd = self._kernels
         c64 = chunk.dtype == np.complex64
         if kd.native(chunk.size):
@@ -956,9 +836,9 @@ class ShardedStateVector:
                 else:  # ("py", step): generic ct/csel entry
                     st = item[1]
                     if st[0] == "g":
-                        apply_run(chunk, (st[1].entries[st[2]],), nl, ci, kd)
+                        _apply_generic(chunk, st[1].entries[st[2]], nl, ci, kd)
                     else:
-                        apply_run(chunk, (st[1].entry,), nl, ci, kd)
+                        _apply_generic(chunk, st[1].entry, nl, ci, kd)
             return
         counters = kd.counters
         for st in per_chunk[ci]:
@@ -999,20 +879,17 @@ class ShardedStateVector:
                 if f != 1.0:
                     _K.imul(chunk.reshape(st[3])[st[4]], f)
             elif tag == "g":
-                apply_run(chunk, (st[1].entries[st[2]],), nl, ci, kd)
+                _apply_generic(chunk, st[1].entries[st[2]], nl, ci, kd)
             else:  # "gp"
-                apply_run(chunk, (st[1].entry,), nl, ci, kd)
+                _apply_generic(chunk, st[1].entry, nl, ci, kd)
 
     def execute_frozen(self, program) -> None:
         """Execute a frozen program: the engine's only gate-batch path."""
         nl = self.n_local
         for step in program:
             if step[0] == "stretch":
-                _, cost, folds, n_segments = step
+                _, folds, n_segments = step
                 self.segments_executed += n_segments
-                if self._parallel_ready(cost):
-                    self._dispatch_stretch(folds)
-                    continue
                 # Chunk-major: materialize every fold's phase tensors
                 # first, then touch each chunk exactly once for the whole
                 # stretch (chunks are independent between barriers, so
@@ -1071,79 +948,6 @@ class ShardedStateVector:
             singles, pairs, self.n_local, len(self._chunks), kernels=self._kernels
         )
         return vecs, sig_of
-
-    def _dispatch_stretch(self, folds) -> None:
-        """Ship a communication-free stretch to the pool, run-level.
-
-        The stretch's frozen folds become worker payloads — a
-        kernel-run fold ships its segments' live entries merged into
-        one ``("run", entries)`` record (re-read per flush, so cache
-        rebinding flows through), each diagonal segment stages its
-        per-signature phase tensors once in scratch shared memory and
-        becomes ``("mul", high_bits, vec_map)`` — and
-        the chunks are partitioned statically: **one**
-        ``("segments", chunk_slice, ...)`` task per worker covers the
-        whole stretch, so queue round-trips are O(workers) per stretch
-        (the scratch staging is the in-process analogue of "compute on
-        rank 0, broadcast").
-        """
-        nl = self.n_local
-        payloads: list[tuple] = []
-        scratch: list[shared_memory.SharedMemory] = []
-        try:
-            for kind, payload in folds:
-                if kind == "run":
-                    entries: list = []
-                    for seg in payload[2]:
-                        if isinstance(seg, KernelRun):
-                            entries.extend(seg.entries)
-                        else:  # communication-free PlanSegment
-                            entries.append(seg.entry)
-                    payloads.append(("run", tuple(entries)))
-                    continue
-                singles, pairs = self._batch_tables(payload.batch)
-                high_bits, vecs, _ = signature_vectors(
-                    singles, pairs, nl, len(self._chunks), kernels=self._kernels
-                )
-                vec_map: dict[tuple[int, ...], tuple[str, tuple]] = {}
-                for sig, vec in vecs.items():
-                    shm = shared_memory.SharedMemory(
-                        create=True, size=max(16, vec.nbytes)
-                    )
-                    scratch.append(shm)
-                    staged = np.ndarray(
-                        vec.shape, dtype=np.complex128, buffer=shm.buf
-                    )
-                    staged[...] = vec
-                    del staged
-                    vec_map[sig] = (shm.name, vec.shape)
-                payloads.append(("mul", tuple(high_bits), vec_map))
-            pool = self._get_pool()
-            n_chunks = len(self._chunks)
-            n_tasks = min(pool.workers, n_chunks)
-            memo = self._partition_memo
-            if memo is None or memo[0] != (n_chunks, n_tasks):
-                parts = []
-                for w in range(n_tasks):
-                    lo = w * n_chunks // n_tasks
-                    hi = (w + 1) * n_chunks // n_tasks
-                    parts.append(
-                        tuple(
-                            (self._shm[ci].name, self._chunks[ci].size, ci)
-                            for ci in range(lo, hi)
-                        )
-                    )
-                memo = ((n_chunks, n_tasks), tuple(parts))
-                self._partition_memo = memo
-            kargs = self._kernels.worker_args()
-            tasks = [
-                ("segments", refs, nl, tuple(payloads), kargs, self.dtype)
-                for refs in memo[1]
-            ]
-            pool.run_tasks(tasks)
-        finally:
-            for shm in scratch:
-                self._release_shm(shm)
 
     def apply(self, u: np.ndarray, *qubits: int) -> None:
         """Apply a ``2^k x 2^k`` unitary to ``k`` qubits.
@@ -1231,7 +1035,7 @@ class ShardedStateVector:
         # the contraction never couples them), so the transient is one
         # chunk of staged copies plus one product, never a group tensor;
         # and because the stage is a copy, each member's slab is written
-        # straight back into its live chunk (shm/memmap stay in place).
+        # straight back into its live chunk (memmap chunks stay in place).
         k = len(bits)
         nl = self.n_local
         hi = sorted((i for i, b in enumerate(bits) if b >= nl), key=lambda i: -bits[i])
@@ -1661,38 +1465,28 @@ class ShardedStateVector:
         return float(np.real(val))
 
     def copy(self) -> "ShardedStateVector":
-        """Deep copy (shares no state, including a cloned RNG).
-
-        The copy always runs serially: it does not inherit the worker
-        pool or the shared-memory chunk backing.
-        """
+        """Deep copy (shares no state, including a cloned RNG)."""
         out = ShardedStateVector.__new__(ShardedStateVector)
         # Same mode/threshold, fresh counters: the copy's kernel hits
         # are its own.
         out._kernels = KernelDispatch(
             self._kernels.mode, jit_min_amps=self._kernels.jit_min_amps
         )
-        out._partition_memo = None
         out.n_shards = self.n_shards
         out._fabric = Fabric(self.n_shards)
         out._tags = itertools.count()
-        out._workers = 0
-        out._parallel_min_chunk = self._parallel_min_chunk
         out._dtype = self._dtype
         out._zero_atol = self._zero_atol
         out._norm_eps = self._norm_eps
         out._agree_eps = self._agree_eps
-        # The copy is always a plain in-RAM register (like workers, the
-        # spill tier is not inherited).
+        # The copy is always a plain in-RAM register (the spill tier is
+        # not inherited).
         out._spill = None
         out._spill_budget = self._spill_budget
         out._spill_dir = None
         out._spill_files = []
         out._spill_seq = itertools.count()
         out._mmapped = False
-        out._pool = None
-        out._shm = None
-        out._retired = []
         out._chunks = [c.copy() for c in self._chunks]
         out._bit_of = dict(self._bit_of)
         out._next_id = self._next_id

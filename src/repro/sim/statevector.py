@@ -155,7 +155,7 @@ class StateVector:
                 )
             # Empty engine (all qubits released): the leftover per-branch
             # global phases are unobservable — reset to a fresh run so a
-            # reused backend (job runner) can start a new shot batch.
+            # reused backend can start a new shot batch.
             self._psi = np.ones((), dtype=self._dtype)
         if shots < 1:
             raise SimulationError(f"shots must be >= 1, got {shots}")

@@ -15,7 +15,7 @@ on top of the same configuration cycle (including cache on/off, so
 frozen-replay native blocks are fuzzed too) under the identical
 bit-equality bar — the acceptance contract of
 :mod:`repro.sim.kernels`.  When no native provider resolves in the
-environment (no numba, no C toolchain, or ``REPRO_QMPI_DISABLE_JIT``)
+environment (no cffi, no C toolchain, or ``REPRO_QMPI_DISABLE_JIT``)
 the sweep skips with a notice rather than silently passing.
 
 Each circuit applies the same gate *shape* three times with fresh
@@ -259,8 +259,8 @@ def _require_provider():
     if name is None:
         pytest.skip(
             "kernels=jit sweep skipped: no native kernel provider resolves "
-            "in this environment (install the [jit] extra for numba, or a "
-            "C toolchain for the cffi fallback)"
+            "in this environment (install the [jit] extra for cffi and a "
+            "C toolchain)"
         )
     return name
 

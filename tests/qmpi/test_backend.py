@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.qmpi import LocalityError, QuantumBackend, ShardedBackend, SharedBackend, qmpi_run
+from repro.mpi.errors import RankFailure
+from repro.qmpi import (
+    LocalityError,
+    QuantumBackend,
+    ShardedBackend,
+    SharedBackend,
+    make_backend,
+    qmpi_run,
+)
 from repro.sim import SimulationError, StateVector
 
 
@@ -134,3 +142,183 @@ def test_unknown_qubit_raises():
     be = SharedBackend(seed=0)
     with pytest.raises(SimulationError):
         be.h(0, 42)
+
+
+# ----------------------------------------------------------------------
+# make_backend construction surface
+# ----------------------------------------------------------------------
+class TestMakeBackend:
+    def test_unknown_name_raises(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            make_backend("warp-core")
+
+    def test_colon_arg_on_non_sharded_raises(self):
+        with pytest.raises(ValueError, match="':' argument"):
+            make_backend("shared:2")
+
+    def test_class_spec_with_bad_opts_raises(self):
+        with pytest.raises(TypeError):
+            make_backend(SharedBackend, n_shards=2)
+
+    def test_prebuilt_instance_with_seed_warns(self):
+        be = make_backend("shared")
+        with pytest.warns(UserWarning, match="prebuilt backend instance"):
+            out = make_backend(be, seed=3)
+        assert out is be
+        be.close()
+
+    def test_prebuilt_instance_without_opts_is_silent(self):
+        be = make_backend("shared")
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert make_backend(be) is be
+        be.close()
+
+    def test_reseed_reproduces_measurements(self):
+        be = make_backend("shared", seed=1)
+        assert isinstance(be, QuantumBackend)
+
+        def sample():
+            be.reseed(99)
+            q = be.alloc(0, 1)[0]
+            be.h(0, q)
+            return be.measure_and_release(0, q)
+
+        bits_a = [sample() for _ in range(20)]
+        bits_b = [sample() for _ in range(20)]
+        assert bits_a == bits_b
+        be.close()
+
+    def test_sharded_colon_arg_sets_shard_count(self):
+        be = make_backend("sharded:8")
+        assert be._sv.n_shards == 8
+        be.close()
+
+
+# ----------------------------------------------------------------------
+# the sweep idiom: one prebuilt backend, reseed + qmpi_run per point
+# ----------------------------------------------------------------------
+def _sweep_point(qc, theta):
+    q = None
+    for r in range(qc.size):  # rank-ordered allocation: stable ids
+        if qc.rank == r:
+            q = qc.alloc_qmem(2)
+        qc.barrier()
+    qc.ry(q[0], theta)
+    qc.cnot(q[0], q[1])
+    qc.rz(q[1], theta / 2)
+    bits = None
+    for r in range(qc.size):  # rank-ordered draws: a reproducible stream
+        if qc.rank == r:
+            bits = [qc.measure(x) for x in q]
+        qc.barrier()
+    for x, m in zip(q, bits):
+        qc.backend.apply_pauli_if(qc.rank, m, "X", x)
+    qc.free_qmem(q)  # an empty engine can start the next shot batch
+
+
+@pytest.mark.parametrize("spec", ["shared", "sharded:4"])
+def test_prebuilt_backend_sweep_reuses_schedules_and_reseeds(spec):
+    be = make_backend(spec, n_ranks=2)
+    runs = []
+    for theta in (0.7, 0.7, 1.9):
+        be.reseed(5)
+        before = be.cache_info()["misses"]
+        world = qmpi_run(2, _sweep_point, args=(theta,), backend=be, shots=256)
+        assert sum(world.counts.values()) == 256
+        runs.append((world.counts, be.cache_info()["misses"] - before))
+    assert runs[0][1] > 0  # the first call compiles
+    assert runs[1][1] == 0 and runs[2][1] == 0  # later calls replay
+    assert runs[1][0] == runs[0][0]  # same seed, same point: same counts
+    assert runs[2][0] != runs[0][0]  # a new angle rebinds the schedule
+    be.close()
+
+
+def _teleport_one(qc):
+    if qc.rank == 0:
+        q = qc.alloc_qmem(1)
+        qc.x(q[0])
+        qc.send_move(q, 1)
+        return None
+    t = qc.alloc_qmem(1)
+    qc.recv_move(t, 0)
+    m = qc.measure(t[0])  # recorded in counts, unlike protocol measurements
+    qc.backend.apply_pauli_if(qc.rank, m, "X", t[0])
+    qc.free_qmem(t)
+    return m
+
+
+@pytest.mark.parametrize("spec", ["shared", "sharded:4"])
+def test_prebuilt_backend_reruns_a_protocol(spec):
+    be = make_backend(spec, n_ranks=2)
+    for _ in range(2):
+        world = qmpi_run(2, _teleport_one, backend=be, shots=16)
+        assert world.counts == {"1": 16}
+        assert be._sv.num_qubits == 0  # nothing left behind for the next run
+    be.close()
+
+
+@pytest.mark.parametrize("spec", ["shared", "sharded:4"])
+def test_run_failure_leaves_prebuilt_backend_usable(spec):
+    def boom(qc):
+        raise ValueError("kaboom")
+
+    be = make_backend(spec, n_ranks=1)
+    with pytest.raises(RankFailure, match="kaboom"):
+        qmpi_run(1, boom, backend=be, shots=8)
+    world = qmpi_run(1, _sweep_point, args=(0.3,), backend=be, shots=8)
+    assert sum(world.counts.values()) == 8
+    be.close()
+
+
+@pytest.mark.parametrize("spec", ["shared", "sharded:4"])
+def test_counts_without_shots_raises(spec):
+    def prog(qc):
+        q = qc.alloc_qmem(2)
+        qc.h(q[0])
+        qc.cnot(q[0], q[1])
+        return [qc.measure(x) for x in q]
+
+    world = qmpi_run(1, prog, backend=spec)
+    bits = world.results[0]
+    assert bits in ([0, 0], [1, 1])
+    with pytest.raises(RuntimeError, match="shots"):
+        world.counts
+    with pytest.raises(SimulationError, match="shot-batched"):
+        world.backend.counts()
+    world.close()
+
+
+@pytest.mark.parametrize("spec", ["shared", "sharded:4"])
+def test_unreleased_qubits_block_the_next_shot_batch(spec):
+    def leaky(qc):
+        q = qc.alloc_qmem(1)
+        qc.h(q[0])
+        return qc.measure(q[0])  # the qubit stays allocated
+
+    be = make_backend(spec, n_ranks=1)
+    qmpi_run(1, leaky, backend=be, shots=4)
+    with pytest.raises(SimulationError, match="non-empty engine"):
+        qmpi_run(1, leaky, backend=be, shots=4)
+    be.close()
+
+
+@pytest.mark.parametrize("spec", ["shared", "sharded:4"])
+def test_cached_schedules_replay_exactly_across_shot_counts(spec):
+    # The schedule cache survives across calls on a prebuilt backend, so
+    # a change of shot count between calls must not replay a schedule
+    # bound to the old layout: every call matches a cold backend.
+    be = make_backend(spec, n_ranks=2)
+    for shots in (100, 200, 100):
+        be.reseed(shots)
+        warm = qmpi_run(2, _sweep_point, args=(1.1,), backend=be, shots=shots)
+        cold_be = make_backend(spec, n_ranks=2, cache="off")
+        cold_be.reseed(shots)
+        cold = qmpi_run(2, _sweep_point, args=(1.1,), backend=cold_be, shots=shots)
+        assert sum(warm.counts.values()) == shots
+        assert warm.counts == cold.counts
+        cold_be.close()
+    assert be.cache_info()["hits"] > 0
+    be.close()

@@ -1,4 +1,4 @@
-"""The execution-schedule IR: compiler, cost model, run-level dispatch.
+"""The execution-schedule IR: compiler, planning thresholds, stretches.
 
 Five layers:
 
@@ -9,9 +9,10 @@ Five layers:
    in program order), controlled gates joining kernel runs;
 3. size-aware planning: no ``PlanSegment`` below ``plan_min_qubits``,
    four-qubit windows at/above ``wide_window_min_qubits``;
-4. run-level worker dispatch: one task per worker per
-   communication-free stretch (not per chunk per entry), amplitude
-   exactness vs ``workers=0``;
+4. communication-free stretches: one frozen stretch per barrier-free
+   span, a mixing segment splits it, and every stretch shape (runs,
+   diagonal batches, shard-axis controls, planned windows) matches the
+   dense reference on 1-8 chunks;
 5. the property suite: per-qubit program order is preserved across all
    fusion modes x 1/2/4 ranks (amplitude-exact against the eager
    shared reference).
@@ -91,7 +92,6 @@ def test_layoutless_compile_is_all_local():
         KernelRun, DiagSegment, PlanSegment, KernelRun,
     ]
     assert all(s.comm == LOCAL for s in segs)
-    assert all(s.cost > 0 for s in segs)
     assert segs[0].entries is None  # no layout, no kernel entries
     assert _flatten(segs) == ops
 
@@ -263,17 +263,11 @@ def test_wide_windows_match_on_sharded_engine():
 
 
 # ----------------------------------------------------------------------
-# run-level worker dispatch
+# communication-free stretches on the sharded engine
 # ----------------------------------------------------------------------
-@pytest.fixture
-def pooled():
-    sv = ShardedStateVector(4, seed=0, n_shards=4, workers=2, parallel_min_chunk=1)
-    yield sv
-    sv.close()
-
-
 def _stretch_ops():
-    """One communication-free stretch: runs + a diagonal batch + runs."""
+    """One communication-free stretch on 4 chunks: runs + a diagonal
+    batch + runs."""
     return (
         [Op("rx", (2,), (0.4,)), Op("ry", (3,), (0.8,))]
         + coalesce_diagonals(
@@ -283,100 +277,86 @@ def _stretch_ops():
     )
 
 
-def test_one_task_per_worker_per_stretch(pooled):
-    pooled.apply_ops([Op("h", (2,))])  # local-axis kernel: spawns the pool
-    pool = pooled._pool
-    assert pool is not None
-    before = pool.tasks_dispatched
-    pooled.apply_ops(_stretch_ops())
-    # One communication-free stretch => one task per worker, NOT
-    # chunks x entries (the old dispatch: 4 chunks x 3 bulk records = 12).
-    assert pool.tasks_dispatched - before == pooled.workers == 2
-
-
-def test_mixing_segment_splits_stretches(pooled):
-    pooled.apply_ops([Op("h", (2,))])
-    pool = pooled._pool
-    before = pool.tasks_dispatched
-    ops = (
+def _mixing_ops():
+    return (
         [Op("rx", (2,), (0.4,))]
-        + [Op("h", (1,))]  # non-diagonal shard axis: mixing barrier
+        + [Op("h", (1,))]  # non-diagonal on a shard axis: mixing barrier
         + [Op("ry", (3,), (0.2,))]
     )
-    pooled.apply_ops(ops)
-    # Two stretches around the barrier => 2 x workers tasks.
-    assert pool.tasks_dispatched - before == 2 * pooled.workers
 
 
-def test_dispatch_gate_is_cost_aware():
-    # parallel_min_chunk is the break-even chunk size for a ONE-kernel
-    # stretch; the segments' cost tags scale it: a stretch carrying k
-    # kernels' worth of work dispatches at chunks k times smaller.
-    sv = ShardedStateVector(4, seed=0, n_shards=4, workers=2,
-                            parallel_min_chunk=4 * 8)  # 8 kernels break even
-    try:
-        sv.apply_ops([Op("rx", (2,), (0.1,))])  # 1 kernel: stays serial
-        assert sv._pool is None
-        heavy = [Op("rx", (q,), (0.1 * i,)) for i in range(8) for q in (2, 3)]
-        sv.apply_ops(heavy)  # 16 kernels on size-4 chunks: dispatches
-        assert sv._pool is not None
-        serial = ShardedStateVector(4, seed=0, n_shards=4)
-        serial.apply_ops([Op("rx", (2,), (0.1,))])
-        serial.apply_ops(heavy)
-        np.testing.assert_allclose(
-            serial.statevector(), sv.statevector(), atol=DEEP_ATOL
-        )
-    finally:
-        sv.close()
+def _frozen_kinds(sv, ops):
+    return [step[0] for step in sv.freeze_segments(sv.compile_batch(ops))]
 
 
-def test_run_level_dispatch_matches_serial(pooled):
-    serial = ShardedStateVector(4, seed=0, n_shards=4)
+def _spread_pair(n_shards):
+    ref = StateVector(4, seed=0)
+    sv = ShardedStateVector(4, seed=0, n_shards=n_shards)
     spread = [Op("h", (q,)) for q in range(4)]
-    serial.apply_ops(spread)
-    pooled.apply_ops(spread)
-    serial.apply_ops(_stretch_ops())
-    pooled.apply_ops(_stretch_ops())
-    np.testing.assert_allclose(
-        serial.statevector(), pooled.statevector(), atol=DEEP_ATOL
-    )
+    ref.apply_ops(spread)
+    sv.apply_ops(spread)
+    return ref, sv
 
 
-def test_controlled_gates_ride_the_pool(pooled):
-    # Shard-axis controls and local targets are "cc" kernel entries now:
-    # they join the dispatched run instead of serializing between pool
-    # round-trips.
-    serial = ShardedStateVector(4, seed=0, n_shards=4)
+def test_communication_free_ops_freeze_into_one_stretch():
+    sv = ShardedStateVector(4, seed=0, n_shards=4)
+    assert _frozen_kinds(sv, _stretch_ops()) == ["stretch"]
+    (step,) = sv.freeze_segments(sv.compile_batch(_stretch_ops()))
+    # runs, then the diagonal batch, then runs: three folds, one pass
+    assert [kind for kind, _ in step[1]] == ["run", "diag", "run"]
+
+
+def test_mixing_segment_splits_stretches():
+    sv = ShardedStateVector(4, seed=0, n_shards=4)
+    assert _frozen_kinds(sv, _mixing_ops()) == ["stretch", "barrier", "stretch"]
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
+def test_stretch_matches_dense_reference(n_shards):
+    ref, sv = _spread_pair(n_shards)
+    ref.apply_ops(_stretch_ops())
+    sv.apply_ops(_stretch_ops())
+    np.testing.assert_allclose(ref.statevector(), sv.statevector(), atol=DEEP_ATOL)
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
+def test_mixing_barrier_matches_dense_reference(n_shards):
+    ref, sv = _spread_pair(n_shards)
+    ref.apply_ops(_mixing_ops() + _stretch_ops())
+    sv.apply_ops(_mixing_ops() + _stretch_ops())
+    np.testing.assert_allclose(ref.statevector(), sv.statevector(), atol=DEEP_ATOL)
+
+
+@pytest.mark.parametrize("n_shards", [2, 4, 8])
+def test_controlled_gates_on_shard_axes_match_dense_reference(n_shards):
+    # Shard-axis controls with local targets are "cc" kernel entries:
+    # they stay inside the stretch instead of forcing an exchange.
+    ref, sv = _spread_pair(n_shards)
     ops = [
-        Op("h", (0,)), Op("h", (2,)),
         Op("cnot", (0, 2)),            # shard control, local target
         Op("cnot", (2, 3)),            # both local
         Op("toffoli", (0, 1, 3)),      # two shard controls, local target
         Op("crz", (0, 1), (0.4,)),     # diagonal, both on shard axes
     ]
-    serial.apply_ops(ops)
-    pooled.apply_ops(ops)
-    np.testing.assert_allclose(
-        serial.statevector(), pooled.statevector(), atol=DEEP_ATOL
-    )
+    if n_shards == 4:
+        assert _frozen_kinds(sv, ops) == ["stretch"]
+    ref.apply_ops(ops)
+    sv.apply_ops(ops)
+    np.testing.assert_allclose(ref.statevector(), sv.statevector(), atol=DEEP_ATOL)
 
 
-def test_pooled_plans_and_wide_windows_match_serial(pooled):
-    serial = ShardedStateVector(4, seed=0, n_shards=4)
-    spread = [Op("h", (q,)) for q in range(4)]
+@pytest.mark.parametrize("n_shards", [2, 4])
+def test_planned_windows_match_dense_reference(n_shards):
+    ref, sv = _spread_pair(n_shards)
     lowered = lower_flush(
         _dense_ladder((2, 3)) + _dense_ladder((0, 1)),
         6,
         cost_model=CostModel(plan_min_qubits=0, wide_window_min_qubits=99),
     )
     assert any(isinstance(o, ContractionPlan) for o in lowered)
-    serial.apply_ops(spread)
-    pooled.apply_ops(spread)
-    serial.apply_ops(lowered)
-    pooled.apply_ops(lowered)
-    np.testing.assert_allclose(
-        serial.statevector(), pooled.statevector(), atol=DEEP_ATOL
-    )
+    ref.apply_ops(lowered)
+    sv.apply_ops(lowered)
+    np.testing.assert_allclose(ref.statevector(), sv.statevector(), atol=DEEP_ATOL)
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import RankFailure
-from repro.qmpi import EprBufferFull, LocalityError, qmpi_run, qmpi_submit
-from repro.qmpi.jobs import JobRunner
+from repro.qmpi import EprBufferFull, LocalityError, make_backend, qmpi_run
 
 BACKEND_SPECS = ["shared", "sharded"]
 RANK_COUNTS = [2, 4]
@@ -138,6 +137,19 @@ def protocol_sites_prog(qc, theta):
     return out
 
 
+def releasing_cat_prog(qc):
+    """Cat-state broadcast whose readout resets and frees every qubit,
+    leaving the backend empty for the next shot batch."""
+    (q,) = _ordered_alloc(qc, 1)
+    if qc.rank == 0:
+        qc.h(q)
+    qc.bcast([q], root=0, algorithm="cat")
+    m = qc.measure(q)
+    qc.backend.apply_pauli_if(qc.rank, m, "X", q)
+    qc.free_qmem([q])
+    return m
+
+
 def locality_prog(qc):
     regs = _ordered_alloc(qc, 1)
     if qc.rank == 1:
@@ -190,6 +202,25 @@ def test_mp_matches_inproc_per_shot(kernel, n_ranks, backend):
             outcome[transport] = (list(world), world.counts)
     assert outcome["mp"][0] == outcome["inproc"][0]
     assert outcome["mp"][1] == outcome["inproc"][1]
+
+
+@pytest.mark.parametrize("backend", BACKEND_SPECS)
+def test_prebuilt_backend_sweep_matches_across_transports(backend):
+    """The sweep idiom over process ranks: one prebuilt backend held by
+    the parent, ``reseed`` before each call, counts equal to inproc."""
+    be = make_backend(backend, n_ranks=2)
+    counts = []
+    for transport in ("inproc", "mp", "mp"):
+        be.reseed(11)
+        world = qmpi_run(
+            2, releasing_cat_prog, backend=be, shots=48,
+            transport=transport, timeout=60,
+        )
+        assert sum(world.counts.values()) == 48
+        assert set(world.counts) <= {"00", "11"}  # both ranks always agree
+        counts.append(world.counts)
+    assert counts[1] == counts[0] and counts[2] == counts[0]
+    be.close()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -312,33 +343,3 @@ def test_mp_abort_unblocks_epr_wait():
     assert set(ei.value.failures) == {1}
     assert isinstance(ei.value.failures[1], ValueError)
 
-
-# ----------------------------------------------------------------------
-# job runner integration
-# ----------------------------------------------------------------------
-def test_qmpi_submit_mp_transport():
-    with JobRunner(max_workers=2, base_seed=3) as runner:
-        futs = [
-            qmpi_submit(
-                fanout_prog, n_ranks=2, shots=32,
-                transport="mp", runner=runner,
-            )
-            for _ in range(2)
-        ]
-        for fut in futs:
-            counts = fut.counts(timeout=60)
-            assert sum(counts.values()) == 32
-            # Fanout of H|0>: both ranks always agree.
-            assert set(counts) <= {"00", "11"}
-
-
-def test_submit_seed_determinism_across_transports():
-    histograms = {}
-    for transport in ("inproc", "mp"):
-        with JobRunner(max_workers=1, base_seed=11) as runner:
-            fut = qmpi_submit(
-                cat_bcast_prog, n_ranks=2, shots=48,
-                transport=transport, runner=runner,
-            )
-            histograms[transport] = fut.counts(timeout=60)
-    assert histograms["mp"] == histograms["inproc"]

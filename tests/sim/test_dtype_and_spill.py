@@ -156,11 +156,6 @@ def test_c64_qmpi_run_matrix(backend, fusion, n_ranks):
 # ----------------------------------------------------------------------
 # out-of-core spill tier
 # ----------------------------------------------------------------------
-def test_spill_and_workers_mutually_exclusive():
-    with pytest.raises(SimulationError):
-        ShardedStateVector(n_shards=2, workers=2, spill="auto")
-
-
 def test_spill_over_budget_mmaps_and_matches_ram(rng):
     ram = ShardedStateVector(8, seed=5, n_shards=4)
     ooc = ShardedStateVector(

@@ -275,21 +275,8 @@ class TestDispatchResolution:
         assert info["numpy_fallbacks"] == 1
         assert "REPRO_QMPI_DISABLE_JIT" in info["provider_error"]
 
-    def test_unknown_forced_provider(self, monkeypatch, fresh_providers):
-        monkeypatch.delenv("REPRO_QMPI_DISABLE_JIT", raising=False)
-        monkeypatch.setenv("REPRO_QMPI_KERNEL_PROVIDER", "fortran")
-        name, provider, _, error = K._resolve_provider()
-        assert name is None and provider is None
-        assert "fortran" in error
-
     def test_provider_resolution_is_memoized(self, fresh_providers):
         assert K._resolve_provider() is K._resolve_provider()
-
-    def test_worker_args_roundtrip(self):
-        kd = KernelDispatch("jit", jit_min_amps=128)
-        mode, jma = kd.worker_args()
-        clone = KernelDispatch(mode, jit_min_amps=jma)
-        assert (clone.mode, clone.jit_min_amps) == ("jit", 128)
 
     def test_contract_is_one_routine_in_every_mode(self):
         for mode in ("numpy", "auto", "jit"):
@@ -316,10 +303,11 @@ class TestDispatchResolution:
         assert "not bit-identical" in K._self_check(Lying())
 
 
-def test_forced_cffi_provider_self_checks(monkeypatch, fresh_providers, tmp_path):
+def test_cffi_provider_builds_into_cache_and_self_checks(
+    monkeypatch, fresh_providers, tmp_path
+):
     pytest.importorskip("cffi")
     monkeypatch.delenv("REPRO_QMPI_DISABLE_JIT", raising=False)
-    monkeypatch.setenv("REPRO_QMPI_KERNEL_PROVIDER", "cffi")
     monkeypatch.setenv("REPRO_QMPI_KERNEL_CACHE", str(tmp_path / "qk-cache"))
     name, provider, compile_time, error = K._resolve_provider()
     if name is None:
@@ -331,12 +319,6 @@ def test_forced_cffi_provider_self_checks(monkeypatch, fresh_providers, tmp_path
     reset_provider_cache()
     name2, provider2, _, _ = K._resolve_provider()
     assert name2 == "cffi" and provider2 is not provider
-
-
-def test_numba_provider_self_checks():
-    numba = pytest.importorskip("numba")
-    provider = K._NumbaProvider(numba)
-    assert K._self_check(provider) is None
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +492,7 @@ class TestNativeBitIdentity:
         jit = _jit_or_skip()
         jit.warmup()
         info = jit.info()
-        assert info["provider"] in ("numba", "cffi")
+        assert info["provider"] == "cffi"
         assert info["compile_time"] >= 0.0
         assert info["provider_error"] is None
 
@@ -607,14 +589,3 @@ def test_frozen_replay_jit_vs_numpy_bitwise():
     assert cache_j["hits"] >= 1  # the second flush replayed a frozen program
     assert info_j["jit_hits"] > 0 and info_j["numpy_fallbacks"] == 0
     assert info_n["jit_hits"] == 0 and info_n["numpy_fallbacks"] > 0
-
-
-def test_worker_pool_kernel_rebuild():
-    from repro.sim.parallel import _WORKER_KERNELS, _worker_kernels
-
-    _WORKER_KERNELS.clear()
-    kd = _worker_kernels(("numpy", 4096))
-    assert kd.mode == "numpy"
-    assert _worker_kernels(("numpy", 4096)) is kd  # cached per spec
-    assert _worker_kernels(None) is None  # pre-kernels tasks stay legacy
-    _WORKER_KERNELS.clear()

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import ShardedStateVector, SimulationError, StateVector
+from repro.qmpi import Op
+from repro.sim import (
+    ContractionPlan,
+    ShardedStateVector,
+    SimulationError,
+    StateVector,
+    coalesce_diagonals,
+    plan_contractions,
+)
 from repro.sim import gates as G
 from tests._precision import PROB_ABS, STATE_ATOL
 
@@ -325,3 +333,84 @@ def test_cz_high_axis_target_matches_reference(n_shards):
         a.apply_controlled(G.phase(0.7), [c], [t])
         b.apply_controlled(G.phase(0.7), [c], [t])
         assert_same_state(a, b)
+
+
+# ----------------------------------------------------------------------
+# the in-process chunk store: batched records, lifecycle, plans
+# ----------------------------------------------------------------------
+def _mixed_ops():
+    return [
+        Op("h", (0,)),
+        Op("rx", (2,), (0.45,)),
+        Op("ry", (3,), (0.8,)),
+        Op("rz", (1,), (0.3,)),
+        Op("cphase", (1, 2), (0.9,)),
+        Op("z", (3,)),
+        Op("cphase", (0, 3), (0.5,)),  # pair spanning shard + local axes
+        Op("cnot", (2, 3)),
+        Op("t", (0,)),
+        Op("crz", (0, 1), (0.7,)),  # shard-axis control
+    ]
+
+
+@pytest.mark.parametrize("n_shards", SHARDS)
+def test_coalesced_diagonals_match_eager_reference(n_shards):
+    ref, eager = make_pair(4, n_shards)
+    batched = ShardedStateVector(4, seed=0, n_shards=n_shards)
+    ref.apply_ops(_mixed_ops())
+    eager.apply_ops(_mixed_ops())
+    batched.apply_ops(coalesce_diagonals(_mixed_ops()))
+    assert_same_state(ref, eager)
+    assert_same_state(ref, batched)
+
+
+@pytest.mark.parametrize("n_shards", SHARDS)
+def test_alloc_release_and_postselect_around_diagonal_batches(n_shards):
+    ref, sv = make_pair(4, n_shards)
+    for eng in (ref, sv):
+        eng.apply_ops([Op("h", (0,)), Op("rx", (1,), (0.4,))])
+        ids = eng.alloc(2)
+        eng.apply_ops([Op("ry", (ids[0],), (0.6,))])
+        eng.release(ids[1])  # still |0>
+        eng.postselect(ids[0], 0)
+        eng.apply_ops(coalesce_diagonals([Op("t", (q,)) for q in (0, 1, 2, 3)]))
+    assert ref.qubit_ids == sv.qubit_ids
+    assert_same_state(ref, sv)
+
+
+@pytest.mark.parametrize("spill", [None, "auto"])
+def test_close_is_idempotent_and_engine_stays_usable(spill):
+    sv = ShardedStateVector(4, seed=0, n_shards=4, spill=spill, spill_budget=64)
+    assert sv._mmapped == (spill is not None)
+    sv.apply_ops([Op("h", (0,))])
+    before = sv.statevector()
+    sv.close()
+    sv.close()  # idempotent
+    assert not sv._mmapped and not sv._spill_files
+    np.testing.assert_array_equal(before, sv.statevector())
+    sv.apply_ops([Op("h", (0,))])  # the in-RAM store still works
+    assert abs(sv.amplitude([0, 0, 0, 0]) - 1.0) < STATE_ATOL
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        # all-local window: a "ct" entry
+        [Op("cnot", (2, 3)), Op("ry", (3,), (0.8,)), Op("swap", (2, 3))],
+        # block-diagonal window over a shard axis: a "csel" entry
+        [Op("cnot", (0, 2)), Op("ry", (2,), (0.5,)), Op("cnot", (0, 2))],
+    ],
+    ids=["local", "blockdiag"],
+)
+def test_contraction_plans_apply_in_place(run):
+    ref = ShardedStateVector(4, seed=0, n_shards=4)
+    sv = ShardedStateVector(4, seed=0, n_shards=4)
+    spread = [Op("h", (0,)), Op("h", (2,)), Op("rx", (1,), (0.25,))]
+    ref.apply_ops(spread + run)
+    sv.apply_ops(spread)
+    chunks = [id(c) for c in sv._chunks]
+    planned = plan_contractions(run)
+    assert [type(o) for o in planned] == [ContractionPlan]
+    sv.apply_ops(planned)
+    assert [id(c) for c in sv._chunks] == chunks  # no chunk reallocated
+    assert_same_state(ref, sv)

@@ -20,11 +20,7 @@ Rules:
   traceback (an unreadable crash in the blocking gate hides the diff);
 * an unreadable/unparsable file fails the pair with a message (the
   bench step upstream did not produce what the gate was told to check);
-* *improvements* never fail, only regressions beyond tolerance do;
-* machine-dependent phases are excluded: the ``workers`` rows of
-  BENCH_diag.json compare real processes against real cores, so their
-  ratio is a property of the host's ``cpu_count``, not of the code
-  (see docs/benchmarks.md).
+* *improvements* never fail, only regressions beyond tolerance do.
 
 Usage::
 
@@ -56,10 +52,8 @@ RATIO_FIELDS = ("speedup", "fused_speedup", "sharded_fused_vs_shared")
 #: so it is reported for inspection but never drives the gate.
 INFO_FIELDS = ("mp_vs_inproc", "peak_rss_bytes")
 
-#: list-of-rows sections to compare, per file; anything else (scalars,
-#: machine-dependent phases like the "workers" sections of
-#: BENCH_diag/BENCH_plan — those accumulate cpu_count-keyed history via
-#: tools/fold_workers_ci.py instead) is ignored.
+#: list-of-rows sections to compare, per file; anything else (scalars)
+#: is ignored.
 SECTIONS = (
     "plan",
     "diag",
