@@ -588,13 +588,11 @@ class ScheduleCache:
         segments = layout.bind(ids, payload)
         # One frozen program per layout: the engine's per-op dispatch is
         # decided once at freeze time (see ``freeze_segments`` on the
-        # engines; the sharded engine additionally packs runs of strided
-        # steps into contiguous typed opcode arrays that the native
-        # kernel driver (:mod:`repro.sim.kernels`) walks in one call per
-        # chunk when ``kernels`` dispatch selects the jit path).  The
-        # program references the live segment objects, so in-place
-        # rebinds flow through automatically — matrices are re-read at
-        # execute time, not freeze time.
+        # engines; the sharded engine's program is one step list per
+        # chunk, each step one ``KernelDispatch`` call).  The program
+        # references the live segment objects, so in-place rebinds flow
+        # through automatically — matrices are re-read at execute time,
+        # not freeze time.
         if layout.frozen is None:
             layout.frozen = engine.freeze_segments(segments)
         engine.execute_frozen(layout.frozen)

@@ -1,56 +1,56 @@
-"""JIT-compiled chunk kernels with a bit-identical pure-numpy fallback.
+"""Chunk kernels: two native loops with bit-identical numpy twins.
 
-This module is the native half of the compiled-schedule thread: PR 8
-froze flush schedules into flat replay programs precisely so the hot
-per-chunk inner loops could stop being one python-dispatched numpy
-expression per step.  Three loop families are covered:
+:class:`KernelDispatch` is the one object both engines send per-chunk
+kernel work through.  Two of its kernels run natively when a provider
+resolves, because a benchmark row spends its time in them:
 
-* the strided single-qubit / controlled kernel pass (the ``"sq"`` /
-  ``"cc"`` run entries, frozen as ``sf/sd/cf/cd/ss/cs`` steps) — a
-  whole frozen kernel fold is specialized into contiguous typed step
-  arrays (``codes``/``arg0``/``arg1`` + a per-step 2x2 matrix table)
-  that one compiled driver (:func:`_drive_py` and its native twins)
-  walks per chunk in a single call;
-* the ``csel``/``ct`` per-shard-bit sub-block matmul
-  (:meth:`KernelDispatch.contract`) — one routine in every mode: a
-  strided stage copy around one BLAS ``np.dot`` (already native code,
-  and no reimplementation of zgemm could promise bit-identity);
-* the doubling/DP diagonal phase-table materializer of
-  :func:`repro.sim.diag.chunk_phase` (the multiply path; the wide-batch
-  angle-accumulation path stays on numpy's vectorized cos/sin in every
-  mode, because libm and numpy's SIMD transcendentals differ per host).
+* the strided single-qubit 2x2 pass (:meth:`KernelDispatch.sq` on a
+  non-diagonal matrix; C ``qk_sq`` / ``qk_sq_f``, reference
+  :func:`_sq_py`) — every local-axis ``h`` of the sharded distributed
+  QFT is one such pass per chunk;
+* the doubling/DP diagonal phase-table fill behind
+  :func:`repro.sim.diag.chunk_phase` (:meth:`KernelDispatch.phase_fill`;
+  C ``qk_phase``, reference :func:`_phase_py`) — the multiply path
+  only; the wide-batch angle-accumulation path stays on numpy's
+  vectorized cos/sin in every mode, because libm and numpy's SIMD
+  transcendentals differ per host.
 
-**The bit-identity contract.**  The acceptance bar is that
-``kernels="jit"`` and ``kernels="numpy"`` produce *bit-identical*
-amplitudes (enforced by tests/integration/test_differential_fuzz.py).
-numpy's complex-multiply ufunc is free to use FMA-contracted SIMD
-paths that gcc with ``-ffp-contract=off`` will not reproduce, so the
-contract is defined in **planar arithmetic**: every kernel computes
-separate real/imaginary parts through the fixed expression tree
+Everything else is numpy in every mode: the diagonal single-qubit
+pass, the locally-controlled pass (:meth:`~KernelDispatch.cc`), the
+whole-chunk and control-sliced scales, and the ``csel``/``ct`` window
+contraction (:meth:`~KernelDispatch.contract`: a strided stage copy
+around one BLAS ``np.dot``).  Both modes run the same code there, so
+they agree trivially.
+
+**The bit-identity contract.**  ``kernels="jit"`` and
+``kernels="numpy"`` produce *bit-identical* amplitudes (enforced by
+tests/integration/test_differential_fuzz.py).  numpy's complex-multiply
+ufunc is free to use FMA-contracted SIMD paths that gcc with
+``-ffp-contract=off`` will not reproduce, so the two native kernels and
+their numpy twins (:func:`sq_full_view`, :func:`imul`) are written in
+**planar arithmetic**: separate real/imaginary parts through the fixed
+expression tree
 
     re = (ur*ar - ui*ai) + ...    im = (ur*ai + ui*ar) + ...
 
 with one IEEE-754 multiply/add per node and no fused operations.  The
-numpy fallbacks evaluate that tree with float array ops (each ufunc
-call is one exactly-rounded IEEE op per element); the native kernels
-evaluate it scalar-by-scalar with contraction disabled.  Equality is
-then guaranteed by IEEE semantics on any host — and re-verified at
-provider warm-up by :func:`_self_check`, which demotes a provider that
-fails to reproduce the reference driver bit-for-bit.
+numpy twins evaluate that tree with float array ops (each ufunc call is
+one exactly-rounded IEEE op per element); the native kernels evaluate
+it scalar-by-scalar with contraction disabled.  Equality is then
+guaranteed by IEEE semantics on any host — and re-verified at provider
+warm-up by :func:`_self_check`, which demotes a provider that fails to
+reproduce the references bit-for-bit.
 
-The tree exists in two precisions: float64 for ``complex128`` chunks
-and float32 for ``complex64`` chunks (the PR 10 mixed-precision tier).
-The contract is *within* a dtype — a complex64 run is bit-identical
-between jit and numpy arms, never to a complex128 run.  To keep the
-float32 arms aligned, every 2x2 matrix / scalar factor is rounded to
-the chunk's precision exactly **once**, at the dispatch boundary in
-this module (and at the frozen-step build sites in the engines), so
-both arms consume identical pre-rounded operands; the compiled float
-loops run in SSE single precision (``FLT_EVAL_METHOD == 0``), one
-rounding per node, matching numpy's float32 ufuncs.  Diagonal *phase
-tables* (:mod:`repro.sim.diag`) stay complex128 in every mode: their
-application is an in-place same-kind multiply whose rounding is
-dtype-independent, so no float32 phase arm exists.
+The strided pass exists in two precisions: float64 for ``complex128``
+chunks and float32 for ``complex64`` chunks.  The contract is *within*
+a dtype.  :meth:`KernelDispatch.sq` rounds the 2x2 to the chunk's
+precision exactly once, so both arms consume identical operands; the
+compiled float loop runs in SSE single precision
+(``FLT_EVAL_METHOD == 0``), one rounding per node, matching numpy's
+float32 ufuncs.  Diagonal *phase tables* (:mod:`repro.sim.diag`) stay
+complex128 in every mode: their application is an in-place same-kind
+multiply whose rounding is dtype-independent, so no float32 phase arm
+exists.
 
 **Provider.**  One native provider: a small C module compiled once
 through ``cffi`` + the system C compiler (the ``pip install -e .[jit]``
@@ -82,141 +82,42 @@ __all__ = [
     "reset_provider_cache",
 ]
 
-#: Break-even chunk size (amplitudes) below which ``kernels="auto"``
-#: stays on the numpy fallback: under ~2^12 amplitudes the per-call
-#: dispatch overhead (argument staging + the foreign call) eats the
-#: single-pass advantage (calibrated by benchmarks/bench_kernels.py;
-#: mirrored by ``CostModel.jit_min_amps``).
+#: Break-even size (amplitudes) below which ``kernels="auto"`` stays on
+#: the numpy twin: under ~2^12 amplitudes the per-call dispatch
+#: overhead (argument staging + the foreign call) eats the single-pass
+#: advantage (calibrated by benchmarks/bench_kernels.py).  Set
+#: ``KernelDispatch.jit_min_amps`` on an instance to move it.
 JIT_MIN_AMPS_DEFAULT = 1 << 12
 
 _MODES = ("auto", "numpy", "jit")
 
-# Typed step opcodes walked by the frozen-program driver.  arg0/arg1
-# carry the step's integer operands; the matrix table row carries the
-# live 2x2 (re-filled from the bound segments on every execution, so
-# schedule-cache parameter rebinding flows through).
-OP_SQ_FULL = 0  # arg0 = local bit            (strided 2x2 pass)
-OP_SQ_DIAG = 1  # arg0 = local bit            (guarded diagonal scale)
-OP_CC_FULL = 2  # arg0 = control mask, arg1 = target bit
-OP_CC_DIAG = 3  # arg0 = control mask, arg1 = target bit
-OP_SCALE = 4  # arg0 = diagonal index       (whole-chunk scale)
-OP_MASK_SCALE = 5  # arg0 = control mask, arg1 = diagonal index
-
 
 # ----------------------------------------------------------------------
-# reference driver (pure python scalar loops)
+# references (pure python scalar loops)
 # ----------------------------------------------------------------------
-# This function is the executable specification: the C source below
-# transliterates it, and the vectorized numpy fallbacks evaluate the
-# same expression trees.  Unit tests call it directly (on tiny chunks)
-# so every opcode's semantics are covered even where no native
-# provider exists.
-def _drive_py(af, codes, arg0, arg1, mats):
-    n_amps = af.shape[0] >> 1
-    for s in range(codes.shape[0]):
-        code = codes[s]
-        u00r = mats[s, 0]
-        u00i = mats[s, 1]
-        u01r = mats[s, 2]
-        u01i = mats[s, 3]
-        u10r = mats[s, 4]
-        u10i = mats[s, 5]
-        u11r = mats[s, 6]
-        u11i = mats[s, 7]
-        if code == 0:  # OP_SQ_FULL
-            b = arg0[s]
-            stride = 1 << b
-            for i in range(n_amps >> 1):
-                lo = ((((i >> b) << (b + 1)) | (i & (stride - 1)))) << 1
-                hi = lo + (stride << 1)
-                ar = af[lo]
-                ai = af[lo + 1]
-                br = af[hi]
-                bi = af[hi + 1]
-                af[lo] = (u00r * ar - u00i * ai) + (u01r * br - u01i * bi)
-                af[lo + 1] = (u00r * ai + u00i * ar) + (u01r * bi + u01i * br)
-                af[hi] = (u10r * ar - u10i * ai) + (u11r * br - u11i * bi)
-                af[hi + 1] = (u10r * ai + u10i * ar) + (u11r * bi + u11i * br)
-        elif code == 1:  # OP_SQ_DIAG
-            b = arg0[s]
-            tbit = 1 << b
-            g0 = (u00r != 1.0) or (u00i != 0.0)
-            g1 = (u11r != 1.0) or (u11i != 0.0)
-            if g0 or g1:
-                for i in range(n_amps):
-                    if i & tbit:
-                        if g1:
-                            r = af[2 * i]
-                            m = af[2 * i + 1]
-                            af[2 * i] = u11r * r - u11i * m
-                            af[2 * i + 1] = u11r * m + u11i * r
-                    elif g0:
-                        r = af[2 * i]
-                        m = af[2 * i + 1]
-                        af[2 * i] = u00r * r - u00i * m
-                        af[2 * i + 1] = u00r * m + u00i * r
-        elif code == 2:  # OP_CC_FULL
-            lmask = arg0[s]
-            tbit = 1 << arg1[s]
-            for i in range(n_amps):
-                if (i & lmask) == lmask and (i & tbit) == 0:
-                    lo = i << 1
-                    hi = (i | tbit) << 1
-                    ar = af[lo]
-                    ai = af[lo + 1]
-                    br = af[hi]
-                    bi = af[hi + 1]
-                    af[lo] = (u00r * ar - u00i * ai) + (u01r * br - u01i * bi)
-                    af[lo + 1] = (u00r * ai + u00i * ar) + (u01r * bi + u01i * br)
-                    af[hi] = (u10r * ar - u10i * ai) + (u11r * br - u11i * bi)
-                    af[hi + 1] = (u10r * ai + u10i * ar) + (u11r * bi + u11i * br)
-        elif code == 3:  # OP_CC_DIAG
-            lmask = arg0[s]
-            tbit = 1 << arg1[s]
-            g0 = (u00r != 1.0) or (u00i != 0.0)
-            g1 = (u11r != 1.0) or (u11i != 0.0)
-            if g0 or g1:
-                for i in range(n_amps):
-                    if (i & lmask) == lmask:
-                        if i & tbit:
-                            if g1:
-                                r = af[2 * i]
-                                m = af[2 * i + 1]
-                                af[2 * i] = u11r * r - u11i * m
-                                af[2 * i + 1] = u11r * m + u11i * r
-                        elif g0:
-                            r = af[2 * i]
-                            m = af[2 * i + 1]
-                            af[2 * i] = u00r * r - u00i * m
-                            af[2 * i + 1] = u00r * m + u00i * r
-        elif code == 4:  # OP_SCALE
-            if arg0[s]:
-                fr = u11r
-                fi = u11i
-            else:
-                fr = u00r
-                fi = u00i
-            if (fr != 1.0) or (fi != 0.0):
-                for i in range(n_amps):
-                    r = af[2 * i]
-                    m = af[2 * i + 1]
-                    af[2 * i] = fr * r - fi * m
-                    af[2 * i + 1] = fr * m + fi * r
-        else:  # OP_MASK_SCALE
-            lmask = arg0[s]
-            if arg1[s]:
-                fr = u11r
-                fi = u11i
-            else:
-                fr = u00r
-                fi = u00i
-            if (fr != 1.0) or (fi != 0.0):
-                for i in range(n_amps):
-                    if (i & lmask) == lmask:
-                        r = af[2 * i]
-                        m = af[2 * i + 1]
-                        af[2 * i] = fr * r - fi * m
-                        af[2 * i + 1] = fr * m + fi * r
+# These functions are the executable specification: the C source below
+# transliterates them, and the vectorized numpy twins evaluate the same
+# expression trees.  Unit tests call them directly (on tiny chunks) so
+# the semantics are covered even where no native provider exists.
+def _sq_py(af, b, u):
+    """Strided 2x2 pass over local bit ``b`` (reference for ``qk_sq``).
+
+    ``af`` is the planar float view of the chunk (any leading shot-row
+    count), ``u`` the 2x2 as 8 planar floats of the same precision.
+    """
+    u00r, u00i, u01r, u01i, u10r, u10i, u11r, u11i = u
+    stride = 1 << b
+    for i in range(af.shape[0] >> 2):
+        lo = ((((i >> b) << (b + 1)) | (i & (stride - 1)))) << 1
+        hi = lo + (stride << 1)
+        ar = af[lo]
+        ai = af[lo + 1]
+        br = af[hi]
+        bi = af[hi + 1]
+        af[lo] = (u00r * ar - u00i * ai) + (u01r * br - u01i * bi)
+        af[lo + 1] = (u00r * ai + u00i * ar) + (u01r * bi + u01i * br)
+        af[hi] = (u10r * ar - u10i * ai) + (u11r * br - u11i * bi)
+        af[hi + 1] = (u10r * ai + u10i * ar) + (u11r * bi + u11i * br)
 
 
 def _phase_py(outf, n_live, lvl, kind, pa, pb, nzm, vals, sr, si):
@@ -258,8 +159,7 @@ def _phase_py(outf, n_live, lvl, kind, pa, pb, nzm, vals, sr, si):
 
 
 # ----------------------------------------------------------------------
-# planar numpy kernels (the fallback arms; also used by the engines'
-# interpreter and frozen-replay paths so every mode shares one tree)
+# planar numpy twins of the native kernels
 # ----------------------------------------------------------------------
 def imul(sub, f) -> None:
     """Planar in-place multiply of a complex view by a complex scalar."""
@@ -292,263 +192,59 @@ def sq_full_view(v, u) -> None:
     a1.imag = (u10.real * a0i + u10.imag * a0r) + (u11.real * a1i + u11.imag * a1r)
 
 
-def sq_diag_view(v, u) -> None:
-    """Planar guarded diagonal pass on a ``(-1, 2, stride)`` chunk view."""
-    if u[0, 0] != 1.0:
-        imul(v[:, 0, :], complex(u[0, 0]))
-    if u[1, 1] != 1.0:
-        imul(v[:, 1, :], complex(u[1, 1]))
-
-
-def cc_full_view(view, idx0, idx1, u) -> None:
-    """Planar controlled 2x2 on the all-ones control slice pair."""
-    u00 = complex(u[0, 0])
-    u01 = complex(u[0, 1])
-    u10 = complex(u[1, 0])
-    u11 = complex(u[1, 1])
-    a0 = view[idx0]
-    a1 = view[idx1]
-    a0r = a0.real.copy()
-    a0i = a0.imag.copy()
-    a1r = a1.real.copy()
-    a1i = a1.imag.copy()
-    a0.real = (u00.real * a0r - u00.imag * a0i) + (u01.real * a1r - u01.imag * a1i)
-    a0.imag = (u00.real * a0i + u00.imag * a0r) + (u01.real * a1i + u01.imag * a1r)
-    a1.real = (u10.real * a0r - u10.imag * a0i) + (u11.real * a1r - u11.imag * a1i)
-    a1.imag = (u10.real * a0i + u10.imag * a0r) + (u11.real * a1i + u11.imag * a1r)
-
-
-def cc_diag_view(view, idx0, idx1, u) -> None:
-    """Planar guarded controlled diagonal on the control slice pair."""
-    if u[0, 0] != 1.0:
-        imul(view[idx0], complex(u[0, 0]))
-    if u[1, 1] != 1.0:
-        imul(view[idx1], complex(u[1, 1]))
+def _control_index(local_controls, nl: int) -> list:
+    """Index list selecting the all-ones slice of a ``(-1,)+(2,)*nl`` view."""
+    idx: list = [slice(None)] * (nl + 1)
+    for b in local_controls:
+        idx[nl - b] = 1
+    return idx
 
 
 # ----------------------------------------------------------------------
 # native provider
 # ----------------------------------------------------------------------
 _C_SOURCE = r"""
-/* Transliteration of kernels._drive_py / kernels._phase_py.  Compiled
+/* Transliteration of kernels._sq_py / kernels._phase_py.  Compiled
  * with -ffp-contract=off: each multiply/add below must stay one
  * exactly-rounded IEEE-754 operation so results are bit-identical to
- * the planar numpy fallback on any host. */
-void qk_drive(double *af, long long n_amps,
-              const long long *codes, const long long *arg0,
-              const long long *arg1, const double *mats,
-              long long n_steps)
+ * the planar numpy twins on any host. */
+void qk_sq(double *af, long long n_amps, long long b, const double *u)
 {
-    for (long long s = 0; s < n_steps; s++) {
-        long long code = codes[s];
-        const double *u = mats + 8 * s;
-        double u00r = u[0], u00i = u[1], u01r = u[2], u01i = u[3];
-        double u10r = u[4], u10i = u[5], u11r = u[6], u11i = u[7];
-        if (code == 0) {
-            long long b = arg0[s];
-            long long stride = 1LL << b;
-            long long half = n_amps >> 1;
-            for (long long i = 0; i < half; i++) {
-                long long lo = ((((i >> b) << (b + 1)) | (i & (stride - 1)))) << 1;
-                long long hi = lo + (stride << 1);
-                double ar = af[lo], ai = af[lo + 1];
-                double br = af[hi], bi = af[hi + 1];
-                af[lo] = (u00r * ar - u00i * ai) + (u01r * br - u01i * bi);
-                af[lo + 1] = (u00r * ai + u00i * ar) + (u01r * bi + u01i * br);
-                af[hi] = (u10r * ar - u10i * ai) + (u11r * br - u11i * bi);
-                af[hi + 1] = (u10r * ai + u10i * ar) + (u11r * bi + u11i * br);
-            }
-        } else if (code == 1) {
-            long long tbit = 1LL << arg0[s];
-            int g0 = (u00r != 1.0) || (u00i != 0.0);
-            int g1 = (u11r != 1.0) || (u11i != 0.0);
-            if (g0 || g1) {
-                for (long long i = 0; i < n_amps; i++) {
-                    if (i & tbit) {
-                        if (g1) {
-                            double r = af[2 * i], m = af[2 * i + 1];
-                            af[2 * i] = u11r * r - u11i * m;
-                            af[2 * i + 1] = u11r * m + u11i * r;
-                        }
-                    } else if (g0) {
-                        double r = af[2 * i], m = af[2 * i + 1];
-                        af[2 * i] = u00r * r - u00i * m;
-                        af[2 * i + 1] = u00r * m + u00i * r;
-                    }
-                }
-            }
-        } else if (code == 2) {
-            long long lmask = arg0[s];
-            long long tbit = 1LL << arg1[s];
-            for (long long i = 0; i < n_amps; i++) {
-                if ((i & lmask) == lmask && (i & tbit) == 0) {
-                    long long lo = i << 1;
-                    long long hi = (i | tbit) << 1;
-                    double ar = af[lo], ai = af[lo + 1];
-                    double br = af[hi], bi = af[hi + 1];
-                    af[lo] = (u00r * ar - u00i * ai) + (u01r * br - u01i * bi);
-                    af[lo + 1] = (u00r * ai + u00i * ar) + (u01r * bi + u01i * br);
-                    af[hi] = (u10r * ar - u10i * ai) + (u11r * br - u11i * bi);
-                    af[hi + 1] = (u10r * ai + u10i * ar) + (u11r * bi + u11i * br);
-                }
-            }
-        } else if (code == 3) {
-            long long lmask = arg0[s];
-            long long tbit = 1LL << arg1[s];
-            int g0 = (u00r != 1.0) || (u00i != 0.0);
-            int g1 = (u11r != 1.0) || (u11i != 0.0);
-            if (g0 || g1) {
-                for (long long i = 0; i < n_amps; i++) {
-                    if ((i & lmask) == lmask) {
-                        if (i & tbit) {
-                            if (g1) {
-                                double r = af[2 * i], m = af[2 * i + 1];
-                                af[2 * i] = u11r * r - u11i * m;
-                                af[2 * i + 1] = u11r * m + u11i * r;
-                            }
-                        } else if (g0) {
-                            double r = af[2 * i], m = af[2 * i + 1];
-                            af[2 * i] = u00r * r - u00i * m;
-                            af[2 * i + 1] = u00r * m + u00i * r;
-                        }
-                    }
-                }
-            }
-        } else if (code == 4) {
-            double fr = arg0[s] ? u11r : u00r;
-            double fi = arg0[s] ? u11i : u00i;
-            if ((fr != 1.0) || (fi != 0.0)) {
-                for (long long i = 0; i < n_amps; i++) {
-                    double r = af[2 * i], m = af[2 * i + 1];
-                    af[2 * i] = fr * r - fi * m;
-                    af[2 * i + 1] = fr * m + fi * r;
-                }
-            }
-        } else {
-            long long lmask = arg0[s];
-            double fr = arg1[s] ? u11r : u00r;
-            double fi = arg1[s] ? u11i : u00i;
-            if ((fr != 1.0) || (fi != 0.0)) {
-                for (long long i = 0; i < n_amps; i++) {
-                    if ((i & lmask) == lmask) {
-                        double r = af[2 * i], m = af[2 * i + 1];
-                        af[2 * i] = fr * r - fi * m;
-                        af[2 * i + 1] = fr * m + fi * r;
-                    }
-                }
-            }
-        }
+    double u00r = u[0], u00i = u[1], u01r = u[2], u01i = u[3];
+    double u10r = u[4], u10i = u[5], u11r = u[6], u11i = u[7];
+    long long stride = 1LL << b;
+    long long half = n_amps >> 1;
+    for (long long i = 0; i < half; i++) {
+        long long lo = ((((i >> b) << (b + 1)) | (i & (stride - 1)))) << 1;
+        long long hi = lo + (stride << 1);
+        double ar = af[lo], ai = af[lo + 1];
+        double br = af[hi], bi = af[hi + 1];
+        af[lo] = (u00r * ar - u00i * ai) + (u01r * br - u01i * bi);
+        af[lo + 1] = (u00r * ai + u00i * ar) + (u01r * bi + u01i * br);
+        af[hi] = (u10r * ar - u10i * ai) + (u11r * br - u11i * bi);
+        af[hi + 1] = (u10r * ai + u10i * ar) + (u11r * bi + u11i * br);
     }
 }
 
-/* Single-precision twin of qk_drive for complex64 chunks: the same
+/* Single-precision twin of qk_sq for complex64 chunks: the same
  * expression tree, evaluated in SSE float (FLT_EVAL_METHOD == 0, no
  * promotion to double, contraction off) so each node is one exactly
  * rounded float32 operation, matching numpy's float32 ufuncs. */
-void qk_drive_f(float *af, long long n_amps,
-                const long long *codes, const long long *arg0,
-                const long long *arg1, const float *mats,
-                long long n_steps)
+void qk_sq_f(float *af, long long n_amps, long long b, const float *u)
 {
-    for (long long s = 0; s < n_steps; s++) {
-        long long code = codes[s];
-        const float *u = mats + 8 * s;
-        float u00r = u[0], u00i = u[1], u01r = u[2], u01i = u[3];
-        float u10r = u[4], u10i = u[5], u11r = u[6], u11i = u[7];
-        if (code == 0) {
-            long long b = arg0[s];
-            long long stride = 1LL << b;
-            long long half = n_amps >> 1;
-            for (long long i = 0; i < half; i++) {
-                long long lo = ((((i >> b) << (b + 1)) | (i & (stride - 1)))) << 1;
-                long long hi = lo + (stride << 1);
-                float ar = af[lo], ai = af[lo + 1];
-                float br = af[hi], bi = af[hi + 1];
-                af[lo] = (u00r * ar - u00i * ai) + (u01r * br - u01i * bi);
-                af[lo + 1] = (u00r * ai + u00i * ar) + (u01r * bi + u01i * br);
-                af[hi] = (u10r * ar - u10i * ai) + (u11r * br - u11i * bi);
-                af[hi + 1] = (u10r * ai + u10i * ar) + (u11r * bi + u11i * br);
-            }
-        } else if (code == 1) {
-            long long tbit = 1LL << arg0[s];
-            int g0 = (u00r != 1.0f) || (u00i != 0.0f);
-            int g1 = (u11r != 1.0f) || (u11i != 0.0f);
-            if (g0 || g1) {
-                for (long long i = 0; i < n_amps; i++) {
-                    if (i & tbit) {
-                        if (g1) {
-                            float r = af[2 * i], m = af[2 * i + 1];
-                            af[2 * i] = u11r * r - u11i * m;
-                            af[2 * i + 1] = u11r * m + u11i * r;
-                        }
-                    } else if (g0) {
-                        float r = af[2 * i], m = af[2 * i + 1];
-                        af[2 * i] = u00r * r - u00i * m;
-                        af[2 * i + 1] = u00r * m + u00i * r;
-                    }
-                }
-            }
-        } else if (code == 2) {
-            long long lmask = arg0[s];
-            long long tbit = 1LL << arg1[s];
-            for (long long i = 0; i < n_amps; i++) {
-                if ((i & lmask) == lmask && (i & tbit) == 0) {
-                    long long lo = i << 1;
-                    long long hi = (i | tbit) << 1;
-                    float ar = af[lo], ai = af[lo + 1];
-                    float br = af[hi], bi = af[hi + 1];
-                    af[lo] = (u00r * ar - u00i * ai) + (u01r * br - u01i * bi);
-                    af[lo + 1] = (u00r * ai + u00i * ar) + (u01r * bi + u01i * br);
-                    af[hi] = (u10r * ar - u10i * ai) + (u11r * br - u11i * bi);
-                    af[hi + 1] = (u10r * ai + u10i * ar) + (u11r * bi + u11i * br);
-                }
-            }
-        } else if (code == 3) {
-            long long lmask = arg0[s];
-            long long tbit = 1LL << arg1[s];
-            int g0 = (u00r != 1.0f) || (u00i != 0.0f);
-            int g1 = (u11r != 1.0f) || (u11i != 0.0f);
-            if (g0 || g1) {
-                for (long long i = 0; i < n_amps; i++) {
-                    if ((i & lmask) == lmask) {
-                        if (i & tbit) {
-                            if (g1) {
-                                float r = af[2 * i], m = af[2 * i + 1];
-                                af[2 * i] = u11r * r - u11i * m;
-                                af[2 * i + 1] = u11r * m + u11i * r;
-                            }
-                        } else if (g0) {
-                            float r = af[2 * i], m = af[2 * i + 1];
-                            af[2 * i] = u00r * r - u00i * m;
-                            af[2 * i + 1] = u00r * m + u00i * r;
-                        }
-                    }
-                }
-            }
-        } else if (code == 4) {
-            float fr = arg0[s] ? u11r : u00r;
-            float fi = arg0[s] ? u11i : u00i;
-            if ((fr != 1.0f) || (fi != 0.0f)) {
-                for (long long i = 0; i < n_amps; i++) {
-                    float r = af[2 * i], m = af[2 * i + 1];
-                    af[2 * i] = fr * r - fi * m;
-                    af[2 * i + 1] = fr * m + fi * r;
-                }
-            }
-        } else {
-            long long lmask = arg0[s];
-            float fr = arg1[s] ? u11r : u00r;
-            float fi = arg1[s] ? u11i : u00i;
-            if ((fr != 1.0f) || (fi != 0.0f)) {
-                for (long long i = 0; i < n_amps; i++) {
-                    if ((i & lmask) == lmask) {
-                        float r = af[2 * i], m = af[2 * i + 1];
-                        af[2 * i] = fr * r - fi * m;
-                        af[2 * i + 1] = fr * m + fi * r;
-                    }
-                }
-            }
-        }
+    float u00r = u[0], u00i = u[1], u01r = u[2], u01i = u[3];
+    float u10r = u[4], u10i = u[5], u11r = u[6], u11i = u[7];
+    long long stride = 1LL << b;
+    long long half = n_amps >> 1;
+    for (long long i = 0; i < half; i++) {
+        long long lo = ((((i >> b) << (b + 1)) | (i & (stride - 1)))) << 1;
+        long long hi = lo + (stride << 1);
+        float ar = af[lo], ai = af[lo + 1];
+        float br = af[hi], bi = af[hi + 1];
+        af[lo] = (u00r * ar - u00i * ai) + (u01r * br - u01i * bi);
+        af[lo + 1] = (u00r * ai + u00i * ar) + (u01r * bi + u01i * br);
+        af[hi] = (u10r * ar - u10i * ai) + (u11r * br - u11i * bi);
+        af[hi + 1] = (u10r * ai + u10i * ar) + (u11r * bi + u11i * br);
     }
 }
 
@@ -588,10 +284,8 @@ void qk_phase(double *outf, long long n_live,
 """
 
 _C_DECLS = """
-void qk_drive(double *, long long, const long long *, const long long *,
-              const long long *, const double *, long long);
-void qk_drive_f(float *, long long, const long long *, const long long *,
-                const long long *, const float *, long long);
+void qk_sq(double *, long long, long long, const double *);
+void qk_sq_f(float *, long long, long long, const float *);
 void qk_phase(double *, long long, const long long *, const long long *,
               const long long *, const long long *, const long long *,
               const double *, long long, double, double);
@@ -616,21 +310,13 @@ class _CffiProvider:
     def _l(self, arr):
         return self._ffi.cast("long long *", arr.ctypes.data)
 
-    def drive(self, af, codes, arg0, arg1, mats):
+    def sq(self, af, b, u):
         # af is the planar float view of the chunk; its dtype selects the
-        # single- or double-precision compiled driver (mats matches it).
+        # single- or double-precision loop (u matches it).
         if af.dtype == np.float32:
-            self._lib.qk_drive_f(
-                self._f(af), af.shape[0] >> 1,
-                self._l(codes), self._l(arg0), self._l(arg1),
-                self._f(mats), codes.shape[0],
-            )
+            self._lib.qk_sq_f(self._f(af), af.shape[0] >> 1, b, self._f(u))
             return
-        self._lib.qk_drive(
-            self._d(af), af.shape[0] >> 1,
-            self._l(codes), self._l(arg0), self._l(arg1),
-            self._d(mats), codes.shape[0],
-        )
+        self._lib.qk_sq(self._d(af), af.shape[0] >> 1, b, self._d(u))
 
     def phase(self, outf, n_live, lvl, kind, pa, pb, nzm, vals, sr, si):
         self._lib.qk_phase(
@@ -701,38 +387,25 @@ def _load_cffi():
 
 
 def _self_check(provider) -> str | None:
-    """Verify a native provider bit-for-bit against the reference driver.
+    """Verify a native provider bit-for-bit against the references.
 
-    Runs every opcode and both phase-part kinds on random data and
-    compares raw float64 bits.  A provider that cannot reproduce the
-    planar tree exactly (an over-eager optimizer, an FMA-contracting
-    toolchain) is demoted to the numpy fallback rather than trusted.
+    Runs the strided pass at every stride of a small chunk in both
+    precisions and the phase fill with both part kinds on random data,
+    comparing raw bits.  A provider that cannot reproduce the planar
+    tree exactly (an over-eager optimizer, an FMA-contracting
+    toolchain) is demoted to numpy rather than trusted.
     """
     rng = np.random.default_rng(20260808)
     n = 64
-    chunk = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ref = chunk.copy()
-    codes = np.array([0, 1, 2, 3, 4, 5], dtype=np.int64)
-    arg0 = np.array([2, 1, 0b1, 0b1, 1, 0b10], dtype=np.int64)
-    arg1 = np.array([0, 0, 2, 3, 0, 1], dtype=np.int64)
-    mats = rng.standard_normal((6, 8))
-    _drive_py(ref.view(np.float64), codes, arg0, arg1, mats)
-    provider.drive(chunk.view(np.float64), codes, arg0, arg1, mats)
-    if not np.array_equal(
-        chunk.view(np.float64), ref.view(np.float64), equal_nan=True
-    ):
-        return "driver output is not bit-identical to the reference"
-    chunk4 = (
-        rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ).astype(np.complex64)
-    ref4 = chunk4.copy()
-    mats4 = mats.astype(np.float32)
-    _drive_py(ref4.view(np.float32), codes, arg0, arg1, mats4)
-    provider.drive(chunk4.view(np.float32), codes, arg0, arg1, mats4)
-    if not np.array_equal(
-        chunk4.view(np.float32), ref4.view(np.float32), equal_nan=True
-    ):
-        return "float32 driver output is not bit-identical to the reference"
+    for f in (np.float64, np.float32):
+        chunk = rng.standard_normal(2 * n).astype(f)
+        ref = chunk.copy()
+        for b in range(n.bit_length() - 1):
+            u = rng.standard_normal(8).astype(f)
+            _sq_py(ref, b, u)
+            provider.sq(chunk, b, u)
+        if not np.array_equal(chunk, ref, equal_nan=True):
+            return f"{np.dtype(f).name} strided pass is not bit-identical to the reference"
     n_live = 3
     lvl = np.array([0, 1, 2], dtype=np.int64)
     kind = np.array([1, 2, 1], dtype=np.int64)
@@ -805,17 +478,19 @@ class KernelDispatch:
     """Per-engine kernel selection, counters and native entry points.
 
     Modes: ``"numpy"`` never goes native; ``"jit"`` always dispatches
-    native when a provider exists (and counts a numpy fallback when it
-    doesn't); ``"auto"`` goes native only at or above the break-even
-    size ``jit_min_amps``.  A backend built with ``kernels=None``
-    (the default) reads ``REPRO_QMPI_KERNELS`` before settling on
-    ``"auto"``, which is how the CI jit leg runs the whole tier-1
-    suite natively without touching call sites.
+    native when a provider exists; ``"auto"`` goes native only at or
+    above the break-even size ``jit_min_amps``.  A backend built with
+    ``kernels=None`` (the default) reads ``REPRO_QMPI_KERNELS`` before
+    settling on ``"auto"``, which is how the CI jit leg runs the whole
+    tier-1 suite natively without touching call sites.
 
-    Every arm of every kernel — native or numpy — evaluates the same
-    planar float64 expression tree (module docstring), so mode choice
-    is observable in the counters and the wall clock, never in the
-    amplitudes.
+    The mode decides exactly two things: whether a non-diagonal
+    :meth:`sq` pass goes through :meth:`drive`, and whether
+    :meth:`phase_fill` fills natively.  ``jit_hits`` counts those
+    native calls; ``numpy_fallbacks`` counts the same two kernels run
+    on their numpy twins.  The other kernels are numpy in every mode
+    and count neither.  Mode choice is observable in the counters and
+    the wall clock, never in the amplitudes.
     """
 
     __slots__ = (
@@ -826,14 +501,9 @@ class KernelDispatch:
         "_resolved",
         "_error",
         "_stage",
-        "_codes1",
-        "_arg0_1",
-        "_arg1_1",
-        "_mats1",
-        "_mats1_f4",
     )
 
-    def __init__(self, kernels: str | None = None, jit_min_amps: int | None = None):
+    def __init__(self, kernels: str | None = None):
         if kernels is None:
             kernels = os.environ.get("REPRO_QMPI_KERNELS") or "auto"
         if kernels not in _MODES:
@@ -841,9 +511,7 @@ class KernelDispatch:
                 f'kernels must be "auto", "numpy" or "jit", got {kernels!r}'
             )
         self.mode = kernels
-        self.jit_min_amps = (
-            JIT_MIN_AMPS_DEFAULT if jit_min_amps is None else int(jit_min_amps)
-        )
+        self.jit_min_amps = JIT_MIN_AMPS_DEFAULT
         self.counters = {
             "jit_hits": 0,
             "numpy_fallbacks": 0,
@@ -854,11 +522,6 @@ class KernelDispatch:
         self._resolved = kernels == "numpy"  # numpy mode never resolves
         self._error = None
         self._stage: np.ndarray | None = None  # contract()'s reused buffer
-        self._codes1 = np.empty(1, dtype=np.int64)
-        self._arg0_1 = np.empty(1, dtype=np.int64)
-        self._arg1_1 = np.empty(1, dtype=np.int64)
-        self._mats1 = np.empty((1, 8), dtype=np.float64)
-        self._mats1_f4 = np.empty((1, 8), dtype=np.float32)
 
     # -- selection ------------------------------------------------------
     def _ensure(self):
@@ -880,7 +543,7 @@ class KernelDispatch:
             self._ensure()
 
     def native(self, n_amps: int) -> bool:
-        """Would a kernel over ``n_amps`` amplitudes dispatch natively?"""
+        """Would a native kernel over ``n_amps`` amplitudes dispatch natively?"""
         if self.mode == "numpy":
             return False
         if self.mode == "auto" and n_amps < self.jit_min_amps:
@@ -898,113 +561,86 @@ class KernelDispatch:
         out["provider_error"] = self._error
         return out
 
-    # -- native entry points -------------------------------------------
-    def _flat(self, chunk):
-        """The planar float view matching the chunk's precision."""
-        f = np.float32 if chunk.dtype == np.complex64 else np.float64
-        return chunk.reshape(-1).view(f)
+    # -- kernels --------------------------------------------------------
+    @staticmethod
+    def _flat(arr):
+        """The planar float view of a C-contiguous complex array.
 
-    def drive(self, chunk, codes, arg0, arg1, mats_f) -> None:
-        """Walk one typed step block natively over ``chunk``.
-
-        ``mats_f`` is the planar float view of the per-step 2x2 table;
-        its precision must match the chunk's (the frozen-program build
-        sites round the matrices to the engine dtype exactly once).
+        The view shares the array's memory, so a native pass through it
+        writes the array itself; anything else is refused before a
+        pointer is taken.
         """
-        self._provider.drive(self._flat(chunk), codes, arg0, arg1, mats_f)
+        if arr.dtype not in (np.complex64, np.complex128) or not arr.flags.c_contiguous:
+            raise ValueError(
+                f"native kernels need a C-contiguous complex64/complex128 array, "
+                f"got {arr.dtype} (contiguous={arr.flags.c_contiguous})"
+            )
+        f = np.float32 if arr.dtype == np.complex64 else np.float64
+        return arr.reshape(-1).view(f)
+
+    def drive(self, chunk, u, b: int) -> None:
+        """One native strided 2x2 pass over local bit ``b`` of ``chunk``.
+
+        ``u`` is a C-contiguous 2x2 already in the chunk's dtype (what
+        :meth:`sq` hands over), read as 8 planar floats.
+        """
+        self._provider.sq(self._flat(chunk), b, self._flat(u))
         self.counters["jit_hits"] += 1
 
-    def _one(self, chunk, code, a0, a1, u00, u01, u10, u11) -> None:
-        self._codes1[0] = code
-        self._arg0_1[0] = a0
-        self._arg1_1[0] = a1
-        # The callers pre-round u/f to the chunk's precision, so filling
-        # the float32 scratch from them is exact (no second rounding).
-        m = self._mats1_f4 if chunk.dtype == np.complex64 else self._mats1
-        m[0, 0] = u00.real
-        m[0, 1] = u00.imag
-        m[0, 2] = u01.real
-        m[0, 3] = u01.imag
-        m[0, 4] = u10.real
-        m[0, 5] = u10.imag
-        m[0, 6] = u11.real
-        m[0, 7] = u11.imag
-        self._provider.drive(
-            self._flat(chunk), self._codes1, self._arg0_1, self._arg1_1, m
-        )
-        self.counters["jit_hits"] += 1
-
-    # -- dispatched kernels --------------------------------------------
     def sq(self, chunk, u, b: int, diag: bool) -> None:
-        """Local-axis single-qubit pass (the "sq"/"sf"/"sd" kernel)."""
-        u = np.asarray(u, dtype=chunk.dtype)  # no-op for complex128
-        if self.native(chunk.size):
-            code = OP_SQ_DIAG if diag else OP_SQ_FULL
-            self._one(chunk, code, b, 0, u[0, 0], u[0, 1], u[1, 0], u[1, 1])
-            return
-        self.counters["numpy_fallbacks"] += 1
+        """Local-axis single-qubit pass (a ``"sq"`` entry on bit ``b``).
+
+        A non-diagonal ``u`` goes native through :meth:`drive` when
+        :meth:`native` allows, else through the planar numpy twin; a
+        diagonal one is two guarded in-place scales.  The chunk may
+        carry leading shot-branch rows.
+        """
+        u = np.ascontiguousarray(u, dtype=chunk.dtype)  # round once (complex64)
         v = chunk.reshape(-1, 2, 1 << b)
         if diag:
-            sq_diag_view(v, u)
+            if u[0, 0] != 1.0:
+                v[:, 0, :] *= u[0, 0]
+            if u[1, 1] != 1.0:
+                v[:, 1, :] *= u[1, 1]
+        elif self.native(chunk.size):
+            self.drive(chunk, u, b)
         else:
+            self.counters["numpy_fallbacks"] += 1
             sq_full_view(v, u)
 
     def scale(self, chunk, f) -> None:
         """Whole-chunk scale (shard-axis diagonal / scalar csel entry)."""
         f = complex(f)
-        if chunk.dtype == np.complex64:
-            f = complex(np.complex64(f))  # round once; exact thereafter
-        if f == 1.0:
-            return
-        if self.native(chunk.size):
-            self._one(chunk, OP_SCALE, 0, 0, f, 0j, 0j, f)
-            return
-        self.counters["numpy_fallbacks"] += 1
-        imul(chunk.reshape(-1), f)
+        if f != 1.0:
+            chunk *= f
 
     def cc(self, chunk, u, local_controls, t_bit: int, nl: int, diag: bool) -> None:
-        """Locally-targeted controlled 2x2 (the "cc"/"cf"/"cd" kernel)."""
-        u = np.asarray(u, dtype=chunk.dtype)  # no-op for complex128
-        if self.native(chunk.size):
-            lmask = 0
-            for b in local_controls:
-                lmask |= 1 << b
-            code = OP_CC_DIAG if diag else OP_CC_FULL
-            self._one(chunk, code, lmask, t_bit, u[0, 0], u[0, 1], u[1, 0], u[1, 1])
-            return
-        self.counters["numpy_fallbacks"] += 1
+        """Locally-targeted controlled 2x2 on the all-ones control slice."""
+        u = np.asarray(u, dtype=chunk.dtype)
         view = chunk.reshape((-1,) + (2,) * nl)
-        idx0 = [slice(None)] * (nl + 1)
-        for b in local_controls:
-            idx0[1 + nl - 1 - b] = 1
+        idx0 = _control_index(local_controls, nl)
         idx1 = list(idx0)
-        ax = 1 + nl - 1 - t_bit
-        idx0[ax] = 0
-        idx1[ax] = 1
+        idx0[nl - t_bit] = 0
+        idx1[nl - t_bit] = 1
+        idx0, idx1 = tuple(idx0), tuple(idx1)
         if diag:
-            cc_diag_view(view, tuple(idx0), tuple(idx1), u)
-        else:
-            cc_full_view(view, tuple(idx0), tuple(idx1), u)
+            if u[0, 0] != 1.0:
+                view[idx0] *= u[0, 0]
+            if u[1, 1] != 1.0:
+                view[idx1] *= u[1, 1]
+            return
+        a0 = view[idx0]
+        a1 = view[idx1]
+        new0 = u[0, 0] * a0 + u[0, 1] * a1
+        view[idx1] = u[1, 0] * a0 + u[1, 1] * a1
+        view[idx0] = new0
 
     def masked_scale(self, chunk, f, local_controls, nl: int) -> None:
         """Control-sliced scale (shard-axis-targeted "cc" diagonal)."""
         f = complex(f)
-        if chunk.dtype == np.complex64:
-            f = complex(np.complex64(f))  # round once; exact thereafter
-        if f == 1.0:
-            return
-        if self.native(chunk.size):
-            lmask = 0
-            for b in local_controls:
-                lmask |= 1 << b
-            self._one(chunk, OP_MASK_SCALE, lmask, 0, f, 0j, 0j, f)
-            return
-        self.counters["numpy_fallbacks"] += 1
-        view = chunk.reshape((-1,) + (2,) * nl)
-        idx = [slice(None)] * (nl + 1)
-        for b in local_controls:
-            idx[1 + nl - 1 - b] = 1
-        imul(view[tuple(idx)], f)
+        if f != 1.0:
+            view = chunk.reshape((-1,) + (2,) * nl)
+            view[tuple(_control_index(local_controls, nl))] *= f
 
     def contract(self, chunk, u, bits, nl: int) -> None:
         """Contract a ``2^k x 2^k`` window unitary into ``chunk``, in place.

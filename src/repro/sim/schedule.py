@@ -109,12 +109,6 @@ class CostModel:
     wide_window: int = 4
     #: Default window bound (:data:`repro.sim.plan.MAX_WINDOW`).
     base_window: int = MAX_WINDOW
-    #: Break-even chunk size (amplitudes) for the native kernel
-    #: dispatch: ``kernels="auto"`` stays on the planar numpy fallback
-    #: below it, where per-call staging overhead beats the single-pass
-    #: win (calibrated by ``benchmarks/bench_kernels.py``; mirrored by
-    #: :data:`repro.sim.kernels.JIT_MIN_AMPS_DEFAULT`).
-    jit_min_amps: int = 4096
 
     def plan_window(self, n_qubits: int) -> int:
         """Window bound for contraction planning at this register size.

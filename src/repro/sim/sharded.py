@@ -68,11 +68,9 @@ import numpy as np
 
 from ..mpi.fabric import Fabric
 from . import gates as G
-from . import kernels as _K
 from .diag import DiagBatch, signature_vectors
 from .kernels import KernelDispatch
 from .schedule import (
-    DEFAULT_COST_MODEL,
     DiagSegment,
     KernelRun,
     PlanSegment,
@@ -112,42 +110,6 @@ def _apply_generic(chunk, entry, nl: int, ci: int, kd: KernelDispatch) -> None:
         kd.contract(chunk, u, lo_bits, nl)
 
 
-def _pack_native(seq):
-    """Pack one chunk's raw freeze items into typed step blocks.
-
-    ``seq`` holds ``("s", code, arg0, arg1, seg, i)`` native-able steps
-    and ``("p", step)`` python steps.  Maximal native runs become
-    ``("blk", codes, arg0, arg1, refs)`` with int64 step arrays — one
-    ``KernelDispatch.drive`` call each — while the matrices stay as
-    ``(seg, i)`` refs re-read at execution so cache rebinding flows
-    through.
-    """
-    out = []
-    buf: list = []
-
-    def flush():
-        if buf:
-            out.append(
-                (
-                    "blk",
-                    np.array([b[0] for b in buf], dtype=np.int64),
-                    np.array([b[1] for b in buf], dtype=np.int64),
-                    np.array([b[2] for b in buf], dtype=np.int64),
-                    tuple((b[3], b[4]) for b in buf),
-                )
-            )
-            buf.clear()
-
-    for item in seq:
-        if item[0] == "s":
-            buf.append(item[1:])
-        else:
-            flush()
-            out.append(("py", item[1]))
-    flush()
-    return tuple(out)
-
-
 class ShardedStateVector:
     """A dynamically sized state-vector simulator sharded into chunks.
 
@@ -161,13 +123,13 @@ class ShardedStateVector:
         Number of chunks the amplitudes are distributed over; must be a
         power of two. ``n_shards=1`` degenerates to a single flat array.
     kernels:
-        Kernel dispatch mode — ``"auto"`` (native kernels at or above
-        the :class:`~repro.sim.schedule.CostModel` break-even size
-        ``jit_min_amps``), ``"numpy"`` (pure-numpy always), ``"jit"``
-        (native whenever a provider is importable).  ``None`` reads
-        ``REPRO_QMPI_KERNELS`` before defaulting to ``"auto"``.  All
-        modes produce bit-identical amplitudes (see
-        :mod:`repro.sim.kernels`).
+        Kernel dispatch mode — ``"auto"`` (the native strided pass and
+        phase fill at or above
+        :data:`~repro.sim.kernels.JIT_MIN_AMPS_DEFAULT` amplitudes),
+        ``"numpy"`` (pure-numpy always), ``"jit"`` (native whenever a
+        provider is importable).  ``None`` reads ``REPRO_QMPI_KERNELS``
+        before defaulting to ``"auto"``.  All modes produce
+        bit-identical amplitudes (see :mod:`repro.sim.kernels`).
     dtype:
         Amplitude precision: ``"complex128"`` (default) or
         ``"complex64"`` (half the memory/bandwidth at float32
@@ -237,9 +199,7 @@ class ShardedStateVector:
         # None = the REPRO_QMPI_KERNELS environment default.  Amplitudes
         # are bit-identical in every mode; only the counters and the
         # wall clock move.
-        self._kernels = KernelDispatch(
-            kernels, jit_min_amps=DEFAULT_COST_MODEL.jit_min_amps
-        )
+        self._kernels = KernelDispatch(kernels)
         self._fabric = Fabric(n_shards)
         self._tags = itertools.count()
         # Zero qubits == one chunk holding the single amplitude 1.
@@ -670,9 +630,9 @@ class ShardedStateVector:
         Precomputes the stretch grouping (:func:`iter_stretches`), the
         run/diag fold boundaries, and — per kernel-run fold — one
         specialized step list **per chunk** (:meth:`_freeze_run`): every
-        per-entry per-chunk branch (kind dispatch, shard-axis factor
-        selection, control-mask participation, index-tuple
-        construction) is decided once here.  Steps reference the live
+        per-entry per-chunk branch (which dispatch call, shard-axis
+        factor selection, control-mask participation) is decided once
+        here.  Steps reference the live
         segment objects and re-read their entries on every execution,
         so the cache's in-place parameter rebinding flows through.
         """
@@ -702,26 +662,27 @@ class ShardedStateVector:
 
     @staticmethod
     def _freeze_run(segs, nl, n_chunks):
-        """Specialize a kernel-run fold into per-chunk replay programs.
+        """Specialize a kernel-run fold into one step list per chunk.
 
-        Each entry becomes, per chunk, one precomputed step — or no step
-        at all for a chunk whose shard-axis control bits rule it out.
-        Only ``(seg, i)`` references are stored for the matrices, which
+        Each entry becomes, per chunk, one step naming the
+        :class:`~repro.sim.kernels.KernelDispatch` call it makes and
+        holding that call's arguments in call order — or no step at all
+        for a chunk whose shard-axis control bits rule it out:
+
+        * ``("sq", seg, i, b, diag)`` -> ``kd.sq``;
+        * ``("cc", seg, i, local_controls, t_bit, nl, diag)`` -> ``kd.cc``;
+        * ``("ss", seg, i, sel)`` -> ``kd.scale`` by the entry's diagonal
+          element ``sel`` (a shard-axis ``sq`` target: its bit is fixed
+          per chunk);
+        * ``("cs", seg, i, sel, local_controls, nl)`` ->
+          ``kd.masked_scale`` (a shard-axis ``cc`` target);
+        * ``("g", seg, i)`` -> :func:`_apply_generic` for ``ct``/``csel``
+          entries (``i`` is None for a :class:`PlanSegment`).
+
+        Steps hold ``(seg, i)`` references rather than matrices, which
         rebinding replaces inside the live segments.
-
-        Returns ``(per_chunk, native)``: the tagged python step lists
-        (the planar-numpy arm); per chunk, the same program packed into
-        contiguous typed step arrays — maximal ``("blk", codes, arg0,
-        arg1, refs)`` runs of :mod:`repro.sim.kernels` opcodes that one
-        native ``drive`` call walks per chunk, broken by ``("py",
-        step)`` items for the generic ``ct``/``csel`` entries
-        (:func:`_apply_generic`, one BLAS routine in every mode).  Which
-        arm executes is decided per chunk per flush by the engine's
-        dispatch; both arms replay the identical planar expression tree.
         """
         per_chunk: list[list] = [[] for _ in range(n_chunks)]
-        raw_native: list[list] = [[] for _ in range(n_chunks)]
-        vshape = (-1,) + (2,) * nl
         for seg in segs:
             if isinstance(seg, KernelRun):
                 sources = [(seg, i, e) for i, e in enumerate(seg.entries)]
@@ -731,157 +692,50 @@ class ShardedStateVector:
                 kind = e[0]
                 if kind == "sq":
                     b, diag = e[2], e[3]
-                    if b >= nl:
-                        sh = b - nl
-                        for ci in range(n_chunks):
-                            sel = (ci >> sh) & 1
-                            per_chunk[ci].append(("ss", src, i, sel))
-                            raw_native[ci].append(
-                                ("s", _K.OP_SCALE, sel, 0, src, i)
-                            )
-                    else:
-                        shp = (-1, 2, 1 << b)
-                        tag = "sd" if diag else "sf"
-                        code = _K.OP_SQ_DIAG if diag else _K.OP_SQ_FULL
-                        for ci in range(n_chunks):
-                            per_chunk[ci].append((tag, src, i, shp))
-                            raw_native[ci].append(("s", code, b, 0, src, i))
+                    for ci in range(n_chunks):
+                        if b < nl:
+                            step = ("sq", src, i, b, diag)
+                        else:
+                            step = ("ss", src, i, (ci >> (b - nl)) & 1)
+                        per_chunk[ci].append(step)
                 elif kind == "cc":
                     cmask, local_controls, t_bit, diag = e[2], e[3], e[4], e[5]
-                    base: list = [slice(None)] * (nl + 1)
-                    lmask = 0
-                    for b in local_controls:
-                        base[1 + nl - 1 - b] = 1
-                        lmask |= 1 << b
-                    if t_bit >= nl:
-                        idx = tuple(base)
-                        sh = t_bit - nl
-                        for ci in range(n_chunks):
-                            if (ci & cmask) != cmask:
-                                continue
-                            sel = (ci >> sh) & 1
-                            per_chunk[ci].append(
-                                ("cs", src, i, vshape, idx, sel)
-                            )
-                            raw_native[ci].append(
-                                ("s", _K.OP_MASK_SCALE, lmask, sel, src, i)
-                            )
-                    else:
-                        ax = 1 + nl - 1 - t_bit
-                        idx0 = list(base)
-                        idx0[ax] = 0
-                        idx1 = list(base)
-                        idx1[ax] = 1
-                        step = (
-                            "cd" if diag else "cf",
-                            src,
-                            i,
-                            vshape,
-                            tuple(idx0),
-                            tuple(idx1),
-                        )
-                        code = _K.OP_CC_DIAG if diag else _K.OP_CC_FULL
-                        for ci in range(n_chunks):
-                            if (ci & cmask) != cmask:
-                                continue
-                            per_chunk[ci].append(step)
-                            raw_native[ci].append(
-                                ("s", code, lmask, t_bit, src, i)
-                            )
-                elif i is None:  # PlanSegment "ct"/"csel": generic entry
                     for ci in range(n_chunks):
-                        per_chunk[ci].append(("gp", src))
-                        raw_native[ci].append(("p", ("gp", src)))
-                else:  # KernelRun "ct"/"csel": generic entry
+                        if (ci & cmask) != cmask:
+                            continue
+                        if t_bit < nl:
+                            step = ("cc", src, i, local_controls, t_bit, nl, diag)
+                        else:
+                            sel = (ci >> (t_bit - nl)) & 1
+                            step = ("cs", src, i, sel, local_controls, nl)
+                        per_chunk[ci].append(step)
+                else:  # "ct"/"csel": generic entry
                     for ci in range(n_chunks):
                         per_chunk[ci].append(("g", src, i))
-                        raw_native[ci].append(("p", ("g", src, i)))
-        native = tuple(_pack_native(seq) for seq in raw_native)
-        return tuple(tuple(s) for s in per_chunk), native
+        return tuple(tuple(s) for s in per_chunk)
 
-    def _exec_frozen_chunk(self, frozen, nl, ci, chunk) -> None:
+    def _exec_frozen_chunk(self, steps, nl, ci, chunk) -> None:
         """Replay one chunk's frozen kernel-fold program.
 
-        When the engine's dispatch goes native for the chunk, the typed
-        step blocks are walked by one compiled ``drive`` call each
-        (matrices re-filled from the live ``(seg, i)`` refs, so cache
-        rebinding flows through); otherwise each tagged python step
-        replays the same planar expression tree through the
-        :mod:`repro.sim.kernels` numpy helpers.  The two arms are
-        bit-identical by the planar kernel contract; scalars and
-        matrices are rounded to the chunk dtype exactly once here (the
-        rounding boundary) in both arms.
+        One loop over the chunk's steps (:meth:`_freeze_run`), each a
+        single :class:`~repro.sim.kernels.KernelDispatch` call on the
+        entry re-read from its live segment, so cache rebinding flows
+        through.  The dispatch decides native vs numpy per call and owns
+        the counters and the rounding to the chunk's dtype.
         """
-        per_chunk, native = frozen
         kd = self._kernels
-        c64 = chunk.dtype == np.complex64
-        if kd.native(chunk.size):
-            for item in native[ci]:
-                if item[0] == "blk":
-                    _, codes, arg0, arg1, refs = item
-                    mats = np.empty((len(refs), 4), dtype=chunk.dtype)
-                    for j, (src, i) in enumerate(refs):
-                        u = src.entries[i][1]
-                        mats[j, 0] = u[0, 0]
-                        mats[j, 1] = u[0, 1]
-                        mats[j, 2] = u[1, 0]
-                        mats[j, 3] = u[1, 1]
-                    kd.drive(
-                        chunk,
-                        codes,
-                        arg0,
-                        arg1,
-                        mats.view(np.float32 if c64 else np.float64),
-                    )
-                else:  # ("py", step): generic ct/csel entry
-                    st = item[1]
-                    if st[0] == "g":
-                        _apply_generic(chunk, st[1].entries[st[2]], nl, ci, kd)
-                    else:
-                        _apply_generic(chunk, st[1].entry, nl, ci, kd)
-            return
-        counters = kd.counters
-        for st in per_chunk[ci]:
-            tag = st[0]
-            if tag == "sf":
-                counters["numpy_fallbacks"] += 1
-                _K.sq_full_view(chunk.reshape(st[3]), st[1].entries[st[2]][1])
-            elif tag == "sd":
-                counters["numpy_fallbacks"] += 1
-                _K.sq_diag_view(chunk.reshape(st[3]), st[1].entries[st[2]][1])
-            elif tag == "cf":
-                counters["numpy_fallbacks"] += 1
-                _K.cc_full_view(
-                    chunk.reshape(st[3]), st[4], st[5], st[1].entries[st[2]][1]
-                )
-            elif tag == "cd":
-                counters["numpy_fallbacks"] += 1
-                _K.cc_diag_view(
-                    chunk.reshape(st[3]), st[4], st[5], st[1].entries[st[2]][1]
-                )
+        for tag, src, i, *args in steps[ci]:
+            entry = src.entry if i is None else src.entries[i]
+            if tag == "sq":
+                kd.sq(chunk, entry[1], *args)
+            elif tag == "cc":
+                kd.cc(chunk, entry[1], *args)
             elif tag == "ss":
-                counters["numpy_fallbacks"] += 1
-                u = st[1].entries[st[2]][1]
-                f = u[st[3], st[3]]
-                if c64:
-                    # Round once, like the native arm's mats staging
-                    # (multiplying by an exactly-1.0 rounded factor is
-                    # the identity, so the skip guard cannot diverge).
-                    f = complex(np.complex64(f))
-                if f != 1.0:
-                    _K.imul(chunk, f)
+                kd.scale(chunk, entry[1][args[0], args[0]])
             elif tag == "cs":
-                counters["numpy_fallbacks"] += 1
-                u = st[1].entries[st[2]][1]
-                f = u[st[5], st[5]]
-                if c64:
-                    f = complex(np.complex64(f))
-                if f != 1.0:
-                    _K.imul(chunk.reshape(st[3])[st[4]], f)
-            elif tag == "g":
-                _apply_generic(chunk, st[1].entries[st[2]], nl, ci, kd)
-            else:  # "gp"
-                _apply_generic(chunk, st[1].entry, nl, ci, kd)
+                kd.masked_scale(chunk, entry[1][args[0], args[0]], *args[1:])
+            else:  # "g"
+                _apply_generic(chunk, entry, nl, ci, kd)
 
     def execute_frozen(self, program) -> None:
         """Execute a frozen program: the engine's only gate-batch path."""
@@ -1467,11 +1321,8 @@ class ShardedStateVector:
     def copy(self) -> "ShardedStateVector":
         """Deep copy (shares no state, including a cloned RNG)."""
         out = ShardedStateVector.__new__(ShardedStateVector)
-        # Same mode/threshold, fresh counters: the copy's kernel hits
-        # are its own.
-        out._kernels = KernelDispatch(
-            self._kernels.mode, jit_min_amps=self._kernels.jit_min_amps
-        )
+        # Same mode, fresh counters: the copy's kernel hits are its own.
+        out._kernels = KernelDispatch(self._kernels.mode)
         out.n_shards = self.n_shards
         out._fabric = Fabric(self.n_shards)
         out._tags = itertools.count()

@@ -37,7 +37,7 @@ import numpy as np
 from . import gates as G
 from .diag import DiagBatch, chunk_phase
 from .kernels import KernelDispatch
-from .schedule import DEFAULT_COST_MODEL, DiagSegment, KernelRun, compile_segments
+from .schedule import DiagSegment, KernelRun, compile_segments
 from .shots import ShotBits, branch_mask, fork_outcomes
 
 __all__ = ["StateVector", "SimulationError"]
@@ -95,9 +95,7 @@ class StateVector:
         kernels: str | None = None,
         dtype: str | None = None,
     ):
-        self._kernels = KernelDispatch(
-            kernels, jit_min_amps=DEFAULT_COST_MODEL.jit_min_amps
-        )
+        self._kernels = KernelDispatch(kernels)
         if dtype is None:
             dtype = os.environ.get("REPRO_QMPI_DTYPE") or "complex128"
         if str(dtype) not in ("complex64", "complex128"):
@@ -824,11 +822,8 @@ class StateVector:
     def copy(self) -> "StateVector":
         """Deep copy (shares no state, including a cloned RNG)."""
         out = StateVector.__new__(StateVector)
-        # Same mode/threshold, fresh counters: the copy's kernel hits
-        # are its own.
-        out._kernels = KernelDispatch(
-            self._kernels.mode, jit_min_amps=self._kernels.jit_min_amps
-        )
+        # Same mode, fresh counters: the copy's kernel hits are its own.
+        out._kernels = KernelDispatch(self._kernels.mode)
         out._dtype = self._dtype
         out._zero_atol = self._zero_atol
         out._norm_eps = self._norm_eps

@@ -12,7 +12,7 @@ matrix several times over.
 
 A second sweep runs the corpus ``kernels="jit"`` vs ``kernels="numpy"``
 on top of the same configuration cycle (including cache on/off, so
-frozen-replay native blocks are fuzzed too) under the identical
+the native strided passes of frozen replay are fuzzed too) under the identical
 bit-equality bar — the acceptance contract of
 :mod:`repro.sim.kernels`.  When no native provider resolves in the
 environment (no cffi, no C toolchain, or ``REPRO_QMPI_DISABLE_JIT``)
@@ -270,8 +270,8 @@ def test_fuzz_kernels_jit_vs_numpy_bit_identical():
 
     ``kernels="jit"`` dispatches native unconditionally (no break-even
     gate), so even these small fuzz circuits exercise the compiled
-    driver; cycling ``cache`` alongside fuzzes the frozen-replay
-    native blocks as well as the interpreter path.
+    strided pass and phase fill; cycling ``cache`` alongside fuzzes
+    warm frozen replay as well as cold freeze-and-run.
     """
     _require_provider()
     caches = ("on", "off")

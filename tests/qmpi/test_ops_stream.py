@@ -242,7 +242,7 @@ def test_folded_and_unfolded_sandwiches_match_the_dense_oracle(backend):
         states[fusion] = world.backend.statevector(q)
     want = run(n, gates)
     for fusion, got in states.items():
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=fusion)
+        np.testing.assert_allclose(got, want, rtol=0, atol=STATE_ATOL, err_msg=fusion)
 
 
 @pytest.mark.parametrize("fusion", ["auto", "nodiag"])
@@ -276,7 +276,7 @@ def test_lone_rzz_flush_never_exchanges_on_the_sharded_engine(monkeypatch, fusio
         parity = ((idx >> (3 - a)) ^ (idx >> (3 - b))) & 1
         phase *= np.exp(-0.5j * theta * (1 - 2 * parity))
     assert calls == []
-    np.testing.assert_allclose(be.statevector(q), phase * before, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(be.statevector(q), phase * before, rtol=0, atol=STATE_ATOL)
 
 
 @pytest.mark.parametrize("backend", ["shared", "sharded:4"])

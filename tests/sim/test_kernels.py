@@ -1,11 +1,13 @@
-"""White-box tests of the native kernel layer (:mod:`repro.sim.kernels`).
+"""White-box tests of the kernel layer (:mod:`repro.sim.kernels`).
 
-Covers the reference driver against the vectorized numpy fallbacks
-(bitwise, provider-free — this is the executable contract), the
-dispatch mode/break-even/env-knob resolution, counter accuracy, the
-provider self-check demotion, and — when a native provider resolves in
-this environment — bit-identity of every dispatched kernel and of
-whole-engine runs between ``kernels="jit"`` and ``kernels="numpy"``.
+Covers the two native kernels' references against their planar numpy
+twins (bitwise, provider-free — this is the executable contract), the
+numpy-only arms against ``tests/_dense_oracle.py``, the dispatch
+mode/break-even/env-knob resolution, counter accuracy, the provider
+self-check demotion, and — when a native provider resolves in this
+environment — bit-identity of the native strided pass and phase fill
+and of whole-engine runs between ``kernels="jit"`` and
+``kernels="numpy"``.
 """
 
 import itertools
@@ -25,6 +27,8 @@ from repro.sim.kernels import (
     reset_provider_cache,
 )
 from tests._dense_oracle import embed
+
+DTYPES = [np.complex128, np.complex64]
 
 
 @pytest.fixture
@@ -47,141 +51,73 @@ def _diag_u(rng):
     return np.diag(d)
 
 
-def _mats(*us):
-    m = np.empty((len(us), 4), dtype=np.complex128)
-    for i, u in enumerate(us):
-        m[i, 0], m[i, 1], m[i, 2], m[i, 3] = u[0, 0], u[0, 1], u[1, 0], u[1, 1]
-    return m.view(np.float64)
-
-
 def _bits_equal(a, b):
-    return np.array_equal(a.view(np.float64), b.view(np.float64), equal_nan=True)
+    return a.dtype == b.dtype and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint8), np.ascontiguousarray(b).view(np.uint8)
+    )
 
 
-def _drive_ref(chunk, codes, arg0, arg1, mats):
+def _sq_ref(chunk, b, u):
+    """``_sq_py`` on a copy, with ``u`` rounded to the chunk's dtype once."""
     out = chunk.copy()
-    K._drive_py(
-        out.reshape(-1).view(np.float64),
-        np.asarray(codes, dtype=np.int64),
-        np.asarray(arg0, dtype=np.int64),
-        np.asarray(arg1, dtype=np.int64),
-        mats,
+    K._sq_py(
+        KernelDispatch._flat(out),
+        b,
+        KernelDispatch._flat(np.ascontiguousarray(u, dtype=chunk.dtype)),
     )
     return out
 
 
+def _dense(chunk, u, bits, nl):
+    """``u`` kron-embedded over the chunk's bits, row by shot-branch row."""
+    full = embed(u, [nl - 1 - b for b in bits], nl)
+    return (chunk.reshape(-1, 1 << nl).astype(np.complex128) @ full.T).reshape(-1)
+
+
+def _controlled(u, n_controls):
+    """``u`` on the target, conditioned on all (leading) controls = 1."""
+    out = np.eye(2 << n_controls, dtype=complex)
+    out[-2:, -2:] = u
+    return out
+
+
 # ----------------------------------------------------------------------
-# reference driver vs the vectorized numpy fallback arms (no provider)
+# references vs the planar numpy twins (no provider)
 # ----------------------------------------------------------------------
 class TestReferenceVsNumpyArms:
-    """Each opcode's scalar spec matches the planar numpy arm bit-for-bit."""
+    """The strided pass and phase fill specs match their numpy twins."""
 
     NL = 6
 
     def test_sq_full_all_strides(self):
         rng = np.random.default_rng(1)
-        kd = KernelDispatch("numpy")
-        for b in range(self.NL):
-            chunk = _rand_chunk(rng, 1 << self.NL)
-            u = _rand_u(rng)
-            ref = _drive_ref(chunk, [K.OP_SQ_FULL], [b], [0], _mats(u))
-            got = chunk.copy()
-            kd.sq(got, u, b, diag=False)
-            assert _bits_equal(got, ref), f"stride bit {b}"
-        assert kd.counters["numpy_fallbacks"] == self.NL
-        assert kd.counters["jit_hits"] == 0
-
-    def test_sq_diag(self):
-        rng = np.random.default_rng(2)
-        kd = KernelDispatch("numpy")
-        for u in (_diag_u(rng), np.diag([1.0, 1j]), np.diag([-1j, 1.0])):
-            chunk = _rand_chunk(rng, 1 << self.NL)
-            ref = _drive_ref(chunk, [K.OP_SQ_DIAG], [2], [0], _mats(u))
-            got = chunk.copy()
-            kd.sq(got, np.asarray(u, dtype=np.complex128), 2, diag=True)
-            assert _bits_equal(got, ref)
-
-    def test_cc_full_and_diag(self):
-        rng = np.random.default_rng(3)
-        kd = KernelDispatch("numpy")
-        controls, t_bit = (1, 3), 0
-        lmask = 0b1010
-        chunk = _rand_chunk(rng, 1 << self.NL)
-        u = _rand_u(rng)
-        ref = _drive_ref(chunk, [K.OP_CC_FULL], [lmask], [t_bit], _mats(u))
-        got = chunk.copy()
-        kd.cc(got, u, controls, t_bit, self.NL, diag=False)
-        assert _bits_equal(got, ref)
-        ud = _diag_u(rng)
-        ref = _drive_ref(chunk, [K.OP_CC_DIAG], [lmask], [t_bit], _mats(ud))
-        got = chunk.copy()
-        kd.cc(got, ud, controls, t_bit, self.NL, diag=True)
-        assert _bits_equal(got, ref)
-
-    def test_scale_both_diagonal_entries(self):
-        rng = np.random.default_rng(4)
-        kd = KernelDispatch("numpy")
-        chunk = _rand_chunk(rng, 1 << self.NL)
-        f = complex(0.3, -0.8)
-        u = np.diag([f, 2 * f])
-        for sel in (0, 1):
-            ref = _drive_ref(chunk, [K.OP_SCALE], [sel], [0], _mats(u))
-            got = chunk.copy()
-            kd.scale(got, u[sel, sel])
-            assert _bits_equal(got, ref)
-
-    def test_scale_identity_is_free(self):
-        kd = KernelDispatch("numpy")
-        chunk = _rand_chunk(np.random.default_rng(5), 8)
-        before = dict(kd.counters)
-        kd.scale(chunk, 1.0 + 0j)
-        assert kd.counters == before  # guard short-circuits, no counter
-
-    def test_masked_scale(self):
-        rng = np.random.default_rng(6)
-        kd = KernelDispatch("numpy")
-        controls = (0, 2)
-        lmask = 0b101
-        chunk = _rand_chunk(rng, 1 << self.NL)
-        f = complex(-0.2, 0.9)
-        ref = _drive_ref(
-            chunk, [K.OP_MASK_SCALE], [lmask], [0], _mats(np.diag([f, f]))
-        )
-        got = chunk.copy()
-        kd.masked_scale(got, f, controls, self.NL)
-        assert _bits_equal(got, ref)
-
-    def test_multi_step_block(self):
-        """A packed block equals the same steps dispatched one by one."""
-        rng = np.random.default_rng(7)
-        kd = KernelDispatch("numpy")
-        chunk = _rand_chunk(rng, 1 << self.NL)
-        u1, u2, ud = _rand_u(rng), _rand_u(rng), _diag_u(rng)
-        ref = _drive_ref(
-            chunk,
-            [K.OP_SQ_FULL, K.OP_CC_FULL, K.OP_SQ_DIAG],
-            [1, 0b100, 3],
-            [0, 1, 0],
-            _mats(u1, u2, ud),
-        )
-        got = chunk.copy()
-        kd.sq(got, u1, 1, diag=False)
-        kd.cc(got, u2, (2,), 1, self.NL, diag=False)
-        kd.sq(got, ud, 3, diag=True)
-        assert _bits_equal(got, ref)
+        for dtype in DTYPES:
+            kd = KernelDispatch("numpy")
+            for b in range(self.NL):
+                chunk = _rand_chunk(rng, 1 << self.NL).astype(dtype)
+                u = _rand_u(rng)
+                ref = _sq_ref(chunk, b, u)
+                got = chunk.copy()
+                kd.sq(got, u, b, diag=False)
+                assert _bits_equal(got, ref), f"{dtype.__name__} stride bit {b}"
+            assert kd.counters["numpy_fallbacks"] == self.NL
+            assert kd.counters["jit_hits"] == 0
 
     def test_branch_axis_rows_are_independent(self):
         """A leading shots axis flows through flat-index bit arithmetic."""
         rng = np.random.default_rng(8)
         kd = KernelDispatch("numpy")
         rows = [_rand_chunk(rng, 1 << self.NL) for _ in range(4)]
-        stacked = np.stack(rows)
         u = _rand_u(rng)
-        kd.sq(stacked, u, 2, diag=False)
-        for r, row in enumerate(rows):
-            one = row.copy()
-            kd.sq(one, u, 2, diag=False)
-            assert _bits_equal(stacked[r], one)
+        for b in range(self.NL):
+            stacked = np.stack(rows)
+            ref = _sq_ref(stacked, b, u)
+            kd.sq(stacked, u, b, diag=False)
+            assert _bits_equal(stacked, ref), f"stride bit {b}"
+            for r, row in enumerate(rows):
+                one = row.copy()
+                kd.sq(one, u, b, diag=False)
+                assert _bits_equal(stacked[r], one)
 
     def test_phase_py_matches_scalar_product(self):
         """The doubling fill equals a per-element left-to-right product.
@@ -226,12 +162,96 @@ class TestReferenceVsNumpyArms:
 
 
 # ----------------------------------------------------------------------
+# numpy-only arms vs the dense oracle
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dtype", DTYPES)
+class TestNumpyArmsVsDenseOracle:
+    """Arms without a native twin, checked against ``tests/_dense_oracle.py``."""
+
+    NL = 6
+
+    @staticmethod
+    def _close(got, want, dtype):
+        tol = 1e-12 if dtype == np.complex128 else 1e-5
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
+
+    def _chunk(self, rng, dtype, rows=1):
+        return _rand_chunk(rng, rows << self.NL).astype(dtype)
+
+    def test_sq_diag(self, dtype):
+        rng = np.random.default_rng(2)
+        kd = KernelDispatch("numpy")
+        for u in (_diag_u(rng), np.diag([1.0, 1j]), np.diag([-1j, 1.0])):
+            chunk = self._chunk(rng, dtype, rows=2)
+            got = chunk.copy()
+            kd.sq(got, u, 2, diag=True)
+            self._close(got, _dense(chunk, u.astype(dtype), [2], self.NL), dtype)
+
+    def test_cc_full_and_diag(self, dtype):
+        rng = np.random.default_rng(3)
+        kd = KernelDispatch("numpy")
+        controls, t_bit = (1, 3), 0
+        for u, diag in ((_rand_u(rng), False), (_diag_u(rng), True)):
+            chunk = self._chunk(rng, dtype, rows=2)
+            got = chunk.copy()
+            kd.cc(got, u, controls, t_bit, self.NL, diag=diag)
+            want = _dense(chunk, _controlled(u.astype(dtype), 2), [*controls, t_bit], self.NL)
+            self._close(got, want, dtype)
+
+    def test_scale_both_diagonal_entries(self, dtype):
+        rng = np.random.default_rng(4)
+        kd = KernelDispatch("numpy")
+        chunk = self._chunk(rng, dtype)
+        f = complex(0.3, -0.8)
+        u = np.diag([f, 2 * f])
+        for sel in (0, 1):
+            got = chunk.copy()
+            kd.scale(got, u[sel, sel])
+            self._close(got, chunk.astype(np.complex128) * dtype(u[sel, sel]), dtype)
+
+    def test_scale_identity_is_free(self, dtype):
+        kd = KernelDispatch("numpy")
+        chunk = _rand_chunk(np.random.default_rng(5), 8).astype(dtype)
+        before = chunk.copy()
+        kd.scale(chunk, 1.0 + 0j)
+        assert _bits_equal(chunk, before)
+
+    def test_masked_scale(self, dtype):
+        rng = np.random.default_rng(6)
+        kd = KernelDispatch("numpy")
+        controls = (0, 2)
+        chunk = self._chunk(rng, dtype, rows=2)
+        f = complex(-0.2, 0.9)
+        got = chunk.copy()
+        kd.masked_scale(got, f, controls, self.NL)
+        want = _dense(chunk, np.diag([1, 1, 1, dtype(f)]), list(controls), self.NL)
+        self._close(got, want, dtype)
+
+    def test_multi_step_sequence(self, dtype):
+        """Native-able and numpy-only kernels compose like their matrices."""
+        rng = np.random.default_rng(7)
+        kd = KernelDispatch("numpy")
+        chunk = self._chunk(rng, dtype)
+        u1, u2, ud = _rand_u(rng), _rand_u(rng), _diag_u(rng)
+        got = chunk.copy()
+        kd.sq(got, u1, 1, diag=False)
+        kd.cc(got, u2, (2,), 1, self.NL, diag=False)
+        kd.sq(got, ud, 3, diag=True)
+        want = _dense(chunk, u1.astype(dtype), [1], self.NL)
+        want = _dense(want, _controlled(u2.astype(dtype), 1), [2, 1], self.NL)
+        want = _dense(want, ud.astype(dtype), [3], self.NL)
+        self._close(got, want, dtype)
+
+
+# ----------------------------------------------------------------------
 # dispatch resolution, env knobs, counters
 # ----------------------------------------------------------------------
 class TestDispatchResolution:
     def test_default_mode_is_auto(self, monkeypatch):
         monkeypatch.delenv("REPRO_QMPI_KERNELS", raising=False)
-        assert KernelDispatch().mode == "auto"
+        kd = KernelDispatch()
+        assert kd.mode == "auto"
+        assert kd.jit_min_amps == JIT_MIN_AMPS_DEFAULT
 
     def test_env_default_and_explicit_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_QMPI_KERNELS", "jit")
@@ -251,16 +271,11 @@ class TestDispatchResolution:
         assert kd.info()["provider"] is None
 
     def test_auto_below_breakeven_stays_lazy(self):
-        kd = KernelDispatch("auto", jit_min_amps=64)
+        kd = KernelDispatch("auto")
+        kd.jit_min_amps = 64
         assert not kd.native(32)
         assert not kd._resolved  # the provider was never compiled/loaded
         assert kd.info()["jit_min_amps"] == 64
-
-    def test_jit_min_amps_default_mirrors_cost_model(self):
-        from repro.sim.schedule import DEFAULT_COST_MODEL
-
-        assert JIT_MIN_AMPS_DEFAULT == DEFAULT_COST_MODEL.jit_min_amps
-        assert KernelDispatch("auto").jit_min_amps == JIT_MIN_AMPS_DEFAULT
 
     def test_disable_jit_env(self, monkeypatch, fresh_providers):
         monkeypatch.setenv("REPRO_QMPI_DISABLE_JIT", "1")
@@ -290,11 +305,31 @@ class TestDispatchResolution:
         kd = KernelDispatch("numpy")
         assert kd.phase_fill(1.0, 3, [(0, 1, 0, 0, np.ones(2), (0,))]) is None
 
+    def test_numpy_only_arms_count_neither(self):
+        """Only kernels with a native twin count a hit or a fallback."""
+        rng = np.random.default_rng(14)
+        for mode in ("numpy", "jit"):
+            kd = KernelDispatch(mode)
+            chunk = _rand_chunk(rng, 64)
+            kd.sq(chunk, _diag_u(rng), 1, diag=True)
+            kd.cc(chunk, _rand_u(rng), (0,), 2, 6, diag=False)
+            kd.cc(chunk, _diag_u(rng), (0,), 2, 6, diag=True)
+            kd.scale(chunk, 0.5j)
+            kd.masked_scale(chunk, -1.0, (3,), 6)
+            assert kd.counters["jit_hits"] == kd.counters["numpy_fallbacks"] == 0
+
+    def test_planar_view_refuses_what_a_pointer_would_misread(self):
+        chunk = _rand_chunk(np.random.default_rng(15), 16)
+        assert np.shares_memory(KernelDispatch._flat(chunk), chunk)
+        for bad in (chunk[::2], chunk.real.copy()):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                KernelDispatch._flat(bad)
+
     def test_self_check_demotes_a_lying_provider(self):
         class Lying:
             name = "lying"
 
-            def drive(self, af, codes, arg0, arg1, mats):
+            def sq(self, af, b, u):
                 af[0] += 1.0  # not the reference arithmetic
 
             def phase(self, *a):
@@ -346,12 +381,6 @@ def _rand_window(rng, k):
     )
 
 
-def _contract_oracle(chunk, u, bits, nl):
-    """``u`` kron-embedded over the chunk's bits, row by shot-branch row."""
-    full = embed(u, [nl - 1 - b for b in bits], nl)
-    return (chunk.reshape(-1, 1 << nl).astype(np.complex128) @ full.T).reshape(-1)
-
-
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 @pytest.mark.parametrize("rows", [1, 3], ids=["flat", "shot-rows"])
 def test_contract_matches_dense_oracle(dtype, rows):
@@ -366,7 +395,7 @@ def test_contract_matches_dense_oracle(dtype, rows):
         kd.contract(a, u, bits, nl)
         ref.contract(b, u, bits, nl)
         assert _bits_equal(a, b), bits
-        want = _contract_oracle(base, u.astype(dtype), bits, nl)
+        want = _dense(base, u.astype(dtype), bits, nl)
         tol = 1e-12 if dtype == np.complex128 else 2e-5
         np.testing.assert_allclose(a, want, rtol=0, atol=tol * np.abs(want).max())
     assert kd.counters["csel_hits"] == ref.counters["csel_hits"] == len(windows)
@@ -385,7 +414,7 @@ def test_contract_mutates_a_memmap_chunk_in_place(tmp_path):
         chunk.flush()
         on_disk = np.fromfile(tmp_path / "chunk.bin", dtype=np.complex128)
         np.testing.assert_allclose(
-            on_disk, _contract_oracle(base, u, bits, nl), rtol=0, atol=1e-12
+            on_disk, _dense(base, u, bits, nl), rtol=0, atol=1e-12
         )
 
 
@@ -429,26 +458,22 @@ class TestNativeBitIdentity:
     def _pair(self):
         return _jit_or_skip(), KernelDispatch("numpy")
 
-    def test_sq_cc_scale_kernels(self):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_sq_pass_both_dtypes_and_shot_rows(self, dtype):
         jit, ref = self._pair()
         rng = np.random.default_rng(10)
-        base = _rand_chunk(rng, 1 << self.NL)
-        u, ud = _rand_u(rng), _diag_u(rng)
-        for op in (
-            lambda kd, c: kd.sq(c, u, 3, diag=False),
-            lambda kd, c: kd.sq(c, ud, 0, diag=True),
-            lambda kd, c: kd.cc(c, u, (0, 4), 2, self.NL, diag=False),
-            lambda kd, c: kd.cc(c, ud, (5,), 1, self.NL, diag=True),
-            lambda kd, c: kd.scale(c, complex(0.1, 0.9)),
-            lambda kd, c: kd.masked_scale(c, complex(-0.4, 0.2), (1, 2), self.NL),
-        ):
-            a, b = base.copy(), base.copy()
-            op(jit, a)
-            op(ref, b)
-            assert _bits_equal(a, b)
-        assert jit.counters["jit_hits"] == 6
+        for rows in (1, 3):
+            for b in range(self.NL):
+                base = _rand_chunk(rng, rows << self.NL).astype(dtype)
+                u = _rand_u(rng)
+                a, c = base.copy(), base.copy()
+                jit.sq(a, u, b, diag=False)
+                ref.sq(c, u, b, diag=False)
+                assert _bits_equal(a, c)
+                assert _bits_equal(a, _sq_ref(base, b, u))
+        assert jit.counters["jit_hits"] == 2 * self.NL
         assert jit.counters["numpy_fallbacks"] == 0
-        assert ref.counters["numpy_fallbacks"] == 6
+        assert ref.counters["numpy_fallbacks"] == 2 * self.NL
 
     def test_phase_fill_matches_reference(self):
         jit = _jit_or_skip()
@@ -484,7 +509,8 @@ class TestNativeBitIdentity:
     def test_jit_mode_ignores_breakeven_auto_respects_it(self):
         jit = _jit_or_skip()
         assert jit.native(2)  # jit mode: always native when provider exists
-        auto = KernelDispatch("auto", jit_min_amps=1 << 10)
+        auto = KernelDispatch("auto")
+        auto.jit_min_amps = 1 << 10
         assert not auto.native(1 << 9)
         assert auto.native(1 << 10)
 
@@ -589,3 +615,15 @@ def test_frozen_replay_jit_vs_numpy_bitwise():
     assert cache_j["hits"] >= 1  # the second flush replayed a frozen program
     assert info_j["jit_hits"] > 0 and info_j["numpy_fallbacks"] == 0
     assert info_n["jit_hits"] == 0 and info_n["numpy_fallbacks"] > 0
+
+
+def test_default_dispatch_goes_native_on_large_chunks():
+    """Local ``h`` gates on 2^14-amplitude chunks reach the native pass."""
+    if provider_name() is None:
+        pytest.skip("no native kernel provider in this environment")
+    sv = ShardedStateVector(16, seed=0, n_shards=4, kernels="auto")
+    assert sv.chunk_size == 1 << 14
+    sv.apply_ops([Op("h", (q,)) for q in sv.qubit_ids[-4:]])
+    info = sv._kernels.info()
+    assert info["jit_hits"] == 4 * sv.num_chunks
+    assert info["numpy_fallbacks"] == 0
