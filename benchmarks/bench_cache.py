@@ -1,30 +1,22 @@
 """Schedule-cache cold vs warm replay -> BENCH_cache.json.
 
-Two phases, both on parameter-sweep workloads (the cache's target: the
-same circuit *shape* replayed with fresh angles every pass):
-
-Flush phase — per-flush rate on the small-register sweep of
-BENCH_schedule.json (<= 12 qubits), with contraction planning forced
-on (``CostModel(plan_min_qubits=0)``).  The BENCH_schedule "small"
-rows show why the default cost model *bypasses* the planner there:
-re-planning every flush eats the planned schedule's win (~1.0x).  The
+One ``flush`` phase on a parameter-sweep workload (the cache's target:
+the same circuit *shape* replayed with fresh angles every pass): the
+per-flush rate of a three-layer rotation/entangler sweep at 6-12
+qubits on both engines, with contraction planning forced on
+(``CostModel(plan_min_qubits=0)``), so the planner runs inside the
+gate.  The default cost model *bypasses* the planner at these sizes
+because re-planning every flush eats the planned schedule's win; the
 cache changes that economics — ``cache="off"`` re-plans every flush
 while ``cache="on"`` replays the compiled segment list with a rebound
 payload, so the planner runs once per circuit shape.  The acceptance
-bar for this PR is warm >= 1.3x cold on these rows.
+bar is warm >= 1.3x cold on every row.
 
-Sweep phase — end-to-end TFIM-Trotter parameter sweeps through two
-execution surfaces: plain statevector sweeps (``trotter``) and one
-shot-batched world whose program sweeps internally (``trotter_shots``).
-These run the *default* deployment config (no forced planning) and
-include all non-compile work — program dispatch and measurement — so
-the ratios are heavily diluted: shared
-rows stay clearly > 1.0, the sharded row hovers ~1.0 (execution
-dominates its flush cost at this size).  Their role in the bench-gate
-is regression protection, not a speedup floor.
+End-to-end sweep traffic through the default configuration is the
+``sweep_small`` and ``catbcast_inproc`` rows of BENCHMARK.json.
 
-Every row records ``speedup = warm / cold`` — the ratio gated (30%
-tolerance) by tools/bench_compare.py in CI.
+Every row records ``speedup = cold time / warm time`` — the ratio
+gated (30% tolerance) by tools/bench_compare.py in CI.
 
 Run standalone (CI quick mode)::
 
@@ -67,10 +59,6 @@ from repro.sim.schedule import CostModel  # noqa: E402
 PLAN_CM = CostModel(plan_min_qubits=0)
 
 FLUSH_QUBITS = [6, 8, 10, 12]
-SWEEP_QUBITS = 8
-TROTTER_STEPS = 3
-SHOTS = 64
-N_POINTS_QUICK, N_POINTS_FULL = 8, 24
 
 
 def _layer_shape(n_qubits):
@@ -81,15 +69,6 @@ def _layer_shape(n_qubits):
         shape.extend(("ry", (q,), 1) for q in range(n_qubits))
         shape.extend(("cnot", (q, q + 1), 0) for q in range(n_qubits - 1))
         shape.extend(("crz", (q, q + 1), 1) for q in range(0, n_qubits - 1, 2))
-    return shape
-
-
-def _trotter_shape(n_qubits):
-    """First-order TFIM Trotter step: rx field layer + crz coupling layer."""
-    shape = []
-    for _ in range(TROTTER_STEPS):
-        shape.extend(("rx", (q,), 1) for q in range(n_qubits))
-        shape.extend(("crz", (q, q + 1), 1) for q in range(n_qubits - 1))
     return shape
 
 
@@ -167,86 +146,6 @@ def run_flush_phase(n_shards, min_time, min_reps):
     return rows
 
 
-def _sweep_prog(qc, shape, n_qubits, angle_sets):
-    """Rank-0 program: apply every angle set, flushing per set."""
-    q = qc.alloc_qmem(n_qubits)
-    for angles in angle_sets:
-        for op in _materialize(shape, q, angles):
-            getattr(qc, op.gate)(*op.qubits, *op.params)
-        qc.flush_ops()
-    return [qc.measure(x) for x in q[:2]]
-
-
-def _time_backend_sweep(factory, shape, n_qubits, angle_sets, cache, reps):
-    best = float("inf")
-    for _ in range(reps):
-        be = factory(cache)
-        try:
-            qubits = tuple(be.alloc(0, n_qubits))
-            stream = OpStream(be, 0, fusion="auto", max_pending=1 << 20)
-            t0 = time.perf_counter()
-            for angles in angle_sets:
-                for op in _materialize(shape, qubits, angles):
-                    stream.append(op)
-                stream.flush()
-            best = min(best, time.perf_counter() - t0)
-        finally:
-            be.close()
-    return best
-
-
-def _time_shots_sweep(shape, n_qubits, angle_sets, cache, reps):
-    from repro.qmpi import qmpi_run
-
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        qmpi_run(
-            1,
-            _sweep_prog,
-            args=(shape, n_qubits, angle_sets),
-            seed=0,
-            shots=SHOTS,
-            cache=cache,
-        )
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def run_sweep_phase(n_points, reps):
-    shape = _trotter_shape(SWEEP_QUBITS)
-    angle_sets = _angle_sets(shape, n_points, seed=23)
-    rows = []
-
-    def row(kernel, backend, cold, warm):
-        r = {
-            "kernel": kernel,
-            "n_qubits": SWEEP_QUBITS,
-            "backend": backend,
-            "cold_s": round(cold, 4),
-            "warm_s": round(warm, 4),
-            "speedup": round(cold / warm, 3),
-        }
-        rows.append(r)
-        print(
-            f"{kernel:<14} n={SWEEP_QUBITS:>2} {backend:<8} "
-            f"cold {cold:>7.3f}s  warm {warm:>7.3f}s  x{r['speedup']}"
-        )
-
-    for backend, factory in (
-        ("shared", lambda c: SharedBackend(seed=0, cache=c)),
-        ("sharded", lambda c: ShardedBackend(seed=0, cache=c)),
-    ):
-        cold = _time_backend_sweep(factory, shape, SWEEP_QUBITS, angle_sets, "off", reps)
-        warm = _time_backend_sweep(factory, shape, SWEEP_QUBITS, angle_sets, "on", reps)
-        row("trotter", backend, cold, warm)
-
-    cold = _time_shots_sweep(shape, SWEEP_QUBITS, angle_sets, "off", reps)
-    warm = _time_shots_sweep(shape, SWEEP_QUBITS, angle_sets, "on", reps)
-    row("trotter_shots", "shared", cold, warm)
-    return rows
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="short passes (CI)")
@@ -255,23 +154,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     min_time, min_reps = (0.15, 6) if args.quick else (0.4, 8)
-    sweep_reps = 2 if args.quick else 4
-    n_points = N_POINTS_QUICK if args.quick else N_POINTS_FULL
 
     print("# flush phase: warm (cache=on) vs cold (cache=off) per-flush rate")
     flush = run_flush_phase(args.n_shards, min_time, min_reps)
-    print("# sweep phase: trotter parameter sweeps (plain / shots)")
-    sweep = run_sweep_phase(n_points, sweep_reps)
 
     payload = {
         "quick": args.quick,
         "n_shards": args.n_shards,
         "cpu_count": os.cpu_count() or 1,
-        "trotter_steps": TROTTER_STEPS,
-        "shots": SHOTS,
-        "n_points": n_points,
         "flush": flush,
-        "sweep": sweep,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -89,11 +89,12 @@ MIXING = "mixing"
 class CostModel:
     """The calibrated execution thresholds.
 
-    The planning thresholds come from the committed ``BENCH_plan.json``
-    sweeps (fused matmuls lose below ~16 qubits, where per-op dispatch
-    overhead is cheaper than planning; the 16x16 four-qubit contraction
-    wins from ~18 qubits, where one pass over the amplitudes beats
-    four).
+    The planning thresholds come from the contraction-plan and
+    schedule-compiler sweeps recorded in CHANGES.md (the entries that
+    introduced :mod:`repro.sim.plan` and this module): fused matmuls
+    lose below ~16 qubits, where per-op dispatch overhead is cheaper
+    than planning; the 16x16 four-qubit contraction wins from ~18
+    qubits, where one pass over the amplitudes beats four.
     """
 
     #: Register size below which contraction planning is bypassed
@@ -124,8 +125,8 @@ class CostModel:
         return self.base_window
 
 
-#: The model used when none is supplied (thresholds calibrated against
-#: the committed BENCH_plan.json / BENCH_schedule.json sweeps).
+#: The model used when none is supplied (thresholds calibrated by the
+#: sweeps recorded in CHANGES.md; see :class:`CostModel`).
 DEFAULT_COST_MODEL = CostModel()
 
 

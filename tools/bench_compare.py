@@ -1,14 +1,16 @@
 #!/usr/bin/env python
 """Compare fresh benchmark runs against the committed BENCH_*.json baselines.
 
-The committed files record *speedup ratios* (fused/unfused,
-coalesced/pr2, sharded/shared...) from full runs; CI re-runs the same
-benchmarks in ``--quick`` mode and this tool fails (exit 1) if any
-ratio **regresses** by more than the tolerance (default 30%) against
-the committed baseline for the same ``(kernel, n_qubits, backend, ...)``
-row.  Ratios are what make quick-vs-full comparison meaningful: both
-dispatch paths run on the same host in the same process, so the ratio
-is far more stable than absolute gates/second.
+The committed files record *speedup ratios* from full runs: warm/cold
+schedule-cache replay (``BENCH_cache.json``), numpy/native kernel time
+(``BENCH_kernels.json``) and complex128/complex64 wall time
+(``BENCH_scale.json``).  CI re-runs the same benchmarks in ``--quick``
+mode and this tool fails (exit 1) if any ratio **regresses** by more
+than the tolerance (default 30%) against the committed baseline for
+the same ``(kernel, n_qubits, backend, ...)`` row.  Ratios are what
+make quick-vs-full comparison meaningful: both arms run on the same
+host in the same process, so the ratio is far more stable than an
+absolute rate.
 
 Rules:
 
@@ -20,12 +22,14 @@ Rules:
   traceback (an unreadable crash in the blocking gate hides the diff);
 * an unreadable/unparsable file fails the pair with a message (the
   bench step upstream did not produce what the gate was told to check);
+* a pair that compares no gated ratio at all fails: a gate that
+  checks nothing must not read as a pass;
 * *improvements* never fail, only regressions beyond tolerance do.
 
 Usage::
 
     python tools/bench_compare.py \\
-        --baseline BENCH_plan.json --fresh fresh/BENCH_plan.json \\
+        --baseline BENCH_cache.json --fresh fresh/BENCH_cache.json \\
         [--tolerance 0.30]
 
 Repeat ``--baseline``/``--fresh`` pairs to gate several files at once;
@@ -39,35 +43,19 @@ import json
 from pathlib import Path
 
 #: Fields that identify a row (whichever subset is present is the key).
-KEY_FIELDS = ("kernel", "n_qubits", "backend", "n_ranks", "transport",
-              "dtype", "tier")
+KEY_FIELDS = ("kernel", "n_qubits", "backend", "dtype", "tier")
 
 #: Ratio columns gated per benchmark row, by column name.
-RATIO_FIELDS = ("speedup", "fused_speedup", "sharded_fused_vs_shared")
+RATIO_FIELDS = ("speedup",)
 
-#: Ratio columns printed for matched rows but never gated: the mp/inproc
-#: wall ratio of BENCH_fabric.json measures process spawn + pickling
-#: against the host scheduler, not algorithmic quality; the peak-RSS
+#: Columns printed for matched rows but never gated: the peak-RSS
 #: column of BENCH_scale.json measures the host allocator + page cache,
 #: so it is reported for inspection but never drives the gate.
-INFO_FIELDS = ("mp_vs_inproc", "peak_rss_bytes")
+INFO_FIELDS = ("peak_rss_bytes",)
 
 #: list-of-rows sections to compare, per file; anything else (scalars)
 #: is ignored.
-SECTIONS = (
-    "plan",
-    "diag",
-    "coalescing",
-    "results",
-    "small",
-    "wide",
-    "fabric",
-    "flush",
-    "sweep",
-    "kernels",
-    "replay",
-    "scale",
-)
+SECTIONS = ("flush", "kernels", "scale")
 
 
 def _section_rows(payload: dict, section: str):
@@ -169,6 +157,7 @@ def main(argv=None) -> int:
             print(f"  FAIL: cannot load pair: {exc}")
             failures += 1
             continue
+        gated = 0
         for key, field, base_v, new_v, verdict in compare(
             baseline, fresh, args.tolerance
         ):
@@ -177,15 +166,19 @@ def main(argv=None) -> int:
             if field == "-":  # section-level or row-level skip
                 print(f"{label:<{width}} {'-':<12} {'-':>8} {'-':>8}  {verdict}")
                 continue
+            gated += verdict in ("ok", "FAIL")
             failures += verdict == "FAIL"
             print(
                 f"{label:<{width}} {field:<12} {base_v:>8.3f} {new_v:>8.3f}  {verdict}"
             )
+        if not gated:
+            print(f"  FAIL: no gated ratio compared (sections {', '.join(SECTIONS)})")
+            failures += 1
     if failures:
         print(
             f"\n{failures} gate failure(s): ratios regressed more than "
-            f"{args.tolerance:.0%} vs the committed baselines, or files "
-            "the gate was pointed at could not be loaded"
+            f"{args.tolerance:.0%} vs the committed baselines, or a pair "
+            "could not be loaded or compared nothing"
         )
         return 1
     print("\nall compared ratios within tolerance")
