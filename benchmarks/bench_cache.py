@@ -4,13 +4,14 @@ One ``flush`` phase on a parameter-sweep workload (the cache's target:
 the same circuit *shape* replayed with fresh angles every pass): the
 per-flush rate of a three-layer rotation/entangler sweep at 6-12
 qubits on both engines, with contraction planning forced on
-(``CostModel(plan_min_qubits=0)``), so the planner runs inside the
-gate.  The default cost model *bypasses* the planner at these sizes
-because re-planning every flush eats the planned schedule's win; the
-cache changes that economics — ``cache="off"`` re-plans every flush
-while ``cache="on"`` replays the compiled segment list with a rebound
-payload, so the planner runs once per circuit shape.  The acceptance
-bar is warm >= 1.3x cold on every row.
+(``repro.sim.schedule.PLAN_MIN_QUBITS = 0`` for the run), so the
+planner runs inside the gate.  The default lowering *bypasses* the
+planner below 16 qubits because re-planning every flush eats the
+planned schedule's win; the cache changes that economics —
+``cache="off"`` re-plans every flush while ``cache="on"`` replays the
+compiled segment list with a rebound payload, so the planner runs
+once per circuit shape.  The acceptance bar is warm >= 1.3x cold on
+every row.
 
 End-to-end sweep traffic through the default configuration is the
 ``sweep_small`` and ``catbcast_inproc`` rows of BENCHMARK.json.
@@ -51,12 +52,7 @@ from repro.qmpi import (  # noqa: E402
     SharedBackend,
     ShardedBackend,
 )
-from repro.sim.schedule import CostModel  # noqa: E402
-
-#: Flush-phase lowering config: planning forced on at every register
-#: size — the configuration the cache makes affordable (see module
-#: docstring).
-PLAN_CM = CostModel(plan_min_qubits=0)
+from repro.sim import schedule  # noqa: E402
 
 FLUSH_QUBITS = [6, 8, 10, 12]
 
@@ -94,9 +90,7 @@ def _time_flushes(factory, shape, n_qubits, cache, min_time, min_reps):
     try:
         qubits = tuple(be.alloc(0, n_qubits))
         angle_sets = _angle_sets(shape, 16)
-        stream = OpStream(
-            be, 0, fusion="auto", max_pending=1 << 20, cost_model=PLAN_CM
-        )
+        stream = OpStream(be, 0, fusion="auto", max_pending=1 << 20)
 
         def one_pass(k):
             for op in _materialize(shape, qubits, angle_sets[k % len(angle_sets)]):
@@ -154,6 +148,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     min_time, min_reps = (0.15, 6) if args.quick else (0.4, 8)
+    # Planning forced on at every register size: the configuration the
+    # cache makes affordable (see module docstring).
+    schedule.PLAN_MIN_QUBITS = 0
 
     print("# flush phase: warm (cache=on) vs cold (cache=off) per-flush rate")
     flush = run_flush_phase(args.n_shards, min_time, min_reps)

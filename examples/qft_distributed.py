@@ -37,15 +37,12 @@ def main():
     n_total = args.ranks * args.qubits
     orig = backend.apply_flush
 
-    def spy(rank, ops, **kw):
+    def spy(rank, ops):
         # apply_flush lowers (or cache-replays) internally; re-run the
         # same lowering here to record what each flush dispatched.
         ops = tuple(ops)
-        batches.append(tuple(lower_flush(
-            list(ops), n_total,
-            **{k: v for k, v in kw.items() if v is not None},
-        )))
-        return orig(rank, ops, **kw)
+        batches.append(tuple(lower_flush(ops, n_total)))
+        return orig(rank, ops)
 
     backend.apply_flush = spy
     world = qmpi_run(args.ranks, qft_program, args=(args.qubits, 3), backend=backend)

@@ -5,7 +5,7 @@ Layering:
 * :mod:`~repro.qmpi.ops` — typed operation IR: :class:`Op` records and
   the canonical ``GATESET`` registry
 * :mod:`~repro.qmpi.stream` — per-rank op streams: fusion + batched
-  ``apply_ops`` dispatch
+  ``apply_flush`` dispatch
 * :mod:`~repro.qmpi.backend` — quantum backends: shared (§6 semantics)
   and sharded (chunk-distributed amplitudes), behind one registry
 * :mod:`~repro.qmpi.epr` — EPR pair establishment + S-limited buffers
@@ -37,7 +37,6 @@ from .qubit import Qureg
 from .reductions import PARITY, SUM, QuantumOp
 from .resource import Ledger, LedgerSnapshot
 from .stream import FUSION_MODES, OpStream
-from ..sim.schedule import DEFAULT_COST_MODEL, CostModel
 from ..sim.shots import ShotBits, ShotDivergenceError
 
 __all__ = [
@@ -62,8 +61,6 @@ __all__ = [
     "register_gate",
     "OpStream",
     "FUSION_MODES",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
     "EprService",
     "EprBufferFull",
     "Qureg",

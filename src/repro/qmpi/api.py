@@ -53,7 +53,7 @@ class QmpiComm:
         calls append typed :class:`~repro.qmpi.ops.Op` records here; the
         buffer is fused, diagonal runs coalesce into
         :class:`~repro.qmpi.ops.DiagBatch` phase vectors, batches are
-        dispatched through ``apply_ops``, and everything auto-flushes at
+        dispatched through ``apply_flush``, and everything auto-flushes at
         every semantic boundary (measurement, ``prob_one``, EPR
         preparation, p2p/collective entry, barrier, qubit release,
         program exit).
@@ -107,7 +107,7 @@ class QmpiComm:
     # eager backend call.
 
     def flush_ops(self) -> None:
-        """Dispatch this rank's buffered gate stream (one apply_ops batch).
+        """Dispatch this rank's buffered gate stream (one apply_flush batch).
 
         Called automatically at every semantic boundary; manual calls are
         only needed before white-box backend inspection mid-program.
@@ -503,16 +503,14 @@ def qmpi_run(
         ``"sharded"`` sizes the chunk count to ``n_ranks`` (next power of
         two). See :func:`repro.qmpi.backend.make_backend`.
     fusion:
-        Per-rank gate-stream fusion: ``"auto"`` (default) buffers,
-        fuses, coalesces diagonal runs into
-        :class:`~repro.qmpi.ops.DiagBatch` phase vectors, and fuses
-        small-op runs into :class:`~repro.qmpi.ops.ContractionPlan`
-        window unitaries; ``"noplan"`` skips only the contraction
-        planning; ``"nodiag"`` fuses but skips diagonal batching and
-        planning (the benchmark baseline); ``"off"`` forwards every
-        gate eagerly as a one-op batch (the escape hatch — identical
-        semantics, no batching). See
-        :class:`~repro.qmpi.stream.OpStream`.
+        Per-rank gate-stream fusion: ``"auto"`` (default, every
+        ``BENCHMARK.json`` row) buffers, fuses, coalesces diagonal
+        runs into :class:`~repro.qmpi.ops.DiagBatch` phase vectors,
+        and on large registers fuses small-op runs into
+        :class:`~repro.qmpi.ops.ContractionPlan` window unitaries;
+        ``"off"`` forwards every gate eagerly as a one-op batch (the
+        per-gate debug and test reference — identical semantics, no
+        batching). See :class:`~repro.qmpi.stream.OpStream`.
     shots:
         Sample ``N`` trajectories in *one* execution of the program:
         unitary segments run once, measurement-free circuits sample all

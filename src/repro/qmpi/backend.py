@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from ..sim.cache import ScheduleCache
-from ..sim.schedule import DEFAULT_COST_MODEL, lower_flush
+from ..sim.schedule import lower_flush
 from ..sim.sharded import ShardedStateVector
 from ..sim.shots import ShotBits
 from ..sim.statevector import SimulationError, StateVector
@@ -258,56 +258,34 @@ class QuantumBackend:
                 self._check_owner(rank, *op.qubits)
             self._sv.apply_ops(ops)
 
-    def apply_flush(
-        self,
-        rank: int,
-        ops,
-        *,
-        diag_batching: bool = True,
-        planning: bool = True,
-        cost_model=None,
-    ) -> None:
+    def apply_flush(self, rank: int, ops) -> None:
         """Execute a raw (pre-lowering) flush buffer, cached when possible.
 
-        This is the flush-time entry point
-        :meth:`repro.qmpi.stream.OpStream.flush` prefers over the
-        lower-then-:meth:`apply_ops` sequence: ownership of every
-        operand is checked once, and the lower + compile work is served
-        from the backend's :class:`~repro.sim.cache.ScheduleCache` —
-        structurally identical buffers (same gates and qubit pattern,
+        The one entry point of :meth:`repro.qmpi.stream.OpStream.flush`,
+        in-process and over the ``mp`` service alike: ownership of
+        every operand is checked once, and the lower + compile work is
+        served from the backend's :class:`~repro.sim.cache.ScheduleCache`
+        — structurally identical buffers (same gates and qubit pattern,
         any rotation angles) replay their compiled segment list with
         the parameters rebound instead of recompiling.  With
-        ``cache="off"`` (or a cache bypass) the buffer is lowered and
-        handed to the engine's one-shot ``apply_ops``, which freezes
-        and runs it through the same executor.
+        ``cache="off"`` (or a cache bypass) the buffer is lowered
+        (:func:`~repro.sim.schedule.lower_flush`, a function of the
+        register size alone) and handed to the engine's one-shot
+        ``apply_ops``, which freezes and runs it through the same
+        executor.
         """
         ops = tuple(ops)
         if not ops:
             return
-        if cost_model is None:
-            cost_model = DEFAULT_COST_MODEL
         with self._lock:
             for op in ops:
                 self._check_owner(rank, *op.qubits)
             n = self._sv.num_qubits
             if self.schedule_cache is not None and self.schedule_cache.execute(
-                self._sv,
-                ops,
-                num_qubits=n,
-                diag_batching=diag_batching,
-                planning=planning,
-                cost_model=cost_model,
+                self._sv, ops, num_qubits=n
             ):
                 return
-            self._sv.apply_ops(
-                lower_flush(
-                    ops,
-                    n,
-                    diag_batching=diag_batching,
-                    planning=planning,
-                    cost_model=cost_model,
-                )
-            )
+            self._sv.apply_ops(lower_flush(ops, n))
 
     def cache_info(self) -> dict | None:
         """Schedule-cache counters, or ``None`` when caching is off."""

@@ -5,9 +5,10 @@ kind, qubit operands, rotation parameters — instead of an eager
 per-gate backend call. Ops are the unit the whole pipeline speaks:
 
 * :class:`~repro.qmpi.stream.OpStream` buffers and fuses them per rank;
-* ``QuantumBackend.apply_ops(rank, ops)`` is the single batched entry
-  point (the legacy ``h``/``x``/.../``toffoli`` methods are thin shims
-  that emit one-op batches);
+* ``QuantumBackend.apply_flush(rank, ops)`` takes a stream's flushed
+  buffer and ``apply_ops(rank, ops)`` an already-lowered batch (the
+  legacy ``h``/``x``/.../``toffoli`` methods are thin shims that emit
+  one-op batches through it);
 * the engines (``StateVector.apply_ops`` / ``ShardedStateVector.apply_ops``)
   execute a whole batch in one pass.
 

@@ -14,7 +14,9 @@ Division of labor:
 
 * **gates, measurement, allocation** — synchronous RPCs; the parent
   router executes them in arrival order, so per-rank program order is
-  preserved exactly as the backend lock preserves it in-process.
+  preserved exactly as the backend lock preserves it in-process. A
+  stream flush is one ``apply_flush`` RPC, lowered and cached by the
+  parent's :class:`~repro.sim.cache.ScheduleCache` as in-process.
 * **EPR rendezvous** — ``iprepare`` registers in the parent's real
   :class:`~repro.qmpi.epr.EprService` and returns immediately; when the
   peer shows up, the match is pushed to both ranks as a ``notify`` frame
@@ -29,7 +31,7 @@ Division of labor:
   at entanglement time, exactly once.
 
 Nothing in :mod:`repro.sim` changes: the engines see the same
-``apply_ops`` batches from the same single process as before.
+``apply_flush`` / ``apply_ops`` batches as in-process, from one process.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ class QmpiServiceHost:
         {
             "alloc",
             "free",
+            "apply_flush",
             "apply_ops",
             "apply",
             "measure",
@@ -97,8 +100,6 @@ class QmpiServiceHost:
         """Dispatch one rank RPC (router thread; must not block)."""
         if method == "backend":
             name, rest = args[0], args[1:]
-            if name == "num_qubits":
-                return self.backend.num_qubits
             if name not in self.BACKEND_METHODS:
                 raise TransportError(f"backend method {name!r} not remotable")
             return getattr(self.backend, name)(*rest)
@@ -168,10 +169,6 @@ class BackendProxy:
         ops = tuple(ops)
         if ops:
             self._call("apply_ops", rank, ops)
-
-    @property
-    def num_qubits(self):
-        return self._call("num_qubits")
 
 
 def _install_forwarder(name: str) -> None:

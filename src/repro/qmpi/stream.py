@@ -3,7 +3,7 @@
 Each :class:`~repro.qmpi.api.QmpiComm` owns one :class:`OpStream`. Gate
 calls append :class:`~repro.qmpi.ops.Op` records instead of hitting the
 backend one at a time; the stream peephole-fuses as it records and hands
-the backend whole batches through ``apply_ops`` at every semantic
+the backend whole batches through ``apply_flush`` at every semantic
 boundary (measurement, ``prob_one``, EPR preparation, p2p/collective
 entry, barrier, qubit release, program exit).
 
@@ -38,33 +38,32 @@ Fusion rules
   into one :class:`~repro.qmpi.ops.ContractionPlan` each — a
   precontracted window unitary the engines apply as a single matmul
   per chunk (see :func:`repro.sim.plan.plan_contractions`). Planning
-  is **size-aware** (:func:`repro.sim.schedule.lower_flush`): the cost
-  model bypasses it below ``plan_min_qubits`` (the matmul cannot
-  amortize on small registers) and widens windows from three to four
-  qubits on large ones.
+  is **size-aware** (:func:`repro.sim.schedule.lower_flush`): it is
+  bypassed below :data:`~repro.sim.schedule.PLAN_MIN_QUBITS` (the
+  matmul cannot amortize on small registers) and windows widen from
+  three to four qubits on large ones.
 
-Fusion changes *nothing* semantically: the fused matrix product equals
-the sequential application (plans never reorder ops), diagonal ops
-commute so batching them is exact, and every measurement-like operation
-flushes first. The escape hatch ``fusion="off"`` forwards each op
-eagerly as a one-op batch, which is exactly the legacy per-gate path;
-``fusion="noplan"`` keeps diagonal batching but skips contraction
-planning (the PR 3 dispatch); ``fusion="nodiag"`` keeps only peephole
-fusion (the PR 2 dispatch) — both retained as benchmark baselines.
+The last two passes run behind the backend's ``apply_flush``, served
+from its schedule cache. Fusion changes *nothing* semantically: the
+fused matrix product equals the sequential application (plans never
+reorder ops), diagonal ops commute so batching them is exact, and every
+measurement-like operation flushes first. The escape hatch
+``fusion="off"`` forwards each op eagerly as a one-op batch — the
+literal program, for debugging and as the per-gate test reference.
 """
 
 from __future__ import annotations
 
-from ..sim.schedule import DEFAULT_COST_MODEL, CostModel, lower_flush
+# Unused here; kept because benchmarks/e2e/layers.py wraps this name.
+from ..sim.schedule import lower_flush  # noqa: F401
 from .ops import UNITARY, Op
 
 __all__ = ["OpStream", "FUSION_MODES"]
 
-#: Every accepted ``fusion=`` mode string, strongest first.  ``True`` /
-#: ``False`` are normalized to ``"on"`` / ``"off"``; anything else
-#: raises ``ValueError`` at construction (a typo like ``"no_plan"``
-#: must not silently degrade to the default pipeline).
-FUSION_MODES = ("auto", "on", "noplan", "nodiag", "off")
+#: Every accepted ``fusion=`` mode: ``"auto"`` (buffer, fuse, lower at
+#: flush) or ``"off"`` (eager per-gate dispatch).  Anything else raises
+#: ``ValueError`` at construction.
+FUSION_MODES = ("auto", "off")
 
 
 class OpStream:
@@ -73,68 +72,36 @@ class OpStream:
     Parameters
     ----------
     backend:
-        The :class:`~repro.qmpi.backend.QuantumBackend` batches are
-        dispatched to (via ``backend.apply_ops(rank, ops)``).
+        The :class:`~repro.qmpi.backend.QuantumBackend` (or its ``mp``
+        proxy) batches are dispatched to: ``apply_flush(rank, ops)``
+        for a buffered flush, ``apply_ops(rank, ops)`` for an eager op.
     rank:
         The owning rank (ownership is checked at flush time).
     fusion:
-        ``"auto"``/``"on"``/``True`` — buffer, fuse, batch diagonals
-        and plan contractions (default); ``"noplan"`` — everything but
-        contraction planning; ``"nodiag"`` — buffer and fuse but skip
-        diagonal batching and planning; ``"off"``/``False`` — forward
-        each op immediately, unfused and unbatched.  Mode strings are
-        validated against :data:`FUSION_MODES`; unknown values raise
+        ``"auto"`` — buffer and fuse, then lower at flush (default);
+        ``"off"`` — forward each op immediately, unfused and unbatched.
+        Validated against :data:`FUSION_MODES`; anything else raises
         ``ValueError``.
     max_pending:
         Auto-flush threshold bounding buffer growth for long straight-
         line circuits.
-    cost_model:
-        The :class:`~repro.sim.schedule.CostModel` driving size-aware
-        planning at flush time (``None`` — the default — uses
-        :data:`~repro.sim.schedule.DEFAULT_COST_MODEL`): contraction
-        planning is bypassed below ``plan_min_qubits`` and windows
-        widen on large registers.
     """
 
-    def __init__(
-        self,
-        backend,
-        rank: int,
-        fusion="auto",
-        max_pending: int = 256,
-        cost_model: CostModel | None = None,
-    ):
-        if fusion is True:
-            fusion = "on"
-        elif fusion is False:
-            fusion = "off"
+    def __init__(self, backend, rank: int, fusion="auto", max_pending: int = 256):
         if fusion not in FUSION_MODES:
             raise ValueError(
                 f"fusion must be one of {FUSION_MODES}, got {fusion!r}"
             )
         self._backend = backend
         self._rank = rank
-        self._cost_model = DEFAULT_COST_MODEL if cost_model is None else cost_model
         self._eager = fusion == "off"
-        self._diag_batching = not self._eager and fusion != "nodiag"
-        self._planning = self._diag_batching and fusion != "noplan"
         self._buf: list[Op] = []
         self._max_pending = max_pending
 
     @property
     def fusion(self) -> bool:
-        """Whether this stream buffers and fuses (False = eager legacy path)."""
+        """Whether this stream buffers and fuses (False = eager per-gate path)."""
         return not self._eager
-
-    @property
-    def diag_batching(self) -> bool:
-        """Whether flushes coalesce diagonal runs into ``DiagBatch`` records."""
-        return self._diag_batching
-
-    @property
-    def planning(self) -> bool:
-        """Whether flushes fuse small-op runs into ``ContractionPlan`` records."""
-        return self._planning
 
     @property
     def pending(self) -> int:
@@ -157,43 +124,22 @@ class OpStream:
             self.flush()
 
     def flush(self) -> None:
-        """Dispatch everything buffered as one ``apply_ops`` batch.
+        """Dispatch everything buffered as one ``apply_flush`` batch.
 
-        The buffer is lowered by the schedule compiler's stream-side
-        pass (:func:`repro.sim.schedule.lower_flush`): maximal runs of
-        diagonal ops coalesce into :class:`~repro.qmpi.ops.DiagBatch`
-        records (unless ``fusion="nodiag"``), then contiguous small-op
-        runs fuse into :class:`~repro.qmpi.ops.ContractionPlan` records
-        (unless ``fusion="noplan"``) — **size-aware**: the cost model
-        bypasses planning outright on small registers and widens
-        windows on large ones. Backends exposing ``apply_flush`` take
-        the raw buffer instead and serve the lowering + compilation
-        from their schedule cache (see :mod:`repro.sim.cache`);
-        backends without it (recording fakes, minimal test doubles)
-        keep the legacy lower-then-``apply_ops`` path. On error (e.g. a
+        The backend lowers the raw buffer
+        (:func:`repro.sim.schedule.lower_flush`: diagonal runs coalesce
+        into :class:`~repro.qmpi.ops.DiagBatch` records, then — on
+        large registers only — small-op runs fuse into
+        :class:`~repro.qmpi.ops.ContractionPlan` records) and serves
+        the lowering + compilation from its schedule cache (see
+        :mod:`repro.sim.cache`). Over ``transport="mp"`` this is one
+        RPC to the parent's backend and cache. On error (e.g. a
         locality violation) the buffered batch is discarded — partial
         replay would double-apply its prefix.
         """
         if self._buf:
             buf, self._buf = self._buf, []
-            apply_flush = getattr(self._backend, "apply_flush", None)
-            if apply_flush is not None:
-                apply_flush(
-                    self._rank,
-                    tuple(buf),
-                    diag_batching=self._diag_batching,
-                    planning=self._planning,
-                    cost_model=self._cost_model,
-                )
-                return
-            buf = lower_flush(
-                buf,
-                self._backend.num_qubits,
-                diag_batching=self._diag_batching,
-                planning=self._planning,
-                cost_model=self._cost_model,
-            )
-            self._backend.apply_ops(self._rank, tuple(buf))
+            self._backend.apply_flush(self._rank, tuple(buf))
 
     # ------------------------------------------------------------------
     def _try_fold_zz(self, op: Op) -> bool:

@@ -17,8 +17,6 @@ from . import arith, diag, gates, pauli, plan, schedule
 from .diag import DiagBatch, coalesce_diagonals
 from .plan import ContractionPlan, plan_contractions
 from .schedule import (
-    DEFAULT_COST_MODEL,
-    CostModel,
     DiagSegment,
     ExchangeSegment,
     KernelRun,
@@ -40,8 +38,6 @@ __all__ = [
     "ContractionPlan",
     "coalesce_diagonals",
     "plan_contractions",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
     "Segment",
     "KernelRun",
     "DiagSegment",

@@ -16,8 +16,8 @@ The key insight is the split between a batch's **structure** and its
   renumbered by first touch, so a recycled backend with drifted ids
   still hits), explicit-matrix bytes for fused
   :data:`~repro.qmpi.ops.UNITARY` records (peephole fusion makes their
-  structure value-dependent by design), the register size and the
-  fusion/cost-model flags steering the lowering passes;
+  structure value-dependent by design) and the register size, which
+  alone steers the lowering passes (:func:`~repro.sim.schedule.plan_window`);
 * the *payload* is the flat vector of continuous gate parameters
   (rz/crz/cphase angles, ...), held **out** of the key: two flushes of
   the same Trotter step with different angles share one cache entry.
@@ -67,7 +67,6 @@ import numpy as np
 from .diag import DiagBatch
 from .plan import ContractionPlan, freeze_window, replay_window
 from .schedule import (
-    DEFAULT_COST_MODEL,
     DiagSegment,
     KernelRun,
     PlanSegment,
@@ -90,7 +89,7 @@ __all__ = [
 _PARAMETRIC_MEMO: dict = {}
 
 
-def structural_key(ops, n_qubits, diag_batching, planning, cost_model):
+def structural_key(ops, n_qubits):
     """Split a flush buffer into a structural key and a parameter payload.
 
     Returns ``(key, payload, ids, slices)`` — the hashable key, the flat
@@ -107,8 +106,8 @@ def structural_key(ops, n_qubits, diag_batching, planning, cost_model):
     ids travel alongside for layout lookup and binding.  Explicit
     matrices hash by value: peephole fusion makes a ``UNITARY`` record's
     content parameter-dependent, so different fused values are —
-    correctly — different schedules.  ``n_qubits`` and the lowering
-    flags are part of the key because they steer size-aware planning.
+    correctly — different schedules.  ``n_qubits`` is part of the key
+    because it steers size-aware planning.
     """
     canon: dict[int, int] = {}
     tokens = []
@@ -162,13 +161,7 @@ def structural_key(ops, n_qubits, diag_batching, planning, cost_model):
         m = np.ascontiguousarray(np.asarray(u, dtype=np.complex128))
         tokens.append(("u", cq, m.shape, m.tobytes()))
         slices.append(None)
-    key = (
-        tuple(tokens),
-        int(n_qubits),
-        bool(diag_batching),
-        bool(planning),
-        cost_model,
-    )
+    key = (tuple(tokens), int(n_qubits))
     return key, tuple(payload), tuple(canon), tuple(slices)
 
 
@@ -432,14 +425,8 @@ class CachedSchedule:
         its source ops (a record built outside the standard lowering
         passes) — the caller then bypasses the cache for this shape.
         """
-        _, n_qubits, diag_batching, planning, cost_model = key
-        lowered = lower_flush(
-            list(ops),
-            n_qubits,
-            diag_batching=diag_batching,
-            planning=planning,
-            cost_model=cost_model,
-        )
+        _, n_qubits = key
+        lowered = lower_flush(ops, n_qubits)
         smap = {id(op): sl for op, sl in zip(ops, slices)}
         annotated = []
         for rec in lowered:
@@ -532,16 +519,7 @@ class ScheduleCache:
         """The cached structural keys, LRU order (oldest first)."""
         return list(self._entries)
 
-    def execute(
-        self,
-        engine,
-        ops,
-        *,
-        num_qubits: int,
-        diag_batching: bool = True,
-        planning: bool = True,
-        cost_model=DEFAULT_COST_MODEL,
-    ) -> bool:
+    def execute(self, engine, ops, *, num_qubits: int) -> bool:
         """Execute a flush buffer through the cache.
 
         Key the buffer structurally; on a miss, lower once and remember
@@ -552,9 +530,7 @@ class ScheduleCache:
         ``bypasses``) for anything the cache cannot key safely; the
         caller then runs its one-shot lower-then-``apply_ops`` path.
         """
-        keyed = structural_key(
-            ops, num_qubits, diag_batching, planning, cost_model
-        )
+        keyed = structural_key(ops, num_qubits)
         entry = None
         if keyed is not None:
             key, payload, ids, slices = keyed

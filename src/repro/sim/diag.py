@@ -3,8 +3,8 @@
 Diagonal ops (z, s, t, tdg, rz, phase, cz, crz, cphase, and any fused
 2x2 diagonal) all commute in the computational basis, so a run of them
 is a single diagonal operator.  :func:`coalesce_diagonals` collapses
-such runs — the :class:`~repro.qmpi.stream.OpStream` calls it at flush
-time — into one :class:`DiagBatch` op carrying *phase tables*:
+such runs — :func:`repro.sim.schedule.lower_flush` calls it on every
+flushed stream buffer — into one :class:`DiagBatch` op carrying *phase tables*:
 
 * ``phases1[q]``      — a length-2 table: the factor each value of qubit
   ``q`` picks up;

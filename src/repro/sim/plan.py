@@ -85,7 +85,7 @@ __all__ = [
 #: Three local qubits keep the fused unitary at 8x8 — still far below
 #: chunk size — while letting ladder-shaped circuits (cnot chains, swap
 #: networks) fuse pairs of overlapping two-qubit gates.  The schedule
-#: cost model (:class:`repro.sim.schedule.CostModel`) makes the bound
+#: (:func:`repro.sim.schedule.plan_window`) makes the bound
 #: size-aware at flush time: planning is bypassed outright on small
 #: registers and the window widens to four qubits (one 16x16
 #: contraction) on large ones, where memory traffic dominates.
@@ -331,7 +331,7 @@ def plan_contractions(
     lone single-qubit op moves it only relative to other windows.
 
     With ``max_window`` above :data:`MAX_WINDOW` (size-aware widening,
-    see :meth:`repro.sim.schedule.CostModel.plan_window`), only
+    see :func:`repro.sim.schedule.plan_window`), only
     single-window *growth* may exceed ``merge_window`` (default
     ``max_window``; the size-aware caller pins it to
     :data:`MAX_WINDOW`): an op extending one live window to a fourth

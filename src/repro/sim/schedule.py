@@ -5,16 +5,16 @@ classified *once* — local vs. EPR-mediated — before execution.  This
 module is the **single place where execution strategy is decided**, in
 two passes:
 
-:func:`lower_flush` — the stream-side pass (called by
-:meth:`repro.qmpi.stream.OpStream.flush`): diagonal coalescing followed
-by **size-aware** contraction planning.  The :class:`CostModel` decides
-whether planning pays at all (the fused matmul only amortizes its
-planning + window-product overhead from about 16 qubits — below
-``plan_min_qubits`` the pass is bypassed outright) and how wide windows
-may grow (beyond ``wide_window_min_qubits`` the per-pass memory traffic
-dominates, so 4-qubit windows — one 16x16 contraction replacing >= 4
-strided passes — win and :data:`~repro.sim.plan.MAX_WINDOW` is widened
-to ``wide_window``).
+:func:`lower_flush` — the stream-side pass (run behind
+:meth:`repro.qmpi.backend.QuantumBackend.apply_flush`): diagonal
+coalescing followed by **size-aware** contraction planning, a function
+of the register size alone (:func:`plan_window`).  Planning pays only
+from :data:`PLAN_MIN_QUBITS` (the fused matmul amortizes its planning +
+window-product overhead from about 16 qubits; below that the pass is
+bypassed outright), and from :data:`WIDE_WINDOW_MIN_QUBITS` the
+per-pass memory traffic dominates, so :data:`WIDE_WINDOW`-qubit windows
+— one 16x16 contraction replacing >= 4 strided passes — win and
+:data:`~repro.sim.plan.MAX_WINDOW` is widened.
 
 :func:`compile_segments` — the engine-side pass (called by both
 ``apply_ops`` implementations): turns the lowered op list into an
@@ -50,8 +50,6 @@ and chunk-boundary position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .diag import DiagBatch, coalesce_diagonals
@@ -61,8 +59,10 @@ __all__ = [
     "LOCAL",
     "BLOCKDIAG",
     "MIXING",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
+    "PLAN_MIN_QUBITS",
+    "WIDE_WINDOW_MIN_QUBITS",
+    "WIDE_WINDOW",
+    "plan_window",
     "Segment",
     "KernelRun",
     "DiagSegment",
@@ -85,49 +85,37 @@ BLOCKDIAG = "blockdiag"
 MIXING = "mixing"
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """The calibrated execution thresholds.
+# The planning thresholds come from the contraction-plan and
+# schedule-compiler sweeps recorded in CHANGES.md: fused matmuls lose
+# below ~16 qubits, where per-op dispatch is cheaper than planning; the
+# 16x16 four-qubit contraction wins from ~18 qubits, where one pass
+# over the amplitudes beats four.  BENCHMARK.json's ``sweep_small``
+# sits below the first, ``trotter_*`` and ``qft_sharded`` at or above
+# the second.
 
-    The planning thresholds come from the contraction-plan and
-    schedule-compiler sweeps recorded in CHANGES.md (the entries that
-    introduced :mod:`repro.sim.plan` and this module): fused matmuls
-    lose below ~16 qubits, where per-op dispatch overhead is cheaper
-    than planning; the 16x16 four-qubit contraction wins from ~18
-    qubits, where one pass over the amplitudes beats four.
+#: Register size below which contraction planning is bypassed outright.
+PLAN_MIN_QUBITS = 16
+#: Register size from which plan windows widen to :data:`WIDE_WINDOW`.
+WIDE_WINDOW_MIN_QUBITS = 18
+#: Widened window bound.  Widening is growth-only: bridge merges stay
+#: at :data:`~repro.sim.plan.MAX_WINDOW` (merging two viable small
+#: windows saves no pass — see :func:`repro.sim.plan.plan_contractions`).
+WIDE_WINDOW = 4
+
+
+def plan_window(n_qubits: int) -> int:
+    """Window bound for contraction planning at this register size.
+
+    0 (planning bypassed) below :data:`PLAN_MIN_QUBITS`,
+    :data:`WIDE_WINDOW` from :data:`WIDE_WINDOW_MIN_QUBITS`, and
+    :data:`~repro.sim.plan.MAX_WINDOW` in between.  The constants are
+    read at call time.
     """
-
-    #: Register size below which contraction planning is bypassed
-    #: entirely (the matmul cannot amortize the planning pass).
-    plan_min_qubits: int = 16
-    #: Register size from which plan windows widen to ``wide_window``
-    #: qubits (memory traffic dominates: one 2^w x 2^w pass wins).
-    wide_window_min_qubits: int = 18
-    #: Widened window bound used at or above ``wide_window_min_qubits``.
-    #: Widening is growth-only: bridge merges stay at ``base_window``
-    #: (merging two viable small windows saves no pass — see
-    #: :func:`repro.sim.plan.plan_contractions`).
-    wide_window: int = 4
-    #: Default window bound (:data:`repro.sim.plan.MAX_WINDOW`).
-    base_window: int = MAX_WINDOW
-
-    def plan_window(self, n_qubits: int) -> int:
-        """Window bound for contraction planning at this register size.
-
-        Returns 0 when planning should be bypassed outright (below
-        ``plan_min_qubits``), ``wide_window`` on large registers, and
-        ``base_window`` in between.
-        """
-        if n_qubits < self.plan_min_qubits:
-            return 0
-        if n_qubits >= self.wide_window_min_qubits:
-            return self.wide_window
-        return self.base_window
-
-
-#: The model used when none is supplied (thresholds calibrated by the
-#: sweeps recorded in CHANGES.md; see :class:`CostModel`).
-DEFAULT_COST_MODEL = CostModel()
+    if n_qubits < PLAN_MIN_QUBITS:
+        return 0
+    if n_qubits >= WIDE_WINDOW_MIN_QUBITS:
+        return WIDE_WINDOW
+    return MAX_WINDOW
 
 
 class Segment:
@@ -203,39 +191,24 @@ class ExchangeSegment(Segment):
 # ----------------------------------------------------------------------
 # stream-side pass: size-aware lowering
 # ----------------------------------------------------------------------
-def lower_flush(
-    ops,
-    n_qubits: int,
-    *,
-    diag_batching: bool = True,
-    planning: bool = True,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-):
+def lower_flush(ops, n_qubits: int):
     """Lower a flushed op buffer: coalesce diagonals, then plan windows.
 
-    This is the stream-side half of the flush-time compiler —
-    :meth:`repro.qmpi.stream.OpStream.flush` calls it with the current
-    register size so the planning decision is **size-aware**: below
-    ``cost_model.plan_min_qubits`` the contraction pass is bypassed
+    This is the stream-side half of the flush-time compiler, run on a
+    rank's raw buffer by the backend's flush entry point with the
+    current register size, so the planning decision is **size-aware**:
+    below :data:`PLAN_MIN_QUBITS` the contraction pass is bypassed
     outright (no :class:`~repro.sim.plan.ContractionPlan` is ever
-    built), and on large registers windows widen to
-    ``cost_model.wide_window`` qubits.  ``diag_batching=False`` /
-    ``planning=False`` reproduce the ``fusion="nodiag"`` /
-    ``fusion="noplan"`` ablation modes.
+    built), and on large registers windows widen to :data:`WIDE_WINDOW`
+    qubits (see :func:`plan_window`).
     """
-    ops = list(ops)
-    if diag_batching:
-        ops = coalesce_diagonals(ops)
-        if planning:
-            w = cost_model.plan_window(n_qubits)
-            if w:
-                # Widening is growth-only: merges stay at the base
-                # bound (see plan_contractions).
-                ops = plan_contractions(
-                    ops,
-                    max_window=w,
-                    merge_window=min(w, cost_model.base_window),
-                )
+    ops = coalesce_diagonals(ops)
+    w = plan_window(n_qubits)
+    if w:
+        # Widening is growth-only: merges stay at the base bound.
+        ops = plan_contractions(
+            ops, max_window=w, merge_window=min(w, MAX_WINDOW)
+        )
     return ops
 
 

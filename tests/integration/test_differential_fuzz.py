@@ -6,9 +6,12 @@ into ``rzz`` + end-of-circuit measurement) run twice — backend
 ``cache="on"`` vs ``cache="off"`` — with identical seeds, and every
 run must agree **bit-identically**: the same measured bits and
 ``np.array_equal`` final amplitudes (no tolerance).  Configurations
-cycle deterministically over shared/sharded × all four fusion modes ×
-1/2/4 ranks, so the quick-mode corpus covers the full 24-combination
-matrix several times over.
+cycle deterministically over shared/sharded × four modes × 1/2/4
+ranks, so the quick-mode corpus covers the full 24-combination matrix
+several times over.  A mode is a lowering (``tests/_lowering.py``):
+``"auto"`` (the default, which never plans at fuzz sizes),
+``"planned"`` (the contraction planner forced on), ``"nodiag"`` (no
+diagonal batching, no planning) and ``"off"`` (per-gate dispatch).
 
 A second sweep runs the corpus ``kernels="jit"`` vs ``kernels="numpy"``
 on top of the same configuration cycle (including cache on/off, so
@@ -53,9 +56,10 @@ import os
 import numpy as np
 import pytest
 
-from repro.qmpi import qmpi_run
+from repro.qmpi import ContractionPlan, qmpi_run
 from repro.sim.kernels import provider_name
 from tests import _dense_oracle
+from tests._lowering import fusion_of, lowering
 
 BASE_SEED = int(os.environ.get("QMPI_FUZZ_SEED", "20260808"))
 N_CIRCUITS = int(os.environ.get("QMPI_FUZZ_CIRCUITS", "200"))
@@ -82,12 +86,13 @@ GATE_POOL = (
     ("cphase", 2, 1),
     ("rzz", 2, 1),
     # Expands to cnot(c, t) . rz(t) . cnot(c, t): the idiom the stream's
-    # peephole folds into one rzz (in every fusion mode but "off").
+    # peephole folds into one rzz (in every mode but "off").
     (ZZ_SANDWICH, 2, 1),
 )
 
 BACKENDS = ("shared", "sharded")
-FUSIONS = ("auto", "noplan", "nodiag", "off")
+#: Four values keep the oracle arm's 37-stride over 96 configs full-period.
+MODES = ("auto", "planned", "nodiag", "off")
 RANKS = (1, 2, 4)
 DTYPES = ("complex128", "complex64")
 PASSES = 3  # same shape, fresh angles — passes 2..3 replay warm
@@ -143,24 +148,25 @@ def _prog(qc, n_qubits, ops, measured, passes):
 
 
 def _run(
-    circ, passes, backend, fusion, n_ranks, cache,
+    circ, passes, backend, mode, n_ranks, cache,
     shots=None, kernels=None, dtype=None,
 ):
     n_qubits, ops, measured = circ
     kw = {} if kernels is None else {"kernels": kernels}
     if dtype is not None:
         kw["dtype"] = dtype
-    w = qmpi_run(
-        n_ranks,
-        _prog,
-        args=(n_qubits, ops, measured, passes),
-        seed=7,
-        backend=backend,
-        fusion=fusion,
-        shots=shots,
-        cache=cache,
-        **kw,
-    )
+    with lowering(mode):
+        w = qmpi_run(
+            n_ranks,
+            _prog,
+            args=(n_qubits, ops, measured, passes),
+            seed=7,
+            backend=backend,
+            fusion=fusion_of(mode),
+            shots=shots,
+            cache=cache,
+            **kw,
+        )
     bits = w.results[0]
     if shots is not None:
         return [np.asarray(b).tolist() for b in bits], None, w
@@ -169,13 +175,13 @@ def _run(
 
 
 def _describe(
-    i, circ, passes, backend, fusion, n_ranks,
+    i, circ, passes, backend, mode, n_ranks,
     shots=None, cache=None, dtype=None,
 ):
     n_qubits, ops, measured = circ
     return (
         f"fuzz circuit {i} (QMPI_FUZZ_SEED={BASE_SEED}): "
-        f"backend={backend} fusion={fusion} n_ranks={n_ranks} "
+        f"backend={backend} mode={mode} n_ranks={n_ranks} "
         f"shots={shots} cache={cache} dtype={dtype} "
         f"n_qubits={n_qubits} measured={measured}\n"
         f"ops={ops!r}\n"
@@ -192,25 +198,37 @@ def _corpus(n, tag):
 
 
 def test_fuzz_cache_on_off_bit_identical():
-    """≥200 random circuits: cache replay is bit-identical to no cache."""
+    """≥200 random circuits: cache replay is bit-identical to no cache.
+
+    The ``planned`` configs must reach the contraction planner: at fuzz
+    sizes (2-5 qubits) the default lowering never does.
+    """
     checked = 0
+    plans = 0
     for i, circ, passes in _corpus(N_CIRCUITS, 0):
         backend = BACKENDS[i % len(BACKENDS)]
-        fusion = FUSIONS[i % len(FUSIONS)]
+        mode = MODES[i % len(MODES)]
         n_ranks = RANKS[i % len(RANKS)]
-        label = _describe(i, circ, passes, backend, fusion, n_ranks)
-        bits_on, sv_on, w_on = _run(circ, passes, backend, fusion, n_ranks, "on")
-        bits_off, sv_off, _ = _run(circ, passes, backend, fusion, n_ranks, "off")
+        label = _describe(i, circ, passes, backend, mode, n_ranks)
+        bits_on, sv_on, w_on = _run(circ, passes, backend, mode, n_ranks, "on")
+        bits_off, sv_off, _ = _run(circ, passes, backend, mode, n_ranks, "off")
         assert bits_on == bits_off, f"measured bits diverged\n{label}"
         assert np.array_equal(sv_on, sv_off), f"amplitudes diverged\n{label}"
         info = w_on.backend.cache_info()
-        if fusion != "off":
+        if mode != "off":
             # The buffered modes must actually exercise the cache.
             assert info is not None and info["misses"] + info["bypasses"] > 0, (
                 f"cache never engaged\n{label}"
             )
+        if mode == "planned":
+            plans += sum(
+                isinstance(rec, ContractionPlan)
+                for entry in w_on.backend.schedule_cache._entries.values()
+                for rec, _ in entry.lowered
+            )
         checked += 1
     assert checked >= min(N_CIRCUITS, 200) or checked == N_CIRCUITS
+    assert plans > 0, "no planned fuzz config emitted a ContractionPlan"
 
 
 def test_fuzz_shots_mode_per_shot_bits_identical():
@@ -219,11 +237,11 @@ def test_fuzz_shots_mode_per_shot_bits_identical():
         if not circ[2]:  # need at least one measured qubit
             circ = (circ[0], circ[1], (0,))
         backend = BACKENDS[i % len(BACKENDS)]
-        fusion = FUSIONS[i % len(FUSIONS)]
+        mode = MODES[i % len(MODES)]
         n_ranks = RANKS[i % len(RANKS)]
-        label = _describe(i, circ, passes, backend, fusion, n_ranks, shots=8)
-        bits_on, _, w_on = _run(circ, passes, backend, fusion, n_ranks, "on", shots=8)
-        bits_off, _, w_off = _run(circ, passes, backend, fusion, n_ranks, "off", shots=8)
+        label = _describe(i, circ, passes, backend, mode, n_ranks, shots=8)
+        bits_on, _, w_on = _run(circ, passes, backend, mode, n_ranks, "on", shots=8)
+        bits_off, _, w_off = _run(circ, passes, backend, mode, n_ranks, "off", shots=8)
         assert bits_on == bits_off, f"per-shot bits diverged\n{label}"
         assert w_on.counts == w_off.counts, f"shot counts diverged\n{label}"
 
@@ -266,7 +284,7 @@ def _require_provider():
 
 
 def test_fuzz_kernels_jit_vs_numpy_bit_identical():
-    """jit-vs-numpy kernels over the cache/fusion/rank matrix, bitwise.
+    """jit-vs-numpy kernels over the cache/mode/rank matrix, bitwise.
 
     ``kernels="jit"`` dispatches native unconditionally (no break-even
     gate), so even these small fuzz circuits exercise the compiled
@@ -277,17 +295,17 @@ def test_fuzz_kernels_jit_vs_numpy_bit_identical():
     caches = ("on", "off")
     for i, circ, passes in _corpus(N_KERNEL_CIRCUITS, 3):
         backend = BACKENDS[i % len(BACKENDS)]
-        fusion = FUSIONS[i % len(FUSIONS)]
+        mode = MODES[i % len(MODES)]
         n_ranks = RANKS[i % len(RANKS)]
         cache = caches[i % len(caches)]
         label = "kernels=jit vs numpy\n" + _describe(
-            i, circ, passes, backend, fusion, n_ranks, cache=cache
+            i, circ, passes, backend, mode, n_ranks, cache=cache
         )
         bits_j, sv_j, w_j = _run(
-            circ, passes, backend, fusion, n_ranks, cache, kernels="jit"
+            circ, passes, backend, mode, n_ranks, cache, kernels="jit"
         )
         bits_n, sv_n, _ = _run(
-            circ, passes, backend, fusion, n_ranks, cache, kernels="numpy"
+            circ, passes, backend, mode, n_ranks, cache, kernels="numpy"
         )
         assert bits_j == bits_n, f"measured bits diverged\n{label}"
         assert np.array_equal(sv_j, sv_n), f"amplitudes diverged\n{label}"
@@ -304,16 +322,16 @@ def test_fuzz_kernels_shots_per_shot_bits_identical():
         if not circ[2]:  # need at least one measured qubit
             circ = (circ[0], circ[1], (0,))
         backend = BACKENDS[i % len(BACKENDS)]
-        fusion = FUSIONS[i % len(FUSIONS)]
+        mode = MODES[i % len(MODES)]
         n_ranks = RANKS[i % len(RANKS)]
         label = "kernels=jit vs numpy\n" + _describe(
-            i, circ, passes, backend, fusion, n_ranks, shots=8
+            i, circ, passes, backend, mode, n_ranks, shots=8
         )
         bits_j, _, w_j = _run(
-            circ, passes, backend, fusion, n_ranks, "on", shots=8, kernels="jit"
+            circ, passes, backend, mode, n_ranks, "on", shots=8, kernels="jit"
         )
         bits_n, _, w_n = _run(
-            circ, passes, backend, fusion, n_ranks, "on", shots=8, kernels="numpy"
+            circ, passes, backend, mode, n_ranks, "on", shots=8, kernels="numpy"
         )
         assert bits_j == bits_n, f"per-shot bits diverged\n{label}"
         assert w_j.counts == w_n.counts, f"shot counts diverged\n{label}"
@@ -322,21 +340,21 @@ def test_fuzz_kernels_shots_per_shot_bits_identical():
 def test_fuzz_dtype_axis_cache_bit_identical():
     """Dtype sweep: cache replay stays bit-identical within each dtype.
 
-    Cycles ``dtype`` alongside the backend/fusion/rank matrix; the
+    Cycles ``dtype`` alongside the backend/mode/rank matrix; the
     cache-on vs cache-off comparison is within one dtype, so the bar
     stays exact bit-equality even for complex64.
     """
     for i, circ, passes in _corpus(N_DTYPE_CIRCUITS, 5):
         backend = BACKENDS[i % len(BACKENDS)]
-        fusion = FUSIONS[i % len(FUSIONS)]
+        mode = MODES[i % len(MODES)]
         n_ranks = RANKS[i % len(RANKS)]
         dtype = DTYPES[i % len(DTYPES)]
-        label = _describe(i, circ, passes, backend, fusion, n_ranks, dtype=dtype)
+        label = _describe(i, circ, passes, backend, mode, n_ranks, dtype=dtype)
         bits_on, sv_on, w_on = _run(
-            circ, passes, backend, fusion, n_ranks, "on", dtype=dtype
+            circ, passes, backend, mode, n_ranks, "on", dtype=dtype
         )
         bits_off, sv_off, _ = _run(
-            circ, passes, backend, fusion, n_ranks, "off", dtype=dtype
+            circ, passes, backend, mode, n_ranks, "off", dtype=dtype
         )
         assert bits_on == bits_off, f"measured bits diverged\n{label}"
         assert np.array_equal(sv_on, sv_off), f"amplitudes diverged\n{label}"
@@ -349,19 +367,19 @@ def test_fuzz_dtype_kernels_jit_vs_numpy_bit_identical():
     caches = ("on", "off")
     for i, circ, passes in _corpus(N_DTYPE_CIRCUITS, 6):
         backend = BACKENDS[i % len(BACKENDS)]
-        fusion = FUSIONS[i % len(FUSIONS)]
+        mode = MODES[i % len(MODES)]
         n_ranks = RANKS[i % len(RANKS)]
         cache = caches[i % len(caches)]
         dtype = DTYPES[i % len(DTYPES)]
         label = "kernels=jit vs numpy\n" + _describe(
-            i, circ, passes, backend, fusion, n_ranks, cache=cache, dtype=dtype
+            i, circ, passes, backend, mode, n_ranks, cache=cache, dtype=dtype
         )
         bits_j, sv_j, w_j = _run(
-            circ, passes, backend, fusion, n_ranks, cache,
+            circ, passes, backend, mode, n_ranks, cache,
             kernels="jit", dtype=dtype,
         )
         bits_n, sv_n, _ = _run(
-            circ, passes, backend, fusion, n_ranks, cache,
+            circ, passes, backend, mode, n_ranks, cache,
             kernels="numpy", dtype=dtype,
         )
         assert bits_j == bits_n, f"measured bits diverged\n{label}"
@@ -378,17 +396,17 @@ def test_fuzz_dtype_shots_per_shot_bits_identical():
         if not circ[2]:  # need at least one measured qubit
             circ = (circ[0], circ[1], (0,))
         backend = BACKENDS[i % len(BACKENDS)]
-        fusion = FUSIONS[i % len(FUSIONS)]
+        mode = MODES[i % len(MODES)]
         n_ranks = RANKS[i % len(RANKS)]
         dtype = DTYPES[i % len(DTYPES)]
         label = _describe(
-            i, circ, passes, backend, fusion, n_ranks, shots=8, dtype=dtype
+            i, circ, passes, backend, mode, n_ranks, shots=8, dtype=dtype
         )
         bits_on, _, w_on = _run(
-            circ, passes, backend, fusion, n_ranks, "on", shots=8, dtype=dtype
+            circ, passes, backend, mode, n_ranks, "on", shots=8, dtype=dtype
         )
         bits_off, _, w_off = _run(
-            circ, passes, backend, fusion, n_ranks, "off", shots=8, dtype=dtype
+            circ, passes, backend, mode, n_ranks, "off", shots=8, dtype=dtype
         )
         assert bits_on == bits_off, f"per-shot bits diverged\n{label}"
         assert w_on.counts == w_off.counts, f"shot counts diverged\n{label}"
@@ -398,19 +416,19 @@ def test_fuzz_against_independent_dense_oracle():
     """Final amplitudes match a reference that shares no code with repro.
 
     Measurement-free corpus circuits, one configuration each, strided
-    through the full backend x fusion x ranks x cache x dtype product
+    through the full backend x mode x ranks x cache x dtype product
     so every axis value meets every other within the quick corpus.
     """
-    configs = list(itertools.product(BACKENDS, FUSIONS, RANKS, ("on", "off"), DTYPES))
+    configs = list(itertools.product(BACKENDS, MODES, RANKS, ("on", "off"), DTYPES))
     for i, circ, passes in _corpus(N_ORACLE_CIRCUITS, 8):
         n_qubits, ops, _ = circ
         circ = (n_qubits, ops, ())
         # 37 is coprime to len(configs) == 96: a full-period stride.
-        backend, fusion, n_ranks, cache, dtype = configs[(37 * i) % len(configs)]
+        backend, mode, n_ranks, cache, dtype = configs[(37 * i) % len(configs)]
         label = "engine vs dense oracle\n" + _describe(
-            i, circ, passes, backend, fusion, n_ranks, cache=cache, dtype=dtype
+            i, circ, passes, backend, mode, n_ranks, cache=cache, dtype=dtype
         )
-        _, sv, _ = _run(circ, passes, backend, fusion, n_ranks, cache, dtype=dtype)
+        _, sv, _ = _run(circ, passes, backend, mode, n_ranks, cache, dtype=dtype)
         expected = _dense_oracle.run(
             n_qubits,
             [

@@ -7,13 +7,14 @@ Four layers:
    merges, barriers) and ``ContractionPlan.from_ops`` (the fused
    unitary equals the in-order product);
 2. stream-level tests proving flushes emit ``ContractionPlan`` records
-   in ``fusion="auto"`` and never in ``"noplan"``/``"nodiag"``/``"off"``;
+   under the ``"planned"`` lowering and never under ``"noplan"`` /
+   ``"nodiag"`` or ``fusion="off"``;
 3. sharded white-box tests of the per-plan shard-bit classification
    (all-local, block-diagonal high axes = communication-free,
    genuinely mixing high axes = one exchange for the whole plan);
 4. flush-boundary programs (measure / EPR / p2p mid-plan) and
    amplitude-exact equivalence of two-qubit-dense programs across
-   shared/sharded x auto/noplan/off x 1/2/4 ranks.
+   shared/sharded x planned/noplan/off x 1/2/4 ranks.
 """
 
 from collections import Counter
@@ -34,6 +35,7 @@ from repro.qmpi import (
 )
 from repro.sim import ShardedStateVector, StateVector, plan_contractions
 from tests import _dense_oracle
+from tests._lowering import compiled_records, fusion_of, lowering
 from tests._precision import DEEP_ATOL, STATE_ATOL
 
 
@@ -217,9 +219,9 @@ def test_e2e_anneal_program_lowers_to_one_diagonal_and_five_windows_per_trotter_
 
     buffers, lowered = [], []
 
-    def spy(ops, n_qubits, **kw):
+    def spy(ops, n_qubits):
         buffers.append(list(ops))
-        lowered.append(lower_flush(ops, n_qubits, **kw))
+        lowered.append(lower_flush(ops, n_qubits))
         return lowered[-1]
 
     monkeypatch.setattr(cache, "lower_flush", spy)
@@ -287,40 +289,25 @@ def test_plan_quacks_like_an_op():
 # ----------------------------------------------------------------------
 # stream-level: which modes emit plans
 # ----------------------------------------------------------------------
-def _spy_backend(backend_cls=SharedBackend):
-    be = backend_cls(seed=0)
-    seen = []
-    orig = be.apply_ops
-
-    def spy(rank, ops):
-        seen.extend(ops)
-        return orig(rank, ops)
-
-    be.apply_ops = spy
-    # Force the legacy lower-then-apply_ops flush path so the spy sees
-    # the lowered records (apply_flush takes the raw buffer instead).
-    be.apply_flush = None
-    return be, seen
-
-
-@pytest.mark.parametrize("fusion,expect_plan", [
-    ("auto", True),
+@pytest.mark.parametrize("mode,expect_plan", [
+    ("planned", True),
     ("noplan", False),
     ("nodiag", False),
     ("off", False),
 ])
-def test_stream_emits_plans_only_in_auto(fusion, expect_plan):
-    from repro.qmpi import CostModel
-
-    be, seen = _spy_backend()
-    qs = tuple(be.alloc(0, 3))
-    # plan_min_qubits=0 forces planning on this tiny register; the
-    # default size-aware bypass is covered by tests/qmpi/test_schedule.py.
-    stream = OpStream(be, 0, fusion=fusion, cost_model=CostModel(plan_min_qubits=0))
-    stream.append(Op("cnot", (qs[0], qs[1])))
-    stream.append(Op("ry", (qs[1],), (0.3,)))
-    stream.append(Op("cnot", (qs[1], qs[2])))
-    stream.flush()
+def test_stream_emits_plans_only_when_planning(mode, expect_plan):
+    # "planned" forces planning on this tiny register; the default
+    # size-aware bypass is covered by tests/qmpi/test_schedule.py.
+    with lowering(mode):
+        be = SharedBackend(seed=0)
+        seen = compiled_records(be)
+        qs = tuple(be.alloc(0, 3))
+        stream = OpStream(be, 0, fusion=fusion_of(mode))
+        stream.append(Op("cnot", (qs[0], qs[1])))
+        stream.append(Op("ry", (qs[1],), (0.3,)))
+        stream.append(Op("cnot", (qs[1], qs[2])))
+        stream.flush()
+    assert seen
     assert any(isinstance(o, ContractionPlan) for o in seen) == expect_plan
 
 
@@ -461,8 +448,8 @@ def test_measure_mid_plan_flushes_first(backend):
         assert partner == 0
 
 
-@pytest.mark.parametrize("fusion", ["auto", "noplan", "off"])
-def test_epr_and_p2p_mid_plan(fusion):
+@pytest.mark.parametrize("mode", ["planned", "noplan", "off"])
+def test_epr_and_p2p_mid_plan(mode):
     # A two-qubit run is interrupted by a qubit send (EPR + p2p fixups):
     # the stream must flush before the channel touches the qubits.
     def prog(qc):
@@ -479,7 +466,8 @@ def test_epr_and_p2p_mid_plan(fusion):
         qc.ry(t[0], -0.6)
         return qc.prob_one(t[0])
 
-    got = qmpi_run(2, prog, seed=0, backend="sharded", fusion=fusion)
+    with lowering(mode):
+        got = qmpi_run(2, prog, seed=0, backend="sharded", fusion=fusion_of(mode))
     ref = qmpi_run(2, prog, seed=0, backend="shared", fusion="off")
     np.testing.assert_allclose(got.results, ref.results, atol=DEEP_ATOL)
 
@@ -518,12 +506,14 @@ def _assert_same_up_to_phase(vec_a, vec_b, atol=DEEP_ATOL):
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 4])
 def test_dense_two_qubit_equivalence_across_modes(n_ranks):
-    worlds = {
-        (bk, fu): qmpi_run(n_ranks, _dense_program, args=(13,), seed=2,
-                           backend=bk, fusion=fu)
-        for bk in ("shared", "sharded")
-        for fu in ("auto", "noplan", "off")
-    }
+    worlds = {}
+    for bk in ("shared", "sharded"):
+        for mode in ("planned", "noplan", "off"):
+            with lowering(mode):
+                worlds[(bk, mode)] = qmpi_run(
+                    n_ranks, _dense_program, args=(13,), seed=2,
+                    backend=bk, fusion=fusion_of(mode),
+                )
     ref_world = worlds[("shared", "off")]
     order = [q for block in ref_world.results for q in block]
     ref = ref_world.backend.statevector(order)

@@ -6,8 +6,8 @@ Four layers:
    keys, ``terms()`` round-trip) and ``coalesce_diagonals`` (run
    splitting, singleton passthrough);
 2. stream-level tests proving flushes emit ``DiagBatch`` records in
-   ``fusion="auto"`` and never in ``"nodiag"``/``"off"``, with
-   non-diagonal ops splitting batches;
+   ``fusion="auto"`` and never under the ``"nodiag"`` lowering or
+   ``fusion="off"``, with non-diagonal ops splitting batches;
 3. flush-boundary tests (measurement / p2p mid-batch);
 4. amplitude-exact equivalence of diagonal-heavy programs across
    shared/sharded x auto/nodiag/off x 1/2/4 ranks, including the QFT.
@@ -28,6 +28,7 @@ from repro.qmpi import (
 )
 from repro.sim import StateVector, coalesce_diagonals
 from repro.sim import gates as G
+from tests._lowering import compiled_records, fusion_of, lowering
 from tests._precision import DEEP_ATOL, STATE_ATOL
 
 
@@ -151,20 +152,9 @@ def test_tracked_engine_tallies_diag_batches():
 # ----------------------------------------------------------------------
 # stream dispatch: what the backend actually receives
 # ----------------------------------------------------------------------
-class _SpyBackend(SharedBackend):
-    """Records every op dispatched through apply_ops."""
-
-    def __init__(self):
-        super().__init__(seed=0)
-        self.seen = []
-        # Force the legacy lower-then-apply_ops flush path so the spy
-        # sees the lowered records (apply_flush takes the raw buffer).
-        self.apply_flush = None
-
-    def apply_ops(self, rank, ops):
-        ops = tuple(ops)
-        self.seen.extend(ops)
-        super().apply_ops(rank, ops)
+def _spy_backend():
+    be = SharedBackend(seed=0)
+    return be, compiled_records(be)
 
 
 def _diag_heavy(stream, q):
@@ -178,25 +168,23 @@ def _diag_heavy(stream, q):
 
 
 def test_stream_flush_emits_diag_batches():
-    be = _SpyBackend()
+    be, seen = _spy_backend()
     q = list(be.alloc(0, 3))
     st = OpStream(be, 0, fusion="auto")
     _diag_heavy(st, q)
-    kinds = [type(o).__name__ for o in be.seen]
+    kinds = [type(o).__name__ for o in seen]
     assert kinds == ["DiagBatch", "Op", "DiagBatch"]
-    assert st.diag_batching
 
 
-@pytest.mark.parametrize("fusion", ["nodiag", "off"])
-def test_nodiag_and_off_bypass_diag_batching(fusion):
-    be = _SpyBackend()
-    q = list(be.alloc(0, 3))
-    st = OpStream(be, 0, fusion=fusion)
-    _diag_heavy(st, q)
-    assert not any(isinstance(o, DiagBatch) for o in be.seen)
-    assert not st.diag_batching
+@pytest.mark.parametrize("mode", ["nodiag", "off"])
+def test_nodiag_and_off_bypass_diag_batching(mode):
+    with lowering(mode):
+        be, seen = _spy_backend()
+        q = list(be.alloc(0, 3))
+        _diag_heavy(OpStream(be, 0, fusion=fusion_of(mode)), q)
+    assert seen and not any(isinstance(o, DiagBatch) for o in seen)
     # same physics as the batched path
-    ref = _SpyBackend()
+    ref = SharedBackend(seed=0)
     qr = list(ref.alloc(0, 3))
     _diag_heavy(OpStream(ref, 0, fusion="auto"), qr)
     np.testing.assert_allclose(
@@ -287,12 +275,14 @@ def _assert_same_up_to_phase(vec_a, vec_b, atol=DEEP_ATOL):
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 4])
 def test_diag_heavy_equivalence_across_modes(n_ranks):
-    worlds = {
-        (bk, fu): qmpi_run(n_ranks, _diag_heavy_program, args=(7,), seed=1,
-                           backend=bk, fusion=fu)
-        for bk in ("shared", "sharded")
-        for fu in ("auto", "nodiag", "off")
-    }
+    worlds = {}
+    for bk in ("shared", "sharded"):
+        for mode in ("auto", "nodiag", "off"):
+            with lowering(mode):
+                worlds[(bk, mode)] = qmpi_run(
+                    n_ranks, _diag_heavy_program, args=(7,), seed=1,
+                    backend=bk, fusion=fusion_of(mode),
+                )
     ref_world = worlds[("shared", "off")]
     order = [q for block in ref_world.results for q in block]
     ref = ref_world.backend.statevector(order)

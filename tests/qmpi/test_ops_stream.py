@@ -28,6 +28,7 @@ from repro.qmpi import (
 )
 from repro.sim import SimulationError
 from repro.sim import gates as G
+from tests._lowering import fusion_of, lowering
 from tests._precision import DEEP_ATOL, PROB_ABS, STATE_ATOL
 
 
@@ -235,28 +236,24 @@ def test_folded_and_unfolded_sandwiches_match_the_dense_oracle(backend):
 
     n = 5
     states = {}
-    for fusion in ("auto", "nodiag", "off"):
-        world = qmpi_run(1, _zz_program, args=(n,), backend=backend, fusion=fusion)
+    for mode in ("auto", "nodiag", "off"):
+        with lowering(mode):
+            world = qmpi_run(
+                1, _zz_program, args=(n,), backend=backend, fusion=fusion_of(mode)
+            )
         q, gates, folded = world.results[0]
-        assert folded == (0 if fusion == "off" else 4)
-        states[fusion] = world.backend.statevector(q)
+        assert folded == (0 if mode == "off" else 4)
+        states[mode] = world.backend.statevector(q)
     want = run(n, gates)
-    for fusion, got in states.items():
-        np.testing.assert_allclose(got, want, rtol=0, atol=STATE_ATOL, err_msg=fusion)
+    for mode, got in states.items():
+        np.testing.assert_allclose(got, want, rtol=0, atol=STATE_ATOL, err_msg=mode)
 
 
-@pytest.mark.parametrize("fusion", ["auto", "nodiag"])
-def test_lone_rzz_flush_never_exchanges_on_the_sharded_engine(monkeypatch, fusion):
+@pytest.mark.parametrize("mode", ["auto", "nodiag"])
+def test_lone_rzz_flush_never_exchanges_on_the_sharded_engine(monkeypatch, mode):
     from repro.qmpi import ShardedBackend
     from repro.sim import ShardedStateVector
 
-    be = ShardedBackend(seed=0, n_shards=4)
-    q = be.alloc(0, 4)  # q[0], q[1] are the shard axes
-    st = OpStream(be, 0, fusion=fusion)
-    for x in q:
-        st.append(Op("h", (x,)))
-    st.flush()
-    before = be.statevector(q)
     calls = []
 
     def spy(name):
@@ -266,15 +263,23 @@ def test_lone_rzz_flush_never_exchanges_on_the_sharded_engine(monkeypatch, fusio
 
         return called
 
-    for name in ("_pair_exchange", "_group_exchange"):
-        monkeypatch.setattr(ShardedStateVector, name, spy(name))
-    phase = np.ones(16, dtype=complex)
-    for (a, b), theta in (((0, 1), 0.3), ((1, 3), 0.5), ((2, 0), -0.9), ((2, 3), 0.2)):
-        st.append(Op("rzz", (q[a], q[b]), (theta,)))
+    with lowering(mode):
+        be = ShardedBackend(seed=0, n_shards=4)
+        q = be.alloc(0, 4)  # q[0], q[1] are the shard axes
+        st = OpStream(be, 0, fusion="auto")
+        for x in q:
+            st.append(Op("h", (x,)))
         st.flush()
-        idx = np.arange(16)
-        parity = ((idx >> (3 - a)) ^ (idx >> (3 - b))) & 1
-        phase *= np.exp(-0.5j * theta * (1 - 2 * parity))
+        before = be.statevector(q)
+        for name in ("_pair_exchange", "_group_exchange"):
+            monkeypatch.setattr(ShardedStateVector, name, spy(name))
+        phase = np.ones(16, dtype=complex)
+        for (a, b), theta in (((0, 1), 0.3), ((1, 3), 0.5), ((2, 0), -0.9), ((2, 3), 0.2)):
+            st.append(Op("rzz", (q[a], q[b]), (theta,)))
+            st.flush()
+            idx = np.arange(16)
+            parity = ((idx >> (3 - a)) ^ (idx >> (3 - b))) & 1
+            phase *= np.exp(-0.5j * theta * (1 - 2 * parity))
     assert calls == []
     np.testing.assert_allclose(be.statevector(q), phase * before, rtol=0, atol=STATE_ATOL)
 
@@ -576,12 +581,12 @@ def test_all_gates_execute_through_apply_ops(backend):
     def prog(qc):
         orig = qc.backend.apply_flush
         if not batches:  # wrap once; the backend is shared by all ranks
-            def spy(rank, ops, **kw):
+            def spy(rank, ops):
                 ops = tuple(ops)
                 # The flush entry point receives the raw buffered batch
                 # (lowering happens behind it, cached); count its ops.
                 batches.append(sum(getattr(op, "n_ops", 1) for op in ops))
-                return orig(rank, ops, **kw)
+                return orig(rank, ops)
 
             qc.backend.apply_flush = spy
         q = _ordered_alloc(qc, 2)

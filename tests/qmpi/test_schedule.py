@@ -2,20 +2,20 @@
 
 Five layers:
 
-1. ``FUSION_MODES`` validation (unknown mode strings raise, booleans
-   normalize) and the re-export from ``repro.qmpi``;
+1. ``FUSION_MODES`` validation (``"auto"`` / ``"off"`` only; old
+   spellings and booleans raise) and the re-export from ``repro.qmpi``;
 2. white-box compiler tests: segment typing and communication classes,
    order preservation (every input record lands in exactly one segment,
    in program order), controlled gates joining kernel runs;
-3. size-aware planning: no ``PlanSegment`` below ``plan_min_qubits``,
-   four-qubit windows at/above ``wide_window_min_qubits``;
+3. size-aware planning: no ``PlanSegment`` below ``PLAN_MIN_QUBITS``,
+   four-qubit windows at/above ``WIDE_WINDOW_MIN_QUBITS``;
 4. communication-free stretches: one frozen stretch per barrier-free
    span, a mixing segment splits it, and every stretch shape (runs,
    diagonal batches, shard-axis controls, planned windows) matches the
    dense reference on 1-8 chunks;
-5. the property suite: per-qubit program order is preserved across all
-   fusion modes x 1/2/4 ranks (amplitude-exact against the eager
-   shared reference).
+5. the property suite: per-qubit program order is preserved across
+   every lowering mode x 1/2/4 ranks (amplitude-exact against the
+   eager shared reference).
 """
 
 import numpy as np
@@ -24,7 +24,6 @@ import pytest
 from repro.qmpi import (
     FUSION_MODES,
     ContractionPlan,
-    CostModel,
     DiagBatch,
     Op,
     OpStream,
@@ -42,8 +41,10 @@ from repro.sim import (
     compile_segments,
     lower_flush,
     plan_contractions,
+    schedule,
 )
-from repro.sim.schedule import BLOCKDIAG, LOCAL, MIXING, classify_matrix
+from repro.sim.schedule import BLOCKDIAG, LOCAL, MIXING, classify_matrix, plan_window
+from tests._lowering import MODES, compiled_records, fusion_of, lowering
 from tests._precision import DEEP_ATOL
 
 
@@ -51,19 +52,20 @@ from tests._precision import DEEP_ATOL
 # fusion-mode validation
 # ----------------------------------------------------------------------
 def test_fusion_modes_exported_and_validated():
-    assert FUSION_MODES == ("auto", "on", "noplan", "nodiag", "off")
+    assert FUSION_MODES == ("auto", "off")
     be = SharedBackend(seed=0)
-    for mode in FUSION_MODES:
-        OpStream(be, 0, fusion=mode)
+    assert OpStream(be, 0, fusion="auto").fusion
+    assert not OpStream(be, 0, fusion="off").fusion
     for bogus in ("no_plan", "nodiagg", "AUTO", "", None, 2):
         with pytest.raises(ValueError):
             OpStream(be, 0, fusion=bogus)
 
 
-def test_fusion_booleans_normalize():
+def test_fusion_booleans_and_old_spellings_raise():
     be = SharedBackend(seed=0)
-    assert OpStream(be, 0, fusion=True).fusion
-    assert not OpStream(be, 0, fusion=False).fusion
+    for old in (True, False, "on", "noplan", "nodiag"):
+        with pytest.raises(ValueError, match="fusion must be one of"):
+            OpStream(be, 0, fusion=old)
 
 
 # ----------------------------------------------------------------------
@@ -170,15 +172,12 @@ def test_compile_preserves_per_qubit_order():
 # ----------------------------------------------------------------------
 # size-aware planning
 # ----------------------------------------------------------------------
-def test_default_cost_model_thresholds():
-    from repro.qmpi import DEFAULT_COST_MODEL
-
-    assert DEFAULT_COST_MODEL.plan_window(12) == 0
-    assert DEFAULT_COST_MODEL.plan_window(15) == 0
-    assert DEFAULT_COST_MODEL.plan_window(16) == 3
-    assert DEFAULT_COST_MODEL.plan_window(17) == 3
-    assert DEFAULT_COST_MODEL.plan_window(18) == 4
-    assert DEFAULT_COST_MODEL.plan_window(24) == 4
+def test_plan_window_thresholds(monkeypatch):
+    assert (schedule.PLAN_MIN_QUBITS, schedule.WIDE_WINDOW_MIN_QUBITS) == (16, 18)
+    assert [plan_window(n) for n in (12, 15, 16, 17, 18, 24)] == [0, 0, 3, 3, 4, 4]
+    # The constants are read at call time: a patched module plans at once.
+    monkeypatch.setattr(schedule, "PLAN_MIN_QUBITS", 0)
+    assert plan_window(2) == 3
 
 
 def _dense_ladder(qubits):
@@ -190,50 +189,40 @@ def _dense_ladder(qubits):
     return ops
 
 
-def test_no_plan_segment_below_threshold():
-    # Default model: a 6-qubit register never plans, so a dense ladder
-    # flushes as plain ops — no ContractionPlan anywhere in the batch.
-    be = SharedBackend(seed=0)
-    seen = []
-    orig = be.apply_ops
-    be.apply_ops = lambda rank, ops: (seen.extend(ops), orig(rank, ops))
-    be.apply_flush = None  # legacy flush path: the spy sees lowered records
+def _flush_ladder(be):
     qs = tuple(be.alloc(0, 6))
     stream = OpStream(be, 0, fusion="auto")
     for op in _dense_ladder(qs):
         stream.append(op)
     stream.flush()
+
+
+def test_no_plan_segment_below_threshold():
+    # By default a 6-qubit register never plans, so a dense ladder
+    # flushes as plain ops — no ContractionPlan anywhere in the batch.
+    be = SharedBackend(seed=0)
+    seen = compiled_records(be)
+    _flush_ladder(be)
     assert seen and not any(isinstance(o, ContractionPlan) for o in seen)
     # The same circuit with the threshold lowered does plan.
-    be2 = SharedBackend(seed=0)
-    seen2 = []
-    orig2 = be2.apply_ops
-    be2.apply_ops = lambda rank, ops: (seen2.extend(ops), orig2(rank, ops))
-    be2.apply_flush = None  # legacy flush path: the spy sees lowered records
-    qs2 = tuple(be2.alloc(0, 6))
-    stream2 = OpStream(
-        be2, 0, fusion="auto", cost_model=CostModel(plan_min_qubits=0)
-    )
-    for op in _dense_ladder(qs2):
-        stream2.append(op)
-    stream2.flush()
+    with lowering("planned"):
+        be2 = SharedBackend(seed=0)
+        seen2 = compiled_records(be2)
+        _flush_ladder(be2)
     assert any(isinstance(o, ContractionPlan) for o in seen2)
 
 
-def test_wide_windows_above_threshold():
-    # Above wide_window_min_qubits the planner may grow 4-qubit windows
+def test_wide_windows_above_threshold(monkeypatch):
+    # From WIDE_WINDOW_MIN_QUBITS the planner may grow 4-qubit windows
     # (one 16x16 contraction); below it the classic 3-qubit bound holds.
     ops = _dense_ladder((0, 1, 2, 3))
-    wide = lower_flush(
-        ops, 6,
-        cost_model=CostModel(plan_min_qubits=0, wide_window_min_qubits=6),
-    )
+    monkeypatch.setattr(schedule, "PLAN_MIN_QUBITS", 0)
+    monkeypatch.setattr(schedule, "WIDE_WINDOW_MIN_QUBITS", 6)
+    wide = lower_flush(ops, 6)
     plans = [o for o in wide if isinstance(o, ContractionPlan)]
     assert max(len(p.qubits) for p in plans) == 4
-    narrow = lower_flush(
-        ops, 6,
-        cost_model=CostModel(plan_min_qubits=0, wide_window_min_qubits=7),
-    )
+    monkeypatch.setattr(schedule, "WIDE_WINDOW_MIN_QUBITS", 7)
+    narrow = lower_flush(ops, 6)
     assert max(
         len(p.qubits) for p in narrow if isinstance(p, ContractionPlan)
     ) <= 3
@@ -249,10 +238,8 @@ def test_wide_windows_above_threshold():
 
 def test_wide_windows_match_on_sharded_engine():
     ops = _dense_ladder((0, 1, 2, 3)) + [Op("crz", (0, 3), (0.7,))]
-    wide = lower_flush(
-        ops, 6,
-        cost_model=CostModel(plan_min_qubits=0, wide_window_min_qubits=6),
-    )
+    wide = plan_contractions(coalesce_diagonals(ops), max_window=4, merge_window=3)
+    assert max(len(p.qubits) for p in wide if isinstance(p, ContractionPlan)) == 4
     ref = ShardedStateVector(4, seed=0, n_shards=4)
     got = ShardedStateVector(4, seed=0, n_shards=4)
     for q in range(4):
@@ -348,11 +335,8 @@ def test_controlled_gates_on_shard_axes_match_dense_reference(n_shards):
 @pytest.mark.parametrize("n_shards", [2, 4])
 def test_planned_windows_match_dense_reference(n_shards):
     ref, sv = _spread_pair(n_shards)
-    lowered = lower_flush(
-        _dense_ladder((2, 3)) + _dense_ladder((0, 1)),
-        6,
-        cost_model=CostModel(plan_min_qubits=0, wide_window_min_qubits=99),
-    )
+    with lowering("planned"):
+        lowered = lower_flush(_dense_ladder((2, 3)) + _dense_ladder((0, 1)), 6)
     assert any(isinstance(o, ContractionPlan) for o in lowered)
     ref.apply_ops(lowered)
     sv.apply_ops(lowered)
@@ -407,13 +391,15 @@ def test_schedule_preserves_program_order_all_modes(n_ranks, seed):
     # Per-qubit program order is an amplitude-observable property: if
     # the compiled schedule reordered any two non-commuting ops on a
     # shared qubit, some amplitude would differ from the eager shared
-    # reference. Runs every fusion mode x shared/sharded x rank count.
-    worlds = {
-        (bk, fu): qmpi_run(n_ranks, _random_program, args=(seed,), seed=5,
-                           backend=bk, fusion=fu)
-        for bk in ("shared", "sharded")
-        for fu in FUSION_MODES
-    }
+    # reference. Runs every lowering mode x shared/sharded x rank count.
+    worlds = {}
+    for bk in ("shared", "sharded"):
+        for mode in MODES:
+            with lowering(mode):
+                worlds[(bk, mode)] = qmpi_run(
+                    n_ranks, _random_program, args=(seed,), seed=5,
+                    backend=bk, fusion=fusion_of(mode),
+                )
     ref_world = worlds[("shared", "off")]
     order = [q for block in ref_world.results for q in block]
     ref = ref_world.backend.statevector(order)

@@ -150,6 +150,23 @@ def releasing_cat_prog(qc):
     return m
 
 
+def repeated_shape_prog(qc, k):
+    """Each rank flushes one circuit shape ``k`` times with fresh angles,
+    then both ranks measure in rank order."""
+    q = _ordered_alloc(qc, 2)
+    for i in range(k):
+        qc.ry(q[0], 0.3 + 0.2 * i + qc.rank)
+        qc.cnot(q[0], q[1])
+        qc.rz(q[1], 0.5 + 0.1 * i)
+        qc.flush_ops()
+    out = None
+    for r in range(qc.size):
+        if qc.rank == r:
+            out = [qc.measure(q[0]), qc.measure(q[1])]
+        qc.barrier()
+    return out
+
+
 def locality_prog(qc):
     regs = _ordered_alloc(qc, 1)
     if qc.rank == 1:
@@ -246,6 +263,24 @@ def test_protocol_measurements_match_across_transports(seed):
     assert (totals.epr_pairs, totals.classical_bits) == (5, 10)
 
 
+@pytest.mark.parametrize("backend", BACKEND_SPECS)
+def test_mp_flushes_reach_the_parent_schedule_cache(backend):
+    """A rank's flush over ``mp`` is one ``apply_flush`` RPC, lowered and
+    cached by the parent's backend exactly as in-process."""
+    k = 5
+    seen = {}
+    for transport in ("inproc", "mp"):
+        with qmpi_run(
+            2, repeated_shape_prog, args=(k,), seed=3, shots=32,
+            backend=backend, transport=transport,
+        ) as world:
+            info = world.backend.cache_info()
+            seen[transport] = (list(world), world.counts)
+        assert info["hits"] >= k - 1, (transport, info)
+        assert info["hits"] + info["misses"] == 2 * k, (transport, info)
+    assert seen["mp"] == seen["inproc"]
+
+
 def test_mp_matches_inproc_single_trajectory_state():
     """Without shots: same RNG draws, same collapses, same final state."""
     vecs = {}
@@ -289,7 +324,7 @@ def test_mp_ledger_matches_inproc():
 # ----------------------------------------------------------------------
 def test_proxy_forwarders_are_generated_from_the_remotable_table():
     from repro.mpi.errors import TransportError
-    from repro.qmpi import SharedBackend
+    from repro.qmpi import Op, SharedBackend
     from repro.qmpi.service import BackendProxy, QmpiServiceHost
 
     sent = []
@@ -299,6 +334,7 @@ def test_proxy_forwarders_are_generated_from_the_remotable_table():
             sent.append((name, args))
 
     proxy = BackendProxy(Rpc())
+    assert "apply_flush" in QmpiServiceHost.BACKEND_METHODS  # flushes reach the cache
     assert all(callable(getattr(proxy, name)) for name in QmpiServiceHost.BACKEND_METHODS)
     proxy.measure_and_release(1, 5, control=3)  # keywords and defaults: the backend's
     proxy.measure_and_release(1, 5, basis="X")
@@ -306,11 +342,14 @@ def test_proxy_forwarders_are_generated_from_the_remotable_table():
     proxy.apply(0, np.eye(2), 4)
     proxy.apply_ops(0, ())  # empty batch: no RPC
     proxy.free(0, (7, 8))
+    buf = (Op("h", (7,)),)
+    proxy.apply_flush(0, buf)
     assert [(name, args) for name, args in sent if name != "apply"] == [
         ("measure_and_release", (1, 5, "Z", 3)),
         ("measure_and_release", (1, 5, "X", None)),
         ("alloc", (2, 1)),
         ("free", (0, [7, 8])),
+        ("apply_flush", (0, buf)),
     ]
     assert sent[3][0] == "apply" and sent[3][1][2:] == (4,)
     with pytest.raises(TypeError):

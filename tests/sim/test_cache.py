@@ -10,14 +10,18 @@ changes.
 import numpy as np
 import pytest
 
-from repro.qmpi import CostModel
 from repro.qmpi.backend import SharedBackend, ShardedBackend
 from repro.qmpi.ops import Op
 from repro.qmpi.stream import OpStream
 from repro.sim.cache import CachedSchedule, ScheduleCache, structural_key
-from repro.sim.schedule import DEFAULT_COST_MODEL
+from tests._lowering import fusion_of, lowering
 
-PLAN_CM = CostModel(plan_min_qubits=0)
+
+@pytest.fixture
+def planned():
+    """Plan at every register size, so the planner runs in the cache."""
+    with lowering("planned"):
+        yield
 
 
 def _sweep_ops(qs, theta):
@@ -29,8 +33,8 @@ def _sweep_ops(qs, theta):
     return ops
 
 
-def _flush(be, qs, theta, cost_model=PLAN_CM):
-    st = OpStream(be, 0, fusion="auto", cost_model=cost_model)
+def _flush(be, qs, theta):
+    st = OpStream(be, 0, fusion="auto")
     for op in _sweep_ops(qs, theta):
         st.append(op)
     st.flush()
@@ -42,8 +46,8 @@ def _flush(be, qs, theta, cost_model=PLAN_CM):
 def test_same_shape_different_params_share_a_key():
     a = _sweep_ops((0, 1, 2), 0.4)
     b = _sweep_ops((0, 1, 2), 1.9)
-    ka = structural_key(a, 3, True, True, DEFAULT_COST_MODEL)
-    kb = structural_key(b, 3, True, True, DEFAULT_COST_MODEL)
+    ka = structural_key(a, 3)
+    kb = structural_key(b, 3)
     assert ka is not None and kb is not None
     assert ka[0] == kb[0]          # same structural key
     assert ka[1] != kb[1]          # different payload
@@ -54,8 +58,8 @@ def test_qubit_ids_canonicalized_by_first_touch():
     # Same circuit shape on shifted absolute ids: one key, two id tuples.
     a = _sweep_ops((0, 1, 2), 0.4)
     b = _sweep_ops((7, 8, 9), 0.4)
-    ka = structural_key(a, 3, True, True, DEFAULT_COST_MODEL)
-    kb = structural_key(b, 3, True, True, DEFAULT_COST_MODEL)
+    ka = structural_key(a, 3)
+    kb = structural_key(b, 3)
     assert ka[0] == kb[0]
     assert ka[2] == (0, 1, 2) and kb[2] == (7, 8, 9)
 
@@ -63,25 +67,24 @@ def test_qubit_ids_canonicalized_by_first_touch():
 def test_different_qubit_pattern_misses():
     a = [Op("cnot", (0, 1)), Op("rz", (1,), (0.3,))]
     b = [Op("cnot", (1, 0)), Op("rz", (1,), (0.3,))]
-    ka = structural_key(a, 2, True, True, DEFAULT_COST_MODEL)
-    kb = structural_key(b, 2, True, True, DEFAULT_COST_MODEL)
+    ka = structural_key(a, 2)
+    kb = structural_key(b, 2)
     assert ka[0] != kb[0]
 
 
-def test_key_covers_register_size_and_lowering_flags():
+def test_key_covers_register_size():
+    # The register size alone steers the lowering (plan_window).
     ops = _sweep_ops((0, 1, 2), 0.4)
-    base = structural_key(ops, 3, True, True, DEFAULT_COST_MODEL)[0]
-    assert structural_key(ops, 4, True, True, DEFAULT_COST_MODEL)[0] != base
-    assert structural_key(ops, 3, False, True, DEFAULT_COST_MODEL)[0] != base
-    assert structural_key(ops, 3, True, False, DEFAULT_COST_MODEL)[0] != base
-    assert structural_key(ops, 3, True, True, PLAN_CM)[0] != base
+    base = structural_key(ops, 3)[0]
+    assert structural_key(ops, 3)[0] == base
+    assert structural_key(ops, 4)[0] != base
 
 
 def test_unitary_records_hash_by_value():
     u1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     u2 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-    ka = structural_key([Op("unitary", (0,), u=u1)], 1, True, True, DEFAULT_COST_MODEL)
-    kb = structural_key([Op("unitary", (0,), u=u2)], 1, True, True, DEFAULT_COST_MODEL)
+    ka = structural_key([Op("unitary", (0,), u=u1)], 1)
+    kb = structural_key([Op("unitary", (0,), u=u2)], 1)
     assert ka[0] != kb[0]
     # Parametric gates, by contrast, hold params out of the key.
     assert ka[3] == (None,)
@@ -89,13 +92,14 @@ def test_unitary_records_hash_by_value():
 
 def test_duplicate_op_object_is_uncacheable():
     op = Op("rz", (0,), (0.3,))
-    assert structural_key([op, op], 1, True, True, DEFAULT_COST_MODEL) is None
+    assert structural_key([op, op], 1) is None
 
 
 # ----------------------------------------------------------------------
 # cache mechanics: hits, misses, LRU, counters
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("cls", [SharedBackend, ShardedBackend])
+@pytest.mark.usefixtures("planned")
 def test_sweep_hits_after_one_miss(cls):
     be = cls(seed=0)
     qs = tuple(be.alloc(0, 4))
@@ -108,6 +112,7 @@ def test_sweep_hits_after_one_miss(cls):
     assert info["size"] == 1
 
 
+@pytest.mark.usefixtures("planned")
 def test_n_shards_changes_layout_not_entry():
     # Same circuit, different shard counts: the structural key is engine
     # agnostic, but each engine layout compiles its own segment list.
@@ -172,6 +177,7 @@ def test_uncacheable_buffers_bypass_and_still_execute():
     assert np.array_equal(on.statevector(), off.statevector())
 
 
+@pytest.mark.usefixtures("planned")
 def test_clear_drops_entries_keeps_counters():
     be = SharedBackend(seed=0)
     qs = tuple(be.alloc(0, 3))
@@ -184,6 +190,7 @@ def test_clear_drops_entries_keeps_counters():
     assert be.cache_info()["misses"] == 2
 
 
+@pytest.mark.usefixtures("planned")
 def test_cache_off_disables_everything():
     be = SharedBackend(seed=0, cache="off")
     assert be.schedule_cache is None and be.cache_info() is None
@@ -197,6 +204,7 @@ def test_cache_off_disables_everything():
 # rebinding correctness
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("cls", [SharedBackend, ShardedBackend])
+@pytest.mark.usefixtures("planned")
 def test_warm_replay_bit_identical(cls):
     thetas = (0.3, 1.1, 2.4, 0.3, 1.1)
     on, off = cls(seed=0), cls(seed=0, cache="off")
@@ -208,6 +216,7 @@ def test_warm_replay_bit_identical(cls):
     assert on.cache_info()["hits"] == len(thetas) - 1
 
 
+@pytest.mark.usefixtures("planned")
 def test_drifted_ids_hit_and_remap():
     # Drifted absolute ids (the job-runner recycling pattern): the
     # canonical shape matches, so the entry hits and the compiled
@@ -234,12 +243,13 @@ def test_drifted_ids_hit_and_remap():
     assert np.array_equal(b.statevector(), ref.statevector())
 
 
+@pytest.mark.usefixtures("planned")
 def test_id_drift_via_job_style_recycling():
     # One backend, cache on: run, tear down, re-run on fresh ids with
     # fresh angles; compare against an uncached twin doing the same.
     def episode(be, theta):
         qs = tuple(be.alloc(0, 3))
-        st = OpStream(be, 0, fusion="auto", cost_model=PLAN_CM)
+        st = OpStream(be, 0, fusion="auto")
         st.append(Op("ry", (qs[0],), (theta,)))
         st.append(Op("cnot", (qs[0], qs[1])))
         st.append(Op("rz", (qs[1],), (theta * 0.5,)))
@@ -266,20 +276,22 @@ def test_id_drift_via_job_style_recycling():
     assert on.raw().num_qubits == 0
 
 
-@pytest.mark.parametrize("fusion", ["auto", "noplan", "nodiag", "off"])
-def test_fusion_modes_replay_bit_identical(fusion):
+@pytest.mark.parametrize("mode", ["planned", "noplan", "nodiag", "off"])
+def test_lowering_modes_replay_bit_identical(mode):
     thetas = (0.5, 1.9, 0.5)
-    on, off = ShardedBackend(seed=0), ShardedBackend(seed=0, cache="off")
-    for be in (on, off):
-        qs = tuple(be.alloc(0, 4))
-        st = OpStream(be, 0, fusion=fusion, cost_model=PLAN_CM)
-        for t in thetas:
-            for op in _sweep_ops(qs, t):
-                st.append(op)
-            st.flush()
+    with lowering(mode):
+        on, off = ShardedBackend(seed=0), ShardedBackend(seed=0, cache="off")
+        for be in (on, off):
+            qs = tuple(be.alloc(0, 4))
+            st = OpStream(be, 0, fusion=fusion_of(mode))
+            for t in thetas:
+                for op in _sweep_ops(qs, t):
+                    st.append(op)
+                st.flush()
     assert np.array_equal(on.statevector(), off.statevector())
 
 
+@pytest.mark.usefixtures("planned")
 def test_shots_mode_layout_separate_from_plain():
     be = SharedBackend(seed=0)
     qs = tuple(be.alloc(0, 2))
@@ -300,6 +312,7 @@ def test_shots_mode_layout_separate_from_plain():
 # ----------------------------------------------------------------------
 # poisoning guard: stale layouts are never replayed
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("planned")
 def test_poisoned_segments_not_replayed_after_layout_change():
     # Two sharded backends with different chunk boundaries share one
     # cache (same structural key, different engine layout key).  Poison
@@ -338,7 +351,7 @@ def test_build_annotates_diag_provenance():
     # can rebuild its phase tables from fresh angles.
     ops = (Op("rz", (0,), (0.3,)), Op("rz", (1,), (0.7,)))
     k, payload, ids, slices = structural_key(
-        ops, 2, True, True, DEFAULT_COST_MODEL
+        ops, 2
     )
     built = CachedSchedule.build(ops, slices, ids, payload, k)
     assert built is not None
@@ -386,17 +399,17 @@ class _BareOp:
 
 
 def test_non_op_records_are_uncacheable():
-    assert structural_key([object()], 1, True, True, DEFAULT_COST_MODEL) is None
+    assert structural_key([object()], 1) is None
 
 
 def test_params_without_builder_hash_by_value():
     # No builder means the parameters cannot be rebound through the gate
     # registry, so they must live *in* the key, not in the payload.
     ka = structural_key(
-        [_BareOp("mystery", (0,), (0.3,))], 1, True, True, DEFAULT_COST_MODEL
+        [_BareOp("mystery", (0,), (0.3,))], 1
     )
     kb = structural_key(
-        [_BareOp("mystery", (0,), (0.9,))], 1, True, True, DEFAULT_COST_MODEL
+        [_BareOp("mystery", (0,), (0.9,))], 1
     )
     assert ka[0] != kb[0]
     assert ka[1] == () and ka[3] == (None,)  # nothing rebindable
@@ -407,10 +420,10 @@ def test_params_with_explicit_matrix_hash_by_matrix():
     # the key covers the matrix bytes and ignores the parameters.
     u = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     ka = structural_key(
-        [_BareOp("blob", (0,), (0.3,), u=u)], 1, True, True, DEFAULT_COST_MODEL
+        [_BareOp("blob", (0,), (0.3,), u=u)], 1
     )
     kb = structural_key(
-        [_BareOp("blob", (0,), (0.9,), u=u)], 1, True, True, DEFAULT_COST_MODEL
+        [_BareOp("blob", (0,), (0.9,), u=u)], 1
     )
     assert ka[0] == kb[0]
     assert ka[1] == () and ka[3] == (None,)
@@ -457,13 +470,14 @@ def test_exchange_segment_remap_and_rebind():
         assert np.array_equal(sv, episode(off, t))
 
 
+@pytest.mark.usefixtures("planned")
 def test_plan_csel_window_remap_and_rebind():
     # A parametric plan window whose select bit sits on the shard axis
     # classifies as "csel": replaying with fresh angles rebuilds the
     # sub-block table through the precomputed row layout, and drifted
     # ids remap the plan's qubits.
     def run(be, qs, theta):
-        st = OpStream(be, 0, fusion="auto", cost_model=PLAN_CM)
+        st = OpStream(be, 0, fusion="auto")
         st.append(Op("ry", (qs[2],), (theta,)))
         st.append(Op("cnot", (qs[0], qs[2])))  # control on the shard axis
         st.flush()
@@ -492,6 +506,7 @@ def test_plan_csel_window_remap_and_rebind():
     assert np.array_equal(b.statevector(), off.statevector())
 
 
+@pytest.mark.usefixtures("planned")
 def test_materialize_rebuilds_on_drifted_ids_new_layout():
     # Entry hit + layout miss + drifted ids: the template records are
     # rebuilt through ``materialize`` with an id map before compiling
@@ -534,6 +549,7 @@ def test_partial_payload_rebind_reuses_unchanged_ops():
     assert np.array_equal(on.statevector(), off.statevector())
 
 
+@pytest.mark.usefixtures("planned")
 def test_cache_ctor_validation_and_len():
     with pytest.raises(ValueError):
         ScheduleCache(maxsize=0)
@@ -548,6 +564,7 @@ def test_cache_ctor_validation_and_len():
     assert len(cache) == 1
 
 
+@pytest.mark.usefixtures("planned")
 def test_max_layouts_eviction():
     # The per-entry layout table is itself LRU-bounded: a third chunk
     # boundary evicts the oldest compiled layout, which recompiles

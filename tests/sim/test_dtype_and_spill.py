@@ -21,6 +21,7 @@ import pytest
 
 from repro.qmpi import qmpi_run
 from repro.sim import ShardedStateVector, SimulationError, StateVector
+from tests._lowering import fusion_of, lowering
 
 # float32 has ~7 decimal digits; a few dozen gates of accumulated
 # rounding lands well under these bars.
@@ -131,20 +132,21 @@ def _c64_prog(qc, fusion_probe):
 
 
 @pytest.mark.parametrize("backend", ["shared", "sharded"])
-@pytest.mark.parametrize("fusion", ["auto", "noplan", "nodiag", "off"])
+@pytest.mark.parametrize("mode", ["planned", "noplan", "nodiag", "off"])
 @pytest.mark.parametrize("n_ranks", [1, 2, 4])
-def test_c64_qmpi_run_matrix(backend, fusion, n_ranks):
-    """Full fusion × backend × rank matrix under dtype="complex64".
+def test_c64_qmpi_run_matrix(backend, mode, n_ranks):
+    """Full lowering × backend × rank matrix under dtype="complex64".
 
     Every configuration must land within the float32 bar of the same
     circuit run in complex128, and the amplitudes must actually be
     complex64 (no silent upcast anywhere in the buffered pipeline).
     """
     kw = dict(
-        args=(fusion,), seed=7, backend=backend, fusion=fusion
+        args=(mode,), seed=7, backend=backend, fusion=fusion_of(mode)
     )
-    w64 = qmpi_run(n_ranks, _c64_prog, dtype="complex64", **kw)
-    w128 = qmpi_run(n_ranks, _c64_prog, dtype="complex128", **kw)
+    with lowering(mode):
+        w64 = qmpi_run(n_ranks, _c64_prog, dtype="complex64", **kw)
+        w128 = qmpi_run(n_ranks, _c64_prog, dtype="complex128", **kw)
     order = sorted(w64.backend.qubit_ids())
     sv64 = w64.backend.statevector(order)
     sv128 = w128.backend.statevector(order)

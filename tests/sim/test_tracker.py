@@ -117,10 +117,13 @@ def test_tallies_are_post_peephole():
         qc.rz(t, 0.4)
         qc.cnot(c, t)
 
-    def tally(fusion):
+    from tests._lowering import fusion_of, lowering
+
+    def tally(mode):
         sv = TrackedStateVector(seed=0)
         # cache="off": a cached flush replays a frozen program past apply_ops
-        qmpi_run(1, prog, backend=QuantumBackend(sv, cache="off"), fusion=fusion)
+        with lowering(mode):
+            qmpi_run(1, prog, backend=QuantumBackend(sv, cache="off"), fusion=fusion_of(mode))
         return dict(sv.counts.gates)
 
     assert tally("off") == {"cnot": 2, "rz": 1}
