@@ -48,7 +48,7 @@ Safety relies on two invariants established in
 :mod:`repro.sim.schedule`:
 
 * classification is **parameter-stable**: single-qubit routing uses the
-  structural :attr:`~repro.qmpi.ops.Op.is_diagonal` flag and parametric
+  structural :attr:`~repro.sim.ops.Op.is_diagonal` flag and parametric
   plan windows are classified on a value-independent support superset
   (:func:`~repro.sim.schedule.plan_support`), so a segment's kind and
   communication class never change under rebinding;

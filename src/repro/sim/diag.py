@@ -49,7 +49,7 @@ _PAIR_SWAP = (0, 2, 1, 3)
 class DiagBatch:
     """A coalesced run of commuting diagonal ops, as phase tables.
 
-    Instances quack like :class:`~repro.qmpi.ops.Op` where the pipeline
+    Instances quack like :class:`~repro.sim.ops.Op` where the pipeline
     cares (``qubits``/``targets``/``controls``, ``is_diagonal``,
     ``spec``/``gate``/``params``) so rank-ownership checks and dispatch
     treat them uniformly; engines special-case them for the phase-vector

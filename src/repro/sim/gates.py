@@ -11,10 +11,12 @@ Paulis, and Pauli rotations ``R_P(theta) = exp(-i theta P / 2)``.
 The :data:`GATESET` registry at the bottom is the canonical description
 of every *named* gate — operand signature, control count, target matrix,
 diagonality — and the one table every per-gate method in the repository
-is generated from: the eager ``h``/``cnot``/... methods of the three
-engines (:func:`bind_engine_gates`) and, one layer up, the op-recording
-shims of ``QmpiComm``, ``QuantumBackend`` and ``BackendProxy``
-(:mod:`repro.qmpi.ops` re-exports these same objects).  It lives here,
+is generated from: the ``h``/``cnot``/... methods of the three engines
+(:func:`bind_engine_gates`; the two dense engines apply them eagerly,
+the sharded engine emits one-op :class:`~repro.sim.ops.Op` batches) and,
+one layer up, the op-recording shims of ``QmpiComm``, ``QuantumBackend``
+and ``BackendProxy`` (:mod:`repro.qmpi.ops` re-exports these same
+objects).  It lives here,
 beside the matrices, so that :mod:`repro.sim` stays importable without
 :mod:`repro.qmpi`.
 """
@@ -278,26 +280,23 @@ def install_gate_method(cls, gd: GateDef, method, doc: str) -> None:
 
 
 def bind_engine_gates(cls, wrap=None) -> None:
-    """Generate ``cls``'s eager named-gate methods from the registry.
+    """Generate ``cls``'s named-gate methods from the registry.
 
     Every :class:`GateDef` becomes one method ``name(*qubits, *params)``
-    that builds the target matrix and calls the engine's own
+    that checks its operand count, then runs the gate's body ``body(self,
+    args)``: build the target matrix and call the engine's own
     ``apply`` / ``apply_controlled`` — the single definition of the
     ``h`` ... ``toffoli`` forest all three engines share.  ``wrap``
-    (optional) maps ``(gd, method)`` to the method actually installed;
-    the gate-counting engine uses it to tally by gate name.
+    (optional) maps ``(gd, body)`` to the body actually run; the
+    gate-counting engine uses it to tally by gate name, the sharded
+    engine to emit the named op as a one-op ``apply_ops`` batch.
     """
 
     def install(gd: GateDef) -> None:
         n_qubits, n_controls = gd.n_qubits, gd.n_controls
         n_args = n_qubits + gd.n_params
 
-        def method(self, *args):
-            if len(args) != n_args:
-                raise TypeError(
-                    f"{gd.name}({gd.signature()}) takes {n_args} operands, "
-                    f"got {len(args)}"
-                )
+        def body(self, args):
             u = gd.target_matrix(args[n_qubits:])
             if n_controls:
                 self.apply_controlled(
@@ -306,11 +305,18 @@ def bind_engine_gates(cls, wrap=None) -> None:
             else:
                 self.apply(u, *args[:n_qubits])
 
+        run = body if wrap is None else wrap(gd, body)
+
+        def method(self, *args):
+            if len(args) != n_args:
+                raise TypeError(
+                    f"{gd.name}({gd.signature()}) takes {n_args} operands, "
+                    f"got {len(args)}"
+                )
+            run(self, args)
+
         install_gate_method(
-            cls,
-            gd,
-            method if wrap is None else wrap(gd, method),
-            f"``{gd.name}({gd.signature()})`` — applied eagerly.",
+            cls, gd, method, f"``{gd.name}({gd.signature()})`` — applied eagerly."
         )
 
     bind_gateset(install)

@@ -95,7 +95,7 @@ MAX_WINDOW = 3
 class ContractionPlan:
     """A fused run of adjacent small ops: one unitary, one qubit window.
 
-    Instances quack like :class:`~repro.qmpi.ops.Op` where the pipeline
+    Instances quack like :class:`~repro.sim.ops.Op` where the pipeline
     cares (``qubits``/``targets``/``controls``, ``is_diagonal``,
     ``spec``/``gate``/``params``, ``target_matrix``) so rank-ownership
     checks and generic dispatch treat them uniformly; engines

@@ -36,19 +36,20 @@ While fewer than ``log2(R)`` qubits exist the engine runs with
 ``min(R, 2^n)`` active chunks and grows to the full shard count as qubits
 are allocated; releasing a high-axis qubit compacts the chunk list again.
 
-Batched execution has one path: the compiled execution schedule
+Gate execution has one path: the compiled execution schedule
 (:mod:`repro.sim.schedule`) is frozen into a per-chunk program and run
 (:meth:`ShardedStateVector.freeze_segments` /
 :meth:`~ShardedStateVector.execute_frozen` — a cold batch freezes and
-runs once, the schedule cache keeps the program for replay).  Every
-record of a flushed batch is classified against the chunk layout
-exactly once, communication-free stretches execute chunk-by-chunk in
-one pass (kernel runs, plan sub-blocks, and
+runs once, the schedule cache keeps the program for replay).  The eager
+``apply``, ``apply_controlled``, named ``h``/``cnot``/... methods and
+``entangle_fresh`` emit :class:`~repro.sim.ops.Op` batches through
+:meth:`~ShardedStateVector.apply_ops`.  Every record is classified
+against the chunk layout exactly once, communication-free stretches
+execute chunk-by-chunk in one pass (kernel runs, plan sub-blocks, and
 :class:`~repro.sim.diag.DiagBatch` phase vectors materialized once per
-shard-bit signature), and only ``mixing`` segments exchange chunks —
-through the eager :meth:`~ShardedStateVector.apply` /
-:meth:`~ShardedStateVector.apply_controlled` exchange implementations.
-One process owns every chunk: concurrency lives in the QMPI ranks above
+shard-bit signature), and only ``mixing`` segments exchange chunks, in
+the exchange layer (pair, restricted-pair and group all-to-all).  One
+process owns every chunk: concurrency lives in the QMPI ranks above
 the backend, never in a second pool under it.
 
 The class mirrors :class:`repro.sim.statevector.StateVector`'s public API
@@ -70,6 +71,7 @@ from ..mpi.fabric import Fabric
 from . import gates as G
 from .diag import DiagBatch, signature_vectors
 from .kernels import KernelDispatch
+from .ops import Op
 from .schedule import (
     DiagSegment,
     KernelRun,
@@ -506,9 +508,9 @@ class ShardedStateVector:
         return bit
 
     def entangle_fresh(self, qa: int, qb: int) -> None:
-        """``|00> -> (|00>+|11>)/sqrt(2)`` on ``qa``, ``qb`` (eager here)."""
-        self.h(qa)
-        self.cnot(qa, qb)
+        """``|00> -> (|00>+|11>)/sqrt(2)`` on ``qa``, ``qb``: one ``h`` +
+        ``cnot`` batch."""
+        self.apply_ops((Op("h", (qa,)), Op("cnot", (qa, qb))))
 
     def _bit(self, qubit: int) -> int:
         try:
@@ -578,7 +580,7 @@ class ShardedStateVector:
     # gate application
     # ------------------------------------------------------------------
     def apply_ops(self, ops) -> None:
-        """Execute a batch of typed op records (see :mod:`repro.qmpi.ops`)
+        """Execute a batch of typed op records (see :mod:`repro.sim.ops`)
         as a compiled execution schedule.
 
         The batch is compiled once into typed segments by
@@ -769,13 +771,13 @@ class ShardedStateVector:
                         else:
                             self._exec_frozen_chunk(payload, nl, ci, chunk)
                 continue
-            # Barrier: the eager exchange implementations.  A mixing
-            # plan quacks like an uncontrolled op — one exchange for the
-            # whole fused run instead of one per constituent op.
+            # Barrier: the one record that moves amplitude between
+            # chunks goes to the exchange layer.
             barrier = step[1]
             self.segments_executed += 1
-            rec = barrier.plan if isinstance(barrier, PlanSegment) else barrier.op
-            self.apply_controlled(rec.target_matrix(), rec.controls, rec.targets)
+            self._exchange(
+                barrier.plan if isinstance(barrier, PlanSegment) else barrier.op
+            )
 
     def _batch_tables(self, batch: DiagBatch):
         """A batch's phase tables keyed by bit position (chunk layout)."""
@@ -804,64 +806,68 @@ class ShardedStateVector:
         return vecs, sig_of
 
     def apply(self, u: np.ndarray, *qubits: int) -> None:
-        """Apply a ``2^k x 2^k`` unitary to ``k`` qubits.
+        """Apply a ``2^k x 2^k`` unitary to ``k`` qubits (a one-op batch).
 
         The first qubit in ``qubits`` corresponds to the most significant
         bit of the matrix index (``U = sum |i><j|`` over k-bit ints).
         """
-        k = len(qubits)
-        if len(set(qubits)) != k:
-            raise SimulationError(f"duplicate qubits in {qubits}")
-        # Rounding boundary: the matrix lands in the register dtype once,
-        # so all downstream arithmetic runs in-precision (and NEP 50
-        # never silently promotes a complex64 register to complex128).
-        u = np.asarray(u, dtype=self._dtype)
+        self.apply_ops((Op(G.UNITARY, qubits, u=u),))
+
+    def apply_controlled(
+        self, u: np.ndarray, controls: Sequence[int], targets: Sequence[int]
+    ) -> None:
+        """Apply ``u`` on ``targets`` conditioned on all ``controls`` = |1>.
+
+        A one-op batch of the dense controlled matrix (controls most
+        significant); the named ``cnot``/``cz``/... methods emit their
+        registry op instead, which keeps the controlled kernels and the
+        restricted pair exchange.
+        """
+        controls = tuple(controls)
+        targets = tuple(targets)
+        if set(controls) & set(targets):
+            raise SimulationError("control and target qubits overlap")
+        k = len(targets)
+        u = np.asarray(u)
         if u.shape != (2**k, 2**k):
             raise SimulationError(
-                f"matrix shape {u.shape} does not match {k} qubits"
+                f"matrix shape {u.shape} does not match {k} targets"
             )
-        bits = [self._bit(q) for q in qubits]
-        if k == 1:
-            self._apply_single(u, bits[0])
-        elif all(b < self.n_local for b in bits):
-            self._apply_local(u, bits)
-        else:
-            self._apply_mixed(u, bits)
+        if controls:
+            u = G.controlled(u, len(controls))
+        self.apply(u, *controls, *targets)
 
-    def _apply_single(self, u: np.ndarray, b: int) -> None:
-        nl = self.n_local
-        if u[0, 1] == 0 and u[1, 0] == 0:
-            # Diagonal gate: pure per-amplitude phase, never communicates.
-            if b < nl:
-                stride = 1 << b
-                for c in self._chunks:
-                    v = c.reshape(-1, 2, stride)
-                    if u[0, 0] != 1.0:
-                        v[:, 0, :] *= u[0, 0]
-                    if u[1, 1] != 1.0:
-                        v[:, 1, :] *= u[1, 1]
-            else:
-                mask = 1 << (b - nl)
-                for i, c in enumerate(self._chunks):
-                    c *= u[1, 1] if i & mask else u[0, 0]
+    # ------------------------------------------------------------------
+    # the exchange layer: what a mixing barrier runs
+    # ------------------------------------------------------------------
+    def _exchange(self, rec) -> None:
+        """Run one ``mixing`` barrier record through the fabric.
+
+        ``rec`` is an op or a mixing plan (an uncontrolled pseudo-op: one
+        exchange for the whole fused run).  Its matrix is rounded to the
+        register dtype once, so the exchange arithmetic runs in-precision
+        (NEP 50 never promotes a complex64 register to complex128).
+        """
+        if len(rec.targets) != 1:  # group all-to-all over the full matrix
+            u = np.asarray(rec.matrix(), dtype=self._dtype)
+            self._apply_mixed(u, [self._bit(q) for q in rec.qubits])
             return
-        if b < nl:
-            # Local axis: strided in-place kernel on each flat chunk.
-            stride = 1 << b
-            for c in self._chunks:
-                v = c.reshape(-1, 2, stride)
-                a0 = v[:, 0, :].copy()
-                a1 = v[:, 1, :]
-                v[:, 0, :] = u[0, 0] * a0 + u[0, 1] * a1
-                v[:, 1, :] = u[1, 0] * a0 + u[1, 1] * a1
-            return
-        # High axis: pair-chunk exchange, then a local linear
-        # combination, one pair at a time so peak transient RAM is
-        # O(chunk) rather than a second full register.  The fabric
-        # payloads alias live peer chunks, so both halves of a pair are
-        # computed before either is written.
-        mask = 1 << (b - nl)
-        partners = self._pair_exchange(b - nl)
+        u = np.asarray(rec.target_matrix(), dtype=self._dtype)
+        t_bit = self._bit(rec.targets[0])
+        if rec.controls:
+            c_bits = [self._bit(q) for q in rec.controls]
+            self._apply_controlled_high_target(u, c_bits, t_bit)
+        else:
+            self._apply_pair(u, t_bit)
+
+    def _apply_pair(self, u: np.ndarray, b: int) -> None:
+        """One-qubit gate on shard axis ``b``: pair-chunk exchange, then a
+        local linear combination, one pair at a time (O(chunk) transient
+        RAM).  The fabric payloads alias live peer chunks, so both halves
+        of a pair are computed before either is rebound.
+        """
+        mask = 1 << (b - self.n_local)
+        partners = self._pair_exchange(b - self.n_local)
         for i in range(len(self._chunks)):
             if i & mask:
                 continue
@@ -870,12 +876,6 @@ class ShardedStateVector:
             new_hi = u[1, 0] * partners[j] + u[1, 1] * self._chunks[j]
             self._set_chunk(i, new_lo)
             self._set_chunk(j, new_hi)
-
-    def _apply_local(self, u: np.ndarray, bits: Sequence[int]) -> None:
-        # All axes intra-chunk: tensor contraction per chunk, no traffic
-        # (the same in-place kernel the plan run entries use).
-        for c in self._chunks:
-            self._kernels.contract(c, u, bits, self.n_local)
 
     def _apply_mixed(self, u: np.ndarray, bits: Sequence[int]) -> None:
         # At least one shard axis: the 2^h chunks agreeing on every
@@ -928,115 +928,6 @@ class ShardedStateVector:
                 for j, v in enumerate(outs):
                     np.dot(u[j << l : (j + 1) << l], flat, out=prod)
                     v[sel] = prod.reshape(shape)
-
-    def apply_controlled(
-        self, u: np.ndarray, controls: Sequence[int], targets: Sequence[int]
-    ) -> None:
-        """Apply ``u`` on ``targets`` conditioned on all ``controls`` = |1>.
-
-        When every target is a local axis this needs no communication at
-        all, regardless of where the controls live: a chunk participates
-        only if all its high-axis control bits are 1, and within it the
-        |1...1> local-control slice is updated in place. Diagonal
-        single-target gates (cz, controlled-phase) are communication-free
-        on any axis; only a non-diagonal high-axis *target* falls back to
-        the dense controlled matrix (and its exchange).
-        """
-        controls = list(controls)
-        targets = list(targets)
-        if set(controls) & set(targets):
-            raise SimulationError("control and target qubits overlap")
-        k = len(targets)
-        u = np.asarray(u, dtype=self._dtype)
-        if u.shape != (2**k, 2**k):
-            raise SimulationError(
-                f"matrix shape {u.shape} does not match {k} targets"
-            )
-        if not controls:
-            self.apply(u, *targets)
-            return
-        nl = self.n_local
-        c_bits = [self._bit(q) for q in controls]
-        t_bits = [self._bit(q) for q in targets]
-        if len(set(c_bits + t_bits)) != len(c_bits) + len(t_bits):
-            raise SimulationError(f"duplicate qubits in {(*controls, *targets)}")
-        if any(b >= nl for b in t_bits):
-            if k == 1 and u[0, 1] == 0 and u[1, 0] == 0:
-                # Diagonal single-target (cz, controlled-phase): a pure
-                # phase needs no exchange even on a high axis — the
-                # target bit is fixed per chunk.
-                tb = t_bits[0] - nl
-                cmask = sum(1 << (b - nl) for b in c_bits if b >= nl)
-                # Leading -1 axis folds in any shot-branch rows.
-                idx: list = [slice(None)] * (nl + 1)
-                for b in c_bits:
-                    if b < nl:
-                        idx[1 + nl - 1 - b] = 1
-                idx = tuple(idx)
-                for i, c in enumerate(self._chunks):
-                    if (i & cmask) != cmask:
-                        continue
-                    f = u[1, 1] if (i >> tb) & 1 else u[0, 0]
-                    if f != 1.0:
-                        c.reshape((-1,) + (2,) * nl)[idx] *= f
-                return
-            if k == 1:
-                self._apply_controlled_high_target(u, c_bits, t_bits[0])
-                return
-            self.apply(G.controlled(u, len(controls)), *controls, *targets)
-            return
-        mask = sum(1 << (b - nl) for b in c_bits if b >= nl)
-        local_controls = [b for b in c_bits if b < nl]
-        ut = u.reshape((2,) * (2 * k))
-        # Leading -1 axis folds in any shot-branch rows (no-op when
-        # unbranched); local axes shift up by one.
-        idx: list = [slice(None)] * (nl + 1)
-        for b in local_controls:
-            idx[1 + nl - 1 - b] = 1
-        idx = tuple(idx)
-        if k == 1:
-            # Strided fast path for the cnot/cz/toffoli family: operate on
-            # the two target slices of the |1...1> control subspace.
-            ax = 1 + nl - 1 - t_bits[0]
-            idx0 = list(idx)
-            idx0[ax] = 0
-            idx0 = tuple(idx0)
-            idx1 = list(idx)
-            idx1[ax] = 1
-            idx1 = tuple(idx1)
-            diag = u[0, 1] == 0 and u[1, 0] == 0
-            for i, c in enumerate(self._chunks):
-                if (i & mask) != mask:
-                    continue
-                view = c.reshape((-1,) + (2,) * nl)
-                if diag:
-                    # Indexed in-place ops: a plain `view[idx0] * u` would be
-                    # a copy once every axis is integer-indexed (chunk_size 2).
-                    if u[0, 0] != 1.0:
-                        view[idx0] *= u[0, 0]
-                    if u[1, 1] != 1.0:
-                        view[idx1] *= u[1, 1]
-                else:
-                    a0 = view[idx0]
-                    a1 = view[idx1]
-                    new0 = u[0, 0] * a0 + u[0, 1] * a1
-                    view[idx1] = u[1, 0] * a0 + u[1, 1] * a1
-                    view[idx0] = new0
-            return
-        # Target axes within the sliced view shift down past removed
-        # control axes (same arithmetic as StateVector.apply_controlled);
-        # the leading branch axis survives the slicing at position 0.
-        t_axes = [
-            1 + nl - 1 - b - sum(1 for cb in local_controls if cb > b)
-            for b in t_bits
-        ]
-        for i, c in enumerate(self._chunks):
-            if (i & mask) != mask:
-                continue
-            view = c.reshape((-1,) + (2,) * nl)
-            sub = view[idx]
-            new = np.tensordot(ut, sub, axes=(range(k, 2 * k), t_axes))
-            view[idx] = np.moveaxis(new, range(k), t_axes)
 
     def _apply_controlled_high_target(self, u: np.ndarray, c_bits, t_bit: int) -> None:
         """Non-diagonal single-target controlled gate whose target is a
@@ -1355,4 +1246,16 @@ class ShardedStateVector:
         )
 
 
-G.bind_engine_gates(ShardedStateVector)
+def _emit_named(gd, _body):
+    """A named-gate method body that emits the registry op as a batch."""
+    nc, n = gd.n_controls, gd.n_qubits
+
+    def emit(self, args):
+        if set(args[:nc]) & set(args[nc:n]):
+            raise SimulationError("control and target qubits overlap")
+        self.apply_ops((Op(gd.name, args[:n], args[n:]),))
+
+    return emit
+
+
+G.bind_engine_gates(ShardedStateVector, wrap=_emit_named)

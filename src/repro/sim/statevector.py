@@ -501,7 +501,7 @@ class StateVector:
         self._psi[idx] = self._contract(u, self._psi[idx], *plan)
 
     def apply_ops(self, ops) -> None:
-        """Execute a batch of typed op records (see :mod:`repro.qmpi.ops`).
+        """Execute a batch of typed op records (see :mod:`repro.sim.ops`).
 
         The batch is compiled into typed segments by
         :func:`repro.sim.schedule.compile_segments` (layout-less: one

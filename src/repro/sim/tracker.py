@@ -135,11 +135,11 @@ class TrackedStateVector(StateVector):
                 gates[op.gate if op.spec is not None else f"u{len(op.qubits)}"] += 1
 
 
-def _count_by_name(gd, method):
-    def counted(self, *args):
+def _count_by_name(gd, body):
+    def counted(self, args):
         self._named = gd.name
         try:
-            method(self, *args)
+            body(self, args)
         finally:
             self._named = None
 

@@ -97,12 +97,16 @@ def _engines():
         "shared": lambda: StateVector(4, seed=0),
         # two chunks: qubit 0 (first allocated, MSB) is the shard axis
         "sharded": lambda: ShardedStateVector(4, seed=0, n_shards=2),
+        # four chunks: qubits 0 and 1 are the two shard axes
+        "sharded4": lambda: ShardedStateVector(4, seed=0, n_shards=4),
         "tracked": lambda: TrackedStateVector(4, seed=0),
     }
 
 
-@pytest.mark.parametrize("operands", [(0, 2, 3), (3, 1, 0)], ids=["hi-first", "hi-last"])
-@pytest.mark.parametrize("engine", ["shared", "sharded", "tracked"])
+@pytest.mark.parametrize(
+    "operands", [(0, 2, 3), (3, 1, 0), (1, 0, 3)], ids=["hi-first", "hi-last", "hi-pair"]
+)
+@pytest.mark.parametrize("engine", ["shared", "sharded", "sharded4", "tracked"])
 @pytest.mark.parametrize("name", sorted(G.GATESET))
 def test_every_registered_gate_is_an_engine_method(name, engine, operands):
     from repro.qmpi.ops import Op

@@ -297,10 +297,8 @@ def test_copy_is_independent():
     assert dup.prob_one(1) == pytest.approx(1.0, abs=PROB_ABS)
 
 
-def test_exchange_traffic_goes_through_fabric():
-    # A high-axis H must move chunk pairs through the fabric mailboxes;
-    # a diagonal high-axis Rz must not.
-    sv = ShardedStateVector(3, seed=0, n_shards=4)
+def _fabric_sends(sv, run):
+    """The ``(source, dest)`` fabric sends ``run()`` makes, sorted."""
     sent = []
     original = sv._fabric.send
 
@@ -309,16 +307,84 @@ def test_exchange_traffic_goes_through_fabric():
         original(context, source, dest, tag, payload)
 
     sv._fabric.send = spy
-    sv.rz(0, 0.5)
-    assert sent == []  # diagonal: no communication
-    sv.cz(2, 0)  # diagonal controlled, high-axis target: still none
-    sv.cz(0, 2)  # ... and high-axis control
-    assert sent == []
-    sv.h(0)  # qubit 0 = highest axis = shard bit
-    assert sorted(sent) == [(0, 2), (1, 3), (2, 0), (3, 1)]
-    sent.clear()
-    sv.h(2)  # lowest axis = local, no traffic
-    assert sent == []
+    run()
+    sv._fabric.send = original
+    return sorted(sent)
+
+
+def test_exchange_traffic_goes_through_fabric():
+    # A high-axis H must move chunk pairs through the fabric mailboxes;
+    # a diagonal high-axis Rz must not.
+    sv = ShardedStateVector(3, seed=0, n_shards=4)
+    assert _fabric_sends(sv, lambda: sv.rz(0, 0.5)) == []  # diagonal
+    # diagonal controlled, high-axis target, then high-axis control: none
+    assert _fabric_sends(sv, lambda: (sv.cz(2, 0), sv.cz(0, 2))) == []
+    # qubit 0 = highest axis = shard bit
+    assert _fabric_sends(sv, lambda: sv.h(0)) == [(0, 2), (1, 3), (2, 0), (3, 1)]
+    assert _fabric_sends(sv, lambda: sv.h(2)) == []  # lowest axis = local
+    # A shard-axis cnot target exchanges only the chunks its shard
+    # controls select, pairwise — never the dense matrix's all-to-all.
+    for (c, t), n_sent in {(2, 0): 4, (0, 1): 2, (1, 0): 2}.items():
+        assert len(_fabric_sends(sv, lambda: sv.cnot(c, t))) == n_sent
+
+
+#: Operands on a 5-qubit ``sharded:4`` register (qubits 0 and 1 are the
+#: shard axes, 2-4 local), by operand count, controls first.
+PLACEMENTS = {
+    "local/local": {1: (4,), 2: (3, 4), 3: (2, 3, 4)},
+    "shard-control/local-target": {1: (4,), 2: (0, 4), 3: (0, 2, 4)},
+    "local-control/shard-target": {1: (0,), 2: (3, 0), 3: (2, 3, 0)},
+    "shard/shard": {1: (1,), 2: (0, 1), 3: (0, 2, 1)},
+}
+
+
+@pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+@pytest.mark.parametrize("name", sorted(G.GATESET))
+def test_named_gate_traffic_matches_its_batch(name, placement):
+    # An eager named gate is the registry op as a one-op batch: the same
+    # classification, so the same fabric messages and amplitudes.
+    gd = G.GATESET[name]
+    qubits = PLACEMENTS[placement][gd.n_qubits]
+    params = tuple(0.3 + 0.2 * i for i in range(gd.n_params))
+    eager, batch = (ShardedStateVector(5, seed=0, n_shards=4) for _ in range(2))
+    for sv in (eager, batch):
+        sv.apply_ops([Op("ry", (q,), (0.4 + 0.3 * q,)) for q in range(5)])
+    sent = _fabric_sends(eager, lambda: getattr(eager, name)(*qubits, *params))
+    op = Op(name, qubits, params)
+    assert sent == _fabric_sends(batch, lambda: batch.apply_ops((op,)))
+    np.testing.assert_array_equal(eager.statevector(), batch.statevector())
+
+
+#: Eager entry points on a 4-qubit ``sharded:4`` register (qubits 0 and
+#: 1 are the shard axes); most end in a mixing barrier.
+EAGER_CALLS = {
+    "h": lambda sv: sv.h(0),
+    "cnot": lambda sv: sv.cnot(3, 0),
+    "crz": lambda sv: sv.crz(0, 3, 0.7),
+    "toffoli": lambda sv: sv.toffoli(0, 3, 1),
+    "apply": lambda sv: sv.apply(G.SWAP, 0, 3),
+    "apply_controlled": lambda sv: sv.apply_controlled(G.H, [3], [0]),
+    "entangle_fresh": lambda sv: sv.entangle_fresh(*sv.alloc(2)),
+    "apply_pauli_if": lambda sv: sv.apply_pauli_if(1, "X", 0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(EAGER_CALLS))
+def test_eager_api_runs_one_frozen_program(call):
+    sv = ShardedStateVector(4, seed=0, n_shards=4)
+    calls = {}
+    for name in ("apply_ops", "freeze_segments", "execute_frozen"):
+        calls[name] = 0
+
+        def spy(*args, _name=name, _method=getattr(sv, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        setattr(sv, name, spy)
+    EAGER_CALLS[call](sv)
+    # One batch, frozen and run once; a barrier's exchange never
+    # re-enters apply_ops.
+    assert calls == {"apply_ops": 1, "freeze_segments": 1, "execute_frozen": 1}
 
 
 @pytest.mark.parametrize("n_shards", [2, 4, 8])
