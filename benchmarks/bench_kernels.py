@@ -1,7 +1,7 @@
 """Native jit kernels vs their planar numpy twins -> BENCH_kernels.json.
 
 One section of ``kernels`` rows recording ``speedup = numpy_time /
-jit_time`` (the modes are bit-identical, so the ratio is pure dispatch
+jit_time`` (the two arms are bit-identical, so the ratio is pure dispatch
 economics) for the two kernels that have a native arm, each timed in
 isolation on engine-shaped arrays at 12-20 qubits, both on one
 monolithic array (``shared``) and on a 4-chunk sharded layout
@@ -9,7 +9,7 @@ monolithic array (``shared``) and on a 4-chunk sharded layout
 phase-table fill (``diag``).  These calibrate
 :data:`repro.sim.kernels.JIT_MIN_AMPS_DEFAULT`.  Every other kernel
 (the controlled pass, the scales, the csel/ct window contraction) runs
-the same numpy code in both modes, so its ratio is 1.0 by definition
+the same numpy code in both arms, so its ratio is 1.0 by definition
 and it has no row.  The end-to-end case is carried by the
 ``qft_sharded`` and ``trotter_shared`` rows of ``BENCHMARK.json``.
 
@@ -95,7 +95,7 @@ def _micro_ops(rng, n_qubits, backend):
     # diag workload: a coalesced batch touching every local axis (an rz
     # layer + a few crz couplings), so the materialized table spans the
     # chunk — capped under chunk_phase's 24-part angle-path threshold,
-    # which is mode-identical by design and would measure nothing
+    # which is numpy in both arms by design and would measure nothing
     singles = [
         (ax, np.exp(1j * rng.uniform(-np.pi, np.pi, 2))) for ax in range(nl)
     ]
@@ -117,8 +117,9 @@ def _micro_ops(rng, n_qubits, backend):
 
 def run_micro_section(sizes, min_reps, min_time):
     rows = []
-    jit = KernelDispatch("jit")
-    ref = KernelDispatch("numpy")
+    jit, ref = KernelDispatch(), KernelDispatch()
+    jit.jit_min_amps = 0  # native at every size
+    ref.jit_min_amps = float("inf")  # never native
     jit.warmup()
     for n_qubits in sizes:
         for backend in ("shared", "sharded"):

@@ -532,11 +532,8 @@ def qmpi_run(
     **backend_kw:
         Backend constructor options as plain keywords, e.g.
         ``qmpi_run(..., backend="sharded", n_shards=8)`` —
-        ``n_shards``, ``enforce_locality``, ``cache``, ``kernels``,
-        ``dtype``, ``spill``, ``spill_budget``.
-        ``kernels="auto"/"numpy"/"jit"`` selects the native-kernel
-        dispatch mode (see :mod:`repro.sim.kernels`); results are
-        bit-identical across modes. ``dtype="complex64"`` selects the
+        ``n_shards``, ``cache``, ``dtype``, ``spill``, ``spill_budget``.
+        ``dtype="complex64"`` selects the
         half-footprint mixed-precision tier, and ``spill=`` backs
         sharded chunks with memory-mapped files past the
         ``spill_budget`` RAM budget (see

@@ -104,13 +104,12 @@ class QuantumBackend:
     :class:`~repro.qmpi.ops.GateDef` extends every backend at once.
     """
 
-    def __init__(self, engine, enforce_locality: bool = True, cache: str = "on"):
+    def __init__(self, engine, cache: str = "on"):
         if cache not in ("on", "off"):
             raise ValueError(f'cache must be "on" or "off", got {cache!r}')
         self._sv = engine
         self._lock = threading.RLock()
         self._owner: dict[int, int] = {}
-        self.enforce_locality = enforce_locality
         #: Shot count when shot-batched mode is active (else ``None``).
         self.shots: int | None = None
         self._measure_log: list[tuple[int, object]] = []
@@ -218,8 +217,6 @@ class QuantumBackend:
             self._owner[qubit] = new_rank
 
     def _check_owner(self, rank: int, *qubits: int) -> None:
-        if not self.enforce_locality:
-            return
         for q in qubits:
             actual = self._owner.get(q)
             if actual is None:
@@ -299,7 +296,7 @@ class QuantumBackend:
 
         Engines without the kernel dispatch layer report ``None``.
         Mirrors :meth:`cache_info`: a snapshot dict with the resolved
-        ``mode``/``provider``, jit hit / numpy fallback / csel counters,
+        ``provider``, jit hit / numpy fallback / csel counters,
         and the one-time provider compile time (see
         :meth:`repro.sim.kernels.KernelDispatch.info`).
         """
@@ -419,27 +416,13 @@ class QuantumBackend:
 class SharedBackend(QuantumBackend):
     """The paper's §6 semantics: one monolithic rank-0-style state vector.
 
-    ``kernels`` selects the native-kernel dispatch mode
-    (``"auto"``/``"numpy"``/``"jit"``, default from
-    ``REPRO_QMPI_KERNELS``); see :mod:`repro.sim.kernels`.
     ``dtype`` selects the amplitude precision (``"complex128"`` default
     / ``"complex64"`` for the half-footprint tier, default from
     ``REPRO_QMPI_DTYPE``).
     """
 
-    def __init__(
-        self,
-        seed=None,
-        enforce_locality: bool = True,
-        cache: str = "on",
-        kernels: str | None = None,
-        dtype: str | None = None,
-    ):
-        super().__init__(
-            StateVector(seed=seed, kernels=kernels, dtype=dtype),
-            enforce_locality,
-            cache=cache,
-        )
+    def __init__(self, seed=None, cache: str = "on", dtype: str | None = None):
+        super().__init__(StateVector(seed=seed, dtype=dtype), cache=cache)
 
 
 class ShardedBackend(QuantumBackend):
@@ -449,10 +432,6 @@ class ShardedBackend(QuantumBackend):
     high-axis gates exchange pair chunks over a private
     :class:`repro.mpi.Fabric`. See :mod:`repro.sim.sharded` for the layout.
     All chunks live in this process.
-
-    ``kernels`` selects the native-kernel dispatch mode
-    (``"auto"``/``"numpy"``/``"jit"``, default from
-    ``REPRO_QMPI_KERNELS``); see :mod:`repro.sim.kernels`.
 
     ``dtype`` selects the amplitude precision (``"complex128"`` default
     / ``"complex64"``, default from ``REPRO_QMPI_DTYPE``); ``spill``
@@ -465,24 +444,20 @@ class ShardedBackend(QuantumBackend):
     def __init__(
         self,
         seed=None,
-        enforce_locality: bool = True,
         n_shards: int = 4,
         cache: str = "on",
-        kernels: str | None = None,
         dtype: str | None = None,
         spill: str | None = None,
-        spill_budget: int | None = None,
+        spill_budget: int = 1 << 30,
     ):
         super().__init__(
             ShardedStateVector(
                 seed=seed,
                 n_shards=n_shards,
-                kernels=kernels,
                 dtype=dtype,
                 spill=spill,
                 spill_budget=spill_budget,
             ),
-            enforce_locality,
             cache=cache,
         )
         self.n_shards = n_shards

@@ -233,8 +233,7 @@ def signature_vectors(singles, pairs, n_local, num_chunks, kernels=None):
 
     ``kernels`` (a :class:`repro.sim.kernels.KernelDispatch`) routes
     table materialization through the native phase-fill driver when the
-    engine's mode and the table size warrant it; tables are bit-identical
-    either way.
+    table size warrants it; tables are bit-identical either way.
     """
     lo_s = [(b, t) for b, t in singles if b < n_local]
     hi_s = [(b, t) for b, t in singles if b >= n_local]
@@ -285,9 +284,9 @@ def chunk_phase(singles, pairs, n_axes, ci=0, kernels=None):
     kernels:
         Optional :class:`repro.sim.kernels.KernelDispatch`.  The
         multiply-path doubling fill dispatches to the native driver when
-        the mode/size gate passes; the wide-batch angle path always
-        stays on numpy's vectorized cos/sin (libm transcendentals are
-        not bit-portable), so it is identical in every mode.
+        the size gate passes; the wide-batch angle path always stays on
+        numpy's vectorized cos/sin (libm transcendentals are not
+        bit-portable).
 
     Returns a complex tensor of shape ``(1|2,) * n_axes`` — size 2 only
     on the axes a table touches — so applying a whole batch to a chunk

@@ -12,19 +12,19 @@ resolves, because a benchmark row spends its time in them:
   :func:`repro.sim.diag.chunk_phase` (:meth:`KernelDispatch.phase_fill`;
   C ``qk_phase``, reference :func:`_phase_py`) — the multiply path
   only; the wide-batch angle-accumulation path stays on numpy's
-  vectorized cos/sin in every mode, because libm and numpy's SIMD
+  vectorized cos/sin at every size, because libm and numpy's SIMD
   transcendentals differ per host.
 
-Everything else is numpy in every mode: the diagonal single-qubit
-pass, the locally-controlled pass (:meth:`~KernelDispatch.cc`), the
-whole-chunk and control-sliced scales, and the ``csel``/``ct`` window
-contraction (:meth:`~KernelDispatch.contract`: a strided stage copy
-around one BLAS ``np.dot``).  Both modes run the same code there, so
-they agree trivially.
+Everything else is always numpy: the diagonal single-qubit pass, the
+locally-controlled pass (:meth:`~KernelDispatch.cc`), the whole-chunk
+and control-sliced scales, and the ``csel``/``ct`` window contraction
+(:meth:`~KernelDispatch.contract`: a strided stage copy around one BLAS
+``np.dot``).
 
-**The bit-identity contract.**  ``kernels="jit"`` and
-``kernels="numpy"`` produce *bit-identical* amplitudes (enforced by
-tests/integration/test_differential_fuzz.py).  numpy's complex-multiply
+**The bit-identity contract.**  A native kernel and its numpy twin
+produce *bit-identical* amplitudes (enforced by
+tests/integration/test_differential_fuzz.py, which runs its corpus
+with ``jit_min_amps`` at 0 and at infinity).  numpy's complex-multiply
 ufunc is free to use FMA-contracted SIMD paths that gcc with
 ``-ffp-contract=off`` will not reproduce, so the two native kernels and
 their numpy twins (:func:`sq_full_view`, :func:`imul`) are written in
@@ -47,23 +47,17 @@ a dtype.  :meth:`KernelDispatch.sq` rounds the 2x2 to the chunk's
 precision exactly once, so both arms consume identical operands; the
 compiled float loop runs in SSE single precision
 (``FLT_EVAL_METHOD == 0``), one rounding per node, matching numpy's
-float32 ufuncs.  Diagonal *phase tables* (:mod:`repro.sim.diag`) stay
-complex128 in every mode: their application is an in-place same-kind
+float32 ufuncs.  Diagonal *phase tables* (:mod:`repro.sim.diag`) are
+always complex128: their application is an in-place same-kind
 multiply whose rounding is dtype-independent, so no float32 phase arm
 exists.
 
 **Provider.**  One native provider: a small C module compiled once
 through ``cffi`` + the system C compiler (the ``pip install -e .[jit]``
-extra; the CI jit leg) and cached on disk; without it, pure numpy.
-Selection is observable through ``backend.kernel_info()``.
-
-Environment knobs:
-
-* ``REPRO_QMPI_KERNELS`` — default mode (``auto``/``numpy``/``jit``)
-  when a backend is built without an explicit ``kernels=``;
-* ``REPRO_QMPI_DISABLE_JIT=1`` — no native provider is ever used (the
-  CI fallback leg proves the pure-numpy path with this set);
-* ``REPRO_QMPI_KERNEL_CACHE`` — cffi build cache directory.
+extra) and cached on disk under ``REPRO_QMPI_KERNEL_CACHE`` (default
+``~/.cache/repro-qmpi``); without it, pure numpy.  Whether a call goes
+native is decided by its size alone (:meth:`KernelDispatch.native`)
+and is observable through ``backend.kernel_info()``.
 """
 
 from __future__ import annotations
@@ -82,14 +76,13 @@ __all__ = [
     "reset_provider_cache",
 ]
 
-#: Break-even size (amplitudes) below which ``kernels="auto"`` stays on
-#: the numpy twin: under ~2^12 amplitudes the per-call dispatch
-#: overhead (argument staging + the foreign call) eats the single-pass
-#: advantage (calibrated by benchmarks/bench_kernels.py).  Set
-#: ``KernelDispatch.jit_min_amps`` on an instance to move it.
+#: Break-even size (amplitudes) below which a kernel stays on its numpy
+#: twin: under ~2^12 amplitudes the per-call dispatch overhead
+#: (argument staging + the foreign call) eats the single-pass advantage
+#: (calibrated by benchmarks/bench_kernels.py).  Each
+#: :class:`KernelDispatch` copies it into ``jit_min_amps`` when built;
+#: set that attribute on an instance to move it.
 JIT_MIN_AMPS_DEFAULT = 1 << 12
-
-_MODES = ("auto", "numpy", "jit")
 
 
 # ----------------------------------------------------------------------
@@ -422,47 +415,36 @@ def _self_check(provider) -> str | None:
     return None
 
 
-# (name, provider, compile_time, error) memoized per environment so
+# (name, provider, compile_time, error) memoized per cache directory so
 # monkeypatched tests re-resolve; the cffi .so is cached on disk across
 # processes anyway.
-_PROVIDER_CACHE: dict[tuple, tuple] = {}
-
-
-def _env_key() -> tuple:
-    return (
-        os.environ.get("REPRO_QMPI_DISABLE_JIT"),
-        os.environ.get("REPRO_QMPI_KERNEL_CACHE"),
-    )
+_PROVIDER_CACHE: dict[str, tuple] = {}
 
 
 def _resolve_provider() -> tuple:
-    key = _env_key()
+    key = _cffi_cache_dir()
     hit = _PROVIDER_CACHE.get(key)
     if hit is not None:
         return hit
-    disabled = (key[0] or "").lower() in ("1", "true", "yes", "on")
     name, provider, compile_time, error = None, None, 0.0, None
-    if disabled:
-        error = "disabled via REPRO_QMPI_DISABLE_JIT"
-    else:
-        t0 = time.perf_counter()
-        try:
-            provider = _load_cffi()
-            fail = _self_check(provider)
-            if fail is not None:
-                raise RuntimeError(fail)
-            name = "cffi"
-            compile_time = time.perf_counter() - t0
-        except Exception as exc:
-            provider = None
-            error = f"cffi: {type(exc).__name__}: {exc}"
+    t0 = time.perf_counter()
+    try:
+        provider = _load_cffi()
+        fail = _self_check(provider)
+        if fail is not None:
+            raise RuntimeError(fail)
+        name = "cffi"
+        compile_time = time.perf_counter() - t0
+    except Exception as exc:
+        provider = None
+        error = f"cffi: {type(exc).__name__}: {exc}"
     result = (name, provider, compile_time, error)
     _PROVIDER_CACHE[key] = result
     return result
 
 
 def reset_provider_cache() -> None:
-    """Forget resolved providers (tests flip env knobs and re-resolve)."""
+    """Forget resolved providers (tests patch the loader and re-resolve)."""
     _PROVIDER_CACHE.clear()
 
 
@@ -477,24 +459,19 @@ def provider_name() -> str | None:
 class KernelDispatch:
     """Per-engine kernel selection, counters and native entry points.
 
-    Modes: ``"numpy"`` never goes native; ``"jit"`` always dispatches
-    native when a provider exists; ``"auto"`` goes native only at or
-    above the break-even size ``jit_min_amps``.  A backend built with
-    ``kernels=None`` (the default) reads ``REPRO_QMPI_KERNELS`` before
-    settling on ``"auto"``, which is how the CI jit leg runs the whole
-    tier-1 suite natively without touching call sites.
-
-    The mode decides exactly two things: whether a non-diagonal
-    :meth:`sq` pass goes through :meth:`drive`, and whether
-    :meth:`phase_fill` fills natively.  ``jit_hits`` counts those
-    native calls; ``numpy_fallbacks`` counts the same two kernels run
-    on their numpy twins.  The other kernels are numpy in every mode
-    and count neither.  Mode choice is observable in the counters and
-    the wall clock, never in the amplitudes.
+    A call goes native when it spans at least ``jit_min_amps``
+    amplitudes (default :data:`JIT_MIN_AMPS_DEFAULT`) and a provider
+    resolves; the provider is resolved lazily, on the first call that
+    size allows.  That decides exactly two things: whether a
+    non-diagonal :meth:`sq` pass goes through :meth:`drive`, and
+    whether :meth:`phase_fill` fills natively.  ``jit_hits`` counts
+    those native calls; ``numpy_fallbacks`` counts the same two kernels
+    run on their numpy twins.  The other kernels are always numpy and
+    count neither.  The choice is observable in the counters and the
+    wall clock, never in the amplitudes.
     """
 
     __slots__ = (
-        "mode",
         "jit_min_amps",
         "counters",
         "_provider",
@@ -503,14 +480,7 @@ class KernelDispatch:
         "_stage",
     )
 
-    def __init__(self, kernels: str | None = None):
-        if kernels is None:
-            kernels = os.environ.get("REPRO_QMPI_KERNELS") or "auto"
-        if kernels not in _MODES:
-            raise ValueError(
-                f'kernels must be "auto", "numpy" or "jit", got {kernels!r}'
-            )
-        self.mode = kernels
+    def __init__(self):
         self.jit_min_amps = JIT_MIN_AMPS_DEFAULT
         self.counters = {
             "jit_hits": 0,
@@ -519,7 +489,7 @@ class KernelDispatch:
             "compile_time": 0.0,
         }
         self._provider = None
-        self._resolved = kernels == "numpy"  # numpy mode never resolves
+        self._resolved = False
         self._error = None
         self._stage: np.ndarray | None = None  # contract()'s reused buffer
 
@@ -539,24 +509,20 @@ class KernelDispatch:
         Benchmarks call this before timing, so a cold cffi build never
         lands in the middle of a timed run.
         """
-        if self.mode != "numpy":
-            self._ensure()
+        self._ensure()
 
     def native(self, n_amps: int) -> bool:
         """Would a native kernel over ``n_amps`` amplitudes dispatch natively?"""
-        if self.mode == "numpy":
-            return False
-        if self.mode == "auto" and n_amps < self.jit_min_amps:
-            return False
-        return self._ensure() is not None
+        return n_amps >= self.jit_min_amps and self._ensure() is not None
 
     def info(self) -> dict:
-        """Counters + provenance, mirroring ``cache_info()``."""
+        """Counters + provenance, mirroring ``cache_info()``.
+
+        Never resolves a provider: ``provider`` is what this dispatch
+        resolved, ``None`` before its first native-eligible call.
+        """
         provider = self._provider.name if self._provider is not None else None
-        if not self._resolved and self.mode != "numpy":
-            # Report what *would* resolve without forcing a compile.
-            provider = provider_name()
-        out = {"mode": self.mode, "provider": provider, "jit_min_amps": self.jit_min_amps}
+        out = {"provider": provider, "jit_min_amps": self.jit_min_amps}
         out.update(self.counters)
         out["provider_error"] = self._error
         return out
@@ -657,9 +623,9 @@ class KernelDispatch:
         contiguous copy back.  Any other window is staged
         window-axes-first with one strided ``np.copyto``, multiplied
         with one ``np.dot(u, stage, out=)`` and copied back through the
-        same strided view, so memmap-backed chunks mutate in place.  The buffer is reused across calls (one allocation per
-        chunk size and dtype); every mode runs this same BLAS call on
-        the same operands.
+        same strided view, so memmap-backed chunks mutate in place.
+        The buffer is reused across calls (one allocation per chunk
+        size and dtype).
         """
         k = len(bits)
         dim = 1 << k

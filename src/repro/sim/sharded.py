@@ -80,7 +80,7 @@ from .schedule import (
     iter_stretches,
 )
 from .shots import branch_mask, fork_outcomes
-from .statevector import SimulationError
+from .statevector import SimulationError, resolve_dtype
 
 __all__ = ["ShardedStateVector"]
 
@@ -124,14 +124,6 @@ class ShardedStateVector:
     n_shards:
         Number of chunks the amplitudes are distributed over; must be a
         power of two. ``n_shards=1`` degenerates to a single flat array.
-    kernels:
-        Kernel dispatch mode — ``"auto"`` (the native strided pass and
-        phase fill at or above
-        :data:`~repro.sim.kernels.JIT_MIN_AMPS_DEFAULT` amplitudes),
-        ``"numpy"`` (pure-numpy always), ``"jit"`` (native whenever a
-        provider is importable).  ``None`` reads ``REPRO_QMPI_KERNELS``
-        before defaulting to ``"auto"``.  All modes produce
-        bit-identical amplitudes (see :mod:`repro.sim.kernels`).
     dtype:
         Amplitude precision: ``"complex128"`` (default) or
         ``"complex64"`` (half the memory/bandwidth at float32
@@ -148,10 +140,14 @@ class ShardedStateVector:
         stretch.  Spill files are removed when the register shrinks
         back under budget and on :meth:`close`.
     spill_budget:
-        RAM budget in bytes for the ``spill`` decision (default: the
-        ``REPRO_QMPI_SPILL_BUDGET`` environment variable, else 1 GiB).
+        RAM budget in bytes for the ``spill`` decision (default 1 GiB).
         The budget covers the register itself; transient working memory
         stays O(chunk), so keep it at a few chunks minimum.
+
+    The native strided pass and phase fill run on chunks of at least
+    :data:`~repro.sim.kernels.JIT_MIN_AMPS_DEFAULT` amplitudes when a
+    provider resolves, with amplitudes bit-identical to their numpy
+    twins (see :mod:`repro.sim.kernels`).
 
     Examples
     --------
@@ -166,42 +162,23 @@ class ShardedStateVector:
         n_qubits: int = 0,
         seed=None,
         n_shards: int = 4,
-        kernels: str | None = None,
         dtype: str | None = None,
         spill: str | None = None,
-        spill_budget: int | None = None,
+        spill_budget: int = 1 << 30,
     ):
         if n_shards < 1 or (n_shards & (n_shards - 1)):
             raise SimulationError(f"n_shards must be a power of two, got {n_shards}")
-        if dtype is None:
-            dtype = os.environ.get("REPRO_QMPI_DTYPE") or "complex128"
-        if str(dtype) not in ("complex64", "complex128"):
-            raise SimulationError(
-                f'dtype must be "complex128" or "complex64", got {dtype!r}'
-            )
-        self._dtype = np.dtype(str(dtype))
-        # Tolerance knobs scale with the amplitude precision: float32
-        # rounding leaves ~1e-7 residuals where float64 leaves ~1e-16.
-        if self._dtype == np.complex64:
-            self._zero_atol, self._norm_eps, self._agree_eps = 1e-4, 1e-6, 1e-5
-        else:
-            self._zero_atol, self._norm_eps, self._agree_eps = 1e-9, 1e-12, 1e-9
+        self._dtype, (self._zero_atol, self._norm_eps, self._agree_eps) = (
+            resolve_dtype(dtype)
+        )
         self._spill = str(spill) if spill is not None else None
-        if spill_budget is None:
-            spill_budget = int(
-                os.environ.get("REPRO_QMPI_SPILL_BUDGET") or (1 << 30)
-            )
         self._spill_budget = int(spill_budget)
         self._spill_dir: str | None = None
         self._spill_files: list[str] = []
         self._spill_seq = itertools.count()
         self._mmapped = False
         self.n_shards = n_shards
-        # Kernel dispatch (repro.sim.kernels): "auto"/"numpy"/"jit",
-        # None = the REPRO_QMPI_KERNELS environment default.  Amplitudes
-        # are bit-identical in every mode; only the counters and the
-        # wall clock move.
-        self._kernels = KernelDispatch(kernels)
+        self._kernels = KernelDispatch()
         self._fabric = Fabric(n_shards)
         self._tags = itertools.count()
         # Zero qubits == one chunk holding the single amplitude 1.
@@ -1212,8 +1189,9 @@ class ShardedStateVector:
     def copy(self) -> "ShardedStateVector":
         """Deep copy (shares no state, including a cloned RNG)."""
         out = ShardedStateVector.__new__(ShardedStateVector)
-        # Same mode, fresh counters: the copy's kernel hits are its own.
-        out._kernels = KernelDispatch(self._kernels.mode)
+        # Same break-even, fresh counters: the copy's kernel hits are its own.
+        out._kernels = KernelDispatch()
+        out._kernels.jit_min_amps = self._kernels.jit_min_amps
         out.n_shards = self.n_shards
         out._fabric = Fabric(self.n_shards)
         out._tags = itertools.count()

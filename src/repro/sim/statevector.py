@@ -53,6 +53,25 @@ class SimulationError(RuntimeError):
     input, releasing an entangled qubit, ...)."""
 
 
+def resolve_dtype(dtype: str | None) -> tuple:
+    """An engine's amplitude dtype and tolerance triple, from ``dtype=``.
+
+    ``None`` reads ``REPRO_QMPI_DTYPE`` before defaulting to
+    ``"complex128"``; anything but ``"complex128"``/``"complex64"``
+    raises.  Returns ``(np.dtype, (zero_atol, norm_eps, agree_eps))``:
+    the tolerances scale with the precision, since float32 rounding
+    leaves ~1e-7 residuals where float64 leaves ~1e-16.
+    """
+    if dtype is None:
+        dtype = os.environ.get("REPRO_QMPI_DTYPE") or "complex128"
+    if str(dtype) not in ("complex64", "complex128"):
+        raise SimulationError(
+            f'dtype must be "complex128" or "complex64", got {dtype!r}'
+        )
+    dt = np.dtype(str(dtype))
+    return dt, ((1e-4, 1e-6, 1e-5) if dt == np.complex64 else (1e-9, 1e-12, 1e-9))
+
+
 class StateVector:
     """A dynamically sized full state-vector simulator.
 
@@ -65,20 +84,17 @@ class StateVector:
         Number of qubits to allocate immediately (ids ``0..n-1``).
     seed:
         Seed or :class:`numpy.random.Generator` for measurement sampling.
-    kernels:
-        Kernel dispatch mode (``"auto"``/``"numpy"``/``"jit"``; ``None``
-        reads ``REPRO_QMPI_KERNELS``).  On the shared engine only the
-        diagonal phase-table materializer dispatches natively — every
-        dense step is already one transpose + ``np.dot`` (BLAS) along a
-        frozen contraction plan (:meth:`_contract`), and no native
-        rewrite of that could stay bit-identical (see
-        :mod:`repro.sim.kernels`).  Amplitudes are bit-identical in
-        every mode.
     dtype:
         Amplitude precision: ``"complex128"`` (default) or
         ``"complex64"`` (half the memory/bandwidth at float32
         precision).  ``None`` reads ``REPRO_QMPI_DTYPE`` before
         defaulting to ``"complex128"``.
+
+    On this engine only the diagonal phase-table fill can run natively
+    (:mod:`repro.sim.kernels`): every dense step is already one
+    transpose + ``np.dot`` (BLAS) along a frozen contraction plan
+    (:meth:`_contract`), and no native rewrite of that could stay
+    bit-identical.
 
     Examples
     --------
@@ -92,23 +108,12 @@ class StateVector:
         self,
         n_qubits: int = 0,
         seed=None,
-        kernels: str | None = None,
         dtype: str | None = None,
     ):
-        self._kernels = KernelDispatch(kernels)
-        if dtype is None:
-            dtype = os.environ.get("REPRO_QMPI_DTYPE") or "complex128"
-        if str(dtype) not in ("complex64", "complex128"):
-            raise SimulationError(
-                f'dtype must be "complex128" or "complex64", got {dtype!r}'
-            )
-        self._dtype = np.dtype(str(dtype))
-        # Tolerance knobs scale with the amplitude precision: float32
-        # rounding leaves ~1e-7 residuals where float64 leaves ~1e-16.
-        if self._dtype == np.complex64:
-            self._zero_atol, self._norm_eps, self._agree_eps = 1e-4, 1e-6, 1e-5
-        else:
-            self._zero_atol, self._norm_eps, self._agree_eps = 1e-9, 1e-12, 1e-9
+        self._kernels = KernelDispatch()
+        self._dtype, (self._zero_atol, self._norm_eps, self._agree_eps) = (
+            resolve_dtype(dtype)
+        )
         self._psi = np.ones((), dtype=self._dtype)  # shape () == zero qubits
         self._axis_of: dict[int, int] = {}
         # Pending product factors: qid -> Bell partner, or None for |0>.
@@ -822,8 +827,9 @@ class StateVector:
     def copy(self) -> "StateVector":
         """Deep copy (shares no state, including a cloned RNG)."""
         out = StateVector.__new__(StateVector)
-        # Same mode, fresh counters: the copy's kernel hits are its own.
-        out._kernels = KernelDispatch(self._kernels.mode)
+        # Same break-even, fresh counters: the copy's kernel hits are its own.
+        out._kernels = KernelDispatch()
+        out._kernels.jit_min_amps = self._kernels.jit_min_amps
         out._dtype = self._dtype
         out._zero_atol = self._zero_atol
         out._norm_eps = self._norm_eps

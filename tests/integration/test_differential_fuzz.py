@@ -13,13 +13,14 @@ several times over.  A mode is a lowering (``tests/_lowering.py``):
 ``"planned"`` (the contraction planner forced on), ``"nodiag"`` (no
 diagonal batching, no planning) and ``"off"`` (per-gate dispatch).
 
-A second sweep runs the corpus ``kernels="jit"`` vs ``kernels="numpy"``
-on top of the same configuration cycle (including cache on/off, so
-the native strided passes of frozen replay are fuzzed too) under the identical
+A second sweep runs the corpus with native kernels at every size vs
+numpy kernels only (``tests/_kernels.py``) on top of the same
+configuration cycle (including cache on/off, so the native strided
+passes of frozen replay are fuzzed too) under the identical
 bit-equality bar — the acceptance contract of
 :mod:`repro.sim.kernels`.  When no native provider resolves in the
-environment (no cffi, no C toolchain, or ``REPRO_QMPI_DISABLE_JIT``)
-the sweep skips with a notice rather than silently passing.
+environment (no cffi or no C toolchain) the sweep skips with a notice
+rather than silently passing.
 
 Each circuit applies the same gate *shape* three times with fresh
 random angles, flushing between passes: on the cache-on side the
@@ -27,7 +28,7 @@ second and third passes replay the compiled schedule with rebound
 parameters, which is exactly the path the cache must prove safe.
 
 A third sweep adds the **dtype axis**: the same differential bars
-(cache on/off, jit vs numpy, per-shot bits) cycled over
+(cache on/off, native vs numpy, per-shot bits) cycled over
 ``dtype="complex128"`` / ``"complex64"``.  Bit-identity is asserted
 *within* a dtype — the mixed-precision contract of
 :mod:`repro.sim.kernels` — never across dtypes.
@@ -59,6 +60,7 @@ import pytest
 from repro.qmpi import ContractionPlan, qmpi_run
 from repro.sim.kernels import provider_name
 from tests import _dense_oracle
+from tests._kernels import dispatch
 from tests._lowering import fusion_of, lowering
 
 BASE_SEED = int(os.environ.get("QMPI_FUZZ_SEED", "20260808"))
@@ -149,13 +151,11 @@ def _prog(qc, n_qubits, ops, measured, passes):
 
 def _run(
     circ, passes, backend, mode, n_ranks, cache,
-    shots=None, kernels=None, dtype=None,
+    shots=None, arm="auto", dtype=None,
 ):
     n_qubits, ops, measured = circ
-    kw = {} if kernels is None else {"kernels": kernels}
-    if dtype is not None:
-        kw["dtype"] = dtype
-    with lowering(mode):
+    kw = {} if dtype is None else {"dtype": dtype}
+    with lowering(mode), dispatch(arm):
         w = qmpi_run(
             n_ranks,
             _prog,
@@ -276,20 +276,27 @@ def _require_provider():
     name = provider_name()
     if name is None:
         pytest.skip(
-            "kernels=jit sweep skipped: no native kernel provider resolves "
+            "native kernel sweep skipped: no native kernel provider resolves "
             "in this environment (install the [jit] extra for cffi and a "
             "C toolchain)"
         )
     return name
 
 
-def test_fuzz_kernels_jit_vs_numpy_bit_identical():
-    """jit-vs-numpy kernels over the cache/mode/rank matrix, bitwise.
+def _assert_all_native(w, label):
+    info = w.backend.kernel_info()
+    assert info["jit_min_amps"] == 0 and info["numpy_fallbacks"] == 0, (
+        f"native run fell back to numpy\n{label}\n{info}"
+    )
 
-    ``kernels="jit"`` dispatches native unconditionally (no break-even
-    gate), so even these small fuzz circuits exercise the compiled
-    strided pass and phase fill; cycling ``cache`` alongside fuzzes
-    warm frozen replay as well as cold freeze-and-run.
+
+def test_fuzz_kernels_jit_vs_numpy_bit_identical():
+    """Native-vs-numpy kernels over the cache/mode/rank matrix, bitwise.
+
+    The native arm has a break-even of 0, so even these small fuzz
+    circuits exercise the compiled strided pass and phase fill; cycling
+    ``cache`` alongside fuzzes warm frozen replay as well as cold
+    freeze-and-run.
     """
     _require_provider()
     caches = ("on", "off")
@@ -298,21 +305,18 @@ def test_fuzz_kernels_jit_vs_numpy_bit_identical():
         mode = MODES[i % len(MODES)]
         n_ranks = RANKS[i % len(RANKS)]
         cache = caches[i % len(caches)]
-        label = "kernels=jit vs numpy\n" + _describe(
+        label = "native vs numpy kernels\n" + _describe(
             i, circ, passes, backend, mode, n_ranks, cache=cache
         )
         bits_j, sv_j, w_j = _run(
-            circ, passes, backend, mode, n_ranks, cache, kernels="jit"
+            circ, passes, backend, mode, n_ranks, cache, arm="native"
         )
         bits_n, sv_n, _ = _run(
-            circ, passes, backend, mode, n_ranks, cache, kernels="numpy"
+            circ, passes, backend, mode, n_ranks, cache, arm="numpy"
         )
         assert bits_j == bits_n, f"measured bits diverged\n{label}"
         assert np.array_equal(sv_j, sv_n), f"amplitudes diverged\n{label}"
-        info = w_j.backend.kernel_info()
-        assert info["mode"] == "jit" and info["numpy_fallbacks"] == 0, (
-            f"jit run fell back to numpy\n{label}\n{info}"
-        )
+        _assert_all_native(w_j, label)
 
 
 def test_fuzz_kernels_shots_per_shot_bits_identical():
@@ -324,14 +328,14 @@ def test_fuzz_kernels_shots_per_shot_bits_identical():
         backend = BACKENDS[i % len(BACKENDS)]
         mode = MODES[i % len(MODES)]
         n_ranks = RANKS[i % len(RANKS)]
-        label = "kernels=jit vs numpy\n" + _describe(
+        label = "native vs numpy kernels\n" + _describe(
             i, circ, passes, backend, mode, n_ranks, shots=8
         )
         bits_j, _, w_j = _run(
-            circ, passes, backend, mode, n_ranks, "on", shots=8, kernels="jit"
+            circ, passes, backend, mode, n_ranks, "on", shots=8, arm="native"
         )
         bits_n, _, w_n = _run(
-            circ, passes, backend, mode, n_ranks, "on", shots=8, kernels="numpy"
+            circ, passes, backend, mode, n_ranks, "on", shots=8, arm="numpy"
         )
         assert bits_j == bits_n, f"per-shot bits diverged\n{label}"
         assert w_j.counts == w_n.counts, f"shot counts diverged\n{label}"
@@ -362,7 +366,7 @@ def test_fuzz_dtype_axis_cache_bit_identical():
 
 
 def test_fuzz_dtype_kernels_jit_vs_numpy_bit_identical():
-    """Dtype sweep: jit vs numpy stays bit-identical within each dtype."""
+    """Dtype sweep: native vs numpy stays bit-identical within each dtype."""
     _require_provider()
     caches = ("on", "off")
     for i, circ, passes in _corpus(N_DTYPE_CIRCUITS, 6):
@@ -371,23 +375,20 @@ def test_fuzz_dtype_kernels_jit_vs_numpy_bit_identical():
         n_ranks = RANKS[i % len(RANKS)]
         cache = caches[i % len(caches)]
         dtype = DTYPES[i % len(DTYPES)]
-        label = "kernels=jit vs numpy\n" + _describe(
+        label = "native vs numpy kernels\n" + _describe(
             i, circ, passes, backend, mode, n_ranks, cache=cache, dtype=dtype
         )
         bits_j, sv_j, w_j = _run(
             circ, passes, backend, mode, n_ranks, cache,
-            kernels="jit", dtype=dtype,
+            arm="native", dtype=dtype,
         )
         bits_n, sv_n, _ = _run(
             circ, passes, backend, mode, n_ranks, cache,
-            kernels="numpy", dtype=dtype,
+            arm="numpy", dtype=dtype,
         )
         assert bits_j == bits_n, f"measured bits diverged\n{label}"
         assert np.array_equal(sv_j, sv_n), f"amplitudes diverged\n{label}"
-        info = w_j.backend.kernel_info()
-        assert info["mode"] == "jit" and info["numpy_fallbacks"] == 0, (
-            f"jit run fell back to numpy\n{label}\n{info}"
-        )
+        _assert_all_native(w_j, label)
 
 
 def test_fuzz_dtype_shots_per_shot_bits_identical():

@@ -1,5 +1,7 @@
 """Shared backend: rank-0 semantics, ownership, locality enforcement."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from repro.qmpi import (
     make_backend,
     qmpi_run,
 )
-from repro.sim import SimulationError, StateVector
+from repro.sim import ShardedStateVector, SimulationError, StateVector
+from repro.sim.kernels import KernelDispatch
 
 
 def test_alloc_and_ownership():
@@ -36,10 +39,21 @@ def test_locality_enforced():
         be.measure(1, qa)
 
 
-def test_locality_can_be_disabled_for_whitebox_tests():
-    be = SharedBackend(seed=0, enforce_locality=False)
-    (qa,) = be.alloc(0, 1)
-    be.h(1, qa)  # no error
+@pytest.mark.parametrize("cls", [StateVector, ShardedStateVector, KernelDispatch,
+                                 QuantumBackend, SharedBackend, ShardedBackend])
+def test_no_kernel_mode_or_locality_switch(cls):
+    params = inspect.signature(cls).parameters
+    assert not {"kernels", "enforce_locality"} & set(params)
+
+
+@pytest.mark.parametrize("kw", [{"kernels": "jit"}, {"enforce_locality": False}])
+@pytest.mark.parametrize("backend", ["shared", "sharded"])
+def test_removed_backend_keywords_raise(kw, backend):
+    def prog(qc):
+        return None
+
+    with pytest.raises(TypeError, match=next(iter(kw))):
+        qmpi_run(1, prog, backend=backend, **kw)
 
 
 def test_ownership_transfer():

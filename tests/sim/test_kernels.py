@@ -2,21 +2,22 @@
 
 Covers the two native kernels' references against their planar numpy
 twins (bitwise, provider-free — this is the executable contract), the
-numpy-only arms against ``tests/_dense_oracle.py``, the dispatch
-mode/break-even/env-knob resolution, counter accuracy, the provider
-self-check demotion, and — when a native provider resolves in this
-environment — bit-identity of the native strided pass and phase fill
-and of whole-engine runs between ``kernels="jit"`` and
-``kernels="numpy"``.
+numpy-only arms against ``tests/_dense_oracle.py``, the break-even
+and provider resolution, counter accuracy, the provider self-check
+demotion, and — when a native provider resolves in this environment —
+bit-identity of the native strided pass and phase fill and of
+whole-engine runs between the native and numpy arms
+(``tests/_kernels.py``).
 """
 
 import itertools
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.qmpi.backend import QuantumBackend, ShardedBackend, SharedBackend, make_backend
+from repro.qmpi.backend import QuantumBackend, ShardedBackend, SharedBackend
 from repro.qmpi.ops import Op
 from repro.sim import ShardedStateVector, StateVector, coalesce_diagonals
 from repro.sim import kernels as K
@@ -27,8 +28,11 @@ from repro.sim.kernels import (
     reset_provider_cache,
 )
 from tests._dense_oracle import embed
+from tests._kernels import dispatch
 
 DTYPES = [np.complex128, np.complex64]
+#: ``jit_min_amps`` values: native at every size, and never.
+NATIVE, NUMPY = 0, float("inf")
 
 
 @pytest.fixture
@@ -36,6 +40,12 @@ def fresh_providers():
     reset_provider_cache()
     yield
     reset_provider_cache()
+
+
+def _dispatch(jit_min_amps):
+    kd = KernelDispatch()
+    kd.jit_min_amps = jit_min_amps
+    return kd
 
 
 def _rand_chunk(rng, n):
@@ -92,7 +102,7 @@ class TestReferenceVsNumpyArms:
     def test_sq_full_all_strides(self):
         rng = np.random.default_rng(1)
         for dtype in DTYPES:
-            kd = KernelDispatch("numpy")
+            kd = _dispatch(NUMPY)
             for b in range(self.NL):
                 chunk = _rand_chunk(rng, 1 << self.NL).astype(dtype)
                 u = _rand_u(rng)
@@ -106,7 +116,7 @@ class TestReferenceVsNumpyArms:
     def test_branch_axis_rows_are_independent(self):
         """A leading shots axis flows through flat-index bit arithmetic."""
         rng = np.random.default_rng(8)
-        kd = KernelDispatch("numpy")
+        kd = _dispatch(NUMPY)
         rows = [_rand_chunk(rng, 1 << self.NL) for _ in range(4)]
         u = _rand_u(rng)
         for b in range(self.NL):
@@ -180,7 +190,7 @@ class TestNumpyArmsVsDenseOracle:
 
     def test_sq_diag(self, dtype):
         rng = np.random.default_rng(2)
-        kd = KernelDispatch("numpy")
+        kd = _dispatch(NUMPY)
         for u in (_diag_u(rng), np.diag([1.0, 1j]), np.diag([-1j, 1.0])):
             chunk = self._chunk(rng, dtype, rows=2)
             got = chunk.copy()
@@ -189,7 +199,7 @@ class TestNumpyArmsVsDenseOracle:
 
     def test_cc_full_and_diag(self, dtype):
         rng = np.random.default_rng(3)
-        kd = KernelDispatch("numpy")
+        kd = _dispatch(NUMPY)
         controls, t_bit = (1, 3), 0
         for u, diag in ((_rand_u(rng), False), (_diag_u(rng), True)):
             chunk = self._chunk(rng, dtype, rows=2)
@@ -200,7 +210,7 @@ class TestNumpyArmsVsDenseOracle:
 
     def test_scale_both_diagonal_entries(self, dtype):
         rng = np.random.default_rng(4)
-        kd = KernelDispatch("numpy")
+        kd = _dispatch(NUMPY)
         chunk = self._chunk(rng, dtype)
         f = complex(0.3, -0.8)
         u = np.diag([f, 2 * f])
@@ -210,7 +220,7 @@ class TestNumpyArmsVsDenseOracle:
             self._close(got, chunk.astype(np.complex128) * dtype(u[sel, sel]), dtype)
 
     def test_scale_identity_is_free(self, dtype):
-        kd = KernelDispatch("numpy")
+        kd = _dispatch(NUMPY)
         chunk = _rand_chunk(np.random.default_rng(5), 8).astype(dtype)
         before = chunk.copy()
         kd.scale(chunk, 1.0 + 0j)
@@ -218,7 +228,7 @@ class TestNumpyArmsVsDenseOracle:
 
     def test_masked_scale(self, dtype):
         rng = np.random.default_rng(6)
-        kd = KernelDispatch("numpy")
+        kd = _dispatch(NUMPY)
         controls = (0, 2)
         chunk = self._chunk(rng, dtype, rows=2)
         f = complex(-0.2, 0.9)
@@ -230,7 +240,7 @@ class TestNumpyArmsVsDenseOracle:
     def test_multi_step_sequence(self, dtype):
         """Native-able and numpy-only kernels compose like their matrices."""
         rng = np.random.default_rng(7)
-        kd = KernelDispatch("numpy")
+        kd = _dispatch(NUMPY)
         chunk = self._chunk(rng, dtype)
         u1, u2, ud = _rand_u(rng), _rand_u(rng), _diag_u(rng)
         got = chunk.copy()
@@ -244,43 +254,41 @@ class TestNumpyArmsVsDenseOracle:
 
 
 # ----------------------------------------------------------------------
-# dispatch resolution, env knobs, counters
+# break-even and provider resolution, counters
 # ----------------------------------------------------------------------
 class TestDispatchResolution:
-    def test_default_mode_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QMPI_KERNELS", raising=False)
-        kd = KernelDispatch()
-        assert kd.mode == "auto"
-        assert kd.jit_min_amps == JIT_MIN_AMPS_DEFAULT
+    def test_default_breakeven(self):
+        assert KernelDispatch().jit_min_amps == JIT_MIN_AMPS_DEFAULT
 
-    def test_env_default_and_explicit_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QMPI_KERNELS", "jit")
-        assert KernelDispatch().mode == "jit"
-        assert KernelDispatch("numpy").mode == "numpy"  # kwarg beats env
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="kernels must be"):
-            KernelDispatch("fast")
-        monkeypatch.setenv("REPRO_QMPI_KERNELS", "turbo")
-        with pytest.raises(ValueError, match="turbo"):
-            KernelDispatch()
-
-    def test_numpy_mode_never_native(self):
-        kd = KernelDispatch("numpy")
+    def test_infinite_breakeven_never_native(self):
+        kd = _dispatch(NUMPY)
         assert not kd.native(1 << 30)
+        assert not kd._resolved
         assert kd.info()["provider"] is None
 
-    def test_auto_below_breakeven_stays_lazy(self):
-        kd = KernelDispatch("auto")
+    def test_below_breakeven_stays_lazy(self):
+        kd = KernelDispatch()
         kd.jit_min_amps = 64
         assert not kd.native(32)
         assert not kd._resolved  # the provider was never compiled/loaded
         assert kd.info()["jit_min_amps"] == 64
 
-    def test_disable_jit_env(self, monkeypatch, fresh_providers):
-        monkeypatch.setenv("REPRO_QMPI_DISABLE_JIT", "1")
+    def test_info_never_resolves_a_provider(self, monkeypatch, fresh_providers, tmp_path):
+        cache = tmp_path / "qk-cache"
+        cache.mkdir()
+        monkeypatch.setenv("REPRO_QMPI_KERNEL_CACHE", str(cache))
+        info = KernelDispatch().info()
+        assert info["provider"] is None
+        assert os.listdir(cache) == []  # no build, no lock file
+        assert K._PROVIDER_CACHE == {}
+
+    def test_failed_provider_falls_back_to_numpy(self, monkeypatch, fresh_providers):
+        def broken():
+            raise OSError("no C compiler")
+
+        monkeypatch.setattr(K, "_load_cffi", broken)
         assert provider_name() is None
-        kd = KernelDispatch("jit")
+        kd = _dispatch(NATIVE)
         assert not kd.native(1 << 20)
         chunk = _rand_chunk(np.random.default_rng(0), 64)
         kd.sq(chunk, np.eye(2, dtype=complex), 0, diag=False)
@@ -288,28 +296,28 @@ class TestDispatchResolution:
         assert info["provider"] is None
         assert info["jit_hits"] == 0
         assert info["numpy_fallbacks"] == 1
-        assert "REPRO_QMPI_DISABLE_JIT" in info["provider_error"]
+        assert info["provider_error"] == "cffi: OSError: no C compiler"
 
     def test_provider_resolution_is_memoized(self, fresh_providers):
         assert K._resolve_provider() is K._resolve_provider()
 
-    def test_contract_is_one_routine_in_every_mode(self):
-        for mode in ("numpy", "auto", "jit"):
-            kd = KernelDispatch(mode)
+    def test_contract_is_one_routine_at_every_breakeven(self):
+        for jit_min_amps in (NUMPY, JIT_MIN_AMPS_DEFAULT, NATIVE):
+            kd = _dispatch(jit_min_amps)
             chunk = _rand_chunk(np.random.default_rng(1), 64)
             assert kd.contract(chunk, np.eye(4, dtype=complex), (0, 1), 6) is None
             assert kd.counters["csel_hits"] == 1  # counts contractions
             assert kd.counters["numpy_fallbacks"] == kd.counters["jit_hits"] == 0
 
-    def test_phase_fill_numpy_mode_declines(self):
-        kd = KernelDispatch("numpy")
+    def test_phase_fill_declines_below_breakeven(self):
+        kd = _dispatch(NUMPY)
         assert kd.phase_fill(1.0, 3, [(0, 1, 0, 0, np.ones(2), (0,))]) is None
 
     def test_numpy_only_arms_count_neither(self):
         """Only kernels with a native twin count a hit or a fallback."""
         rng = np.random.default_rng(14)
-        for mode in ("numpy", "jit"):
-            kd = KernelDispatch(mode)
+        for jit_min_amps in (NUMPY, NATIVE):
+            kd = _dispatch(jit_min_amps)
             chunk = _rand_chunk(rng, 64)
             kd.sq(chunk, _diag_u(rng), 1, diag=True)
             kd.cc(chunk, _rand_u(rng), (0,), 2, 6, diag=False)
@@ -342,7 +350,6 @@ def test_cffi_provider_builds_into_cache_and_self_checks(
     monkeypatch, fresh_providers, tmp_path
 ):
     pytest.importorskip("cffi")
-    monkeypatch.delenv("REPRO_QMPI_DISABLE_JIT", raising=False)
     monkeypatch.setenv("REPRO_QMPI_KERNEL_CACHE", str(tmp_path / "qk-cache"))
     name, provider, compile_time, error = K._resolve_provider()
     if name is None:
@@ -386,7 +393,7 @@ def _rand_window(rng, k):
 def test_contract_matches_dense_oracle(dtype, rows):
     nl = CONTRACT_NL
     rng = np.random.default_rng(11)
-    kd, ref = KernelDispatch("jit"), KernelDispatch("numpy")
+    kd, ref = _dispatch(NATIVE), _dispatch(NUMPY)
     windows = _contract_windows()
     for bits in windows:
         u = _rand_window(rng, len(bits))
@@ -406,7 +413,7 @@ def test_contract_mutates_a_memmap_chunk_in_place(tmp_path):
     rng = np.random.default_rng(12)
     base = _rand_chunk(rng, 1 << nl)
     chunk = np.memmap(tmp_path / "chunk.bin", dtype=np.complex128, mode="w+", shape=base.shape)
-    kd = KernelDispatch("numpy")
+    kd = _dispatch(NUMPY)
     for bits in ((1, 0), (2, 0, 1), (4, 2), (5, 4, 3)):
         chunk[:] = base
         u = _rand_window(rng, len(bits))
@@ -427,7 +434,7 @@ def test_contract_transient_is_two_chunks_and_windows_leave_no_residue():
     windows += [(b, (b + 3) % nl, (b + 7) % nl) for b in range(nl)]
     assert len(set(windows)) == 30
     us = [_rand_window(rng, len(bits)) / (1 << len(bits)) for bits in windows]
-    kd = KernelDispatch("numpy")
+    kd = _dispatch(NUMPY)
     slack = chunk.nbytes // 8
     tracemalloc.start()
     try:
@@ -449,14 +456,14 @@ def test_contract_transient_is_two_chunks_and_windows_leave_no_residue():
 def _jit_or_skip():
     if provider_name() is None:
         pytest.skip("no native kernel provider in this environment")
-    return KernelDispatch("jit")
+    return _dispatch(NATIVE)
 
 
 class TestNativeBitIdentity:
     NL = 7
 
     def _pair(self):
-        return _jit_or_skip(), KernelDispatch("numpy")
+        return _jit_or_skip(), _dispatch(NUMPY)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_sq_pass_both_dtypes_and_shot_rows(self, dtype):
@@ -506,10 +513,10 @@ class TestNativeBitIdentity:
         )
         assert _bits_equal(got, ref)
 
-    def test_jit_mode_ignores_breakeven_auto_respects_it(self):
+    def test_breakeven_gates_native(self):
         jit = _jit_or_skip()
-        assert jit.native(2)  # jit mode: always native when provider exists
-        auto = KernelDispatch("auto")
+        assert jit.native(2)  # break-even 0: native whenever a provider exists
+        auto = KernelDispatch()
         auto.jit_min_amps = 1 << 10
         assert not auto.native(1 << 9)
         assert auto.native(1 << 10)
@@ -544,8 +551,10 @@ def _engine_ops():
 def test_sharded_engine_jit_vs_numpy_bitwise():
     if provider_name() is None:
         pytest.skip("no native kernel provider in this environment")
-    a = ShardedStateVector(6, seed=0, n_shards=4, kernels="jit")
-    b = ShardedStateVector(6, seed=0, n_shards=4, kernels="numpy")
+    with dispatch("native"):
+        a = ShardedStateVector(6, seed=0, n_shards=4)
+    with dispatch("numpy"):
+        b = ShardedStateVector(6, seed=0, n_shards=4)
     ops = coalesce_diagonals(_engine_ops())
     a.apply_ops(ops)
     b.apply_ops(ops)
@@ -557,34 +566,51 @@ def test_sharded_engine_jit_vs_numpy_bitwise():
 def test_shared_engine_jit_vs_numpy_bitwise():
     if provider_name() is None:
         pytest.skip("no native kernel provider in this environment")
-    a = StateVector(6, seed=0, kernels="jit")
-    b = StateVector(6, seed=0, kernels="numpy")
+    with dispatch("native"):
+        a = StateVector(6, seed=0)
+    with dispatch("numpy"):
+        b = StateVector(6, seed=0)
     ops = coalesce_diagonals(_engine_ops())
     a.apply_ops(ops)
     b.apply_ops(ops)
     assert _bits_equal(a.statevector(), b.statevector())
 
 
-def test_engine_copy_gets_fresh_counters():
-    sv = ShardedStateVector(4, seed=0, kernels="numpy")
+@pytest.mark.parametrize("cls", [StateVector, ShardedStateVector])
+def test_engine_copy_gets_fresh_counters(cls):
+    with dispatch("numpy"):
+        sv = cls(4, seed=0)
     sv.apply_ops(coalesce_diagonals(_engine_ops()))
-    assert sv._kernels.counters["numpy_fallbacks"] > 0
     c = sv.copy()
     assert c._kernels is not sv._kernels
-    assert c._kernels.mode == "numpy"
+    assert c._kernels.jit_min_amps == sv._kernels.jit_min_amps == NUMPY
     assert c._kernels.counters["numpy_fallbacks"] == 0
+    if cls is ShardedStateVector:  # only it runs h as a strided pass
+        assert sv._kernels.counters["numpy_fallbacks"] > 0
 
 
-def test_backend_kernel_info_and_validation():
-    b = ShardedBackend(seed=0, kernels="numpy")
-    info = b.kernel_info()
-    assert info["mode"] == "numpy" and info["jit_hits"] == 0
-    assert SharedBackend(seed=0).kernel_info()["mode"] in ("auto", "numpy", "jit")
-    with pytest.raises(ValueError, match="kernels"):
-        SharedBackend(kernels="bogus")
-    assert make_backend("sharded", seed=1, kernels="numpy").kernel_info()["mode"] == (
-        "numpy"
+def test_numpy_arm_end_to_end_on_both_backends():
+    """Under the numpy arm no backend goes native or resolves a provider."""
+    for cls in (SharedBackend, ShardedBackend):
+        with dispatch("numpy"):
+            be = cls(seed=0)
+        q = be.alloc(0, 6)
+        for i in range(6):
+            be.h(0, q[i])
+        info = be.kernel_info()
+        assert info["jit_hits"] == 0 and info["provider"] is None, info
+        # Only the sharded engine runs h as a strided pass; the shared
+        # engine's h is a BLAS contraction at every size.
+        if cls is ShardedBackend:
+            assert info["numpy_fallbacks"] > 0, info
+
+
+def test_backend_kernel_info_keys():
+    info = SharedBackend(seed=0).kernel_info()
+    assert {"provider", "jit_min_amps", "jit_hits", "numpy_fallbacks", "compile_time"} <= set(
+        info
     )
+    assert "mode" not in info
 
 
 def test_backend_kernel_info_none_without_dispatch():
@@ -598,8 +624,9 @@ def test_frozen_replay_jit_vs_numpy_bitwise():
     if provider_name() is None:
         pytest.skip("no native kernel provider in this environment")
 
-    def run(kernels):
-        b = ShardedBackend(seed=0, n_shards=4, kernels=kernels, cache="on")
+    def run(arm):
+        with dispatch(arm):
+            b = ShardedBackend(seed=0, n_shards=4, cache="on")
         q = b.alloc(0, 6)
         for theta in (0.3, 0.9):  # same structure, rebound payload
             ops = [Op("h", (q[i],)) for i in range(6)]
@@ -609,7 +636,7 @@ def test_frozen_replay_jit_vs_numpy_bitwise():
         psi = b._sv.statevector()
         return psi, b.kernel_info(), b.cache_info()
 
-    psi_j, info_j, cache_j = run("jit")
+    psi_j, info_j, cache_j = run("native")
     psi_n, info_n, _ = run("numpy")
     assert _bits_equal(psi_j, psi_n)
     assert cache_j["hits"] >= 1  # the second flush replayed a frozen program
@@ -621,7 +648,7 @@ def test_default_dispatch_goes_native_on_large_chunks():
     """Local ``h`` gates on 2^14-amplitude chunks reach the native pass."""
     if provider_name() is None:
         pytest.skip("no native kernel provider in this environment")
-    sv = ShardedStateVector(16, seed=0, n_shards=4, kernels="auto")
+    sv = ShardedStateVector(16, seed=0, n_shards=4)
     assert sv.chunk_size == 1 << 14
     sv.apply_ops([Op("h", (q,)) for q in sv.qubit_ids[-4:]])
     info = sv._kernels.info()
