@@ -7,7 +7,7 @@ communicator isolation, collective algorithms as in real implementations).
 
 Rank *placement* is pluggable (:mod:`repro.mpi.transport`): ranks run as
 threads over the in-memory fabric (``transport="inproc"``, the default)
-or as one spawned OS process each with a pipe control plane and a
+or as one forked OS process each with a pipe control plane and a
 shared-memory data plane (``transport="mp"``).
 """
 

@@ -1,4 +1,4 @@
-"""Multi-process transport: one OS process per rank (spawn context).
+"""Multi-process transport: one OS process per rank, forked from a warm server.
 
 Topology — a parent-side router with a star of duplex pipes:
 
@@ -20,9 +20,27 @@ Topology — a parent-side router with a star of duplex pipes:
   number of child threads can have calls in flight; asynchronous
   parent -> child pushes arrive as ``notify`` frames on the same pipe.
 
-Lifecycle: spawn -> per-rank ``hello`` handshake -> broadcast ``go`` ->
+Lifecycle: fork -> per-rank ``hello`` handshake -> broadcast ``go`` ->
 run -> per-rank ``result``/``error``/``aborted`` -> broadcast ``stop`` ->
-join. Robustness the in-proc fabric never needed:
+join. Every run gets fresh rank processes, so nothing carries over
+between runs.
+
+Start method: ``forkserver`` where the platform has one, else
+``spawn``. The first mp run in a process starts one server that imports
+``repro.qmpi`` (and with it this module, :mod:`repro.qmpi.service` and
+numpy) once; every rank of every later run forks from it, so a rank
+pays no interpreter start-up and no imports. Two things differ from
+``spawn``: rank processes inherit the environment variables and the
+stdout/stderr the server had when the process's first mp run started
+it, not the caller's at each run. ``sys.path`` and the working
+directory still follow the caller on every run, but the server
+imports from the interpreter's start-up path (``PYTHONPATH``, installed
+packages): if ``repro`` is reachable only through an entry the caller
+added to ``sys.path`` at run time, the preload is skipped and each rank
+imports after the fork. If the server dies, the next run starts a new
+one.
+
+Robustness the in-proc fabric never needed:
 
 * a rank process that dies without reporting (crash, ``os._exit``,
   ``kill -9``) is detected via its process sentinel and surfaces as a
@@ -43,7 +61,9 @@ must be picklable (module-level functions — the standard
 
 from __future__ import annotations
 
+import functools
 import itertools
+import multiprocessing
 import pickle
 import queue
 import threading
@@ -62,6 +82,18 @@ __all__ = ["MpTransport", "MpFabric", "RpcClient"]
 
 #: Grace period for ranks to unwind after an abort broadcast, seconds.
 _ABORT_GRACE = 5.0
+
+
+@functools.cache
+def _preload_forkserver() -> None:
+    """Have the forkserver import what a rank needs before its first fork:
+    this module (which ``repro.qmpi`` imports only on demand), and
+    ``repro.qmpi`` with the QMPI service and numpy.
+
+    The list is process-wide and read when the server starts, so it is
+    set once, before the first job.
+    """
+    multiprocessing.set_forkserver_preload(["repro.mpi.mp", "repro.qmpi"])
 
 
 def _picklable_exc(exc: BaseException) -> BaseException:
@@ -300,7 +332,7 @@ def _child_main(
 # parent side
 # ----------------------------------------------------------------------
 class MpTransport(Transport):
-    """Single-host multi-process transport (spawn context).
+    """Single-host multi-process transport (ranks fork from a forkserver).
 
     Parameters
     ----------
@@ -341,17 +373,21 @@ class MpTransport(Transport):
 
 
 class _Job:
-    """One mp SPMD run: spawn, route, collect, tear down."""
+    """One mp SPMD run: fork, route, collect, tear down."""
 
     def __init__(self, transport, n_ranks, fn, args, kwargs, timeout, service):
         self.transport = transport
         self.n_ranks = n_ranks
         self.timeout = timeout
         self.service = service
-        self.ctx = get_context("spawn")
+        _preload_forkserver()
+        self.ctx = get_context(
+            "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+        )
         self.fab: list = [None] * n_ranks  # parent ends, control plane
         self.svc: list = [None] * n_ranks  # parent ends, service plane
         self.procs: list = []
+        self._child_ends: list = []  # (fab, svc) child ends, per rank
         self.results: list = [None] * n_ranks
         self.failures: dict[int, BaseException] = {}
         self.done: set[int] = set()
@@ -363,6 +399,7 @@ class _Job:
             fp, fc = self.ctx.Pipe()
             sp, sc = self.ctx.Pipe()
             self.fab[r], self.svc[r] = fp, sp
+            self._child_ends.append((fc, sc))
             self.procs.append(
                 self.ctx.Process(
                     target=_child_main,
@@ -449,10 +486,13 @@ class _Job:
 
     # -- main loop ------------------------------------------------------
     def run(self) -> list:
-        for p in self.procs:
+        for p, child_ends in zip(self.procs, self._child_ends):
             p.start()
-        # Parent copies of the child pipe ends must close for EOF to mean
-        # "process gone" — spawn duplicated them into the children.
+            # start() handed the child its pipe ends; close the parent's
+            # copies, so EOF on a parent end means "rank gone" and a
+            # finished job holds no file descriptors.
+            for conn in child_ends:
+                conn.close()
         deadline = time.monotonic() + self.timeout
         watchdog_fired = False
         sources: dict = {}
@@ -499,6 +539,8 @@ class _Job:
         return self.results
 
     def _teardown(self) -> None:
+        if self.service is not None and hasattr(self.service, "bind_notify"):
+            self.service.bind_notify(None)  # break the job <-> service cycle
         self._broadcast(("stop",))
         for p in self.procs:
             p.join(2.0)
@@ -506,6 +548,8 @@ class _Job:
             if p.is_alive():
                 p.terminate()
                 p.join(2.0)
+            if p.exitcode is not None:
+                p.close()  # releases the sentinel fd now, not at GC
         for conn in (*self.fab, *self.svc):
             # Drain undelivered frames so their shm blocks are released.
             try:

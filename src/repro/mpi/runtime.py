@@ -8,10 +8,11 @@ instead of wedging the test suite.
 
 Rank placement is a transport policy (see :mod:`repro.mpi.transport`):
 ``transport="inproc"`` (default) runs ranks as threads over the
-in-memory mailbox fabric; ``transport="mp"`` spawns one OS process per
-rank with a pipe control plane and a shared-memory data plane. Process
-transports pickle the rank function and its arguments, so both must be
-importable module-level objects, exactly as with ``multiprocessing``.
+in-memory mailbox fabric; ``transport="mp"`` forks one OS process per
+rank from a warm forkserver, with a pipe control plane and a
+shared-memory data plane. Process transports pickle the rank function
+and its arguments, so both must be importable module-level objects,
+exactly as with ``multiprocessing``.
 
 Example
 -------
@@ -129,7 +130,7 @@ def run_spmd(
     ----------
     transport:
         Rank placement: ``"inproc"`` (threads, the default), ``"mp"``
-        (one spawned process per rank), a :class:`Transport` class, or a
+        (one forked process per rank), a :class:`Transport` class, or a
         prebuilt instance. See :mod:`repro.mpi.transport`.
     service:
         Optional parent-side RPC endpoint for process transports (see

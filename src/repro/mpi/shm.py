@@ -12,7 +12,8 @@ only the descriptor.
 
 Ownership protocol: the *sender* creates the block and forgets it; the
 *receiver* attaches, copies out, and unlinks. All processes of one job
-share the parent's resource-tracker daemon (spawn inherits its fd), so
+share the parent's resource-tracker daemon (the forkserver passes its fd
+to every rank it forks; under ``spawn`` the child inherits it), so
 registration is balanced — register on create, unregister on the
 receiver's unlink — and a block orphaned by a dead rank is reclaimed by
 the tracker at shutdown instead of leaking until reboot.

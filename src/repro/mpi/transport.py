@@ -6,10 +6,11 @@ a *transport* decides where the ranks live and how envelopes travel:
 * ``"inproc"`` — today's substrate: ranks are threads of the calling
   process sharing an in-memory mailbox fabric
   (:class:`~repro.mpi.runtime.InprocTransport`). Zero-copy, GIL-bound.
-* ``"mp"`` — one OS process per rank (spawn context): a pipe control
-  plane carries pickled envelopes through a parent router that preserves
-  the ``(context, source, tag)`` matching semantics on the remote side,
-  and a :mod:`multiprocessing.shared_memory` data plane moves numpy
+* ``"mp"`` — one OS process per rank, forked from a warm forkserver
+  (``spawn`` where the platform has none): a pipe control plane
+  carries pickled envelopes through a parent router that preserves the
+  ``(context, source, tag)`` matching semantics on the remote side, and
+  a :mod:`multiprocessing.shared_memory` data plane moves numpy
   payloads without transiting the pickle path
   (:class:`~repro.mpi.mp.MpTransport`).
 

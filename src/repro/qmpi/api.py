@@ -521,7 +521,7 @@ def qmpi_run(
         :attr:`QmpiWorld.counts`.
     transport:
         Rank placement (see :mod:`repro.mpi.transport`): ``"inproc"``
-        (default) runs ranks as threads; ``"mp"`` spawns one OS process
+        (default) runs ranks as threads; ``"mp"`` forks one OS process
         per rank — the backend stays in the calling process behind a
         service endpoint and the ranks drive it over RPC (the paper's
         §6 forwarding discipline made literal), so per-shot outcomes

@@ -1,13 +1,17 @@
 """Transport registry + cross-transport fabric semantics.
 
 Every rank function here is module-level: the mp transport pickles it
-into spawned processes, so closures would fail by construction. Tests
-that exercise matching semantics run against every registered transport
-— the registry is the parametrization source, so a third transport
-would be picked up automatically.
+into rank processes forked from a forkserver, so closures would fail by
+construction. Tests that exercise matching semantics run against every
+registered transport — the registry is the parametrization source, so
+a third transport would be picked up automatically.
 """
 
+import gc
+import multiprocessing
 import os
+import select
+import signal
 import threading
 import time
 
@@ -296,6 +300,84 @@ def test_dead_rank_surfaces_as_transport_error():
     failure = ei.value.failures[1]
     assert isinstance(failure, TransportError)
     assert "exit code 3" in str(failure)
+    # The dead rank takes nothing down with it: the next run is clean.
+    assert run_spmd(2, _allreduce_rank, timeout=30, transport="mp") == [1, 1]
+
+
+# ----------------------------------------------------------------------
+# mp start method: ranks fork from one warm forkserver
+# ----------------------------------------------------------------------
+needs_forkserver = pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="platform has no forkserver start method",
+)
+
+
+def _ppid_rank(comm):
+    return os.getppid()
+
+
+@needs_forkserver
+def test_mp_ranks_fork_from_one_server():
+    first = run_spmd(2, _ppid_rank, timeout=30, transport="mp")
+    second = run_spmd(2, _ppid_rank, timeout=30, transport="mp")
+    assert len(set(first + second)) == 1
+    assert first[0] != os.getpid()
+
+
+@needs_forkserver
+@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="needs os.pidfd_open")
+def test_mp_survives_a_killed_forkserver():
+    from multiprocessing import forkserver
+
+    run_spmd(2, _ppid_rank, timeout=30, transport="mp")
+    server = forkserver._forkserver._forkserver_pid
+    pidfd = os.pidfd_open(server)
+    try:
+        os.kill(server, signal.SIGKILL)
+        # Readable once the server has exited; multiprocessing reaps it.
+        assert select.select([pidfd], [], [], 10)[0]
+    finally:
+        os.close(pidfd)
+    again = run_spmd(2, _ppid_rank, timeout=30, transport="mp")
+    assert len(set(again)) == 1 and again[0] not in (server, os.getpid())
+
+
+def test_mp_falls_back_to_spawn(monkeypatch):
+    methods = [m for m in multiprocessing.get_all_start_methods() if m != "forkserver"]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    # Spawned ranks are children of the caller itself.
+    assert run_spmd(2, _ppid_rank, timeout=60, transport="mp") == [os.getpid()] * 2
+
+
+class _NotifyService:
+    """A parent-side service with a notify hook, as the QMPI layer binds."""
+
+    def bind_notify(self, notify):
+        self.notify = notify
+
+    def handle(self, rank, method, *args):
+        return rank
+
+
+def _rpc_rank(comm):
+    return comm.fabric.rpc.call("whoami")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_mp_job_releases_its_fds_without_gc():
+    def run():
+        out = run_spmd(4, _rpc_rank, timeout=30, transport="mp", service=_NotifyService())
+        assert out == [0, 1, 2, 3]
+        return len(os.listdir("/proc/self/fd"))
+
+    gc.collect()
+    gc.disable()
+    try:
+        first = run()
+        assert [run() for _ in range(4)] == [first] * 4
+    finally:
+        gc.enable()
 
 
 def test_mp_rejects_unpicklable_fn():

@@ -8,8 +8,8 @@ RNG stream because the protocols below are fully dependency-sequenced
 measurement order is deterministic on both transports.
 
 All programs are module-level (the mp transport pickles them into
-spawned rank processes) and allocate in rank order so qubit ids are
-deterministic across runs.
+rank processes forked from a forkserver) and allocate in rank order
+so qubit ids are deterministic across runs.
 """
 
 import numpy as np
