@@ -87,30 +87,27 @@ def _angle_sets(shape, n_sets, seed=11):
 def _time_flushes(factory, shape, n_qubits, cache, min_time, min_reps):
     """Best per-flush seconds, sweeping fresh angles every flush."""
     be = factory(cache)
-    try:
-        qubits = tuple(be.alloc(0, n_qubits))
-        angle_sets = _angle_sets(shape, 16)
-        stream = OpStream(be, 0, fusion="auto", max_pending=1 << 20)
+    qubits = tuple(be.alloc(0, n_qubits))
+    angle_sets = _angle_sets(shape, 16)
+    stream = OpStream(be, 0, fusion="auto", max_pending=1 << 20)
 
-        def one_pass(k):
-            for op in _materialize(shape, qubits, angle_sets[k % len(angle_sets)]):
-                stream.append(op)
-            stream.flush()
+    def one_pass(k):
+        for op in _materialize(shape, qubits, angle_sets[k % len(angle_sets)]):
+            stream.append(op)
+        stream.flush()
 
-        one_pass(0)  # warm-up: compiles and caches the shape
-        best = float("inf")
-        elapsed = 0.0
-        reps = 0
-        while elapsed < min_time or reps < min_reps:
-            t0 = time.perf_counter()
-            one_pass(reps + 1)
-            dt = time.perf_counter() - t0
-            best = min(best, dt)
-            elapsed += dt
-            reps += 1
-        return best
-    finally:
-        be.close()
+    one_pass(0)  # warm-up: compiles and caches the shape
+    best = float("inf")
+    elapsed = 0.0
+    reps = 0
+    while elapsed < min_time or reps < min_reps:
+        t0 = time.perf_counter()
+        one_pass(reps + 1)
+        dt = time.perf_counter() - t0
+        best = min(best, dt)
+        elapsed += dt
+        reps += 1
+    return best
 
 
 def run_flush_phase(n_shards, min_time, min_reps):

@@ -1,6 +1,6 @@
-"""Past-20-qubit scale: dtype tiers and the spill tier -> BENCH_scale.json.
+"""Past-20-qubit scale: the two dtype tiers -> BENCH_scale.json.
 
-One ``scale`` row per ``(n_qubits, dtype, tier)`` configuration: a
+One ``scale`` row per ``(n_qubits, dtype)`` configuration: a
 layered sweep circuit (h / cnot-chain / rz / crz couplings, ~3.5n
 gates) runs once on a 4-shard :class:`ShardedStateVector` and records
 gates/second next to the peak RSS the register cost.
@@ -13,21 +13,14 @@ subtracted out, what remains is the state plus the engine's transient
 copies.  The absolute high-water and the pre-alloc baseline are kept
 alongside (``peak_rss_abs_bytes``, ``baseline_rss_bytes``).
 
-Tiers:
+Both dtypes run at every grid size.  The ``complex64`` row carries
+``speedup`` (c128 wall / c64 wall, gated by the CI bench compare) and
+``rss_c64_over_c128`` (the acceptance bar: <= 0.55 at equal qubit
+count — half the bytes plus halved transients).
 
-* ``ram`` — both dtypes at every grid size.  The ``complex64`` row
-  carries ``speedup`` (c128 wall / c64 wall, gated by the CI bench
-  compare) and ``rss_c64_over_c128`` (the PR acceptance bar: <= 0.55
-  at equal qubit count — half the bytes plus halved transients).
-* ``spill`` — an out-of-core row: ``spill_budget`` is set to half the
-  state size, forcing the chunks onto memory-mapped files, and the
-  row must still complete the full circuit (``mmapped`` is asserted).
-  ``peak_rss_bytes`` is INFO here — resident mapped pages are the
-  page cache's call, not the engine's.
-
-The full grid is 22q/24q (+ a 24q spill row); ``--quick`` measures
-only 22q (+ a 22q spill row) so the CI bench-gate matches the 22q
-rows of the committed baseline and skips the rest.
+The full grid is 22q/24q; ``--quick`` measures only 22q so the CI
+bench-gate matches the 22q rows of the committed baseline and skips
+the rest.
 
 Run standalone::
 
@@ -97,34 +90,24 @@ def run_one(spec: dict) -> dict:
 
     n = spec["n_qubits"]
     dtype = spec["dtype"]
-    tier = spec["tier"]
     state_bytes = (1 << n) * (8 if dtype == "complex64" else 16)
-    kw = {}
-    if tier == "spill":
-        kw["spill"] = "auto"
-        kw["spill_budget"] = state_bytes // 2
 
     baseline = _rss_now_bytes()
-    sv = ShardedStateVector(n, seed=1, n_shards=N_SHARDS, dtype=dtype, **kw)
-    mmapped = bool(getattr(sv, "_mmapped", False))
+    sv = ShardedStateVector(n, seed=1, n_shards=N_SHARDS, dtype=dtype)
     t0 = time.perf_counter()
     gates = _sweep(sv, n)
     wall = time.perf_counter() - t0
     norm = float(sv.norm())
-    sv.close()
     peak_abs = _rss_peak_bytes()
 
     return {
         "n_qubits": n,
         "backend": "sharded",
         "dtype": dtype,
-        "tier": tier,
         "gates": gates,
         "wall_s": round(wall, 4),
         "gates_per_s": round(gates / wall, 2),
         "state_bytes": state_bytes,
-        "spill_budget_bytes": kw.get("spill_budget"),
-        "mmapped": mmapped,
         "norm": round(norm, 6),
         "baseline_rss_bytes": baseline,
         "peak_rss_abs_bytes": peak_abs,
@@ -161,16 +144,15 @@ def main(argv=None) -> int:
         return 0
 
     sizes = QUBITS_QUICK if args.quick else QUBITS_FULL
-    spill_at = sizes[-1]
     rows = []
     for n in sizes:
         by_dtype = {}
         for dtype in ("complex128", "complex64"):
-            row = _spawn({"n_qubits": n, "dtype": dtype, "tier": "ram"})
+            row = _spawn({"n_qubits": n, "dtype": dtype})
             by_dtype[dtype] = row
             rows.append(row)
             print(
-                f"ram   n={n} {dtype:<10} {row['gates_per_s']:>8.2f} gates/s  "
+                f"n={n} {dtype:<10} {row['gates_per_s']:>8.2f} gates/s  "
                 f"peak {row['peak_rss_bytes'] / 2**20:>8.1f} MiB"
             )
         c64, c128 = by_dtype["complex64"], by_dtype["complex128"]
@@ -179,19 +161,9 @@ def main(argv=None) -> int:
             c64["peak_rss_bytes"] / max(1, c128["peak_rss_bytes"]), 3
         )
         print(
-            f"      n={n} c64 speedup x{c64['speedup']}  "
+            f"n={n} c64 speedup x{c64['speedup']}  "
             f"rss ratio {c64['rss_c64_over_c128']}"
         )
-    spill = _spawn({"n_qubits": spill_at, "dtype": "complex64", "tier": "spill"})
-    rows.append(spill)
-    print(
-        f"spill n={spill_at} complex64  {spill['gates_per_s']:>8.2f} gates/s  "
-        f"budget {spill['spill_budget_bytes'] / 2**20:.0f} MiB  "
-        f"mmapped={spill['mmapped']}"
-    )
-    if not spill["mmapped"]:
-        print("ERROR: spill row never left the RAM tier", file=sys.stderr)
-        return 1
 
     payload = {
         "quick": args.quick,
@@ -202,10 +174,7 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
 
-    bar = [
-        r for r in rows
-        if r["tier"] == "ram" and r.get("rss_c64_over_c128", 1.0) <= 0.55
-    ]
+    bar = [r for r in rows if r.get("rss_c64_over_c128", 1.0) <= 0.55]
     if not bar:
         print("WARNING: no row met the 0.55x complex64 peak-RSS bar")
     return 0

@@ -372,9 +372,8 @@ class QmpiWorld:
     :attr:`results` list, :attr:`backend`, and :attr:`ledger` attributes
     remain available for inspection as before. Runs started with
     ``shots=N`` expose the sampled measurement histogram as
-    :attr:`counts`. The world is a context manager: ``with
-    qmpi_run(...) as world:`` closes the backend (removing any spill
-    files) on exit.
+    :attr:`counts`. The world is a context manager (``with
+    qmpi_run(...) as world:``), and :meth:`close` is a no-op.
     """
 
     def __init__(
@@ -414,8 +413,11 @@ class QmpiWorld:
         return self.backend.counts()
 
     def close(self) -> None:
-        """Release backend resources (the sharded engine's spill files)."""
-        self.backend.close()
+        """A no-op, kept so ``world.close()`` and ``with`` blocks work.
+
+        Every engine holds its state in RAM only, so the backend stays
+        usable and nothing is released.
+        """
 
     def __enter__(self) -> "QmpiWorld":
         return self
@@ -532,14 +534,10 @@ def qmpi_run(
     **backend_kw:
         Backend constructor options as plain keywords, e.g.
         ``qmpi_run(..., backend="sharded", n_shards=8)`` —
-        ``n_shards``, ``cache``, ``dtype``, ``spill``, ``spill_budget``.
-        ``dtype="complex64"`` selects the
-        half-footprint mixed-precision tier, and ``spill=`` backs
-        sharded chunks with memory-mapped files past the
-        ``spill_budget`` RAM budget (see
-        :class:`~repro.sim.sharded.ShardedStateVector`; close the
-        backend when done: ``with qmpi_run(...) as world:`` does so
-        automatically).
+        ``n_shards`` (sharded engine only), ``cache`` and ``dtype``;
+        the constructors' fourth keyword, ``seed``, is the parameter
+        above. ``dtype="complex64"`` selects the half-footprint
+        mixed-precision tier.
 
     A parameter sweep reuses one prebuilt backend: its schedule cache
     survives across calls, and ``backend.reseed(seed)`` before each call

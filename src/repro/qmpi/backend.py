@@ -401,17 +401,6 @@ class QuantumBackend:
         """The underlying engine, for white-box tests."""
         return self._sv
 
-    def close(self) -> None:
-        """Release engine resources (the sharded engine's spill files).
-
-        A no-op for engines without a ``close`` method. Idempotent, and
-        the shipped engines stay usable afterwards.
-        """
-        closer = getattr(self._sv, "close", None)
-        if closer is not None:
-            with self._lock:
-                closer()
-
 
 class SharedBackend(QuantumBackend):
     """The paper's §6 semantics: one monolithic rank-0-style state vector.
@@ -431,14 +420,10 @@ class ShardedBackend(QuantumBackend):
     Local-axis gates run as vectorized strided kernels on each flat chunk;
     high-axis gates exchange pair chunks over a private
     :class:`repro.mpi.Fabric`. See :mod:`repro.sim.sharded` for the layout.
-    All chunks live in this process.
+    All chunks live in this process, in RAM.
 
     ``dtype`` selects the amplitude precision (``"complex128"`` default
-    / ``"complex64"``, default from ``REPRO_QMPI_DTYPE``); ``spill``
-    and ``spill_budget`` configure the out-of-core memory-mapped chunk
-    store for registers past RAM (see
-    :class:`~repro.sim.sharded.ShardedStateVector`; call
-    :meth:`~QuantumBackend.close` to remove the spill files).
+    / ``"complex64"``, default from ``REPRO_QMPI_DTYPE``).
     """
 
     def __init__(
@@ -447,17 +432,9 @@ class ShardedBackend(QuantumBackend):
         n_shards: int = 4,
         cache: str = "on",
         dtype: str | None = None,
-        spill: str | None = None,
-        spill_budget: int = 1 << 30,
     ):
         super().__init__(
-            ShardedStateVector(
-                seed=seed,
-                n_shards=n_shards,
-                dtype=dtype,
-                spill=spill,
-                spill_budget=spill_budget,
-            ),
+            ShardedStateVector(seed=seed, n_shards=n_shards, dtype=dtype),
             cache=cache,
         )
         self.n_shards = n_shards

@@ -22,8 +22,8 @@ class QuantumOp:
     """A named reversible accumulator update ``acc <- op(acc, src)``.
 
     ``apply``/``unapply`` receive the per-rank QmpiComm (for rank-checked
-    gate access) and two equal-length registers. ``src`` is always
-    preserved.
+    gate access) and two equal-length, disjoint registers. ``src`` is
+    always preserved.
     """
 
     def __init__(self, name: str, apply_fn, unapply_fn):
@@ -32,16 +32,20 @@ class QuantumOp:
         self._unapply = unapply_fn
 
     def apply(self, qc, src: Qureg, acc: Qureg) -> None:
-        src, acc = as_qureg(src), as_qureg(acc)
-        if len(src) != len(acc):
-            raise ValueError(f"{self.name}: register sizes differ")
-        self._apply(qc, src, acc)
+        self._apply(qc, *self._check(src, acc))
 
     def unapply(self, qc, src: Qureg, acc: Qureg) -> None:
+        self._unapply(qc, *self._check(src, acc))
+
+    def _check(self, src: Qureg, acc: Qureg) -> tuple[Qureg, Qureg]:
         src, acc = as_qureg(src), as_qureg(acc)
         if len(src) != len(acc):
             raise ValueError(f"{self.name}: register sizes differ")
-        self._unapply(qc, src, acc)
+        # A partial overlap passes every gate's own check and silently
+        # computes garbage, so both registers are checked as sets.
+        if set(src) & set(acc):
+            raise ValueError(f"{self.name}: registers overlap")
+        return src, acc
 
     def __repr__(self) -> str:
         return f"<QuantumOp {self.name}>"
@@ -67,9 +71,11 @@ def _sum_unapply(qc, src: Qureg, acc: Qureg) -> None:
 def _cuccaro(qc, a: Qureg, b: Qureg, inverse: bool) -> None:
     """``b <- (b ± a) mod 2**n`` with one local ancilla.
 
-    Same MAJ/UMA network as :mod:`repro.sim.arith`, expressed through the
-    rank-checked backend so it is a legal *local* circuit (all qubits must
-    be on the calling rank — reductions fan remote data in first).
+    The Cuccaro/CDKM MAJ/UMA network: the carry into bit ``i`` lives on
+    ``a[i-1]`` (the ancilla for ``i = 0``), and the modular variant omits
+    the carry-out.  It runs through the rank-checked backend, so it is a
+    legal *local* circuit (all qubits must be on the calling rank —
+    reductions fan remote data in first).
     """
     n = len(a)
     if n == 0:

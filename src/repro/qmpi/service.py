@@ -65,8 +65,8 @@ class QmpiServiceHost:
 
     #: Backend methods rank processes may invoke. Rank-scoped methods
     #: receive the rank explicitly from the proxy; the whitelist keeps
-    #: parent-only surfaces (``close``, ``begin_shots``, ``reseed``,
-    #: ``counts``) out of reach of rank code.
+    #: parent-only surfaces (``begin_shots``, ``reseed``, ``counts``)
+    #: out of reach of rank code.
     BACKEND_METHODS = frozenset(
         {
             "alloc",

@@ -10,10 +10,9 @@ Public surface:
 * :mod:`~repro.sim.gates` — gate matrices and the ``GATESET`` table the
   engines' named-gate methods are generated from
 * :mod:`~repro.sim.pauli` — Pauli-string application / rotation
-* :mod:`~repro.sim.arith` — reversible adders for QMPI_SUM reductions
 """
 
-from . import arith, diag, gates, pauli, plan, schedule
+from . import diag, gates, pauli, plan, schedule
 from .diag import DiagBatch, coalesce_diagonals
 from .plan import ContractionPlan, plan_contractions
 from .schedule import (
@@ -51,5 +50,4 @@ __all__ = [
     "schedule",
     "gates",
     "pauli",
-    "arith",
 ]

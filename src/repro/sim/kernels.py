@@ -623,7 +623,7 @@ class KernelDispatch:
         contiguous copy back.  Any other window is staged
         window-axes-first with one strided ``np.copyto``, multiplied
         with one ``np.dot(u, stage, out=)`` and copied back through the
-        same strided view, so memmap-backed chunks mutate in place.
+        same strided view, so the chunk mutates in place.
         The buffer is reused across calls (one allocation per chunk
         size and dtype).
         """

@@ -20,10 +20,9 @@ gate is applied cooperatively:
 
 Layout
 ------
-The state is a list of ``R`` flat contiguous complex arrays (complex128
-by default; ``dtype="complex64"`` selects the half-footprint
-mixed-precision tier, and ``spill=`` backs the chunks with memory-mapped
-files once the register outgrows a RAM budget — see the constructor).
+The state is a list of ``R`` flat contiguous in-RAM complex arrays
+(complex128 by default; ``dtype="complex64"`` selects the half-footprint
+mixed-precision tier).
 Global amplitude index ``g`` lives in ``chunks[g >> n_local][g & (csize - 1)]``
 with ``csize = 2^n_local``.  Qubit handles are stable integer ids mapped
 to *bit positions*: a freshly allocated qubit is the least significant
@@ -61,8 +60,6 @@ the two engines are drop-in interchangeable behind
 from __future__ import annotations
 
 import itertools
-import os
-import tempfile
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -130,19 +127,6 @@ class ShardedStateVector:
         precision; kernel arms stay bit-identical *within* the dtype).
         ``None`` reads ``REPRO_QMPI_DTYPE`` before defaulting to
         ``"complex128"``.
-    spill:
-        Out-of-core chunk store: ``None`` (default, chunks stay in
-        RAM), ``"auto"`` (back chunks with ``np.memmap`` files under a
-        temporary directory once the register exceeds the RAM budget)
-        or a directory path (same, files created under that path).
-        Spilled runs execute each communication-free stretch chunk by
-        chunk in partition order, touching every chunk exactly once per
-        stretch.  Spill files are removed when the register shrinks
-        back under budget and on :meth:`close`.
-    spill_budget:
-        RAM budget in bytes for the ``spill`` decision (default 1 GiB).
-        The budget covers the register itself; transient working memory
-        stays O(chunk), so keep it at a few chunks minimum.
 
     The native strided pass and phase fill run on chunks of at least
     :data:`~repro.sim.kernels.JIT_MIN_AMPS_DEFAULT` amplitudes when a
@@ -163,27 +147,18 @@ class ShardedStateVector:
         seed=None,
         n_shards: int = 4,
         dtype: str | None = None,
-        spill: str | None = None,
-        spill_budget: int = 1 << 30,
     ):
         if n_shards < 1 or (n_shards & (n_shards - 1)):
             raise SimulationError(f"n_shards must be a power of two, got {n_shards}")
         self._dtype, (self._zero_atol, self._norm_eps, self._agree_eps) = (
             resolve_dtype(dtype)
         )
-        self._spill = str(spill) if spill is not None else None
-        self._spill_budget = int(spill_budget)
-        self._spill_dir: str | None = None
-        self._spill_files: list[str] = []
-        self._spill_seq = itertools.count()
-        self._mmapped = False
         self.n_shards = n_shards
         self._kernels = KernelDispatch()
         self._fabric = Fabric(n_shards)
         self._tags = itertools.count()
         # Zero qubits == one chunk holding the single amplitude 1.
-        self._chunks: list[np.ndarray] = []
-        self._store_chunks([np.ones(1, dtype=self._dtype)])
+        self._chunks: list[np.ndarray] = [np.ones(1, dtype=self._dtype)]
         self._bit_of: dict[int, int] = {}
         self._next_id = 0
         self._shots: int | None = None
@@ -229,7 +204,7 @@ class ShardedStateVector:
             # Empty engine (all qubits released): drop the leftover branch
             # rows (unobservable global phases) so a reused backend can
             # start a new shot batch.
-            self._store_chunks([np.ones(1, dtype=self._dtype)])
+            self._chunks = [np.ones(1, dtype=self._dtype)]
             self._n_branches = 1
         if shots < 1:
             raise SimulationError(f"shots must be >= 1, got {shots}")
@@ -295,111 +270,6 @@ class ShardedStateVector:
         return self._chunks[0].dtype.name
 
     # ------------------------------------------------------------------
-    # chunk storage (RAM arrays, or memory-mapped files past the budget)
-    # ------------------------------------------------------------------
-    def _store_chunks(self, arrs, layout: tuple[int, int] | None = None) -> None:
-        """Install a new chunk list.
-
-        Without ``spill=`` this is a plain rebind.  With ``spill=`` set
-        the storage tier (RAM arrays vs ``np.memmap`` files) is
-        re-decided against the budget on every install.
-
-        ``arrs`` may be a lazy iterable when ``layout`` — the new
-        ``(n_chunks, flat_chunk_size)`` — is given, so alloc/release can
-        stream chunks through without holding two full registers in RAM.
-        """
-        if self._spill is not None:
-            self._store_spill(arrs, layout)
-            return
-        self._chunks = list(arrs)
-
-    def _store_spill(self, arrs, layout: tuple[int, int] | None = None) -> None:
-        """Spill-aware chunk install: memmap files past the RAM budget.
-
-        The whole new generation is written before any old spill file is
-        removed (the inputs may read from the old files), so transient
-        disk usage peaks at two generations while RAM stays O(chunk).
-        """
-        if layout is None:
-            arrs = list(arrs)
-            layout = (len(arrs), arrs[0].size)
-        n_chunks, csize = layout
-        old_files = self._spill_files
-        if n_chunks * csize * self._dtype.itemsize <= self._spill_budget:
-            # RAM tier.  Copy defensively while the register is mmapped:
-            # inputs may be (views of) the spill files about to go away.
-            if self._mmapped:
-                self._chunks = [np.array(a, dtype=self._dtype) for a in arrs]
-                self._mmapped = False
-            else:
-                self._chunks = list(arrs)
-        else:
-            if self._spill_dir is None:
-                base = None if self._spill == "auto" else self._spill
-                if base is not None:
-                    os.makedirs(base, exist_ok=True)
-                self._spill_dir = tempfile.mkdtemp(prefix="qmpi-spill-", dir=base)
-            gen = next(self._spill_seq)
-            chunks: list[np.ndarray] = []
-            files: list[str] = []
-            for i, a in enumerate(arrs):
-                path = os.path.join(self._spill_dir, f"chunk-{gen}-{i}.dat")
-                m = np.memmap(path, dtype=self._dtype, mode="w+", shape=(csize,))
-                m[:] = a
-                chunks.append(m)
-                files.append(path)
-            self._chunks = chunks
-            self._spill_files = files
-            self._mmapped = True
-        if old_files and (not self._mmapped or old_files is not self._spill_files):
-            for p in old_files:
-                try:
-                    os.remove(p)
-                except OSError:  # pragma: no cover - already gone
-                    pass
-            if not self._mmapped:
-                self._spill_files = []
-
-    def _set_chunk(self, i: int, arr: np.ndarray) -> None:
-        """Replace one same-size chunk (in place when memmap backed)."""
-        if self._mmapped:
-            self._chunks[i][:] = arr
-        else:
-            self._chunks[i] = arr
-
-    def close(self) -> None:
-        """Release the spill files.
-
-        The engine stays usable afterwards: amplitudes migrate back to
-        ordinary in-RAM arrays and the spill tier is switched off.
-        Idempotent; garbage collection calls it as a safety net, but
-        deterministic cleanup (tests, long-lived services) should call
-        it explicitly.
-        """
-        if self._mmapped:
-            self._chunks = [np.array(c) for c in self._chunks]
-            self._mmapped = False
-        if self._spill_dir is not None:
-            for p in self._spill_files:
-                try:
-                    os.remove(p)
-                except OSError:  # pragma: no cover - already gone
-                    pass
-            self._spill_files = []
-            try:
-                os.rmdir(self._spill_dir)
-            except OSError:  # pragma: no cover - user-owned dir not empty
-                pass
-            self._spill_dir = None
-        self._spill = None
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------
     # allocation
     # ------------------------------------------------------------------
     def alloc(self, n: int = 1) -> list[int]:
@@ -417,30 +287,20 @@ class ShardedStateVector:
             # chunk-locally.  When the active chunk count is still below
             # n_shards the doubled chunk also splits at its top *local*
             # bit (per branch row) so the count tracks min(n_shards, 2^n).
-            # Streamed through a generator: the spill store then never
-            # holds more than O(chunk) fresh arrays in RAM.
             rebalance = len(self._chunks) < self.n_shards
             B = self._n_branches
-            old_size = self._chunks[0].size
-
-            def grown_iter():
-                for c in self._chunks:
-                    g = np.zeros(2 * c.size, dtype=self._dtype)
-                    g[0::2] = c
-                    if rebalance:
-                        half = g.size // B // 2
-                        v = g.reshape(B, -1)
-                        yield np.ascontiguousarray(v[:, :half]).reshape(-1)
-                        yield np.ascontiguousarray(v[:, half:]).reshape(-1)
-                    else:
-                        yield g
-
-            layout = (
-                (2 * len(self._chunks), old_size)
-                if rebalance
-                else (len(self._chunks), 2 * old_size)
-            )
-            self._store_chunks(grown_iter(), layout)
+            grown = []
+            for c in self._chunks:
+                g = np.zeros(2 * c.size, dtype=self._dtype)
+                g[0::2] = c
+                if rebalance:
+                    half = g.size // B // 2
+                    v = g.reshape(B, -1)
+                    grown.append(np.ascontiguousarray(v[:, :half]).reshape(-1))
+                    grown.append(np.ascontiguousarray(v[:, half:]).reshape(-1))
+                else:
+                    grown.append(g)
+            self._chunks = grown
             ids.append(qid)
         return ids
 
@@ -458,17 +318,13 @@ class ShardedStateVector:
             views = [c.reshape(-1, 2, stride) for c in self._chunks]
             if any(not np.allclose(v[:, 1, :], 0.0, atol=atol) for v in views):
                 self._raise_not_zero(qubit)
-            self._store_chunks(
-                (np.ascontiguousarray(v[:, 0, :]).reshape(-1) for v in views),
-                (len(self._chunks), self._chunks[0].size // 2),
-            )
+            self._chunks = [np.ascontiguousarray(v[:, 0, :]).reshape(-1) for v in views]
         else:
             mask = 1 << (b - nl)
             ones = [c for i, c in enumerate(self._chunks) if i & mask]
             if any(not np.allclose(c, 0.0, atol=atol) for c in ones):
                 self._raise_not_zero(qubit)
-            keep = [c for i, c in enumerate(self._chunks) if not i & mask]
-            self._store_chunks(keep, (len(keep), keep[0].size))
+            self._chunks = [c for i, c in enumerate(self._chunks) if not i & mask]
         del self._bit_of[qubit]
         for q, bb in self._bit_of.items():
             if bb > b:
@@ -727,9 +583,8 @@ class ShardedStateVector:
                 # first, then touch each chunk exactly once for the whole
                 # stretch (chunks are independent between barriers, so
                 # the per-chunk op order — and the amplitudes — are
-                # identical to fold-major order).  Out-of-core registers
-                # then stream each chunk through the page cache once per
-                # stretch instead of once per fold.
+                # identical to fold-major order), and each fold's tables
+                # are prepared once rather than once per chunk.
                 prepped = [
                     ("diag", self._prep_diag_batch(payload.batch))
                     if kind == "diag"
@@ -851,8 +706,8 @@ class ShardedStateVector:
             j = i | mask
             new_lo = u[0, 0] * self._chunks[i] + u[0, 1] * partners[i]
             new_hi = u[1, 0] * partners[j] + u[1, 1] * self._chunks[j]
-            self._set_chunk(i, new_lo)
-            self._set_chunk(j, new_hi)
+            self._chunks[i] = new_lo
+            self._chunks[j] = new_hi
 
     def _apply_mixed(self, u: np.ndarray, bits: Sequence[int]) -> None:
         # At least one shard axis: the 2^h chunks agreeing on every
@@ -866,7 +721,7 @@ class ShardedStateVector:
         # the contraction never couples them), so the transient is one
         # chunk of staged copies plus one product, never a group tensor;
         # and because the stage is a copy, each member's slab is written
-        # straight back into its live chunk (memmap chunks stay in place).
+        # straight back into its live chunk.
         k = len(bits)
         nl = self.n_local
         hi = sorted((i for i, b in enumerate(bits) if b >= nl), key=lambda i: -bits[i])
@@ -1020,7 +875,7 @@ class ShardedStateVector:
                 out[keep] = v[src[keep]] * scale[keep]
             new_chunks.append(out.reshape(-1))
         self._n_branches = len(src)
-        self._store_chunks(new_chunks)
+        self._chunks = new_chunks
         return bits
 
     def apply_pauli_if(self, cond, pauli: str, qubit: int) -> None:
@@ -1183,7 +1038,7 @@ class ShardedStateVector:
                 self.apply(G.PAULIS[p.upper()], q)
             val = sum(np.vdot(s, c) for s, c in zip(saved, self._chunks))
         finally:
-            self._store_chunks(saved)
+            self._chunks = saved
         return float(np.real(val))
 
     def copy(self) -> "ShardedStateVector":
@@ -1199,14 +1054,6 @@ class ShardedStateVector:
         out._zero_atol = self._zero_atol
         out._norm_eps = self._norm_eps
         out._agree_eps = self._agree_eps
-        # The copy is always a plain in-RAM register (the spill tier is
-        # not inherited).
-        out._spill = None
-        out._spill_budget = self._spill_budget
-        out._spill_dir = None
-        out._spill_files = []
-        out._spill_seq = itertools.count()
-        out._mmapped = False
         out._chunks = [c.copy() for c in self._chunks]
         out._bit_of = dict(self._bit_of)
         out._next_id = self._next_id

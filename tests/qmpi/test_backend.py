@@ -43,10 +43,17 @@ def test_locality_enforced():
                                  QuantumBackend, SharedBackend, ShardedBackend])
 def test_no_kernel_mode_or_locality_switch(cls):
     params = inspect.signature(cls).parameters
-    assert not {"kernels", "enforce_locality"} & set(params)
+    assert not {"kernels", "enforce_locality", "spill", "spill_budget"} & set(params)
 
 
-@pytest.mark.parametrize("kw", [{"kernels": "jit"}, {"enforce_locality": False}])
+# the classes that had ``close()`` only to remove spill files
+@pytest.mark.parametrize("cls", [ShardedStateVector, QuantumBackend, ShardedBackend])
+def test_engines_and_backends_hold_nothing_to_close(cls):
+    assert not hasattr(cls, "close")
+
+
+@pytest.mark.parametrize("kw", [{"kernels": "jit"}, {"enforce_locality": False},
+                                {"spill": "auto"}, {"spill_budget": 1}])
 @pytest.mark.parametrize("backend", ["shared", "sharded"])
 def test_removed_backend_keywords_raise(kw, backend):
     def prog(qc):
@@ -179,7 +186,6 @@ class TestMakeBackend:
         with pytest.warns(UserWarning, match="prebuilt backend instance"):
             out = make_backend(be, seed=3)
         assert out is be
-        be.close()
 
     def test_prebuilt_instance_without_opts_is_silent(self):
         be = make_backend("shared")
@@ -188,7 +194,6 @@ class TestMakeBackend:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert make_backend(be) is be
-        be.close()
 
     def test_reseed_reproduces_measurements(self):
         be = make_backend("shared", seed=1)
@@ -203,12 +208,10 @@ class TestMakeBackend:
         bits_a = [sample() for _ in range(20)]
         bits_b = [sample() for _ in range(20)]
         assert bits_a == bits_b
-        be.close()
 
     def test_sharded_colon_arg_sets_shard_count(self):
         be = make_backend("sharded:8")
         assert be._sv.n_shards == 8
-        be.close()
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +250,6 @@ def test_prebuilt_backend_sweep_reuses_schedules_and_reseeds(spec):
     assert runs[1][1] == 0 and runs[2][1] == 0  # later calls replay
     assert runs[1][0] == runs[0][0]  # same seed, same point: same counts
     assert runs[2][0] != runs[0][0]  # a new angle rebinds the schedule
-    be.close()
 
 
 def _teleport_one(qc):
@@ -271,7 +273,6 @@ def test_prebuilt_backend_reruns_a_protocol(spec):
         world = qmpi_run(2, _teleport_one, backend=be, shots=16)
         assert world.counts == {"1": 16}
         assert be._sv.num_qubits == 0  # nothing left behind for the next run
-    be.close()
 
 
 @pytest.mark.parametrize("spec", ["shared", "sharded:4"])
@@ -284,7 +285,6 @@ def test_run_failure_leaves_prebuilt_backend_usable(spec):
         qmpi_run(1, boom, backend=be, shots=8)
     world = qmpi_run(1, _sweep_point, args=(0.3,), backend=be, shots=8)
     assert sum(world.counts.values()) == 8
-    be.close()
 
 
 @pytest.mark.parametrize("spec", ["shared", "sharded:4"])
@@ -302,7 +302,6 @@ def test_counts_without_shots_raises(spec):
         world.counts
     with pytest.raises(SimulationError, match="shot-batched"):
         world.backend.counts()
-    world.close()
 
 
 @pytest.mark.parametrize("spec", ["shared", "sharded:4"])
@@ -316,7 +315,6 @@ def test_unreleased_qubits_block_the_next_shot_batch(spec):
     qmpi_run(1, leaky, backend=be, shots=4)
     with pytest.raises(SimulationError, match="non-empty engine"):
         qmpi_run(1, leaky, backend=be, shots=4)
-    be.close()
 
 
 @pytest.mark.parametrize("spec", ["shared", "sharded:4"])
@@ -333,6 +331,4 @@ def test_cached_schedules_replay_exactly_across_shot_counts(spec):
         cold = qmpi_run(2, _sweep_point, args=(1.1,), backend=cold_be, shots=shots)
         assert sum(warm.counts.values()) == shots
         assert warm.counts == cold.counts
-        cold_be.close()
     assert be.cache_info()["hits"] > 0
-    be.close()

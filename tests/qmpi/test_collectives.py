@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.qmpi import PARITY, SUM, qmpi_run
 from tests._precision import PROB_ABS
@@ -292,3 +293,104 @@ def test_alltoallv_variable():
     assert w.results[1] == [0, 1]
     # rank 2 receives: 0 from 0, 1 from 1 (1), 1 from self (0)
     assert w.results[2] == [1, 0]
+
+
+# ----------------------------------------------------------------------
+# SUM as a local reversible adder (one rank)
+# ----------------------------------------------------------------------
+def _sum_circuit(qc, n, a_val, b_val, steps):
+    """Encode ``a_val``/``b_val`` on two little-endian ``n``-qubit
+    registers, run ``SUM.apply`` ("add") / ``SUM.unapply`` ("sub") in
+    order, then read ``(a, b, qubits still allocated)``."""
+    a, b = qc.alloc_qmem(n), qc.alloc_qmem(n)
+    for reg, val in ((a, a_val), (b, b_val)):
+        for i, q in enumerate(reg):
+            if (val >> i) & 1:
+                qc.x(q)
+    qc.flush_ops()  # SUM drives the backend directly
+    for step in steps:
+        (SUM.apply if step == "add" else SUM.unapply)(qc, a, b)
+
+    def read(reg):
+        return sum(qc.measure(q) << i for i, q in enumerate(reg))
+
+    return read(a), read(b), qc.backend.num_qubits
+
+
+def _run_sum(n, a_val, b_val, steps):
+    return qmpi_run(1, _sum_circuit, args=(n, a_val, b_val, steps), seed=0).results[0]
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_sum_adds_modulo_register_size(n, data):
+    a_val = data.draw(st.integers(0, 2**n - 1))
+    b_val = data.draw(st.integers(0, 2**n - 1))
+    # a is preserved and the ancilla went back to |0> and was released
+    assert _run_sum(n, a_val, b_val, ("add",)) == (a_val, (a_val + b_val) % 2**n, 2 * n)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_sum_unapply_inverts_apply(n, data):
+    a_val = data.draw(st.integers(0, 2**n - 1))
+    b_val = data.draw(st.integers(0, 2**n - 1))
+    assert _run_sum(n, a_val, b_val, ("add", "sub")) == (a_val, b_val, 2 * n)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_sum_unapply_subtracts_modulo_register_size(n, data):
+    a_val = data.draw(st.integers(0, 2**n - 1))
+    b_val = data.draw(st.integers(0, 2**n - 1))
+    assert _run_sum(n, a_val, b_val, ("sub",))[:2] == (a_val, (b_val - a_val) % 2**n)
+
+
+def test_sum_on_a_superposition_stays_coherent():
+    def prog(qc):
+        a, b = qc.alloc_qmem(2), qc.alloc_qmem(2)
+        qc.h(a[0])
+        qc.flush_ops()
+        SUM.apply(qc, a, b)
+        # b is now entangled with a: measuring a[0] fixes b[0]
+        return qc.measure(a[0]), qc.measure(b[0])
+
+    for seed in range(4):
+        bit_a, bit_b = qmpi_run(1, prog, seed=seed).results[0]
+        assert bit_a == bit_b
+
+
+def test_sum_on_empty_registers_is_a_noop():
+    def prog(qc):
+        SUM.apply(qc, [], [])
+        SUM.unapply(qc, [], [])
+        return qc.backend.num_qubits
+
+    assert qmpi_run(1, prog, seed=0).results[0] == 0
+
+
+def test_sum_rejects_registers_of_different_size():
+    def prog(qc):
+        a, b = qc.alloc_qmem(2), qc.alloc_qmem(3)
+        for fn in (SUM.apply, SUM.unapply):
+            with pytest.raises(ValueError, match="sizes differ"):
+                fn(qc, a, b)
+        return True
+
+    assert qmpi_run(1, prog, seed=0).results[0]
+
+
+@pytest.mark.parametrize("op", [PARITY, SUM], ids=["PARITY", "SUM"])
+def test_ops_reject_overlapping_registers(op):
+    def prog(qc):
+        q = qc.alloc_qmem(3)
+        qc.x(q[1])
+        qc.flush_ops()
+        for a, b in ((q[:2], q[:2]), (q[:2], q[1:]), (q[:1] + q[2:], q[1:])):
+            for fn in (op.apply, op.unapply):
+                with pytest.raises(ValueError, match="registers overlap"):
+                    fn(qc, a, b)
+        # the check runs before any gate: the register is untouched
+        return [qc.measure(x) for x in q], qc.backend.num_qubits
+
+    assert qmpi_run(1, prog, seed=0).results[0] == ([0, 1, 0], 3)

@@ -155,7 +155,6 @@ def test_ghz_shots_matches_looped_single_shot_distribution():
     shots = 600
     w = qmpi_run(1, _ghz, args=(3,), seed=5, shots=shots)
     batched = w.counts
-    w.close()
     looped = Counter()
     for s in range(shots):
         w1 = qmpi_run(1, _ghz, args=(3,), seed=10_000 + s)
@@ -188,7 +187,6 @@ def test_teleport_shots_distribution(n_ranks):
     theta, shots = 1.1, 2048
     w = qmpi_run(n_ranks, _teleport, args=(theta,), seed=3, shots=shots)
     counts = w.counts
-    w.close()
     # only the user measurement is logged — protocol parity bits
     # (measure_and_release) must not leak into the histogram
     assert all(len(k) == 1 for k in counts)
@@ -215,7 +213,6 @@ def test_fanout_copies_agree_per_shot():
     m0, m1 = w.results
     assert isinstance(m0, ShotBits) and m0 == m1
     assert set(w.counts) <= {"00", "11"}
-    w.close()
 
 
 def test_cat_bcast_shots_four_ranks():
@@ -228,7 +225,6 @@ def test_cat_bcast_shots_four_ranks():
 
     w = qmpi_run(4, prog, seed=2, shots=128)
     assert w.counts == Counter({"1111": 128})
-    w.close()
 
 
 def test_shared_and_sharded_shots_agree_bit_for_bit():
@@ -246,8 +242,6 @@ def test_shared_and_sharded_shots_agree_bit_for_bit():
     assert a.results[0][0] == b.results[0][0]
     assert a.results[0][1] == b.results[0][1]
     assert a.counts == b.counts
-    a.close()
-    b.close()
 
 
 def test_mid_circuit_fork_conditional_fixup():
@@ -265,7 +259,6 @@ def test_mid_circuit_fork_conditional_fixup():
     m, m1 = w.results[0]
     assert m.counts()[1] > 0 and m.counts()[0] > 0  # genuinely forked
     assert m1 == ShotBits([0] * 300)  # fixup undid the correlation
-    w.close()
 
 
 def test_divergent_branch_raises_shot_divergence():
@@ -294,11 +287,10 @@ def test_world_indexing_iteration_and_context_manager():
         assert list(w) == w.results
         with pytest.raises(RuntimeError, match="shots"):
             w.counts
-    # close() released the engine resources; double close is fine
+    # close() is a no-op: a second call after the block is fine
     w.close()
 
 
 def test_backend_plain_keyword_construction():
     w = qmpi_run(1, _ghz, args=(2,), seed=0, backend="sharded", n_shards=8)
     assert w.backend._sv.n_shards == 8
-    w.close()

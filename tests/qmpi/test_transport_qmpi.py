@@ -237,7 +237,6 @@ def test_prebuilt_backend_sweep_matches_across_transports(backend):
         assert set(world.counts) <= {"00", "11"}  # both ranks always agree
         counts.append(world.counts)
     assert counts[1] == counts[0] and counts[2] == counts[0]
-    be.close()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

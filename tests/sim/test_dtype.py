@@ -1,20 +1,11 @@
-"""Mixed precision (``dtype="complex64"``) and the out-of-core spill tier.
+"""Mixed precision (``dtype="complex64"``).
 
-Two families:
-
-* **dtype** — construction/validation/env plumbing, the live-chunk
-  ``dtype`` property, and shared-vs-sharded equivalence with the
-  tolerance bar scaled to float32 eps.  Within complex64 the two
-  engines agree to ~1e-5; against a complex128 reference the bar is
-  the accumulated rounding of the circuit (~1e-4 for these depths).
-* **spill** — a tiny ``spill_budget`` forces the sharded chunks onto
-  ``np.memmap`` files; amplitudes must match the in-RAM engine
-  bit-for-bit, ``release`` must re-enter the RAM tier when the
-  register shrinks under budget, and ``close()`` must remove every
-  spill file and the spill directory.
+Construction/validation/env plumbing, the live-chunk ``dtype``
+property, and shared-vs-sharded equivalence with the tolerance bar
+scaled to float32 eps.  Within complex64 the two engines agree to
+~1e-5; against a complex128 reference the bar is the accumulated
+rounding of the circuit (~1e-4 for these depths).
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -153,86 +144,3 @@ def test_c64_qmpi_run_matrix(backend, mode, n_ranks):
     assert sv64.dtype == np.complex64
     assert sv128.dtype == np.complex128
     np.testing.assert_allclose(sv64, sv128, atol=C64_REF_ATOL)
-
-
-# ----------------------------------------------------------------------
-# out-of-core spill tier
-# ----------------------------------------------------------------------
-def test_spill_over_budget_mmaps_and_matches_ram(rng):
-    ram = ShardedStateVector(8, seed=5, n_shards=4)
-    ooc = ShardedStateVector(
-        8, seed=5, n_shards=4, spill="auto", spill_budget=1024
-    )
-    assert ooc._mmapped, "8 qubits x 16B >> 1KiB budget must spill"
-    assert ooc._spill_dir is not None and os.path.isdir(ooc._spill_dir)
-    assert len(ooc._spill_files) == ooc.num_chunks
-    assert all(os.path.exists(p) for p in ooc._spill_files)
-    _random_circuit((ram, ooc), rng, n_gates=20)
-    # Same dtype, same op order, chunk files or not: bit-identical.
-    np.testing.assert_array_equal(ram.statevector(), ooc.statevector())
-    ooc.close()
-    ram.close()
-
-
-def test_spill_reenters_ram_tier_on_release():
-    ooc = ShardedStateVector(
-        n_shards=2, spill="auto", spill_budget=4096, dtype="complex128"
-    )
-    q = ooc.alloc(9)  # 512 amps x 16B = 8KiB > budget
-    assert ooc._mmapped
-    for qb in q[:2]:  # down to 128 amps x 16B = 2KiB <= budget
-        ooc.release(qb)
-    assert not ooc._mmapped
-    assert not ooc._spill_files
-    ooc.close()
-
-
-def test_spill_close_removes_files_and_dir():
-    ooc = ShardedStateVector(6, n_shards=4, spill="auto", spill_budget=64)
-    files, d = list(ooc._spill_files), ooc._spill_dir
-    assert files and d
-    ooc.close()
-    assert not any(os.path.exists(p) for p in files)
-    assert not os.path.exists(d)
-    # close() is idempotent and the engine stays usable read-only.
-    ooc.close()
-
-
-def test_spill_explicit_path(tmp_path):
-    ooc = ShardedStateVector(
-        6, n_shards=2, spill=str(tmp_path), spill_budget=64
-    )
-    assert ooc._mmapped
-    assert all(p.startswith(str(tmp_path)) for p in ooc._spill_files)
-    ooc.h(0)
-    ooc.close()
-    # The caller's directory survives; only our spill subdir is removed.
-    assert tmp_path.exists()
-    assert not any(tmp_path.iterdir())
-
-
-def test_spill_dtype_c64_halves_file_bytes():
-    kw = dict(n_shards=4, spill="auto", spill_budget=64)
-    big = ShardedStateVector(6, dtype="complex128", **kw)
-    small = ShardedStateVector(6, dtype="complex64", **kw)
-    nbytes = lambda e: sum(os.path.getsize(p) for p in e._spill_files)
-    assert nbytes(small) * 2 == nbytes(big)
-    big.close()
-    small.close()
-
-
-def test_spill_through_qmpi_run():
-    w = qmpi_run(
-        2,
-        _c64_prog,
-        args=("auto",),
-        seed=7,
-        backend="sharded",
-        spill="auto",
-        spill_budget=128,
-    )
-    ref = qmpi_run(2, _c64_prog, args=("auto",), seed=7, backend="sharded")
-    order = sorted(w.backend.qubit_ids())
-    np.testing.assert_array_equal(
-        w.backend.statevector(order), ref.backend.statevector(order)
-    )

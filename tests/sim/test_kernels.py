@@ -408,21 +408,29 @@ def test_contract_matches_dense_oracle(dtype, rows):
     assert kd.counters["csel_hits"] == ref.counters["csel_hits"] == len(windows)
 
 
-def test_contract_mutates_a_memmap_chunk_in_place(tmp_path):
+@pytest.mark.parametrize("jit_min_amps", [NATIVE, NUMPY], ids=["native", "numpy"])
+def test_contract_writes_through_a_view_of_a_larger_buffer(jit_min_amps):
+    # The sharded engine hands ``contract`` live chunks it does not copy
+    # back, so the result must land in the caller's memory, not a rebind.
     nl = CONTRACT_NL
     rng = np.random.default_rng(12)
-    base = _rand_chunk(rng, 1 << nl)
-    chunk = np.memmap(tmp_path / "chunk.bin", dtype=np.complex128, mode="w+", shape=base.shape)
-    kd = _dispatch(NUMPY)
+    kd = _dispatch(jit_min_amps)
     for bits in ((1, 0), (2, 0, 1), (4, 2), (5, 4, 3)):
-        chunk[:] = base
+        base = _rand_chunk(rng, 3 << nl)
+        backing = base.copy()
+        chunk = backing[1 << nl : 2 << nl]
         u = _rand_window(rng, len(bits))
         kd.contract(chunk, u, bits, nl)
-        chunk.flush()
-        on_disk = np.fromfile(tmp_path / "chunk.bin", dtype=np.complex128)
+        assert np.shares_memory(chunk, backing)
         np.testing.assert_allclose(
-            on_disk, _dense(base, u, bits, nl), rtol=0, atol=1e-12
+            backing[1 << nl : 2 << nl],
+            _dense(base[1 << nl : 2 << nl], u, bits, nl),
+            rtol=0,
+            atol=1e-12,
         )
+        # the neighbouring chunks are left alone
+        assert _bits_equal(backing[: 1 << nl], base[: 1 << nl])
+        assert _bits_equal(backing[2 << nl :], base[2 << nl :])
 
 
 def test_contract_transient_is_two_chunks_and_windows_leave_no_residue():

@@ -7,8 +7,8 @@ staged slab by slab.  These tests pin that path against
 ``tests/_dense_oracle.py`` (which imports nothing from ``repro``): 3-
 and 4-qubit windows with one and two shard qubits in every window
 position, on 2/4/8 shards, both dtypes, with and without shot-branch
-rows, memmap-backed chunks included — plus a ``tracemalloc`` bound on
-the transient footprint.
+rows, chunks updated in place — plus a ``tracemalloc`` bound on the
+transient footprint.
 """
 
 import itertools
@@ -38,8 +38,8 @@ def _random_unitary(k, seed):
     return np.linalg.qr(m)[0]
 
 
-def _prepared(n_shards, dtype, **kw):
-    sv = ShardedStateVector(N, seed=0, n_shards=n_shards, dtype=dtype, **kw)
+def _prepared(n_shards, dtype):
+    sv = ShardedStateVector(N, seed=0, n_shards=n_shards, dtype=dtype)
     sv.apply_ops([Op(*g) for g in PREP])
     return sv
 
@@ -112,21 +112,16 @@ def test_shot_branch_rows_ride_through_a_mixed_window(dtype, n_shards, window):
 
 
 @pytest.mark.parametrize("dtype", ["complex128", "complex64"])
-def test_memmap_backed_chunks_are_updated_in_place(tmp_path, dtype):
-    sv = _prepared(4, dtype, spill=str(tmp_path), spill_budget=64)
-    try:
-        assert sv._mmapped
-        backing = [sv.chunk(c) for c in range(4)]
-        psi = _dense_oracle.run(N, PREP)
-        for seed, window in enumerate([(0, 3, 1), (5, 1, 2, 0), (2, 1, 4)]):
-            u = _random_unitary(len(window), seed)
-            sv.apply(u, *window)
-            psi = _dense_oracle.embed(u, window, N) @ psi
-        np.testing.assert_allclose(sv.statevector(), psi, atol=ATOL[dtype])
-        assert all(sv.chunk(c) is backing[c] for c in range(4))
-        assert all(isinstance(c, np.memmap) for c in backing)
-    finally:
-        sv.close()
+def test_mixed_windows_update_chunks_in_place(dtype):
+    sv = _prepared(4, dtype)
+    backing = [sv.chunk(c) for c in range(4)]
+    psi = _dense_oracle.run(N, PREP)
+    for seed, window in enumerate([(0, 3, 1), (5, 1, 2, 0), (2, 1, 4)]):
+        u = _random_unitary(len(window), seed)
+        sv.apply(u, *window)
+        psi = _dense_oracle.embed(u, window, N) @ psi
+    np.testing.assert_allclose(sv.statevector(), psi, atol=ATOL[dtype])
+    assert all(sv.chunk(c) is backing[c] for c in range(4))
 
 
 def test_transient_peak_of_a_two_shard_axis_window_stays_under_one_register():

@@ -444,20 +444,6 @@ def test_alloc_release_and_postselect_around_diagonal_batches(n_shards):
     assert_same_state(ref, sv)
 
 
-@pytest.mark.parametrize("spill", [None, "auto"])
-def test_close_is_idempotent_and_engine_stays_usable(spill):
-    sv = ShardedStateVector(4, seed=0, n_shards=4, spill=spill, spill_budget=64)
-    assert sv._mmapped == (spill is not None)
-    sv.apply_ops([Op("h", (0,))])
-    before = sv.statevector()
-    sv.close()
-    sv.close()  # idempotent
-    assert not sv._mmapped and not sv._spill_files
-    np.testing.assert_array_equal(before, sv.statevector())
-    sv.apply_ops([Op("h", (0,))])  # the in-RAM store still works
-    assert abs(sv.amplitude([0, 0, 0, 0]) - 1.0) < STATE_ATOL
-
-
 @pytest.mark.parametrize(
     "run",
     [

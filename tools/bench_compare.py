@@ -43,7 +43,7 @@ import json
 from pathlib import Path
 
 #: Fields that identify a row (whichever subset is present is the key).
-KEY_FIELDS = ("kernel", "n_qubits", "backend", "dtype", "tier")
+KEY_FIELDS = ("kernel", "n_qubits", "backend", "dtype")
 
 #: Ratio columns gated per benchmark row, by column name.
 RATIO_FIELDS = ("speedup",)
