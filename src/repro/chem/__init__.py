@@ -1,24 +1,20 @@
 """Quantum-chemistry substrate for the paper's §7.3 workloads.
 
 Pipeline: geometry -> STO-3G basis -> analytic integrals -> RHF ->
-MO-basis second-quantized Hamiltonian -> JW/BK encodings -> Pauli-term
-statistics (Fig. 5) and distributed EPR costs (Fig. 7), plus symbolic
-operators and Trotter circuits for small-system validation.
+MO-basis second-quantized Hamiltonian -> JW/BK majorana bitmasks ->
+Pauli-string supports: per-term qubit counts (Fig. 5) and distributed
+EPR costs per Trotter step (Fig. 7).
 """
 
 from .basis import ContractedGaussian, basis_for, sto3g_hydrogen
-from .bravyi_kitaev import FenwickTree, bk_sets, bravyi_kitaev
+from .bravyi_kitaev import FenwickTree, bk_sets
 from .epr_cost import TrotterEprResult, epr_sweep, trotter_step_epr
-from .fermion import FermionOperator
 from .geometry import Molecule, h2, hydrogen_chain, hydrogen_ring
 from .integrals import boys_f0, eri_tensor, kinetic_matrix, nuclear_matrix, overlap_matrix
-from .jordan_wigner import jordan_wigner
 from .majorana_masks import MajoranaMasks
 from .mo_integrals import MolecularHamiltonian, build_hamiltonian
 from .placement import block_placement, nodes_touched, round_robin_placement
-from .qubit_operator import QubitOperator, pauli_label, string_weight
 from .scf import RHFResult, run_rhf
-from .trotter import qubit_hamiltonian, trotter_evolve, trotter_step
 from .weights import support_histogram
 
 __all__ = [
@@ -38,12 +34,6 @@ __all__ = [
     "RHFResult",
     "MolecularHamiltonian",
     "build_hamiltonian",
-    "FermionOperator",
-    "QubitOperator",
-    "pauli_label",
-    "string_weight",
-    "jordan_wigner",
-    "bravyi_kitaev",
     "bk_sets",
     "FenwickTree",
     "MajoranaMasks",
@@ -54,7 +44,4 @@ __all__ = [
     "trotter_step_epr",
     "epr_sweep",
     "TrotterEprResult",
-    "qubit_hamiltonian",
-    "trotter_step",
-    "trotter_evolve",
 ]

@@ -1,4 +1,4 @@
-"""Bravyi–Kitaev transform via the Fenwick-tree construction.
+"""Bravyi–Kitaev index sets via the Fenwick-tree construction.
 
 Each qubit stores the parity of a subtree of modes; occupation and parity
 are then both O(log n) look-ups, so every transformed ladder operator
@@ -12,24 +12,15 @@ Set definitions follow Seeley, Richard & Love (J. Chem. Phys. 137, 224109):
 * parity set ``P(j)`` — disjoint subtrees covering modes ``< j``,
 * remainder set ``R(j) = P(j) \\ F(j)``.
 
-Majoranas: ``c_j = X_{U(j)} X_j Z_{P(j)}``, ``d_j = X_{U(j)} Y_j Z_{R(j)}``.
+Majoranas: ``c_j = X_{U(j)} X_j Z_{P(j)}``, ``d_j = X_{U(j)} Y_j Z_{R(j)}``,
+built as x/z bitmasks by :class:`~repro.chem.majorana_masks.MajoranaMasks`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .fermion import FermionOperator
-from .qubit_operator import QubitOperator
-
-__all__ = [
-    "FenwickTree",
-    "bk_sets",
-    "bk_majoranas",
-    "bk_annihilation",
-    "bk_creation",
-    "bravyi_kitaev",
-]
+__all__ = ["FenwickTree", "bk_sets"]
 
 
 class FenwickTree:
@@ -93,44 +84,3 @@ def bk_sets(j: int, n: int) -> tuple[list[int], list[int], list[int], list[int]]
     P = t.parity_set(j)
     R = sorted(set(P) - set(F))
     return U, F, P, R
-
-
-def _mask(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
-def bk_majoranas(j: int, n: int) -> tuple[QubitOperator, QubitOperator]:
-    """Majorana pair (c_j, d_j) under BK on n modes."""
-    U, F, P, R = bk_sets(j, n)
-    x_c = _mask(U) | (1 << j)
-    z_c = _mask(P)
-    c = QubitOperator.from_masks(x_c, z_c)
-    x_d = _mask(U) | (1 << j)
-    z_d = _mask(R) | (1 << j)  # Y on j => both masks set at j
-    d = QubitOperator.from_masks(x_d, z_d)
-    return c, d
-
-
-def bk_annihilation(j: int, n: int) -> QubitOperator:
-    c, d = bk_majoranas(j, n)
-    return (c + d * 1j) * 0.5
-
-
-def bk_creation(j: int, n: int) -> QubitOperator:
-    c, d = bk_majoranas(j, n)
-    return (c - d * 1j) * 0.5
-
-
-def bravyi_kitaev(op: FermionOperator, n_modes: int | None = None, tol: float = 1e-12) -> QubitOperator:
-    """Transform a fermionic operator on ``n_modes`` (default: inferred)."""
-    n = n_modes or op.n_modes()
-    out = QubitOperator.zero()
-    for factors, coeff in op.terms.items():
-        term = QubitOperator.identity(coeff)
-        for mode, dag in factors:
-            term = term * (bk_creation(mode, n) if dag else bk_annihilation(mode, n))
-        out = out + term
-    return out.simplify(tol)

@@ -7,8 +7,8 @@ to XORs and supports to ``bitwise_count`` — the whole Fig. 5/7 pipeline
 runs as a handful of NumPy array passes over millions of terms, no
 symbolic algebra (guide rule: vectorize, never loop over amplitudes).
 
-The per-term Pauli-string expansion rule (validated against the symbolic
-transform in the tests):
+The per-term Pauli-string expansion rule (checked in the tests against
+the Pauli strings of a dense Fock-basis Hamiltonian):
 
 * ``a†_p a_q + h.c.`` (p != q) -> 2 strings: ``c_p d_q`` and ``c_q d_p``
   (the cc/dd parts cancel since distinct majoranas anticommute);

@@ -43,43 +43,6 @@ class MolecularHamiltonian:
     def n_spin_orbitals(self) -> int:
         return 2 * self.n_spatial
 
-    # -- spin-orbital accessors (sparse/symbolic consumers) ---------------
-    def one_body_so(self, p: int, q: int) -> float:
-        """h_pq over spin orbitals (zero across spin)."""
-        if p % 2 != q % 2:
-            return 0.0
-        return float(self.hcore[p // 2, q // 2])
-
-    def two_body_so(self, p: int, q: int, r: int, s: int) -> float:
-        """<pq|rs> physicists' over spin orbitals.
-
-        <pq|rs> = (pr|qs)_chem * delta(sp_p, sp_r) * delta(sp_q, sp_s).
-        """
-        if p % 2 != r % 2 or q % 2 != s % 2:
-            return 0.0
-        return float(self.eri_chem[p // 2, r // 2, q // 2, s // 2])
-
-    def to_fermion_terms(self, threshold: float = 1e-12):
-        """Yield ((indices, daggers), coeff) for every nonzero term —
-        symbolic-scale only (use the vectorized paths for big systems).
-
-        H = sum h_pq a†p aq + 1/2 sum <pq|rs> a†p a†q a_s a_r
-        (physicists' notation; note the reversed annihilator order).
-        """
-        n = self.n_spin_orbitals
-        for p in range(n):
-            for q in range(n):
-                c = self.one_body_so(p, q)
-                if abs(c) > threshold:
-                    yield ((p, 1), (q, 0)), c
-        for p in range(n):
-            for q in range(n):
-                for r in range(n):
-                    for s in range(n):
-                        c = 0.5 * self.two_body_so(p, q, r, s)
-                        if abs(c) > threshold:
-                            yield ((p, 1), (q, 1), (s, 0), (r, 0)), c
-
 
 def build_hamiltonian(rhf: RHFResult) -> MolecularHamiltonian:
     """Transform the converged RHF AO integrals into the MO basis."""

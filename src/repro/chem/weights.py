@@ -4,14 +4,14 @@ For every term of the second-quantized Hamiltonian (Eq. (1) form after
 the encoding), compute how many qubits the resulting Pauli strings act
 on, and histogram the counts for Jordan–Wigner vs Bravyi–Kitaev.
 
-Term-counting convention (documented in DESIGN.md §4): one-body terms are
-unique pairs p <= q expanded over spin; two-body terms are the unique
-chemist integrals (pq|rs) under 8-fold permutation symmetry expanded over
-the 4 spin channels; each is expanded into its distinct Pauli strings via
-the majorana rules of :mod:`majorana_masks` (validated symbolically).
-Strings are deduplicated within a term group, not globally — the support
-distribution (the figure's content) is exact, the absolute multiplicity
-convention differs slightly from a globally-deduplicated QubitOperator.
+Term-counting convention: one-body terms are unique pairs p <= q expanded
+over spin; two-body terms are the unique chemist integrals (pq|rs) under
+8-fold permutation symmetry expanded over the 4 spin channels; each is
+expanded into its distinct Pauli strings via the majorana rules of
+:mod:`majorana_masks`. Strings are deduplicated within a term group, not
+globally, and a string whose coefficients cancel across groups is still
+counted: the supports cover every nonzero string of the summed
+Hamiltonian, plus those few cancelling ones.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from ..sim.sharded import ShardedStateVector
 from ..sim.shots import ShotBits
 from ..sim.statevector import SimulationError, StateVector
 from . import ops as _ops
-from .ops import UNITARY, GateDef, Op
+from .ops import GateDef, Op
 from .qubit import Qureg
 
 __all__ = [
@@ -306,16 +306,6 @@ class QuantumBackend:
                 return None
             return kd.info()
 
-    def apply(self, rank: int, u: np.ndarray, *qubits: int) -> None:
-        """Apply an explicit ``2^k x 2^k`` unitary to ``k`` owned qubits.
-
-        Emitted as a one-op batch carrying a
-        :data:`~repro.qmpi.ops.UNITARY` record.
-        """
-        self.apply_ops(
-            rank, (Op(UNITARY, tuple(qubits), u=np.asarray(u, dtype=np.complex128)),)
-        )
-
     # ------------------------------------------------------------------
     # measurement
     # ------------------------------------------------------------------
@@ -376,10 +366,6 @@ class QuantumBackend:
         """
         with self._lock:
             self._sv.entangle_fresh(qa, qb)
-
-    def lock(self):
-        """The global lock (context manager) for composite inspections."""
-        return self._lock
 
     @property
     def num_qubits(self) -> int:

@@ -125,10 +125,3 @@ class Ledger:
     def row(self, name: str) -> OpRow:
         with self._lock:
             return self.rows.get(name, OpRow(name))
-
-    def reset(self) -> None:
-        with self._lock:
-            self.epr_pairs = 0
-            self.classical_bits = 0
-            self.classical_messages = 0
-            self.rows.clear()

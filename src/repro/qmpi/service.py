@@ -73,7 +73,6 @@ class QmpiServiceHost:
             "free",
             "apply_flush",
             "apply_ops",
-            "apply",
             "measure",
             "measure_and_release",
             "apply_pauli_if",

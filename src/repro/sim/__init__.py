@@ -9,10 +9,9 @@ Public surface:
 * :mod:`~repro.sim.plan` — per-chunk contraction plans (``ContractionPlan``)
 * :mod:`~repro.sim.gates` — gate matrices and the ``GATESET`` table the
   engines' named-gate methods are generated from
-* :mod:`~repro.sim.pauli` — Pauli-string application / rotation
 """
 
-from . import diag, gates, pauli, plan, schedule
+from . import diag, gates, plan, schedule
 from .diag import DiagBatch, coalesce_diagonals
 from .plan import ContractionPlan, plan_contractions
 from .schedule import (
@@ -49,5 +48,4 @@ __all__ = [
     "plan",
     "schedule",
     "gates",
-    "pauli",
 ]

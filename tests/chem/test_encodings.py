@@ -1,92 +1,80 @@
-"""JW and BK transform correctness (CAR, isospectrality, string counts)."""
+"""JW and BK majorana masks vs the dense Fock-basis oracle; BK tree sets."""
 
 import numpy as np
 import pytest
 
-from repro.chem.bravyi_kitaev import FenwickTree, bk_majoranas, bk_sets, bravyi_kitaev
-from repro.chem.fermion import FermionOperator as F
-from repro.chem.jordan_wigner import jordan_wigner
+from repro.chem import MajoranaMasks
+from repro.chem.bravyi_kitaev import FenwickTree, bk_sets
+from repro.chem.majorana_masks import EVEN_D_PATTERNS
+from tests._fermion_oracle import annihilators, bk_beta, in_encoding, pauli_matrix, pauli_terms
 
 
-def _car_holds(transform, n):
-    I = np.eye(2**n)
-    a = [transform(F.annihilation(j), n).to_matrix(n) for j in range(n)]
-    ad = [transform(F.creation(j), n).to_matrix(n) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            anti = a[i] @ ad[j] + ad[j] @ a[i]
-            assert np.allclose(anti, I if i == j else 0 * I, atol=1e-10)
-            assert np.allclose(a[i] @ a[j] + a[j] @ a[i], 0 * I, atol=1e-10)
+@pytest.mark.parametrize("enc", ["jw", "bk"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_majoranas_match_oracle(enc, n):
+    # c_j = a_j + a_j†, d_j = i(a_j† - a_j): equal as matrices, which
+    # is stronger than the anticommutation relations alone.
+    mm = MajoranaMasks(n, enc)
+    for j, a in enumerate(annihilators(n)):
+        c = in_encoding(a + a.T, enc)
+        d = in_encoding(1j * (a.T - a), enc)
+        assert np.array_equal(pauli_matrix(int(mm.cx[j]), int(mm.cz[j]), n), c)
+        assert np.array_equal(pauli_matrix(int(mm.dx[j]), int(mm.dz[j]), n), d)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_jw_car(n):
-    _car_holds(lambda op, nn: jordan_wigner(op), n)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_bk_car(n):
-    _car_holds(bravyi_kitaev, n)
-
-
-def test_bk_majorana_anticommutation():
-    n = 5
-    gammas = []
-    for j in range(n):
-        c, d = bk_majoranas(j, n)
-        gammas += [c.to_matrix(n), d.to_matrix(n)]
-    for a in range(2 * n):
-        for b in range(a, 2 * n):
-            anti = gammas[a] @ gammas[b] + gammas[b] @ gammas[a]
-            expect = 2 * np.eye(2**n) if a == b else np.zeros((2**n,) * 2)
-            assert np.allclose(anti, expect, atol=1e-10)
-
-
-def test_jw_bk_isospectral_random_hamiltonian(rng):
+@pytest.mark.parametrize("enc", ["jw", "bk"])
+def test_string_counts(enc):
     n = 4
-    ham = F.zero()
-    for p in range(n):
-        for q in range(n):
-            c = rng.normal()
-            ham = ham + F.term([(p, 1), (q, 0)], c) + F.term([(q, 1), (p, 0)], c)
-    for _ in range(5):
-        p, q, r, s = rng.integers(0, n, 4)
-        if p == q or r == s:
-            continue
-        c = rng.normal()
-        ham = ham + F.term([(p, 1), (q, 1), (r, 0), (s, 0)], c)
-        ham = ham + F.term([(s, 1), (r, 1), (q, 0), (p, 0)], c)
-    jw = jordan_wigner(ham).to_matrix(n)
-    bk = bravyi_kitaev(ham, n).to_matrix(n)
-    assert np.allclose(jw, jw.conj().T, atol=1e-9)
-    assert np.allclose(
-        np.sort(np.linalg.eigvalsh(jw)), np.sort(np.linalg.eigvalsh(bk)), atol=1e-8
-    )
+    a = annihilators(n)
+    mm = MajoranaMasks(n, enc)
+    idx = [np.array([j]) for j in range(n)]
 
+    def strings(op):
+        return set(pauli_terms(in_encoding(op, enc)))
 
-def test_string_counts():
-    hop = F.term([(0, 1), (2, 0)]) + F.term([(2, 1), (0, 0)])
-    assert jordan_wigner(hop).n_terms() == 2
-    assert bravyi_kitaev(hop, 4).n_terms() == 2
-    number = F.term([(1, 1), (1, 0)])
-    assert jordan_wigner(number).n_terms() == 2  # identity + Z
-    body2 = F.term([(0, 1), (1, 1), (2, 0), (3, 0)]) + F.term(
-        [(3, 1), (2, 1), (1, 0), (0, 0)]
-    )
-    assert jordan_wigner(body2).n_terms() == 8
-    assert bravyi_kitaev(body2, 4).n_terms() == 8
+    def one(xz):
+        return int(xz[0][0]), int(xz[1][0])
+
+    hop = a[0].T @ a[2] + a[2].T @ a[0]
+    pairs = {one(mm.pair_xz(0, idx[0], 1, idx[2])), one(mm.pair_xz(0, idx[2], 1, idx[0]))}
+    assert strings(hop) == pairs and len(pairs) == 2
+    number = a[1].T @ a[1]
+    assert strings(number) == {(0, 0), one(mm.number_xz(idx[1]))}  # identity + Z̃_1
+    body2 = a[0].T @ a[1].T @ a[2] @ a[3]
+    assert len(strings(body2 + body2.T)) == len(EVEN_D_PATTERNS) == 8
 
 
 def test_jw_locality_vs_bk_locality():
     # JW hopping between distant modes touches everything in between;
     # BK touches O(log n).
     n = 16
-    hop = F.term([(0, 1), (n - 1, 0)]) + F.term([(n - 1, 1), (0, 0)])
-    jw_w = max(jordan_wigner(hop).support_weights())
-    bk_w = max(bravyi_kitaev(hop, n).support_weights())
+    lo, hi = np.array([0]), np.array([n - 1])
+
+    def widest(enc):
+        mm = MajoranaMasks(n, enc)
+        supports = np.concatenate([mm.pair_support(0, lo, 1, hi), mm.pair_support(0, hi, 1, lo)])
+        return int(mm.weight(supports).max())
+
+    jw_w, bk_w = widest("jw"), widest("bk")
     assert jw_w == n
     assert bk_w <= 2 * int(np.ceil(np.log2(n))) + 2
     assert bk_w < jw_w
+
+
+def _srl_beta(n):
+    """Seeley-Richard-Love's recursive BK matrix, modes in ascending order:
+    beta_1 = [1], beta_2m = [[beta_m, 0], [B, beta_m]] with B's last row ones."""
+    if n == 1:
+        return np.ones((1, 1), dtype=np.int64)
+    half = _srl_beta(n // 2)
+    lower = np.zeros_like(half)
+    lower[-1] = 1
+    return np.block([[half, np.zeros_like(half)], [lower, half]])
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_bk_beta_matches_recursive_construction(n):
+    assert np.array_equal(bk_beta(n), _srl_beta(n))
 
 
 def test_fenwick_tree_structure():

@@ -16,6 +16,7 @@ from repro.chem import (
     overlap_matrix,
     run_rhf,
 )
+from tests._fermion_oracle import fock_hamiltonian, popcount
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +113,17 @@ def test_basis_rejects_non_hydrogen():
 def test_mo_hamiltonian_hermiticity():
     ham = build_hamiltonian(run_rhf(h2(1.4)))
     assert np.allclose(ham.hcore, ham.hcore.T)
-    # spin selection rules
-    assert ham.one_body_so(0, 1) == 0.0  # alpha vs beta
-    assert ham.one_body_so(0, 2) != 0.0
-    assert ham.two_body_so(0, 1, 2, 1) != 0.0 or True  # spin-matched access works
-    assert ham.two_body_so(0, 0, 1, 0) == 0.0  # spin mismatch
+
+
+@pytest.mark.parametrize("mol", [h2(1.4), hydrogen_ring(4, 1.8)], ids=["H2", "H4"])
+def test_fock_hamiltonian_conserves_each_spin(mol):
+    # Spin orbital 2p + sigma. The commutators check the oracle's own
+    # spin-orbital loops: a term that crossed spins would move an electron
+    # between the alpha and beta counts. H == H.T checks the symmetry of
+    # the MO integrals themselves.
+    H = fock_hamiltonian(build_hamiltonian(run_rhf(mol)))
+    b = np.arange(len(H))
+    for spin_mask in (0x5555, 0xAAAA):
+        N = np.diag(popcount(b & spin_mask).astype(float))
+        assert np.abs(H @ N - N @ H).max() < 1e-10
+    assert np.allclose(H, H.T)

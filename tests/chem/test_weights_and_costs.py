@@ -1,4 +1,4 @@
-"""Mask fast path vs symbolic transform; Fig. 5 histograms; Fig. 7 costs."""
+"""Mask fast path vs the dense Fock-basis oracle; Fig. 5 histograms; Fig. 7 costs."""
 
 import numpy as np
 import pytest
@@ -16,10 +16,12 @@ from repro.chem import (
     support_histogram,
     trotter_step_epr,
 )
-from repro.chem.bravyi_kitaev import bravyi_kitaev
-from repro.chem.fermion import FermionOperator as F
-from repro.chem.jordan_wigner import jordan_wigner
 from repro.chem.majorana_masks import EVEN_D_PATTERNS
+from repro.chem.weights import iter_support_masks
+from tests._fermion_oracle import annihilators, fock_hamiltonian, in_encoding, pauli_terms
+
+N_MODES = 8
+HOP_MODES = 10  # the pair (2, 9) spans the root of the 10-mode BK tree
 
 
 @pytest.fixture(scope="module")
@@ -27,69 +29,91 @@ def h4_ham():
     return build_hamiltonian(run_rhf(hydrogen_ring(4, 1.8)))
 
 
-@pytest.mark.parametrize("enc", ["jw", "bk"])
-def test_quad_supports_match_symbolic(enc, rng):
-    n = 8
-    mm = MajoranaMasks(n, enc)
-    transform = (lambda op, nn: jordan_wigner(op)) if enc == "jw" else bravyi_kitaev
-    for _ in range(15):
-        p, r, s, q = rng.choice(n, 4, replace=False)
-        op = F.term([(p, 1), (r, 1), (s, 0), (q, 0)]) + F.term(
-            [(q, 1), (s, 1), (r, 0), (p, 0)]
-        )
-        sym = sorted(
-            (x | z) for (x, z), v in transform(op, n).simplify(1e-12).terms.items()
-        )
-        fast = sorted(
-            int(
-                mm.quad_support(
-                    pat, np.array([p]), np.array([r]), np.array([s]), np.array([q])
-                )[0]
-            )
-            for pat in EVEN_D_PATTERNS
-        )
-        assert sym == fast
+@pytest.fixture(scope="module")
+def ladder():
+    a = annihilators(N_MODES)
+    return a, [m.T for m in a]
+
+
+@pytest.fixture(scope="module")
+def hop_ladder():
+    a = annihilators(HOP_MODES)
+    return a, [m.T for m in a]
+
+
+def _oracle_supports(op, enc):
+    """Sorted supports of the nonzero non-identity strings of ``op + h.c.``."""
+    terms = pauli_terms(in_encoding(op + op.T, enc))
+    return sorted(x | z for x, z in terms if x | z)
+
+
+def _one(*modes):
+    return [np.array([m]) for m in modes]
 
 
 @pytest.mark.parametrize("enc", ["jw", "bk"])
-def test_shared_mode_supports_match_symbolic(enc, rng):
-    n = 8
-    mm = MajoranaMasks(n, enc)
-    transform = (lambda op, nn: jordan_wigner(op)) if enc == "jw" else bravyi_kitaev
+def test_quad_supports_match_oracle(enc, ladder, rng):
+    a, ad = ladder
+    mm = MajoranaMasks(N_MODES, enc)
     for _ in range(15):
-        m_, u, v = rng.choice(n, 3, replace=False)
-        op = F.term([(m_, 1), (u, 1), (m_, 0), (v, 0)]) + F.term(
-            [(v, 1), (m_, 1), (u, 0), (m_, 0)]
-        )
-        sym = sorted(
-            (x | z)
-            for (x, z), c in transform(op, n).simplify(1e-12).terms.items()
-            if (x | z)
-        )
-        ma, ua, va = (np.array([t]) for t in (m_, u, v))
+        p, r, s, q = (int(i) for i in rng.choice(N_MODES, 4, replace=False))
+        oracle = _oracle_supports(ad[p] @ ad[r] @ a[s] @ a[q], enc)
+        fast = sorted(int(mm.quad_support(pat, *_one(p, r, s, q))[0]) for pat in EVEN_D_PATTERNS)
+        assert oracle == fast
+
+
+@pytest.mark.parametrize("enc", ["jw", "bk"])
+def test_shared_mode_supports_match_oracle(enc, ladder, rng):
+    a, ad = ladder
+    mm = MajoranaMasks(N_MODES, enc)
+    for _ in range(15):
+        m_, u, v = (int(i) for i in rng.choice(N_MODES, 3, replace=False))
+        oracle = _oracle_supports(ad[m_] @ ad[u] @ a[m_] @ a[v], enc)
+        ma, ua, va = _one(m_, u, v)
         zx, zz = mm.number_xz(ma)
         fast = []
-        for a, b in ((ua, va), (va, ua)):
-            x, z = mm.pair_xz(0, a, 1, b)
+        for x_, y_ in ((ua, va), (va, ua)):
+            x, z = mm.pair_xz(0, x_, 1, y_)
             fast += [int((x | z)[0]), int(((x ^ zx) | (z ^ zz))[0])]
-        assert sym == sorted(fast)
+        assert oracle == sorted(fast)
 
 
-def test_hopping_supports_match_symbolic():
-    n = 10
-    for enc in ("jw", "bk"):
-        mm = MajoranaMasks(n, enc)
-        transform = (lambda op, nn: jordan_wigner(op)) if enc == "jw" else bravyi_kitaev
-        for p, q in ((0, 5), (2, 9), (3, 4)):
-            op = F.term([(p, 1), (q, 0)]) + F.term([(q, 1), (p, 0)])
-            sym = sorted((x | z) for (x, z), v in transform(op, n).simplify().terms.items())
-            fast = sorted(
-                [
-                    int(mm.pair_support(0, np.array([p]), 1, np.array([q]))[0]),
-                    int(mm.pair_support(0, np.array([q]), 1, np.array([p]))[0]),
-                ]
-            )
-            assert sym == fast
+@pytest.mark.parametrize("enc", ["jw", "bk"])
+def test_hopping_supports_match_oracle(enc, hop_ladder):
+    a, ad = hop_ladder
+    mm = MajoranaMasks(HOP_MODES, enc)
+    for p, q in ((0, 5), (2, 9), (3, 4)):
+        fast = sorted(
+            [
+                int(mm.pair_support(0, *_one(p), 1, *_one(q))[0]),
+                int(mm.pair_support(0, *_one(q), 1, *_one(p))[0]),
+            ]
+        )
+        assert _oracle_supports(ad[p] @ a[q], enc) == fast
+
+
+def _hamiltonian_supports(ham, enc):
+    """(oracle supports of the summed Hamiltonian, mask supports), as sets."""
+    terms = pauli_terms(in_encoding(fock_hamiltonian(ham), enc))
+    oracle = {x | z for x, z in terms if x | z}
+    masks = {int(m) for batch in iter_support_masks(ham, enc) for m in batch.masks}
+    return oracle, masks
+
+
+@pytest.mark.parametrize("enc, n_supports", [("jw", 11), ("bk", 10)])
+def test_h2_mask_supports_equal_oracle_strings(enc, n_supports):
+    oracle, masks = _hamiltonian_supports(build_hamiltonian(run_rhf(h2(1.4))), enc)
+    assert oracle == masks
+    assert len(oracle) == n_supports
+
+
+@pytest.mark.parametrize("enc, n_masks", [("jw", 72), ("bk", 74)])
+def test_h4_oracle_strings_within_mask_supports(enc, n_masks, h4_ham):
+    # The per-group expansion also lists strings whose coefficients
+    # cancel once every term group is summed.
+    oracle, masks = _hamiltonian_supports(h4_ham, enc)
+    assert oracle <= masks
+    assert (len(oracle), len(masks)) == (70, n_masks)
 
 
 def test_masks_validate_inputs():

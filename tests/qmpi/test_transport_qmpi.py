@@ -338,19 +338,17 @@ def test_proxy_forwarders_are_generated_from_the_remotable_table():
     proxy.measure_and_release(1, 5, control=3)  # keywords and defaults: the backend's
     proxy.measure_and_release(1, 5, basis="X")
     proxy.alloc(2)
-    proxy.apply(0, np.eye(2), 4)
     proxy.apply_ops(0, ())  # empty batch: no RPC
     proxy.free(0, (7, 8))
     buf = (Op("h", (7,)),)
     proxy.apply_flush(0, buf)
-    assert [(name, args) for name, args in sent if name != "apply"] == [
+    assert sent == [
         ("measure_and_release", (1, 5, "Z", 3)),
         ("measure_and_release", (1, 5, "X", None)),
         ("alloc", (2, 1)),
         ("free", (0, [7, 8])),
         ("apply_flush", (0, buf)),
     ]
-    assert sent[3][0] == "apply" and sent[3][1][2:] == (4,)
     with pytest.raises(TypeError):
         proxy.measure_and_release(1, 5, colour="red")
     # Parent-only surfaces stay out of reach from either end.
