@@ -22,8 +22,10 @@ pair-chunk traffic, on any axis.  The tensor itself is built by a
 each phase table folds in while the array is still small (as soon as
 its highest bit exists), so all-distinct pair sets like the QFT ladder
 cost ``sum_parts 2^(maxbit+1)`` updates instead of ``parts * 2^L``.
-Chunks sharing the same shard-bit signature share the same vector, so
-it is computed once per shape and reused.
+On the sharded engine the local tables make one base tensor per batch,
+and the tables that touch a shard bit make one small factor per
+shard-bit signature (:func:`signature_vectors`), so no chunk-sized
+tensor is built per signature.
 
 This module lives in :mod:`repro.sim` (below the op IR) so both engines
 can import it without cycles;
@@ -217,19 +219,24 @@ def coalesce_diagonals(ops):
 
 
 def signature_vectors(singles, pairs, n_local, num_chunks, kernels=None):
-    """Materialize phase tables once per shard-bit signature.
+    """Materialize a batch's phase tables once, split by shard-bit signature.
 
     ``singles``/``pairs`` are bit-position phase tables (the
     :func:`chunk_phase` convention, with bits ``>= n_local`` on shard
-    axes).  Chunks sharing the same values of the touched shard bits
-    share one phase tensor, so each distinct *signature* is built
-    exactly once (the signature-independent local part exactly once
-    overall) and reused by every chunk with that signature.
+    axes).  The tables that touch only local bits make one
+    signature-independent ``base`` tensor, built once.  The tables that
+    touch a shard bit make, per distinct *signature* (the chunk's values
+    of the touched shard bits), a small ``extra`` factor: a scalar, or a
+    tensor of size 2 only on the local axes its tables touch.  No
+    ``2^n_local`` tensor is built per signature; a chunk applies
+    ``base`` and then its ``extra`` as two in-place multiplies.
 
-    Returns ``(high_bits, vecs, sig_of)``: the sorted shard-bit
-    positions the batch touches (chunk-index-relative), a dict mapping
-    each signature tuple to its broadcastable tensor, and the per-chunk
-    signature list (``sig_of[ci]`` keys into ``vecs``).
+    Returns ``(base, extras, sig_of)``: ``base`` (``None`` when no local
+    table is live), a dict mapping each signature tuple to its extra
+    factor (``None`` when it collapses to identity, e.g. a control bit
+    fixed to 0), and the per-chunk signature list (``sig_of[ci]`` keys
+    into ``extras``).  Both factors broadcast against a chunk's
+    ``(-1,) + (2,) * n_local`` view.
 
     ``kernels`` (a :class:`repro.sim.kernels.KernelDispatch`) routes
     table materialization through the native phase-fill driver when the
@@ -239,28 +246,27 @@ def signature_vectors(singles, pairs, n_local, num_chunks, kernels=None):
     hi_s = [(b, t) for b, t in singles if b >= n_local]
     lo_p = [(bb, t) for bb, t in pairs if bb[0] < n_local and bb[1] < n_local]
     hi_p = [(bb, t) for bb, t in pairs if bb[0] >= n_local or bb[1] >= n_local]
-    base = chunk_phase(lo_s, lo_p, n_local, kernels=kernels)
+    base = _non_identity(chunk_phase(lo_s, lo_p, n_local, kernels=kernels))
     high_bits = sorted(
         {b - n_local for b, _ in hi_s}
         | {b - n_local for bb, _ in hi_p for b in bb if b >= n_local}
     )
-    vecs: dict[tuple[int, ...], np.ndarray] = {}
+    extras: dict[tuple[int, ...], np.ndarray | None] = {}
     sig_of: list[tuple[int, ...]] = []
     for ci in range(num_chunks):
         sig = tuple((ci >> hb) & 1 for hb in high_bits)
         sig_of.append(sig)
-        if sig not in vecs:
-            if not high_bits:
-                vecs[sig] = base
-            else:
-                extra = chunk_phase(hi_s, hi_p, n_local, ci, kernels=kernels)
-                # All-identity extras (e.g. a control bit fixed to 0)
-                # come back 0-d: those chunks just reuse the base.
-                if extra.ndim == 0 and extra.item() == 1.0:
-                    vecs[sig] = base
-                else:
-                    vecs[sig] = base * extra
-    return high_bits, vecs, sig_of
+        if sig not in extras:
+            extras[sig] = _non_identity(chunk_phase(hi_s, hi_p, n_local, ci, kernels=kernels))
+    return base, extras, sig_of
+
+
+def _non_identity(tensor):
+    """``tensor``, or None for the 0-d identity :func:`chunk_phase` returns
+    when no table is live."""
+    if tensor.ndim == 0 and tensor.item() == 1.0:
+        return None
+    return tensor
 
 
 def chunk_phase(singles, pairs, n_axes, ci=0, kernels=None):

@@ -18,8 +18,10 @@ resolves, because a benchmark row spends its time in them:
 Everything else is always numpy: the diagonal single-qubit pass, the
 locally-controlled pass (:meth:`~KernelDispatch.cc`), the whole-chunk
 and control-sliced scales, and the ``csel``/``ct`` window contraction
-(:meth:`~KernelDispatch.contract`: a strided stage copy around one BLAS
-``np.dot``).
+(:meth:`~KernelDispatch.contract`: a walk over the chunk in slabs of at
+most :data:`TILE_AMPS` amplitudes, one BLAS product per slab, staged
+through a slab-sized copy only where the window's axes are not already
+a matrix in memory).
 
 **The bit-identity contract.**  A native kernel and its numpy twin
 produce *bit-identical* amplitudes (enforced by
@@ -83,6 +85,22 @@ __all__ = [
 #: :class:`KernelDispatch` copies it into ``jit_min_amps`` when built;
 #: set that attribute on an instance to move it.
 JIT_MIN_AMPS_DEFAULT = 1 << 12
+
+#: Most amplitudes one slab of a chunk walk spans
+#: (:meth:`KernelDispatch.contract` and the sharded engine's group
+#: exchange): a slab, its stage and its product (3 x 512 KiB of
+#: ``complex128``) stay inside a 2 MiB L2, and no call allocates a
+#: chunk-sized buffer.  2^15 beat 2^14 by ~8 % on ``trotter_sharded``
+#: (4 of 4 alternating pairs) and tied it per call; 2^12, 2^13 and
+#: 2^16 lose per call (docs/benchmarks.md).
+TILE_AMPS = 1 << 15
+
+#: Lowest bit at which :meth:`KernelDispatch.contract` multiplies an
+#: adjacent window run where it lies instead of staging it: a batched
+#: ``np.matmul`` over ``(outer, 2^k, 2^low)`` slabs.  Below bit 8 the
+#: contiguous inner runs are too short for matmul's batch loop to beat
+#: one staged ``np.dot`` (docs/benchmarks.md).
+_RUN_MIN_BIT = 8
 
 
 # ----------------------------------------------------------------------
@@ -477,7 +495,6 @@ class KernelDispatch:
         "_provider",
         "_resolved",
         "_error",
-        "_stage",
     )
 
     def __init__(self):
@@ -491,7 +508,6 @@ class KernelDispatch:
         self._provider = None
         self._resolved = False
         self._error = None
-        self._stage: np.ndarray | None = None  # contract()'s reused buffer
 
     # -- selection ------------------------------------------------------
     def _ensure(self):
@@ -502,14 +518,6 @@ class KernelDispatch:
             self.counters["compile_time"] = compile_time
             self._resolved = True
         return self._provider
-
-    def warmup(self) -> None:
-        """Resolve (load or build + self-check) the provider eagerly.
-
-        Benchmarks call this before timing, so a cold cffi build never
-        lands in the middle of a timed run.
-        """
-        self._ensure()
 
     def native(self, n_amps: int) -> bool:
         """Would a native kernel over ``n_amps`` amplitudes dispatch natively?"""
@@ -617,36 +625,81 @@ class KernelDispatch:
         may carry leading shot-branch rows (flat size a multiple of
         ``2^nl``).  ``u``'s index bits are first permuted to descending
         bit order (a ``2^k x 2^k`` shuffle), so the amplitudes move in
-        the longest contiguous runs the window allows.  A window on the
-        chunk's ``k`` lowest bits is then a row-major ``(rest, 2^k)``
-        matrix as it lies: ``flat @ u.T`` into the stage buffer and one
-        contiguous copy back.  Any other window is staged
-        window-axes-first with one strided ``np.copyto``, multiplied
-        with one ``np.dot(u, stage, out=)`` and copied back through the
-        same strided view, so the chunk mutates in place.
-        The buffer is reused across calls (one allocation per chunk
-        size and dtype).
+        the longest contiguous runs the window allows.
+
+        The chunk is then walked in slabs of at most :data:`TILE_AMPS`
+        amplitudes (fixed values of the outermost non-window axes), and
+        each slab is multiplied into a slab-sized buffer and copied back
+        through its view, so no call holds a chunk-sized buffer:
+
+        * a window on the chunk's ``k`` lowest bits is a row-major
+          ``(rest, 2^k)`` matrix as it lies — ``np.matmul(rows, u.T)``
+          per slab of rows, no stage;
+        * an adjacent run starting at bit :data:`_RUN_MIN_BIT` or higher
+          is ``(outer, 2^k, inner)`` as it lies — a batched
+          ``np.matmul(u, slab)``, no stage;
+        * any other window is staged window-axes-first with one strided
+          ``np.copyto`` per slab and multiplied with one
+          ``np.dot(u, stage, out=)``.
         """
         k = len(bits)
         dim = 1 << k
         order = sorted(range(k), key=lambda i: -bits[i])
         u = np.asarray(u, dtype=chunk.dtype).reshape((2,) * (2 * k))
         u = u.transpose(order + [k + i for i in order]).reshape(dim, dim)
-        n = chunk.size
-        buf = self._stage
-        if buf is None or buf.size != 2 * n or buf.dtype != chunk.dtype:
-            buf = self._stage = np.empty(2 * n, dtype=chunk.dtype)
         self.counters["csel_hits"] += 1
-        if bits[order[0]] == k - 1:
+        top, low = bits[order[0]], bits[order[-1]]
+        if top == k - 1:
             rows = chunk.reshape(-1, dim)
-            np.copyto(rows, np.dot(rows, u.T, out=buf[:n].reshape(-1, dim)))
+            step = max(1, TILE_AMPS >> k)
+            out = np.empty((min(step, len(rows)), dim), dtype=chunk.dtype)
+            for r in range(0, len(rows), step):
+                slab = rows[r : r + step]
+                prod = out[: len(slab)]
+                np.matmul(slab, u.T, out=prod)
+                slab[...] = prod
             return
-        axes = [nl - bits[i] for i in order]
-        rest = [ax for ax in range(nl + 1) if ax not in axes]
-        win = chunk.reshape((-1,) + (2,) * nl).transpose(axes + rest)
-        stage = buf[:n].reshape(dim, -1)
-        np.copyto(stage.reshape(win.shape), win)
-        np.copyto(win, np.dot(u, stage, out=buf[n:].reshape(dim, -1)).reshape(win.shape))
+        if top - low == k - 1 and low >= _RUN_MIN_BIT:
+            inner = 1 << low
+            v = chunk.reshape(-1, dim, inner)
+            cols = min(inner, max(1, TILE_AMPS >> k))
+            step = max(1, TILE_AMPS // (dim * inner))
+            out = np.empty(min(step, len(v)) * dim * cols, dtype=chunk.dtype)
+            for r in range(0, len(v), step):
+                for c in range(0, inner, cols):
+                    slab = v[r : r + step, :, c : c + cols]
+                    prod = out[: slab.size].reshape(slab.shape)
+                    np.matmul(u, slab, out=prod)
+                    slab[...] = prod
+            return
+        v = chunk.reshape((-1,) + (2,) * nl)
+        win = [nl - bits[i] for i in order]
+        rest = [ax for ax in range(1, nl + 1) if ax not in win]
+        # The lowest ``m`` non-window axes stay whole inside a slab; the
+        # shot-branch rows and the higher axes are walked, outermost first.
+        m = min(len(rest), max(0, TILE_AMPS.bit_length() - 1 - k))
+        inner = rest[len(rest) - m :]
+        if m < len(rest):
+            outer = rest[: len(rest) - m]
+            w = v.transpose([0] + outer + win + inner)
+            sels = list(np.ndindex(w.shape[: 1 + len(outer)]))
+        else:  # whole chunk rows fit in a slab: walk blocks of rows
+            w = v.transpose(win + [0] + inner)
+            step = max(1, TILE_AMPS >> nl)
+            sels = [
+                (slice(None),) * k + (slice(r, r + step),)
+                for r in range(0, len(v), step)
+            ]
+        size = w[sels[0]].size
+        stage = np.empty(size, dtype=chunk.dtype)
+        out = np.empty(size, dtype=chunk.dtype)
+        for sel in sels:
+            slab = w[sel]
+            st = stage[: slab.size].reshape(slab.shape)
+            np.copyto(st, slab)
+            prod = out[: slab.size].reshape(dim, -1)
+            np.dot(u, st.reshape(dim, -1), out=prod)
+            np.copyto(slab, prod.reshape(slab.shape))
 
     def phase_fill(self, scalar, n_live: int, enc) -> np.ndarray | None:
         """Materialize a doubling phase table natively, or None.

@@ -67,7 +67,7 @@ import numpy as np
 from ..mpi.fabric import Fabric
 from . import gates as G
 from .diag import DiagBatch, signature_vectors
-from .kernels import KernelDispatch
+from .kernels import TILE_AMPS, KernelDispatch
 from .ops import Op
 from .schedule import (
     DiagSegment,
@@ -595,11 +595,11 @@ class ShardedStateVector:
                     for kind, payload in prepped:
                         if kind == "diag":
                             # Leading -1 axis folds in any shot-branch
-                            # rows; the phase tensor (ndim nl)
-                            # broadcasts over it right-aligned.
-                            vecs, sig_of = payload
+                            # rows; each factor (ndim nl) broadcasts
+                            # over it right-aligned.
                             v = chunk.reshape((-1,) + (2,) * nl)
-                            v *= vecs[sig_of[ci]]
+                            for factor in payload[ci]:
+                                v *= factor
                         else:
                             self._exec_frozen_chunk(payload, nl, ci, chunk)
                 continue
@@ -621,21 +621,25 @@ class ShardedStateVector:
         return singles, pairs
 
     def _prep_diag_batch(self, batch: DiagBatch):
-        """Materialize a diagonal batch's per-signature phase tensors.
+        """Materialize a diagonal batch as per-chunk phase factors.
 
         The per-qubit/per-pair phase tables become one broadcastable
-        complex128 tensor per *shard-bit signature*
-        (:func:`repro.sim.diag.signature_vectors`) — computed once per
-        signature and shared by every chunk with it.  Phase tensors stay
-        complex128 in every register dtype: the in-place chunk multiply
-        casts on store, so a complex64 register still sees phases
-        accumulated at full precision.
+        complex128 ``base`` tensor over the local axes, built once, plus
+        a small ``extra`` factor per *shard-bit signature*
+        (:func:`repro.sim.diag.signature_vectors`).  Returns, per chunk,
+        the factors it multiplies in place (``base`` then its extra;
+        identity factors are left out), so preparing a batch holds one
+        ``2^n_local`` table however many signatures it has.  Factors
+        stay complex128 in every register dtype: the in-place chunk
+        multiply casts on store.
         """
         singles, pairs = self._batch_tables(batch)
-        _, vecs, sig_of = signature_vectors(
+        base, extras, sig_of = signature_vectors(
             singles, pairs, self.n_local, len(self._chunks), kernels=self._kernels
         )
-        return vecs, sig_of
+        return [
+            tuple(f for f in (base, extras[sig]) if f is not None) for sig in sig_of
+        ]
 
     def apply(self, u: np.ndarray, *qubits: int) -> None:
         """Apply a ``2^k x 2^k`` unitary to ``k`` qubits (a one-op batch).
@@ -717,11 +721,13 @@ class ShardedStateVector:
         # where U[own, src] is the 2^l x 2^l sub-block over the window's
         # l local qubits — one row-block matmul against the members'
         # amplitudes staged window-axes-first.  The staging walks the
-        # chunks in 2^h slabs (fixed values of the top free local bits:
-        # the contraction never couples them), so the transient is one
-        # chunk of staged copies plus one product, never a group tensor;
-        # and because the stage is a copy, each member's slab is written
-        # straight back into its live chunk.
+        # chunks in slabs (fixed values of the top free local bits: the
+        # contraction never couples them) small enough that the 2^h
+        # members' copies of one slab hold at most one chunk and at most
+        # TILE_AMPS amplitudes, so the transient is one slab-sized stage
+        # plus one product, never a group tensor; and because the stage
+        # is a copy, each member's slab is written straight back into
+        # its live chunk.
         k = len(bits)
         nl = self.n_local
         hi = sorted((i for i, b in enumerate(bits) if b >= nl), key=lambda i: -bits[i])
@@ -740,7 +746,10 @@ class ShardedStateVector:
         free = [ax for ax in range(1, nl + 1) if ax not in lo_axes]
         order = lo_axes + [0] + free
         lead = (slice(None),) * (l + 1)
-        slabs = [lead + idx for idx in np.ndindex((2,) * min(h, len(free)))]
+        fixed = min(h, len(free))
+        while fixed < len(free) and (self._chunks[0].size << h) >> fixed > TILE_AMPS:
+            fixed += 1
+        slabs = [lead + idx for idx in np.ndindex((2,) * fixed)]
 
         def staged(chunk):
             return chunk.reshape((-1,) + (2,) * nl).transpose(order)

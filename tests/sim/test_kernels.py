@@ -10,6 +10,7 @@ whole-engine runs between the native and numpy arms
 (``tests/_kernels.py``).
 """
 
+import functools
 import itertools
 import os
 import tracemalloc
@@ -80,7 +81,11 @@ def _sq_ref(chunk, b, u):
 
 def _dense(chunk, u, bits, nl):
     """``u`` kron-embedded over the chunk's bits, row by shot-branch row."""
-    full = embed(u, [nl - 1 - b for b in bits], nl)
+    return _apply_full(chunk, embed(u, [nl - 1 - b for b in bits], nl), nl)
+
+
+def _apply_full(chunk, full, nl):
+    """The register unitary ``full`` applied to each shot-branch row."""
     return (chunk.reshape(-1, 1 << nl).astype(np.complex128) @ full.T).reshape(-1)
 
 
@@ -433,29 +438,90 @@ def test_contract_writes_through_a_view_of_a_larger_buffer(jit_min_amps):
         assert _bits_equal(backing[2 << nl :], base[2 << nl :])
 
 
-def test_contract_transient_is_two_chunks_and_windows_leave_no_residue():
-    nl = 14
+#: Register and windows of the multi-slab test, one window per path of
+#: the slab walk with ``_RUN_MIN_BIT`` moved down to 4: the lowest bits
+#: in and out of operand order, adjacent runs at/above the cut-over,
+#: middle runs below it, and scattered windows.
+SLAB_NL = 7
+SLAB_WINDOWS = (
+    (1, 0), (0, 2, 1), (3, 2, 1, 0),
+    (5, 4), (4, 5), (6, 5, 4),
+    (3, 2), (4, 3, 2),
+    (6, 0), (5, 1, 3), (6, 2, 4, 0),
+)
+
+
+@functools.cache
+def _slab_case(i, dtype):
+    """``SLAB_WINDOWS[i]``'s unitary and its oracle embedding (built once:
+    the kron embedding is the slow part of the test)."""
+    bits = SLAB_WINDOWS[i]
+    u = _rand_window(np.random.default_rng((16, i)), len(bits))
+    return u, embed(u.astype(dtype), [SLAB_NL - 1 - b for b in bits], SLAB_NL)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("rows", [1, 3], ids=["flat", "shot-rows"])
+@pytest.mark.parametrize("tile", [4, 16, 1 << SLAB_NL], ids=lambda t: f"tile{t}")
+def test_contract_multi_slab_walk_matches_dense_oracle(monkeypatch, dtype, rows, tile):
+    # A tile below the chunk sends every path through many slabs: 4 and
+    # 16 walk the outer axes (4 is smaller than a 3- or 4-qubit window,
+    # whose slab is then the window alone); 2^SLAB_NL walks the
+    # shot-branch rows one per slab.
+    monkeypatch.setattr(K, "TILE_AMPS", tile)
+    monkeypatch.setattr(K, "_RUN_MIN_BIT", 4)
+    nl = SLAB_NL
+    rng = np.random.default_rng(17)
+    kd, ref = _dispatch(NATIVE), _dispatch(NUMPY)
+    for i, bits in enumerate(SLAB_WINDOWS):
+        u, full = _slab_case(i, dtype)
+        base = _rand_chunk(rng, rows << nl).astype(dtype)
+        # the chunk is the middle third of a larger buffer
+        backing = np.concatenate([base[::-1], base, base[::-1]])
+        chunk = backing[len(base) : 2 * len(base)]
+        b = base.copy()
+        kd.contract(chunk, u, bits, nl)
+        ref.contract(b, u, bits, nl)
+        assert _bits_equal(chunk, b), bits
+        assert _bits_equal(backing[: len(base)], base[::-1])
+        assert _bits_equal(backing[2 * len(base) :], base[::-1])
+        want = _apply_full(base, full, nl)
+        tol = 1e-12 if dtype == np.complex128 else 2e-5
+        np.testing.assert_allclose(chunk, want, rtol=0, atol=tol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("nl", [16, 18])
+def test_contract_transient_is_slab_sized_and_leaves_no_residue(nl):
     rng = np.random.default_rng(13)
     chunk = _rand_chunk(rng, 1 << nl)
-    windows = [(3, 2, 1, 0), (9, 8, 7, 6)]
+    windows = [(3, 2, 1, 0), (9, 8, 7, 6), (15, 14, 13, 12), (13, 12)]
     windows += [(b, (b + 5) % nl) for b in range(nl)]
     windows += [(b, (b + 3) % nl, (b + 7) % nl) for b in range(nl)]
-    assert len(set(windows)) == 30
+    assert len(set(windows)) == 4 + 2 * nl
     us = [_rand_window(rng, len(bits)) / (1 << len(bits)) for bits in windows]
     kd = _dispatch(NUMPY)
-    slack = chunk.nbytes // 8
+    # A slab-sized stage and product, plus small change: the same bound
+    # at every chunk size (at nl = 18 it is under half the chunk).
+    bound = 3 * K.TILE_AMPS * chunk.itemsize
     tracemalloc.start()
     try:
-        kd.contract(chunk, us[0], windows[0], nl)
-        after_one, _ = tracemalloc.get_traced_memory()
-        for bits, u in zip(windows[1:], us[1:]):
+        before, _ = tracemalloc.get_traced_memory()
+        held = []
+        for bits, u in zip(windows, us):
+            tracemalloc.reset_peak()
             kd.contract(chunk, u, bits, nl)
-        after_all, peak = tracemalloc.get_traced_memory()
+            after, peak = tracemalloc.get_traced_memory()
+            assert peak - before <= bound, bits
+            held.append(after - before)
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * chunk.nbytes + slack
-    # the reused stage buffer is all that stays: nothing per distinct window
-    assert after_all - after_one <= slack // 8
+    # Nothing buffer-sized stays behind a call, and nothing per distinct
+    # window (Python's small-object free lists hold a few KiB).
+    assert held[0] < K.TILE_AMPS * chunk.itemsize // 8
+    assert held[-1] - held[0] <= 8192
+    assert not any(
+        isinstance(getattr(kd, name, None), np.ndarray) for name in KernelDispatch.__slots__
+    )
 
 
 # ----------------------------------------------------------------------
@@ -531,7 +597,7 @@ class TestNativeBitIdentity:
 
     def test_compile_time_reported_once_resolved(self):
         jit = _jit_or_skip()
-        jit.warmup()
+        assert jit.native(0)  # resolves the provider
         info = jit.info()
         assert info["provider"] == "cffi"
         assert info["compile_time"] >= 0.0

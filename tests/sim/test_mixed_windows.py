@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.qmpi import Op
-from repro.sim import ShardedStateVector
+from repro.sim import ShardedStateVector, sharded
 from tests import _dense_oracle
 from tests._precision import PROB_ABS
 
@@ -142,4 +142,42 @@ def test_transient_peak_of_a_two_shard_axis_window_stays_under_one_register():
         tracemalloc.stop()
     # One chunk of staged copies plus one product — never a group tensor.
     assert peak < register / 2
+    assert abs(sv.norm() - 1.0) < PROB_ABS
+
+
+@pytest.mark.parametrize("n_shards", [2, 4, 8])
+def test_mixed_windows_walk_many_slabs(monkeypatch, n_shards):
+    # A tile of 4 amplitudes fixes every free local bit it can: each
+    # slab's stage is a few amplitudes per member.
+    monkeypatch.setattr(sharded, "TILE_AMPS", 4)
+    for seed, window in enumerate(_windows(n_shards)):
+        sv = _prepared(n_shards, "complex128")
+        u = _random_unitary(len(window), seed)
+        sv.apply(u, *window)
+        expected = _dense_oracle.embed(u, window, N) @ _dense_oracle.run(N, PREP)
+        np.testing.assert_allclose(
+            sv.statevector(), expected, atol=ATOL["complex128"], err_msg=f"window {window}"
+        )
+
+
+def test_transient_of_a_mixed_window_is_tile_bounded_not_chunk_sized():
+    n = 18
+    sv = ShardedStateVector(n, seed=0, n_shards=4)
+    sv.apply_ops([Op("h", (q,)) for q in range(n)])
+    chunk = sv.chunk(0).nbytes
+    assert sharded.TILE_AMPS * sv.chunk(0).itemsize < chunk
+    u = _random_unitary(4, 5)
+    window = (7, 0, 12, 1)  # both shard axes + two local qubits
+    sv.apply(u, *window)  # warm any lazily built state outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sv.apply(u, *window)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # A TILE_AMPS stage plus its product (a quarter of it here): under
+    # one chunk, where a chunk-sized stage alone would reach it.
+    assert peak < chunk
     assert abs(sv.norm() - 1.0) < PROB_ABS
