@@ -11,10 +11,9 @@ Paulis, and Pauli rotations ``R_P(theta) = exp(-i theta P / 2)``.
 The :data:`GATESET` registry at the bottom is the canonical description
 of every *named* gate — operand signature, control count, target matrix,
 diagonality — and the one table every per-gate method in the repository
-is generated from: the ``h``/``cnot``/... methods of the three engines
-(:func:`bind_engine_gates`; the two dense engines apply them eagerly,
-the sharded engine emits one-op :class:`~repro.sim.ops.Op` batches) and,
-one layer up, the op-recording shims of ``QmpiComm``, ``QuantumBackend``
+is generated from: the ``h``/``cnot``/... methods of the engines
+(:func:`repro.sim.ops.bind_engine_gates`: each runs its registry
+:class:`~repro.sim.ops.Op` as a one-op batch) and, one layer up, the op-recording shims of ``QmpiComm``, ``QuantumBackend``
 and ``BackendProxy`` (:mod:`repro.qmpi.ops` re-exports these same
 objects).  It lives here,
 beside the matrices, so that :mod:`repro.sim` stays importable without
@@ -35,7 +34,6 @@ __all__ = [
     "register_gate",
     "bind_gateset",
     "install_gate_method",
-    "bind_engine_gates",
     "measurement_prelude",
     "I2",
     "X",
@@ -51,9 +49,7 @@ __all__ = [
     "ry",
     "rz",
     "rzz",
-    "rotation",
     "phase",
-    "u3",
     "CX",
     "CY",
     "CZ",
@@ -104,29 +100,9 @@ def rzz(theta: float) -> np.ndarray:
     return np.diag([e, np.conj(e), np.conj(e), e])
 
 
-def rotation(pauli: str, theta: float) -> np.ndarray:
-    """Pauli rotation ``R_P(theta) = exp(-0.5 i theta P)`` for P in X, Y, Z."""
-    try:
-        return {"X": rx, "Y": ry, "Z": rz}[pauli.upper()](theta)
-    except KeyError:
-        raise ValueError(f"rotation axis must be X, Y or Z, got {pauli!r}") from None
-
-
 def phase(lam: float) -> np.ndarray:
     """Diagonal phase gate ``diag(1, e^{i lam})``."""
     return np.array([[1, 0], [0, np.exp(1j * lam)]], dtype=np.complex128)
-
-
-def u3(theta: float, phi: float, lam: float) -> np.ndarray:
-    """Generic single-qubit unitary in the standard Euler parametrization."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ],
-        dtype=np.complex128,
-    )
 
 
 def controlled(u: np.ndarray, n_controls: int = 1) -> np.ndarray:
@@ -277,49 +253,6 @@ def install_gate_method(cls, gd: GateDef, method, doc: str) -> None:
     method.__doc__ = doc
     method._gateset_shim = True
     setattr(cls, gd.name, method)
-
-
-def bind_engine_gates(cls, wrap=None) -> None:
-    """Generate ``cls``'s named-gate methods from the registry.
-
-    Every :class:`GateDef` becomes one method ``name(*qubits, *params)``
-    that checks its operand count, then runs the gate's body ``body(self,
-    args)``: build the target matrix and call the engine's own
-    ``apply`` / ``apply_controlled`` — the single definition of the
-    ``h`` ... ``toffoli`` forest all three engines share.  ``wrap``
-    (optional) maps ``(gd, body)`` to the body actually run; the
-    gate-counting engine uses it to tally by gate name, the sharded
-    engine to emit the named op as a one-op ``apply_ops`` batch.
-    """
-
-    def install(gd: GateDef) -> None:
-        n_qubits, n_controls = gd.n_qubits, gd.n_controls
-        n_args = n_qubits + gd.n_params
-
-        def body(self, args):
-            u = gd.target_matrix(args[n_qubits:])
-            if n_controls:
-                self.apply_controlled(
-                    u, args[:n_controls], args[n_controls:n_qubits]
-                )
-            else:
-                self.apply(u, *args[:n_qubits])
-
-        run = body if wrap is None else wrap(gd, body)
-
-        def method(self, *args):
-            if len(args) != n_args:
-                raise TypeError(
-                    f"{gd.name}({gd.signature()}) takes {n_args} operands, "
-                    f"got {len(args)}"
-                )
-            run(self, args)
-
-        install_gate_method(
-            cls, gd, method, f"``{gd.name}({gd.signature()})`` — applied eagerly."
-        )
-
-    bind_gateset(install)
 
 
 def measurement_prelude(engine, qubit: int, basis: str, control) -> None:

@@ -1,8 +1,13 @@
 """Chunk kernels: two native loops with bit-identical numpy twins.
 
-:class:`KernelDispatch` is the one object both engines send per-chunk
-kernel work through.  Two of its kernels run natively when a provider
-resolves, because a benchmark row spends its time in them:
+:class:`KernelDispatch` is the one object both engines send their gate
+work through, in place on C-contiguous chunks (a non-contiguous chunk
+is refused, since its flat view would be a copy): the sharded engine
+once per chunk, the shared engine
+(:class:`~repro.sim.statevector.StateVector`) on its whole state as one
+chunk whose shot-branch axis is the leading rows.  Two of its kernels
+run natively when a provider resolves, because a benchmark row spends
+its time in them:
 
 * the strided single-qubit 2x2 pass (:meth:`KernelDispatch.sq` on a
   non-diagonal matrix; C ``qk_sq`` / ``qk_sq_f``, reference
@@ -17,11 +22,13 @@ resolves, because a benchmark row spends its time in them:
 
 Everything else is always numpy: the diagonal single-qubit pass, the
 locally-controlled pass (:meth:`~KernelDispatch.cc`), the whole-chunk
-and control-sliced scales, and the ``csel``/``ct`` window contraction
-(:meth:`~KernelDispatch.contract`: a walk over the chunk in slabs of at
-most :data:`TILE_AMPS` amplitudes, one BLAS product per slab, staged
-through a slab-sized copy only where the window's axes are not already
-a matrix in memory).
+and control-sliced scales, and the window contraction every dense
+step of the shared engine and every ``csel``/``ct`` entry of the
+sharded one runs (:meth:`~KernelDispatch.contract`: a walk over the
+chunk in slabs of at most :data:`TILE_AMPS` amplitudes, one BLAS
+product per slab, staged through a slab-sized copy only where the
+window's axes are not already a matrix in memory; the walk's layout is
+a :class:`Window` the engines build once, when they freeze a program).
 
 **The bit-identity contract.**  A native kernel and its numpy twin
 produce *bit-identical* amplitudes (enforced by
@@ -73,6 +80,7 @@ import numpy as np
 
 __all__ = [
     "KernelDispatch",
+    "Window",
     "JIT_MIN_AMPS_DEFAULT",
     "provider_name",
     "reset_provider_cache",
@@ -209,6 +217,90 @@ def _control_index(local_controls, nl: int) -> list:
     for b in local_controls:
         idx[nl - b] = 1
     return idx
+
+
+def _need_c(chunk) -> None:
+    """Refuse a chunk whose flat reshape would be a copy.
+
+    The in-place kernels write through ``chunk.reshape(...)`` views; on
+    a non-C-contiguous array that reshape is a temporary and the result
+    would be silently dropped.
+    """
+    if not chunk.flags.c_contiguous:
+        raise ValueError(
+            f"chunk kernels write in place and need a C-contiguous chunk, "
+            f"got strides {chunk.strides} for shape {chunk.shape}"
+        )
+
+
+class Window:
+    """One window's layout, frozen for :meth:`KernelDispatch.contract`.
+
+    ``bits`` are chunk-local bit positions, first entry = the matrix's
+    most significant index bit (the
+    :class:`~repro.sim.plan.ContractionPlan` convention); ``nl`` is the
+    chunk's bit count; ``controls`` (optional) are bits the window acts
+    under: only the slice where all of them are 1 is multiplied.
+    Everything :meth:`~KernelDispatch.contract` derives from these — the
+    matrix permutation to descending bit order, which slab walk applies,
+    the slab shapes, and a view of the chunk with every run of untouched
+    axes merged into one — is computed here, once per frozen step, so a
+    call on a small chunk pays only the products.  :data:`TILE_AMPS` and
+    :data:`_RUN_MIN_BIT` are read at construction.
+    """
+
+    __slots__ = ("k", "dim", "nl", "perm", "path", "step", "inner", "cols", "shape",
+                 "axes", "sel", "n_outer", "n_win")
+
+    def __init__(self, bits, nl: int, controls=()):
+        k = len(bits)
+        self.k, self.dim, self.nl = k, 1 << k, nl
+        order = sorted(range(k), key=lambda i: -bits[i])
+        self.perm = None
+        if order != list(range(k)):
+            self.perm = tuple(order + [k + i for i in order])
+        top, low = bits[order[0]], bits[order[-1]]
+        self.inner = self.cols = self.shape = self.axes = self.sel = None
+        self.step = self.n_outer = self.n_win = None
+        if not controls and top == k - 1:
+            self.path = "rows"
+            self.step = max(1, TILE_AMPS >> k)
+            return
+        if not controls and top - low == k - 1 and low >= _RUN_MIN_BIT:
+            self.path = "run"
+            self.inner = 1 << low
+            self.cols = min(self.inner, max(1, TILE_AMPS >> k))
+            self.step = max(1, TILE_AMPS // (self.dim * self.inner))
+            return
+        self.path = "staged"
+        # The chunk as a few-axis view, C order: the shot-branch rows,
+        # then one axis per window ("w") or control ("c") bit and one per
+        # run of free bits between them, descending.  The lowest ``m``
+        # free bits ("i") stay whole inside a slab; the rows and the
+        # free bits above them ("o") are walked, outermost first.
+        special = dict.fromkeys(bits, "w")
+        special.update(dict.fromkeys(controls, "c"))
+        m = min(nl - len(special), max(0, TILE_AMPS.bit_length() - 1 - k))
+        walked = nl - len(special) - m
+        of = {"r": [0], "c": [], "w": [], "o": [], "i": []}
+        shape, hi = [-1], nl
+        for b in sorted(special, reverse=True) + [-1]:
+            run = hi - b - 1  # free bits between this cut and the last
+            o = min(run, walked)
+            walked -= o
+            for kind, size in (("o", o), ("i", run - o), (special.get(b), 1)):
+                if size and kind:
+                    of[kind].append(len(shape))
+                    shape.append(1 << size)
+            hi = b
+        if of["o"]:
+            self.axes = tuple(of["c"] + of["r"] + of["o"] + of["w"] + of["i"])
+            self.n_outer = 1 + len(of["o"])
+        else:
+            self.axes = tuple(of["c"] + of["w"] + of["r"] + of["i"])
+            self.n_win = k
+            self.step = max(1, TILE_AMPS >> (nl - len(controls)))
+        self.shape, self.sel = tuple(shape), (1,) * len(controls)
 
 
 # ----------------------------------------------------------------------
@@ -569,6 +661,7 @@ class KernelDispatch:
         diagonal one is two guarded in-place scales.  The chunk may
         carry leading shot-branch rows.
         """
+        _need_c(chunk)
         u = np.ascontiguousarray(u, dtype=chunk.dtype)  # round once (complex64)
         v = chunk.reshape(-1, 2, 1 << b)
         if diag:
@@ -590,6 +683,7 @@ class KernelDispatch:
 
     def cc(self, chunk, u, local_controls, t_bit: int, nl: int, diag: bool) -> None:
         """Locally-targeted controlled 2x2 on the all-ones control slice."""
+        _need_c(chunk)
         u = np.asarray(u, dtype=chunk.dtype)
         view = chunk.reshape((-1,) + (2,) * nl)
         idx0 = _control_index(local_controls, nl)
@@ -611,26 +705,28 @@ class KernelDispatch:
 
     def masked_scale(self, chunk, f, local_controls, nl: int) -> None:
         """Control-sliced scale (shard-axis-targeted "cc" diagonal)."""
+        _need_c(chunk)
         f = complex(f)
         if f != 1.0:
             view = chunk.reshape((-1,) + (2,) * nl)
             view[tuple(_control_index(local_controls, nl))] *= f
 
-    def contract(self, chunk, u, bits, nl: int) -> None:
+    def contract(self, chunk, u, win: "Window") -> None:
         """Contract a ``2^k x 2^k`` window unitary into ``chunk``, in place.
 
-        ``bits`` are chunk-local bit positions, first entry = the
-        matrix's most significant index bit (the
-        :class:`~repro.sim.plan.ContractionPlan` convention); the chunk
-        may carry leading shot-branch rows (flat size a multiple of
-        ``2^nl``).  ``u``'s index bits are first permuted to descending
-        bit order (a ``2^k x 2^k`` shuffle), so the amplitudes move in
+        ``win`` is the window's frozen :class:`Window` (bit positions,
+        walk path, slab sizes), built once when an engine freezes its
+        program; the chunk may carry leading shot-branch rows (flat size
+        a multiple of ``2^nl``).  ``u``'s index bits are first permuted
+        to descending bit order (a ``2^k x 2^k`` shuffle; skipped when
+        the window's bits already descend), so the amplitudes move in
         the longest contiguous runs the window allows.
 
         The chunk is then walked in slabs of at most :data:`TILE_AMPS`
         amplitudes (fixed values of the outermost non-window axes), and
-        each slab is multiplied into a slab-sized buffer and copied back
-        through its view, so no call holds a chunk-sized buffer:
+        each slab's product is a fresh slab-sized array copied back
+        through the slab's view, so no call holds a chunk-sized buffer
+        (a chunk of at most one slab is one pass of the walk):
 
         * a window on the chunk's ``k`` lowest bits is a row-major
           ``(rest, 2^k)`` matrix as it lies — ``np.matmul(rows, u.T)``
@@ -638,68 +734,43 @@ class KernelDispatch:
         * an adjacent run starting at bit :data:`_RUN_MIN_BIT` or higher
           is ``(outer, 2^k, inner)`` as it lies — a batched
           ``np.matmul(u, slab)``, no stage;
-        * any other window is staged window-axes-first with one strided
-          ``np.copyto`` per slab and multiplied with one
-          ``np.dot(u, stage, out=)``.
+        * any other window, and any window under controls (over the
+          all-ones slice of its controls only), is staged
+          window-axes-first by one strided copy per slab and multiplied
+          with one ``np.dot(u, stage)``.
         """
-        k = len(bits)
-        dim = 1 << k
-        order = sorted(range(k), key=lambda i: -bits[i])
-        u = np.asarray(u, dtype=chunk.dtype).reshape((2,) * (2 * k))
-        u = u.transpose(order + [k + i for i in order]).reshape(dim, dim)
+        _need_c(chunk)
+        dim = win.dim
+        u = np.asarray(u, dtype=chunk.dtype)
+        if win.perm is not None:
+            u = u.reshape((2,) * (2 * win.k)).transpose(win.perm).reshape(dim, dim)
         self.counters["csel_hits"] += 1
-        top, low = bits[order[0]], bits[order[-1]]
-        if top == k - 1:
+        step = win.step
+        if win.path == "rows":
             rows = chunk.reshape(-1, dim)
-            step = max(1, TILE_AMPS >> k)
-            out = np.empty((min(step, len(rows)), dim), dtype=chunk.dtype)
+            ut = u.T
             for r in range(0, len(rows), step):
                 slab = rows[r : r + step]
-                prod = out[: len(slab)]
-                np.matmul(slab, u.T, out=prod)
-                slab[...] = prod
+                slab[...] = np.matmul(slab, ut)
             return
-        if top - low == k - 1 and low >= _RUN_MIN_BIT:
-            inner = 1 << low
-            v = chunk.reshape(-1, dim, inner)
-            cols = min(inner, max(1, TILE_AMPS >> k))
-            step = max(1, TILE_AMPS // (dim * inner))
-            out = np.empty(min(step, len(v)) * dim * cols, dtype=chunk.dtype)
+        if win.path == "run":
+            v = chunk.reshape(-1, dim, win.inner)
+            cols = win.cols
             for r in range(0, len(v), step):
-                for c in range(0, inner, cols):
+                for c in range(0, win.inner, cols):
                     slab = v[r : r + step, :, c : c + cols]
-                    prod = out[: slab.size].reshape(slab.shape)
-                    np.matmul(u, slab, out=prod)
-                    slab[...] = prod
+                    slab[...] = np.matmul(u, slab)
             return
-        v = chunk.reshape((-1,) + (2,) * nl)
-        win = [nl - bits[i] for i in order]
-        rest = [ax for ax in range(1, nl + 1) if ax not in win]
-        # The lowest ``m`` non-window axes stay whole inside a slab; the
-        # shot-branch rows and the higher axes are walked, outermost first.
-        m = min(len(rest), max(0, TILE_AMPS.bit_length() - 1 - k))
-        inner = rest[len(rest) - m :]
-        if m < len(rest):
-            outer = rest[: len(rest) - m]
-            w = v.transpose([0] + outer + win + inner)
-            sels = list(np.ndindex(w.shape[: 1 + len(outer)]))
-        else:  # whole chunk rows fit in a slab: walk blocks of rows
-            w = v.transpose(win + [0] + inner)
-            step = max(1, TILE_AMPS >> nl)
-            sels = [
-                (slice(None),) * k + (slice(r, r + step),)
-                for r in range(0, len(v), step)
-            ]
-        size = w[sels[0]].size
-        stage = np.empty(size, dtype=chunk.dtype)
-        out = np.empty(size, dtype=chunk.dtype)
+        w = chunk.reshape(win.shape).transpose(win.axes)[win.sel]
+        if win.n_outer is None:  # whole chunk rows fit in a slab: walk blocks of rows
+            lead = (slice(None),) * win.n_win
+            n_rows = chunk.size >> win.nl
+            sels = [lead + (slice(r, r + step),) for r in range(0, n_rows, step)]
+        else:  # walk the shot-branch rows and the outer axes
+            sels = np.ndindex(w.shape[: win.n_outer])
         for sel in sels:
             slab = w[sel]
-            st = stage[: slab.size].reshape(slab.shape)
-            np.copyto(st, slab)
-            prod = out[: slab.size].reshape(dim, -1)
-            np.dot(u, st.reshape(dim, -1), out=prod)
-            np.copyto(slab, prod.reshape(slab.shape))
+            slab[...] = np.dot(u, slab.reshape(dim, -1)).reshape(slab.shape)
 
     def phase_fill(self, scalar, n_live: int, enc) -> np.ndarray | None:
         """Materialize a doubling phase table natively, or None.

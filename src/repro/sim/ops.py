@@ -19,10 +19,14 @@ from functools import cached_property
 import numpy as np
 
 from . import gates as G
-from .gates import GATESET, UNITARY, GateDef
-from .statevector import SimulationError
+from .gates import GATESET, UNITARY, GateDef, bind_gateset, install_gate_method
 
-__all__ = ["Op"]
+__all__ = ["Op", "SimulationError", "bind_engine_gates", "controlled_unitary"]
+
+
+class SimulationError(RuntimeError):
+    """Raised on invalid simulator operations (bad qubit ids, non-unitary
+    input, releasing an entangled qubit, ...)."""
 
 
 @dataclass(frozen=True)
@@ -30,8 +34,10 @@ class Op:
     """One quantum operation: frozen, validated at construction.
 
     ``gate`` is a :data:`GATESET` name or :data:`UNITARY`; for the
-    latter, ``u`` carries the explicit (target) matrix. ``qubits`` lists
-    controls first (per the gate's :class:`GateDef`), then targets.
+    latter, ``u`` carries the explicit target matrix and ``ctrl`` the
+    number of leading qubits it is controlled on. ``qubits`` lists
+    controls first (per the gate's :class:`GateDef`, or ``ctrl``), then
+    targets.
     """
 
     gate: str
@@ -39,6 +45,9 @@ class Op:
     params: tuple[float, ...] = ()
     #: Explicit target matrix, only for ``gate == UNITARY`` ops.
     u: np.ndarray | None = field(default=None, compare=False, repr=False)
+    #: Control count of a ``UNITARY`` op (registry ops take theirs from
+    #: the :class:`GateDef`).
+    ctrl: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
@@ -48,14 +57,18 @@ class Op:
         if self.gate == UNITARY:
             if self.u is None:
                 raise ValueError("unitary ops require an explicit matrix")
-            dim = 1 << len(self.qubits)
-            mat = np.asarray(self.u, dtype=np.complex128)
-            if mat.shape != (dim, dim):
+            k = len(self.qubits) - self.ctrl
+            if not 0 <= self.ctrl < max(1, len(self.qubits)):
                 raise SimulationError(
-                    f"matrix shape {mat.shape} does not match {len(self.qubits)} qubits"
+                    f"{self.ctrl} controls leave no target among {self.qubits}"
                 )
+            mat = np.asarray(self.u, dtype=np.complex128)
+            if mat.shape != (1 << k, 1 << k):
+                raise SimulationError(f"matrix shape {mat.shape} does not match {k} targets")
             object.__setattr__(self, "u", mat)
             return
+        if self.ctrl:
+            raise ValueError(f"{self.gate} takes its controls from the gate table")
         spec = GATESET.get(self.gate)
         if spec is None:
             raise ValueError(f"unknown gate {self.gate!r}; known: {sorted(GATESET)}")
@@ -88,6 +101,7 @@ class Op:
             clone, "params", self.params if params is None else tuple(params)
         )
         object.__setattr__(clone, "u", self.u)
+        object.__setattr__(clone, "ctrl", self.ctrl)
         return clone
 
     # -- structure -------------------------------------------------------
@@ -98,9 +112,9 @@ class Op:
 
     @property
     def n_controls(self) -> int:
-        """Number of control qubits (0 for :data:`UNITARY` ops)."""
+        """Number of control qubits (``ctrl`` for :data:`UNITARY` ops)."""
         spec = self.spec
-        return spec.n_controls if spec is not None else 0
+        return spec.n_controls if spec is not None else self.ctrl
 
     @property
     def controls(self) -> tuple[int, ...]:
@@ -149,3 +163,50 @@ class Op:
     def is_single(self) -> bool:
         """An uncontrolled one-qubit op (the fusable kind)."""
         return len(self.qubits) == 1 and self.n_controls == 0
+
+
+def controlled_unitary(u, controls, targets) -> Op:
+    """The one-op batch an engine's ``apply_controlled`` runs.
+
+    ``u`` acts on ``targets`` where every control is |1>: a
+    :data:`UNITARY` op over ``controls + targets`` that carries ``u``
+    and the control count, so the engines run it on the controls'
+    all-ones slice like a registry ``cnot`` and never build the
+    ``2^(c+t)`` controlled matrix.
+    """
+    controls = tuple(controls)
+    targets = tuple(targets)
+    if set(controls) & set(targets):
+        raise SimulationError("control and target qubits overlap")
+    return Op(UNITARY, controls + targets, u=u, ctrl=len(controls))
+
+
+def bind_engine_gates(cls) -> None:
+    """Generate an engine's named-gate methods from the registry.
+
+    Every :class:`GateDef` becomes one method ``name(*qubits, *params)``
+    that checks its operands and runs the registry op as a one-op
+    ``apply_ops`` batch — the single definition of the ``h`` ...
+    ``toffoli`` forest the engines share, so an eager gate takes the
+    same compile-freeze-execute path as a flushed one.
+    """
+
+    def install(gd: GateDef) -> None:
+        n, nc = gd.n_qubits, gd.n_controls
+        n_args = n + gd.n_params
+
+        def method(self, *args):
+            if len(args) != n_args:
+                raise TypeError(
+                    f"{gd.name}({gd.signature()}) takes {n_args} operands, "
+                    f"got {len(args)}"
+                )
+            if set(args[:nc]) & set(args[nc:n]):
+                raise SimulationError("control and target qubits overlap")
+            self.apply_ops((Op(gd.name, args[:n], args[n:]),))
+
+        install_gate_method(
+            cls, gd, method, f"``{gd.name}({gd.signature()})`` — a one-op batch."
+        )
+
+    bind_gateset(install)

@@ -67,8 +67,8 @@ import numpy as np
 from ..mpi.fabric import Fabric
 from . import gates as G
 from .diag import DiagBatch, signature_vectors
-from .kernels import TILE_AMPS, KernelDispatch
-from .ops import Op
+from .kernels import TILE_AMPS, KernelDispatch, Window
+from .ops import Op, bind_engine_gates, controlled_unitary
 from .schedule import (
     DiagSegment,
     KernelRun,
@@ -82,7 +82,7 @@ from .statevector import SimulationError, resolve_dtype
 __all__ = ["ShardedStateVector"]
 
 
-def _apply_generic(chunk, entry, nl: int, ci: int, kd: KernelDispatch) -> None:
+def _apply_generic(chunk, entry, win, ci: int, kd: KernelDispatch) -> None:
     """Apply one ``"ct"`` / ``"csel"`` plan entry to chunk ``ci``.
 
     ``("ct", u, bits)`` is a window entirely inside the chunk: one
@@ -91,10 +91,11 @@ def _apply_generic(chunk, entry, nl: int, ci: int, kd: KernelDispatch) -> None:
     the chunk's signature index into ``table``, whose entry is the local
     sub-block to contract over ``lo_bits`` — ``None`` for an identity
     sub-block (skip), a complex scalar when the window has no local
-    qubits.
+    qubits.  ``win`` is the frozen :class:`~repro.sim.kernels.Window` of
+    ``bits`` / ``lo_bits`` (None when there are no local bits).
     """
     if entry[0] == "ct":
-        kd.contract(chunk, entry[1], entry[2], nl)
+        kd.contract(chunk, entry[1], win)
         return
     _, table, hi_bits, lo_bits = entry
     sig = 0
@@ -106,7 +107,7 @@ def _apply_generic(chunk, entry, nl: int, ci: int, kd: KernelDispatch) -> None:
     if not lo_bits:
         kd.scale(chunk, u)  # all-shard window: a per-chunk scalar
     else:
-        kd.contract(chunk, u, lo_bits, nl)
+        kd.contract(chunk, u, win)
 
 
 class ShardedStateVector:
@@ -511,8 +512,10 @@ class ShardedStateVector:
           per chunk);
         * ``("cs", seg, i, sel, local_controls, nl)`` ->
           ``kd.masked_scale`` (a shard-axis ``cc`` target);
-        * ``("g", seg, i)`` -> :func:`_apply_generic` for ``ct``/``csel``
-          entries (``i`` is None for a :class:`PlanSegment`).
+        * ``("g", seg, i, win)`` -> :func:`_apply_generic` for
+          ``ct``/``csel`` entries (``i`` is None for a
+          :class:`PlanSegment`; ``win`` is the entry's frozen
+          :class:`~repro.sim.kernels.Window`).
 
         Steps hold ``(seg, i)`` references rather than matrices, which
         rebinding replaces inside the live segments.
@@ -545,11 +548,13 @@ class ShardedStateVector:
                             step = ("cs", src, i, sel, local_controls, nl)
                         per_chunk[ci].append(step)
                 else:  # "ct"/"csel": generic entry
+                    bits = e[2] if kind == "ct" else e[3]
+                    step = ("g", src, i, Window(bits, nl) if bits else None)
                     for ci in range(n_chunks):
-                        per_chunk[ci].append(("g", src, i))
+                        per_chunk[ci].append(step)
         return tuple(tuple(s) for s in per_chunk)
 
-    def _exec_frozen_chunk(self, steps, nl, ci, chunk) -> None:
+    def _exec_frozen_chunk(self, steps, ci, chunk) -> None:
         """Replay one chunk's frozen kernel-fold program.
 
         One loop over the chunk's steps (:meth:`_freeze_run`), each a
@@ -570,7 +575,7 @@ class ShardedStateVector:
             elif tag == "cs":
                 kd.masked_scale(chunk, entry[1][args[0], args[0]], *args[1:])
             else:  # "g"
-                _apply_generic(chunk, entry, nl, ci, kd)
+                _apply_generic(chunk, entry, args[0], ci, kd)
 
     def execute_frozen(self, program) -> None:
         """Execute a frozen program: the engine's only gate-batch path."""
@@ -601,7 +606,7 @@ class ShardedStateVector:
                             for factor in payload[ci]:
                                 v *= factor
                         else:
-                            self._exec_frozen_chunk(payload, nl, ci, chunk)
+                            self._exec_frozen_chunk(payload, ci, chunk)
                 continue
             # Barrier: the one record that moves amplitude between
             # chunks goes to the exchange layer.
@@ -654,24 +659,12 @@ class ShardedStateVector:
     ) -> None:
         """Apply ``u`` on ``targets`` conditioned on all ``controls`` = |1>.
 
-        A one-op batch of the dense controlled matrix (controls most
-        significant); the named ``cnot``/``cz``/... methods emit their
-        registry op instead, which keeps the controlled kernels and the
-        restricted pair exchange.
+        A one-op batch carrying ``u`` and the control count: a single
+        target takes the controlled kernels and the restricted pair
+        exchange, as a registry ``cnot`` does; several targets run the
+        controlled matrix (controls most significant) as a generic op.
         """
-        controls = tuple(controls)
-        targets = tuple(targets)
-        if set(controls) & set(targets):
-            raise SimulationError("control and target qubits overlap")
-        k = len(targets)
-        u = np.asarray(u)
-        if u.shape != (2**k, 2**k):
-            raise SimulationError(
-                f"matrix shape {u.shape} does not match {k} targets"
-            )
-        if controls:
-            u = G.controlled(u, len(controls))
-        self.apply(u, *controls, *targets)
+        self.apply_ops((controlled_unitary(u, controls, targets),))
 
     # ------------------------------------------------------------------
     # the exchange layer: what a mixing barrier runs
@@ -1080,16 +1073,4 @@ class ShardedStateVector:
         )
 
 
-def _emit_named(gd, _body):
-    """A named-gate method body that emits the registry op as a batch."""
-    nc, n = gd.n_controls, gd.n_qubits
-
-    def emit(self, args):
-        if set(args[:nc]) & set(args[nc:n]):
-            raise SimulationError("control and target qubits overlap")
-        self.apply_ops((Op(gd.name, args[:n], args[n:]),))
-
-    return emit
-
-
-G.bind_engine_gates(ShardedStateVector, wrap=_emit_named)
+bind_engine_gates(ShardedStateVector)

@@ -17,12 +17,19 @@ Design notes
   (one zero-padded allocation appending trailing axes) by the first call
   that couples it to the register: an EPR half costs one resize up and
   one down.
-* Gate application is one transpose + reshape + ``np.dot`` contraction
-  (``_contract``) shared by the eager ``apply`` family and the frozen
-  programs that execute every batch — vectorized, no Python loop over
-  amplitudes (per the HPC guide: avoid explicit loops, operate on views).
-* The named-gate methods (``h``, ``cnot``, ``phase``, ...) are generated
-  from :data:`repro.sim.gates.GATESET` at the bottom of this module.
+* The state is kept C-contiguous, so it is one chunk to
+  :class:`~repro.sim.kernels.KernelDispatch`: every dense step is an
+  in-place, slab-walked ``contract`` over the step's frozen
+  :class:`~repro.sim.kernels.Window` — the call the sharded engine
+  makes per chunk — with the shot-branch axis as the leading rows and
+  the qubit on axis ``a`` as bit ``ndim - 1 - a``.  A window holds two
+  slabs of scratch, never a state-sized copy.
+* Eager gates (``apply``, ``apply_controlled`` and the named ``h``,
+  ``cnot``, ... methods generated from :data:`repro.sim.gates.GATESET`)
+  are one-op batches through the same freeze-then-execute path as a
+  flushed batch.  Pending qubits merge in ascending id order, so a
+  batch lands on the same axis layout — and the same rounding — however
+  it reaches the engine.
 * Measurement uses an injectable :class:`numpy.random.Generator` so that
   distributed runs are reproducible.
 """
@@ -36,7 +43,8 @@ import numpy as np
 
 from . import gates as G
 from .diag import DiagBatch, chunk_phase
-from .kernels import KernelDispatch
+from .kernels import KernelDispatch, Window
+from .ops import Op, SimulationError, bind_engine_gates, controlled_unitary
 from .schedule import DiagSegment, KernelRun, compile_segments
 from .shots import ShotBits, branch_mask, fork_outcomes
 
@@ -46,11 +54,6 @@ __all__ = ["StateVector", "SimulationError"]
 #: ``h`` + ``cnot`` make of |00>: |00> and |11>, each with this amplitude
 #: (``h``'s matrix entry).
 _BELL_AMP = float(G.H[0, 0].real)
-
-
-class SimulationError(RuntimeError):
-    """Raised on invalid simulator operations (bad qubit ids, non-unitary
-    input, releasing an entangled qubit, ...)."""
 
 
 def resolve_dtype(dtype: str | None) -> tuple:
@@ -90,11 +93,12 @@ class StateVector:
         precision).  ``None`` reads ``REPRO_QMPI_DTYPE`` before
         defaulting to ``"complex128"``.
 
-    On this engine only the diagonal phase-table fill can run natively
-    (:mod:`repro.sim.kernels`): every dense step is already one
-    transpose + ``np.dot`` (BLAS) along a frozen contraction plan
-    (:meth:`_contract`), and no native rewrite of that could stay
-    bit-identical.
+    Every dense step is one :meth:`KernelDispatch.contract
+    <repro.sim.kernels.KernelDispatch.contract>` on the whole state, in
+    place (BLAS products over slabs of at most
+    :data:`~repro.sim.kernels.TILE_AMPS` amplitudes); the diagonal
+    phase-table fill runs natively when a provider resolves
+    (:mod:`repro.sim.kernels`).
 
     Examples
     --------
@@ -215,13 +219,13 @@ class StateVector:
         """``|00> -> (|00>+|11>)/sqrt(2)`` on ``qa``, ``qb`` (``h`` + ``cnot``).
 
         Two still-pending ``|0>`` qubits become one pending 4-amplitude
-        Bell factor without touching the array.
+        Bell factor without touching the array; otherwise one ``h`` +
+        ``cnot`` batch.
         """
         if qa != qb and self._is_fresh_zero(qa) and self._is_fresh_zero(qb):
             self._pending[qa], self._pending[qb] = qb, qa
             return
-        self.h(qa)
-        self.cnot(qa, qb)
+        self.apply_ops((Op("h", (qa,)), Op("cnot", (qa, qb))))
 
     def release(self, qubit: int) -> None:
         """Release a qubit that is disentangled and in state |0>.
@@ -375,7 +379,7 @@ class StateVector:
         # The factors' product as (trailing index, amplitude) of its nonzero
         # entries: one per setting of the Bell bits, whatever the |0> count.
         fresh, terms = [], [((), 1.0)]
-        for q in qubits:
+        for q in sorted(qubits):
             if q in pending:
                 partner = pending.pop(q)
                 if partner is None:
@@ -421,89 +425,20 @@ class StateVector:
     # ------------------------------------------------------------------
     # gate application
     # ------------------------------------------------------------------
-    @staticmethod
-    def _freeze_contraction(target_axes, ndim):
-        """Precompute the axis plan of one ``2^k x 2^k`` contraction.
-
-        The plan drives :meth:`_contract`: transpose the contracted axes
-        to the front, flatten to a ``(2^k, rest)`` matrix, one
-        ``np.dot``, then the inverse permutation that puts the ``k`` new
-        axes back in place.  Eager calls build it per call; frozen
-        programs build it once per engine layout.
-        """
-        k = len(target_axes)
-        notin = tuple(a for a in range(ndim) if a not in target_axes)
-        perm_in = tuple(target_axes) + notin
-        order = list(range(k, ndim))
-        for dest, src in sorted(zip(target_axes, range(k))):
-            order.insert(dest, src)
-        return k, 1 << k, notin, perm_in, tuple(order)
-
-    @staticmethod
-    def _contract(u, psi, k, rows, notin, perm_in, perm_out):
-        """Contract ``u`` into ``psi`` along a :meth:`_freeze_contraction`
-        plan — the one dense kernel behind :meth:`apply`,
-        :meth:`apply_controlled` and every frozen matrix step, so eager
-        and replayed gates are the same array operations on the same
-        values (bit-identical)."""
-        st = psi.transpose(perm_in).reshape(rows, -1)
-        shape = (2,) * k + tuple(psi.shape[a] for a in notin)
-        return np.dot(u, st).reshape(shape).transpose(perm_out)
-
-    def _freeze_controlled(self, controls, targets, ndim):
-        """Index of the all-ones control slice (a view on the state —
-        no ``2^k``-dim controlled matrix is ever materialized) and the
-        contraction plan of ``targets`` within it."""
-        c_axes = [self._axis(q) for q in controls]
-        idx: list = [slice(None)] * ndim
-        for a in c_axes:
-            idx[a] = 1
-        # Target axes shift down past the removed control axes.
-        t_axes = []
-        for q in targets:
-            a = self._axis(q)
-            t_axes.append(a - sum(1 for c in c_axes if c < a))
-        return tuple(idx), self._freeze_contraction(t_axes, ndim - len(c_axes))
-
     def apply(self, u: np.ndarray, *qubits: int) -> None:
-        """Apply a ``2^k x 2^k`` unitary to ``k`` qubits.
+        """Apply a ``2^k x 2^k`` unitary to ``k`` qubits (a one-op batch).
 
         The first qubit in ``qubits`` corresponds to the most significant
         bit of the matrix index (``U = sum |i><j|`` over k-bit ints).
         """
-        k = len(qubits)
-        if len(set(qubits)) != k:
-            raise SimulationError(f"duplicate qubits in {qubits}")
-        # Rounding boundary: the matrix lands in the register dtype once,
-        # so the contraction runs in-precision (NEP 50 would otherwise
-        # promote a complex64 state to complex128).
-        u = np.asarray(u, dtype=self._dtype)
-        if u.shape != (2**k, 2**k):
-            raise SimulationError(
-                f"matrix shape {u.shape} does not match {k} qubits"
-            )
-        self._merge(qubits)
-        axes = [self._axis(q) for q in qubits]
-        plan = self._freeze_contraction(axes, self._psi.ndim)
-        self._psi = self._contract(u, self._psi, *plan)
+        self._run_batch((Op(G.UNITARY, qubits, u=u),))
 
     def apply_controlled(
         self, u: np.ndarray, controls: Sequence[int], targets: Sequence[int]
     ) -> None:
-        """Apply ``u`` on ``targets`` conditioned on all ``controls`` = |1>."""
-        controls = list(controls)
-        targets = list(targets)
-        if set(controls) & set(targets):
-            raise SimulationError("control and target qubits overlap")
-        k = len(targets)
-        u = np.asarray(u, dtype=self._dtype)
-        if u.shape != (2**k, 2**k):
-            raise SimulationError(
-                f"matrix shape {u.shape} does not match {k} targets"
-            )
-        self._merge(controls + targets)
-        idx, plan = self._freeze_controlled(controls, targets, self._psi.ndim)
-        self._psi[idx] = self._contract(u, self._psi[idx], *plan)
+        """Apply ``u`` on ``targets`` conditioned on all ``controls`` = |1>
+        (a one-op batch; ``u`` runs on the controls' all-ones slice)."""
+        self._run_batch((controlled_unitary(u, controls, targets),))
 
     def apply_ops(self, ops) -> None:
         """Execute a batch of typed op records (see :mod:`repro.sim.ops`).
@@ -516,6 +451,11 @@ class StateVector:
         takes, so a cold batch and a warm replay differ only in who
         kept the program.
         """
+        self._run_batch(ops)
+
+    def _run_batch(self, ops) -> None:
+        # apply()/apply_controlled() come here directly, not through
+        # apply_ops, so a subclass that tallies batches counts them once.
         if self._pending:
             ops = tuple(ops)
             self._merge(q for op in ops for q in op.qubits)
@@ -557,16 +497,26 @@ class StateVector:
     def freeze_segments(self, segments):
         """Freeze a bound segment list into a replay program.
 
-        One step per kernel op / diagonal batch / plan, with every
-        axis permutation precomputed against this engine's current
-        layout (the schedule cache keeps one program per
-        :meth:`layout_key`).  Steps hold references to the live segment
-        objects, so the cache's in-place parameter rebinding flows
-        through; matrices are memoized per op *object* (a rebind swaps
-        the op, invalidating the memo).  Touched qubits must be axes
-        already: :meth:`layout_key` / :meth:`apply_ops` merge pending ones.
+        One step per kernel op / diagonal batch / plan.  Every dense
+        step is one :meth:`~repro.sim.kernels.KernelDispatch.contract`
+        on the whole state — the sharded engine's per-chunk call, with
+        the state as one chunk whose shot-branch axis is the leading
+        rows and a qubit on axis ``a`` as bit ``ndim - 1 - a`` — over
+        the step's frozen :class:`~repro.sim.kernels.Window`: an op's
+        target matrix over the all-ones slice of its controls, or a
+        plan's window product.  Steps hold references to the live segment objects,
+        so the cache's in-place parameter rebinding flows through; op
+        matrices are memoized per op *object* (a rebind swaps the op,
+        invalidating the memo).  Touched qubits must be axes already:
+        :meth:`layout_key` / :meth:`apply_ops` merge pending ones.
         """
-        ndim = self._psi.ndim
+        last = self._psi.ndim - 1
+        nl = last + 1 - (self._shots is not None)
+
+        def window(qubits, controls=()):
+            bits = [last - self._axis(q) for q in (*qubits, *controls)]
+            return Window(bits[: len(qubits)], nl, bits[len(qubits) :])
+
         steps = []
         n_segments = 0
         for seg in segments:
@@ -575,45 +525,36 @@ class StateVector:
                 steps.append(("d", seg))
             elif isinstance(seg, KernelRun):
                 for i, op in enumerate(seg.ops):
-                    if op.controls:
-                        idx, plan = self._freeze_controlled(
-                            op.controls, op.targets, ndim
-                        )
-                    else:
-                        axes = [self._axis(q) for q in op.targets]
-                        idx, plan = None, self._freeze_contraction(axes, ndim)
-                    steps.append(("k", seg, i, [None, None], idx, plan))
+                    win = window(op.targets, op.controls)
+                    steps.append(("k", seg, i, [None, None], win))
             else:  # PlanSegment (ExchangeSegment never occurs layout-less)
-                axes = [self._axis(q) for q in seg.plan.qubits]
-                steps.append(("p", seg, self._freeze_contraction(axes, ndim)))
+                steps.append(("p", seg, window(seg.plan.qubits)))
         return n_segments, tuple(steps)
 
     def execute_frozen(self, program) -> None:
-        """Execute a frozen program: the engine's only gate-batch path."""
+        """Execute a frozen program: the engine's only gate-batch path.
+
+        Every step runs in place on ``_psi`` (kept C-contiguous), so a
+        window holds at most two :data:`~repro.sim.kernels.TILE_AMPS`
+        slabs beyond the state.
+        """
         n_segments, steps = program
         self.segments_executed += n_segments
-        contract = self._contract
+        kd, psi = self._kernels, self._psi
         for step in steps:
             kind = step[0]
             if kind == "d":
                 self._apply_diag_batch(step[1].batch)
-                continue
-            idx = None
-            if kind == "p":
+            elif kind == "p":
                 # The window product is re-read: a rebind swaps seg.plan.
-                _, seg, plan = step
-                u = np.asarray(seg.plan.u, dtype=self._dtype)
+                kd.contract(psi, step[1].plan.u, step[2])
             else:
-                _, seg, i, cell, idx, plan = step
+                _, seg, i, cell, win = step
                 op = seg.ops[i]
                 if op is not cell[0]:
                     cell[0] = op
                     cell[1] = np.asarray(op.target_matrix(), dtype=self._dtype)
-                u = cell[1]
-            if idx is None:
-                self._psi = contract(u, self._psi, *plan)
-            else:
-                self._psi[idx] = contract(u, self._psi[idx], *plan)
+                kd.contract(psi, cell[1], win)
 
     def _apply_diag_batch(self, batch: DiagBatch) -> None:
         """One vectorized multiply for a whole coalesced diagonal run.
@@ -685,9 +626,9 @@ class StateVector:
         # Scale in the state's own real dtype (exact for float64) so a
         # complex64 state is not promoted.
         scale = scale.astype(moved.real.dtype).reshape((-1,) + (1,) * (moved.ndim - 2))
-        new = np.zeros((len(src),) + moved.shape[1:], dtype=moved.dtype)
-        new[np.arange(len(src)), outcome] = moved[src, outcome] * scale
-        self._psi = np.moveaxis(new, 1, ax)
+        new = np.zeros((len(src),) + self._psi.shape[1:], dtype=moved.dtype)
+        np.moveaxis(new, ax, 1)[np.arange(len(src)), outcome] = moved[src, outcome] * scale
+        self._psi = new
         return bits
 
     def apply_pauli_if(self, cond, pauli: str, qubit: int) -> None:
@@ -848,4 +789,4 @@ class StateVector:
         return f"<StateVector n={self.num_qubits} ids={self.qubit_ids}>"
 
 
-G.bind_engine_gates(StateVector)
+bind_engine_gates(StateVector)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 __all__ = ["GateCounts", "TrackedStateVector"]
 
 from .diag import DiagBatch
-from .gates import bind_engine_gates
 from .statevector import StateVector
 
 
@@ -82,7 +81,7 @@ class TrackedStateVector(StateVector):
 
     def measure_and_release(self, qubit: int, basis: str = "Z", control: int | None = None):
         # The fused primitive passes through neither hook above, and its
-        # short-cuts skip apply()/apply_controlled(): tally the gate the
+        # short-cuts skip the named cnot/h batches: tally the gate the
         # call stands for when no eager one was counted.
         gates = self.counts.gates
         seen = gates["cnot"], gates["h"]
@@ -99,25 +98,19 @@ class TrackedStateVector(StateVector):
         super()._apply_pauli(pauli, qubit, rows)
         self.counts.gates["u1"] += 1
 
-    #: Gate name a generated named-gate method is running under: its
-    #: apply()/apply_controlled() call tallies that instead of the
-    #: generic tag, keeping the counts human readable.
-    _named: str | None = None
-
     def apply(self, u, *qubits) -> None:
         super().apply(u, *qubits)
-        self.counts.gates[self._named or f"u{len(qubits)}"] += 1
+        self.counts.gates[f"u{len(qubits)}"] += 1
 
     def apply_controlled(self, u, controls, targets) -> None:
         super().apply_controlled(u, controls, targets)
-        generic = f"c{len(list(controls))}u{len(list(targets))}"
-        self.counts.gates[self._named or generic] += 1
+        self.counts.gates[f"c{len(list(controls))}u{len(list(targets))}"] += 1
 
     def apply_ops(self, ops) -> None:
         # Batches execute as frozen programs that never pass through
         # apply()/apply_controlled(), so tally at the op level: the gate
-        # name for registry ops, u{k} for explicit matrices (fused /
-        # unitary ops and contraction plans carry no controls), and for
+        # name for registry ops, u{k} for explicit matrices (c{c}u{k}
+        # with c controls, as apply_controlled() counts), and for
         # a coalesced DiagBatch its phase tables — one u1 per
         # single-qubit table, one u2 per pair table — matching the
         # engine work the batch actually performs (merged repeats count
@@ -131,19 +124,9 @@ class TrackedStateVector(StateVector):
                     gates["u1"] += len(op.phases1)
                 if op.phases2:
                     gates["u2"] += len(op.phases2)
+            elif op.spec is not None:
+                gates[op.gate] += 1
             else:
-                gates[op.gate if op.spec is not None else f"u{len(op.qubits)}"] += 1
+                nc = op.n_controls
+                gates[f"c{nc}u{len(op.targets)}" if nc else f"u{len(op.qubits)}"] += 1
 
-
-def _count_by_name(gd, body):
-    def counted(self, args):
-        self._named = gd.name
-        try:
-            body(self, args)
-        finally:
-            self._named = None
-
-    return counted
-
-
-bind_engine_gates(TrackedStateVector, wrap=_count_by_name)

@@ -6,7 +6,9 @@ Kronecker products and applied by one matrix-vector product.  No op IR,
 no lowering, no fusion, no segments, no kernels — and no import from
 ``repro`` — so a bug in ``gates.py`` / ``lower_flush`` /
 ``compile_segments`` / the frozen executors cannot cancel out against
-itself here.  Exponential in memory: keep registers at <= 10 qubits.
+itself here.  Exponential in memory: keep registers at <= 10 qubits
+for :func:`embed` / :func:`run`; :func:`apply` gathers blocks instead
+and serves registers of a few more.
 
 Convention (the one ``backend.statevector(ids)`` uses): qubit 0 is the
 most significant bit of the state index, and the first qubit operand of
@@ -102,6 +104,31 @@ def embed(u, qubits, n):
                 term = np.kron(term, f)
             full += u[r, c] * term
     return full
+
+
+def apply(psi, u, qubits, n):
+    """``embed(u, qubits, n) @ psi`` without the ``2^n x 2^n`` matrix.
+
+    For registers too large to embed: every state index with the
+    operand bits clear is the base of one ``2^k``-amplitude block, the
+    block's members are the base plus each operand-bit pattern (first
+    operand = most significant matrix bit), and each block is multiplied
+    by ``u``.  ``psi`` is a flat ``2^n`` vector; returns a new one.
+    """
+    u = np.asarray(u, dtype=complex)
+    k = len(qubits)
+    shifts = [n - 1 - q for q in qubits]
+    offsets = np.zeros(2**k, dtype=np.int64)
+    for r in range(2**k):
+        for pos, s in enumerate(shifts):
+            if (r >> (k - 1 - pos)) & 1:
+                offsets[r] += 1 << s
+    mask = sum(1 << s for s in shifts)
+    index = np.arange(2**n)
+    blocks = index[(index & mask) == 0][:, None] + offsets[None, :]
+    out = np.array(psi, dtype=complex)
+    out[blocks] = out[blocks] @ u.T
+    return out
 
 
 def run(n, gates):

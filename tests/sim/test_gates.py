@@ -17,13 +17,8 @@ def test_fixed_gates_unitary(u):
 
 @given(st.floats(-10, 10))
 def test_rotations_unitary(theta):
-    for axis in "XYZ":
-        assert G.is_unitary(G.rotation(axis, theta))
-
-
-def test_rotation_bad_axis():
-    with pytest.raises(ValueError):
-        G.rotation("Q", 0.1)
+    for rot in (G.rx, G.ry, G.rz):
+        assert G.is_unitary(rot(theta))
 
 
 def test_pauli_algebra():
@@ -50,11 +45,6 @@ def test_s_and_t_powers():
     assert np.allclose(G.T @ G.T, G.S)
     assert np.allclose(G.S @ G.S, G.Z)
     assert np.allclose(G.SX @ G.SX, G.X)
-
-
-@given(st.floats(-6, 6), st.floats(-6, 6), st.floats(-6, 6))
-def test_u3_unitary(t, p, l):
-    assert G.is_unitary(G.u3(t, p, l))
 
 
 def test_controlled_builder():

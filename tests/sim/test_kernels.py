@@ -310,7 +310,7 @@ class TestDispatchResolution:
         for jit_min_amps in (NUMPY, JIT_MIN_AMPS_DEFAULT, NATIVE):
             kd = _dispatch(jit_min_amps)
             chunk = _rand_chunk(np.random.default_rng(1), 64)
-            assert kd.contract(chunk, np.eye(4, dtype=complex), (0, 1), 6) is None
+            assert kd.contract(chunk, np.eye(4, dtype=complex), K.Window((0, 1), 6)) is None
             assert kd.counters["csel_hits"] == 1  # counts contractions
             assert kd.counters["numpy_fallbacks"] == kd.counters["jit_hits"] == 0
 
@@ -337,6 +337,24 @@ class TestDispatchResolution:
         for bad in (chunk[::2], chunk.real.copy()):
             with pytest.raises(ValueError, match="C-contiguous"):
                 KernelDispatch._flat(bad)
+
+    @pytest.mark.parametrize("jit_min_amps", [NATIVE, NUMPY], ids=["native", "numpy"])
+    def test_in_place_kernels_refuse_a_non_contiguous_chunk(self, jit_min_amps):
+        # A transposed chunk's flat reshape is a copy: writing into it
+        # would leave the caller's array unchanged without a word.
+        base = _rand_chunk(np.random.default_rng(16), 16).reshape((2,) * 4)
+        chunk = base.transpose(3, 1, 0, 2)
+        kd = _dispatch(jit_min_amps)
+        calls = (
+            lambda: kd.contract(chunk, _rand_window(np.random.default_rng(0), 2), K.Window((1, 0), 4)),
+            lambda: kd.cc(chunk, _rand_u(np.random.default_rng(0)), (1,), 0, 4, diag=False),
+            lambda: kd.sq(chunk, _rand_u(np.random.default_rng(0)), 2, diag=False),
+            lambda: kd.masked_scale(chunk, -1.0, (3,), 4),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="C-contiguous"):
+                call()
+        assert _bits_equal(chunk, base.transpose(3, 1, 0, 2))
 
     def test_self_check_demotes_a_lying_provider(self):
         class Lying:
@@ -404,8 +422,9 @@ def test_contract_matches_dense_oracle(dtype, rows):
         u = _rand_window(rng, len(bits))
         base = _rand_chunk(rng, rows << nl).astype(dtype)
         a, b = base.copy(), base.copy()
-        kd.contract(a, u, bits, nl)
-        ref.contract(b, u, bits, nl)
+        win = K.Window(bits, nl)
+        kd.contract(a, u, win)
+        ref.contract(b, u, win)
         assert _bits_equal(a, b), bits
         want = _dense(base, u.astype(dtype), bits, nl)
         tol = 1e-12 if dtype == np.complex128 else 2e-5
@@ -425,7 +444,7 @@ def test_contract_writes_through_a_view_of_a_larger_buffer(jit_min_amps):
         backing = base.copy()
         chunk = backing[1 << nl : 2 << nl]
         u = _rand_window(rng, len(bits))
-        kd.contract(chunk, u, bits, nl)
+        kd.contract(chunk, u, K.Window(bits, nl))
         assert np.shares_memory(chunk, backing)
         np.testing.assert_allclose(
             backing[1 << nl : 2 << nl],
@@ -480,8 +499,9 @@ def test_contract_multi_slab_walk_matches_dense_oracle(monkeypatch, dtype, rows,
         backing = np.concatenate([base[::-1], base, base[::-1]])
         chunk = backing[len(base) : 2 * len(base)]
         b = base.copy()
-        kd.contract(chunk, u, bits, nl)
-        ref.contract(b, u, bits, nl)
+        win = K.Window(bits, nl)
+        kd.contract(chunk, u, win)
+        ref.contract(b, u, win)
         assert _bits_equal(chunk, b), bits
         assert _bits_equal(backing[: len(base)], base[::-1])
         assert _bits_equal(backing[2 * len(base) :], base[::-1])
@@ -499,6 +519,8 @@ def test_contract_transient_is_slab_sized_and_leaves_no_residue(nl):
     windows += [(b, (b + 3) % nl, (b + 7) % nl) for b in range(nl)]
     assert len(set(windows)) == 4 + 2 * nl
     us = [_rand_window(rng, len(bits)) / (1 << len(bits)) for bits in windows]
+    # Layouts are frozen before the calls, as the engines freeze them.
+    wins = [K.Window(bits, nl) for bits in windows]
     kd = _dispatch(NUMPY)
     # A slab-sized stage and product, plus small change: the same bound
     # at every chunk size (at nl = 18 it is under half the chunk).
@@ -507,9 +529,9 @@ def test_contract_transient_is_slab_sized_and_leaves_no_residue(nl):
     try:
         before, _ = tracemalloc.get_traced_memory()
         held = []
-        for bits, u in zip(windows, us):
+        for bits, win, u in zip(windows, wins, us):
             tracemalloc.reset_peak()
-            kd.contract(chunk, u, bits, nl)
+            kd.contract(chunk, u, win)
             after, peak = tracemalloc.get_traced_memory()
             assert peak - before <= bound, bits
             held.append(after - before)
@@ -522,6 +544,31 @@ def test_contract_transient_is_slab_sized_and_leaves_no_residue(nl):
     assert not any(
         isinstance(getattr(kd, name, None), np.ndarray) for name in KernelDispatch.__slots__
     )
+
+
+def test_contract_walks_blocks_of_short_rows():
+    # Many shot rows of a small register (whole rows fit in a slab):
+    # the walk takes blocks of rows, never the whole chunk at once.
+    nl, rows = 8, 512
+    rng = np.random.default_rng(18)
+    chunk = _rand_chunk(rng, rows << nl)
+    kd = _dispatch(NUMPY)
+    for bits, controls in (((5, 2), ()), ((6,), (1, 3))):
+        win = K.Window(bits, nl, controls)
+        u = _rand_window(rng, len(bits)) / (1 << len(bits))
+        want = chunk.copy()
+        for r in range(rows):  # one row at a time is one slab each
+            kd.contract(want[r << nl : (r + 1) << nl], u, win)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            kd.contract(chunk, u, win)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 3 * K.TILE_AMPS * chunk.itemsize < chunk.nbytes
+        assert _bits_equal(chunk, want), (bits, controls)
 
 
 # ----------------------------------------------------------------------

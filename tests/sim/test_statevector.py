@@ -177,5 +177,6 @@ def test_norm_preserved_under_gates(rng):
     sv = StateVector(4, seed=5)
     for _ in range(30):
         q = int(rng.integers(4))
-        sv.apply(G.rotation("XYZ"[int(rng.integers(3))], float(rng.normal())), q)
+        rot = (G.rx, G.ry, G.rz)[int(rng.integers(3))]
+        sv.apply(rot(float(rng.normal())), q)
     assert sv.norm() == pytest.approx(1.0)

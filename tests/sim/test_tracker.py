@@ -104,6 +104,10 @@ def test_generic_apply_counts():
     assert sv.counts.gates["u2"] == 1
     sv.apply_controlled(np.eye(2), [0], [1])
     assert sv.counts.gates["c1u1"] == 1
+    from repro.sim.ops import controlled_unitary
+
+    sv.apply_ops([controlled_unitary(np.eye(2), [0], [1])])  # same tally as a batch
+    assert sv.counts.gates["c1u1"] == 2
 
 
 def test_tallies_are_post_peephole():
