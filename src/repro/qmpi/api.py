@@ -6,13 +6,16 @@ preparation, all point-to-point and collective operations of Tables 2-3,
 and access to the classical MPI communicator (§4.1: classical and quantum
 communication are separate; classical data goes through MPI).
 
+The Table 2-3 operations and their ``un*`` inverses are the functions of
+:mod:`~repro.qmpi.p2p` and :mod:`~repro.qmpi.collectives`, bound as
+class attributes (each takes the handle first), so their signatures,
+defaults and docstrings live only there. The v-variants' inverses are
+their collective's inverse (``ungatherv is ungather``, and likewise
+``unscatterv``, ``unalltoallv`` and ``unexscan``).
+
 :func:`qmpi_run` is the ``mpiexec`` of this package: it builds the
 quantum backend (shared or sharded, via ``backend=``), EPR service, and
 resource ledger, then runs the SPMD function on N ranks.
-
-Paper-style aliases (``QMPI_Send``, ``QMPI_Prepare_EPR``, ...) are
-generated at the bottom for one-to-one correspondence with the C API in
-the paper's listings.
 """
 
 from __future__ import annotations
@@ -175,158 +178,58 @@ class QmpiComm:
         return self.epr.buffered(self.rank)
 
     # ------------------------------------------------------------------
-    # point-to-point (Table 2) — see p2p module for semantics
+    # point-to-point (Table 2) and collectives (Table 3): every
+    # implementation takes this handle first, so it binds as a method.
     # ------------------------------------------------------------------
-    def send(self, qubits, dest: int, tag: int = 0) -> None:
-        _p2p.send(self, qubits, dest, tag)
-
-    def recv(self, qubits, source: int, tag: int = 0) -> Qureg:
-        return _p2p.recv(self, qubits, source, tag)
-
-    def unsend(self, qubits, dest: int, tag: int = 0) -> None:
-        _p2p.unsend(self, qubits, dest, tag)
-
-    def unrecv(self, qubits, source: int, tag: int = 0) -> None:
-        _p2p.unrecv(self, qubits, source, tag)
-
-    def send_move(self, qubits, dest: int, tag: int = 0) -> None:
-        _p2p.send_move(self, qubits, dest, tag)
-
-    def recv_move(self, qubits, source: int, tag: int = 0) -> Qureg:
-        return _p2p.recv_move(self, qubits, source, tag)
-
-    def unsend_move(self, n_or_qubits, dest: int, tag: int = 0) -> Qureg:
-        return _p2p.unsend_move(self, n_or_qubits, dest, tag)
-
-    def unrecv_move(self, qubits, source: int, tag: int = 0) -> None:
-        _p2p.unrecv_move(self, qubits, source, tag)
-
-    def sendrecv(self, send_qubits, dest, recv_qubits, source, sendtag=0, recvtag=0):
-        return _p2p.sendrecv(self, send_qubits, dest, recv_qubits, source, sendtag, recvtag)
-
-    def unsendrecv(self, send_qubits, dest, recv_qubits, source, sendtag=0, recvtag=0):
-        return _p2p.unsendrecv(self, send_qubits, dest, recv_qubits, source, sendtag, recvtag)
-
-    def sendrecv_replace(self, qubits, dest, source, sendtag=0, recvtag=0):
-        return _p2p.sendrecv_replace(self, qubits, dest, source, sendtag, recvtag)
-
-    def unsendrecv_replace(self, qubits, dest, source, sendtag=0, recvtag=0):
-        return _p2p.unsendrecv_replace(self, qubits, dest, source, sendtag, recvtag)
+    send = _p2p.send
+    recv = _p2p.recv
+    unsend = _p2p.unsend
+    unrecv = _p2p.unrecv
+    send_move = _p2p.send_move
+    recv_move = _p2p.recv_move
+    unsend_move = _p2p.unsend_move
+    unrecv_move = _p2p.unrecv_move
+    sendrecv = _p2p.sendrecv
+    unsendrecv = _p2p.unsendrecv
+    sendrecv_replace = _p2p.sendrecv_replace
+    unsendrecv_replace = _p2p.unsendrecv_replace
 
     # Buffered/synchronous/ready variants are semantically identical on
     # the eager in-process fabric; aliases keep Table 2 one-to-one.
-    bsend = send
-    ssend = send
-    rsend = send
+    bsend = ssend = rsend = send
     mrecv = recv
-    bunsend = unsend
-    sunsend = unsend
-    runsend = unsend
+    bunsend = sunsend = runsend = unsend
     munrecv = unrecv
 
     def cancel(self) -> None:
         """QMPI_Cancel: a no-op marker — Table 2 note (b): resources may
         already have been used."""
 
-    # ------------------------------------------------------------------
-    # collectives (Table 3) — see collectives module for semantics
-    # ------------------------------------------------------------------
-    def bcast(self, qubits, root=0, tag=0, algorithm="tree"):
-        return _coll.bcast(self, qubits, root, tag, algorithm)
-
-    def unbcast(self, handle):
-        _coll.unbcast(self, handle)
-
-    def gather(self, qubits, root=0, tag=0):
-        return _coll.gather(self, qubits, root, tag)
-
-    def ungather(self, handle):
-        _coll.ungather(self, handle)
-
-    def gatherv(self, qubits, counts, root=0, tag=0):
-        return _coll.gatherv(self, qubits, counts, root, tag)
-
-    def ungatherv(self, handle):
-        _coll.ungatherv(self, handle)
-
-    def gather_move(self, qubits, root=0, tag=0):
-        return _coll.gather_move(self, qubits, root, tag)
-
-    def scatter(self, qubits, recv_qubits, root=0, tag=0):
-        return _coll.scatter(self, qubits, recv_qubits, root, tag)
-
-    def unscatter(self, handle):
-        _coll.unscatter(self, handle)
-
-    def scatterv(self, qubits, counts, recv_qubits, root=0, tag=0):
-        return _coll.scatterv(self, qubits, counts, recv_qubits, root, tag)
-
-    def unscatterv(self, handle):
-        _coll.unscatterv(self, handle)
-
-    def scatter_move(self, qubits, recv_qubits, root=0, tag=0):
-        return _coll.scatter_move(self, qubits, recv_qubits, root, tag)
-
-    def allgather(self, qubits, tag=0, algorithm="tree"):
-        return _coll.allgather(self, qubits, tag, algorithm)
-
-    def unallgather(self, handle):
-        _coll.unallgather(self, handle)
-
-    def alltoall(self, qubits, tag=0):
-        return _coll.alltoall(self, qubits, tag)
-
-    def unalltoall(self, handle):
-        _coll.unalltoall(self, handle)
-
-    def alltoallv(self, qubits, send_counts, tag=0):
-        return _coll.alltoallv(self, qubits, send_counts, tag)
-
-    def unalltoallv(self, handle):
-        _coll.unalltoallv(self, handle)
-
-    def alltoall_move(self, qubits, tag=0):
-        return _coll.alltoall_move(self, qubits, tag)
-
-    def reduce(self, qubits, out=None, op=None, root=0, tag=0, schedule="linear"):
-        from .reductions import PARITY
-
-        return _coll.reduce(self, qubits, out, op or PARITY, root, tag, schedule)
-
-    def unreduce(self, handle):
-        _coll.unreduce(self, handle)
-
-    def allreduce(self, qubits, op=None, tag=0, schedule="linear"):
-        from .reductions import PARITY
-
-        return _coll.allreduce(self, qubits, op or PARITY, tag, schedule)
-
-    def unallreduce(self, handle):
-        _coll.unallreduce(self, handle)
-
-    def reduce_scatter_block(self, qubits, op=None, tag=0):
-        from .reductions import PARITY
-
-        return _coll.reduce_scatter_block(self, qubits, op or PARITY, tag)
-
-    def unreduce_scatter_block(self, handles):
-        _coll.unreduce_scatter_block(self, handles)
-
-    def scan(self, qubits, out=None, op=None, tag=0):
-        from .reductions import PARITY
-
-        return _coll.scan(self, qubits, out, op or PARITY, tag)
-
-    def exscan(self, qubits, out=None, op=None, tag=0):
-        from .reductions import PARITY
-
-        return _coll.exscan(self, qubits, out, op or PARITY, tag)
-
-    def unscan(self, handle):
-        _coll.unscan(self, handle)
-
-    def unexscan(self, handle):
-        _coll.unexscan(self, handle)
+    bcast = _coll.bcast
+    unbcast = _coll.unbcast
+    gather = _coll.gather
+    gatherv = _coll.gatherv
+    gather_move = _coll.gather_move
+    ungather = ungatherv = _coll.ungather
+    scatter = _coll.scatter
+    scatterv = _coll.scatterv
+    scatter_move = _coll.scatter_move
+    unscatter = unscatterv = _coll.unscatter
+    allgather = _coll.allgather
+    unallgather = _coll.unallgather
+    alltoall = _coll.alltoall
+    alltoallv = _coll.alltoallv
+    alltoall_move = _coll.alltoall_move
+    unalltoall = unalltoallv = _coll.unalltoall
+    reduce = _coll.reduce
+    unreduce = _coll.unreduce
+    allreduce = _coll.allreduce
+    unallreduce = _coll.unallreduce
+    reduce_scatter_block = _coll.reduce_scatter_block
+    unreduce_scatter_block = _coll.unreduce_scatter_block
+    scan = _coll.scan
+    exscan = _coll.exscan
+    unscan = unexscan = _coll.unscan
 
     def barrier(self) -> None:
         """Classical barrier across the QMPI world (flushes the stream)."""
@@ -562,77 +465,3 @@ def qmpi_run(
     )
     return QmpiWorld(results, backend, ledger, shots=shots)
 
-
-# ----------------------------------------------------------------------
-# Paper-style C API aliases (Listing 1 compatibility layer)
-# ----------------------------------------------------------------------
-def QMPI_Alloc_qmem(qc: QmpiComm, n: int) -> Qureg:
-    return qc.alloc_qmem(n)
-
-
-def QMPI_Free_qmem(qc: QmpiComm, qubits, n: int | None = None) -> None:
-    qc.free_qmem(qubits)
-
-
-def QMPI_Comm_rank(qc: QmpiComm) -> int:
-    return qc.rank
-
-
-def QMPI_Comm_size(qc: QmpiComm) -> int:
-    return qc.size
-
-
-def QMPI_Prepare_EPR(qc: QmpiComm, qubit: int, dest: int, tag: int = 0) -> None:
-    qc.prepare_epr(qubit, dest, tag)
-
-
-def QMPI_Send(qc: QmpiComm, qubits, dest: int, tag: int = 0) -> None:
-    qc.send(qubits, dest, tag)
-
-
-def QMPI_Recv(qc: QmpiComm, qubits, source: int, tag: int = 0) -> None:
-    qc.recv(qubits, source, tag)
-
-
-def QMPI_Unsend(qc: QmpiComm, qubits, dest: int, tag: int = 0) -> None:
-    qc.unsend(qubits, dest, tag)
-
-
-def QMPI_Unrecv(qc: QmpiComm, qubits, source: int, tag: int = 0) -> None:
-    qc.unrecv(qubits, source, tag)
-
-
-def QMPI_Send_move(qc: QmpiComm, qubits, dest: int, tag: int = 0) -> None:
-    qc.send_move(qubits, dest, tag)
-
-
-def QMPI_Recv_move(qc: QmpiComm, qubits, source: int, tag: int = 0) -> None:
-    qc.recv_move(qubits, source, tag)
-
-
-def Measure(qc: QmpiComm, qubit: int) -> int:
-    return qc.measure(qubit)
-
-
-def H(qc: QmpiComm, qubit: int) -> None:
-    qc.h(qubit)
-
-
-def X(qc: QmpiComm, qubit: int) -> None:
-    qc.x(qubit)
-
-
-def Z(qc: QmpiComm, qubit: int) -> None:
-    qc.z(qubit)
-
-
-def CNOT(qc: QmpiComm, control: int, target: int) -> None:
-    qc.cnot(control, target)
-
-
-def Rz(qc: QmpiComm, qubit: int, theta: float) -> None:
-    qc.rz(qubit, theta)
-
-
-def Rx(qc: QmpiComm, qubit: int, theta: float) -> None:
-    qc.rx(qubit, theta)

@@ -18,6 +18,7 @@ applied".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from ..mpi import reduce_ops
 from . import p2p
@@ -31,17 +32,14 @@ __all__ = [
     "gather",
     "ungather",
     "gatherv",
-    "ungatherv",
     "scatter",
     "unscatter",
     "scatterv",
-    "unscatterv",
     "allgather",
     "unallgather",
     "alltoall",
     "unalltoall",
     "alltoallv",
-    "unalltoallv",
     "reduce",
     "unreduce",
     "allreduce",
@@ -51,7 +49,6 @@ __all__ = [
     "scan",
     "unscan",
     "exscan",
-    "unexscan",
     "gather_move",
     "scatter_move",
     "alltoall_move",
@@ -174,46 +171,53 @@ def gather(qc, qubits, root: int = 0, tag: int = 0) -> tuple[Qureg | None, Gathe
     concatenation over ranks (the root's own block is its original data);
     elsewhere ``result`` is None.
     """
-    return _gather_impl(qc, qubits, root, tag, move=False, op="gather")
+    return _gather(qc, qubits, None, root, tag, move=False, op="gather")
+
+
+def gatherv(qc, qubits, counts: list[int], root: int = 0, tag: int = 0):
+    """Gather with per-rank register sizes (``counts[r]`` qubits from r)."""
+    return _gather(qc, qubits, counts, root, tag, move=False, op="gatherv")
 
 
 def gather_move(qc, qubits, root: int = 0, tag: int = 0) -> tuple[Qureg | None, GatherHandle]:
     """Gather with move semantics: qubits teleport to the root (e.g. to
     co-locate rotation targets with magic-state factories, §4.5)."""
-    return _gather_impl(qc, qubits, root, tag, move=True, op="gather_move")
+    return _gather(qc, qubits, None, root, tag, move=True, op="gather_move")
 
 
-def _gather_impl(qc, qubits, root, tag, move, op):
+def _gather(qc, qubits, counts, root, tag, move, op):
+    """Body of the gather family; ``counts=None`` means every rank sends
+    a register the size of the caller's."""
     qubits = as_qureg(qubits)
     rank, size = qc.rank, qc.size
+    if counts is None:
+        counts = [len(qubits)] * size
+    elif len(qubits) != counts[rank]:
+        raise ValueError("register size does not match counts[rank]")
+    send, recv = (p2p.send_move, p2p.recv_move) if move else (p2p.send, p2p.recv)
     qc.flush_ops()
     with qc.ledger.scope(op):
         handle = GatherHandle(root=root, tag=tag, move=move)
         if rank == root:
             blocks: list[Qureg] = []
-            for src in range(size):
+            for src, cnt in enumerate(counts):
                 if src == root:
                     blocks.append(qubits)
                     continue
-                target = qc.backend.alloc(rank, len(qubits))
-                if move:
-                    p2p.recv_move(qc, target, src, tag, _op=op)
-                else:
-                    p2p.recv(qc, target, src, tag, _op=op)
-                handle.received[src] = target
-                blocks.append(target)
-            out = Qureg([q for blk in blocks for q in blk])
-            return out, handle
-        if move:
-            p2p.send_move(qc, qubits, root, tag, _op=op)
-        else:
-            p2p.send(qc, qubits, root, tag, _op=op)
+                block = recv(qc, qc.backend.alloc(rank, cnt), src, tag, _op=op) if cnt else Qureg(())
+                handle.received[src] = block
+                blocks.append(block)
+            return Qureg([q for blk in blocks for q in blk]), handle
+        if len(qubits):
+            send(qc, qubits, root, tag, _op=op)
         handle.sent = qubits
         return None, handle
 
 
 def ungather(qc, handle: GatherHandle) -> None:
-    """Inverse of gather: root unreceives every copy, sources apply Z."""
+    """Inverse of gather / gatherv / gather_move: the root unreceives every
+    copy (or teleports it back), sources apply Z (or receive their qubits
+    back into fresh ones, recorded as ``handle.sent``)."""
     rank = qc.rank
     qc.flush_ops()
     with qc.ledger.scope("ungather"):
@@ -229,37 +233,6 @@ def ungather(qc, handle: GatherHandle) -> None:
                 handle.sent = fresh
             else:
                 p2p.unsend(qc, handle.sent, handle.root, handle.tag)
-
-
-def gatherv(qc, qubits, counts: list[int], root: int = 0, tag: int = 0):
-    """Gather with per-rank register sizes (``counts[r]`` qubits from r)."""
-    qubits = as_qureg(qubits)
-    if len(qubits) != counts[qc.rank]:
-        raise ValueError("register size does not match counts[rank]")
-    rank, size = qc.rank, qc.size
-    qc.flush_ops()
-    with qc.ledger.scope("gatherv"):
-        handle = GatherHandle(root=root, tag=tag, move=False)
-        if rank == root:
-            blocks = []
-            for src in range(size):
-                if src == root:
-                    blocks.append(qubits)
-                    continue
-                target = qc.backend.alloc(rank, counts[src]) if counts[src] else Qureg(())
-                if counts[src]:
-                    p2p.recv(qc, target, src, tag, _op="gatherv")
-                handle.received[src] = target
-                blocks.append(target)
-            return Qureg([q for blk in blocks for q in blk]), handle
-        if len(qubits):
-            p2p.send(qc, qubits, root, tag, _op="gatherv")
-        handle.sent = qubits
-        return None, handle
-
-
-def ungatherv(qc, handle: GatherHandle) -> None:
-    ungather(qc, handle)
 
 
 @dataclass
@@ -279,94 +252,67 @@ def scatter(qc, qubits, recv_qubits, root: int = 0, tag: int = 0) -> tuple[Qureg
     ``recv_qubits`` is each rank's fresh |0> target block (the root's own
     block is returned as-is without communication).
     """
-    return _scatter_impl(qc, qubits, recv_qubits, root, tag, move=False, op="scatter")
+    return _scatter(qc, qubits, None, recv_qubits, root, tag, move=False, op="scatter")
+
+
+def scatterv(qc, qubits, counts: list[int], recv_qubits, root: int = 0, tag: int = 0):
+    """Scatter with per-rank block sizes."""
+    return _scatter(qc, qubits, counts, recv_qubits, root, tag, move=False, op="scatterv")
 
 
 def scatter_move(qc, qubits, recv_qubits, root: int = 0, tag: int = 0):
     """Scatter with move semantics (teleport blocks out; §4.5's example of
     spreading rotation qubits across nodes for factory parallelism)."""
-    return _scatter_impl(qc, qubits, recv_qubits, root, tag, move=True, op="scatter_move")
+    return _scatter(qc, qubits, None, recv_qubits, root, tag, move=True, op="scatter_move")
 
 
-def _scatter_impl(qc, qubits, recv_qubits, root, tag, move, op):
+def _scatter(qc, qubits, counts, recv_qubits, root, tag, move, op):
+    """Body of the scatter family; ``counts=None`` means equal blocks."""
     rank, size = qc.rank, qc.size
+    send, recv = (p2p.send_move, p2p.recv_move) if move else (p2p.send, p2p.recv)
     qc.flush_ops()
     with qc.ledger.scope(op):
         handle = ScatterHandle(root=root, tag=tag, move=move)
         if rank == root:
             qubits = as_qureg(qubits)
-            if len(qubits) % size:
-                raise ValueError("scatter register must split into equal blocks")
-            blk = len(qubits) // size
-            blocks = {dst: qubits[dst * blk : (dst + 1) * blk] for dst in range(size)}
-            for dst in range(size):
-                if dst == root:
-                    continue
-                if move:
-                    p2p.send_move(qc, blocks[dst], dst, tag, _op=op)
-                else:
-                    p2p.send(qc, blocks[dst], dst, tag, _op=op)
-                handle.kept[dst] = blocks[dst]
+            if counts is None:
+                if len(qubits) % size:
+                    raise ValueError("scatter register must split into equal blocks")
+                counts = [len(qubits) // size] * size
+            elif len(qubits) != sum(counts):
+                raise ValueError("scatterv register size != sum(counts)")
+            off = list(accumulate(counts, initial=0))
+            blocks = [qubits[off[dst] : off[dst + 1]] for dst in range(size)]
+            for dst, block in enumerate(blocks):
+                if dst != root and len(block):
+                    send(qc, block, dst, tag, _op=op)
+                    handle.kept[dst] = block
             handle.received = blocks[root]
             return blocks[root], handle
         recv_qubits = as_qureg(recv_qubits)
-        if move:
-            p2p.recv_move(qc, recv_qubits, root, tag, _op=op)
-        else:
-            p2p.recv(qc, recv_qubits, root, tag, _op=op)
+        if len(recv_qubits):
+            recv(qc, recv_qubits, root, tag, _op=op)
         handle.received = recv_qubits
         return recv_qubits, handle
 
 
 def unscatter(qc, handle: ScatterHandle) -> None:
-    """Inverse of scatter: non-roots unreceive, root applies fixups."""
+    """Inverse of scatter / scatterv / scatter_move: non-roots unreceive
+    (or teleport back), the root applies fixups (or receives each block
+    back into fresh qubits, recorded in ``handle.kept``)."""
     rank = qc.rank
     qc.flush_ops()
     with qc.ledger.scope("unscatter"):
         if rank == handle.root:
             for dst, block in handle.kept.items():
                 if handle.move:
-                    p2p.unsend_move(qc, block, dst, handle.tag)
+                    handle.kept[dst] = p2p.unsend_move(qc, len(block), dst, handle.tag)
                 else:
                     p2p.unsend(qc, block, dst, handle.tag)
+        elif handle.move:
+            p2p.unrecv_move(qc, handle.received, handle.root, handle.tag)
         else:
-            if handle.move:
-                p2p.unrecv_move(qc, handle.received, handle.root, handle.tag)
-            else:
-                p2p.unrecv(qc, handle.received, handle.root, handle.tag)
-
-
-def scatterv(qc, qubits, counts: list[int], recv_qubits, root: int = 0, tag: int = 0):
-    """Scatter with per-rank block sizes."""
-    rank, size = qc.rank, qc.size
-    qc.flush_ops()
-    with qc.ledger.scope("scatterv"):
-        handle = ScatterHandle(root=root, tag=tag, move=False)
-        if rank == root:
-            qubits = as_qureg(qubits)
-            if len(qubits) != sum(counts):
-                raise ValueError("scatterv register size != sum(counts)")
-            off = 0
-            blocks = {}
-            for dst in range(size):
-                blocks[dst] = qubits[off : off + counts[dst]]
-                off += counts[dst]
-            for dst in range(size):
-                if dst == root or not counts[dst]:
-                    continue
-                p2p.send(qc, blocks[dst], dst, tag, _op="scatterv")
-                handle.kept[dst] = blocks[dst]
-            handle.received = blocks[root]
-            return blocks[root], handle
-        recv_qubits = as_qureg(recv_qubits)
-        if len(recv_qubits):
-            p2p.recv(qc, recv_qubits, root, tag, _op="scatterv")
-        handle.received = recv_qubits
-        return recv_qubits, handle
-
-
-def unscatterv(qc, handle: ScatterHandle) -> None:
-    unscatter(qc, handle)
+            p2p.unrecv(qc, handle.received, handle.root, handle.tag)
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +349,7 @@ def allgather(qc, qubits, tag: int = 0, algorithm: str = "tree") -> tuple[Qureg,
 
 
 def unallgather(qc, handle: AllgatherHandle) -> None:
+    """Inverse of allgather: one unbcast per source block."""
     qc.flush_ops()
     with qc.ledger.scope("unallgather"):
         for h in handle.bcast_handles:
@@ -424,63 +371,7 @@ def alltoall(qc, qubits, tag: int = 0) -> tuple[Qureg, AlltoallHandle]:
     ``qubits`` holds ``size`` equal blocks, block j destined for rank j.
     Returns blocks ordered by source rank; the diagonal block stays local.
     """
-    return _alltoall_impl(qc, qubits, tag, move=False, op="alltoall")
-
-
-def alltoall_move(qc, qubits, tag: int = 0) -> tuple[Qureg, AlltoallHandle]:
-    """Personalized exchange with move semantics (Table 3 in-place note)."""
-    return _alltoall_impl(qc, qubits, tag, move=True, op="alltoall_move")
-
-
-def _alltoall_impl(qc, qubits, tag, move, op):
-    qubits = as_qureg(qubits)
-    rank, size = qc.rank, qc.size
-    if len(qubits) % size:
-        raise ValueError("alltoall register must split into equal blocks")
-    blk = len(qubits) // size
-    qc.flush_ops()
-    with qc.ledger.scope(op):
-        handle = AlltoallHandle(tag=tag, move=move)
-        out_blocks: dict[int, Qureg] = {rank: qubits[rank * blk : (rank + 1) * blk]}
-        # Post all sends non-blocking, then collect receives: the quantum
-        # analogue of the classical eager exchange, deadlock-free.
-        send_reqs = []
-        for dst in range(size):
-            if dst == rank:
-                continue
-            block = qubits[dst * blk : (dst + 1) * blk]
-            handle.sent[dst] = block
-            send_reqs.append(p2p.isend(qc, block, dst, tag, move=move, _op=op))
-        for src in range(size):
-            if src == rank:
-                continue
-            target = qc.backend.alloc(rank, blk)
-            if move:
-                p2p.recv_move(qc, target, src, tag, _op=op)
-            else:
-                p2p.recv(qc, target, src, tag, _op=op)
-            handle.received[src] = target
-            out_blocks[src] = target
-        for req in send_reqs:
-            req.wait()
-        return Qureg([q for s in range(size) for q in out_blocks[s]]), handle
-
-
-def unalltoall(qc, handle: AlltoallHandle) -> None:
-    rank = qc.rank
-    qc.flush_ops()
-    with qc.ledger.scope("unalltoall"):
-        for src, reg in handle.received.items():
-            if handle.move:
-                p2p.unrecv_move(qc, reg, src, handle.tag)
-            else:
-                p2p.unrecv(qc, reg, src, handle.tag)
-        for dst, reg in handle.sent.items():
-            if handle.move:
-                fresh = p2p.unsend_move(qc, len(reg), dst, handle.tag)
-                handle.sent[dst] = fresh
-            else:
-                p2p.unsend(qc, reg, dst, handle.tag)
+    return _alltoall(qc, qubits, None, tag, move=False, op="alltoall")
 
 
 def alltoallv(qc, qubits, send_counts: list[int], tag: int = 0):
@@ -489,34 +380,47 @@ def alltoallv(qc, qubits, send_counts: list[int], tag: int = 0):
     ``send_counts[j]`` qubits go to rank j; the matrix of counts is
     allgathered classically so receivers know their block sizes.
     """
+    return _alltoall(qc, qubits, send_counts, tag, move=False, op="alltoallv")
+
+
+def alltoall_move(qc, qubits, tag: int = 0) -> tuple[Qureg, AlltoallHandle]:
+    """Personalized exchange with move semantics (Table 3 in-place note)."""
+    return _alltoall(qc, qubits, None, tag, move=True, op="alltoall_move")
+
+
+def _alltoall(qc, qubits, send_counts, tag, move, op):
+    """Body of the alltoall family; ``send_counts=None`` means equal blocks."""
     qubits = as_qureg(qubits)
     rank, size = qc.rank, qc.size
-    if len(qubits) != sum(send_counts):
+    if send_counts is None:
+        if len(qubits) % size:
+            raise ValueError("alltoall register must split into equal blocks")
+        matrix = [[len(qubits) // size] * size] * size
+    elif len(qubits) != sum(send_counts):
         raise ValueError("alltoallv register size != sum(send_counts)")
+    recv = p2p.recv_move if move else p2p.recv
     qc.flush_ops()
-    with qc.ledger.scope("alltoallv"):
-        matrix = qc.comm.allgather(list(send_counts))
-        handle = AlltoallHandle(tag=tag, move=False)
-        off = 0
-        my_block = None
+    with qc.ledger.scope(op):
+        if send_counts is not None:
+            matrix = qc.comm.allgather(list(send_counts))
+        handle = AlltoallHandle(tag=tag, move=move)
+        off = list(accumulate(matrix[rank], initial=0))
+        out_blocks: dict[int, Qureg] = {rank: qubits[off[rank] : off[rank + 1]]}
+        # Post all sends non-blocking, then collect receives: the quantum
+        # analogue of the classical eager exchange, deadlock-free.
         send_reqs = []
         for dst in range(size):
-            block = qubits[off : off + send_counts[dst]]
-            off += send_counts[dst]
             if dst == rank:
-                my_block = block
                 continue
+            block = qubits[off[dst] : off[dst + 1]]
             handle.sent[dst] = block
             if len(block):
-                send_reqs.append(p2p.isend(qc, block, dst, tag, _op="alltoallv"))
-        out_blocks = {rank: my_block}
+                send_reqs.append(p2p.isend(qc, block, dst, tag, move=move, _op=op))
         for src in range(size):
             if src == rank:
                 continue
             cnt = matrix[src][rank]
-            target = qc.backend.alloc(rank, cnt) if cnt else Qureg(())
-            if cnt:
-                p2p.recv(qc, target, src, tag, _op="alltoallv")
+            target = recv(qc, qc.backend.alloc(rank, cnt), src, tag, _op=op) if cnt else Qureg(())
             handle.received[src] = target
             out_blocks[src] = target
         for req in send_reqs:
@@ -524,8 +428,29 @@ def alltoallv(qc, qubits, send_counts: list[int], tag: int = 0):
         return Qureg([q for s in range(size) for q in out_blocks[s]]), handle
 
 
-def unalltoallv(qc, handle: AlltoallHandle) -> None:
-    unalltoall(qc, handle)
+def unalltoall(qc, handle: AlltoallHandle) -> None:
+    """Inverse of alltoall / alltoallv / alltoall_move: every received
+    block is unreceived (or teleported back), every sent block gets its
+    fixups (or comes back into fresh qubits, recorded in ``handle.sent``)."""
+    qc.flush_ops()
+    with qc.ledger.scope("unalltoall"):
+        if not handle.move:
+            for src, reg in handle.received.items():
+                p2p.unrecv(qc, reg, src, handle.tag)
+            for dst, reg in handle.sent.items():
+                p2p.unsend(qc, reg, dst, handle.tag)
+            return
+        # Post the return moves non-blocking, as the forward exchange does:
+        # a blocking move to every peer first leaves each rank waiting in
+        # its own send.
+        reqs = [
+            p2p.isend(qc, reg, src, handle.tag, move=True, _op="unrecv_move")
+            for src, reg in handle.received.items()
+        ]
+        for dst, reg in handle.sent.items():
+            handle.sent[dst] = p2p.unsend_move(qc, len(reg), dst, handle.tag)
+        for req in reqs:
+            req.wait()
 
 
 # ----------------------------------------------------------------------
@@ -679,6 +604,7 @@ class AllreduceHandle:
 
 
 def unallreduce(qc, handle: AllreduceHandle) -> None:
+    """Inverse of allreduce: unbcast the result, then unreduce."""
     qc.flush_ops()
     with qc.ledger.scope("unallreduce"):
         unbcast(qc, handle.bcast_handle)
@@ -709,6 +635,7 @@ def reduce_scatter_block(
 
 
 def unreduce_scatter_block(qc, handles: list) -> None:
+    """Inverse of reduce_scatter_block: unreduce every block, last first."""
     qc.flush_ops()
     with qc.ledger.scope("unreduce_scatter_block"):
         for h in reversed(handles):
@@ -727,7 +654,7 @@ class ScanHandle:
     #: carry register fanned in from rank-1 (work qubits; None on rank 0)
     carry: Qureg | None
     #: this rank's own input register (needed for the unscan fixups)
-    own: Qureg | None = None
+    own: Qureg
 
 
 def scan(
@@ -775,7 +702,7 @@ def _scan_impl(qc, qubits, out, op, tag, inclusive):
                 op.unapply(qc, qubits, carry)
             else:
                 p2p.send(qc, qubits, rank + 1, tag, _op=name)
-        return out, ScanHandle(tag, op, inclusive, out, carry, own=qubits)
+        return out, ScanHandle(tag, op, inclusive, out, carry, qubits)
 
 
 def unscan(qc, handle: ScanHandle) -> None:
@@ -791,7 +718,7 @@ def unscan(qc, handle: ScanHandle) -> None:
     qc.flush_ops()
     with qc.ledger.scope(name):
         if handle.inclusive:
-            handle.op.unapply(qc, _own_of(qc, handle), handle.out)
+            handle.op.unapply(qc, handle.own, handle.out)
         if handle.carry is not None:
             handle.op.unapply(qc, handle.carry, handle.out)
         qc.backend.free(rank, handle.out)
@@ -806,24 +733,15 @@ def unscan(qc, handle: ScanHandle) -> None:
             p2p.unrecv(qc, handle.carry, rank - 1, handle.tag)
 
 
-def _own_of(qc, handle: ScanHandle) -> Qureg:
-    if handle.own is None:  # pragma: no cover - defensive
-        raise ValueError("scan handle is missing its input register")
-    return handle.own
-
-
 def _apply_downstream_fixup(qc, handle: ScanHandle, rank: int) -> None:
     # The register we fanned to rank+1 was 'carry ⊕ own' (or 'own' at rank
     # 0), temporarily materialized during scan. Its copy downstream is
     # being unreceived; the Z fixup lands on our registers: recompute the
     # combined register, unsend into it, then restore.
     if handle.carry is not None:
-        handle.op.apply(qc, _own_of(qc, handle), handle.carry)
+        handle.op.apply(qc, handle.own, handle.carry)
         p2p.unsend(qc, handle.carry, rank + 1, handle.tag)
-        handle.op.unapply(qc, _own_of(qc, handle), handle.carry)
+        handle.op.unapply(qc, handle.own, handle.carry)
     else:
-        p2p.unsend(qc, _own_of(qc, handle), rank + 1, handle.tag)
+        p2p.unsend(qc, handle.own, rank + 1, handle.tag)
 
-
-def unexscan(qc, handle: ScanHandle) -> None:
-    unscan(qc, handle)

@@ -87,7 +87,9 @@ class QmpiRequest:
         return False
 
 
-def isend(qc, qubits, dest: int, tag: int = 0, move: bool = False, _op: str | None = None) -> QmpiRequest:
+def isend(
+    qc, qubits, dest: int, tag: int = 0, move: bool = False, *, _op: str | None = None
+) -> QmpiRequest:
     """Non-blocking copy (or move) send.
 
     The EPR half and a continuation carrying the rest of the protocol are
@@ -154,7 +156,7 @@ def irecv(qc, qubits, source: int, tag: int = 0, move: bool = False) -> QmpiRequ
 # ----------------------------------------------------------------------
 # copy semantics (fanout)
 # ----------------------------------------------------------------------
-def send(qc, qubits, dest: int, tag: int = 0, _op: str = "send") -> None:
+def send(qc, qubits, dest: int, tag: int = 0, *, _op: str = "send") -> None:
     """Entangled-copy send (fanout) of one or more qubits to ``dest``.
 
     Fig. 3(a): per qubit, CNOT the data qubit onto the local EPR half,
@@ -172,7 +174,7 @@ def send(qc, qubits, dest: int, tag: int = 0, _op: str = "send") -> None:
             qc.send_bits(m, 1, dest, tag)
 
 
-def recv(qc, qubits, source: int, tag: int = 0, _op: str = "recv") -> Qureg:
+def recv(qc, qubits, source: int, tag: int = 0, *, _op: str = "recv") -> Qureg:
     """Receive an entangled copy into fresh |0> ``qubits``."""
     qc.flush_ops()  # stream boundary: buffered gates precede the protocol
     qubits = as_qureg(qubits)
@@ -185,7 +187,7 @@ def recv(qc, qubits, source: int, tag: int = 0, _op: str = "recv") -> Qureg:
     return qubits
 
 
-def unrecv(qc, qubits, source: int, tag: int = 0, _op: str = "unrecv") -> None:
+def unrecv(qc, qubits, source: int, tag: int = 0, *, _op: str = "unrecv") -> None:
     """Uncompute a previously received copy (receiver side).
 
     Fig. 1(b): measure in the X basis; the *sender* must apply Z on
@@ -200,7 +202,7 @@ def unrecv(qc, qubits, source: int, tag: int = 0, _op: str = "unrecv") -> None:
             qc.send_bits(m, 1, source, tag)
 
 
-def unsend(qc, qubits, dest: int, tag: int = 0, _op: str = "unsend") -> None:
+def unsend(qc, qubits, dest: int, tag: int = 0, *, _op: str = "unsend") -> None:
     """Complete the uncopy on the original sender: conditional Z fixup."""
     qc.flush_ops()  # stream boundary: buffered gates precede the protocol
     qubits = as_qureg(qubits)
@@ -213,7 +215,7 @@ def unsend(qc, qubits, dest: int, tag: int = 0, _op: str = "unsend") -> None:
 # ----------------------------------------------------------------------
 # move semantics (teleportation)
 # ----------------------------------------------------------------------
-def send_move(qc, qubits, dest: int, tag: int = 0, _op: str = "send_move") -> None:
+def send_move(qc, qubits, dest: int, tag: int = 0, *, _op: str = "send_move") -> None:
     """Teleport qubits to ``dest`` (Appendix A.1 QMPI_Send_move).
 
     The local qubits are measured out and released; ownership of the state
@@ -231,7 +233,7 @@ def send_move(qc, qubits, dest: int, tag: int = 0, _op: str = "send_move") -> No
             qc.send_bits(r, 2, dest, tag)
 
 
-def recv_move(qc, qubits, source: int, tag: int = 0, _op: str = "recv_move") -> Qureg:
+def recv_move(qc, qubits, source: int, tag: int = 0, *, _op: str = "recv_move") -> Qureg:
     """Receive teleported qubits into fresh |0> targets (QMPI_Recv_move)."""
     qc.flush_ops()  # stream boundary: buffered gates precede the protocol
     qubits = as_qureg(qubits)

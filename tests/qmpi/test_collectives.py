@@ -208,6 +208,35 @@ def test_scatter_and_unscatter():
     assert qmpi_run(4, prog, seed=0).results == [0, 1, 0, 1]
 
 
+@pytest.mark.parametrize("backend", ["shared", "sharded"])
+def test_scatter_move_and_unscatter(backend):
+    # unscatter teleports each block back into fresh root qubits and
+    # records them in the handle; the teleported-away ids are gone.
+    def prog(qc):
+        n = qc.size
+        if qc.rank == 0:
+            reg = qc.alloc_qmem(n)
+            for i in range(n):
+                qc.ry(reg[i], 0.3 * (i + 1))
+            mine, h = qc.scatter_move(reg, None, root=0)
+        else:
+            mine, h = qc.scatter_move(None, qc.alloc_qmem(1), root=0)
+        p = qc.prob_one(mine[0])
+        qc.unscatter(h)
+        if qc.rank:
+            return p, len(qc.backend.owned_by(qc.rank))
+        back = [mine[0]] + [q for dst in sorted(h.kept) for q in h.kept[dst]]
+        assert not set(back[1:]) & set(reg)
+        return [qc.prob_one(q) for q in back], len(qc.backend.owned_by(0))
+
+    w = qmpi_run(3, prog, seed=0, backend=backend)
+    expected = [math.sin(0.15 * (i + 1)) ** 2 for i in range(3)]
+    assert w[0][0] == pytest.approx(expected, abs=PROB_ABS)
+    assert w[0][1] == 3
+    for r in (1, 2):
+        assert w[r] == (pytest.approx(expected[r], abs=PROB_ABS), 0)
+
+
 def test_scatterv_gatherv_variable_counts():
     counts = [2, 0, 1]
 
@@ -263,8 +292,7 @@ def test_alltoall(move):
         else:
             reg, h = qc.alltoall(q)
         vals = [round(qc.prob_one(x)) for x in reg]
-        if not move:
-            qc.unalltoall(h)
+        qc.unalltoall(h)
         return vals
 
     w = qmpi_run(3, prog, seed=6, timeout=90)
