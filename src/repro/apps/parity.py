@@ -20,7 +20,6 @@ convention; a dedicated ancilla node adds one more pair).
 
 from __future__ import annotations
 
-from ..mpi import reduce_ops
 from ..qmpi.api import QmpiComm
 from ..qmpi.cat import cat_state_chain
 
@@ -108,8 +107,7 @@ def rotate_parity_outofplace(qc: QmpiComm, qubit: int, theta: float, aux_rank: i
             qc.rz(anc, theta)
             qc.h(anc)
             m = qc.measure_and_release(anc)
-        m = qc.comm.bcast(m, root=aux_rank)
-        qc.ledger.record_classical(1)
+        m = qc.bits.bcast(m, 1, root=aux_rank)
         if m:
             qc.z(qubit)
 
@@ -135,8 +133,7 @@ def rotate_parity_constdepth(qc: QmpiComm, qubit: int, theta: float, tag: int = 
             m = qc.measure_and_release(share)
         else:
             m = 0
-        par = qc.comm.reduce(m, reduce_ops.BXOR, root=0)
-        qc.ledger.record_classical(1)
+        par = qc.bits.reduce(m, 1, root=0)
         m2 = None
         if rank == 0:
             if par:
@@ -145,7 +142,6 @@ def rotate_parity_constdepth(qc: QmpiComm, qubit: int, theta: float, tag: int = 
             qc.rz(share, theta)
             qc.h(share)
             m2 = qc.measure_and_release(share)
-        m2 = qc.comm.bcast(m2, root=0)
-        qc.ledger.record_classical(1)
+        m2 = qc.bits.bcast(m2, 1, root=0)
         if m2:
             qc.z(qubit)

@@ -31,7 +31,7 @@ from . import ops as _ops
 from . import p2p as _p2p
 from .ops import GateDef, Op
 from .qubit import Qureg, as_qureg
-from .resource import Ledger
+from .resource import BitChannel, Ledger
 from .stream import OpStream
 
 __all__ = ["QmpiComm", "qmpi_run", "QmpiWorld"]
@@ -45,6 +45,10 @@ class QmpiComm:
     comm:
         The user's classical MPI communicator (use freely for classical
         data; QMPI protocol traffic travels on a private dup).
+    bits:
+        The ledgered classical channel on that private dup
+        (:class:`~repro.qmpi.resource.BitChannel`): every protocol's
+        measurement outcomes and fixups travel, and are counted, here.
     backend:
         The quantum backend (rank-checked gate access; shared or sharded).
     epr:
@@ -75,6 +79,7 @@ class QmpiComm:
         self.backend = backend
         self.epr = epr
         self.ledger = ledger
+        self.bits = BitChannel(self._pcomm, ledger)
         self.context = self._pcomm.context
         self.stream = OpStream(backend, comm.rank, fusion=fusion)
 
@@ -138,25 +143,6 @@ class QmpiComm:
         """
         self.flush_ops()
         return self.backend.statevector(qubits)
-
-    # ------------------------------------------------------------------
-    # classical protocol bits (ledger-counted)
-    # ------------------------------------------------------------------
-    # Convention: every transmitted bit increments the global totals
-    # exactly once, on the *sending* side; the receiving side attributes
-    # the same bits to its own operation row without touching totals, so
-    # two-sided protocols (send/recv, unsend/unrecv) account their
-    # Table 1-3 classical cost on both endpoints' rows.
-    def send_bits(self, value: int, nbits: int, dest: int, tag: int = 0) -> None:
-        """Send protocol fixup bits over the private classical channel."""
-        self.ledger.record_classical(nbits)
-        self._pcomm.send(value, dest, tag)
-
-    def recv_bits(self, nbits: int, source: int, tag: int = 0) -> int:
-        """Receive protocol fixup bits (row-attributed, not re-counted)."""
-        value = self._pcomm.recv(source=source, tag=tag)
-        self.ledger.record_classical_receipt(nbits)
-        return value
 
     # ------------------------------------------------------------------
     # EPR (§4.3)

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from ..mpi import reduce_ops
-
 __all__ = ["cat_state_chain", "cat_state_tree", "uncat", "CatHandle"]
 
 
@@ -78,8 +76,7 @@ def cat_state_chain(qc, qubit: int, tag: int = 0) -> CatHandle:
         qc.epr.consume(rank)
         # Classical fixup: X on rank k iff XOR of merge outcomes at ranks
         # < k is 1 (exscan, O(log N) — Sanders & Träff).
-        prefix = qc.comm.exscan(m, reduce_ops.BXOR)
-        qc.ledger.record_classical(1)  # each rank contributes one bit
+        prefix = qc.bits.exscan(m, 1)
         qc.backend.apply_pauli_if(rank, 0 if prefix is None else prefix, "X", qubit)
         return CatHandle(qubit, 0, tag)
 
@@ -149,8 +146,7 @@ def cat_state_tree(qc, qubit: int, graph: nx.Graph | None = None, root: int = 0,
         qc.epr.consume(rank)
 
         # Fixup: gather per-edge outcomes at root, DFS accumulating parity.
-        all_outcomes = qc.comm.gather(outcomes, root=root)
-        qc.ledger.record_classical(max(1, len(outcomes)))
+        all_outcomes = qc.bits.gather(outcomes, len(outcomes), root=root)
         if rank == root:
             fix = [0] * size
             merged: dict[int, int] = {}
@@ -167,8 +163,7 @@ def cat_state_tree(qc, qubit: int, graph: nx.Graph | None = None, root: int = 0,
             dfs(root, 0)
         else:
             fix = None
-        myfix = qc.comm.scatter(fix, root=root)
-        qc.ledger.record_classical(1)
+        myfix = qc.bits.scatter(fix, 1, root=root)
         qc.backend.apply_pauli_if(rank, myfix, "X", qubit)
         return CatHandle(qubit, root, tag)
 
@@ -178,14 +173,12 @@ def _tree_dir(parent: int, child: int) -> int:
 
 
 def uncat(qc, handle: CatHandle) -> None:
-    """Disassemble a cat state, leaving |0...0>; root keeps nothing.
+    """Disassemble a cat state, releasing every rank's share.
 
-    Every non-root rank measures its share in the X basis (1 classical bit
-    each, no EPR pairs); the root applies Z^(xor of outcomes) and measures
-    its own share in the Z basis... — actually the root *keeps* its share
-    collapsed to a |+>-like state only if untouched. For the collective
-    use cases the root's share was already consumed; here we uncompute the
-    full cat to |0> everywhere for symmetry with tests.
+    Every non-root rank measures its share in the X basis and releases
+    it; the XOR of those outcomes reaches the root (N-1 classical bits, no
+    EPR pairs), which applies Z^parity, leaving its share in |+>, then H
+    to return it to |0>, and frees it.
     """
     rank = qc.rank
     qc.flush_ops()
@@ -198,8 +191,7 @@ def uncat(qc, handle: CatHandle) -> None:
             m = qc.backend.measure_and_release(rank, handle.qubit, basis="X")
         else:
             m = 0
-        total = qc.comm.reduce(m, reduce_ops.BXOR, root=handle.root)
-        qc.ledger.record_classical(1)
+        total = qc.bits.reduce(m, 1, root=handle.root)
         if rank == handle.root:
             qc.backend.apply_pauli_if(rank, total, "Z", handle.qubit)
             # Root share is now |+>; return it to |0>.

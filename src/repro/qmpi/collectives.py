@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from ..mpi import reduce_ops
 from . import p2p
 from .cat import cat_state_chain
 from .qubit import Qureg, as_qureg
@@ -122,8 +121,7 @@ def _bcast_cat_one(qc, qubit: int, root: int, tag: int) -> None:
     else:
         cat_state_chain(qc, qubit, tag)
         m = None
-    m = qc.comm.bcast(m, root=root)
-    qc.ledger.record_classical(1)
+    m = qc.bits.bcast(m, 1, root=root)
     if rank != root:
         qc.backend.apply_pauli_if(rank, m, "X", qubit)
 
@@ -143,10 +141,9 @@ def unbcast(qc, handle: BcastHandle) -> None:
         for q in handle.qubits:
             if rank != handle.root:
                 m = qc.backend.measure_and_release(rank, q, basis="X")
-                qc.ledger.record_classical(1)
             else:
                 m = 0
-            total = qc.comm.reduce(m, reduce_ops.BXOR, root=handle.root)
+            total = qc.bits.reduce(m, 1, root=handle.root)
             if rank == handle.root:
                 qc.backend.apply_pauli_if(rank, total, "Z", q)
 
@@ -402,7 +399,10 @@ def _alltoall(qc, qubits, send_counts, tag, move, op):
     qc.flush_ops()
     with qc.ledger.scope(op):
         if send_counts is not None:
-            matrix = qc.comm.allgather(list(send_counts))
+            # MPI callers pass these as recvcounts: call arguments, not
+            # protocol bits, so they travel unledgered on the protocol
+            # context.
+            matrix = qc._pcomm.allgather(list(send_counts))
         handle = AlltoallHandle(tag=tag, move=move)
         off = list(accumulate(matrix[rank], initial=0))
         out_blocks: dict[int, Qureg] = {rank: qubits[off[rank] : off[rank + 1]]}

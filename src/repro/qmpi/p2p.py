@@ -110,9 +110,9 @@ def isend(
                 qc.epr.consume(qc.rank)
                 if move:
                     m |= 2 * qc.backend.measure_and_release(qc.rank, q, basis="X")
-                    qc.send_bits(m, 2, dest, tag)
+                    qc.bits.send(m, 2, dest, tag)
                 else:
-                    qc.send_bits(m, 1, dest, tag)
+                    qc.bits.send(m, 1, dest, tag)
 
         reqs.append(
             qc.epr.iprepare(
@@ -141,11 +141,11 @@ def irecv(qc, qubits, source: int, tag: int = 0, move: bool = False) -> QmpiRequ
         with qc.ledger.scope(op):
             for q in qubits:
                 if move:
-                    r = qc.recv_bits(2, source, tag)
+                    r = qc.bits.recv(2, source, tag)
                     qc.backend.apply_pauli_if(qc.rank, r & 1, "X", q)
                     qc.backend.apply_pauli_if(qc.rank, r & 2, "Z", q)
                 else:
-                    m = qc.recv_bits(1, source, tag)
+                    m = qc.bits.recv(1, source, tag)
                     qc.backend.apply_pauli_if(qc.rank, m, "X", q)
                 qc.epr.consume(qc.rank)
             return qubits
@@ -171,7 +171,7 @@ def send(qc, qubits, dest: int, tag: int = 0, *, _op: str = "send") -> None:
             qc.epr.prepare(qc.rank, e, dest, tag, qc.context, _dir(qc.rank))
             m = qc.backend.measure_and_release(qc.rank, e, control=q)
             qc.epr.consume(qc.rank)
-            qc.send_bits(m, 1, dest, tag)
+            qc.bits.send(m, 1, dest, tag)
 
 
 def recv(qc, qubits, source: int, tag: int = 0, *, _op: str = "recv") -> Qureg:
@@ -181,7 +181,7 @@ def recv(qc, qubits, source: int, tag: int = 0, *, _op: str = "recv") -> Qureg:
     with qc.ledger.scope(_op):
         for q in qubits:
             qc.epr.prepare(qc.rank, q, source, tag, qc.context, _dir(source))
-            m = qc.recv_bits(1, source, tag)
+            m = qc.bits.recv(1, source, tag)
             qc.backend.apply_pauli_if(qc.rank, m, "X", q)
             qc.epr.consume(qc.rank)  # the half is now data, not buffer
     return qubits
@@ -199,7 +199,7 @@ def unrecv(qc, qubits, source: int, tag: int = 0, *, _op: str = "unrecv") -> Non
     with qc.ledger.scope(_op):
         for q in qubits:
             m = qc.backend.measure_and_release(qc.rank, q, basis="X")
-            qc.send_bits(m, 1, source, tag)
+            qc.bits.send(m, 1, source, tag)
 
 
 def unsend(qc, qubits, dest: int, tag: int = 0, *, _op: str = "unsend") -> None:
@@ -208,7 +208,7 @@ def unsend(qc, qubits, dest: int, tag: int = 0, *, _op: str = "unsend") -> None:
     qubits = as_qureg(qubits)
     with qc.ledger.scope(_op):
         for q in qubits:
-            m = qc.recv_bits(1, dest, tag)
+            m = qc.bits.recv(1, dest, tag)
             qc.backend.apply_pauli_if(qc.rank, m, "Z", q)
 
 
@@ -230,7 +230,7 @@ def send_move(qc, qubits, dest: int, tag: int = 0, *, _op: str = "send_move") ->
             r = qc.backend.measure_and_release(qc.rank, e, control=q)
             qc.epr.consume(qc.rank)
             r |= 2 * qc.backend.measure_and_release(qc.rank, q, basis="X")
-            qc.send_bits(r, 2, dest, tag)
+            qc.bits.send(r, 2, dest, tag)
 
 
 def recv_move(qc, qubits, source: int, tag: int = 0, *, _op: str = "recv_move") -> Qureg:
@@ -240,7 +240,7 @@ def recv_move(qc, qubits, source: int, tag: int = 0, *, _op: str = "recv_move") 
     with qc.ledger.scope(_op):
         for q in qubits:
             qc.epr.prepare(qc.rank, q, source, tag, qc.context, _dir(source))
-            r = qc.recv_bits(2, source, tag)
+            r = qc.bits.recv(2, source, tag)
             qc.backend.apply_pauli_if(qc.rank, r & 1, "X", q)
             qc.backend.apply_pauli_if(qc.rank, r & 2, "Z", q)
             qc.epr.consume(qc.rank)

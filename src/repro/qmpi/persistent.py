@@ -87,7 +87,7 @@ class PersistentChannel:
                 e = self._take()
                 m = qc.backend.measure_and_release(qc.rank, e, control=q)
                 qc.epr.consume(qc.rank)
-                qc.send_bits(m, 1, self.peer, self.tag)
+                qc.bits.send(m, 1, self.peer, self.tag)
 
     def recv(self, n: int = 1) -> Qureg:
         """Receive entangled copies into pooled halves; returns them."""
@@ -97,7 +97,7 @@ class PersistentChannel:
         with qc.ledger.scope("persistent_recv"):
             for _ in range(n):
                 q = self._take()
-                m = qc.recv_bits(1, self.peer, self.tag)
+                m = qc.bits.recv(1, self.peer, self.tag)
                 if m:
                     qc.backend.x(qc.rank, q)
                 qc.epr.consume(qc.rank)
@@ -115,7 +115,7 @@ class PersistentChannel:
                 r = qc.backend.measure_and_release(qc.rank, e, control=q)
                 qc.epr.consume(qc.rank)
                 r |= 2 * qc.backend.measure_and_release(qc.rank, q, basis="X")
-                qc.send_bits(r, 2, self.peer, self.tag)
+                qc.bits.send(r, 2, self.peer, self.tag)
 
     def recv_move(self, n: int = 1) -> Qureg:
         """Receive teleported qubits into pooled halves."""
@@ -125,7 +125,7 @@ class PersistentChannel:
         with qc.ledger.scope("persistent_recv_move"):
             for _ in range(n):
                 q = self._take()
-                r = qc.recv_bits(2, self.peer, self.tag)
+                r = qc.bits.recv(2, self.peer, self.tag)
                 if r & 1:
                     qc.backend.x(qc.rank, q)
                 if r & 2:

@@ -4,7 +4,6 @@ Public surface:
 
 * :class:`~repro.sim.statevector.StateVector` — the engine
 * :class:`~repro.sim.sharded.ShardedStateVector` — chunk-distributed engine
-* :class:`~repro.sim.tracker.TrackedStateVector` — engine + gate tallies
 * :mod:`~repro.sim.diag` — diagonal phase-vector batching (``DiagBatch``)
 * :mod:`~repro.sim.plan` — per-chunk contraction plans (``ContractionPlan``)
 * :mod:`~repro.sim.gates` — gate matrices and the ``GATESET`` table the
@@ -25,13 +24,10 @@ from .schedule import (
 )
 from .sharded import ShardedStateVector
 from .statevector import SimulationError, StateVector
-from .tracker import GateCounts, TrackedStateVector
 
 __all__ = [
     "StateVector",
     "ShardedStateVector",
-    "TrackedStateVector",
-    "GateCounts",
     "DiagBatch",
     "ContractionPlan",
     "coalesce_diagonals",

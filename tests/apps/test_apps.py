@@ -79,6 +79,17 @@ def test_fig6_epr_budgets(method, epr_of_k):
         assert w.ledger.snapshot().epr_pairs == epr_of_k(k), (method, k)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("method", ["b", "c"])
+def test_fig6_classical_bits(method, k):
+    # (b): k-1 distributed CNOTs (a copy bit and an uncopy bit each), then
+    # the ancilla's outcome broadcast to the k-1 other ranks.
+    # (c): the cat chain's exscan, the unfanout's XOR reduce and the
+    # outcome broadcast, k-1 bits each.
+    w = qmpi_run(k, _parity_prog, args=(method, 0.9), seed=5)
+    assert w.ledger.snapshot().classical_bits == 3 * (k - 1)
+
+
 def _tfim_fidelity(n_ranks, m, J, g, time, steps):
     w = qmpi_run(n_ranks, tfim_program, args=(J, g, time, m, steps), seed=0, timeout=300)
     qubits = [q for block in w.results for q in block]

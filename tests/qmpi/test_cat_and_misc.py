@@ -75,6 +75,40 @@ def test_cat_single_rank_is_plus():
     assert qmpi_run(1, prog, seed=0).results[0] == pytest.approx(0.5, abs=PROB_ABS)
 
 
+def _tree_merge_bits(n):
+    """Merge outcomes the default binary-heap tree's non-roots hold: one
+    per child of a non-root rank."""
+    return sum(1 for child in range(1, n) if (child - 1) // 2 != 0)
+
+
+#: (EPR pairs, classical bits) under the bit channel's cost model. The
+#: chain's exscan charges ranks 0..n-2 one bit each; uncat's XOR reduce
+#: charges each non-root one bit; the tree gathers the non-roots' merge
+#: outcomes at the root and scatters one fixup bit to each non-root.
+CAT_LEDGERS = {
+    "chain": lambda n: (n - 1, n - 1),
+    "chain+uncat": lambda n: (n - 1, 2 * (n - 1)),
+    "tree": lambda n: (n - 1, _tree_merge_bits(n) + n - 1),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("case", sorted(CAT_LEDGERS))
+def test_cat_ledger_follows_the_channel_cost_model(case, n):
+    def prog(qc):
+        q = qc.alloc_qmem(1)
+        if case == "tree":
+            cat_state_tree(qc, q[0])
+        else:
+            h = cat_state_chain(qc, q[0])
+            if case == "chain+uncat":
+                uncat(qc, h)
+        return True
+
+    snap = qmpi_run(n, prog, seed=n).ledger.snapshot()
+    assert (snap.epr_pairs, snap.classical_bits) == CAT_LEDGERS[case](n)
+
+
 # ----------------------------------------------------------------------
 # datatypes
 # ----------------------------------------------------------------------

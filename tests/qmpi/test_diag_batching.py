@@ -134,21 +134,6 @@ def test_coalesce_leaves_wide_diagonal_unitaries_alone():
     assert out[1] is wide
 
 
-def test_tracked_engine_tallies_diag_batches():
-    from repro.sim import TrackedStateVector
-
-    sv = TrackedStateVector(3, seed=0)
-    batch = DiagBatch.from_ops(
-        [Op("rz", (0,), (0.2,)), Op("rz", (0,), (0.3,)), Op("cz", (1, 2))]
-    )
-    sv.apply_ops([Op("h", (0,)), batch])
-    # merged rz pair = one u1 table, cz = one u2 table, plus the named h
-    assert sv.counts.gates["u1"] == 1
-    assert sv.counts.gates["u2"] == 1
-    assert sv.counts.gates["h"] == 1
-    assert sv.counts.total_gates() == 3
-
-
 # ----------------------------------------------------------------------
 # stream dispatch: what the backend actually receives
 # ----------------------------------------------------------------------

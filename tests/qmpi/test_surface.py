@@ -122,9 +122,13 @@ def _unsendrecv_replace(qc, reg, replaced, unsendrecv_replace):
     return unsendrecv_replace(replaced, dest, src)
 
 
-def _bcast(qc, reg, k, bcast):
-    root = _root(qc.size)
-    return bcast(reg if qc.rank == root else qc.alloc_qmem(k), root=root)
+def _bcast(algorithm):
+    def call(qc, reg, k, bcast):
+        root = _root(qc.size)
+        target = reg if qc.rank == root else qc.alloc_qmem(k)
+        return bcast(target, root=root, algorithm=algorithm)
+
+    return call
 
 
 def _gather(qc, reg, k, gather):
@@ -222,9 +226,16 @@ ROWS = [
     Row(("sendrecv_replace",), ("unsendrecv_replace",), _sendrecv_replace, _unsendrecv_replace,
         lambda n, k: _moves(n * k), lambda n, k: _moves(n * k)),
     # Table 3, rooted at the last rank.
-    Row(("bcast",), ("unbcast",), _bcast, _undo,
+    Row(("bcast",), ("unbcast",), _bcast("tree"), _undo,
         lambda n, k: _copies((n - 1) * k), lambda n, k: _uncopies((n - 1) * k),
         data=_root_only(lambda n, k: k)),
+    # §7.1's constant-depth bcast: a chain cat state (n - 1 pairs, whose
+    # exscan sends n - 1 bits) and the root's parity outcome sent to the
+    # n - 1 other ranks, per qubit: 2 (n - 1) bits, where Table 3's bcast
+    # (the tree row above) sends n - 1. The inverse is unbcast's n - 1.
+    Row(("bcast",), ("unbcast",), _bcast("cat"), _undo,
+        lambda n, k: ((n - 1) * k, 2 * (n - 1) * k), lambda n, k: _uncopies((n - 1) * k),
+        data=_root_only(lambda n, k: k), name="bcast_cat"),
     Row(("gather",), ("ungather",), _gather, _undo,
         lambda n, k: _copies((n - 1) * k), lambda n, k: _uncopies((n - 1) * k)),
     Row(("gatherv",), ("ungatherv",), _gatherv, _undo,
@@ -289,7 +300,7 @@ ALIASES = {
     "munrecv": "unrecv",
 }
 
-#: The local API: identity, memory, measurement, EPR, protocol bits, sync.
+#: The local API: identity, memory, measurement, EPR, sync.
 LOCAL_API = {
     "rank",
     "size",
@@ -300,8 +311,6 @@ LOCAL_API = {
     "measure_and_release",
     "prob_one",
     "statevector",
-    "send_bits",
-    "recv_bits",
     "prepare_epr",
     "iprepare_epr",
     "epr_buffered",
