@@ -9,12 +9,13 @@ import pytest
 
 from repro.apps.ghz import run_ghz_fidelity
 from repro.sendq import SendqParams, analysis, programs, schedule
+from tests._precision import PROB_ABS
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_cat_state_functional(benchmark, n):
     fid = benchmark(lambda: run_ghz_fidelity(n, "chain", seed=3))
-    assert fid == pytest.approx(1.0, abs=1e-9)
+    assert fid == pytest.approx(1.0, abs=PROB_ABS)
     print(f"\nFig. 4 (functional): |cat({n})> fidelity = {fid:.9f}, "
           f"EPR pairs = {n - 1}")
 

@@ -19,6 +19,7 @@ from repro.exact import pauli_matrix
 from repro.qmpi import qmpi_run
 from repro.sendq import SendqParams, analysis, programs, schedule
 from repro.sim import StateVector
+from tests._precision import PROB_ABS
 
 KS = (2, 4, 8, 16, 32, 64)
 
@@ -99,6 +100,6 @@ def test_fig6_functional(benchmark, method, label):
     vec = world.backend.statevector(list(world.results))
     fid = abs(np.vdot(expect, vec)) ** 2
     snap = world.ledger.snapshot()
-    assert fid > 1 - 1e-9
+    assert fid > 1 - PROB_ABS
     print(f"\nFig. 6({method}) [{label}] k={k}: fidelity={fid:.9f}, "
           f"EPR={snap.epr_pairs}, classical bits={snap.classical_bits}")

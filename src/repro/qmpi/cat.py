@@ -92,9 +92,9 @@ def cat_state_tree(qc, qubit: int, graph: nx.Graph | None = None, root: int = 0,
 
     Generalizes the chain: each internal node merges one EPR half per
     child. The fixup parity for node k is the XOR of merge outcomes on the
-    path from the root to k, computed at the root (gather + DFS) and
-    scattered back — O(log n) quantum depth is preserved since the fixup
-    is purely classical.
+    path from the root to k, computed at the root (each non-root internal
+    node sends its outcomes, then a DFS) and scattered back — O(log n)
+    quantum depth is preserved since the fixup is purely classical.
     """
     rank, size = qc.rank, qc.size
     qc.flush_ops()
@@ -145,13 +145,17 @@ def cat_state_tree(qc, qubit: int, graph: nx.Graph | None = None, root: int = 0,
         # half was consumed by its merge measurement above.
         qc.epr.consume(rank)
 
-        # Fixup: gather per-edge outcomes at root, DFS accumulating parity.
-        all_outcomes = qc.bits.gather(outcomes, len(outcomes), root=root)
+        # Fixup: every non-root internal node sends its per-edge outcomes
+        # to the root (a leaf has none, and the root knows the tree), and
+        # the root runs a DFS accumulating parity.
+        if rank != root and my_children:
+            qc.bits.send(outcomes, len(outcomes), root, tag)
         if rank == root:
             fix = [0] * size
-            merged: dict[int, int] = {}
-            for d in all_outcomes:
-                merged.update(d)
+            merged = dict(outcomes)
+            for node, kids in children.items():
+                if node != root and kids:
+                    merged.update(qc.bits.recv(len(kids), node, tag))
 
             def dfs(node: int, acc: int) -> None:
                 fix[node] = acc

@@ -22,10 +22,13 @@ pair-chunk traffic, on any axis.  The tensor itself is built by a
 each phase table folds in while the array is still small (as soon as
 its highest bit exists), so all-distinct pair sets like the QFT ladder
 cost ``sum_parts 2^(maxbit+1)`` updates instead of ``parts * 2^L``.
-On the sharded engine the local tables make one base tensor per batch,
-and the tables that touch a shard bit make one small factor per
-shard-bit signature (:func:`signature_vectors`), so no chunk-sized
-tensor is built per signature.
+Both engines apply a batch one way (:func:`apply_phase_tables`): the
+register is cut into slabs of at most
+:data:`~repro.sim.kernels.TILE_AMPS` amplitudes, the tables on a
+slab's own bits make one slab-sized base tensor, and the tables that
+touch a higher bit (a shard axis or a high local axis) make a small
+factor per group of slabs (:func:`slab_factors`), so no table the size
+of a chunk or of the state is ever built.
 
 This module lives in :mod:`repro.sim` (below the op IR) so both engines
 can import it without cycles;
@@ -39,9 +42,16 @@ import cmath
 
 import numpy as np
 
+from . import kernels as _kernels
 from .kernels import imul as _imul
 
-__all__ = ["DiagBatch", "coalesce_diagonals", "chunk_phase", "signature_vectors"]
+__all__ = [
+    "DiagBatch",
+    "coalesce_diagonals",
+    "chunk_phase",
+    "slab_factors",
+    "apply_phase_tables",
+]
 
 #: Table re-index that swaps the two bits of a pair phase table
 #: (``(a, b) -> (b, a)``: entries 01 and 10 trade places).
@@ -218,47 +228,108 @@ def coalesce_diagonals(ops):
     return out
 
 
-def signature_vectors(singles, pairs, n_local, num_chunks, kernels=None):
-    """Materialize a batch's phase tables once, split by shard-bit signature.
+def slab_factors(singles, pairs, slab_bits, n_slabs, kernels=None):
+    """Split a batch's phase tables into per-slab factors, lazily.
 
+    The register is ``n_slabs`` slabs of ``2^slab_bits`` amplitudes:
+    global amplitude index ``g`` lives in slab ``g >> slab_bits``.
     ``singles``/``pairs`` are bit-position phase tables (the
-    :func:`chunk_phase` convention, with bits ``>= n_local`` on shard
-    axes).  The tables that touch only local bits make one
-    signature-independent ``base`` tensor, built once.  The tables that
-    touch a shard bit make, per distinct *signature* (the chunk's values
-    of the touched shard bits), a small ``extra`` factor: a scalar, or a
-    tensor of size 2 only on the local axes its tables touch.  No
-    ``2^n_local`` tensor is built per signature; a chunk applies
-    ``base`` and then its ``extra`` as two in-place multiplies.
+    :func:`chunk_phase` convention); a bit ``>= slab_bits`` is fixed
+    within a slab, whether it is a shard axis or a high local axis.
 
-    Returns ``(base, extras, sig_of)``: ``base`` (``None`` when no local
-    table is live), a dict mapping each signature tuple to its extra
-    factor (``None`` when it collapses to identity, e.g. a control bit
-    fixed to 0), and the per-chunk signature list (``sig_of[ci]`` keys
-    into ``extras``).  Both factors broadcast against a chunk's
-    ``(-1,) + (2,) * n_local`` view.
+    * The tables on slab bits only make one ``base`` tensor, built once
+      and shared by every slab.
+    * A pair with one bit on each side makes, per value of its high
+      bit, a table on its low axis: these tables make one ``tensor``
+      per *key* (the slab's values of those high bits).
+    * The tables on high bits only make one scalar per *signature*
+      (the slab's values of those bits).
 
+    Yields ``(factors, members)`` per (key, signature) group, one key's
+    tensor built at a time: ``members`` are the group's slab indices
+    and ``factors`` the tensors each of them multiplies in place —
+    ``base``, then the key's tensor times the signature's scalar, with
+    identities left out (a control bit fixed to 0 leaves no factor).
+    Every factor broadcasts against a ``(-1,) + (2,) * slab_bits``
+    slab view and covers at most ``2^slab_bits`` amplitudes, so the
+    scratch is a few slabs however many slabs the register has.
     ``kernels`` (a :class:`repro.sim.kernels.KernelDispatch`) routes
-    table materialization through the native phase-fill driver when the
-    table size warrants it; tables are bit-identical either way.
+    table fills through the native phase fill when the size warrants;
+    tables are bit-identical either way.
     """
-    lo_s = [(b, t) for b, t in singles if b < n_local]
-    hi_s = [(b, t) for b, t in singles if b >= n_local]
-    lo_p = [(bb, t) for bb, t in pairs if bb[0] < n_local and bb[1] < n_local]
-    hi_p = [(bb, t) for bb, t in pairs if bb[0] >= n_local or bb[1] >= n_local]
-    base = _non_identity(chunk_phase(lo_s, lo_p, n_local, kernels=kernels))
-    high_bits = sorted(
-        {b - n_local for b, _ in hi_s}
-        | {b - n_local for bb, _ in hi_p for b in bb if b >= n_local}
+    m = slab_bits
+    lo_s = [(b, t) for b, t in singles if b < m]
+    hi_s = [(b, t) for b, t in singles if b >= m]
+    lo_p, mixed, hi_p = [], [], []
+    for bb, t in pairs:
+        n_high = (bb[0] >= m) + (bb[1] >= m)
+        (lo_p, mixed, hi_p)[n_high].append((bb, t))
+    base = _non_identity(chunk_phase(lo_s, lo_p, m, kernels=kernels))
+    if not (hi_s or mixed or hi_p):
+        if base is not None:
+            yield (base,), range(n_slabs)
+        return
+    key_bits = sorted({b - m for bb, _ in mixed for b in bb if b >= m})
+    sig_bits = sorted(
+        {b - m for b, _ in hi_s} | {b - m for bb, _ in hi_p for b in bb}
     )
-    extras: dict[tuple[int, ...], np.ndarray | None] = {}
-    sig_of: list[tuple[int, ...]] = []
-    for ci in range(num_chunks):
-        sig = tuple((ci >> hb) & 1 for hb in high_bits)
-        sig_of.append(sig)
-        if sig not in extras:
-            extras[sig] = _non_identity(chunk_phase(hi_s, hi_p, n_local, ci, kernels=kernels))
-    return base, extras, sig_of
+    g = np.arange(n_slabs)
+    key = _pack(g, key_bits)
+    group = (key << len(sig_bits)) | _pack(g, sig_bits)
+    # Every slab's scalar at once: the high-only tables read at its bits.
+    scalars = np.ones(n_slabs, dtype=np.complex128)
+    for b, t in hi_s:
+        scalars *= np.asarray(t, dtype=np.complex128)[(g >> (b - m)) & 1]
+    for (ba, bb), t in hi_p:
+        index = (((g >> (ba - m)) & 1) << 1) | ((g >> (bb - m)) & 1)
+        scalars *= np.asarray(t, dtype=np.complex128).reshape(4)[index]
+    order = np.argsort(group, kind="stable")
+    cuts = np.flatnonzero(np.diff(group[order])) + 1
+    tensor, tensor_key = None, None
+    for members in np.split(order, cuts):
+        first = int(members[0])
+        if key[first] != tensor_key:
+            tensor_key = key[first]
+            tensor = _non_identity(chunk_phase([], mixed, m, first, kernels=kernels))
+        scalar = scalars[first]
+        if scalar == 1.0:
+            extra = tensor
+        else:
+            extra = scalar if tensor is None else tensor * scalar
+        factors = tuple(f for f in (base, extra) if f is not None)
+        if factors:
+            yield factors, members.tolist()
+
+
+def apply_phase_tables(singles, pairs, chunks, n_local, kernels=None):
+    """Multiply a batch's phase tables into a register in place, slab by slab.
+
+    The one way both engines apply a :class:`DiagBatch`.  ``chunks``
+    are the register's C-contiguous chunks in global order, each of
+    ``rows`` shot-branch rows times ``2^n_local`` amplitudes (the
+    shared engine's state is one chunk); table bits ``>= n_local`` are
+    shard axes.  Slabs span ``min(n_local, log2 TILE_AMPS)`` bits and
+    take their factors from :func:`slab_factors`, so a register of at
+    most one slab per chunk multiplies one table per chunk.
+    """
+    m = min(n_local, _kernels.TILE_AMPS.bit_length() - 1)
+    per = n_local - m
+    views = [c.reshape((-1, 1 << per) + (2,) * m) for c in chunks]
+    low = (1 << per) - 1
+    for factors, members in slab_factors(singles, pairs, m, len(chunks) << per, kernels):
+        for i in members:
+            v = views[i >> per][:, i & low]
+            for f in factors:
+                v *= f
+
+
+def _pack(values, bits):
+    """``values``' bits at positions ``bits``, packed into ints (first bit
+    most significant)."""
+    out = np.zeros_like(values)
+    for b in bits:
+        out = (out << 1) | ((values >> b) & 1)
+    return out
 
 
 def _non_identity(tensor):

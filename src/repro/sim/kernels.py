@@ -82,6 +82,9 @@ __all__ = [
     "KernelDispatch",
     "Window",
     "JIT_MIN_AMPS_DEFAULT",
+    "TILE_AMPS",
+    "mix_pair",
+    "slabs",
     "provider_name",
     "reset_provider_cache",
 ]
@@ -94,11 +97,12 @@ __all__ = [
 #: set that attribute on an instance to move it.
 JIT_MIN_AMPS_DEFAULT = 1 << 12
 
-#: Most amplitudes one slab of a chunk walk spans
-#: (:meth:`KernelDispatch.contract` and the sharded engine's group
-#: exchange): a slab, its stage and its product (3 x 512 KiB of
-#: ``complex128``) stay inside a 2 MiB L2, and no call allocates a
-#: chunk-sized buffer.  2^15 beat 2^14 by ~8 % on ``trotter_sharded``
+#: Most amplitudes one slab of a chunk walk spans: every in-place step
+#: of both engines (:meth:`KernelDispatch.contract`, :func:`slabs`, the
+#: diagonal batches of :mod:`repro.sim.diag` and the sharded engine's
+#: exchanges) holds a few slabs of scratch, never a chunk-sized
+#: buffer.  A slab, its stage and its product (3 x 512 KiB of
+#: ``complex128``) stay inside a 2 MiB L2.  2^15 beat 2^14 by ~8 % on ``trotter_sharded``
 #: (4 of 4 alternating pairs) and tied it per call; 2^12, 2^13 and
 #: 2^16 lose per call (docs/benchmarks.md).
 TILE_AMPS = 1 << 15
@@ -209,6 +213,50 @@ def sq_full_view(v, u) -> None:
     a0.imag = (u00.real * a0i + u00.imag * a0r) + (u01.real * a1i + u01.imag * a1r)
     a1.real = (u10.real * a0r - u10.imag * a0i) + (u11.real * a1r - u11.imag * a1i)
     a1.imag = (u10.real * a0i + u10.imag * a0r) + (u11.real * a1i + u11.imag * a1r)
+
+
+def slabs(shape):
+    """Index tuples cutting an array of ``shape`` into blocks of at most
+    :data:`TILE_AMPS` elements.
+
+    Only leading axes are cut: the trailing axes whose product fits a
+    slab stay whole, the axis before them is cut into ranges, and every
+    axis before that is walked one index at a time.  Every index is a
+    slice, so a block is a view with the array's own ``ndim``; an array
+    of at most one slab is the single block ``()``.  The in-place
+    kernels walk their views with it, so their scratch is slab-sized
+    whatever the chunk.
+    """
+    inner, cut = 1, len(shape)
+    while cut and inner * shape[cut - 1] <= TILE_AMPS:
+        cut -= 1
+        inner *= shape[cut]
+    if not cut:
+        return [()]
+    cut -= 1
+    step = TILE_AMPS // inner
+    return [
+        tuple(slice(i, i + 1) for i in head) + (slice(s, s + step),)
+        for head in np.ndindex(*shape[:cut])
+        for s in range(0, shape[cut], step)
+    ]
+
+
+def mix_pair(u, lo, hi, from_hi, from_lo) -> None:
+    """``(lo, hi) <- u (lo, hi)``, elementwise and in place, on one slab.
+
+    ``from_hi``/``from_lo`` are what the partner holds: ``hi``/``lo``
+    themselves, or a fabric payload that may alias them.  Each is read
+    before ``hi``/``lo`` is written, so aliasing is safe; the scratch
+    is two slab-sized temporaries.
+    """
+    new_lo = lo * u[0, 0]
+    tmp = from_hi * u[0, 1]
+    new_lo += tmp
+    np.multiply(from_lo, u[1, 0], out=tmp)
+    hi *= u[1, 1]
+    hi += tmp
+    lo[...] = new_lo
 
 
 def _control_index(local_controls, nl: int) -> list:
@@ -657,7 +705,8 @@ class KernelDispatch:
         """Local-axis single-qubit pass (a ``"sq"`` entry on bit ``b``).
 
         A non-diagonal ``u`` goes native through :meth:`drive` when
-        :meth:`native` allows, else through the planar numpy twin; a
+        :meth:`native` allows, else through the planar numpy twin
+        (walked in :func:`slabs`, so its planar copies are slab-sized); a
         diagonal one is two guarded in-place scales.  The chunk may
         carry leading shot-branch rows.
         """
@@ -673,7 +722,11 @@ class KernelDispatch:
             self.drive(chunk, u, b)
         else:
             self.counters["numpy_fallbacks"] += 1
-            sq_full_view(v, u)
+            # Walked with the pair axis innermost, so a slab keeps both
+            # halves of every pair it holds.
+            w = v.transpose(0, 2, 1)
+            for sel in slabs(w.shape):
+                sq_full_view(w[sel].transpose(0, 2, 1), u)
 
     def scale(self, chunk, f) -> None:
         """Whole-chunk scale (shard-axis diagonal / scalar csel entry)."""
@@ -682,7 +735,8 @@ class KernelDispatch:
             chunk *= f
 
     def cc(self, chunk, u, local_controls, t_bit: int, nl: int, diag: bool) -> None:
-        """Locally-targeted controlled 2x2 on the all-ones control slice."""
+        """Locally-targeted controlled 2x2 on the all-ones control slice,
+        walked in :func:`slabs`."""
         _need_c(chunk)
         u = np.asarray(u, dtype=chunk.dtype)
         view = chunk.reshape((-1,) + (2,) * nl)
@@ -699,9 +753,9 @@ class KernelDispatch:
             return
         a0 = view[idx0]
         a1 = view[idx1]
-        new0 = u[0, 0] * a0 + u[0, 1] * a1
-        view[idx1] = u[1, 0] * a0 + u[1, 1] * a1
-        view[idx0] = new0
+        for sel in slabs(a0.shape):
+            x, y = a0[sel], a1[sel]
+            mix_pair(u, x, y, y, x)
 
     def masked_scale(self, chunk, f, local_controls, nl: int) -> None:
         """Control-sliced scale (shard-axis-targeted "cc" diagonal)."""
@@ -724,9 +778,11 @@ class KernelDispatch:
 
         The chunk is then walked in slabs of at most :data:`TILE_AMPS`
         amplitudes (fixed values of the outermost non-window axes), and
-        each slab's product is a fresh slab-sized array copied back
-        through the slab's view, so no call holds a chunk-sized buffer
-        (a chunk of at most one slab is one pass of the walk):
+        each slab's product is copied back through the slab's view, so
+        no call holds a chunk-sized buffer: a walk of several slabs
+        reuses one slab-sized product buffer allocated once per call,
+        and a one-slab walk (a chunk of at most one slab) takes a fresh
+        product:
 
         * a window on the chunk's ``k`` lowest bits is a row-major
           ``(rest, 2^k)`` matrix as it lies — ``np.matmul(rows, u.T)``
@@ -736,8 +792,9 @@ class KernelDispatch:
           ``np.matmul(u, slab)``, no stage;
         * any other window, and any window under controls (over the
           all-ones slice of its controls only), is staged
-          window-axes-first by one strided copy per slab and multiplied
-          with one ``np.dot(u, stage)``.
+          window-axes-first by one strided copy per slab (into a stage
+          buffer allocated once per call, for several slabs) and
+          multiplied with one ``np.dot(u, stage)``.
         """
         _need_c(chunk)
         dim = win.dim
@@ -746,20 +803,31 @@ class KernelDispatch:
             u = u.reshape((2,) * (2 * win.k)).transpose(win.perm).reshape(dim, dim)
         self.counters["csel_hits"] += 1
         step = win.step
+        # A walk of several slabs reuses one product buffer (and, staged,
+        # one stage): a fresh slab-sized array per slab costs page faults
+        # whenever the allocator hands the freed one back to the system.
+        # A one-slab walk takes a fresh product, which is cheaper for
+        # small chunks.
         if win.path == "rows":
             rows = chunk.reshape(-1, dim)
             ut = u.T
+            prod = np.empty((step, dim), dtype=chunk.dtype) if len(rows) > step else None
             for r in range(0, len(rows), step):
                 slab = rows[r : r + step]
-                slab[...] = np.matmul(slab, ut)
+                out = None if prod is None else prod[: len(slab)]
+                slab[...] = np.matmul(slab, ut, out=out)
             return
         if win.path == "run":
             v = chunk.reshape(-1, dim, win.inner)
             cols = win.cols
+            prod = None
+            if len(v) > step or win.inner > cols:
+                prod = np.empty((min(step, len(v)), dim, cols), dtype=chunk.dtype)
             for r in range(0, len(v), step):
                 for c in range(0, win.inner, cols):
                     slab = v[r : r + step, :, c : c + cols]
-                    slab[...] = np.matmul(u, slab)
+                    out = None if prod is None else prod[: len(slab)]
+                    slab[...] = np.matmul(u, slab, out=out)
             return
         w = chunk.reshape(win.shape).transpose(win.axes)[win.sel]
         if win.n_outer is None:  # whole chunk rows fit in a slab: walk blocks of rows
@@ -767,10 +835,19 @@ class KernelDispatch:
             n_rows = chunk.size >> win.nl
             sels = [lead + (slice(r, r + step),) for r in range(0, n_rows, step)]
         else:  # walk the shot-branch rows and the outer axes
-            sels = np.ndindex(w.shape[: win.n_outer])
+            sels = list(np.ndindex(w.shape[: win.n_outer]))
+        if len(sels) == 1:
+            slab = w[sels[0]]
+            slab[...] = np.dot(u, slab.reshape(dim, -1)).reshape(slab.shape)
+            return
+        stage = prod = None
         for sel in sels:
             slab = w[sel]
-            slab[...] = np.dot(u, slab.reshape(dim, -1)).reshape(slab.shape)
+            if prod is None or prod.size != slab.size:
+                stage, prod = np.empty((2, dim, slab.size // dim), dtype=chunk.dtype)
+            stage.reshape(slab.shape)[...] = slab
+            np.dot(u, stage, out=prod)
+            slab[...] = prod.reshape(slab.shape)
 
     def phase_fill(self, scalar, n_live: int, enc) -> np.ndarray | None:
         """Materialize a doubling phase table natively, or None.

@@ -27,9 +27,9 @@ Global amplitude index ``g`` lives in ``chunks[g >> n_local][g & (csize - 1)]``
 with ``csize = 2^n_local``.  Qubit handles are stable integer ids mapped
 to *bit positions*: a freshly allocated qubit is the least significant
 bit, pushing all existing qubits one bit up, which keeps both allocation
-(interleave-doubling each chunk) and the paper-convention ``statevector``
-(first-allocated qubit = most significant bit = plain chunk
-concatenation) purely local operations.
+(a strided fill of each new chunk) and the paper-convention
+``statevector`` (first-allocated qubit = most significant bit = plain
+chunk concatenation) purely local operations.
 
 While fewer than ``log2(R)`` qubits exist the engine runs with
 ``min(R, 2^n)`` active chunks and grows to the full shard count as qubits
@@ -44,12 +44,14 @@ runs once, the schedule cache keeps the program for replay).  The eager
 ``entangle_fresh`` emit :class:`~repro.sim.ops.Op` batches through
 :meth:`~ShardedStateVector.apply_ops`.  Every record is classified
 against the chunk layout exactly once, communication-free stretches
-execute chunk-by-chunk in one pass (kernel runs, plan sub-blocks, and
-:class:`~repro.sim.diag.DiagBatch` phase vectors materialized once per
-shard-bit signature), and only ``mixing`` segments exchange chunks, in
-the exchange layer (pair, restricted-pair and group all-to-all).  One
-process owns every chunk: concurrency lives in the QMPI ranks above
-the backend, never in a second pool under it.
+execute fold by fold without communication (kernel runs, plan
+sub-blocks, and :class:`~repro.sim.diag.DiagBatch` phase tables applied
+slab by slab), and only ``mixing`` segments exchange chunks, in the
+exchange layer (pair, restricted-pair and group all-to-all).  Every
+step updates the chunks in place and holds a few
+:data:`~repro.sim.kernels.TILE_AMPS` slabs of scratch.  One process
+owns every chunk: concurrency lives in the QMPI ranks above the
+backend, never in a second pool under it.
 
 The class mirrors :class:`repro.sim.statevector.StateVector`'s public API
 exactly (same methods, same error messages, same RNG draw discipline), so
@@ -66,8 +68,8 @@ import numpy as np
 
 from ..mpi.fabric import Fabric
 from . import gates as G
-from .diag import DiagBatch, signature_vectors
-from .kernels import TILE_AMPS, KernelDispatch, Window
+from .diag import DiagBatch, apply_phase_tables
+from .kernels import TILE_AMPS, KernelDispatch, Window, mix_pair, slabs
 from .ops import Op, bind_engine_gates, controlled_unitary
 from .schedule import (
     DiagSegment,
@@ -274,35 +276,46 @@ class ShardedStateVector:
     # allocation
     # ------------------------------------------------------------------
     def alloc(self, n: int = 1) -> list[int]:
-        """Allocate ``n`` fresh qubits in |0> and return their ids."""
+        """Allocate ``n`` fresh qubits in |0> and return their ids.
+
+        The fresh qubits take the ``n`` lowest bits (the last id lowest)
+        and every existing qubit moves up ``n`` bits, so old global
+        index ``g`` becomes ``g << n`` and the rest is zero.  While the
+        active chunk count is below ``n_shards`` the register also
+        splits into more chunks, so the count tracks
+        ``min(n_shards, 2^num_qubits)``.  Each new chunk is allocated
+        once, at its final size, and filled at stride ``2^n`` from the
+        one old chunk its amplitudes come from; an old chunk is dropped
+        as soon as its new chunks exist, so the peak is the new register
+        plus one old chunk.
+        """
         if n < 1:
             raise SimulationError(f"cannot allocate {n} qubits")
-        ids = []
-        for _ in range(n):
-            qid = self._next_id
-            self._next_id += 1
-            for q in self._bit_of:
-                self._bit_of[q] += 1
-            self._bit_of[qid] = 0
-            # New LSB in |0>: amplitudes interleave with zeros,
-            # chunk-locally.  When the active chunk count is still below
-            # n_shards the doubled chunk also splits at its top *local*
-            # bit (per branch row) so the count tracks min(n_shards, 2^n).
-            rebalance = len(self._chunks) < self.n_shards
-            B = self._n_branches
-            grown = []
-            for c in self._chunks:
-                g = np.zeros(2 * c.size, dtype=self._dtype)
-                g[0::2] = c
-                if rebalance:
-                    half = g.size // B // 2
-                    v = g.reshape(B, -1)
-                    grown.append(np.ascontiguousarray(v[:, :half]).reshape(-1))
-                    grown.append(np.ascontiguousarray(v[:, half:]).reshape(-1))
-                else:
-                    grown.append(g)
-            self._chunks = grown
-            ids.append(qid)
+        ids = list(range(self._next_id, self._next_id + n))
+        self._next_id += n
+        for q in self._bit_of:
+            self._bit_of[q] += n
+        for i, qid in enumerate(ids):
+            self._bit_of[qid] = n - 1 - i
+        B = self._n_branches
+        old = self._chunks
+        old_size = old[0].size // B  # amplitudes per chunk per branch row
+        count = min(self.n_shards, len(old) << n)
+        per_old = count // len(old)
+        size = (old_size << n) // per_old
+        stride = 1 << n
+        grown = []
+        for o in range(len(old)):
+            src = old[o].reshape(B, old_size)
+            for k in range(per_old):
+                chunk = np.zeros(B * size, dtype=self._dtype)
+                start = k * size  # first new index, within old chunk o's span
+                if start % stride == 0:  # else no old amplitude lands here
+                    a = start >> n
+                    chunk.reshape(B, size)[:, ::stride] = src[:, a : a + max(1, size >> n)]
+                grown.append(chunk)
+            old[o] = None  # free it now: the peak stays one old chunk over the new register
+        self._chunks = grown
         return ids
 
     def release(self, qubit: int) -> None:
@@ -362,18 +375,17 @@ class ShardedStateVector:
     # ------------------------------------------------------------------
     # chunk exchange (the communication layer)
     # ------------------------------------------------------------------
-    def _pair_exchange(self, shard_bit: int) -> list[np.ndarray]:
-        """Every chunk sends its amplitudes to its partner in ``shard_bit``
-        and receives the partner's, all through the fabric mailboxes.
-        Returns the partner chunk for each chunk index."""
+    def _pair_exchange(self, shard_bit: int, cmask: int = 0) -> dict[int, np.ndarray]:
+        """Every chunk whose shard bits cover ``cmask`` sends its amplitudes
+        to its partner in ``shard_bit`` and receives the partner's, all
+        through the fabric mailboxes.  Returns the partner chunk for each
+        participating chunk index."""
         tag = next(self._tags)
         mask = 1 << shard_bit
-        for c in range(len(self._chunks)):
+        parts = [c for c in range(len(self._chunks)) if (c & cmask) == cmask]
+        for c in parts:
             self._fabric.send(0, c, c ^ mask, tag, self._chunks[c])
-        return [
-            self._fabric.recv(0, c, c ^ mask, tag).payload
-            for c in range(len(self._chunks))
-        ]
+        return {c: self._fabric.recv(0, c, c ^ mask, tag).payload for c in parts}
 
     def _group_exchange(
         self, shard_bits: Sequence[int]
@@ -578,34 +590,26 @@ class ShardedStateVector:
                 _apply_generic(chunk, entry, args[0], ci, kd)
 
     def execute_frozen(self, program) -> None:
-        """Execute a frozen program: the engine's only gate-batch path."""
-        nl = self.n_local
+        """Execute a frozen program: the engine's only gate-batch path.
+
+        Every step updates the chunks in place and holds a few
+        :data:`~repro.sim.kernels.TILE_AMPS` slabs of scratch: a fold of
+        kernel runs goes chunk by chunk, a diagonal batch slab by slab
+        (:meth:`_apply_diag_batch`), and a barrier through the exchange
+        layer, which also walks slabs.
+        """
         for step in program:
             if step[0] == "stretch":
                 _, folds, n_segments = step
                 self.segments_executed += n_segments
-                # Chunk-major: materialize every fold's phase tensors
-                # first, then touch each chunk exactly once for the whole
-                # stretch (chunks are independent between barriers, so
-                # the per-chunk op order — and the amplitudes — are
-                # identical to fold-major order), and each fold's tables
-                # are prepared once rather than once per chunk.
-                prepped = [
-                    ("diag", self._prep_diag_batch(payload.batch))
-                    if kind == "diag"
-                    else ("run", payload)
-                    for kind, payload in folds
-                ]
-                for ci, chunk in enumerate(self._chunks):
-                    for kind, payload in prepped:
-                        if kind == "diag":
-                            # Leading -1 axis folds in any shot-branch
-                            # rows; each factor (ndim nl) broadcasts
-                            # over it right-aligned.
-                            v = chunk.reshape((-1,) + (2,) * nl)
-                            for factor in payload[ci]:
-                                v *= factor
-                        else:
+                # Chunks are independent between barriers, so running the
+                # folds one after another gives every chunk the same op
+                # order — and the same amplitudes — as any interleaving.
+                for kind, payload in folds:
+                    if kind == "diag":
+                        self._apply_diag_batch(payload.batch)
+                    else:
+                        for ci, chunk in enumerate(self._chunks):
                             self._exec_frozen_chunk(payload, ci, chunk)
                 continue
             # Barrier: the one record that moves amplitude between
@@ -616,35 +620,24 @@ class ShardedStateVector:
                 barrier.plan if isinstance(barrier, PlanSegment) else barrier.op
             )
 
-    def _batch_tables(self, batch: DiagBatch):
-        """A batch's phase tables keyed by bit position (chunk layout)."""
+    def _apply_diag_batch(self, batch: DiagBatch) -> None:
+        """Multiply a diagonal batch into every chunk in place.
+
+        The tables, keyed by bit position (chunk layout), go to
+        :func:`repro.sim.diag.apply_phase_tables` — the shared engine's
+        path — which cuts each chunk into slabs of at most
+        :data:`~repro.sim.kernels.TILE_AMPS` amplitudes: one slab-sized
+        base table for the low local bits, and a small factor per group
+        of slabs for the tables on higher local bits or shard bits.
+        Shard axes are fixed per chunk, so no amplitude moves between
+        chunks.
+        """
         singles = [(self._bit(q), t) for q, t in batch.phases1.items()]
         pairs = [
             ((self._bit(a), self._bit(b)), t)
             for (a, b), t in batch.phases2.items()
         ]
-        return singles, pairs
-
-    def _prep_diag_batch(self, batch: DiagBatch):
-        """Materialize a diagonal batch as per-chunk phase factors.
-
-        The per-qubit/per-pair phase tables become one broadcastable
-        complex128 ``base`` tensor over the local axes, built once, plus
-        a small ``extra`` factor per *shard-bit signature*
-        (:func:`repro.sim.diag.signature_vectors`).  Returns, per chunk,
-        the factors it multiplies in place (``base`` then its extra;
-        identity factors are left out), so preparing a batch holds one
-        ``2^n_local`` table however many signatures it has.  Factors
-        stay complex128 in every register dtype: the in-place chunk
-        multiply casts on store.
-        """
-        singles, pairs = self._batch_tables(batch)
-        base, extras, sig_of = signature_vectors(
-            singles, pairs, self.n_local, len(self._chunks), kernels=self._kernels
-        )
-        return [
-            tuple(f for f in (base, extras[sig]) if f is not None) for sig in sig_of
-        ]
+        apply_phase_tables(singles, pairs, self._chunks, self.n_local, kernels=self._kernels)
 
     def apply(self, u: np.ndarray, *qubits: int) -> None:
         """Apply a ``2^k x 2^k`` unitary to ``k`` qubits (a one-op batch).
@@ -682,29 +675,40 @@ class ShardedStateVector:
             self._apply_mixed(u, [self._bit(q) for q in rec.qubits])
             return
         u = np.asarray(rec.target_matrix(), dtype=self._dtype)
-        t_bit = self._bit(rec.targets[0])
-        if rec.controls:
-            c_bits = [self._bit(q) for q in rec.controls]
-            self._apply_controlled_high_target(u, c_bits, t_bit)
-        else:
-            self._apply_pair(u, t_bit)
+        self._apply_pair(u, self._bit(rec.targets[0]), [self._bit(q) for q in rec.controls])
 
-    def _apply_pair(self, u: np.ndarray, b: int) -> None:
-        """One-qubit gate on shard axis ``b``: pair-chunk exchange, then a
-        local linear combination, one pair at a time (O(chunk) transient
-        RAM).  The fabric payloads alias live peer chunks, so both halves
-        of a pair are computed before either is rebound.
+    def _apply_pair(self, u: np.ndarray, t_bit: int, c_bits=()) -> None:
+        """Single-target gate on shard axis ``t_bit``, under controls on
+        bits ``c_bits``: pair-chunk exchange, then a local linear
+        combination, in place, slab by slab (a few slabs of scratch).
+
+        Only chunks whose shard-axis control bits are all 1 take part;
+        each pair combines on the all-ones slice of the *local* control
+        axes — no dense ``controlled(u)`` and no group all-to-all.  The
+        fabric payloads alias live peer chunks, so both new halves of a
+        slab are computed before either is written.
         """
-        mask = 1 << (b - self.n_local)
-        partners = self._pair_exchange(b - self.n_local)
-        for i in range(len(self._chunks)):
-            if i & mask:
+        nl = self.n_local
+        cmask = sum(1 << (b - nl) for b in c_bits if b >= nl)
+        # Leading -1 axis folds in any shot-branch rows.
+        shape = (-1,) + (2,) * nl
+        idx: list = [slice(None)] * (nl + 1)
+        for b in c_bits:
+            if b < nl:
+                idx[nl - b] = 1
+        idx = tuple(idx)
+        pmask = 1 << (t_bit - nl)
+        partners = self._pair_exchange(t_bit - nl, cmask)
+        for i in partners:
+            if i & pmask:
                 continue
-            j = i | mask
-            new_lo = u[0, 0] * self._chunks[i] + u[0, 1] * partners[i]
-            new_hi = u[1, 0] * partners[j] + u[1, 1] * self._chunks[j]
-            self._chunks[i] = new_lo
-            self._chunks[j] = new_hi
+            j = i | pmask
+            lo, hi, from_hi, from_lo = (
+                a.reshape(shape)[idx]
+                for a in (self._chunks[i], self._chunks[j], partners[i], partners[j])
+            )
+            for sel in slabs(lo.shape):
+                mix_pair(u, lo[sel], hi[sel], from_hi[sel], from_lo[sel])
 
     def _apply_mixed(self, u: np.ndarray, bits: Sequence[int]) -> None:
         # At least one shard axis: the 2^h chunks agreeing on every
@@ -762,46 +766,6 @@ class ShardedStateVector:
                 for j, v in enumerate(outs):
                     np.dot(u[j << l : (j + 1) << l], flat, out=prod)
                     v[sel] = prod.reshape(shape)
-
-    def _apply_controlled_high_target(self, u: np.ndarray, c_bits, t_bit: int) -> None:
-        """Non-diagonal single-target controlled gate whose target is a
-        shard axis: pair-chunk exchange restricted to participating chunks.
-
-        Only chunks whose high-axis control bits are all 1 take part; each
-        sends its amplitudes to its partner in the target bit and combines
-        on the |1...1> slice of any *local* control axes. This replaces
-        the dense ``controlled(u)`` + group all-to-all fallback: half (or
-        fewer) of the chunks exchange, pairwise, with no group tensor.
-        """
-        nl = self.n_local
-        cmask = sum(1 << (b - nl) for b in c_bits if b >= nl)
-        # Leading -1 axis folds in any shot-branch rows.
-        idx: list = [slice(None)] * (nl + 1)
-        for b in c_bits:
-            if b < nl:
-                idx[1 + nl - 1 - b] = 1
-        idx = tuple(idx)
-        pmask = 1 << (t_bit - nl)
-        tag = next(self._tags)
-        parts = [i for i in range(len(self._chunks)) if (i & cmask) == cmask]
-        for i in parts:
-            self._fabric.send(0, i, i ^ pmask, tag, self._chunks[i])
-        partners = {
-            i: self._fabric.recv(0, i, i ^ pmask, tag).payload for i in parts
-        }
-        # Two passes: payloads may alias live peer chunks (the in-process
-        # fabric does not copy), so compute every new slice before any
-        # chunk is mutated.
-        new = {}
-        for i in parts:
-            own = self._chunks[i].reshape((-1,) + (2,) * nl)
-            par = partners[i].reshape((-1,) + (2,) * nl)
-            if i & pmask:
-                new[i] = u[1, 0] * par[idx] + u[1, 1] * own[idx]
-            else:
-                new[i] = u[0, 0] * own[idx] + u[0, 1] * par[idx]
-        for i in parts:
-            self._chunks[i].reshape((-1,) + (2,) * nl)[idx] = new[i]
 
     # ------------------------------------------------------------------
     # measurement and inspection
@@ -938,7 +902,7 @@ class ShardedStateVector:
         # Gather every replacement first — the in-process fabric does not
         # copy payloads, so partner arrays alias live peer chunks.
         partners = self._pair_exchange(b - nl)
-        rows = [p.reshape(B, -1)[mask] for p in partners]  # fancy index copies
+        rows = [p.reshape(B, -1)[mask] for p in partners.values()]  # fancy index copies
         for c, r in zip(self._chunks, rows):
             c.reshape(B, -1)[mask] = r
 
@@ -1026,7 +990,7 @@ class ShardedStateVector:
         In shots mode this is the root-mean-square of the per-branch
         norms, so it stays ~1 regardless of how many branches exist.
         """
-        sq = sum(float(np.sum(np.abs(c) ** 2)) for c in self._chunks)
+        sq = sum(float(np.vdot(c, c).real) for c in self._chunks)  # no temporaries
         if self._shots is not None:
             sq /= self._n_branches
         return float(np.sqrt(sq))

@@ -42,8 +42,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gates as G
-from .diag import DiagBatch, chunk_phase
-from .kernels import KernelDispatch, Window
+from .diag import DiagBatch, apply_phase_tables
+from .kernels import KernelDispatch, Window, slabs
 from .ops import Op, SimulationError, bind_engine_gates, controlled_unitary
 from .schedule import DiagSegment, KernelRun, compile_segments
 from .shots import ShotBits, branch_mask, fork_outcomes
@@ -534,9 +534,10 @@ class StateVector:
     def execute_frozen(self, program) -> None:
         """Execute a frozen program: the engine's only gate-batch path.
 
-        Every step runs in place on ``_psi`` (kept C-contiguous), so a
-        window holds at most two :data:`~repro.sim.kernels.TILE_AMPS`
-        slabs beyond the state.
+        Every step runs in place on ``_psi`` (kept C-contiguous) and
+        holds a few :data:`~repro.sim.kernels.TILE_AMPS` slabs of
+        scratch beyond the state: a window two (a stage and its
+        product), a diagonal batch a base table and one factor.
         """
         n_segments, steps = program
         self.segments_executed += n_segments
@@ -557,22 +558,24 @@ class StateVector:
                 kd.contract(psi, cell[1], win)
 
     def _apply_diag_batch(self, batch: DiagBatch) -> None:
-        """One vectorized multiply for a whole coalesced diagonal run.
+        """Multiply a whole coalesced diagonal run into the state in place.
 
-        The batch's phase tables are materialized as a single tensor of
-        shape ``(1|2,) * n`` (size 2 only on the involved axes) and
-        broadcast-multiplied into the state — one pass instead of one
-        strided kernel per gate.
+        The state is one chunk to :func:`repro.sim.diag.apply_phase_tables`,
+        the sharded engine's path: a slab-sized base table from the
+        tables on the low bits, plus a small factor per group of slabs
+        for the tables that touch a higher bit — one pass per slab, and
+        no table larger than :data:`~repro.sim.kernels.TILE_AMPS`
+        amplitudes.  A register of at most one slab multiplies one
+        table.
         """
-        n = self._psi.ndim
-        singles = [
-            (n - 1 - self._axis(q), t) for q, t in batch.phases1.items()
-        ]
+        last = self._psi.ndim - 1
+        singles = [(last - self._axis(q), t) for q, t in batch.phases1.items()]
         pairs = [
-            ((n - 1 - self._axis(a), n - 1 - self._axis(b)), t)
+            ((last - self._axis(a), last - self._axis(b)), t)
             for (a, b), t in batch.phases2.items()
         ]
-        self._psi *= chunk_phase(singles, pairs, n, kernels=self._kernels)
+        nl = last + 1 - (self._shots is not None)
+        apply_phase_tables(singles, pairs, [self._psi], nl, kernels=self._kernels)
 
     # ------------------------------------------------------------------
     # measurement and inspection
@@ -654,16 +657,18 @@ class StateVector:
     def _apply_pauli(self, pauli: str, qubit: int, rows) -> None:
         """X/Y/Z on ``qubit`` in place: a swap of its two halves, a
         negation of one, or both — no contraction.  ``rows`` is ``...``
-        or, in shots mode, the boolean mask of the branches to act on."""
+        (walked in slabs) or, in shots mode, the boolean mask of the
+        branches to act on (gathered: the masked rows are copied)."""
         self._merge((qubit,))
         moved = np.moveaxis(self._psi, self._axis(qubit), 0)
         zero, one = moved[0, ...], moved[1, ...]
-        if pauli == "X":
-            zero[rows], one[rows] = one[rows], zero[rows].copy()
-        elif pauli == "Y":
-            zero[rows], one[rows] = -1j * one[rows], 1j * zero[rows]
-        elif pauli == "Z":
-            one[rows] *= -1
+        for sel in slabs(zero.shape) if rows is ... else (rows,):
+            if pauli == "X":
+                zero[sel], one[sel] = one[sel], zero[sel].copy()
+            elif pauli == "Y":
+                zero[sel], one[sel] = -1j * one[sel], 1j * zero[sel]
+            elif pauli == "Z":
+                one[sel] *= -1
 
     def postselect(self, qubit: int, bit: int) -> None:
         """Project ``qubit`` onto ``|bit>`` and renormalize (per branch)."""

@@ -83,8 +83,9 @@ def _tree_merge_bits(n):
 
 #: (EPR pairs, classical bits) under the bit channel's cost model. The
 #: chain's exscan charges ranks 0..n-2 one bit each; uncat's XOR reduce
-#: charges each non-root one bit; the tree gathers the non-roots' merge
-#: outcomes at the root and scatters one fixup bit to each non-root.
+#: charges each non-root one bit; the tree's non-root internal nodes send
+#: their merge outcomes to the root, which scatters one fixup bit to each
+#: non-root.
 CAT_LEDGERS = {
     "chain": lambda n: (n - 1, n - 1),
     "chain+uncat": lambda n: (n - 1, 2 * (n - 1)),
@@ -107,6 +108,20 @@ def test_cat_ledger_follows_the_channel_cost_model(case, n):
 
     snap = qmpi_run(n, prog, seed=n).ledger.snapshot()
     assert (snap.epr_pairs, snap.classical_bits) == CAT_LEDGERS[case](n)
+
+
+@pytest.mark.parametrize("n,messages", [(2, 1), (3, 2), (4, 4)])
+def test_cat_tree_leaves_send_nothing(n, messages):
+    # A leaf holds no merge outcome, so the only messages are the non-root
+    # internal nodes' outcomes and the root's fixup scatter: each carries
+    # one bit per message.
+    def prog(qc):
+        q = qc.alloc_qmem(1)
+        cat_state_tree(qc, q[0])
+        return True
+
+    snap = qmpi_run(n, prog, seed=n).ledger.snapshot()
+    assert snap.classical_messages == snap.classical_bits == messages
 
 
 # ----------------------------------------------------------------------

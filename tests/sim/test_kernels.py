@@ -258,6 +258,48 @@ class TestNumpyArmsVsDenseOracle:
         self._close(got, want, dtype)
 
 
+@pytest.mark.parametrize("shape", [(2, 4), (3, 2, 4), (2, 16), (5,), (3, 1, 32)])
+def test_slabs_cover_every_element_once_in_tile_blocks(monkeypatch, shape):
+    monkeypatch.setattr(K, "TILE_AMPS", 8)
+    blocks = K.slabs(shape)
+    assert (blocks == [()]) == (int(np.prod(shape)) <= 8)
+    seen = np.zeros(shape, dtype=int)
+    for sel in blocks:
+        assert seen[sel].ndim == len(shape) and seen[sel].size <= 8
+        seen[sel] += 1
+    assert (seen == 1).all()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("tile", [4, 16])
+def test_numpy_sq_and_cc_walk_slabs_bitwise(monkeypatch, dtype, tile):
+    # The slab walk changes no element's arithmetic: a walk in many slabs
+    # equals the one-slab pass bit for bit, and the strided pass still
+    # equals the scalar reference loop.
+    rng = np.random.default_rng(21)
+    nl = 6
+    chunk = _rand_chunk(rng, 3 << nl).astype(dtype)
+    us = [_rand_u(rng) for _ in range(3)]
+
+    def run():
+        kd = _dispatch(NUMPY)
+        out = chunk.copy()
+        for b in range(nl):
+            kd.sq(out, us[0], b, diag=False)
+        kd.cc(out, us[1], (1, 4), 2, nl, diag=False)
+        kd.cc(out, us[2], (5,), 0, nl, diag=False)
+        return out
+
+    whole = run()
+    monkeypatch.setattr(K, "TILE_AMPS", tile)
+    assert len(K.slabs((3, 2, 1 << (nl - 1)))) > 1
+    assert _bits_equal(run(), whole)
+    for b in range(nl):
+        got = chunk.copy()
+        _dispatch(NUMPY).sq(got, us[0], b, diag=False)
+        assert _bits_equal(got, _sq_ref(chunk, b, us[0])), b
+
+
 # ----------------------------------------------------------------------
 # break-even and provider resolution, counters
 # ----------------------------------------------------------------------

@@ -8,7 +8,9 @@ staged slab by slab.  These tests pin that path against
 and 4-qubit windows with one and two shard qubits in every window
 position, on 2/4/8 shards, both dtypes, with and without shot-branch
 rows, chunks updated in place — plus a ``tracemalloc`` bound on the
-transient footprint.
+transient footprint.  The pair exchange (with and without controls) is
+pinned the same way over many small slabs, and the last section bounds
+every engine step that once built a chunk- or state-sized temporary.
 """
 
 import itertools
@@ -18,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro.qmpi import Op
-from repro.sim import ShardedStateVector, sharded
+from repro.sim import ShardedStateVector, StateVector, coalesce_diagonals, kernels, sharded
+from repro.sim.diag import DiagBatch
 from tests import _dense_oracle
 from tests._precision import PROB_ABS
 
@@ -181,3 +184,138 @@ def test_transient_of_a_mixed_window_is_tile_bounded_not_chunk_sized():
     # one chunk, where a chunk-sized stage alone would reach it.
     assert peak < chunk
     assert abs(sv.norm() - 1.0) < PROB_ABS
+
+
+@pytest.mark.parametrize("rows", [1, 2], ids=["flat", "shot-rows"])
+@pytest.mark.parametrize("n_shards", [2, 4, 8])
+def test_pair_exchanges_walk_many_slabs(monkeypatch, n_shards, rows):
+    # Slabs of 4 amplitudes: the pair exchange, with and without local
+    # and shard-axis controls, combines each pair slab by slab.
+    monkeypatch.setattr(kernels, "TILE_AMPS", 4)
+    top = n_shards.bit_length() - 2  # qubits 0..top are the shard axes
+    gates = [("h", (q,), ()) for q in range(top + 1)]
+    gates += [("cnot", (N - 1, top), ()), ("toffoli", (2, N - 2, 0), ())]
+    if top:
+        gates += [("cnot", (0, top), ()), ("toffoli", (top, N - 1, 0), ())]
+    gates += [("ry", (top,), (0.7,)), ("x", (0,), ())]
+    sv = ShardedStateVector(N, seed=3, n_shards=n_shards, dtype="complex128")
+    psi0 = _dense_oracle.run(N, PREP)
+    starts = [psi0]
+    if rows > 1:
+        sv.begin_shots(64)
+    sv.apply_ops([Op(*g) for g in PREP])
+    if rows > 1:
+        anc = 3
+        sv.measure(anc)  # forks: branch 0 <-> outcome 0, branch 1 <-> 1
+        keep = (np.arange(1 << N) >> (N - 1 - anc)) & 1
+        starts = [np.where(keep == o, psi0, 0.0) for o in (0, 1)]
+        starts = [p / np.linalg.norm(p) for p in starts]
+    sv.apply_ops([Op(*g) for g in gates])
+    got = np.concatenate([sv.chunk(c).reshape(rows, -1) for c in range(sv.num_chunks)], axis=1)
+    for start, row in zip(starts, got):
+        want = start
+        for name, qubits, params in gates:
+            want = _dense_oracle.embed(_dense_oracle.GATES[name](*params), qubits, N) @ want
+        np.testing.assert_allclose(row, want, atol=ATOL["complex128"])
+
+
+# ----------------------------------------------------------------------
+# Every engine step runs in slab-sized scratch: tracemalloc bounds on the
+# steps that once built a chunk- or state-sized temporary, each checked
+# against tests/_dense_oracle.py.  At 19 qubits on 2 shards a chunk
+# (2^18 amplitudes) spans eight TILE_AMPS slabs, so a step that stays
+# under half a chunk holds at most a few slabs.
+# ----------------------------------------------------------------------
+BIG_N, BIG_SHARDS = 19, 2
+#: Distinct ry angles: a product state every tested gate changes.
+BIG_PREP = [("ry", (q,), (0.2 + 0.13 * q,)) for q in range(BIG_N)]
+#: A ring of rzz bonds over every qubit: it touches every slab bit, every
+#: high local bit and the shard bit.
+RING = [("rzz", (q, (q + 1) % BIG_N), (0.3 + 0.07 * q,)) for q in range(BIG_N)]
+
+
+def _oracle(gates, n=BIG_N):
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = 1.0
+    for name, qubits, params in gates:
+        psi = _dense_oracle.apply(psi, _dense_oracle.GATES[name](*params), qubits, n)
+    return psi
+
+
+def _big(engine="sharded"):
+    if engine == "sharded":
+        sv = ShardedStateVector(BIG_N, seed=0, n_shards=BIG_SHARDS, dtype="complex128")
+        assert sv.chunk(0).size > sharded.TILE_AMPS
+    else:
+        sv = StateVector(BIG_N, seed=0, dtype="complex128")
+    sv.apply_ops([Op(*g) for g in BIG_PREP])
+    return sv
+
+
+def _traced_peak(step):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("gates", [
+    [("rx", (0,), (0.4,)), ("h", (0,), ())],  # one-qubit gate on the shard axis
+    [("cnot", (5, 0), ()), ("cnot", (9, 0), ())],  # cnot targeting the shard axis
+    [("cnot", (2, 11), ()), ("cnot", (3, 7), ())],  # locally controlled cc (numpy only)
+], ids=["shard_axis_h", "shard_target_cnot", "local_cc"])
+def test_sharded_step_transient_stays_under_half_a_chunk(gates):
+    sv = _big()
+    chunk = sv.chunk(0).nbytes
+    (warm, gate) = [Op(*g) for g in gates]
+    sv.apply_ops([warm])  # warm any lazily built state outside the trace
+    peak = _traced_peak(lambda: sv.apply_ops([gate]))
+    np.testing.assert_allclose(
+        sv.statevector(), _oracle(BIG_PREP + gates), atol=ATOL["complex128"]
+    )
+    assert peak < chunk / 2
+
+
+@pytest.mark.parametrize("engine", ["shared", "sharded"])
+def test_wide_diag_batch_transient_stays_slab_sized(engine):
+    sv = _big(engine)
+    (warm,) = coalesce_diagonals([Op("rzz", (q, q + 1), (0.1,)) for q in range(BIG_N - 1)])
+    (ring,) = coalesce_diagonals([Op(*g) for g in RING])
+    assert isinstance(ring, DiagBatch)
+    sv.apply_ops([warm])  # warm any lazily built state outside the trace
+    peak = _traced_peak(lambda: sv.apply_ops([ring]))
+    warm_gates = [("rzz", (q, q + 1), (0.1,)) for q in range(BIG_N - 1)]
+    np.testing.assert_allclose(
+        sv.statevector(), _oracle(BIG_PREP + warm_gates + RING), atol=ATOL["complex128"]
+    )
+    if engine == "shared":
+        assert peak < 2 * sharded.TILE_AMPS * np.dtype(np.complex128).itemsize
+    else:
+        assert peak < sv.chunk(0).nbytes / 2
+
+
+def test_constructor_peaks_at_the_register():
+    register = (1 << BIG_N) * np.dtype(np.complex128).itemsize
+    peak = _traced_peak(
+        lambda: ShardedStateVector(BIG_N, n_shards=4, dtype="complex128")
+    )
+    assert peak < 1.1 * register
+
+
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_alloc_on_a_live_register_peaks_below_new_plus_old(n_shards):
+    n, k = 14, 3
+    sv = ShardedStateVector(n, seed=0, n_shards=n_shards, dtype="complex128")
+    prep = [("ry", (q,), (0.2 + 0.13 * q,)) for q in range(n)]
+    sv.apply_ops([Op(*g) for g in prep])
+    old = sum(sv.chunk(c).nbytes for c in range(sv.num_chunks))
+    peak = _traced_peak(lambda: sv.alloc(k))
+    # The fresh qubits are |0> below the old ones.
+    np.testing.assert_allclose(
+        sv.statevector(), _oracle(prep, n + k), atol=ATOL["complex128"]
+    )
+    assert peak < (old << k) + old

@@ -1,15 +1,15 @@
 """Sharded ``DiagBatch`` execution vs the dense oracle.
 
 On the sharded engine a diagonal batch becomes one ``base`` phase table
-over the chunk's local axes, built once, plus a small ``extra`` factor
-per shard-bit signature (:func:`repro.sim.diag.signature_vectors`);
-each chunk multiplies both in place.  These tests pin that path against
+over a slab's axes, built once, plus a small factor per group of slabs
+with equal values of the higher bits (:func:`repro.sim.diag.slab_factors`);
+each slab multiplies both in place.  These tests pin that path against
 ``tests/_dense_oracle.py`` (which imports nothing from ``repro``): ZZ
 bonds straddling the local/shard boundary, shard-only tables, and a
 shard-controlled phase whose extra collapses to identity on the chunks
 with the control at 0 — on 2/4/8 shards, both dtypes, with and without
 shot-branch rows — plus a ``tracemalloc`` check that a prepared batch
-holds one ``2^n_local`` table however many signatures it has.
+holds one slab-sized table however many signatures it has.
 """
 
 import tracemalloc
@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro.qmpi import Op
-from repro.sim import ShardedStateVector, coalesce_diagonals
-from repro.sim.diag import DiagBatch, signature_vectors
+from repro.sim import ShardedStateVector, StateVector, coalesce_diagonals, kernels
+from repro.sim.diag import DiagBatch, slab_factors
 from tests import _dense_oracle
 
 N = 6
@@ -54,7 +54,16 @@ def _controlled(n_high):
     ]
 
 
-BATCHES = {"bonds": _bonds, "controlled": _controlled}
+def _ladder(n_high):
+    """A QFT-like phase ladder from the top qubit to every other one,
+    plus one from every qubit to the last: on a slab of two bits every
+    high bit keys a table on the slab bits."""
+    ops = [("cphase", (0, q), (0.3 * q,)) for q in range(1, N)]
+    ops += [("cphase", (q, N - 1), (0.2 + 0.1 * q,)) for q in range(1, N - 1)]
+    return ops + [("rz", (1,), (0.7,))]
+
+
+BATCHES = {"bonds": _bonds, "controlled": _controlled, "ladder": _ladder}
 
 
 def _apply_gates(psi, gates):
@@ -106,21 +115,68 @@ def test_shot_branch_rows_ride_through_a_diag_batch(n_shards, batch, dtype):
         )
 
 
+@pytest.mark.parametrize("rows", [1, 2], ids=["flat", "shot-rows"])
+@pytest.mark.parametrize("batch", sorted(BATCHES))
+@pytest.mark.parametrize("engine", ["shared", "sharded:2", "sharded:4"])
+def test_diag_batch_walks_many_slabs(monkeypatch, engine, batch, rows):
+    # Slabs of 4 amplitudes: the high local bits join the shard bits in
+    # the slab signatures, on both engines, with and without branch rows.
+    monkeypatch.setattr(kernels, "TILE_AMPS", 4)
+    n_shards = int(engine.partition(":")[2] or 1)
+    gates = BATCHES[batch](n_shards.bit_length() - 1)
+    if engine == "shared":
+        sv = StateVector(N, seed=3, dtype="complex128")
+    else:
+        sv = ShardedStateVector(N, seed=3, n_shards=n_shards, dtype="complex128")
+    if rows > 1:
+        sv.begin_shots(64)
+    sv.apply_ops([Op(*g) for g in PREP])
+    psi0 = _dense_oracle.run(N, PREP)
+    if rows > 1:
+        anc = N - 1
+        sv.measure(anc)  # forks: branch 0 <-> outcome 0, branch 1 <-> 1
+        keep = (np.arange(1 << N) >> (N - 1 - anc)) & 1
+        starts = [np.where(keep == o, psi0, 0.0) for o in (0, 1)]
+        starts = [p / np.linalg.norm(p) for p in starts]
+    else:
+        starts = [psi0]
+    sv.apply_ops(_batch(gates))
+    if engine == "shared":
+        got = [sv.statevector()] if rows == 1 else [
+            np.moveaxis(sv._psi, [sv._axis_of[q] for q in range(N)], range(1, N + 1))[o].reshape(-1)
+            for o in (0, 1)
+        ]
+    else:
+        got = np.concatenate(
+            [sv.chunk(c).reshape(rows, -1) for c in range(sv.num_chunks)], axis=1
+        )
+    for start, row in zip(starts, got):
+        np.testing.assert_allclose(row, _apply_gates(start, gates), atol=ATOL["complex128"])
+
+
+def _tables(sv, batch):
+    """The batch's phase tables keyed by bit position (chunk layout)."""
+    bit = sv._bit_of
+    singles = [(bit[q], t) for q, t in batch.phases1.items()]
+    pairs = [((bit[a], bit[b]), t) for (a, b), t in batch.phases2.items()]
+    return singles, pairs
+
+
 @pytest.mark.parametrize("n_shards", SHARDS)
 def test_control_fixed_to_zero_leaves_no_extra(n_shards):
     sv = ShardedStateVector(N, seed=0, n_shards=n_shards)
     (batch,) = _batch(_controlled(n_shards.bit_length() - 1))
-    singles, pairs = sv._batch_tables(batch)
-    base, extras, sig_of = signature_vectors(singles, pairs, sv.n_local, n_shards)
-    assert base is not None and base.size == 4  # rzz + rz over two local axes
-    # Qubit 0 is the top shard bit: the signature is that bit alone.
-    assert sorted(extras) == [(0,), (1,)]
-    assert extras[(0,)] is None
-    assert extras[(1,)].size == 2  # the cphase's target column
-    assert sig_of == [((ci >> (n_shards.bit_length() - 2)) & 1,) for ci in range(n_shards)]
-    factors = sv._prep_diag_batch(batch)
-    for ci, sig in enumerate(sig_of):
-        assert len(factors[ci]) == (1 if sig == (0,) else 2)
+    groups = list(slab_factors(*_tables(sv, batch), sv.n_local, n_shards))
+    base = groups[0][0][0]
+    assert base.size == 4  # rzz + rz over two local axes
+    # Qubit 0 is the top shard bit: the chunks with it at 0 take the base
+    # alone, the others the base and the cphase's target column.
+    top = n_shards.bit_length() - 2
+    for factors, members in groups:
+        (control,) = {(ci >> top) & 1 for ci in members}
+        assert factors[0] is base
+        assert [f.size for f in factors[1:]] == ([] if control == 0 else [2])
+    assert sorted(ci for _, members in groups for ci in members) == list(range(n_shards))
 
 
 def test_prepared_batch_holds_one_local_table_for_every_signature():
@@ -133,17 +189,19 @@ def test_prepared_batch_holds_one_local_table_for_every_signature():
     gates += [Op("rz", (q,), (0.3 + 0.1 * q,)) for q in range(n)]
     (batch,) = coalesce_diagonals(gates)
     table = (1 << nl) * np.dtype(np.complex128).itemsize
-    sv._prep_diag_batch(batch)  # warm lazily built state outside the trace
+    tables = _tables(sv, batch)
+    list(slab_factors(*tables, nl, n_shards))  # warm lazily built state outside the trace
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        factors = sv._prep_diag_batch(batch)
+        groups = list(slab_factors(*tables, nl, n_shards))
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    base = factors[0][0]
-    assert base.size == 1 << nl
-    assert all(f[0] is base for f in factors)
-    assert len({id(f[1]) for f in factors}) == n_shards  # one extra per signature
-    assert all(x.size <= 4 for f in factors for x in f[1:])
+    base = groups[0][0][0]
+    assert base.size == 1 << nl  # one slab: the chunk is smaller than TILE_AMPS
+    assert all(f[0] is base for f, _ in groups)
+    assert sorted(ci for _, members in groups for ci in members) == list(range(n_shards))
+    assert len({id(f[1]) for f, _ in groups}) == n_shards  # one extra per signature
+    assert all(x.size <= 4 for f, _ in groups for x in f[1:])
     assert held < 1.5 * table  # one 2^nl table, not one per signature

@@ -86,6 +86,17 @@ class TestRowVerdicts:
         )
         assert [v for *_, v in out] == ["info"]
 
+    @pytest.mark.parametrize("fresh,verdict", [(1.05, "ok"), (1.3, "ok"), (1.31, "FAIL")])
+    def test_peak_over_state_is_gated_by_its_ceiling(self, fresh, verdict):
+        assert bench_compare.CEILINGS == {"peak_over_state": 1.3}
+        out = _verdicts(
+            {"scale": [_row(peak_over_state=2.5)]},  # the baseline does not move it
+            {"scale": [_row(peak_over_state=fresh)]},
+            tolerance=0.9,
+        )
+        assert out == [(("scale", ("kernel", "qft"), ("n_qubits", 12)),
+                        "peak_over_state", 1.3, fresh, verdict)]
+
     def test_every_section_is_gated(self):
         assert bench_compare.SECTIONS == ("flush", "kernels", "scale")
         for section in bench_compare.SECTIONS:

@@ -7,7 +7,10 @@ schedule-cache replay (``BENCH_cache.json``), numpy/native kernel time
 (``BENCH_scale.json``).  CI re-runs the same benchmarks in ``--quick``
 mode and this tool fails (exit 1) if any ratio **regresses** by more
 than the tolerance (default 30%) against the committed baseline for
-the same ``(kernel, n_qubits, backend, ...)`` row.  Ratios are what
+the same ``(kernel, n_qubits, backend, ...)`` row, or if a
+:data:`CEILINGS` column of a fresh row exceeds its ceiling
+(``peak_over_state``, the peak RSS of ``BENCH_scale.json`` over the
+state's bytes).  Ratios are what
 make quick-vs-full comparison meaningful: both arms run on the same
 host in the same process, so the ratio is far more stable than an
 absolute rate.
@@ -24,7 +27,9 @@ Rules:
   bench step upstream did not produce what the gate was told to check);
 * a pair that compares no gated ratio at all fails: a gate that
   checks nothing must not read as a pass;
-* *improvements* never fail, only regressions beyond tolerance do.
+* *improvements* never fail, only regressions beyond tolerance do;
+* a ceiling column is an absolute upper bound on the fresh value (the
+  table's ``base`` column shows the ceiling), whatever the tolerance.
 
 Usage::
 
@@ -48,9 +53,15 @@ KEY_FIELDS = ("kernel", "n_qubits", "backend", "dtype")
 #: Ratio columns gated per benchmark row, by column name.
 RATIO_FIELDS = ("speedup",)
 
-#: Columns printed for matched rows but never gated: the peak-RSS
-#: column of BENCH_scale.json measures the host allocator + page cache,
-#: so it is reported for inspection but never drives the gate.
+#: Columns gated as an upper bound on the fresh row, by column name.
+#: ``peak_over_state`` (BENCH_scale.json: peak RSS over the state's
+#: bytes) read 1.00-1.09 on the committed full run; an engine step that
+#: holds a chunk- or state-sized temporary again reads 1.5 or more.
+CEILINGS = {"peak_over_state": 1.3}
+
+#: Columns printed for matched rows but never gated: the absolute
+#: peak-RSS column of BENCH_scale.json is reported for inspection; its
+#: ratio to the state (``peak_over_state``) is what the gate holds.
 INFO_FIELDS = ("peak_rss_bytes",)
 
 #: list-of-rows sections to compare, per file; anything else (scalars)
@@ -127,6 +138,10 @@ def compare(baseline: dict, fresh: dict, tolerance: float):
                 else:
                     verdict = "ok"
                 yield key, field, base_v, new_v, verdict
+            for field, ceiling in CEILINGS.items():
+                if field in f:
+                    new_v = float(f[field])
+                    yield key, field, ceiling, new_v, "FAIL" if new_v > ceiling else "ok"
             for field in INFO_FIELDS:
                 if field in b and field in f:
                     yield key, field, float(b[field]), float(f[field]), "info"
@@ -177,8 +192,9 @@ def main(argv=None) -> int:
     if failures:
         print(
             f"\n{failures} gate failure(s): ratios regressed more than "
-            f"{args.tolerance:.0%} vs the committed baselines, or a pair "
-            "could not be loaded or compared nothing"
+            f"{args.tolerance:.0%} vs the committed baselines, a column "
+            "exceeded its ceiling, or a pair could not be loaded or "
+            "compared nothing"
         )
         return 1
     print("\nall compared ratios within tolerance")
