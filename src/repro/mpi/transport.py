@@ -17,7 +17,8 @@ a *transport* decides where the ranks live and how envelopes travel:
 The registry mirrors the backend registry
 (:data:`repro.qmpi.backend.BACKENDS`): select by name through
 ``run_spmd(..., transport=...)`` / ``qmpi_run(..., transport=...)``, or
-register your own with :func:`register_transport`.
+register your own with :func:`register_transport`. Built-ins load on
+first request, by name, so an ``"inproc"`` run never imports ``mp``.
 
 Service hook
 ------------
@@ -33,6 +34,7 @@ made literal across process boundaries.
 
 from __future__ import annotations
 
+import importlib
 from typing import Any, Callable, Sequence
 
 __all__ = ["Transport", "TRANSPORTS", "register_transport", "make_transport"]
@@ -81,12 +83,15 @@ def register_transport(name: str, cls: type[Transport]) -> None:
     TRANSPORTS[name] = cls
 
 
-def _ensure_builtin_registration() -> None:
-    # The built-in transports live next to their machinery (runtime.py,
-    # mp.py) and self-register on import; import lazily to avoid a cycle
-    # (runtime imports this module for the registry).
-    from . import mp as _mp  # noqa: F401
-    from . import runtime as _runtime  # noqa: F401
+#: Built-in transport name -> the sibling module that registers it on import.
+_BUILTINS = {"inproc": "runtime", "mp": "mp"}
+
+
+def _ensure_builtin_registration(name: str) -> None:
+    # Built-ins load on first request, by name: each lives next to its
+    # machinery (runtime imports this module for the registry, hence lazily).
+    if name in _BUILTINS:
+        importlib.import_module(f".{_BUILTINS[name]}", __package__)
 
 
 def make_transport(
@@ -108,11 +113,11 @@ def make_transport(
         return spec
     if isinstance(spec, type) and issubclass(spec, Transport):
         return spec(**opts)
-    _ensure_builtin_registration()
+    _ensure_builtin_registration(str(spec))
     try:
         cls = TRANSPORTS[str(spec)]
     except KeyError:
         raise ValueError(
-            f"unknown transport {spec!r}; known: {sorted(TRANSPORTS)}"
+            f"unknown transport {spec!r}; known: {sorted(TRANSPORTS.keys() | _BUILTINS.keys())}"
         ) from None
     return cls(**opts)

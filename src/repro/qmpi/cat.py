@@ -18,8 +18,7 @@ time is O(log n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import Iterable
 
 __all__ = ["cat_state_chain", "cat_state_tree", "uncat", "CatHandle"]
 
@@ -86,9 +85,15 @@ def _cat_dir(left_rank: int) -> int:
     return 10_000 + left_rank
 
 
-def cat_state_tree(qc, qubit: int, graph: nx.Graph | None = None, root: int = 0, tag: int = 0) -> CatHandle:
-    """Prepare |cat(N)> along a spanning tree of ``graph`` (default: a
-    balanced binary tree over the ranks).
+def cat_state_tree(qc, qubit: int, edges: Iterable | None = None, root: int = 0, tag: int = 0) -> CatHandle:
+    """Prepare |cat(N)> along a spanning tree of the ranks given by ``edges``.
+
+    ``edges`` are undirected ``(rank, rank)`` pairs, the same on every rank
+    (a networkx graph passes ``g.edges()``); the default is the binary-heap
+    tree ``((i - 1) // 2, i)``: max degree 3, so the EPR rounds (and hence
+    quantum depth) stay constant. A BFS from ``root`` orients the tree, each
+    node's children in edge insertion order, which fixes the EPR preparation
+    and merge order; edges that leave a rank unreached raise ``ValueError``.
 
     Generalizes the chain: each internal node merges one EPR half per
     child. The fixup parity for node k is the XOR of merge outcomes on the
@@ -102,35 +107,22 @@ def cat_state_tree(qc, qubit: int, graph: nx.Graph | None = None, root: int = 0,
         if size == 1:
             qc.backend.h(rank, qubit)
             return CatHandle(qubit, root, tag)
-        if graph is None:
-            # Binary-heap tree over ranks: spans 0..size-1, max degree 3,
-            # so the EPR rounds (and hence quantum depth) stay constant.
-            graph = nx.Graph()
-            graph.add_nodes_from(range(size))
-            graph.add_edges_from(((i - 1) // 2, i) for i in range(1, size))
-        tree = nx.bfs_tree(graph, root)
-        if tree.number_of_nodes() != size:
-            raise ValueError("graph does not span all ranks")
-        parent = {c: p for p, c in tree.edges()}
-        children = {n: list(tree.successors(n)) for n in tree.nodes()}
+        if edges is None:
+            edges = (((i - 1) // 2, i) for i in range(1, size))
+        children = _bfs_children(edges, root, size)
+        parent = {c: p for p, kids in children.items() for c in kids}
 
         # EPR half toward the parent lives in 'qubit' (it becomes the cat
-        # share); one extra half per child.
+        # share); one extra half per child. The root's share starts as the
+        # half of its first child edge.
         child_halves: dict[int, int] = {}
         if rank != root:
             qc.epr.prepare(
                 rank, qubit, parent[rank], tag, qc.context, _tree_dir(parent[rank], rank)
             )
-        else:
-            # Root's cat share starts as the half of its first child edge.
-            pass
-        my_children = children.get(rank, [])
-        first_child_half_is_qubit = rank == root
+        my_children = children[rank]
         for i, ch in enumerate(my_children):
-            if first_child_half_is_qubit and i == 0:
-                half = qubit
-            else:
-                (half,) = qc.backend.alloc(rank, 1)
+            half = qubit if rank == root and i == 0 else qc.backend.alloc(rank, 1)[0]
             child_halves[ch] = half
             qc.epr.prepare(rank, half, ch, tag, qc.context, _tree_dir(rank, ch))
 
@@ -147,7 +139,8 @@ def cat_state_tree(qc, qubit: int, graph: nx.Graph | None = None, root: int = 0,
 
         # Fixup: every non-root internal node sends its per-edge outcomes
         # to the root (a leaf has none, and the root knows the tree), and
-        # the root runs a DFS accumulating parity.
+        # the root walks the tree parents-first (BFS order) accumulating
+        # parity: a merge outcome of 1 on edge (node, ch) flips ch's subtree.
         if rank != root and my_children:
             qc.bits.send(outcomes, len(outcomes), root, tag)
         if rank == root:
@@ -156,20 +149,33 @@ def cat_state_tree(qc, qubit: int, graph: nx.Graph | None = None, root: int = 0,
             for node, kids in children.items():
                 if node != root and kids:
                     merged.update(qc.bits.recv(len(kids), node, tag))
-
-            def dfs(node: int, acc: int) -> None:
-                fix[node] = acc
-                for ch in children.get(node, []):
-                    # A merge outcome of 1 on edge (node, ch) flips the
-                    # subtree rooted at ch.
-                    dfs(ch, acc ^ merged.get(ch, 0))
-
-            dfs(root, 0)
+                for ch in kids:
+                    fix[ch] = fix[node] ^ merged.get(ch, 0)
         else:
             fix = None
         myfix = qc.bits.scatter(fix, 1, root=root)
         qc.backend.apply_pauli_if(rank, myfix, "X", qubit)
         return CatHandle(qubit, root, tag)
+
+
+def _bfs_children(edges, root: int, size: int) -> dict[int, list[int]]:
+    # Node -> children, away from root in BFS discovery order; neighbours
+    # are visited in edge insertion order (the order networkx's bfs_tree gives).
+    adj: dict[int, list[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    children: dict[int, list[int]] = {root: []}
+    queue = [root]
+    for node in queue:
+        for nb in adj.get(node, ()):
+            if nb not in children:
+                children[node].append(nb)
+                children[nb] = []
+                queue.append(nb)
+    if children.keys() != set(range(size)):
+        raise ValueError("graph does not span all ranks")
+    return children
 
 
 def _tree_dir(parent: int, child: int) -> int:

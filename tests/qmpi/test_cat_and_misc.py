@@ -18,7 +18,9 @@ from repro.qmpi import (
     type_vector,
     uncat,
 )
-from tests._precision import PROB_ABS
+from repro.qmpi.cat import _bfs_children
+from repro.qmpi.epr import EprService
+from tests._precision import PROB_ABS, STATE_ATOL
 
 
 @pytest.mark.parametrize("algo", ["chain", "tree"])
@@ -122,6 +124,134 @@ def test_cat_tree_leaves_send_nothing(n, messages):
 
     snap = qmpi_run(n, prog, seed=n).ledger.snapshot()
     assert snap.classical_messages == snap.classical_bits == messages
+
+
+def _random_tree(n, seed):
+    """A random spanning tree of ranks 0..n-1, its edges in random order."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(n)
+    edges = [(int(labels[rng.integers(i)]), int(labels[i])) for i in range(1, n)]
+    return [edges[k] for k in rng.permutation(len(edges))]
+
+
+#: name -> (ranks, edges); None is the default binary-heap tree.
+TREES = {
+    "chain": (4, [(0, 1), (1, 2), (2, 3)]),
+    "star@2": (4, [(2, 3), (2, 0), (2, 1)]),
+    "random5": (5, _random_tree(5, 7)),
+    "heap5": (5, None),
+}
+
+
+@pytest.mark.parametrize("root", [0, 1, 3])
+@pytest.mark.parametrize("tree", sorted(TREES))
+def test_cat_tree_on_explicit_edges_and_roots(tree, root):
+    n, edges = TREES[tree]
+    fidelity = {}
+
+    def prog(qc):
+        q = qc.alloc_qmem(1)
+        h = cat_state_tree(qc, q[0], edges=edges, root=root)
+        shares = qc.comm.allgather(q[0])
+        if qc.rank == h.root:
+            vec = qc.backend.statevector(shares)
+            fidelity["ghz"] = abs(vec[0] + vec[-1]) ** 2 / 2
+        qc.barrier()
+        uncat(qc, h)
+        return h.root, len(qc.backend.owned_by(qc.rank))
+
+    w = qmpi_run(n, prog, seed=n)
+    assert fidelity["ghz"] == pytest.approx(1.0, abs=PROB_ABS)
+    assert w.ledger.epr_pairs == n - 1
+    assert w.results == [(root, 0)] * n
+    assert w.backend.num_qubits == 0
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 1), (2, 3)], [(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 3), (3, 4)]],
+    ids=["split", "missing-rank", "extra-rank"],
+)
+def test_cat_tree_rejects_non_spanning_edges_on_every_rank(edges):
+    def caught(qc):
+        q = qc.alloc_qmem(1)
+        try:
+            cat_state_tree(qc, q[0], edges=edges)
+        except ValueError as e:
+            return str(e)
+
+    assert qmpi_run(4, caught, seed=0).results == ["graph does not span all ranks"] * 4
+
+    # Uncaught, the first ValueError aborts the job; ranks it interrupts
+    # report nothing, so every reported failure is that ValueError.
+    def prog(qc):
+        q = qc.alloc_qmem(1)
+        cat_state_tree(qc, q[0], edges=edges)
+
+    with pytest.raises(RankFailure) as ei:
+        qmpi_run(4, prog, seed=0, timeout=30)
+    failures = ei.value.failures
+    assert failures
+    for e in failures.values():
+        assert isinstance(e, ValueError) and "does not span all ranks" in str(e)
+
+
+#: (edges, ranks, root) -> children in discovery order, as networkx's
+#: ``bfs_tree`` orients them: neighbours in edge insertion order.
+BFS_CHILDREN = [
+    ([(0, 1), (1, 2), (2, 3)], 4, 2, {2: [1, 3], 1: [0], 3: [], 0: []}),
+    ([(2, 3), (2, 0), (2, 1)], 4, 0, {0: [2], 2: [3, 1], 3: [], 1: []}),
+    ([(2, 3), (2, 0), (2, 1)], 4, 2, {2: [3, 0, 1], 3: [], 0: [], 1: []}),
+    ([(2, 0), (4, 1), (0, 4), (1, 3)], 5, 4, {4: [1, 0], 1: [3], 0: [2], 3: [], 2: []}),
+    ([(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)], 6, 3,
+     {3: [1], 1: [0, 4], 0: [2], 4: [], 2: [5], 5: []}),
+]
+
+
+@pytest.mark.parametrize("edges,n,root,children", BFS_CHILDREN)
+def test_cat_tree_children_follow_edge_insertion_order(edges, n, root, children):
+    assert list(_bfs_children(edges, root, n).items()) == list(children.items())
+
+
+#: Default tree, ``seed=n``: (epr_pairs, classical_bits,
+#: classical_messages) and each rank's EPR partners in preparation order,
+#: pinned from the networkx-based tree walk the plain BFS replaced.
+DEFAULT_TREE_RUNS = {
+    2: ((1, 1, 1), [[1], [0]]),
+    3: ((2, 2, 2), [[1, 2], [0], [0]]),
+    4: ((3, 4, 4), [[1, 2], [0, 3], [0], [1]]),
+    5: ((4, 6, 5), [[1, 2], [0, 3, 4], [0], [1], [1]]),
+    6: ((5, 8, 7), [[1, 2], [0, 3, 4], [0, 5], [1], [1], [2]]),
+    7: ((6, 10, 8), [[1, 2], [0, 3, 4], [0, 5, 6], [1], [1], [2], [2]]),
+}
+
+
+@pytest.mark.parametrize("n", sorted(DEFAULT_TREE_RUNS))
+def test_default_cat_tree_run_is_unchanged(n, monkeypatch):
+    order = {r: [] for r in range(n)}
+    prepare = EprService.prepare
+
+    def recording(self, rank, qubit, peer, *args, **kwargs):
+        order[rank].append(peer)
+        return prepare(self, rank, qubit, peer, *args, **kwargs)
+
+    monkeypatch.setattr(EprService, "prepare", recording)
+
+    def prog(qc):
+        q = qc.alloc_qmem(1)
+        cat_state_tree(qc, q[0])
+        qc.barrier()
+        return q[0]
+
+    w = qmpi_run(n, prog, seed=n)
+    vec = w.backend.statevector(list(w.results))
+    ideal = np.zeros(2**n, dtype=complex)
+    ideal[0] = ideal[-1] = 2**-0.5
+    np.testing.assert_allclose(vec, ideal, atol=STATE_ATOL)
+    snap = w.ledger.snapshot()
+    ledger, partners = DEFAULT_TREE_RUNS[n]
+    assert (snap.epr_pairs, snap.classical_bits, snap.classical_messages) == ledger
+    assert [order[r] for r in range(n)] == partners
 
 
 # ----------------------------------------------------------------------
