@@ -10,8 +10,15 @@ phase-table fill (``diag``).  These calibrate
 :data:`repro.sim.kernels.JIT_MIN_AMPS_DEFAULT`.  Every other kernel
 (the controlled pass, the scales, the csel/ct window contraction) runs
 the same numpy code in both arms, so its ratio is 1.0 by definition
-and it has no row.  The end-to-end case is carried by the
+and it has no such row.  The end-to-end case is carried by the
 ``qft_sharded`` and ``trotter_shared`` rows of ``BENCHMARK.json``.
+
+Two more rows (``monomial_swap``, ``monomial_rzz``) time one
+``KernelDispatch.contract`` of a ``swap`` and of an ``rzz`` on a
+2^18-amplitude chunk, the sharded ``qft_sharded`` chunk size, with the
+window frozen as moves (its ``monomial_pattern``) against the same
+window frozen without a pattern (a BLAS product): ``speedup =
+dense_ms / moves_ms``.
 
 The ratios are host-SIMD-dependent (how well numpy's ufuncs vectorize
 vs one -O3 scalar loop), so the CI bench-gate compares this file at a
@@ -45,11 +52,18 @@ except ImportError:  # script run without PYTHONPATH/install
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.sim.diag import chunk_phase  # noqa: E402
-from repro.sim.kernels import KernelDispatch, provider_name  # noqa: E402
+from repro.sim.kernels import KernelDispatch, Window, provider_name  # noqa: E402
+from repro.sim.ops import Op  # noqa: E402
+from repro.sim.schedule import monomial_pattern  # noqa: E402
 
 QUBITS_FULL = [12, 16, 20]
 QUBITS_QUICK = [12, 16]
 N_SHARDS = 4
+#: The monomial rows' chunk size and window bits (first = the matrix's
+#: most significant bit): a swap across the slab boundary, walked as
+#: slice moves, and an rzz on the low bits, walked as row multiplies.
+MONOMIAL_CHUNK_QUBITS = 18
+MONOMIAL_OPS = {"swap": (Op("swap", (0, 1)), (12, 3)), "rzz": (Op("rzz", (0, 1), (0.37,)), (6, 1))}
 
 
 def _rand_state(rng, n):
@@ -145,6 +159,40 @@ def run_micro_section(sizes, min_reps, min_time):
     return rows
 
 
+def run_monomial_section(min_reps, min_time):
+    """A monomial window as moves vs the same window as a BLAS product."""
+    rows = []
+    kd = KernelDispatch()
+    nl = MONOMIAL_CHUNK_QUBITS
+    chunk = _rand_state(np.random.default_rng(11), nl)
+    # In a process's first ~0.7 s on an idle host each OpenBLAS call can
+    # cost a flat ~8 ms (docs/benchmarks.md); warm BLAS up first, or a
+    # quick run times the dense side cold.
+    warm = Window((1, 0), nl)
+    deadline = time.perf_counter() + 1.0
+    while time.perf_counter() < deadline:
+        kd.contract(chunk, np.eye(4, dtype=complex), warm)
+    for name, (op, bits) in MONOMIAL_OPS.items():
+        u = op.matrix()
+        dense, moves = Window(bits, nl), Window(bits, nl, pattern=monomial_pattern(op))
+        t_dense = _best(lambda: kd.contract(chunk, u, dense), min_reps, min_time)
+        t_moves = _best(lambda: kd.contract(chunk, u, moves), min_reps, min_time)
+        row = {
+            "kernel": f"monomial_{name}",
+            "n_qubits": nl,
+            "backend": "chunk",
+            "dense_ms": round(t_dense * 1e3, 4),
+            "moves_ms": round(t_moves * 1e3, 4),
+            "speedup": round(t_dense / t_moves, 3),
+        }
+        rows.append(row)
+        print(
+            f"{row['kernel']:<14} n={nl} bits {bits} {moves.path:<6} "
+            f"dense {t_dense*1e3:>7.3f}ms  moves {t_moves*1e3:>7.3f}ms  x{row['speedup']}"
+        )
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="short passes (CI)")
@@ -166,6 +214,8 @@ def main(argv=None) -> int:
 
     print("# per-kernel jit vs planar numpy")
     micro = run_micro_section(sizes, min_reps, min_time)
+    print("# monomial windows: moves vs a BLAS product")
+    micro += run_monomial_section(min_reps, min_time)
 
     payload = {
         "quick": args.quick,

@@ -204,7 +204,10 @@ def coalesce_diagonals(ops):
     diagonals, prior batches) collapse into one :class:`DiagBatch` per
     run; any other op — including diagonal ops wider than two qubits —
     is a barrier that splits the run.  Runs of length one are left as
-    plain ops (a lone cz already has a communication-free path).
+    plain ops: a lone cz already has a communication-free path, and a
+    lone diagonal's window is monomial, so the engines scale its slices
+    in place (:meth:`~repro.sim.kernels.KernelDispatch.contract`) without
+    building a phase table.
     Semantics are exact: diagonal ops commute, so the batched product
     equals the sequential application.
     """

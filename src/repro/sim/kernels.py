@@ -22,13 +22,18 @@ its time in them:
 
 Everything else is always numpy: the diagonal single-qubit pass, the
 locally-controlled pass (:meth:`~KernelDispatch.cc`), the whole-chunk
-and control-sliced scales, and the window contraction every dense
+and control-sliced scales, and the window contraction every matrix
 step of the shared engine and every ``csel``/``ct`` entry of the
 sharded one runs (:meth:`~KernelDispatch.contract`: a walk over the
-chunk in slabs of at most :data:`TILE_AMPS` amplitudes, one BLAS
-product per slab, staged through a slab-sized copy only where the
-window's axes are not already a matrix in memory; the walk's layout is
-a :class:`Window` the engines build once, when they freeze a program).
+chunk in slabs of at most :data:`TILE_AMPS` amplitudes; the walk's
+layout is a :class:`Window` the engines build once, when they freeze a
+program).  A dense window costs one BLAS product per slab, staged
+through a slab-sized copy only where the window's axes are not
+already a matrix in memory.  A *monomial* window — one nonzero per
+matrix column, the pattern :func:`repro.sim.schedule.monomial_pattern`
+freezes into its :class:`Window` (``swap``, ``cnot``, ``x``, lone
+phases, plans fused from them) — makes no product: its amplitudes
+are moved and scaled through one slab of scratch (:mod:`repro.sim.moves`).
 
 **The bit-identity contract.**  A native kernel and its numpy twin
 produce *bit-identical* amplitudes (enforced by
@@ -77,6 +82,8 @@ import os
 import time
 
 import numpy as np
+
+from . import moves
 
 __all__ = [
     "KernelDispatch",
@@ -215,9 +222,9 @@ def sq_full_view(v, u) -> None:
     a1.imag = (u10.real * a0i + u10.imag * a0r) + (u11.real * a1i + u11.imag * a1r)
 
 
-def slabs(shape):
+def slabs(shape, tile=None):
     """Index tuples cutting an array of ``shape`` into blocks of at most
-    :data:`TILE_AMPS` elements.
+    ``tile`` (default :data:`TILE_AMPS`) elements.
 
     Only leading axes are cut: the trailing axes whose product fits a
     slab stay whole, the axis before them is cut into ranges, and every
@@ -227,14 +234,15 @@ def slabs(shape):
     kernels walk their views with it, so their scratch is slab-sized
     whatever the chunk.
     """
+    tile = TILE_AMPS if tile is None else tile
     inner, cut = 1, len(shape)
-    while cut and inner * shape[cut - 1] <= TILE_AMPS:
+    while cut and inner * shape[cut - 1] <= tile:
         cut -= 1
         inner *= shape[cut]
     if not cut:
         return [()]
     cut -= 1
-    step = TILE_AMPS // inner
+    step = tile // inner
     return [
         tuple(slice(i, i + 1) for i in head) + (slice(s, s + step),)
         for head in np.ndindex(*shape[:cut])
@@ -295,14 +303,24 @@ class Window:
     axes merged into one — is computed here, once per frozen step, so a
     call on a small chunk pays only the products.  :data:`TILE_AMPS` and
     :data:`_RUN_MIN_BIT` are read at construction.
+
+    ``pattern`` (optional, from
+    :func:`repro.sim.schedule.monomial_pattern`) declares the matrix
+    monomial: column ``j``'s one nonzero sits in row ``pattern[j]``.
+    Such a window makes no product; :func:`repro.sim.moves.freeze`
+    lays out its walk instead.
     """
 
     __slots__ = ("k", "dim", "nl", "perm", "path", "step", "inner", "cols", "shape",
-                 "axes", "sel", "n_outer", "n_win")
+                 "axes", "sel", "n_outer", "n_win", "entry", "picks", "fixed", "cycles",
+                 "src", "factor_at")
 
-    def __init__(self, bits, nl: int, controls=()):
+    def __init__(self, bits, nl: int, controls=(), pattern=None):
         k = len(bits)
         self.k, self.dim, self.nl = k, 1 << k, nl
+        if pattern is not None:
+            moves.freeze(self, bits, controls, pattern)
+            return
         order = sorted(range(k), key=lambda i: -bits[i])
         self.perm = None
         if order != list(range(k)):
@@ -643,6 +661,7 @@ class KernelDispatch:
             "jit_hits": 0,
             "numpy_fallbacks": 0,
             "csel_hits": 0,
+            "monomial_hits": 0,
             "compile_time": 0.0,
         }
         self._provider = None
@@ -795,13 +814,21 @@ class KernelDispatch:
           window-axes-first by one strided copy per slab (into a stage
           buffer allocated once per call, for several slabs) and
           multiplied with one ``np.dot(u, stage)``.
+
+        A monomial window (one frozen with a ``pattern``) makes no
+        product: :func:`repro.sim.moves.apply` moves and scales its
+        amplitudes instead.
         """
         _need_c(chunk)
         dim = win.dim
         u = np.asarray(u, dtype=chunk.dtype)
+        self.counters["csel_hits"] += 1
+        if win.path in moves.PATHS:
+            self.counters["monomial_hits"] += 1
+            moves.apply(chunk, u, win)
+            return
         if win.perm is not None:
             u = u.reshape((2,) * (2 * win.k)).transpose(win.perm).reshape(dim, dim)
-        self.counters["csel_hits"] += 1
         step = win.step
         # A walk of several slabs reuses one product buffer (and, staged,
         # one stage): a fresh slab-sized array per slab costs page faults

@@ -96,7 +96,7 @@ class ContractionPlan:
     """A fused run of adjacent small ops: one unitary, one qubit window.
 
     Instances quack like :class:`~repro.sim.ops.Op` where the pipeline
-    cares (``qubits``/``targets``/``controls``, ``is_diagonal``,
+    cares (``qubits``/``targets``/``controls``,
     ``spec``/``gate``/``params``, ``target_matrix``) so rank-ownership
     checks and generic dispatch treat them uniformly; engines
     special-case them for the one-matmul fast path.
@@ -106,7 +106,7 @@ class ContractionPlan:
     arguments.
     """
 
-    __slots__ = ("u", "_qubits", "n_ops", "is_diagonal", "sources")
+    __slots__ = ("u", "_qubits", "n_ops", "sources")
 
     #: Op-protocol constants: a plan is an uncontrolled multi-target
     #: pseudo-op outside the GATESET registry.
@@ -121,9 +121,6 @@ class ContractionPlan:
         self.u = u
         self._qubits = tuple(qubits)
         self.n_ops = int(n_ops)
-        self.is_diagonal = bool(
-            np.count_nonzero(u - np.diag(np.diagonal(u))) == 0
-        )
         #: Source op records the plan was fused from (set by
         #: :meth:`from_ops`; ``None`` for directly constructed plans).
         #: The schedule cache keys on them to rebind the window unitary

@@ -70,6 +70,7 @@ __all__ = [
     "ExchangeSegment",
     "classify_matrix",
     "is_parametric",
+    "monomial_pattern",
     "plan_support",
     "lower_flush",
     "compile_segments",
@@ -351,6 +352,85 @@ def _op_support(op) -> np.ndarray:
     else:
         m = np.abs(np.asarray(op.matrix(), dtype=np.complex128))
     return (m > 1e-12).astype(np.float64)
+
+
+def _pattern_of(m):
+    """``perm`` with ``m[perm[j], j]`` the one nonzero of column ``j``, or None.
+
+    Exact zeros only: a residual ``1e-17`` keeps the matrix dense, so a
+    window run as moves computes exactly what its matrix says.
+    """
+    perm = []
+    for col in np.asarray(m).T.tolist():
+        rows = [i for i, x in enumerate(col) if x != 0]
+        if len(rows) != 1:
+            return None
+        perm.append(rows[0])
+    return tuple(perm) if len(set(perm)) == len(perm) else None
+
+
+#: Registry gate name -> monomial pattern of its target matrix (None:
+#: dense).  Gate names cannot be re-registered, so entries never go stale.
+_GATE_PATTERNS: dict = {}
+
+
+def _gate_pattern(spec):
+    if spec.name not in _GATE_PATTERNS:
+        if spec.builder is None:
+            pat = _pattern_of(spec.target_matrix(()))
+        else:
+            # Structural, like _op_support: the pattern at both generic
+            # sample angles, kept only where they agree.
+            pats = {
+                _pattern_of(spec.target_matrix((s,) * spec.n_params))
+                for s in _SUPPORT_SAMPLES
+            }
+            pat = pats.pop() if len(pats) == 1 else None
+        _GATE_PATTERNS[spec.name] = pat
+    return _GATE_PATTERNS[spec.name]
+
+
+def monomial_pattern(rec, full: bool = True):
+    """Monomial pattern of an op's or plan's matrix, or None when dense.
+
+    A matrix is *monomial* when every column holds exactly one nonzero:
+    it moves amplitudes and scales them, and
+    :meth:`~repro.sim.kernels.KernelDispatch.contract` runs it as slice
+    moves with no product.  The pattern is ``perm`` with ``u[perm[j],
+    j]`` that nonzero.  ``full`` selects the op's full matrix (controls
+    included, what a ``"ct"`` entry carries) over its target matrix
+    (what the shared engine contracts under the controls).
+
+    The answer is structural wherever the schedule cache rebinds values,
+    so a frozen window stays valid across rebinds:
+
+    * a registry gate answers once per name (parametric ones at the
+      :data:`_SUPPORT_SAMPLES` angles, like :func:`_op_support`);
+    * an explicit ``unitary`` op and a plan with no parametric source
+      answer from their values, which are their cache key;
+    * a parametric plan is monomial iff every source is: its support
+      (:func:`plan_support`) is a product of non-negative supports of
+      invertible matrices, which keeps a column with two nonzeros
+      wherever a factor has one.  Its values then carry the same
+      pattern at every angle, since each entry is one product of the
+      sources' nonzeros.
+    """
+    if isinstance(rec, ContractionPlan):
+        sources = rec.sources
+        if sources is not None and any(is_parametric(op) for op in sources):
+            if not all(monomial_pattern(op) for op in sources):
+                return None
+        return _pattern_of(rec.u)
+    spec = rec.spec
+    pat = _pattern_of(rec.u) if spec is None else _gate_pattern(spec)
+    nc = rec.n_controls
+    if pat is None or not full or not nc:
+        return pat
+    # Controls are the most significant index bits: identity until the
+    # all-ones block, which holds the target pattern.
+    d = len(pat)
+    off = (d << nc) - d
+    return tuple(range(off)) + tuple(off + p for p in pat)
 
 
 def plan_support(plan: ContractionPlan):

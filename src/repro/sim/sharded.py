@@ -77,6 +77,7 @@ from .schedule import (
     PlanSegment,
     compile_segments,
     iter_stretches,
+    monomial_pattern,
 )
 from .shots import branch_mask, fork_outcomes
 from .statevector import SimulationError, resolve_dtype
@@ -527,7 +528,8 @@ class ShardedStateVector:
         * ``("g", seg, i, win)`` -> :func:`_apply_generic` for
           ``ct``/``csel`` entries (``i`` is None for a
           :class:`PlanSegment`; ``win`` is the entry's frozen
-          :class:`~repro.sim.kernels.Window`).
+          :class:`~repro.sim.kernels.Window`, carrying the record's
+          :func:`~repro.sim.schedule.monomial_pattern` for a ``ct``).
 
         Steps hold ``(seg, i)`` references rather than matrices, which
         rebinding replaces inside the live segments.
@@ -561,7 +563,12 @@ class ShardedStateVector:
                         per_chunk[ci].append(step)
                 else:  # "ct"/"csel": generic entry
                     bits = e[2] if kind == "ct" else e[3]
-                    step = ("g", src, i, Window(bits, nl) if bits else None)
+                    # A "csel" table's sub-blocks differ per signature:
+                    # only a "ct" window can be frozen as moves.
+                    pattern = None
+                    if kind == "ct":
+                        pattern = monomial_pattern(src.plan if i is None else src.ops[i])
+                    step = ("g", src, i, Window(bits, nl, pattern=pattern) if bits else None)
                     for ci in range(n_chunks):
                         per_chunk[ci].append(step)
         return tuple(tuple(s) for s in per_chunk)

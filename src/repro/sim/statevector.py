@@ -45,7 +45,7 @@ from . import gates as G
 from .diag import DiagBatch, apply_phase_tables
 from .kernels import KernelDispatch, Window, slabs
 from .ops import Op, SimulationError, bind_engine_gates, controlled_unitary
-from .schedule import DiagSegment, KernelRun, compile_segments
+from .schedule import DiagSegment, KernelRun, compile_segments, monomial_pattern
 from .shots import ShotBits, branch_mask, fork_outcomes
 
 __all__ = ["StateVector", "SimulationError"]
@@ -96,7 +96,8 @@ class StateVector:
     Every dense step is one :meth:`KernelDispatch.contract
     <repro.sim.kernels.KernelDispatch.contract>` on the whole state, in
     place (BLAS products over slabs of at most
-    :data:`~repro.sim.kernels.TILE_AMPS` amplitudes); the diagonal
+    :data:`~repro.sim.kernels.TILE_AMPS` amplitudes, or slice moves and
+    scales for a monomial window); the diagonal
     phase-table fill runs natively when a provider resolves
     (:mod:`repro.sim.kernels`).
 
@@ -504,7 +505,10 @@ class StateVector:
         rows and a qubit on axis ``a`` as bit ``ndim - 1 - a`` — over
         the step's frozen :class:`~repro.sim.kernels.Window`: an op's
         target matrix over the all-ones slice of its controls, or a
-        plan's window product.  Steps hold references to the live segment objects,
+        plan's window product.  A window whose matrix is monomial
+        (:func:`~repro.sim.schedule.monomial_pattern`, decided here and
+        stable under the cache's rebinds) is frozen with its pattern
+        and runs as moves.  Steps hold references to the live segment objects,
         so the cache's in-place parameter rebinding flows through; op
         matrices are memoized per op *object* (a rebind swaps the op,
         invalidating the memo).  Touched qubits must be axes already:
@@ -513,9 +517,9 @@ class StateVector:
         last = self._psi.ndim - 1
         nl = last + 1 - (self._shots is not None)
 
-        def window(qubits, controls=()):
+        def window(qubits, controls=(), pattern=None):
             bits = [last - self._axis(q) for q in (*qubits, *controls)]
-            return Window(bits[: len(qubits)], nl, bits[len(qubits) :])
+            return Window(bits[: len(qubits)], nl, bits[len(qubits) :], pattern)
 
         steps = []
         n_segments = 0
@@ -525,10 +529,12 @@ class StateVector:
                 steps.append(("d", seg))
             elif isinstance(seg, KernelRun):
                 for i, op in enumerate(seg.ops):
-                    win = window(op.targets, op.controls)
+                    pattern = monomial_pattern(op, full=False)
+                    win = window(op.targets, op.controls, pattern)
                     steps.append(("k", seg, i, [None, None], win))
             else:  # PlanSegment (ExchangeSegment never occurs layout-less)
-                steps.append(("p", seg, window(seg.plan.qubits)))
+                plan = seg.plan
+                steps.append(("p", seg, window(plan.qubits, pattern=monomial_pattern(plan))))
         return n_segments, tuple(steps)
 
     def execute_frozen(self, program) -> None:

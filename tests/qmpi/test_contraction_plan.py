@@ -34,6 +34,7 @@ from repro.qmpi import (
     qmpi_run,
 )
 from repro.sim import ShardedStateVector, StateVector, plan_contractions
+from repro.sim.schedule import monomial_pattern
 from tests import _dense_oracle
 from tests._lowering import compiled_records, fusion_of, lowering
 from tests._precision import DEEP_ATOL, STATE_ATOL
@@ -281,7 +282,7 @@ def test_plan_quacks_like_an_op():
     plan = ContractionPlan.from_ops([Op("cnot", (4, 7)), Op("h", (7,))])
     assert plan.controls == ()
     assert plan.targets == plan.qubits == (4, 7)
-    assert not plan.is_diagonal and not plan.is_single
+    assert monomial_pattern(plan) is None and not plan.is_single
     assert plan.spec is None
     np.testing.assert_allclose(plan.target_matrix(), plan.matrix())
 
@@ -412,7 +413,7 @@ def test_all_shard_window_reduces_to_per_chunk_scalars():
     sends = _count_fabric_sends(sv)
     ops = [Op("cz", (0, 1)), Op("t", (0,)), Op("s", (1,))]
     plan = ContractionPlan.from_ops(ops)
-    assert plan.is_diagonal
+    assert monomial_pattern(plan) == (0, 1, 2, 3)  # diagonal
     sv.apply_ops([plan])
     ref.apply_ops(ops)
     assert sends == []

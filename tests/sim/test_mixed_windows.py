@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.qmpi import Op
+from repro.sim.ops import controlled_unitary
 from repro.sim import ShardedStateVector, StateVector, coalesce_diagonals, kernels, sharded
 from repro.sim.diag import DiagBatch
 from tests import _dense_oracle
@@ -277,6 +278,41 @@ def test_sharded_step_transient_stays_under_half_a_chunk(gates):
     np.testing.assert_allclose(
         sv.statevector(), _oracle(BIG_PREP + gates), atol=ATOL["complex128"]
     )
+    assert peak < chunk / 2
+
+
+_XX = np.kron(*[_dense_oracle.GATES["x"]()] * 2)
+#: Monomial windows, each a warm-up and a traced step: their slices
+#: move through one slab of scratch (high bits) or one slab of rows
+#: (low bits), never a chunk-sized temporary.
+MONOMIAL_STEPS = {
+    "swap_slices": [("swap", (4, 12)), ("swap", (3, 11))],
+    "swap_rows": [("swap", (15, 18)), ("swap", (14, 17))],
+    # Two targets under a control: a "ct" window on the sharded engine.
+    "controlled_x_slices": [("cxx", (2, 9, 16)), ("cxx", (5, 10, 13))],
+    "controlled_x_rows": [("cxx", (17, 15, 18)), ("cxx", (18, 14, 16))],
+}
+
+
+@pytest.mark.parametrize("engine", ["shared", "sharded"])
+@pytest.mark.parametrize("case", sorted(MONOMIAL_STEPS))
+def test_monomial_window_transient_stays_under_half_a_chunk(engine, case):
+    sv = _big(engine)
+    chunk = ((1 << BIG_N) // BIG_SHARDS) * np.dtype(np.complex128).itemsize
+    ops, psi = [], _oracle(BIG_PREP)
+    for name, qubits in MONOMIAL_STEPS[case]:
+        if name == "cxx":
+            ops.append(controlled_unitary(_XX, qubits[:1], qubits[1:]))
+            u = _dense_oracle._controlled(_XX)
+        else:
+            ops.append(Op(name, qubits))
+            u = _dense_oracle.GATES[name]()
+        psi = _dense_oracle.apply(psi, u, qubits, BIG_N)
+    hits = sv._kernels.counters["monomial_hits"]
+    sv.apply_ops(ops[:1])  # warm any lazily built state outside the trace
+    peak = _traced_peak(lambda: sv.apply_ops(ops[1:]))
+    np.testing.assert_array_equal(sv.statevector(), psi)
+    assert sv._kernels.counters["monomial_hits"] > hits
     assert peak < chunk / 2
 
 
