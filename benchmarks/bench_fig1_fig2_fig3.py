@@ -14,6 +14,7 @@ from repro.apps.teleport import run_teleport_demo
 from repro.qmpi import qmpi_run
 from repro.sim import StateVector
 from repro.sim import gates as G
+from tests._precision import PROB_ABS
 
 
 def test_fig1a_cnot_equals_h_cz_h(benchmark):
@@ -52,7 +53,7 @@ def test_fig1b_measured_reset(benchmark):
 
     ref, probs = benchmark(run)
     for p in probs:
-        assert p == pytest.approx(math.sin(0.45) ** 2, abs=1e-9)
+        assert p == pytest.approx(math.sin(0.45) ** 2, abs=PROB_ABS)
     print("\nFig. 1(b): measured reset preserves the source state ✓")
 
 
@@ -85,7 +86,7 @@ def test_fig2_fanout_parallel_controls(benchmark):
 
 def test_fig3_teleportation(benchmark):
     p1, snap = benchmark(lambda: run_teleport_demo(theta=1.234, phi=0.5))
-    assert p1 == pytest.approx(math.sin(0.617) ** 2, abs=1e-9)
+    assert p1 == pytest.approx(math.sin(0.617) ** 2, abs=PROB_ABS)
     assert (snap.epr_pairs, snap.classical_bits) == (1, 2)
     print(f"\nFig. 3: teleportation = fanout + unfanout; 1 EPR pair, "
           f"2 classical bits (measured: {snap.epr_pairs}, {snap.classical_bits}) ✓")
@@ -105,5 +106,5 @@ def test_fig3_fanout_unfanout_identity(benchmark):
         return None
 
     world = benchmark(lambda: qmpi_run(2, prog, seed=0))
-    assert world.results[0] == pytest.approx(math.sin(0.35) ** 2, abs=1e-9)
+    assert world.results[0] == pytest.approx(math.sin(0.35) ** 2, abs=PROB_ABS)
     print("\nFig. 3(a,b): fanout then unfanout restores the original ✓")

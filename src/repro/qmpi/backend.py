@@ -93,6 +93,12 @@ class QuantumBackend:
     * ``apply_ops(lowered_ops)`` — the one-shot composition
       compile → freeze → execute.
 
+    ``route_copies(ops)`` returns the batch with the engine's fan-out
+    copy entries resolved (the shared engine rewrites a diagonal op on
+    a copy onto its source and materialises the rest; an engine without
+    copies returns ``ops``): ``apply_ops`` calls it, and
+    :meth:`apply_flush` calls it before its schedule cache.
+
     :meth:`apply_flush` (a rank's flushed buffer: lowered, compiled and
     frozen through the schedule cache) and :meth:`apply_ops`
     (already-lowered batches, chiefly the protocols' one-op batches)
@@ -262,6 +268,8 @@ class QuantumBackend:
         in-process and over the ``mp`` service alike: ownership of
         every operand is checked once, and the lower + compile work is
         served from the backend's :class:`~repro.sim.cache.ScheduleCache`
+        (after the engine's ``route_copies``, so the cache keys ops on a
+        fan-out copy as the ops on its source they run as)
         — structurally identical buffers (same gates and qubit pattern,
         any rotation angles) replay their compiled segment list with
         the parameters rebound instead of recompiling.  With
@@ -277,6 +285,7 @@ class QuantumBackend:
         with self._lock:
             for op in ops:
                 self._check_owner(rank, *op.qubits)
+            ops = self._sv.route_copies(ops)
             n = self._sv.num_qubits
             if self.schedule_cache is not None and self.schedule_cache.execute(
                 self._sv, ops, num_qubits=n

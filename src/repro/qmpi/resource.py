@@ -86,20 +86,9 @@ class Ledger:
         with self._lock:
             self._scopes[tid].pop()
 
-    def scope(self, name: str):
+    def scope(self, name: str) -> "_Scope":
         """Context manager attributing resources to ``name`` on this thread."""
-        ledger = self
-
-        class _Scope:
-            def __enter__(self):
-                ledger.push_scope(name)
-                return ledger
-
-            def __exit__(self, *exc):
-                ledger.pop_scope()
-                return False
-
-        return _Scope()
+        return _Scope(self, name)
 
     def _current_rows(self) -> list[OpRow]:
         tid = threading.get_ident()
@@ -144,6 +133,25 @@ class Ledger:
     def row(self, name: str) -> OpRow:
         with self._lock:
             return self.rows.get(name, OpRow(name))
+
+
+class _Scope:
+    """:meth:`Ledger.scope`'s context manager: pushes ``name`` on entry,
+    pops it on exit, and enters as the ledger."""
+
+    __slots__ = ("_ledger", "_name")
+
+    def __init__(self, ledger: Ledger, name: str):
+        self._ledger = ledger
+        self._name = name
+
+    def __enter__(self) -> Ledger:
+        self._ledger.push_scope(self._name)
+        return self._ledger
+
+    def __exit__(self, *exc) -> bool:
+        self._ledger.pop_scope()
+        return False
 
 
 class BitChannel:

@@ -755,7 +755,13 @@ class KernelDispatch:
 
     def cc(self, chunk, u, local_controls, t_bit: int, nl: int, diag: bool) -> None:
         """Locally-targeted controlled 2x2 on the all-ones control slice,
-        walked in :func:`slabs`."""
+        walked in :func:`slabs`.
+
+        An anti-diagonal ``u`` (a controlled ``x``: ``cnot``,
+        ``toffoli``) swaps the pair through one slab buffer and scales
+        only by a factor that is not exactly 1, so a permutation moves
+        amplitudes bit for bit.
+        """
         _need_c(chunk)
         u = np.asarray(u, dtype=chunk.dtype)
         view = chunk.reshape((-1,) + (2,) * nl)
@@ -772,6 +778,18 @@ class KernelDispatch:
             return
         a0 = view[idx0]
         a1 = view[idx1]
+        if u[0, 0] == 0 and u[1, 1] == 0:
+            f0, f1 = u[0, 1], u[1, 0]
+            for sel in slabs(a0.shape):
+                x, y = a0[sel], a1[sel]
+                held = x.copy()
+                x[...] = y
+                y[...] = held
+                if f0 != 1.0:
+                    x *= f0
+                if f1 != 1.0:
+                    y *= f1
+            return
         for sel in slabs(a0.shape):
             x, y = a0[sel], a1[sel]
             mix_pair(u, x, y, y, x)

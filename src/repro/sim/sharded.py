@@ -465,6 +465,11 @@ class ShardedStateVector:
             self.dtype,
         )
 
+    def route_copies(self, ops):
+        """``ops`` unchanged: this engine keeps a fan-out copy as a qubit
+        of its register, so it has no copy entries to resolve."""
+        return ops
+
     def compile_batch(self, ops):
         """Compile a lowered op batch against the current chunk layout."""
         return compile_segments(ops, bit=self._bit, n_local=self.n_local)

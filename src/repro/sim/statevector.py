@@ -8,15 +8,23 @@ adds the rank-0-style serialization on top.
 Design notes
 ------------
 * The state is stored as an ndarray of shape ``(2,) * n``; qubit handles
-  are stable integer ids mapped to tensor axes *or to a pending product
-  factor*, so qubits can be allocated and released dynamically
-  (``QMPI_Alloc_qmem`` / ``QMPI_Free_qmem``).
+  are stable integer ids mapped to tensor axes, *to a pending product
+  factor* or *to a copy entry*, so qubits can be allocated and released
+  dynamically (``QMPI_Alloc_qmem`` / ``QMPI_Free_qmem``).
 * A fresh qubit is a pending factor — ``|0>``, or a Bell half after
   :meth:`StateVector.entangle_fresh` — not yet an axis.  A tensor factor
   commutes with every operation that does not touch it, so it is merged
   (one zero-padded allocation appending trailing axes) by the first call
   that couples it to the register: an EPR half costs one resize up and
   one down.
+* A fan-out's copy (Fig. 3(a), outside shots mode) is a copy entry
+  ``qid -> (source, flip)``: the qubit holds ``source XOR flip`` in the
+  Z basis, so it needs no axis.  X on it toggles ``flip``, Z and its
+  X-basis uncopy negate one half of the source, and a diagonal op on
+  an unflipped copy runs on the source (:meth:`StateVector.route_copies`).
+  Anything else on the copy — or a step that changes or removes its
+  source's Z value — first materialises it as the axis ``_fan_out``
+  would have built.
 * The state is kept C-contiguous, so it is one chunk to
   :class:`~repro.sim.kernels.KernelDispatch`: every dense step is an
   in-place, slab-walked ``contract`` over the step's frozen
@@ -123,6 +131,8 @@ class StateVector:
         self._axis_of: dict[int, int] = {}
         # Pending product factors: qid -> Bell partner, or None for |0>.
         self._pending: dict[int, int | None] = {}
+        # Copy entries: qid -> (source qid, flip); the qubit is source XOR flip.
+        self._copies: dict[int, tuple[int, int]] = {}
         self._next_id = 0
         self._shots: int | None = None
         self._shot_of: np.ndarray | None = None
@@ -169,6 +179,8 @@ class StateVector:
             raise SimulationError(f"shots must be >= 1, got {shots}")
         self._shots = int(shots)
         self._shot_of = np.zeros(self._shots, dtype=np.int64)
+        # A copy's flip would differ per branch: copies become axes first.
+        self._materialize(self._copies)
         # Pending factors carry no branch axis until they are merged.
         self._psi = self._psi[None]
         for q in self._axis_of:
@@ -187,7 +199,7 @@ class StateVector:
     @property
     def num_qubits(self) -> int:
         """Number of currently allocated qubits."""
-        return len(self._axis_of) + len(self._pending)
+        return len(self._axis_of) + len(self._pending) + len(self._copies)
 
     @property
     def dtype(self) -> str:
@@ -203,9 +215,9 @@ class StateVector:
         """Allocated qubit ids in ascending id order (allocation order).
 
         Not axis order: axes follow the order in which pending qubits
-        were merged into the array.
+        were merged into the array (copies count, axis or not).
         """
-        return tuple(sorted((*self._axis_of, *self._pending)))
+        return tuple(sorted((*self._axis_of, *self._pending, *self._copies)))
 
     def alloc(self, n: int = 1) -> list[int]:
         """Allocate ``n`` fresh qubits in |0> and return their ids."""
@@ -237,6 +249,9 @@ class StateVector:
         if self._is_fresh_zero(qubit):
             del self._pending[qubit]
             return
+        self._unshare((qubit,))
+        if qubit in self._copies:
+            self._materialize((qubit,))
         # A qubit still pending here is a Bell half: entangled.
         ax = None if qubit in self._pending else self._axis(qubit)
         if ax is None or not np.allclose(
@@ -254,18 +269,24 @@ class StateVector:
         it. Returns the bit.
 
         The Z measurement is one probability reduction and one scaled
-        copy of the chosen half: that half *is* the released state.  Two
-        operand patterns skip the gate (:meth:`_fan_out`, :meth:`_measure_x`).
+        copy of the chosen half: that half *is* the released state.  Three
+        operand patterns skip the gate (:meth:`_fan_out`, :meth:`_uncopy`,
+        :meth:`_measure_x`).
         """
         if basis == "Z" and control in self._axis_of and self._pending.get(qubit) is not None:
             return self._fan_out(qubit, control)
-        if basis == "X" and control is None and qubit in self._axis_of:
-            return self._measure_x(qubit)
+        if basis == "X" and control is None:
+            if qubit in self._copies:
+                return self._uncopy(qubit)
+            if qubit in self._axis_of:
+                self._unshare((qubit,))
+                return self._measure_x(qubit)
         G.measurement_prelude(self, qubit, basis, control)
         if self._is_fresh_zero(qubit):
             bit = self._measure_fresh_zero()
             del self._pending[qubit]
             return bit
+        self._unshare((qubit,))
         self._merge((qubit,))
         ax = self._axis(qubit)
         if self._shots is None:
@@ -296,31 +317,108 @@ class StateVector:
         The cnot leaves ``sum_c psi_c (|c, 0> + |1-c, 1>)/sqrt(2)`` on
         ``(qubit, p)``; outcome ``m`` keeps ``psi_m |p=0> + psi_(1-m) |p=1>``,
         of norm 1/2 whatever the state.  So ``m`` is a fair coin, ``p``
-        becomes one trailing axis holding ``c XOR m`` with the amplitudes
-        unchanged (``1/sqrt(2) * sqrt(2)``), and ``qubit`` is never an
-        axis: one zero-padded allocation, two half-copies.
+        holds ``c XOR m`` with the amplitudes unchanged (``1/sqrt(2) *
+        sqrt(2)``), and ``qubit`` is never an axis.  Outside shots mode
+        ``p`` becomes the copy entry ``(control, m)`` and the array is
+        untouched.  Shots mode keeps ``p`` an axis, since ``m`` differs
+        per branch: one zero-padded allocation, two half-copies.
         """
         partner = self._pending.pop(qubit)
         del self._pending[partner]
-        psi, cax = self._psi, self._axis_of[control]
-        self._axis_of[partner] = psi.ndim
         if self._shots is None:
             bits = int(self.rng.random() < 0.5)
-            new = np.zeros(psi.shape + (2,), dtype=psi.dtype)
-            old, out = np.moveaxis(psi, cax, 0), np.moveaxis(new, cax, 0)
-            out[0, ..., bits] = old[0]
-            out[1, ..., 1 - bits] = old[1]
-        else:
-            bits, self._shot_of, (src, m, _) = fork_outcomes(
-                np.full(psi.shape[0], 0.5), self._shot_of, self.rng
-            )
-            new = np.zeros((len(src),) + psi.shape[1:] + (2,), dtype=psi.dtype)
-            old, out = np.moveaxis(psi, cax, 1), np.moveaxis(new, cax, 1)
-            rows = np.arange(len(src))
-            out[rows, 0, ..., m] = old[src, 0]
-            out[rows, 1, ..., 1 - m] = old[src, 1]
+            self._copies[partner] = (control, bits)
+            return bits
+        psi, cax = self._psi, self._axis_of[control]
+        self._axis_of[partner] = psi.ndim
+        bits, self._shot_of, (src, m, _) = fork_outcomes(
+            np.full(psi.shape[0], 0.5), self._shot_of, self.rng
+        )
+        new = np.zeros((len(src),) + psi.shape[1:] + (2,), dtype=psi.dtype)
+        old, out = np.moveaxis(psi, cax, 1), np.moveaxis(new, cax, 1)
+        rows = np.arange(len(src))
+        out[rows, 0, ..., m] = old[src, 0]
+        out[rows, 1, ..., 1 - m] = old[src, 1]
         self._psi = new
         return bits
+
+    def _uncopy(self, qubit: int) -> int:
+        """``h`` + Z measurement + removal of a copy entry (Fig. 1(b)), exactly.
+
+        With ``qubit = source XOR flip``, outcome ``m`` leaves
+        ``(-1)^(m (source XOR flip))`` on the register at norm 1/2: a
+        fair coin (the one draw :meth:`_measure_x` makes), and on 1 a Z
+        on the copy.
+        """
+        bit, _ = self._draw(qubit, 0.5)
+        if bit:
+            self._z_on_copy(qubit)
+        del self._copies[qubit]
+        return bit
+
+    def _z_on_copy(self, qubit: int) -> None:
+        """Z on a copy entry, in place: negate the source's half where
+        the copy reads 1 (index ``1 - flip``)."""
+        source, flip = self._copies[qubit]
+        half = np.moveaxis(self._psi, self._axis_of[source], 0)[1 - flip, ...]
+        for sel in slabs(half.shape):
+            half[sel] *= -1
+
+    def _materialize(self, qubits) -> None:
+        """Turn the copy entries ``qubits`` into trailing axes, in ascending
+        id order: the array :meth:`_fan_out` builds in shots mode, one
+        zero-padded allocation and two half-copies each."""
+        for q in sorted(qubits):
+            source, flip = self._copies.pop(q)
+            psi, sax = self._psi, self._axis_of[source]
+            new = np.zeros(psi.shape + (2,), dtype=psi.dtype)
+            old, out = np.moveaxis(psi, sax, 0), np.moveaxis(new, sax, 0)
+            out[0, ..., flip] = old[0]
+            out[1, ..., 1 - flip] = old[1]
+            self._axis_of[q] = psi.ndim
+            self._psi = new
+
+    def _unshare(self, qubits) -> None:
+        """Materialise every copy whose source is in ``qubits``: called
+        before a step that changes or removes a source's Z value."""
+        if self._copies:
+            self._materialize([c for c, (s, _) in self._copies.items() if s in qubits])
+
+    def route_copies(self, ops):
+        """``ops`` with copy entries resolved: the engine's one rewrite.
+
+        A diagonal op on copies that are all unflipped runs on their
+        sources instead (``copy == source`` on every basis state the
+        register holds), unless that would repeat a qubit in the op.
+        Any other op on a copy materialises it; a non-diagonal op on a
+        copy's source materialises that copy.  Diagonal ops on a source
+        leave its copies alone.  Called by :meth:`_run_batch` and by
+        :meth:`repro.qmpi.backend.QuantumBackend.apply_flush` ahead of
+        its schedule cache, so the cache keys the rewritten ops.
+        """
+        copies = self._copies
+        if not copies:
+            return ops
+        out = []
+        for op in ops:
+            sources = {s for s, _ in copies.values()}
+            qubits = op.qubits
+            if not any(q in copies or q in sources for q in qubits):
+                out.append(op)
+                continue
+            diagonal = isinstance(op, (Op, DiagBatch)) and op.is_diagonal
+            if diagonal and isinstance(op, Op):
+                moved = tuple(copies[q][0] if q in copies else q for q in qubits)
+                if len(set(moved)) == len(moved) and all(
+                    copies[q][1] == 0 for q in qubits if q in copies
+                ):
+                    out.append(op.rebind(qubits=moved) if moved != qubits else op)
+                    continue
+            self._materialize([q for q in qubits if q in copies])
+            if not diagonal:
+                self._unshare(qubits)
+            out.append(op)
+        return tuple(out)
 
     def _measure_x(self, qubit: int):
         """``h(qubit)`` + Z measurement + removal of a merged qubit, exactly.
@@ -371,9 +469,13 @@ class StateVector:
         return ShotBits(np.zeros(self._shots, dtype=np.int64))
 
     def _merge(self, qubits: Iterable[int]) -> None:
-        """Materialize the pending factors of ``qubits`` as trailing axes,
-        all in one zero-padded allocation (existing axes never shift).
-        Callers merge *before* reading ``ndim`` or any axis."""
+        """Make ``qubits`` axes: the copy entries among them
+        (:meth:`_materialize`), then their pending factors as trailing
+        axes, all in one zero-padded allocation (existing axes never
+        shift).  Callers merge *before* reading ``ndim`` or any axis."""
+        if self._copies:
+            qubits = tuple(qubits)
+            self._materialize([q for q in qubits if q in self._copies])
         pending = self._pending
         if not pending:
             return
@@ -457,6 +559,7 @@ class StateVector:
     def _run_batch(self, ops) -> None:
         # apply()/apply_controlled() come here directly, not through
         # apply_ops, so a subclass that tallies batches counts them once.
+        ops = self.route_copies(ops)
         if self._pending:
             ops = tuple(ops)
             self._merge(q for op in ops for q in op.qubits)
@@ -621,6 +724,7 @@ class StateVector:
         """
         if self._is_fresh_zero(qubit):
             return self._measure_fresh_zero()
+        self._unshare((qubit,))
         self._merge((qubit,))
         if self._shots is None:
             p1 = self.prob_one(qubit)
@@ -653,6 +757,13 @@ class StateVector:
         if pauli not in G.PAULIS:
             raise KeyError(pauli)
         if self._shots is None:
+            if cond and qubit in self._copies and pauli != "Y":
+                if pauli == "X":
+                    source, flip = self._copies[qubit]
+                    self._copies[qubit] = (source, 1 - flip)
+                else:
+                    self._z_on_copy(qubit)
+                return
             rows = ... if cond else None
         else:
             mask = branch_mask(cond, self._shot_of, self._psi.shape[0])
@@ -665,6 +776,8 @@ class StateVector:
         negation of one, or both — no contraction.  ``rows`` is ``...``
         (walked in slabs) or, in shots mode, the boolean mask of the
         branches to act on (gathered: the masked rows are copied)."""
+        if pauli != "Z":
+            self._unshare((qubit,))
         self._merge((qubit,))
         moved = np.moveaxis(self._psi, self._axis(qubit), 0)
         zero, one = moved[0, ...], moved[1, ...]
@@ -678,6 +791,7 @@ class StateVector:
 
     def postselect(self, qubit: int, bit: int) -> None:
         """Project ``qubit`` onto ``|bit>`` and renormalize (per branch)."""
+        self._unshare((qubit,))
         self._merge((qubit,))
         ax = self._axis(qubit)
         moved = np.moveaxis(self._psi, ax, 0)
@@ -764,6 +878,7 @@ class StateVector:
     def expectation_pauli(self, mapping: dict[int, str]) -> float:
         """Expectation value of a Pauli string ``{qubit: 'X'|'Y'|'Z'}``."""
         self._require_unforked("expectation_pauli")
+        self._unshare(mapping)
         self._merge(mapping)
         tmp = self._psi.copy()
         saved = self._psi
@@ -789,6 +904,7 @@ class StateVector:
         out._psi = self._psi.copy()
         out._axis_of = dict(self._axis_of)
         out._pending = dict(self._pending)
+        out._copies = dict(self._copies)
         out._next_id = self._next_id
         out._shots = self._shots
         out._shot_of = None if self._shot_of is None else self._shot_of.copy()

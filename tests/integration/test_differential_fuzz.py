@@ -40,6 +40,18 @@ Every differential bar above compares two configurations that share
 ``gates.py``, ``lower_flush``, ``compile_segments`` and the frozen
 executors; the oracle arm is what would catch a bug in those.
 
+A fifth sweep runs cross-rank copy circuits against the same oracle:
+a ``send``/``recv`` fan-out (Fig. 3(a)), random steps while the copy
+is live — diagonal and non-diagonal gates on the copy and beside it,
+gates and Pauli fix-ups on the source, X/Z fix-ups on the copy, a flip
+of the copy followed by a diagonal on it, and on three ranks a second
+fan-out *from* the copy — then ``unrecv``/``unsend`` (Fig. 1(b)).  The
+oracle models a fan-out as a ``cnot`` onto a fresh qubit and an uncopy
+as the X-basis projection on the outcome the engine reported, then Z
+on the source.  On the shared engine these circuits drive its copy
+entries (``StateVector.route_copies``) through their fast paths and
+their materialisation.
+
 Environment knobs (used by CI):
 
 * ``QMPI_FUZZ_SEED`` — base corpus seed (fixed default for PRs; CI
@@ -57,7 +69,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.qmpi import ContractionPlan, qmpi_run
+from repro.qmpi import ContractionPlan, QuantumBackend, qmpi_run
 from repro.sim.kernels import provider_name
 from tests import _dense_oracle
 from tests._kernels import dispatch
@@ -442,3 +454,209 @@ def test_fuzz_against_independent_dense_oracle():
         assert worst <= ORACLE_ATOL[dtype], (
             f"amplitudes off the oracle by {worst:.3e}\n{label}"
         )
+
+
+# ----------------------------------------------------------------------
+# cross-rank copies (send/recv ... unrecv/unsend) against the oracle
+# ----------------------------------------------------------------------
+N_COPY_CIRCUITS = max(16, N_CIRCUITS // 2)
+COPY = "c"  # a step operand naming the rank's live copy
+K = 2  # data qubits per rank
+DIAG_1Q = ("rz", "s", "t", "z")
+DIAG_2Q = ("crz", "cphase", "rzz", "cz")
+MIX_1Q = ("h", "rx", "ry", "x")
+MIX_2Q = ("cnot", "swap")
+N_PARAMS = {"rz": 1, "rx": 1, "ry": 1, "crz": 1, "cphase": 1, "rzz": 1, ZZ_SANDWICH: 1}
+
+
+def _gate(rng, gate, operands):
+    theta = tuple(float(a) for a in rng.uniform(-np.pi, np.pi, N_PARAMS.get(gate, 0)))
+    return ("g", gate, operands, theta)
+
+
+def _gen_steps(rng, operands, n_steps, calm=False):
+    """Random steps on ``operands`` (data indices, maybe :data:`COPY`);
+    ``calm`` steps are diagonal gates and Pauli fix-ups only."""
+    steps = []
+    for _ in range(n_steps):
+        kind = rng.random() * (0.72 if calm else 1.0)
+        one = (operands[int(rng.integers(len(operands)))],)
+        two = tuple(operands[int(i)] for i in rng.choice(len(operands), 2, replace=False))
+        if kind < 0.25:
+            steps.append(_gate(rng, DIAG_1Q[int(rng.integers(len(DIAG_1Q)))], one))
+        elif kind < 0.45:
+            steps.append(_gate(rng, DIAG_2Q[int(rng.integers(len(DIAG_2Q)))], two))
+        elif kind < 0.55:
+            steps.append(_gate(rng, ZZ_SANDWICH, two))  # folds into one rzz
+        elif kind < 0.72:
+            steps.append(("p", "XZ"[int(rng.integers(2))], one, int(rng.integers(2))))
+        elif kind < 0.8 and COPY in operands:
+            # flip the copy, then a diagonal on the flipped copy
+            steps.append(("p", "X", (COPY,), 1))
+            steps.append(_gate(rng, DIAG_1Q[int(rng.integers(len(DIAG_1Q)))], (COPY,)))
+        elif kind < 0.9:
+            steps.append(_gate(rng, MIX_1Q[int(rng.integers(len(MIX_1Q)))], one))
+        else:
+            steps.append(_gate(rng, MIX_2Q[int(rng.integers(len(MIX_2Q)))], two))
+    return tuple(steps)
+
+
+def _gen_copy_circuit(rng):
+    """Rank 0 fans data qubit ``src`` out to rank 1; on three ranks rank 1
+    fans its copy out to rank 2 between its ``before`` and ``after`` steps."""
+    n_ranks = 2 + int(rng.integers(2))
+    calm = bool(rng.integers(2))  # copies mostly stay entries: no mixing gate
+    data = tuple(range(K))
+    prefix = tuple(
+        tuple(_gate(rng, ("ry", "rx")[q % 2], (q,)) for q in data)
+        + (_gate(rng, "cnot", (0, 1)),)
+        + _gen_steps(rng, data, 2)
+        for _ in range(n_ranks)
+    )
+    steps = {
+        "sender": _gen_steps(rng, data, int(rng.integers(1, 5)), calm),
+        "before": _gen_steps(rng, data + (COPY,), int(rng.integers(2, 8)), calm),
+        "during": _gen_steps(rng, data + (COPY,), int(rng.integers(0, 4)), calm),
+        "after": _gen_steps(rng, data + (COPY,), int(rng.integers(0, 4)), calm),
+        "third": _gen_steps(rng, data + (COPY,), int(rng.integers(1, 6)), calm),
+    }
+    return n_ranks, prefix, int(rng.integers(K)), steps
+
+
+def _run_steps(qc, steps, data, copy=None):
+    for step in steps:
+        qs = [copy if o == COPY else data[o] for o in step[2]]
+        if step[0] == "p":
+            qc.flush_ops()  # the fix-up is a direct backend call
+            qc.backend.apply_pauli_if(qc.rank, step[3], step[1], qs[0])
+        elif step[1] == ZZ_SANDWICH:
+            qc.cnot(*qs)
+            qc.rz(qs[1], *step[3])
+            qc.cnot(*qs)
+        else:
+            getattr(qc, step[1])(*qs, *step[3])
+
+
+def _copy_prog(qc, n_ranks, prefix, src, steps):
+    data = qc.alloc_qmem(K)
+    _run_steps(qc, prefix[qc.rank], data)
+    qc.flush_ops()
+    qc.barrier()
+    copies = []
+    if qc.rank == 0:
+        qc.send([data[src]], dest=1)
+        _run_steps(qc, steps["sender"], data)
+        qc.unsend([data[src]], dest=1)
+    elif qc.rank == 1:
+        (copy,) = qc.recv(qc.alloc_qmem(1), source=0)
+        copies.append(copy)
+        _run_steps(qc, steps["before"], data, copy)
+        if n_ranks == 3:
+            qc.send([copy], dest=2, tag=1)
+            _run_steps(qc, steps["during"], data, copy)
+            qc.unsend([copy], dest=2, tag=1)
+        _run_steps(qc, steps["after"], data, copy)
+        qc.unrecv([copy], source=0)
+    else:
+        (copy,) = qc.recv(qc.alloc_qmem(1), source=1, tag=1)
+        copies.append(copy)
+        _run_steps(qc, steps["third"], data, copy)
+        qc.unrecv([copy], source=1, tag=1)
+    qc.barrier()
+    return list(data), copies
+
+
+def _copy_oracle(circ, uncopied):
+    """The final state, data qubits in rank order; ``uncopied`` lists each
+    copy's X-basis outcome (rank 1's copy first, then rank 2's)."""
+    n_ranks, prefix, src, steps = circ
+    n_data = K * n_ranks
+    n = n_data + n_ranks - 1  # the copies are the last qubits
+    psi = np.zeros(2**n, dtype=complex)
+    psi[0] = 1.0
+
+    def gate(name, qubits, theta=()):
+        nonlocal psi
+        if name == ZZ_SANDWICH:
+            name = "rzz"
+        psi = _dense_oracle.apply(psi, _dense_oracle.GATES[name](*theta), qubits, n)
+
+    def run(steps, rank, copy=None):
+        for step in steps:
+            qs = tuple(copy if o == COPY else K * rank + o for o in step[2])
+            if step[0] == "p":
+                if step[3]:
+                    gate(step[1].lower(), qs)
+            else:
+                gate(step[1], qs, step[3])
+
+    def uncopy(copy, m):
+        # X-basis measurement of the last qubit on outcome m
+        nonlocal psi, n
+        assert copy == n - 1
+        gate("h", (copy,))
+        half = psi.reshape(-1, 2)[:, m]
+        psi = half / np.linalg.norm(half)
+        n -= 1
+
+    for rank in range(n_ranks):
+        run(prefix[rank], rank)
+    c1 = n_data
+    gate("cnot", (src, c1))
+    run(steps["before"], 1, c1)
+    if n_ranks == 3:
+        gate("cnot", (c1, c1 + 1))
+        run(steps["during"], 1, c1)
+        run(steps["third"], 2, c1 + 1)
+        uncopy(c1 + 1, uncopied[1])
+        if uncopied[1]:
+            gate("z", (c1,))  # rank 1's unsend
+    run(steps["after"], 1, c1)
+    uncopy(c1, uncopied[0])
+    # Rank 0's steps run beside everything since its send; on qubits of
+    # its own they commute with all of it, up to its unsend's fix-up.
+    run(steps["sender"], 0)
+    if uncopied[0]:
+        gate("z", (src,))
+    return psi
+
+
+def test_fuzz_copies_against_independent_dense_oracle(monkeypatch):
+    """Cross-rank fan-out copies on both engines, cache on and off, match
+    the oracle; on the shared engine both the copy entries' fast paths
+    and their materialisation run."""
+    outcomes = {}
+    fast = {"entry": 0, "axis": 0}
+    measure = QuantumBackend.measure_and_release
+
+    def recording(self, rank, q, basis="Z", control=None):
+        if basis == "X":
+            copies = getattr(self.raw(), "_copies", None)
+            if copies is not None:
+                fast["entry" if q in copies else "axis"] += 1
+        bit = measure(self, rank, q, basis, control)
+        if basis == "X":
+            outcomes[q] = bit
+        return bit
+
+    monkeypatch.setattr(QuantumBackend, "measure_and_release", recording)
+    configs = list(itertools.product(BACKENDS, ("on", "off"), DTYPES))
+    for i in range(N_COPY_CIRCUITS):
+        rng = np.random.default_rng((BASE_SEED, 9, i))
+        circ = _gen_copy_circuit(rng)
+        backend, cache, dtype = configs[i % len(configs)]
+        label = (
+            f"copy circuit {i} (QMPI_FUZZ_SEED={BASE_SEED}): backend={backend} "
+            f"cache={cache} dtype={dtype}\ncirc={circ!r}"
+        )
+        outcomes.clear()
+        w = qmpi_run(
+            circ[0], _copy_prog, args=circ, seed=i, backend=backend, cache=cache, dtype=dtype
+        )
+        order = [q for data, _ in w.results for q in data]
+        got = w.backend.statevector(order)
+        uncopied = [outcomes[c] for _, copies in w.results for c in copies]
+        want = _copy_oracle(circ, uncopied)
+        worst = float(np.max(np.abs(got - want)))
+        assert worst <= ORACLE_ATOL[dtype], f"amplitudes off the oracle by {worst:.3e}\n{label}"
+    assert fast["entry"] > 0 and fast["axis"] > 0, fast

@@ -383,3 +383,44 @@ def test_ledger_scopes_and_rows():
     assert snap.epr_pairs == 1
     delta = snap.delta(snap)
     assert delta.epr_pairs == 0
+
+
+def test_ledger_scopes_nest_per_thread_and_share_one_class():
+    """Two threads each nest two scopes; every record lands on exactly
+    the rows open on its own thread."""
+    import threading
+
+    from repro.qmpi.resource import Ledger, LedgerSnapshot
+
+    ledger = Ledger()
+    assert type(ledger.scope("a")) is type(ledger.scope("b"))
+    both_open = threading.Barrier(2, timeout=10)
+
+    def worker(outer, inner, pairs):
+        with ledger.scope(outer) as entered:
+            assert entered is ledger
+            ledger.record_epr(pairs)
+            with ledger.scope(inner):
+                both_open.wait()  # the other thread's scopes are open too
+                ledger.record_classical(pairs)
+                both_open.wait()
+            ledger.record_epr(pairs)
+
+    threads = [
+        threading.Thread(target=worker, args=("t0", "t0.in", 1)),
+        threading.Thread(target=worker, args=("t1", "t1.in", 10)),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+        assert not t.is_alive()
+    rows = {n: (r.epr_pairs, r.classical_bits, r.calls) for n, r in ledger.rows.items()}
+    assert rows == {
+        "t0": (2, 1, 1),
+        "t0.in": (0, 1, 1),
+        "t1": (20, 10, 1),
+        "t1.in": (0, 10, 1),
+    }
+    assert ledger.snapshot() == LedgerSnapshot(22, 11, 2)
+    assert all(not names for names in ledger._scopes.values())

@@ -10,7 +10,10 @@ one slab and over many (``TILE_AMPS`` patched to 64), in both dtypes:
 bitwise for the pure permutations, to rounding for the phases.  With
 ``np.dot`` and ``np.matmul`` patched to raise inside
 ``repro.sim.kernels`` and ``repro.sim.moves``, the monomial steps run,
-while an ``h`` or ``rx`` window still reaches BLAS.
+while an ``h`` or ``rx`` window still reaches BLAS.  The sharded
+engine's locally targeted controlled ``x`` ("cc" entries, which never
+freeze as windows) is pinned the same way: a swap of the slab pair,
+with ``kernels.mix_pair`` patched to raise.
 """
 
 import contextlib
@@ -239,3 +242,44 @@ def test_a_crz_rebind_replays_through_the_moves(fused):
 def test_the_walk_is_chosen_at_freeze(bits, controls, pattern, path):
     assert kernels.Window(bits, 12, controls, pattern).path == path
     assert kernels.Window(bits, 12, controls).path in ("rows", "run", "staged")
+
+
+#: Locally targeted controlled 2x2s the sharded engine runs as "cc"
+#: entries (qubit 0 is its shard axis, so ``(0, ...)`` is shard-controlled).
+#: The anti-diagonal ones swap the slab pair instead of mixing it.
+CY = np.array([[0, -1j], [1j, 0]])
+CC_GATES = [
+    ("cnot", (4, 1)), ("cnot", (2, 11)), ("cnot", (11, 10)), ("cnot", (0, 7)),
+    ("toffoli", (11, 1, 4)), ("toffoli", (0, 4, 10)), ("cy", (3, 9)), ("cy", (0, 2)),
+]
+
+
+@pytest.mark.parametrize("dtype", ["complex128", "complex64"])
+@pytest.mark.parametrize("rows", [0, 2], ids=["flat", "shot-rows"])
+@pytest.mark.parametrize("tile", [None, 4], ids=["one-slab", "tile4"])
+def test_sharded_antidiagonal_cc_swaps_the_pair(monkeypatch, tile, rows, dtype):
+    if tile is not None:
+        monkeypatch.setattr(kernels, "TILE_AMPS", tile)
+    sv = _engine("sharded", dtype, rows)
+
+    def refuse(*args):
+        raise AssertionError("mix_pair called on an anti-diagonal cc")
+
+    monkeypatch.setattr(kernels, "mix_pair", refuse)
+    seen = []
+    cc = kernels.KernelDispatch.cc
+    monkeypatch.setattr(
+        kernels.KernelDispatch, "cc", lambda kd, *a: seen.append(a) or cc(kd, *a)
+    )
+    for name, qs in CC_GATES:
+        pre = _rows(sv).astype(complex)
+        if name == "cy":
+            op, u = controlled_unitary(CY, qs[:1], qs[1:]), oracle._controlled(CY)
+        else:
+            op, u = Op(name, qs), oracle.GATES[name]()
+        sv.apply_ops([op])
+        want = np.stack([oracle.apply(row, u, qs, N) for row in pre])
+        _check(_rows(sv), want, dtype, name != "cy", f"{name}{qs}")
+    # every gate reached "cc": on both chunks, or on the one its shard control keeps
+    assert len(seen) == 2 * 5 + 3
+

@@ -2,9 +2,9 @@
 
 The call is *defined* as ``cnot(control, qubit)`` if ``control`` is
 given, ``h(qubit)`` if ``basis == "X"``, then the Z measure-and-release.
-``StateVector`` skips the gate on two operand patterns (fan-out onto a
-pending Bell half; X-basis drop of a merged qubit) and composes existing
-methods on every other one; each case below is checked against a twin
+``StateVector`` skips the gate on three operand patterns (fan-out onto a
+pending Bell half; X-basis drop of a merged qubit or of the copy entry a
+fan-out leaves) and composes existing methods on every other one; each case below is checked against a twin
 engine running the two-call spelling (outcome and RNG stream bit for
 bit, amplitudes to rounding) and against ``tests/_dense_oracle.py``
 projected on the reported outcome — both precisions, with and without
@@ -229,10 +229,11 @@ def test_x_measurement_of_an_impossible_outcome_raises():
 def test_fan_out_never_materialises_the_measured_half():
     """alloc, alloc, entangle, measure_and_release(e, control=q) at 16 qubits.
 
-    The round peaks at the new array (2 registers above the start; the
-    two-call spelling's 4x merge and controlled pass read 8), and the
-    X-basis drop of the copy at one halved array (1 register; ``h`` made
-    a second full one).
+    Neither half becomes an axis: the measured one is gone and the copy
+    is a copy entry, so the fan-out allocates nothing state-sized (the
+    two-call spelling's 4x merge and controlled pass read 8 registers).
+    The X-basis drop of the copy stays under one register (``h`` made a
+    second full one).
     """
     tracemalloc.start()
     try:
@@ -246,7 +247,8 @@ def test_fan_out_never_materialises_the_measured_half():
         sv.entangle_fresh(e, f)
         m = sv.measure_and_release(e, control=3)
         fan_out_peak = tracemalloc.get_traced_memory()[1]
-        assert sv._psi.ndim == 17 and e not in sv._axis_of
+        assert sv._psi.ndim == 16 and e not in sv._axis_of and f not in sv._axis_of
+        assert sv._copies == {f: (3, m)} and sv.num_qubits == 17
         sv.apply_pauli_if(m, "X", f)
         before_drop = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -255,5 +257,5 @@ def test_fan_out_never_materialises_the_measured_half():
     finally:
         tracemalloc.stop()
     assert sv._psi.ndim == 16
-    assert (fan_out_peak - start) / register <= 2.2
+    assert (fan_out_peak - start) / register <= 0.01
     assert (drop_peak - before_drop) / register <= 1.1
