@@ -14,7 +14,7 @@ from repro.apps.teleport import run_teleport_demo
 from repro.qmpi import qmpi_run
 from repro.sim import StateVector
 from repro.sim import gates as G
-from tests._precision import PROB_ABS
+from tests._precision import PROB_ABS, STATE_ATOL
 
 
 def test_fig1a_cnot_equals_h_cz_h(benchmark):
@@ -38,7 +38,8 @@ def test_fig1b_measured_reset(benchmark):
         sv.cnot(0, 1)
         sv.cnot(0, 1)
         ref = sv.statevector()
-        # Measured variant: H + measure + conditional Z on the source.
+        # Measured variant: H + measure + conditional Z on the source;
+        # the measured target is then put back to |0> to compare states.
         out = []
         for seed in range(4):
             sv2 = StateVector(2, seed=seed)
@@ -47,13 +48,14 @@ def test_fig1b_measured_reset(benchmark):
             sv2.h(1)
             if sv2.measure(1):
                 sv2.z(0)
-            sv2.postselect(1, 0) if False else None
-            out.append(sv2.prob_one(0))
+                sv2.x(1)
+            out.append((sv2.prob_one(0), sv2.statevector()))
         return ref, out
 
-    ref, probs = benchmark(run)
-    for p in probs:
+    ref, results = benchmark(run)
+    for p, state in results:
         assert p == pytest.approx(math.sin(0.45) ** 2, abs=PROB_ABS)
+        np.testing.assert_allclose(state, ref, atol=STATE_ATOL)
     print("\nFig. 1(b): measured reset preserves the source state ✓")
 
 

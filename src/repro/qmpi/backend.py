@@ -94,9 +94,9 @@ class QuantumBackend:
       compile → freeze → execute.
 
     ``route_copies(ops)`` returns the batch with the engine's fan-out
-    copy entries resolved (the shared engine rewrites a diagonal op on
-    a copy onto its source and materialises the rest; an engine without
-    copies returns ``ops``): ``apply_ops`` calls it, and
+    copy entries resolved (a diagonal op on a copy runs on its source,
+    the rest materialise it; see :class:`repro.sim.register.Register`,
+    which both engines inherit): ``apply_ops`` calls it, and
     :meth:`apply_flush` calls it before its schedule cache.
 
     :meth:`apply_flush` (a rank's flushed buffer: lowered, compiled and
@@ -370,8 +370,8 @@ class QuantumBackend:
     def entangle_pair(self, qa: int, qb: int) -> None:
         """|00> -> (|00>+|11>)/sqrt(2); used by the EPR service only.
 
-        The engine's ``entangle_fresh``: ``h`` + ``cnot``, or on the shared
-        engine a pending Bell factor when both qubits are untouched.
+        The engine's ``entangle_fresh``: a pending Bell factor when both
+        qubits are untouched, else ``h`` + ``cnot``.
         """
         with self._lock:
             self._sv.entangle_fresh(qa, qb)

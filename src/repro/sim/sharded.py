@@ -24,24 +24,28 @@ The state is a list of ``R`` flat contiguous in-RAM complex arrays
 (complex128 by default; ``dtype="complex64"`` selects the half-footprint
 mixed-precision tier).
 Global amplitude index ``g`` lives in ``chunks[g >> n_local][g & (csize - 1)]``
-with ``csize = 2^n_local``.  Qubit handles are stable integer ids mapped
-to *bit positions*: a freshly allocated qubit is the least significant
-bit, pushing all existing qubits one bit up, which keeps both allocation
-(a strided fill of each new chunk) and the paper-convention
-``statevector`` (first-allocated qubit = most significant bit = plain
-chunk concatenation) purely local operations.
+with ``csize = 2^n_local``.  Qubit bookkeeping is
+:class:`repro.sim.register.Register`'s, shared with the shared engine: a
+fresh qubit is a pending factor until a call couples it to the
+register, and merging it makes it the least significant bit, pushing
+the existing qubits up — a strided fill of each new chunk — so bit
+order is merge order, as on the shared engine.
 
-While fewer than ``log2(R)`` qubits exist the engine runs with
-``min(R, 2^n)`` active chunks and grows to the full shard count as qubits
-are allocated; releasing a high-axis qubit compacts the chunk list again.
+While fewer than ``log2(R)`` qubits are bits the engine runs with
+``min(R, 2^n)`` active chunks and grows to the full shard count as
+qubits merge; removing a high-axis qubit compacts the chunk list again.
+The register's own steps — Pauli fix-ups, measurement forks, bit
+drops — work on the halves :meth:`ShardedStateVector._halves` hands
+out (a local bit's strided halves of every chunk, or a shard bit's
+chunk pairs) in place; only gates go through the exchange layer.
 
 Gate execution has one path: the compiled execution schedule
 (:mod:`repro.sim.schedule`) is frozen into a per-chunk program and run
 (:meth:`ShardedStateVector.freeze_segments` /
 :meth:`~ShardedStateVector.execute_frozen` — a cold batch freezes and
 runs once, the schedule cache keeps the program for replay).  The eager
-``apply``, ``apply_controlled``, named ``h``/``cnot``/... methods and
-``entangle_fresh`` emit :class:`~repro.sim.ops.Op` batches through
+``apply``, ``apply_controlled`` and named ``h``/``cnot``/... methods
+emit :class:`~repro.sim.ops.Op` batches through
 :meth:`~ShardedStateVector.apply_ops`.  Every record is classified
 against the chunk layout exactly once, communication-free stretches
 execute fold by fold without communication (kernel runs, plan
@@ -53,24 +57,25 @@ step updates the chunks in place and holds a few
 owns every chunk: concurrency lives in the QMPI ranks above the
 backend, never in a second pool under it.
 
-The class mirrors :class:`repro.sim.statevector.StateVector`'s public API
-exactly (same methods, same error messages, same RNG draw discipline), so
-the two engines are drop-in interchangeable behind
+The class inherits :class:`repro.sim.register.Register`'s public API —
+the one :class:`repro.sim.statevector.StateVector` inherits (same
+methods, same error messages, same RNG draw discipline) — so the two
+engines are drop-in interchangeable behind
 :class:`repro.qmpi.backend.QuantumBackend`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..mpi.fabric import Fabric
-from . import gates as G
 from .diag import DiagBatch, apply_phase_tables
 from .kernels import TILE_AMPS, KernelDispatch, Window, mix_pair, slabs
-from .ops import Op, bind_engine_gates, controlled_unitary
+from .ops import SimulationError
+from .register import Register
 from .schedule import (
     DiagSegment,
     KernelRun,
@@ -79,8 +84,6 @@ from .schedule import (
     iter_stretches,
     monomial_pattern,
 )
-from .shots import branch_mask, fork_outcomes
-from .statevector import SimulationError, resolve_dtype
 
 __all__ = ["ShardedStateVector"]
 
@@ -113,7 +116,7 @@ def _apply_generic(chunk, entry, win, ci: int, kd: KernelDispatch) -> None:
         kd.contract(chunk, u, win)
 
 
-class ShardedStateVector:
+class ShardedStateVector(Register):
     """A dynamically sized state-vector simulator sharded into chunks.
 
     Parameters
@@ -154,95 +157,99 @@ class ShardedStateVector:
     ):
         if n_shards < 1 or (n_shards & (n_shards - 1)):
             raise SimulationError(f"n_shards must be a power of two, got {n_shards}")
-        self._dtype, (self._zero_atol, self._norm_eps, self._agree_eps) = (
-            resolve_dtype(dtype)
-        )
         self.n_shards = n_shards
-        self._kernels = KernelDispatch()
-        self._fabric = Fabric(n_shards)
-        self._tags = itertools.count()
-        # Zero qubits == one chunk holding the single amplitude 1.
-        self._chunks: list[np.ndarray] = [np.ones(1, dtype=self._dtype)]
-        self._bit_of: dict[int, int] = {}
-        self._next_id = 0
-        self._shots: int | None = None
-        self._shot_of: np.ndarray | None = None
-        self._n_branches = 1
-        self.segments_executed = 0
-        if isinstance(seed, np.random.Generator):
-            self.rng = seed
-        else:
-            self.rng = np.random.default_rng(seed)
-        if n_qubits:
-            self.alloc(n_qubits)
+        super().__init__(n_qubits, seed, dtype)
 
     # ------------------------------------------------------------------
-    # shot-batched trajectories (see repro.sim.shots)
+    # the amplitude store (see repro.sim.register)
     # ------------------------------------------------------------------
-    @property
-    def shots(self) -> int | None:
-        """Number of tracked shots, or ``None`` outside shots mode."""
-        return self._shots
+    def _reset_store(self) -> None:
+        # Zero qubits == one chunk holding the single amplitude 1.
+        self._chunks: list[np.ndarray] = [np.ones(1, dtype=self._dtype)]
+        self._n_branches = 1
+        self._fabric = Fabric(self.n_shards)
+        self._tags = itertools.count()
+
+    def _own_store(self) -> None:
+        self._chunks = [c.copy() for c in self._chunks]
+        self._fabric = Fabric(self.n_shards)
+        self._tags = itertools.count()
+
+    def _arrays(self) -> list:
+        return self._chunks
+
+    def _grow(self, k: int, terms) -> None:
+        """``k`` new low bits holding the factor ``terms``: old global
+        index ``g`` becomes ``g << k | j`` for each term ``j``.
+
+        While the active chunk count is below ``n_shards`` the register
+        also splits into more chunks, so the count tracks
+        ``min(n_shards, 2^n)``.  Each new chunk is allocated once, at
+        its final size, and filled at stride ``2^k`` from the one old
+        chunk its amplitudes come from; an old chunk is dropped as soon
+        as its new chunks exist, so the peak is the new register plus
+        one old chunk.
+        """
+        B = self._n_branches
+        old = self._chunks
+        old_size = old[0].size // B  # amplitudes per chunk per branch row
+        count = min(self.n_shards, len(old) << k)
+        per_old = count // len(old)
+        size = (old_size << k) // per_old
+        stride = 1 << k
+        grown = []
+        for o in range(len(old)):
+            src = old[o].reshape(B, old_size)
+            for s in range(per_old):
+                chunk = np.zeros(B * size, dtype=self._dtype)
+                start = s * size  # first new index, within old chunk o's span
+                for j, amp in terms:
+                    off = j - start % stride  # first index of this term in the chunk
+                    if 0 <= off < size:
+                        a = start >> k
+                        np.multiply(
+                            src[:, a : a + max(1, size >> k)],
+                            amp,
+                            out=chunk.reshape(B, size)[:, off::stride],
+                        )
+                grown.append(chunk)
+            old[o] = None  # free it now: the peak stays one old chunk over the new register
+        self._chunks = grown
+
+    def _halves(self, b: int) -> list:
+        B, nl = self._n_branches, self.n_local
+        if b < nl:
+            views = [c.reshape(B, -1, 2, 1 << b) for c in self._chunks]
+            return [(v[:, :, 0], v[:, :, 1]) for v in views]
+        mask = 1 << (b - nl)
+        return [
+            (self._chunks[i].reshape(B, -1), self._chunks[i | mask].reshape(B, -1))
+            for i in range(len(self._chunks))
+            if not i & mask
+        ]
+
+    def _rebuild(self, arrays) -> None:
+        self._n_branches = arrays[0].shape[0]
+        self._chunks = [a.reshape(-1) for a in arrays]
+
+    def _fork(self, src) -> None:
+        B = self._n_branches
+        self._chunks = [c.reshape(B, -1)[src].reshape(-1) for c in self._chunks]
+        self._n_branches = len(src)
 
     @property
     def n_branches(self) -> int:
         """Number of distinct measurement histories currently tracked."""
         return self._n_branches
 
-    def begin_shots(self, shots: int) -> None:
-        """Enter shot-batched mode: track ``shots`` trajectories in one run.
-
-        Each chunk gains leading *branch* rows (one per distinct
-        measurement history, initially a single row shared by every
-        shot): a chunk's flat array holds ``B`` stacked per-branch
-        copies of its ``2^n_local`` amplitudes.  Strided local kernels
-        and whole-chunk scalings are branch-agnostic on that layout, so
-        unitary segments run untouched; only :meth:`measure` forks the
-        rows.
-        """
-        if self._shots is not None:
-            if self._bit_of:
-                raise SimulationError(
-                    "begin_shots() called twice on a non-empty engine"
-                )
-            # Empty engine (all qubits released): drop the leftover branch
-            # rows (unobservable global phases) so a reused backend can
-            # start a new shot batch.
-            self._chunks = [np.ones(1, dtype=self._dtype)]
-            self._n_branches = 1
-        if shots < 1:
-            raise SimulationError(f"shots must be >= 1, got {shots}")
-        self._shots = int(shots)
-        self._shot_of = np.zeros(self._shots, dtype=np.int64)
-
-    def reseed(self, seed) -> None:
-        """Replace the measurement RNG (one stream per sweep point)."""
-        if isinstance(seed, np.random.Generator):
-            self.rng = seed
-        else:
-            self.rng = np.random.default_rng(seed)
-
-    def _require_unforked(self, what: str) -> None:
-        if self._n_branches > 1:
-            raise SimulationError(
-                f"{what}() is ambiguous after a mid-circuit measurement "
-                f"fork ({self._n_branches} branches); inspect counts or "
-                "per-shot measurement results instead"
-            )
-
     # ------------------------------------------------------------------
     # layout introspection
     # ------------------------------------------------------------------
     @property
-    def num_qubits(self) -> int:
-        """Number of currently allocated qubits."""
-        return len(self._bit_of)
-
-    @property
     def num_chunks(self) -> int:
-        """Active chunk count (at most ``min(n_shards, 2^num_qubits)``;
-        releasing a high-axis qubit halves it until the next alloc
-        rebalances)."""
+        """Active chunk count (at most ``min(n_shards, 2^n)`` for ``n``
+        store qubits; removing a high-axis qubit halves it until the
+        next merge rebalances)."""
         return len(self._chunks)
 
     @property
@@ -258,120 +265,6 @@ class ShardedStateVector:
     def chunk(self, rank: int) -> np.ndarray:
         """Chunk ``rank``'s amplitudes (a live view, for white-box tests)."""
         return self._chunks[rank]
-
-    @property
-    def qubit_ids(self) -> tuple[int, ...]:
-        """Allocated qubit ids in allocation order (descending bit position)."""
-        return tuple(sorted(self._bit_of, key=self._bit_of.__getitem__, reverse=True))
-
-    @property
-    def dtype(self) -> str:
-        """Amplitude dtype name, derived from the live chunks.
-
-        Part of the engine :meth:`layout_key`, so cached schedules never
-        replay across precisions.
-        """
-        return self._chunks[0].dtype.name
-
-    # ------------------------------------------------------------------
-    # allocation
-    # ------------------------------------------------------------------
-    def alloc(self, n: int = 1) -> list[int]:
-        """Allocate ``n`` fresh qubits in |0> and return their ids.
-
-        The fresh qubits take the ``n`` lowest bits (the last id lowest)
-        and every existing qubit moves up ``n`` bits, so old global
-        index ``g`` becomes ``g << n`` and the rest is zero.  While the
-        active chunk count is below ``n_shards`` the register also
-        splits into more chunks, so the count tracks
-        ``min(n_shards, 2^num_qubits)``.  Each new chunk is allocated
-        once, at its final size, and filled at stride ``2^n`` from the
-        one old chunk its amplitudes come from; an old chunk is dropped
-        as soon as its new chunks exist, so the peak is the new register
-        plus one old chunk.
-        """
-        if n < 1:
-            raise SimulationError(f"cannot allocate {n} qubits")
-        ids = list(range(self._next_id, self._next_id + n))
-        self._next_id += n
-        for q in self._bit_of:
-            self._bit_of[q] += n
-        for i, qid in enumerate(ids):
-            self._bit_of[qid] = n - 1 - i
-        B = self._n_branches
-        old = self._chunks
-        old_size = old[0].size // B  # amplitudes per chunk per branch row
-        count = min(self.n_shards, len(old) << n)
-        per_old = count // len(old)
-        size = (old_size << n) // per_old
-        stride = 1 << n
-        grown = []
-        for o in range(len(old)):
-            src = old[o].reshape(B, old_size)
-            for k in range(per_old):
-                chunk = np.zeros(B * size, dtype=self._dtype)
-                start = k * size  # first new index, within old chunk o's span
-                if start % stride == 0:  # else no old amplitude lands here
-                    a = start >> n
-                    chunk.reshape(B, size)[:, ::stride] = src[:, a : a + max(1, size >> n)]
-                grown.append(chunk)
-            old[o] = None  # free it now: the peak stays one old chunk over the new register
-        self._chunks = grown
-        return ids
-
-    def release(self, qubit: int) -> None:
-        """Release a qubit that is disentangled and in state |0>.
-
-        Mirrors ``QMPI_Free_qmem``: freeing a qubit that still carries
-        amplitude in |1> (or is entangled) is a program error.
-        """
-        b = self._bit(qubit)
-        nl = self.n_local
-        atol = self._zero_atol
-        if b < nl:
-            stride = 1 << b
-            views = [c.reshape(-1, 2, stride) for c in self._chunks]
-            if any(not np.allclose(v[:, 1, :], 0.0, atol=atol) for v in views):
-                self._raise_not_zero(qubit)
-            self._chunks = [np.ascontiguousarray(v[:, 0, :]).reshape(-1) for v in views]
-        else:
-            mask = 1 << (b - nl)
-            ones = [c for i, c in enumerate(self._chunks) if i & mask]
-            if any(not np.allclose(c, 0.0, atol=atol) for c in ones):
-                self._raise_not_zero(qubit)
-            self._chunks = [c for i, c in enumerate(self._chunks) if not i & mask]
-        del self._bit_of[qubit]
-        for q, bb in self._bit_of.items():
-            if bb > b:
-                self._bit_of[q] = bb - 1
-
-    def measure_and_release(self, qubit: int, basis: str = "Z", control: int | None = None):
-        """``cnot(control, qubit)`` if ``control`` is given, ``h(qubit)`` if
-        ``basis == "X"``, then measure ``qubit`` in the Z basis and remove
-        it. Returns the bit."""
-        G.measurement_prelude(self, qubit, basis, control)
-        bit = self.measure(qubit)
-        self.apply_pauli_if(bit, "X", qubit)
-        self.release(qubit)
-        return bit
-
-    def entangle_fresh(self, qa: int, qb: int) -> None:
-        """``|00> -> (|00>+|11>)/sqrt(2)`` on ``qa``, ``qb``: one ``h`` +
-        ``cnot`` batch."""
-        self.apply_ops((Op("h", (qa,)), Op("cnot", (qa, qb))))
-
-    def _bit(self, qubit: int) -> int:
-        try:
-            return self._bit_of[qubit]
-        except KeyError:
-            raise SimulationError(f"unknown qubit id {qubit}") from None
-
-    @staticmethod
-    def _raise_not_zero(qubit: int) -> None:
-        raise SimulationError(
-            f"qubit {qubit} is not in |0> (or is entangled); "
-            "measure/uncompute before releasing"
-        )
 
     # ------------------------------------------------------------------
     # chunk exchange (the communication layer)
@@ -424,27 +317,12 @@ class ShardedStateVector:
         return groups, gathered
 
     # ------------------------------------------------------------------
-    # gate application
-    # ------------------------------------------------------------------
-    def apply_ops(self, ops) -> None:
-        """Execute a batch of typed op records (see :mod:`repro.sim.ops`)
-        as a compiled execution schedule.
-
-        The batch is compiled once into typed segments by
-        :func:`repro.sim.schedule.compile_segments` — every record is
-        classified against the chunk layout exactly once (local /
-        block-diagonal-shard-axes / mixing) — then frozen and run (the
-        same freeze-then-:meth:`execute_frozen` path a schedule-cache
-        miss takes): maximal communication-free stretches
-        execute chunk-by-chunk in one pass (kernel runs, sub-block
-        selections and phase-vector multiplies), and only a ``mixing``
-        segment exchanges chunks through the fabric.
-        """
-        self.execute_segments(self.compile_batch(ops))
-
-    # ------------------------------------------------------------------
     # engine contract (see repro.qmpi.backend.QuantumBackend)
     # ------------------------------------------------------------------
+    # Named in this class body so per-engine tracing can wrap them.
+    apply_ops = Register.apply_ops
+    execute_segments = Register.execute_segments
+
     def layout_key(self, qubits):
         """Layout fingerprint of this engine for the touched ``qubits``.
 
@@ -454,8 +332,10 @@ class ShardedStateVector:
         :meth:`compile_batch`'s classification *and* the frozen
         programs depend on.  Equal keys mean a program frozen under one
         is exact under the other; unknown qubit ids raise, so a
-        recycled engine can never bind a stale schedule.
+        recycled engine can never bind a stale schedule.  Pending qubits
+        among ``qubits`` are merged first.
         """
+        self._merge(qubits)
         return (
             "sharded",
             tuple(self._bit(q) for q in qubits),
@@ -465,18 +345,9 @@ class ShardedStateVector:
             self.dtype,
         )
 
-    def route_copies(self, ops):
-        """``ops`` unchanged: this engine keeps a fan-out copy as a qubit
-        of its register, so it has no copy entries to resolve."""
-        return ops
-
     def compile_batch(self, ops):
         """Compile a lowered op batch against the current chunk layout."""
         return compile_segments(ops, bit=self._bit, n_local=self.n_local)
-
-    def execute_segments(self, segments) -> None:
-        """Run a compiled segment list once: freeze, then execute."""
-        self.execute_frozen(self.freeze_segments(segments))
 
     def freeze_segments(self, segments):
         """Freeze a bound segment list into a replay program.
@@ -651,26 +522,6 @@ class ShardedStateVector:
         ]
         apply_phase_tables(singles, pairs, self._chunks, self.n_local, kernels=self._kernels)
 
-    def apply(self, u: np.ndarray, *qubits: int) -> None:
-        """Apply a ``2^k x 2^k`` unitary to ``k`` qubits (a one-op batch).
-
-        The first qubit in ``qubits`` corresponds to the most significant
-        bit of the matrix index (``U = sum |i><j|`` over k-bit ints).
-        """
-        self.apply_ops((Op(G.UNITARY, qubits, u=u),))
-
-    def apply_controlled(
-        self, u: np.ndarray, controls: Sequence[int], targets: Sequence[int]
-    ) -> None:
-        """Apply ``u`` on ``targets`` conditioned on all ``controls`` = |1>.
-
-        A one-op batch carrying ``u`` and the control count: a single
-        target takes the controlled kernels and the restricted pair
-        exchange, as a registry ``cnot`` does; several targets run the
-        controlled matrix (controls most significant) as a generic op.
-        """
-        self.apply_ops((controlled_unitary(u, controls, targets),))
-
     # ------------------------------------------------------------------
     # the exchange layer: what a mixing barrier runs
     # ------------------------------------------------------------------
@@ -779,274 +630,9 @@ class ShardedStateVector:
                     np.dot(u[j << l : (j + 1) << l], flat, out=prod)
                     v[sel] = prod.reshape(shape)
 
-    # ------------------------------------------------------------------
-    # measurement and inspection
-    # ------------------------------------------------------------------
-    def _branch_prob_one(self, qubit: int) -> np.ndarray:
-        """Per-branch probability of |1> on ``qubit``, shape ``(B,)``."""
-        b = self._bit(qubit)
-        nl = self.n_local
-        B = self._n_branches
-        p = np.zeros(B)
-        if b < nl:
-            stride = 1 << b
-            for c in self._chunks:
-                v = np.abs(c.reshape(B, -1, 2, stride)[:, :, 1, :]) ** 2
-                p += v.reshape(B, -1).sum(axis=1)
-        else:
-            mask = 1 << (b - nl)
-            for i, c in enumerate(self._chunks):
-                if i & mask:
-                    p += (np.abs(c.reshape(B, -1)) ** 2).sum(axis=1)
-        return np.clip(p, 0.0, 1.0)
-
-    def prob_one(self, qubit: int):
-        """Probability of measuring |1> on ``qubit`` (no collapse).
-
-        Outside shots mode (and whenever every tracked branch agrees)
-        this is a plain float; after a measurement fork made the
-        probability branch-dependent, the per-shot values are returned
-        as an array instead.
-        """
-        if self._shots is None:
-            return float(self._branch_prob_one(qubit)[0])
-        p = self._branch_prob_one(qubit)
-        if np.ptp(p) < self._agree_eps:
-            return float(p[0])
-        return p[self._shot_of]
-
-    def measure(self, qubit: int):
-        """Projective Z-basis measurement with collapse.
-
-        Returns 0 or 1; in shots mode returns a
-        :class:`~repro.sim.shots.ShotBits` of per-shot outcomes, and
-        every chunk's branch rows fork into one row per surviving
-        ``(branch, outcome)`` pair.
-        """
-        if self._shots is None:
-            p1 = self.prob_one(qubit)
-            bit = int(self.rng.random() < p1)
-            self.postselect(qubit, bit)
-            return bit
-        p1 = self._branch_prob_one(qubit)
-        bits, self._shot_of, spec = fork_outcomes(p1, self._shot_of, self.rng)
-        b = self._bit(qubit)
-        nl = self.n_local
-        csize = self.chunk_size
-        B_old = self._n_branches
-        src, outcome, scale = spec
-        # Scale in the register's own real dtype (exact for float64) so
-        # a complex64 register is not promoted.
-        scale = scale.astype(self._chunks[0].real.dtype)[:, None]
-        rows = np.arange(len(src))
-        new_chunks = []
-        for ci, c in enumerate(self._chunks):
-            v = c.reshape(B_old, csize)
-            if b < nl:
-                out = v[src] * scale
-                out.reshape(len(src), -1, 2, 1 << b)[rows, :, 1 - outcome, :] = 0.0
-            else:
-                # Rows whose outcome is the other chunk's half of the
-                # shard axis are projected away here — zero.
-                keep = outcome == ((ci >> (b - nl)) & 1)
-                out = np.zeros((len(src), csize), dtype=self._dtype)
-                out[keep] = v[src[keep]] * scale[keep]
-            new_chunks.append(out.reshape(-1))
-        self._n_branches = len(src)
-        self._chunks = new_chunks
-        return bits
-
-    def apply_pauli_if(self, cond, pauli: str, qubit: int) -> None:
-        """Apply a Pauli to ``qubit`` where ``cond`` holds.
-
-        ``cond`` is an int/bool (plain conditional application) or
-        per-shot measurement data (:class:`~repro.sim.shots.ShotBits`):
-        the Pauli is then applied only on the branch rows whose shots
-        satisfy it — the vectorized form of the protocols' classical
-        ``if m: X`` fixups.
-        """
-        if self._shots is None:
-            if cond:
-                self.apply(G.PAULIS[pauli.upper()], qubit)
-            return
-        mask = branch_mask(cond, self._shot_of, self._n_branches)
-        if not mask.any():
-            return
-        if mask.all():
-            self.apply(G.PAULIS[pauli.upper()], qubit)
-            return
-        self._branch_apply(mask, pauli.upper(), qubit)
-
-    def _branch_apply(self, mask: np.ndarray, pauli: str, qubit: int) -> None:
-        """Apply X/Y/Z to ``qubit`` on the masked branch rows only."""
-        B = self._n_branches
-        if pauli == "Y":
-            # Y = i X Z: the masked rows pick up an i phase on top.
-            self._branch_apply(mask, "Z", qubit)
-            self._branch_apply(mask, "X", qubit)
-            for c in self._chunks:
-                v = c.reshape(B, -1)
-                v[mask] = v[mask] * 1j
-            return
-        b = self._bit(qubit)
-        nl = self.n_local
-        if pauli == "Z":
-            if b < nl:
-                stride = 1 << b
-                for c in self._chunks:
-                    v = c.reshape(B, -1, 2, stride)
-                    v[mask, :, 1, :] = v[mask, :, 1, :] * -1.0
-            else:
-                hbit = 1 << (b - nl)
-                for i, c in enumerate(self._chunks):
-                    if i & hbit:
-                        v = c.reshape(B, -1)
-                        v[mask] = v[mask] * -1.0
-            return
-        # X
-        if b < nl:
-            stride = 1 << b
-            for c in self._chunks:
-                v = c.reshape(B, -1, 2, stride)
-                v[mask] = v[mask][:, :, ::-1, :]
-            return
-        # High axis: the masked rows swap with the partner chunk's rows.
-        # Gather every replacement first — the in-process fabric does not
-        # copy payloads, so partner arrays alias live peer chunks.
-        partners = self._pair_exchange(b - nl)
-        rows = [p.reshape(B, -1)[mask] for p in partners.values()]  # fancy index copies
-        for c, r in zip(self._chunks, rows):
-            c.reshape(B, -1)[mask] = r
-
-    def postselect(self, qubit: int, bit: int) -> None:
-        """Project ``qubit`` onto ``|bit>`` and renormalize (per branch)."""
-        b = self._bit(qubit)
-        nl = self.n_local
-        if b < nl:
-            stride = 1 << b
-            for c in self._chunks:
-                c.reshape(-1, 2, stride)[:, 1 - bit, :] = 0.0
-        else:
-            mask = 1 << (b - nl)
-            for i, c in enumerate(self._chunks):
-                if bool(i & mask) != bool(bit):
-                    c[:] = 0.0
-        if self._shots is None:
-            norm = self.norm()
-            if norm < self._norm_eps:
-                raise SimulationError(
-                    f"postselecting qubit {qubit} on {bit}: outcome has zero "
-                    "probability"
-                )
-            for c in self._chunks:
-                c /= norm
-            return
-        B = self._n_branches
-        sq = np.zeros(B)
-        for c in self._chunks:
-            sq += (np.abs(c.reshape(B, -1)) ** 2).sum(axis=1)
-        norms = np.sqrt(sq)
-        if np.any(norms < self._norm_eps):
-            raise SimulationError(
-                f"postselecting qubit {qubit} on {bit}: outcome has zero "
-                "probability in some branch"
-            )
-        for c in self._chunks:
-            c.reshape(B, -1)[:] /= norms[:, None]
-
-    def measure_many(self, qubits: Iterable[int]) -> list[int]:
-        """Measure several qubits sequentially (with collapse)."""
-        return [self.measure(q) for q in qubits]
-
-    def amplitude(self, bits: Sequence[int], qubits: Sequence[int] | None = None) -> complex:
-        """Amplitude of the computational basis state given by ``bits``.
-
-        ``qubits`` defaults to all qubits in allocation order.
-        """
-        qubits = list(qubits) if qubits is not None else list(self.qubit_ids)
-        if len(bits) != len(qubits):
-            raise SimulationError("bits and qubits must have equal length")
-        if len(qubits) != self.num_qubits:
-            raise SimulationError("amplitude() requires all qubits")
-        self._require_unforked("amplitude")
-        g = 0
-        for bval, q in zip(bits, qubits):
-            g |= int(bval) << self._bit(q)
-        nl = self.n_local
-        return complex(self._chunks[g >> nl][g & ((1 << nl) - 1)])
-
-    def statevector(self, qubits: Sequence[int] | None = None) -> np.ndarray:
-        """Dense state vector with ``qubits[0]`` as the most significant bit.
-
-        ``qubits`` must enumerate all allocated qubits; defaults to
-        allocation order (for which this is a plain chunk concatenation).
-        """
-        qubits = list(qubits) if qubits is not None else list(self.qubit_ids)
-        if sorted(qubits) != sorted(self._bit_of):
-            raise SimulationError("statevector() requires all qubit ids exactly once")
-        self._require_unforked("statevector")
-        full = np.concatenate(self._chunks)
-        n = self.num_qubits
-        # Axis i of the (2,)*n view is global bit n-1-i == qubit_ids[i].
-        axes = [n - 1 - self._bit(q) for q in qubits]
-        return np.moveaxis(full.reshape((2,) * n), axes, range(n)).reshape(-1).copy()
-
-    def probabilities(self, qubits: Sequence[int] | None = None) -> np.ndarray:
-        """Measurement distribution over computational basis states."""
-        vec = self.statevector(qubits)
-        return np.abs(vec) ** 2
-
-    def norm(self) -> float:
-        """Euclidean norm of the state (should always be ~1).
-
-        In shots mode this is the root-mean-square of the per-branch
-        norms, so it stays ~1 regardless of how many branches exist.
-        """
-        sq = sum(float(np.vdot(c, c).real) for c in self._chunks)  # no temporaries
-        if self._shots is not None:
-            sq /= self._n_branches
-        return float(np.sqrt(sq))
-
-    def expectation_pauli(self, mapping: dict[int, str]) -> float:
-        """Expectation value of a Pauli string ``{qubit: 'X'|'Y'|'Z'}``."""
-        self._require_unforked("expectation_pauli")
-        saved = [c.copy() for c in self._chunks]
-        try:
-            for q, p in mapping.items():
-                self.apply(G.PAULIS[p.upper()], q)
-            val = sum(np.vdot(s, c) for s, c in zip(saved, self._chunks))
-        finally:
-            self._chunks = saved
-        return float(np.real(val))
-
-    def copy(self) -> "ShardedStateVector":
-        """Deep copy (shares no state, including a cloned RNG)."""
-        out = ShardedStateVector.__new__(ShardedStateVector)
-        # Same break-even, fresh counters: the copy's kernel hits are its own.
-        out._kernels = KernelDispatch()
-        out._kernels.jit_min_amps = self._kernels.jit_min_amps
-        out.n_shards = self.n_shards
-        out._fabric = Fabric(self.n_shards)
-        out._tags = itertools.count()
-        out._dtype = self._dtype
-        out._zero_atol = self._zero_atol
-        out._norm_eps = self._norm_eps
-        out._agree_eps = self._agree_eps
-        out._chunks = [c.copy() for c in self._chunks]
-        out._bit_of = dict(self._bit_of)
-        out._next_id = self._next_id
-        out._shots = self._shots
-        out._shot_of = None if self._shot_of is None else self._shot_of.copy()
-        out._n_branches = self._n_branches
-        out.segments_executed = self.segments_executed
-        out.rng = np.random.default_rng(self.rng.integers(2**63))
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ShardedStateVector n={self.num_qubits} chunks={self.num_chunks}"
             f"x{self.chunk_size} ids={self.qubit_ids}>"
         )
 
-
-bind_engine_gates(ShardedStateVector)

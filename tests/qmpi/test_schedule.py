@@ -101,6 +101,7 @@ def test_layoutless_compile_is_all_local():
 def test_sharded_compile_classifies_once():
     # 4 qubits on 4 shards: bits 3,2 are shard axes (qubits 0,1).
     sv = ShardedStateVector(4, seed=0, n_shards=4)
+    sv.layout_key(range(4))  # merge the pending qubits, qubit 0 on top
     batch = DiagBatch.from_ops([Op("t", (0,)), Op("cz", (0, 1))])
     plan_local = plan_contractions(
         [Op("cnot", (2, 3)), Op("ry", (3,), (0.8,))]
@@ -163,6 +164,7 @@ def test_compile_preserves_per_qubit_order():
             a, b = rng.choice(4, size=2, replace=False)
             ops.append(Op("crz", (int(a), int(b)), (float(rng.random()),)))
     sv = ShardedStateVector(4, seed=0, n_shards=4)
+    sv.layout_key(range(4))  # merge the pending qubits, qubit 0 on top
     for layout in ({}, {"bit": sv._bit, "n_local": sv.n_local}):
         flat = _flatten(compile_segments(ops, **layout))
         # Every record lands in exactly one segment, in program order.
@@ -273,6 +275,7 @@ def _mixing_ops():
 
 
 def _frozen_kinds(sv, ops):
+    sv.layout_key(range(4))  # merge the pending qubits, qubit 0 on top
     return [step[0] for step in sv.freeze_segments(sv.compile_batch(ops))]
 
 

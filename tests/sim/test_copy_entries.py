@@ -1,14 +1,15 @@
-"""Fan-out copies as register entries on the shared engine.
+"""Fan-out copies as register entries, on both engines.
 
 Outside shots mode a ``send``'s copy (Fig. 3(a)) is the entry
-``qid -> (source, flip)`` — the qubit holds ``source XOR flip`` — not an
-axis.  X toggles the flip, Z and the X-basis uncopy negate a half of the
-source, and a diagonal op on an unflipped copy runs on the source
-(``StateVector.route_copies``); everything else materialises the copy as
-the axis ``_fan_out`` builds in shots mode.  These tests pin each rule,
+``qid -> (source, flip)`` — the qubit holds ``source XOR flip`` — not a
+store bit.  X toggles the flip, Z and the X-basis uncopy negate a half
+of the source, and a diagonal op on an unflipped copy runs on the source
+(``Register.route_copies``); everything else materialises the copy as
+the bit ``_fan_out`` builds in shots mode.  These tests pin each rule,
 the one rewrite both gate entry points share, and Listing 1 end to end:
-no axis beyond its 16 spins, the dense oracle's state, and the protocol
-bits of the engine that made every copy an axis.
+no store bit beyond its 16 spins, the dense oracle's state, and the
+protocol bits of the engine that made every copy an axis — on the
+shared store and on the sharded store with one and four chunks.
 """
 
 import numpy as np
@@ -16,15 +17,20 @@ import pytest
 
 from repro.apps.tfim import tfim_program
 from repro.qmpi import QuantumBackend, qmpi_run
-from repro.sim import ShardedStateVector, StateVector
 from repro.sim.ops import Op
 from tests import _dense_oracle as oracle
+from tests._engines import ENGINES
 from tests._precision import STATE_ATOL
 
 N = 4  # register qubits 0..3; the EPR pair gets ids 4, 5
 
 
-def fanned_out(seed=0):
+@pytest.fixture(params=sorted(ENGINES))
+def make(request):
+    return ENGINES[request.param]
+
+
+def fanned_out(make, seed=0):
     """A 4-qubit entangled register whose qubit 1 is fanned out to qubit 5.
 
     Returns the engine and its twin built by the gate spelling
@@ -34,7 +40,7 @@ def fanned_out(seed=0):
     angles = np.random.default_rng(seed).uniform(0.2, 2.9, size=N)
     engines = []
     for _ in range(2):
-        sv = StateVector(N, seed=seed)
+        sv = make(N, seed=seed)
         for q, t in enumerate(angles):
             sv.ry(q, float(t))
         for q in range(N - 1):
@@ -56,9 +62,9 @@ def state(sv):
     return sv.statevector(sorted(sv.qubit_ids))
 
 
-def test_fan_out_keeps_the_copy_an_entry():
-    sv, twin, f = fanned_out()
-    assert sv._copies == {f: (1, 0)} and sv._psi.ndim == N
+def test_fan_out_keeps_the_copy_an_entry(make):
+    sv, twin, f = fanned_out(make)
+    assert sv._copies == {f: (1, 0)} and sv.store_qubits == N
     assert sv.num_qubits == twin.num_qubits == N + 1
     assert sv.qubit_ids == twin.qubit_ids == (0, 1, 2, 3, f)
     np.testing.assert_allclose(state(sv), state(twin), atol=STATE_ATOL)
@@ -66,28 +72,35 @@ def test_fan_out_keeps_the_copy_an_entry():
 
 
 @pytest.mark.parametrize("pauli", ["X", "Z", "XZ", "ZX", "XX"])
-def test_pauli_fix_ups_on_a_copy_stay_entries(pauli):
-    sv, twin, f = fanned_out(seed=3)
+def test_pauli_fix_ups_on_a_copy_stay_entries(make, pauli):
+    sv, twin, f = fanned_out(make, seed=3)
     for p in pauli:
         sv.apply_pauli_if(1, p, f)
         twin.apply_pauli_if(1, p, f)
         sv.apply_pauli_if(0, p, f)  # a false condition is a no-op
-    assert f in sv._copies and sv._psi.ndim == N
+    assert f in sv._copies and sv.store_qubits == N
     assert sv._copies[f][1] == pauli.count("X") % 2
     np.testing.assert_allclose(state(sv), state(twin), atol=STATE_ATOL)
 
 
+def test_identity_fix_up_on_a_copy_is_a_no_op(make):
+    sv, twin, f = fanned_out(make, seed=4)
+    sv.apply_pauli_if(1, "I", f)
+    assert sv._copies == {f: (1, 0)}
+    np.testing.assert_allclose(state(sv), state(twin), atol=STATE_ATOL)
+
+
 @pytest.mark.parametrize("flip", [0, 1])
-def test_x_basis_uncopy_matches_the_axis_path(flip):
+def test_x_basis_uncopy_matches_the_axis_path(make, flip):
     for seed in range(20):
-        sv, twin, f = fanned_out(seed)
+        sv, twin, f = fanned_out(make, seed)
         if flip:
             sv.apply_pauli_if(1, "X", f)
             twin.x(f)
         bit = sv.measure_and_release(f, basis="X")
         assert bit == twin.measure_and_release(f, basis="X")
         assert sv.rng.random() == twin.rng.random()  # one draw each
-        assert f not in sv._copies and sv._psi.ndim == N
+        assert f not in sv._copies and sv.store_qubits == N
         np.testing.assert_allclose(state(sv), state(twin), atol=STATE_ATOL)
 
 
@@ -107,24 +120,24 @@ ROUTES = [
 
 
 @pytest.mark.parametrize("op,kept,runs", ROUTES, ids=lambda v: repr(v)[:40])
-def test_route_copies_rewrites_diagonals_and_materialises_the_rest(op, kept, runs):
-    sv, twin, f = fanned_out(seed=5)
+def test_route_copies_rewrites_diagonals_and_materialises_the_rest(make, op, kept, runs):
+    sv, twin, f = fanned_out(make, seed=5)
     routed = sv.route_copies((op,))
     assert (f in sv._copies) == kept
-    assert sv._psi.ndim == (N if kept else N + 1)
+    assert sv.store_qubits == (N if kept else N + 1)
     assert routed == ((runs,) if kept else (op,))
     sv.apply_ops(routed)
     twin.apply_ops((op,))
     np.testing.assert_allclose(state(sv), state(twin), atol=STATE_ATOL)
 
 
-def test_a_flipped_copy_materialises_before_a_diagonal():
-    sv, twin, f = fanned_out(seed=6)
+def test_a_flipped_copy_materialises_before_a_diagonal(make):
+    sv, twin, f = fanned_out(make, seed=6)
     sv.apply_pauli_if(1, "X", f)
     twin.x(f)
     sv.rz(f, 0.9)
     twin.rz(f, 0.9)
-    assert not sv._copies and sv._psi.ndim == N + 1
+    assert not sv._copies and sv.store_qubits == N + 1
     np.testing.assert_allclose(state(sv), state(twin), atol=STATE_ATOL)
 
 
@@ -141,58 +154,59 @@ def test_a_flipped_copy_materialises_before_a_diagonal():
     ids=["measure-source", "x-measure-source", "x-on-source", "postselect", "prob_one",
          "begin_shots"],
 )
-def test_steps_that_need_the_axis_materialise_first(step):
-    sv, twin, f = fanned_out(seed=7)
+def test_steps_that_need_the_axis_materialise_first(make, step):
+    sv, twin, f = fanned_out(make, seed=7)
     want = np.asarray(step(twin, f), dtype=float)  # an outcome, P(1) or None
     np.testing.assert_allclose(np.asarray(step(sv, f), dtype=float), want, atol=STATE_ATOL)
     assert not sv._copies
-    np.testing.assert_allclose(
-        sv.statevector(sorted(sv.qubit_ids)) if sv.shots is None else sv._psi.reshape(-1),
-        twin.statevector(sorted(twin.qubit_ids)) if twin.shots is None else twin._psi.reshape(-1),
-        atol=STATE_ATOL,
-    )
+
+    def amplitudes(e):
+        if e.shots is None:
+            return e.statevector(sorted(e.qubit_ids))
+        return np.concatenate([a.reshape(-1) for a in e._arrays()])
+
+    np.testing.assert_allclose(amplitudes(sv), amplitudes(twin), atol=STATE_ATOL)
 
 
-def test_copy_keeps_entries_and_sharded_has_none():
-    sv, _, f = fanned_out()
+def test_copy_keeps_entries_and_no_copies_means_no_rewrite(make):
+    sv, _, f = fanned_out(make)
     dup = sv.copy()
     assert dup._copies == sv._copies and dup._copies is not sv._copies
     ops = (Op("rz", (0,), (0.1,)),)
-    assert ShardedStateVector(2, seed=0).route_copies(ops) is ops
-    assert StateVector(2, seed=0).route_copies(ops) is ops  # no copies: no rewrite
+    assert make(2, seed=0).route_copies(ops) is ops  # no copies: no rewrite
 
 
-def test_shots_mode_fans_out_to_an_axis():
-    sv = StateVector(N, seed=0)
+def test_shots_mode_fans_out_to_a_bit(make):
+    sv = make(N, seed=0)
     sv.begin_shots(8)
     e, f = sv.alloc(2)
     sv.entangle_fresh(e, f)
     sv.measure_and_release(e, control=1)
-    assert not sv._copies and f in sv._axis_of
+    assert not sv._copies and f in sv._bit_of
 
 
-class Watched(StateVector):
-    """Tracks the array's axis count and the protocol bits in draw order."""
+def watched(make, seed):
+    """An engine that tracks its store's qubit count and the protocol bits
+    in draw order."""
 
-    peak = 0
-    _psi = property(lambda self: self._state)
+    class Watched(make.func):
+        peak = 0
 
-    def __init__(self, seed):
-        self.bits = []
-        super().__init__(seed=seed)
+        def _grow(self, k, terms):
+            super()._grow(k, terms)
+            self.peak = max(self.peak, self.store_qubits)
 
-    @_psi.setter
-    def _psi(self, value):
-        self._state = value
-        self.peak = max(self.peak, value.ndim)
+        def measure_and_release(self, qubit, basis="Z", control=None):
+            bit = super().measure_and_release(qubit, basis, control)
+            self.bits.append(bit)
+            return bit
 
-    def measure_and_release(self, qubit, basis="Z", control=None):
-        bit = super().measure_and_release(qubit, basis, control)
-        self.bits.append(bit)
-        return bit
+    engine = Watched(seed=seed, **make.keywords)
+    engine.bits = []
+    return engine
 
 
-def test_flush_cache_keys_the_rewritten_op():
+def test_flush_cache_keys_the_rewritten_op(make):
     """A ring-boundary flush ``rzz(a, copy)`` runs as ``rzz(a, source)``:
     the register never grows, and the next round's fresh copy replays
     the cached schedule."""
@@ -214,7 +228,7 @@ def test_flush_cache_keys_the_rewritten_op():
         qc.barrier()
         return list(data)
 
-    engine = Watched(seed=1)
+    engine = watched(make, seed=1)
     be = QuantumBackend(engine)
     w = qmpi_run(2, prog, backend=be)
     assert engine.peak == 4
@@ -256,8 +270,8 @@ def tfim_oracle():
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_listing1_never_grows_past_its_spins(seed, tfim_oracle):
-    engine = Watched(seed=seed)
+def test_listing1_never_grows_past_its_spins(make, seed, tfim_oracle):
+    engine = watched(make, seed)
     w = qmpi_run(4, tfim_program, args=(J, G, TIME, SPINS, STEPS), backend=QuantumBackend(engine))
     assert engine.peak == 4 * SPINS
     assert "".join(map(str, engine.bits)) == PINNED_BITS[seed]

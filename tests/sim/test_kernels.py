@@ -812,6 +812,7 @@ def test_default_dispatch_goes_native_on_large_chunks():
     if provider_name() is None:
         pytest.skip("no native kernel provider in this environment")
     sv = ShardedStateVector(16, seed=0, n_shards=4)
+    sv.layout_key(sv.qubit_ids)  # merge the pending qubits
     assert sv.chunk_size == 1 << 14
     sv.apply_ops([Op("h", (q,)) for q in sv.qubit_ids[-4:]])
     info = sv._kernels.info()

@@ -246,10 +246,10 @@ def _oracle(gates, n=BIG_N):
 def _big(engine="sharded"):
     if engine == "sharded":
         sv = ShardedStateVector(BIG_N, seed=0, n_shards=BIG_SHARDS, dtype="complex128")
-        assert sv.chunk(0).size > sharded.TILE_AMPS
     else:
         sv = StateVector(BIG_N, seed=0, dtype="complex128")
-    sv.apply_ops([Op(*g) for g in BIG_PREP])
+    sv.apply_ops([Op(*g) for g in BIG_PREP])  # merges every qubit, qubit 0 on top
+    assert engine == "shared" or sv.chunk(0).size > sharded.TILE_AMPS
     return sv
 
 
@@ -334,12 +334,11 @@ def test_wide_diag_batch_transient_stays_slab_sized(engine):
         assert peak < sv.chunk(0).nbytes / 2
 
 
-def test_constructor_peaks_at_the_register():
+def test_merging_a_fresh_register_peaks_at_the_register():
     register = (1 << BIG_N) * np.dtype(np.complex128).itemsize
-    peak = _traced_peak(
-        lambda: ShardedStateVector(BIG_N, n_shards=4, dtype="complex128")
-    )
-    assert peak < 1.1 * register
+    sv = ShardedStateVector(BIG_N, n_shards=4, dtype="complex128")
+    peak = _traced_peak(lambda: sv.layout_key(sv.qubit_ids))
+    assert sv.num_chunks == 4 and peak < 1.1 * register
 
 
 @pytest.mark.parametrize("n_shards", [1, 4])
@@ -349,7 +348,7 @@ def test_alloc_on_a_live_register_peaks_below_new_plus_old(n_shards):
     prep = [("ry", (q,), (0.2 + 0.13 * q,)) for q in range(n)]
     sv.apply_ops([Op(*g) for g in prep])
     old = sum(sv.chunk(c).nbytes for c in range(sv.num_chunks))
-    peak = _traced_peak(lambda: sv.alloc(k))
+    peak = _traced_peak(lambda: sv.layout_key(sv.alloc(k)))  # alloc, then merge
     # The fresh qubits are |0> below the old ones.
     np.testing.assert_allclose(
         sv.statevector(), _oracle(prep, n + k), atol=ATOL["complex128"]

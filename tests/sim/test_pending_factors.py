@@ -1,12 +1,13 @@
-"""Fresh qubits as pending product factors of the shared engine.
+"""Fresh qubits as pending product factors, on both engines.
 
 ``alloc`` records a |0> (``entangle_fresh`` a Bell factor) without
-touching the array; the factor is merged by the first call that couples
+touching the store; the factor is merged by the first call that couples
 it to the register, and ``measure_and_release`` keeps the chosen half.
 Expected states come from ``tests/_dense_oracle.py`` (no ``repro``
 import); every case runs in both precisions, with and without the shots
-branch axis.  No timing anywhere: the two guards at the bottom count
-array identity and traced bytes.
+branch axis, on the shared store and on the sharded store with one and
+four chunks.  No timing anywhere: the guards at the bottom count array
+identity and traced bytes.
 """
 
 import tracemalloc
@@ -14,22 +15,31 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.sim import SimulationError, StateVector
+from repro.sim import SimulationError
 from tests import _dense_oracle
+from tests._engines import ENGINES, same_store, store
 
 DTYPES = ["complex128", "complex64"]
 SHOTS = [None, 8]
 ATOL = {"complex128": 1e-12, "complex64": 1e-5}
 
 
-@pytest.fixture(params=[(d, s) for d in DTYPES for s in SHOTS], ids=lambda p: f"{p[0]}-shots={p[1]}")
+@pytest.fixture(
+    params=[(d, s, e) for d in DTYPES for s in SHOTS for e in sorted(ENGINES)],
+    ids=lambda p: f"{p[0]}-shots={p[1]}-{p[2]}",
+)
 def mode(request):
     return request.param
 
 
+@pytest.fixture(params=sorted(ENGINES))
+def make(request):
+    return ENGINES[request.param]
+
+
 def engine(mode, n_qubits=0, seed=0):
-    dtype, shots = mode
-    sv = StateVector(n_qubits, seed=seed, dtype=dtype)
+    dtype, shots, name = mode
+    sv = ENGINES[name](n_qubits, seed=seed, dtype=dtype)
     if shots is not None:
         sv.begin_shots(shots)
     return sv
@@ -45,12 +55,12 @@ def test_alloc_release_untouched(mode):
     sv = engine(mode, 2)
     sv.ry(0, 0.4)
     sv.cnot(0, 1)
-    psi = sv._psi
+    psi = store(sv)
     ids = sv.alloc(3)
     assert (sv.num_qubits, sv.qubit_ids) == (5, (0, 1, 2, 3, 4))
     for q in ids:
         sv.release(q)
-    assert sv._psi is psi
+    assert same_store(sv, psi)
     assert (sv.num_qubits, sv.qubit_ids) == (2, (0, 1))
     with pytest.raises(SimulationError, match="unknown qubit"):
         sv.release(ids[0])
@@ -59,12 +69,12 @@ def test_alloc_release_untouched(mode):
 def test_measuring_a_fresh_qubit_returns_zero_and_draws_once(mode):
     sv = engine(mode, 1, seed=11)
     sv.h(0)
-    psi = sv._psi
+    psi = store(sv)
     (q,) = sv.alloc(1)
     assert int(sv.measure(q)) == 0
     (r,) = sv.alloc(1)
     assert int(sv.measure_and_release(r)) == 0
-    assert sv._psi is psi and sv.qubit_ids == (0, q)
+    assert same_store(sv, psi) and sv.qubit_ids == (0, q)
     twin = np.random.default_rng(11)
     for _ in range(2):
         twin.random(mode[1])  # one draw (one per shot) per measurement
@@ -75,10 +85,10 @@ def test_bell_factor_then_gate_on_one_half(mode):
     sv = engine(mode, 2)
     sv.ry(0, 0.3)
     sv.cnot(0, 1)
-    psi = sv._psi
+    psi = store(sv)
     a, b = sv.alloc(2)
     sv.entangle_fresh(a, b)
-    assert sv._psi is psi
+    assert same_store(sv, psi)
     sv.ry(b, 0.7)  # couples the factor: both halves become axes
     gates = [("ry", [0], [0.3]), ("cnot", [0, 1], []), ("h", [2], []), ("cnot", [2, 3], [])]
     assert_state(sv, mode, gates + [("ry", [3], [0.7])])
@@ -123,8 +133,7 @@ def test_layout_key_merges_touched_qubits_and_rejects_unknown_ids(mode):
     with pytest.raises(SimulationError, match="unknown qubit"):
         sv.layout_key([7, 0])
     key = sv.layout_key([2, 0])
-    lead = int(mode[1] is not None)
-    assert key[1] == (lead + 1, lead) and key[2] == lead + 2  # 1 still pending
+    assert key[1] == (0, 1) and sv.store_qubits == 2  # 1 still pending
     assert sv.layout_key([2, 0]) == key
 
 
@@ -140,8 +149,8 @@ def test_prob_one_postselect_and_expectation_see_pending_qubits(mode):
     assert sv.norm() == pytest.approx(1.0, abs=1e-6)
 
 
-def test_copy_and_begin_shots_keep_pending_factors():
-    sv = engine(("complex128", None), 1, seed=3)
+def test_copy_and_begin_shots_keep_pending_factors(make):
+    sv = make(1, seed=3, dtype="complex128")
     sv.h(0)
     a, b, c = sv.alloc(3)
     sv.entangle_fresh(a, b)
@@ -151,8 +160,8 @@ def test_copy_and_begin_shots_keep_pending_factors():
     twin.begin_shots(4)  # pending qubits gain the branch axis when merged
     twin.cnot(0, c)
     gates = [("h", [0], []), ("h", [1], []), ("cnot", [1, 2], []), ("cnot", [0, 3], [])]
-    assert_state(twin, ("complex128", 4), gates)
-    assert_state(sv, ("complex128", None), gates[:3])
+    assert_state(twin, ("complex128",), gates)
+    assert_state(sv, ("complex128",), gates[:3])
 
 
 @pytest.mark.parametrize("pauli", ["x", "y", "z"])
@@ -189,30 +198,32 @@ def test_fused_measure_and_release_equals_measure_x_release(mode):
     for seed in range(200):
         fused, stepwise = random_register(mode, seed)
         q = seed % 4
-        before = {id(sv): sv._psi for sv in (fused, stepwise)}
+        before = {id(sv): store(sv) for sv in (fused, stepwise)}
         got = fused.measure_and_release(q)
         want = stepwise.measure(q)
         stepwise.apply_pauli_if(want, "X", q)
         stepwise.release(q)
         assert np.array_equal(np.asarray(got), np.asarray(want))
         assert fused.qubit_ids == stepwise.qubit_ids
-        assert fused._psi.shape == stepwise._psi.shape
-        assert np.allclose(fused._psi, stepwise._psi, atol=ATOL[mode[0]])
-        # Both drops hand back an array of their own, not a view that
-        # keeps the doubled buffer alive.
+        assert fused._bit_of == stepwise._bit_of
+        for a, b in zip(store(fused), store(stepwise), strict=True):
+            assert a.shape == b.shape and np.allclose(a, b, atol=ATOL[mode[0]])
+        # Both drops hand back arrays of their own, not views that keep
+        # the doubled buffers alive.
         for sv in (fused, stepwise):
-            assert not np.shares_memory(sv._psi, before[id(sv)])
-            owner = sv._psi if sv._psi.base is None else sv._psi.base
-            assert owner.size == sv._psi.size
+            for a in store(sv):
+                assert not any(np.shares_memory(a, old) for old in before[id(sv)])
+                owner = a if a.base is None else a.base
+                assert owner.size == a.size
         assert fused.rng.random() == stepwise.rng.random()
 
 
-def test_measure_and_release_of_an_impossible_outcome_raises():
+def test_measure_and_release_of_an_impossible_outcome_raises(make):
     class Zero:
         def random(self):
             return 0.0  # below any p1 > 0: forces outcome 1
 
-    sv = StateVector(1, dtype="complex128")
+    sv = make(1, dtype="complex128")
     sv.ry(0, 1e-13)  # p1 ~ 2.5e-27: positive, but below the norm floor squared
     sv.rng = Zero()
     with pytest.raises(SimulationError, match="zero probability"):
@@ -222,21 +233,21 @@ def test_measure_and_release_of_an_impossible_outcome_raises():
 # ----------------------------------------------------------------------
 # deterministic guards (counts, not clocks)
 # ----------------------------------------------------------------------
-def test_bookkeeping_only_calls_leave_the_array_alone():
-    sv = StateVector(3, seed=0)
+def test_bookkeeping_only_calls_leave_the_array_alone(make):
+    sv = make(3, seed=0)
     sv.h(0)
     sv.cnot(0, 1)
     sv.x(2)
-    psi = sv._psi
+    psi = store(sv)
     a, b = sv.alloc(2)
     (c,) = sv.alloc(1)
     sv.entangle_fresh(a, b)
     sv.release(c)
-    assert sv._psi is psi
+    assert same_store(sv, psi)
     assert sv.num_qubits == 5
 
 
-def test_epr_round_peak_memory_is_bounded():
+def test_epr_round_peak_memory_is_bounded(make):
     """alloc, alloc, entangle, cnot(q, e), measure e out, fix the other half.
 
     On a 16-qubit register the round peaks at 7 registers above the
@@ -246,10 +257,10 @@ def test_epr_round_peak_memory_is_bounded():
     """
     tracemalloc.start()
     try:
-        sv = StateVector(16, seed=5, dtype="complex128")
+        sv = make(16, seed=5, dtype="complex128")
         for q in range(16):
             sv.h(q)
-        register = sv._psi.nbytes
+        register = sum(a.nbytes for a in store(sv))
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         e, f = sv.alloc(2)
@@ -265,7 +276,7 @@ def test_epr_round_peak_memory_is_bounded():
     assert (peak - start) / register <= 8.5
 
 
-def test_merging_many_fresh_qubits_allocates_one_register():
+def test_merging_many_fresh_qubits_allocates_one_register(make):
     """``alloc(16)`` merged by one call costs the new array and nothing else.
 
     The factors' product is kept as its nonzero entries, so sixteen |0>
@@ -274,7 +285,7 @@ def test_merging_many_fresh_qubits_allocates_one_register():
     """
     tracemalloc.start()
     try:
-        sv = StateVector(0, seed=0, dtype="complex128")
+        sv = make(0, seed=0, dtype="complex128")
         qubits = sv.alloc(16)
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -282,5 +293,6 @@ def test_merging_many_fresh_qubits_allocates_one_register():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sv._psi.shape == (2,) * 16 and sv._psi.flat[0] == 1.0
-    assert (peak - start) / sv._psi.nbytes <= 1.05
+    register = sum(a.nbytes for a in store(sv))
+    assert sv.store_qubits == 16 and sv.amplitude([0] * 16) == 1.0
+    assert register == 16 << 16 and (peak - start) / register <= 1.05

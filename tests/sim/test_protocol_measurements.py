@@ -2,14 +2,15 @@
 
 The call is *defined* as ``cnot(control, qubit)`` if ``control`` is
 given, ``h(qubit)`` if ``basis == "X"``, then the Z measure-and-release.
-``StateVector`` skips the gate on three operand patterns (fan-out onto a
-pending Bell half; X-basis drop of a merged qubit or of the copy entry a
-fan-out leaves) and composes existing methods on every other one; each case below is checked against a twin
-engine running the two-call spelling (outcome and RNG stream bit for
-bit, amplitudes to rounding) and against ``tests/_dense_oracle.py``
-projected on the reported outcome — both precisions, with and without
-the shots branch axis.  No timing: the guards at the bottom count axes
-and traced bytes.
+Both engines (their shared register layer) skip the gate on two operand
+patterns (fan-out onto a pending Bell half; X-basis drop of the copy
+entry a fan-out leaves) and compose existing methods on every other
+one; each case below is checked against a twin engine running the
+two-call spelling (outcome and RNG stream bit for bit, amplitudes to
+rounding) and against ``tests/_dense_oracle.py`` projected on the
+reported outcome — both precisions, with and without the shots branch
+axis.  No timing: the guards at the bottom count store bits and traced
+bytes.
 """
 
 import tracemalloc
@@ -20,6 +21,7 @@ import pytest
 from repro.sim import SimulationError, StateVector
 from repro.sim.sharded import ShardedStateVector
 from tests import _dense_oracle
+from tests._engines import ENGINES
 
 DTYPES = ["complex128", "complex64"]
 SHOTS = [None, 8]
@@ -120,10 +122,10 @@ def branch_rows(sv):
     """``(B, 2^n)`` amplitudes, qubits in ascending-id order, one row per branch."""
     ids = sv.qubit_ids
     sv.layout_key(ids)  # merges what is still pending
-    lead = sv.shots is not None
-    psi = sv._psi if lead else sv._psi[None]
-    axes = [sv._axis_of[q] + (not lead) for q in ids]
-    return np.moveaxis(psi, axes, range(1, len(ids) + 1)).reshape(psi.shape[0], -1)
+    B, n = sv.n_branches, len(ids)
+    flat = np.concatenate([a.reshape(B, -1) for a in sv._arrays()], axis=1)
+    axes = [n - sv._bit_of[q] for q in ids]  # bit b is axis n - b after the rows
+    return np.moveaxis(flat.reshape((B,) + (2,) * n), axes, range(1, n + 1)).reshape(B, -1)
 
 
 def projected(gates, n, index):
@@ -133,11 +135,13 @@ def projected(gates, n, index):
     return psi / np.maximum(np.linalg.norm(psi, axis=1, keepdims=True), 1e-300)
 
 
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.__name__)
-def test_equals_the_two_call_spelling_and_the_oracle(mode, case):
-    for seed in range(200):
-        one, gates = prepared(mode, seed)
-        two, _ = prepared(mode, seed)
+def test_equals_the_two_call_spelling_and_the_oracle(mode, case, engine):
+    make = ENGINES[engine]
+    for seed in range(200 if engine == "shared" else 24):
+        one, gates = prepared(mode, seed, make)
+        two, _ = prepared(mode, seed, make)
         qubit, basis, control = case(one, gates, seed)
         assert case(two, [], seed) == (qubit, basis, control)
         n = one.num_qubits
@@ -148,7 +152,7 @@ def test_equals_the_two_call_spelling_and_the_oracle(mode, case):
         assert np.array_equal(np.asarray(got), np.asarray(want))
         assert one.rng.random() == two.rng.random()
         assert one.qubit_ids == two.qubit_ids and qubit not in one.qubit_ids
-        assert one._psi.dtype == two._psi.dtype == np.dtype(mode[0])
+        assert {a.dtype for a in one._arrays() + two._arrays()} == {np.dtype(mode[0])}
         rows = branch_rows(one)
         assert np.allclose(rows, branch_rows(two), atol=ATOL[mode[0]])
         if seed < 6:  # the kron-built oracle is the slow part
@@ -158,27 +162,13 @@ def test_equals_the_two_call_spelling_and_the_oracle(mode, case):
             assert np.allclose(rows[shot_of], want_rows, atol=ATOL[mode[0]])
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("case", CASES, ids=lambda c: c.__name__)
-def test_sharded_engine_is_the_composition(dtype, case):
-    for seed in range(6):
-        one, gates = prepared((dtype, None), seed, make=ShardedStateVector)
-        two, _ = prepared((dtype, None), seed, make=ShardedStateVector)
-        qubit, basis, control = case(one, gates, seed)
-        case(two, [], seed)
-        n = one.num_qubits
-        got = one.measure_and_release(qubit, basis, control)
-        assert got == two_call(two, gates, qubit, basis, control)
-        assert np.array_equal(one.statevector(), two.statevector())
-        want = projected(gates, n, qubit)[got]
-        assert np.allclose(one.statevector(), want, atol=ATOL[dtype])
-
-
-def test_send_then_uncopy_round_matches_step_by_step(mode):
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_send_then_uncopy_round_matches_step_by_step(mode, engine):
     """Fig. 3(a) then Fig. 1(b) on one engine: fan-out, X fix, X-basis uncopy, Z fix."""
-    for seed in range(50):
-        one, _ = prepared(mode, seed)
-        two, _ = prepared(mode, seed)
+    make = ENGINES[engine]
+    for seed in range(50 if engine == "shared" else 12):
+        one, _ = prepared(mode, seed, make)
+        two, _ = prepared(mode, seed, make)
         q = seed % N
         e, f = bell(one, [])
         assert bell(two, []) == (e, f)
@@ -247,7 +237,7 @@ def test_fan_out_never_materialises_the_measured_half():
         sv.entangle_fresh(e, f)
         m = sv.measure_and_release(e, control=3)
         fan_out_peak = tracemalloc.get_traced_memory()[1]
-        assert sv._psi.ndim == 16 and e not in sv._axis_of and f not in sv._axis_of
+        assert sv.store_qubits == 16 and e not in sv._bit_of and f not in sv._bit_of
         assert sv._copies == {f: (3, m)} and sv.num_qubits == 17
         sv.apply_pauli_if(m, "X", f)
         before_drop = tracemalloc.get_traced_memory()[0]
@@ -256,6 +246,6 @@ def test_fan_out_never_materialises_the_measured_half():
         drop_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sv._psi.ndim == 16
+    assert sv.store_qubits == 16
     assert (fan_out_peak - start) / register <= 0.01
     assert (drop_peak - before_drop) / register <= 1.1

@@ -143,7 +143,7 @@ def test_diag_batch_walks_many_slabs(monkeypatch, engine, batch, rows):
     sv.apply_ops(_batch(gates))
     if engine == "shared":
         got = [sv.statevector()] if rows == 1 else [
-            np.moveaxis(sv._psi, [sv._axis_of[q] for q in range(N)], range(1, N + 1))[o].reshape(-1)
+            np.moveaxis(sv._psi, [N - sv._bit_of[q] for q in range(N)], range(1, N + 1))[o].reshape(-1)
             for o in (0, 1)
         ]
     else:
@@ -165,6 +165,7 @@ def _tables(sv, batch):
 @pytest.mark.parametrize("n_shards", SHARDS)
 def test_control_fixed_to_zero_leaves_no_extra(n_shards):
     sv = ShardedStateVector(N, seed=0, n_shards=n_shards)
+    sv.layout_key(sv.qubit_ids)  # merge the pending qubits, qubit 0 on top
     (batch,) = _batch(_controlled(n_shards.bit_length() - 1))
     groups = list(slab_factors(*_tables(sv, batch), sv.n_local, n_shards))
     base = groups[0][0][0]
@@ -182,6 +183,7 @@ def test_control_fixed_to_zero_leaves_no_extra(n_shards):
 def test_prepared_batch_holds_one_local_table_for_every_signature():
     n, n_shards = 14, 8
     sv = ShardedStateVector(n, seed=0, n_shards=n_shards)
+    sv.layout_key(sv.qubit_ids)  # merge the pending qubits
     nl = sv.n_local
     # Every qubit phased and bonded to its ring neighbours: the bonds
     # touch all three shard bits, so each chunk has its own signature.

@@ -49,13 +49,19 @@ def test_bad_shard_count_rejected():
 def test_chunk_layout_tracks_allocation(n_shards):
     sv = ShardedStateVector(n_shards=n_shards)
     assert sv.num_chunks == 1 and sv.chunk_size == 1
-    sv.alloc(5)
+    qubits = sv.alloc(5)
+    # Fresh qubits are pending factors: the chunks grow when they merge.
+    assert sv.num_chunks == 1 and sv.store_qubits == 0
+    sv.x(qubits[3])  # merged first: the top bit
+    assert sv.store_qubits == 1 and sv.num_chunks == min(n_shards, 2)
+    sv.layout_key(qubits)  # the rest merge below it, ascending ids
     assert sv.num_chunks == min(n_shards, 32)
     assert sv.num_chunks * sv.chunk_size == 32
     assert sv.n_local == 5 - (sv.num_chunks.bit_length() - 1)
-    # statevector in allocation order is the plain chunk concatenation
+    # statevector in merge order is the plain chunk concatenation
     np.testing.assert_array_equal(
-        sv.statevector(), np.concatenate([sv.chunk(i) for i in range(sv.num_chunks)])
+        sv.statevector([3, 0, 1, 2, 4]),
+        np.concatenate([sv.chunk(i) for i in range(sv.num_chunks)]),
     )
 
 
@@ -163,13 +169,14 @@ def test_alloc_release_interleaved(n_shards):
 def test_release_high_axis_qubit_compacts_chunks(n_shards):
     sv = ShardedStateVector(3, seed=0, n_shards=n_shards)
     ref = StateVector(3, seed=0)
+    sv.layout_key(range(3))  # merge: qubit 0 is the highest axis
     sv.h(2), ref.h(2)
     before = sv.num_chunks
-    sv.release(0), ref.release(0)  # first-allocated == highest axis
+    sv.release(0), ref.release(0)
     assert sv.num_chunks == before // 2
     np.testing.assert_allclose(sv.statevector(), ref.statevector(), atol=STATE_ATOL)
-    # next alloc rebalances back up
-    sv.alloc(1), ref.alloc(1)
+    # the next merge rebalances back up
+    sv.layout_key(sv.alloc(1)), ref.alloc(1)
     assert sv.num_chunks == min(n_shards, 8)
     np.testing.assert_allclose(sv.statevector(), ref.statevector(), atol=STATE_ATOL)
 
@@ -316,6 +323,7 @@ def test_exchange_traffic_goes_through_fabric():
     # A high-axis H must move chunk pairs through the fabric mailboxes;
     # a diagonal high-axis Rz must not.
     sv = ShardedStateVector(3, seed=0, n_shards=4)
+    sv.layout_key(range(3))  # merge: qubit 0 is the highest axis
     assert _fabric_sends(sv, lambda: sv.rz(0, 0.5)) == []  # diagonal
     # diagonal controlled, high-axis target, then high-axis control: none
     assert _fabric_sends(sv, lambda: (sv.cz(2, 0), sv.cz(0, 2))) == []
@@ -364,14 +372,16 @@ EAGER_CALLS = {
     "toffoli": lambda sv: sv.toffoli(0, 3, 1),
     "apply": lambda sv: sv.apply(G.SWAP, 0, 3),
     "apply_controlled": lambda sv: sv.apply_controlled(G.H, [3], [0]),
-    "entangle_fresh": lambda sv: sv.entangle_fresh(*sv.alloc(2)),
+    "entangle_fresh": lambda sv: sv.entangle_fresh(2, 3),  # merged: h + cnot
+}
+#: Entry bookkeeping and amplitude moves: no gate program at all.
+NO_PROGRAM_CALLS = {
+    "entangle_fresh_pending": lambda sv: sv.entangle_fresh(*sv.alloc(2)),
     "apply_pauli_if": lambda sv: sv.apply_pauli_if(1, "X", 0),
 }
 
 
-@pytest.mark.parametrize("call", sorted(EAGER_CALLS))
-def test_eager_api_runs_one_frozen_program(call):
-    sv = ShardedStateVector(4, seed=0, n_shards=4)
+def _spied(sv):
     calls = {}
     for name in ("apply_ops", "freeze_segments", "execute_frozen"):
         calls[name] = 0
@@ -381,10 +391,27 @@ def test_eager_api_runs_one_frozen_program(call):
             return _method(*args)
 
         setattr(sv, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("call", sorted(EAGER_CALLS))
+def test_eager_api_runs_one_frozen_program(call):
+    sv = ShardedStateVector(4, seed=0, n_shards=4)
+    sv.layout_key(range(4))  # merge: qubits 0 and 1 are the shard axes
+    calls = _spied(sv)
     EAGER_CALLS[call](sv)
     # One batch, frozen and run once; a barrier's exchange never
     # re-enters apply_ops.
     assert calls == {"apply_ops": 1, "freeze_segments": 1, "execute_frozen": 1}
+
+
+@pytest.mark.parametrize("call", sorted(NO_PROGRAM_CALLS))
+def test_entries_and_pauli_moves_run_no_program(call):
+    sv = ShardedStateVector(4, seed=0, n_shards=4)
+    sv.layout_key(range(4))
+    calls = _spied(sv)
+    NO_PROGRAM_CALLS[call](sv)
+    assert calls == {"apply_ops": 0, "freeze_segments": 0, "execute_frozen": 0}
 
 
 @pytest.mark.parametrize("n_shards", [2, 4, 8])
@@ -457,6 +484,7 @@ def test_alloc_release_and_postselect_around_diagonal_batches(n_shards):
 def test_contraction_plans_apply_in_place(run):
     ref = ShardedStateVector(4, seed=0, n_shards=4)
     sv = ShardedStateVector(4, seed=0, n_shards=4)
+    sv.layout_key(range(4))  # merge first: the plan then touches no new qubit
     spread = [Op("h", (0,)), Op("h", (2,)), Op("rx", (1,), (0.25,))]
     ref.apply_ops(spread + run)
     sv.apply_ops(spread)

@@ -74,7 +74,7 @@ def _engine(rows, dtype, rng):
         sv.begin_shots(8)
         sv._shot_of = np.arange(8) % rows
     sv.layout_key(range(N))
-    assert all(sv._axis_of[q] == q + (rows > 0) for q in range(N))
+    assert all(sv._bit_of[q] == N - 1 - q for q in range(N))
     psi = rng.standard_normal((max(rows, 1), 1 << N)) + 1j * rng.standard_normal(
         (max(rows, 1), 1 << N)
     )
@@ -196,13 +196,13 @@ def test_state_stays_c_contiguous(shots):
         sv.entangle_fresh(a, b)
         sv.measure_and_release(a, "Z", control=(ax_q + 1) % 4)  # _fan_out
         assert _contiguous(sv)
-        sv.measure_and_release((ax_q + 2) % 4, "X")  # _measure_x
+        sv.measure_and_release((ax_q + 2) % 4, "X")  # h, then _drop
         assert _contiguous(sv)
-        sv.measure_and_release(ax_q)  # _drop_axis
+        sv.measure_and_release(ax_q)  # _drop
         assert _contiguous(sv)
         (c,) = sv.alloc(1)
         sv.x(c)
         sv.x(c)
-        sv.release(c)  # merged |0>: _drop_axis
+        sv.release(c)  # merged |0>: _drop
         assert _contiguous(sv)
         sv.h(b)  # gates still run in place on every such state

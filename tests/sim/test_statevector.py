@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.sim import StateVector, SimulationError
 from repro.sim import gates as G
+from tests._engines import ENGINES
 from tests._precision import PROB_ABS
 
 
@@ -180,3 +181,28 @@ def test_norm_preserved_under_gates(rng):
         rot = (G.rx, G.ry, G.rz)[int(rng.integers(3))]
         sv.apply(rot(float(rng.normal())), q)
     assert sv.norm() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("qubit", [0, 2], ids=["top-bit", "low-bit"])
+@pytest.mark.parametrize("bad", [2, -1])
+def test_postselect_rejects_a_bit_that_is_not_0_or_1(engine, qubit, bad):
+    # On sharded:4, qubit 0 is a shard axis and qubit 2 a local one.
+    sv = ENGINES[engine](3, seed=0)
+    for q in range(3):
+        sv.h(q)
+    before = sv.statevector()
+    with pytest.raises(SimulationError, match="0 or 1"):
+        sv.postselect(qubit, bad)
+    np.testing.assert_array_equal(sv.statevector(), before)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("cond", [0, 1])
+def test_apply_pauli_if_checks_the_name_whatever_the_condition(engine, cond):
+    sv = ENGINES[engine](1, seed=0)
+    with pytest.raises(KeyError):
+        sv.apply_pauli_if(cond, "W", 0)
+    sv.begin_shots(4)
+    with pytest.raises(KeyError):
+        sv.apply_pauli_if(cond, "W", 0)
