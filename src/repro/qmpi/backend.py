@@ -11,10 +11,11 @@ EPR-based QMPI protocols, exactly as real distributed hardware imposes —
 but decouples it from how the amplitudes are stored:
 
 * :class:`SharedBackend` reproduces the paper's rank-0 bottleneck with
-  one monolithic :class:`~repro.sim.statevector.StateVector`;
+  one global state vector, :class:`~repro.sim.statevector.StateVector`
+  (the amplitude store with one chunk);
 * :class:`ShardedBackend` distributes the amplitudes over per-rank
-  chunks (:class:`~repro.sim.sharded.ShardedStateVector`), the layout
-  classical HPC simulators use to scale.
+  chunks (:class:`~repro.sim.sharded.ShardedStateVector`, the same
+  store), the layout classical HPC simulators use to scale.
 
 Both are drop-in interchangeable anywhere a backend is consumed; pick one
 via :func:`make_backend` or the ``backend=`` argument of
@@ -65,7 +66,7 @@ class QuantumBackend:
     """Thread-safe engine facade with per-rank qubit ownership.
 
     Subclasses supply the engine (anything with the
-    :class:`~repro.sim.statevector.StateVector` surface); this base class
+    :class:`~repro.sim.register.Register` surface); this base class
     owns the lock, the ownership table, and locality enforcement.
 
     **Engine contract.** Besides allocation (an engine may keep a fresh
@@ -96,7 +97,7 @@ class QuantumBackend:
     ``route_copies(ops)`` returns the batch with the engine's fan-out
     copy entries resolved (a diagonal op on a copy runs on its source,
     the rest materialise it; see :class:`repro.sim.register.Register`,
-    which both engines inherit): ``apply_ops`` calls it, and
+    which the store inherits): ``apply_ops`` calls it, and
     :meth:`apply_flush` calls it before its schedule cache.
 
     :meth:`apply_flush` (a rank's flushed buffer: lowered, compiled and

@@ -17,8 +17,8 @@ Both measurements are one backend call each:
 data qubit onto the EPR half, measure the half", and
 ``measure_and_release(rank, q, basis="X")`` Fig. 1(b)'s X-basis
 measurement — so no other rank's call lands between the gate and the
-measurement, and the shared engine never materialises the half a
-``send`` consumes (see ``StateVector.measure_and_release``).
+measurement, and the engine never materialises the half a ``send``
+consumes (see :meth:`repro.sim.register.Register.measure_and_release`).
 
 Every function takes the per-rank :class:`~repro.qmpi.api.QmpiComm` as its
 first argument; ``api.py`` binds them as methods. Registers (Qureg) are

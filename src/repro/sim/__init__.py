@@ -2,8 +2,10 @@
 
 Public surface:
 
-* :class:`~repro.sim.statevector.StateVector` — the engine
-* :class:`~repro.sim.sharded.ShardedStateVector` — chunk-distributed engine
+* :class:`~repro.sim.sharded.ShardedStateVector` — the amplitude store,
+  split into chunks
+* :class:`~repro.sim.statevector.StateVector` — the same store with one
+  chunk (the paper's one global state vector)
 * :mod:`~repro.sim.diag` — diagonal phase-vector batching (``DiagBatch``)
 * :mod:`~repro.sim.plan` — per-chunk contraction plans (``ContractionPlan``)
 * :mod:`~repro.sim.gates` — gate matrices and the ``GATESET`` table the

@@ -66,14 +66,7 @@ import numpy as np
 
 from .diag import DiagBatch
 from .plan import ContractionPlan, freeze_window, replay_window
-from .schedule import (
-    DiagSegment,
-    KernelRun,
-    PlanSegment,
-    _csel_layout,
-    _csel_table,
-    lower_flush,
-)
+from .schedule import DiagSegment, KernelRun, PlanSegment, _csel_table, lower_flush
 
 __all__ = [
     "ScheduleCache",
@@ -195,30 +188,18 @@ class CompiledLayout:
 
     __slots__ = ("segments", "binders", "bound_ids", "bound_payload", "frozen")
 
-    def __init__(self, segments, records, ids, payload, layout_key):
+    def __init__(self, segments, records, ids, payload):
         self.segments = segments
         self.frozen = None  # engine replay program, built on first execute
         self.bound_ids = ids
         self.bound_payload = payload
-        if layout_key[0] == "sharded":
-            pos_of = dict(zip(ids, layout_key[1]))
-            n_local = layout_key[2]
-        else:
-            pos_of = None
-            n_local = None
-        self.binders = self._build_binders(records, pos_of, n_local)
+        self.binders = self._build_binders(records)
 
-    def _build_binders(self, records, pos_of, n_local):
+    def _build_binders(self, records):
         """Walk segments against their source records, noting parametric
-        sites and precomputing the structural layout (``rows_per_sig``)
-        any ``"csel"`` rebuild will need."""
+        sites."""
         binders = []
         it = iter(records)
-
-        def csel_rows(qubits):
-            bits = [pos_of[q] for q in qubits]
-            return _csel_layout(bits, n_local)[1]
-
         for seg in self.segments:
             if isinstance(seg, KernelRun):
                 sites = []
@@ -226,12 +207,8 @@ class CompiledLayout:
                     rec, sl = next(it)
                     if rec is not op:  # pragma: no cover - compiler invariant
                         raise RuntimeError("schedule cache record walk desync")
-                    if sl is None:
-                        continue
-                    info = None
-                    if seg.entries is not None and seg.entries[i][0] == "csel":
-                        info = csel_rows(op.qubits)
-                    sites.append((i, sl, info))
+                    if sl is not None:
+                        sites.append((i, sl))
                 if sites:
                     binders.append(("run", seg, tuple(sites)))
             elif isinstance(seg, DiagSegment):
@@ -241,11 +218,8 @@ class CompiledLayout:
             elif isinstance(seg, PlanSegment):
                 rec, sls = next(it)
                 if any(s is not None for s in sls):
-                    info = None
-                    if seg.entry is not None and seg.entry[0] == "csel":
-                        info = csel_rows(seg.plan.qubits)
                     recipe = freeze_window(seg.plan.sources, seg.plan.qubits)
-                    binders.append(("plan", seg, sls, info, recipe))
+                    binders.append(("plan", seg, sls, recipe))
             else:  # ExchangeSegment
                 rec, sl = next(it)
                 if sl is not None:
@@ -325,20 +299,18 @@ class CompiledLayout:
         compile — ``target_matrix``/``matrix`` for kernel entries,
         :meth:`DiagBatch.from_ops` for phase tables,
         :meth:`ContractionPlan.from_ops` for window products,
-        :func:`~repro.sim.schedule._csel_table` over the precomputed
-        row layout for sub-block tables — so replayed amplitudes are
+        :func:`~repro.sim.schedule._csel_table` over the entry's row
+        layout for sub-block tables — so replayed amplitudes are
         bit-identical to an uncached run.
         """
         for binder in self.binders:
             kind, seg = binder[0], binder[1]
             if kind == "run":
                 ops = list(seg.ops)
-                entries = None if seg.entries is None else list(seg.entries)
-                for i, sl, rows in binder[2]:
+                entries = list(seg.entries)
+                for i, sl in binder[2]:
                     op = _fresh_op(ops[i], sl, None, payload)
                     ops[i] = op
-                    if entries is None:
-                        continue
                     e = entries[i]
                     ek = e[0]
                     if ek == "sq":
@@ -352,10 +324,9 @@ class CompiledLayout:
                         entries[i] = ("ct", u, e[2])
                     else:  # "csel"
                         u = np.asarray(op.matrix(), dtype=np.complex128)
-                        entries[i] = ("csel", _csel_table(u, rows), e[2], e[3])
+                        entries[i] = ("csel", _csel_table(u, e[4]), *e[2:])
                 seg.ops = tuple(ops)
-                if entries is not None:
-                    seg.entries = tuple(entries)
+                seg.entries = tuple(entries)
             elif kind == "diag":
                 sources = seg.batch.sources
                 fresh = tuple(
@@ -377,23 +348,18 @@ class CompiledLayout:
                     for op in fresh
                 ]
                 nplan = ContractionPlan(
-                    replay_window(binder[4], mats),
+                    replay_window(binder[3], mats),
                     seg.plan.qubits,
                     len(fresh),
                 )
                 nplan.sources = fresh
                 seg.plan = nplan
-                entry, rows = seg.entry, binder[3]
+                entry = seg.entry
                 if entry is not None:
                     if entry[0] == "ct":
                         seg.entry = ("ct", nplan.u, entry[2])
                     else:  # "csel"
-                        seg.entry = (
-                            "csel",
-                            _csel_table(nplan.u, rows),
-                            entry[2],
-                            entry[3],
-                        )
+                        seg.entry = ("csel", _csel_table(nplan.u, entry[4]), *entry[2:])
             else:  # "xchg"
                 seg.op = _fresh_op(seg.op, binder[2], None, payload)
 
@@ -555,7 +521,7 @@ class ScheduleCache:
         if layout is None:
             records = entry.materialize(ids, payload)
             segments = engine.compile_batch([rec for rec, _ in records])
-            layout = CompiledLayout(segments, records, ids, payload, lk)
+            layout = CompiledLayout(segments, records, ids, payload)
             entry.layouts[lk] = layout
             if len(entry.layouts) > self.max_layouts:
                 entry.layouts.popitem(last=False)
@@ -563,9 +529,8 @@ class ScheduleCache:
             entry.layouts.move_to_end(lk)
         segments = layout.bind(ids, payload)
         # One frozen program per layout: the engine's per-op dispatch is
-        # decided once at freeze time (see ``freeze_segments`` on the
-        # engines; the sharded engine's program is one step list per
-        # chunk, each step one ``KernelDispatch`` call).  The program
+        # decided once at freeze time (the store's program is one step
+        # list per chunk, each step one ``KernelDispatch`` call).  The program
         # references the live segment objects, so in-place rebinds flow
         # through automatically — matrices are re-read at execute time,
         # not freeze time.

@@ -22,7 +22,7 @@ pair-chunk traffic, on any axis.  The tensor itself is built by a
 each phase table folds in while the array is still small (as soon as
 its highest bit exists), so all-distinct pair sets like the QFT ladder
 cost ``sum_parts 2^(maxbit+1)`` updates instead of ``parts * 2^L``.
-Both engines apply a batch one way (:func:`apply_phase_tables`): the
+The store applies a batch one way (:func:`apply_phase_tables`): the
 register is cut into slabs of at most
 :data:`~repro.sim.kernels.TILE_AMPS` amplitudes, the tables on a
 slab's own bits make one slab-sized base tensor, and the tables that
@@ -30,7 +30,7 @@ touch a higher bit (a shard axis or a high local axis) make a small
 factor per group of slabs (:func:`slab_factors`), so no table the size
 of a chunk or of the state is ever built.
 
-This module lives in :mod:`repro.sim` (below the op IR) so both engines
+This module lives in :mod:`repro.sim` (below the op IR) so the store
 can import it without cycles;
 :mod:`repro.qmpi.ops` re-exports :class:`DiagBatch` as part of the
 public IR.
@@ -307,11 +307,10 @@ def slab_factors(singles, pairs, slab_bits, n_slabs, kernels=None):
 def apply_phase_tables(singles, pairs, chunks, n_local, kernels=None):
     """Multiply a batch's phase tables into a register in place, slab by slab.
 
-    The one way both engines apply a :class:`DiagBatch`.  ``chunks``
+    The one way the store applies a :class:`DiagBatch`.  ``chunks``
     are the register's C-contiguous chunks in global order, each of
-    ``rows`` shot-branch rows times ``2^n_local`` amplitudes (the
-    shared engine's state is one chunk); table bits ``>= n_local`` are
-    shard axes.  Slabs span ``min(n_local, log2 TILE_AMPS)`` bits and
+    ``rows`` shot-branch rows times ``2^n_local`` amplitudes; table bits
+    ``>= n_local`` are shard axes.  Slabs span ``min(n_local, log2 TILE_AMPS)`` bits and
     take their factors from :func:`slab_factors`, so a register of at
     most one slab per chunk multiplies one table per chunk.
     """

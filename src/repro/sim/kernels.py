@@ -1,11 +1,10 @@
 """Chunk kernels: two native loops with bit-identical numpy twins.
 
-:class:`KernelDispatch` is the one object both engines send their gate
-work through, in place on C-contiguous chunks (a non-contiguous chunk
-is refused, since its flat view would be a copy): the sharded engine
-once per chunk, the shared engine
-(:class:`~repro.sim.statevector.StateVector`) on its whole state as one
-chunk whose shot-branch axis is the leading rows.  Two of its kernels
+:class:`KernelDispatch` is the one object the amplitude store
+(:class:`~repro.sim.sharded.ShardedStateVector`) sends its gate work
+through, once per chunk, in place on C-contiguous chunks whose
+shot-branch rows lead (a non-contiguous chunk is refused, since its
+flat view would be a copy).  Two of its kernels
 run natively when a provider resolves, because a benchmark row spends
 its time in them:
 
@@ -22,11 +21,12 @@ its time in them:
 
 Everything else is always numpy: the diagonal single-qubit pass, the
 locally-controlled pass (:meth:`~KernelDispatch.cc`), the whole-chunk
-and control-sliced scales, and the window contraction every matrix
-step of the shared engine and every ``csel``/``ct`` entry of the
-sharded one runs (:meth:`~KernelDispatch.contract`: a walk over the
+and control-sliced scales, and the window contraction every
+``csel``/``ct`` entry runs, as does every chunk-local single-target
+entry on a chunk under ``repro.sim.sharded._WINDOW_BELOW_AMPS``
+amplitudes (:meth:`~KernelDispatch.contract`: a walk over the
 chunk in slabs of at most :data:`TILE_AMPS` amplitudes; the walk's
-layout is a :class:`Window` the engines build once, when they freeze a
+layout is a :class:`Window` the store builds once, when it freezes a
 program).  A dense window costs one BLAS product per slab, staged
 through a slab-sized copy only where the window's axes are not
 already a matrix in memory.  A *monomial* window — one nonzero per
@@ -105,8 +105,8 @@ __all__ = [
 JIT_MIN_AMPS_DEFAULT = 1 << 12
 
 #: Most amplitudes one slab of a chunk walk spans: every in-place step
-#: of both engines (:meth:`KernelDispatch.contract`, :func:`slabs`, the
-#: diagonal batches of :mod:`repro.sim.diag` and the sharded engine's
+#: of the store (:meth:`KernelDispatch.contract`, :func:`slabs`, the
+#: diagonal batches of :mod:`repro.sim.diag` and the chunk
 #: exchanges) holds a few slabs of scratch, never a chunk-sized
 #: buffer.  A slab, its stage and its product (3 x 512 KiB of
 #: ``complex128``) stay inside a 2 MiB L2.  2^15 beat 2^14 by ~8 % on ``trotter_sharded``

@@ -1,4 +1,4 @@
-"""The typed operation record both engines execute.
+"""The typed operation record the amplitude store executes.
 
 An :class:`Op` names one gate — a :data:`~repro.sim.gates.GATESET`
 name or :data:`~repro.sim.gates.UNITARY` with an explicit matrix — its

@@ -40,10 +40,10 @@ an emitted window's qubits are re-opened by whatever touches them
 next), so every pair of ops that shares a qubit keeps its program
 order — the one condition the reordering needs to be exact.
 
-Each engine then applies **one matmul per plan**
-instead of one pass per op; on the sharded engine a plan is
-additionally *classified once* against the chunk layout (see
-:meth:`repro.sim.sharded.ShardedStateVector.apply_ops`):
+The store then applies **one matmul per plan**
+instead of one pass per op; a plan is *classified once* against the
+chunk layout (:func:`repro.sim.schedule.compile_segments`, through
+:func:`~repro.sim.schedule.classify_matrix`):
 
 * every window qubit on a local axis — communication-free, the plan
   joins the per-chunk kernel run;
@@ -62,7 +62,7 @@ cz stays communication-free, a lone high-target CNOT keeps its
 restricted exchange).
 
 This module lives in :mod:`repro.sim` (below the op IR) next to
-:mod:`repro.sim.diag` so both engines can import it without cycles; :mod:`repro.qmpi.ops` re-exports
+:mod:`repro.sim.diag` so the store can import it without cycles; :mod:`repro.qmpi.ops` re-exports
 :class:`ContractionPlan` as part of the public IR.
 """
 

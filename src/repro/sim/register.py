@@ -1,4 +1,4 @@
-"""The register layer both engines share: qubit entries over an amplitude store.
+"""The register layer: qubit entries over the amplitude store.
 
 The paper's §6 prototype keeps one global state; this module keeps the
 bookkeeping of that state's qubits once, above how the amplitudes are
@@ -22,13 +22,13 @@ stored.  A :class:`Register` maps every qubit id to one *entry*:
   step that changes or removes its source's Z value — first
   materialises it as a bit.
 
-The two engines are subclasses that store amplitudes:
-:class:`~repro.sim.statevector.StateVector` (one C-contiguous array)
-and :class:`~repro.sim.sharded.ShardedStateVector` (chunks).  A store
+The amplitude store is the subclass
+:class:`~repro.sim.sharded.ShardedStateVector` (chunks; its one-chunk
+spelling is :class:`~repro.sim.statevector.StateVector`).  It
 implements the primitives below and the frozen gate path
 (``layout_key``, ``compile_batch``, ``freeze_segments``,
 ``execute_frozen``); everything else — allocation, measurement, Pauli
-fix-ups, inspection — is written once here, on those primitives:
+fix-ups, inspection — is written here, on those primitives:
 
 * ``_grow(k, terms)``: ``k`` new low bits holding a product factor,
   given as its nonzero ``(index, amplitude)`` terms;
@@ -149,11 +149,6 @@ class Register:
         self._materialize(list(self._copies))
         self._shots = int(shots)
         self._shot_of = np.zeros(self._shots, dtype=np.int64)
-        self._add_rows()
-
-    def _add_rows(self) -> None:
-        """Give the store its one shot-branch row (a store without a
-        row axis outside shots mode overrides this)."""
 
     def reseed(self, seed) -> None:
         """Replace the measurement RNG (per-job streams use this hook)."""

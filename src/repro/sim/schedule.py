@@ -1,4 +1,4 @@
-"""Unified execution-schedule IR: classified segments for both engines.
+"""Unified execution-schedule IR: classified segments for the amplitude store.
 
 The QMPI paper's performance model works because every operation is
 classified *once* — local vs. EPR-mediated — before execution.  This
@@ -16,10 +16,10 @@ per-pass memory traffic dominates, so :data:`WIDE_WINDOW`-qubit windows
 — one 16x16 contraction replacing >= 4 strided passes — win and
 :data:`~repro.sim.plan.MAX_WINDOW` is widened.
 
-:func:`compile_segments` — the engine-side pass (called by both
-``apply_ops`` implementations): turns the lowered op list into an
-ordered list of typed **segments**, each tagged exactly once with its
-communication class:
+:func:`compile_segments` — the engine-side pass (called by
+:meth:`repro.sim.sharded.ShardedStateVector.compile_batch`): turns the
+lowered op list into an ordered list of typed **segments**, each tagged
+exactly once with its communication class against the chunk layout:
 
 * :class:`KernelRun`    — a maximal run of communication-free kernels
   (single-qubit strided passes, controlled gates with chunk-local
@@ -31,7 +31,7 @@ communication class:
   classified against the chunk layout exactly once;
 * :class:`ExchangeSegment` — an op whose unitary genuinely mixes
   amplitudes across a shard axis (or a rare generic shape outside the
-  kernel vocabulary): the engines fall back to their exchange paths.
+  kernel vocabulary): the store falls back to its exchange paths.
 
 Communication classes (:data:`LOCAL` / :data:`BLOCKDIAG` /
 :data:`MIXING`) mirror the sharded layout: ``local`` never reads the
@@ -42,10 +42,10 @@ segments is a **communication-free stretch** — the unit
 :meth:`repro.sim.sharded.ShardedStateVector.execute_frozen` runs
 chunk-major, touching each chunk once per stretch.
 
-Engines are pure *interpreters* of this IR: they decide nothing, they
-only execute segments.  The shared engine compiles with no layout
-(everything is ``local``); the sharded engine passes its bit mapping
-and chunk-boundary position.
+The store is a pure *interpreter* of this IR: it decides no
+communication, it only picks, per entry, the kernel that runs it
+(:meth:`~repro.sim.sharded.ShardedStateVector.freeze_segments`).  With
+one chunk every bit is local, so every segment is ``local``.
 """
 
 from __future__ import annotations
@@ -139,9 +139,8 @@ class Segment:
 class KernelRun(Segment):
     """A maximal run of communication-free kernels.
 
-    ``ops`` are the source op records (what a layout-less interpreter
-    executes); ``entries`` are the tagged per-chunk kernel entries the
-    sharded engine freezes (``None`` when compiled without a layout).
+    ``ops`` are the source op records; ``entries`` are their tagged
+    per-chunk kernel entries, one per op, which the store freezes.
     """
 
     __slots__ = ("ops", "entries")
@@ -149,7 +148,7 @@ class KernelRun(Segment):
     def __init__(self, ops, entries, comm):
         super().__init__(comm)
         self.ops = tuple(ops)
-        self.entries = None if entries is None else tuple(entries)
+        self.entries = tuple(entries)
 
 
 class DiagSegment(Segment):
@@ -166,8 +165,8 @@ class PlanSegment(Segment):
     """One contraction plan, classified against the layout exactly once.
 
     ``entry`` is the plan's kernel-run entry — ``("ct", u, bits)`` for
-    an all-local window, ``("csel", table, hi_bits, lo_bits)`` for a
-    window block-diagonal on its shard axes — or ``None`` for a
+    an all-local window, ``("csel", table, hi_bits, lo_bits, rows)`` for
+    a window block-diagonal on its shard axes — or ``None`` for a
     ``mixing`` plan the engine must exchange for.
     """
 
@@ -224,7 +223,8 @@ def _csel_layout(bits, n_local: int):
     bit patterns, the row-index array each shard-bit signature selects,
     and the shard-/local-bit tuples of the eventual ``"csel"`` entry.
     Depends only on ``bits`` and ``n_local`` — never on matrix values —
-    so the schedule cache can reuse it across parameter rebinds.
+    so the ``"csel"`` entry carries ``rows_per_sig`` and the schedule
+    cache rebuilds its table from them across parameter rebinds.
     """
     bits = list(bits)
     w = len(bits)
@@ -253,7 +253,7 @@ def _csel_table(u: np.ndarray, rows_per_sig):
 
     Identity sub-blocks become ``None`` (skipped at execution), ``1x1``
     sub-blocks collapse to scalars.  Value-dependent by design: the
-    schedule cache re-runs this per parameter payload while reusing the
+    schedule cache re-runs this per parameter payload on the entry's
     structural ``rows_per_sig`` layout.
     """
     eye = np.eye(len(rows_per_sig[0]), dtype=np.complex128)
@@ -279,10 +279,10 @@ def classify_matrix(u: np.ndarray, bits, n_local: int, support=None):
       contraction per chunk;
     * the matrix **block-diagonal** on every shard axis it touches
       (control-like high bits, products of diagonals) — ``("csel",
-      table, hi_bits, lo_bits)``: each chunk contracts the sub-block
-      its shard-bit signature selects (identity sub-blocks ``None`` are
-      skipped; a window with no local qubits reduces to per-chunk
-      scalars);
+      table, hi_bits, lo_bits, rows_per_sig)``: each chunk contracts the
+      sub-block its shard-bit signature selects (identity sub-blocks
+      ``None`` are skipped; a window with no local qubits reduces to
+      per-chunk scalars);
     * anything else mixes amplitudes across a shard axis — ``None``.
 
     ``support`` (optional) is a non-negative matrix whose nonzero
@@ -293,9 +293,8 @@ def classify_matrix(u: np.ndarray, bits, n_local: int, support=None):
     happens to be block-diagonal at one angle but mixes at another is
     always classified ``mixing``.
 
-    This is the classification that used to live in
-    ``ShardedStateVector._classify_plan``, hoisted here so it runs in
-    exactly one place, once per plan.
+    :func:`compile_segments` calls it once per plan and once per
+    generic op, the only place a window is classified.
     """
     bits = list(bits)
     if all(b < n_local for b in bits):
@@ -304,7 +303,7 @@ def classify_matrix(u: np.ndarray, bits, n_local: int, support=None):
     probe = np.abs(u) if support is None else support
     if np.any(probe[mixing] > 1e-12):
         return None
-    return ("csel", _csel_table(u, rows_per_sig), hi_bits, lo_bits)
+    return ("csel", _csel_table(u, rows_per_sig), hi_bits, lo_bits, rows_per_sig)
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +398,8 @@ def monomial_pattern(rec, full: bool = True):
     moves with no product.  The pattern is ``perm`` with ``u[perm[j],
     j]`` that nonzero.  ``full`` selects the op's full matrix (controls
     included, what a ``"ct"`` entry carries) over its target matrix
-    (what the shared engine contracts under the controls).
+    (what a chunk-local ``"sq"`` / ``"cc"`` entry contracts under its
+    controls).
 
     The answer is structural wherever the schedule cache rebinds values,
     so a frozen window stays valid across rebinds:
@@ -457,15 +457,12 @@ def plan_support(plan: ContractionPlan):
 # ----------------------------------------------------------------------
 # engine-side pass: op list -> segments
 # ----------------------------------------------------------------------
-def compile_segments(ops, bit=None, n_local: int = 0):
+def compile_segments(ops, bit, n_local: int):
     """Compile a lowered op list into an ordered list of segments.
 
     ``bit`` is a callable mapping a qubit id to its global bit position
-    (the sharded engine passes its ``_bit``); ``n_local`` is the chunk
-    boundary (bits below it are chunk-local).  With ``bit=None`` the
-    compilation is layout-less: every record is communication-free by
-    construction (one flat array), :class:`KernelRun` segments carry
-    only source ops, and no :class:`ExchangeSegment` is ever emitted.
+    (the store passes its ``_bit``); ``n_local`` is the chunk boundary
+    (bits below it are chunk-local).
 
     Segment order preserves program order op-for-op — each input record
     lands in exactly one segment, and segments are emitted in
@@ -474,7 +471,7 @@ def compile_segments(ops, bit=None, n_local: int = 0):
     """
     segs: list[Segment] = []
     run_ops: list = []
-    run_entries: list | None = None if bit is None else []
+    run_entries: list = []
     run_comm = LOCAL
 
     def close_run() -> None:
@@ -482,14 +479,13 @@ def compile_segments(ops, bit=None, n_local: int = 0):
         if run_ops:
             segs.append(KernelRun(run_ops, run_entries, run_comm))
             run_ops = []
-            run_entries = None if bit is None else []
+            run_entries = []
             run_comm = LOCAL
 
     def push_entry(op, entry, comm) -> None:
         nonlocal run_comm
         run_ops.append(op)
-        if run_entries is not None:
-            run_entries.append(entry)
+        run_entries.append(entry)
         if comm == BLOCKDIAG:
             run_comm = BLOCKDIAG
 
@@ -497,28 +493,21 @@ def compile_segments(ops, bit=None, n_local: int = 0):
         if isinstance(op, DiagBatch):
             close_run()
             comm = LOCAL
-            if bit is not None and any(bit(q) >= n_local for q in op.qubits):
+            if any(bit(q) >= n_local for q in op.qubits):
                 comm = BLOCKDIAG
             segs.append(DiagSegment(op, comm))
             continue
         if isinstance(op, ContractionPlan):
             close_run()
-            if bit is None:
-                segs.append(PlanSegment(op, None, LOCAL))
-                continue
             bits = [bit(q) for q in op.qubits]
-            entry = classify_matrix(
-                op.u, bits, n_local, support=plan_support(op)
-            )
+            # An all-local window is "ct" whatever its values: no support.
+            support = plan_support(op) if max(bits) >= n_local else None
+            entry = classify_matrix(op.u, bits, n_local, support=support)
             if entry is None:
                 segs.append(PlanSegment(op, None, MIXING))
             else:
                 comm = LOCAL if entry[0] == "ct" else BLOCKDIAG
                 segs.append(PlanSegment(op, entry, comm))
-            continue
-        if bit is None:
-            # Layout-less compile: every op is a local kernel.
-            push_entry(op, None, LOCAL)
             continue
         controls = op.controls
         targets = op.targets
@@ -579,8 +568,8 @@ def iter_stretches(segments):
     Yields ``(stretch, barrier)`` pairs in order: ``stretch`` is a
     (possibly empty) list of consecutive non-``mixing`` segments and
     ``barrier`` is the ``mixing`` segment that terminated it, or
-    ``None`` for the final stretch.  A stretch is the unit the sharded
-    engine runs chunk-major.
+    ``None`` for the final stretch.  A stretch is the unit the store
+    runs chunk-major.
     """
     stretch: list[Segment] = []
     for seg in segments:

@@ -1,10 +1,8 @@
-"""Sharded state-vector engine: amplitudes distributed across chunk ranks.
+"""The amplitude store: a state vector split into chunks.
 
 Classical HPC simulators (QCMPI; QuEST; the chunked ``SimDistribute``
-design) do not funnel every operation through one rank-0-owned array the
-way the paper's §6 prototype does. Instead the ``2^n`` amplitudes are
-split into ``R`` contiguous chunks, one per simulation rank, and each
-gate is applied cooperatively:
+design) split the ``2^n`` amplitudes into ``R`` contiguous chunks, one
+per simulation rank, and apply each gate cooperatively:
 
 * a gate on a **local axis** (one of the low ``n - log2(R)`` bits) only
   permutes/combines amplitudes *within* each chunk, so every rank applies
@@ -18,18 +16,23 @@ gate is applied cooperatively:
   controlled (CZ, controlled-phase) — never need the exchange even on
   high axes: each chunk just scales itself.
 
+With ``R = 1`` the store is the paper's §6 prototype — one global state
+vector — and :class:`repro.sim.statevector.StateVector` is that
+spelling: there is one store, one freeze path and one
+:meth:`~ShardedStateVector.layout_key` format.
+
 Layout
 ------
 The state is a list of ``R`` flat contiguous in-RAM complex arrays
 (complex128 by default; ``dtype="complex64"`` selects the half-footprint
 mixed-precision tier).
 Global amplitude index ``g`` lives in ``chunks[g >> n_local][g & (csize - 1)]``
-with ``csize = 2^n_local``.  Qubit bookkeeping is
-:class:`repro.sim.register.Register`'s, shared with the shared engine: a
-fresh qubit is a pending factor until a call couples it to the
-register, and merging it makes it the least significant bit, pushing
-the existing qubits up — a strided fill of each new chunk — so bit
-order is merge order, as on the shared engine.
+with ``csize = 2^n_local``; in shots mode each chunk holds one such row
+per measurement branch, rows leading.  Qubit bookkeeping is
+:class:`repro.sim.register.Register`'s: a fresh qubit is a pending
+factor until a call couples it to the register, and merging it makes
+it the least significant bit, pushing the existing qubits up — a
+strided fill of each new chunk — so bit order is merge order.
 
 While fewer than ``log2(R)`` qubits are bits the engine runs with
 ``min(R, 2^n)`` active chunks and grows to the full shard count as
@@ -57,11 +60,14 @@ step updates the chunks in place and holds a few
 owns every chunk: concurrency lives in the QMPI ranks above the
 backend, never in a second pool under it.
 
-The class inherits :class:`repro.sim.register.Register`'s public API —
-the one :class:`repro.sim.statevector.StateVector` inherits (same
-methods, same error messages, same RNG draw discipline) — so the two
-engines are drop-in interchangeable behind
-:class:`repro.qmpi.backend.QuantumBackend`.
+Which kernel a chunk-local single-target entry runs is chosen at freeze
+from the chunk's amplitude count ``2^n_local`` alone: under
+:data:`_WINDOW_BELOW_AMPS` it is one
+:meth:`~repro.sim.kernels.KernelDispatch.contract` over a frozen
+:class:`~repro.sim.kernels.Window`, from there on the strided
+``sq`` / ``cc`` pass.  The layout key pins ``n_local``, so the choice is
+fixed per cached program and identical with or without shot rows or a
+native provider.
 """
 
 from __future__ import annotations
@@ -87,30 +93,35 @@ from .schedule import (
 
 __all__ = ["ShardedStateVector"]
 
+#: Chunk rows of fewer amplitudes run a chunk-local ``"sq"`` / ``"cc"``
+#: entry as a ``contract`` window instead of the strided pass.  Per call
+#: on one complex128 chunk (single-threaded BLAS), a window beat the
+#: numpy strided twin by 2-6x on every dense 2x2 up to 2^11 amplitudes,
+#: tied or beat the native pass (4-16 vs 7-15 us), and tied or beat the
+#: diagonal scales and the ``cc`` swap; from 2^12 the native pass ties
+#: it and from 2^13 wins (docs/architecture.md).
+_WINDOW_BELOW_AMPS = 1 << 12
 
-def _apply_generic(chunk, entry, win, ci: int, kd: KernelDispatch) -> None:
-    """Apply one ``"ct"`` / ``"csel"`` plan entry to chunk ``ci``.
 
-    ``("ct", u, bits)`` is a window entirely inside the chunk: one
-    contraction.  ``("csel", table, hi_bits, lo_bits)`` is a window
+def _apply_csel(chunk, entry, win, ci: int, kd: KernelDispatch) -> None:
+    """Apply one ``"csel"`` entry to chunk ``ci``.
+
+    ``("csel", table, hi_bits, lo_bits, rows)`` is a window
     block-diagonal on its shard axes: ``hi_bits`` (window order) select
     the chunk's signature index into ``table``, whose entry is the local
     sub-block to contract over ``lo_bits`` — ``None`` for an identity
     sub-block (skip), a complex scalar when the window has no local
     qubits.  ``win`` is the frozen :class:`~repro.sim.kernels.Window` of
-    ``bits`` / ``lo_bits`` (None when there are no local bits).
+    ``lo_bits`` (None when there are no local bits).
     """
-    if entry[0] == "ct":
-        kd.contract(chunk, entry[1], win)
-        return
-    _, table, hi_bits, lo_bits = entry
+    table, hi_bits = entry[1], entry[2]
     sig = 0
     for sb in hi_bits:
         sig = (sig << 1) | ((ci >> sb) & 1)
     u = table[sig]
     if u is None:
         return
-    if not lo_bits:
+    if win is None:
         kd.scale(chunk, u)  # all-shard window: a per-chunk scalar
     else:
         kd.contract(chunk, u, win)
@@ -127,7 +138,8 @@ class ShardedStateVector(Register):
         Seed or :class:`numpy.random.Generator` for measurement sampling.
     n_shards:
         Number of chunks the amplitudes are distributed over; must be a
-        power of two. ``n_shards=1`` degenerates to a single flat array.
+        power of two. ``n_shards=1`` is one flat array
+        (:class:`~repro.sim.statevector.StateVector`).
     dtype:
         Amplitude precision: ``"complex128"`` (default) or
         ``"complex64"`` (half the memory/bandwidth at float32
@@ -330,14 +342,14 @@ class ShardedStateVector(Register):
         boundary, the active chunk count, the presence of shot-branch
         rows, and the amplitude dtype — everything
         :meth:`compile_batch`'s classification *and* the frozen
-        programs depend on.  Equal keys mean a program frozen under one
-        is exact under the other; unknown qubit ids raise, so a
-        recycled engine can never bind a stale schedule.  Pending qubits
-        among ``qubits`` are merged first.
+        programs depend on (the chunk boundary also fixes which kernel
+        :meth:`_freeze_run` picks per entry).  Equal keys mean a program
+        frozen under one is exact under the other; unknown qubit ids
+        raise, so a recycled engine can never bind a stale schedule.
+        Pending qubits among ``qubits`` are merged first.
         """
         self._merge(qubits)
         return (
-            "sharded",
             tuple(self._bit(q) for q in qubits),
             self.n_local,
             len(self._chunks),
@@ -394,6 +406,13 @@ class ShardedStateVector(Register):
         holding that call's arguments in call order — or no step at all
         for a chunk whose shard-axis control bits rule it out:
 
+        * ``("k", seg, i, win)`` -> ``kd.contract`` of the entry's matrix
+          over its frozen :class:`~repro.sim.kernels.Window`, carrying
+          the record's :func:`~repro.sim.schedule.monomial_pattern`: a
+          ``"ct"`` entry (full matrix; ``i`` is None for a
+          :class:`PlanSegment`), or a chunk-local ``"sq"`` / ``"cc"``
+          entry on chunks under :data:`_WINDOW_BELOW_AMPS` (target
+          matrix, under the local controls);
         * ``("sq", seg, i, b, diag)`` -> ``kd.sq``;
         * ``("cc", seg, i, local_controls, t_bit, nl, diag)`` -> ``kd.cc``;
         * ``("ss", seg, i, sel)`` -> ``kd.scale`` by the entry's diagonal
@@ -401,16 +420,17 @@ class ShardedStateVector(Register):
           per chunk);
         * ``("cs", seg, i, sel, local_controls, nl)`` ->
           ``kd.masked_scale`` (a shard-axis ``cc`` target);
-        * ``("g", seg, i, win)`` -> :func:`_apply_generic` for
-          ``ct``/``csel`` entries (``i`` is None for a
-          :class:`PlanSegment`; ``win`` is the entry's frozen
-          :class:`~repro.sim.kernels.Window`, carrying the record's
-          :func:`~repro.sim.schedule.monomial_pattern` for a ``ct``).
+        * ``("g", seg, i, win)`` -> :func:`_apply_csel` (``win`` covers
+          the local bits, None when there are none).
 
-        Steps hold ``(seg, i)`` references rather than matrices, which
-        rebinding replaces inside the live segments.
+        The choice between ``"k"`` and ``"sq"`` / ``"cc"`` reads ``nl``
+        alone — never the chunk's size with its shot rows, or the
+        provider — so :meth:`layout_key` pins it.  Steps hold ``(seg,
+        i)`` references rather than matrices, which rebinding replaces
+        inside the live segments.
         """
         per_chunk: list[list] = [[] for _ in range(n_chunks)]
+        small = (1 << nl) < _WINDOW_BELOW_AMPS
         for seg in segs:
             if isinstance(seg, KernelRun):
                 sources = [(seg, i, e) for i, e in enumerate(seg.entries)]
@@ -418,33 +438,35 @@ class ShardedStateVector(Register):
                 sources = [(seg, None, seg.entry)]
             for src, i, e in sources:
                 kind = e[0]
-                if kind == "sq":
-                    b, diag = e[2], e[3]
-                    for ci in range(n_chunks):
-                        if b < nl:
-                            step = ("sq", src, i, b, diag)
-                        else:
-                            step = ("ss", src, i, (ci >> (b - nl)) & 1)
-                        per_chunk[ci].append(step)
-                elif kind == "cc":
-                    cmask, local_controls, t_bit, diag = e[2], e[3], e[4], e[5]
+                rec = src.plan if i is None else src.ops[i]
+                if kind in ("sq", "cc"):
+                    if kind == "sq":
+                        t_bit, diag, cmask, local_controls = e[2], e[3], 0, ()
+                    else:
+                        cmask, local_controls, t_bit, diag = e[2], e[3], e[4], e[5]
+                    local = None  # the step of a chunk-local target, the same on every chunk
+                    if t_bit < nl and small:
+                        pattern = monomial_pattern(rec, full=False)
+                        local = ("k", src, i, Window((t_bit,), nl, local_controls, pattern))
+                    elif t_bit < nl and kind == "sq":
+                        local = ("sq", src, i, t_bit, diag)
+                    elif t_bit < nl:
+                        local = ("cc", src, i, local_controls, t_bit, nl, diag)
                     for ci in range(n_chunks):
                         if (ci & cmask) != cmask:
                             continue
-                        if t_bit < nl:
-                            step = ("cc", src, i, local_controls, t_bit, nl, diag)
-                        else:
+                        step = local
+                        if step is None:  # a shard-axis target: its bit is fixed per chunk
                             sel = (ci >> (t_bit - nl)) & 1
-                            step = ("cs", src, i, sel, local_controls, nl)
+                            step = ("ss", src, i, sel) if kind == "sq" else (
+                                "cs", src, i, sel, local_controls, nl)
                         per_chunk[ci].append(step)
-                else:  # "ct"/"csel": generic entry
-                    bits = e[2] if kind == "ct" else e[3]
-                    # A "csel" table's sub-blocks differ per signature:
-                    # only a "ct" window can be frozen as moves.
-                    pattern = None
-                    if kind == "ct":
-                        pattern = monomial_pattern(src.plan if i is None else src.ops[i])
-                    step = ("g", src, i, Window(bits, nl, pattern=pattern) if bits else None)
+                elif kind == "ct":
+                    step = ("k", src, i, Window(e[2], nl, pattern=monomial_pattern(rec)))
+                    for ci in range(n_chunks):
+                        per_chunk[ci].append(step)
+                else:  # "csel": a table's sub-blocks differ per signature, so no pattern
+                    step = ("g", src, i, Window(e[3], nl) if e[3] else None)
                     for ci in range(n_chunks):
                         per_chunk[ci].append(step)
         return tuple(tuple(s) for s in per_chunk)
@@ -461,7 +483,9 @@ class ShardedStateVector(Register):
         kd = self._kernels
         for tag, src, i, *args in steps[ci]:
             entry = src.entry if i is None else src.entries[i]
-            if tag == "sq":
+            if tag == "k":
+                kd.contract(chunk, entry[1], args[0])
+            elif tag == "sq":
                 kd.sq(chunk, entry[1], *args)
             elif tag == "cc":
                 kd.cc(chunk, entry[1], *args)
@@ -470,7 +494,7 @@ class ShardedStateVector(Register):
             elif tag == "cs":
                 kd.masked_scale(chunk, entry[1][args[0], args[0]], *args[1:])
             else:  # "g"
-                _apply_generic(chunk, entry, args[0], ci, kd)
+                _apply_csel(chunk, entry, args[0], ci, kd)
 
     def execute_frozen(self, program) -> None:
         """Execute a frozen program: the engine's only gate-batch path.
@@ -507,8 +531,7 @@ class ShardedStateVector(Register):
         """Multiply a diagonal batch into every chunk in place.
 
         The tables, keyed by bit position (chunk layout), go to
-        :func:`repro.sim.diag.apply_phase_tables` — the shared engine's
-        path — which cuts each chunk into slabs of at most
+        :func:`repro.sim.diag.apply_phase_tables`, which cuts each chunk into slabs of at most
         :data:`~repro.sim.kernels.TILE_AMPS` amplitudes: one slab-sized
         base table for the low local bits, and a small factor per group
         of slabs for the tables on higher local bits or shard bits.

@@ -1,14 +1,14 @@
-"""Shot-batched trajectory bookkeeping shared by both engines.
+"""Shot-batched trajectory bookkeeping of the amplitude store.
 
 A ``shots=N`` run executes the program **once**: unitary segments walk
-the normal schedule-IR interpreters, and only *measurement* makes the N
-trajectories observable.  Both engines therefore keep, next to their
+the normal schedule-IR interpreter, and only *measurement* makes the N
+trajectories observable.  The register therefore keeps, next to its
 amplitudes, a small ensemble structure:
 
 * a **branch** is one distinct measurement history.  The state carries a
-  leading branch axis (``(B,) + (2,)*n`` for the shared engine, ``B``
-  stacked rows per chunk for the sharded one); unitary segments are
-  vectorized over it, so the state evolution runs once regardless of N.
+  leading branch axis (``B`` stacked rows per chunk); unitary segments
+  are vectorized over it, so the state evolution runs once regardless
+  of N.
 * ``shot_of`` maps each of the N shots to its branch.  Before the first
   mid-circuit measurement there is a single branch and every shot points
   at it — this is the "sample from the final state without re-running"

@@ -125,17 +125,17 @@ def test_measure_and_release_checks_the_owner_of_both_operands(spec):
 
 def test_send_uncopy_round_grows_the_register_by_the_copy_only():
     """2-rank ``send`` -> ``unrecv``/``unsend`` on an n-qubit register: the
-    array never has more than n + 1 axes — the EPR half the sender
+    store never holds more than n + 1 qubits — the EPR half the sender
     measures is never one (the two-call spelling merged both: n + 2)."""
 
     class Watched(StateVector):
         peak = 0
-        _psi = property(lambda self: self._state)
+        _chunks = property(lambda self: self._state)
 
-        @_psi.setter
-        def _psi(self, value):
+        @_chunks.setter
+        def _chunks(self, value):
             self._state = value
-            self.peak = max(self.peak, value.ndim)
+            self.peak = max(self.peak, sum(c.size for c in value).bit_length() - 1)
 
     def prog(qc):
         data = qc.alloc_qmem(3)
@@ -156,7 +156,7 @@ def test_send_uncopy_round_grows_the_register_by_the_copy_only():
         engine = Watched(seed=seed)
         world = qmpi_run(2, prog, backend=QuantumBackend(engine))
         assert world.backend.num_qubits == 6
-        assert engine.peak == 7 and engine._psi.ndim == 6
+        assert engine.peak == 7 and engine.chunk_size == 1 << 6
 
 
 def test_unknown_qubit_raises():

@@ -85,16 +85,19 @@ def _flatten(segs):
     return out
 
 
-def test_layoutless_compile_is_all_local():
+def test_one_chunk_compile_is_all_local():
+    sv = StateVector(2, seed=0)
+    sv.layout_key(range(2))  # one chunk: every bit is local
     batch = DiagBatch.from_ops([Op("t", (0,)), Op("cz", (0, 1))])
     plan = ContractionPlan.from_ops([Op("cnot", (0, 1)), Op("h", (1,))])
     ops = [Op("h", (0,)), Op("cnot", (0, 1)), batch, plan, Op("x", (1,))]
-    segs = compile_segments(ops)
+    segs = compile_segments(ops, bit=sv._bit, n_local=sv.n_local)
     assert [type(s) for s in segs] == [
         KernelRun, DiagSegment, PlanSegment, KernelRun,
     ]
     assert all(s.comm == LOCAL for s in segs)
-    assert segs[0].entries is None  # no layout, no kernel entries
+    assert [e[0] for e in segs[0].entries] == ["sq", "cc"]
+    assert segs[2].entry[0] == "ct"
     assert _flatten(segs) == ops
 
 
@@ -163,9 +166,11 @@ def test_compile_preserves_per_qubit_order():
         else:
             a, b = rng.choice(4, size=2, replace=False)
             ops.append(Op("crz", (int(a), int(b)), (float(rng.random()),)))
-    sv = ShardedStateVector(4, seed=0, n_shards=4)
-    sv.layout_key(range(4))  # merge the pending qubits, qubit 0 on top
-    for layout in ({}, {"bit": sv._bit, "n_local": sv.n_local}):
+    layouts = []
+    for sv in (StateVector(4, seed=0), ShardedStateVector(4, seed=0, n_shards=4)):
+        sv.layout_key(range(4))  # merge the pending qubits, qubit 0 on top
+        layouts.append({"bit": sv._bit, "n_local": sv.n_local})
+    for layout in layouts:
         flat = _flatten(compile_segments(ops, **layout))
         # Every record lands in exactly one segment, in program order.
         assert flat == ops

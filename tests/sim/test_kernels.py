@@ -22,6 +22,7 @@ from repro.qmpi.backend import QuantumBackend, ShardedBackend, SharedBackend
 from repro.qmpi.ops import Op
 from repro.sim import ShardedStateVector, StateVector, coalesce_diagonals
 from repro.sim import kernels as K
+from repro.sim import sharded
 from repro.sim.kernels import (
     JIT_MIN_AMPS_DEFAULT,
     KernelDispatch,
@@ -753,19 +754,25 @@ def test_engine_copy_gets_fresh_counters(cls):
 
 
 def test_numpy_arm_end_to_end_on_both_backends():
-    """Under the numpy arm no backend goes native or resolves a provider."""
-    for cls in (SharedBackend, ShardedBackend):
+    """Under the numpy arm no backend goes native or resolves a provider.
+
+    Each register is sized to chunks of exactly the window threshold, so
+    ``h`` runs as a strided ``sq`` pass: its numpy twin.
+    """
+    n_local = sharded._WINDOW_BELOW_AMPS.bit_length() - 1
+    for cls, n_shards in ((SharedBackend, 1), (ShardedBackend, 4)):
         with dispatch("numpy"):
             be = cls(seed=0)
-        q = be.alloc(0, 6)
-        for i in range(6):
+        n = n_local + n_shards.bit_length() - 1
+        q = be.alloc(0, n)
+        be.raw().layout_key(q)  # merge first: every h runs on full-size chunks
+        assert be.raw().n_local == n_local
+        for i in range(n):
             be.h(0, q[i])
         info = be.kernel_info()
         assert info["jit_hits"] == 0 and info["provider"] is None, info
-        # Only the sharded engine runs h as a strided pass; the shared
-        # engine's h is a BLAS contraction at every size.
-        if cls is ShardedBackend:
-            assert info["numpy_fallbacks"] > 0, info
+        # One pass per chunk for each local h; a shard-axis h is an exchange.
+        assert info["numpy_fallbacks"] == n_local * n_shards, info
 
 
 def test_backend_kernel_info_keys():

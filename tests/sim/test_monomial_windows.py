@@ -5,15 +5,17 @@ A window whose matrix holds one nonzero per column (every gate in
 :func:`repro.sim.schedule.monomial_pattern`, and
 ``KernelDispatch.contract`` then moves and scales amplitudes with no
 product.  These tests pin that route against ``tests/_dense_oracle.py``
-on both engines, with and without controls and shot-branch rows, over
-one slab and over many (``TILE_AMPS`` patched to 64), in both dtypes:
-bitwise for the pure permutations, to rounding for the phases.  With
-``np.dot`` and ``np.matmul`` patched to raise inside
-``repro.sim.kernels`` and ``repro.sim.moves``, the monomial steps run,
-while an ``h`` or ``rx`` window still reaches BLAS.  The sharded
-engine's locally targeted controlled ``x`` ("cc" entries, which never
-freeze as windows) is pinned the same way: a swap of the slab pair,
-with ``kernels.mix_pair`` patched to raise.
+on the store with one 2^12 chunk ("shared": at the window threshold, so
+only multi-target steps are windows) and with two 2^11 chunks
+("sharded": under it, so every chunk-local step is a window), with and
+without controls and shot-branch rows, over one slab and over many
+(``TILE_AMPS`` patched to 64), in both dtypes: bitwise for the pure
+permutations, to rounding for the phases.  With ``np.dot`` and
+``np.matmul`` patched to raise inside ``repro.sim.kernels`` and
+``repro.sim.moves``, the monomial steps run, while an ``h`` or ``rx``
+window still reaches BLAS.  On chunks at the threshold a locally
+targeted controlled ``x`` is a "cc" pass, pinned the same way: a swap
+of the slab pair, with ``kernels.mix_pair`` patched to raise.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.sim import ShardedStateVector, StateVector, kernels, moves, plan_contractions
+from repro.sim import ShardedStateVector, StateVector, kernels, moves, plan_contractions, sharded
 from repro.sim.cache import ScheduleCache
 from repro.sim.gates import GATESET, UNITARY
 from repro.sim.ops import Op, controlled_unitary
@@ -37,11 +39,16 @@ N = 12
 #: every tested gate acts on qubits 1..N-1, so the sharded engine runs
 #: them chunk-locally.
 ANC = 0
-PREP = (
-    [("ry", (q,), (0.3 + 0.21 * q,)) for q in range(N)]
-    + [("cnot", (q, (q + 1) % N), ()) for q in range(N)]
-    + [("rx", (q,), (1.1 - 0.17 * q,)) for q in range(N)]
-)
+
+
+def _prep(n):
+    return (
+        [("ry", (q,), (0.3 + 0.21 * q,)) for q in range(n)]
+        + [("cnot", (q, (q + 1) % n), ()) for q in range(n)]
+        + [("rx", (q,), (1.1 - 0.17 * q,)) for q in range(n)]
+    )
+
+
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 #: A permutation with phases over two qubits, as an explicit unitary.
 PHASED = np.array([[0, 0, 1j, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, np.exp(0.4j), 0, 0]])
@@ -72,17 +79,15 @@ def _ops():
     return out
 
 
-def _engine(kind, dtype, rows):
-    """A prepared ``N``-qubit engine, forked into two branches when ``rows``."""
+def _engine(kind, dtype, rows, n=N):
+    """A prepared ``n``-qubit engine, forked into two branches when ``rows``."""
     if kind == "shared":
-        sv = StateVector(N, seed=1, dtype=dtype)
+        sv = StateVector(n, seed=1, dtype=dtype)
     else:
-        sv = ShardedStateVector(N, seed=1, n_shards=2, dtype=dtype)
+        sv = ShardedStateVector(n, seed=1, n_shards=2, dtype=dtype)
     if rows:
         sv.begin_shots(16)
-    if kind == "shared":
-        sv.layout_key(range(N))  # axes in id order, so rows read in oracle order
-    sv.apply_ops([Op(*g) for g in PREP])
+    sv.apply_ops([Op(*g) for g in _prep(n)])
     if rows:
         sv.measure(ANC)
         assert sv.n_branches == 2
@@ -90,9 +95,7 @@ def _engine(kind, dtype, rows):
 
 
 def _rows(sv):
-    """The engine's state as ``(branches, 2^N)`` rows in oracle order."""
-    if isinstance(sv, StateVector):
-        return sv._psi.reshape(sv.n_branches, -1).copy()
+    """The engine's state as ``(branches, 2^n)`` rows in oracle order."""
     return np.concatenate(
         [sv.chunk(c).reshape(sv.n_branches, -1) for c in range(sv.num_chunks)], axis=1
     )
@@ -152,10 +155,10 @@ def test_monomial_steps_match_the_oracle_without_blas(monkeypatch, kind, tile, r
         want = np.stack([oracle.apply(row, u, qs, N) for row in pre])
         _check(_rows(sv), want, dtype, name in PERMUTATIONS, f"{kind} {name}{qs}")
     n_windows = kd.counters["monomial_hits"] - hits
-    if kind == "shared":
-        assert n_windows == len(_ops())  # every step is one contract call
-    else:
-        assert n_windows >= 2 * 7  # swaps, rzz, xx, phased: "ct" on both chunks
+    if kind == "shared":  # swaps, rzz, xx, phased: "ct" windows
+        assert n_windows == sum(len(op.targets) > 1 for op, *_ in _ops())
+    else:  # every step is one contract call per chunk
+        assert n_windows == 2 * len(_ops())
 
 
 @pytest.mark.parametrize("dtype", ["complex128", "complex64"])
@@ -191,24 +194,25 @@ def test_fused_monomial_plans_run_as_moves(monkeypatch, layer, tile, kind, dtype
 
 @pytest.mark.parametrize("gate", [("h", (4,), ()), ("rx", (9,), (0.3,))])
 def test_dense_windows_still_reach_blas(gate):
-    sv = _engine("shared", "complex128", 0)
+    two = _engine("sharded", "complex128", 0)  # 2^11 chunks: single-qubit windows
     with _no_blas(), pytest.raises(AssertionError, match="np.(dot|matmul) called"):
-        sv.apply_ops([Op(*gate)])
-    sharded = _engine("sharded", "complex128", 0)
+        two.apply_ops([Op(*gate)])
+    sv = _engine("shared", "complex128", 0)
     u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0]
     with _no_blas(), pytest.raises(AssertionError, match="np.(dot|matmul) called"):
-        sharded.apply_ops([Op(UNITARY, (3, 7), u=u)])
+        sv.apply_ops([Op(UNITARY, (3, 7), u=u)])
 
 
 @pytest.mark.parametrize("fused", [False, True], ids=["lone", "plan"])
 def test_a_crz_rebind_replays_through_the_moves(fused):
     # A cached schedule's frozen window keeps its pattern; every replay
-    # rebinds the crz angle and reads the fresh phases.
-    n = 16
+    # rebinds the crz angle and reads the fresh phases.  A lone crz is a
+    # window on a chunk under the threshold; a plan needs 16 qubits.
+    n = 16 if fused else 11
 
     def flush(theta):
         if not fused:
-            return [Op("crz", (3, 12), (theta,))]
+            return [Op("crz", (3, 10), (theta,))]
         return [Op("cnot", (2, 5)), Op("crz", (5, 9), (theta,)), Op("swap", (2, 9)),
                 Op("x", (5,))]
 
@@ -219,14 +223,14 @@ def test_a_crz_rebind_replays_through_the_moves(fused):
     sv.layout_key(range(n))
     sv.apply_ops([Op("ry", (q,), (0.1 + 0.05 * q,)) for q in range(n)])
     cache = ScheduleCache()
-    want = sv._psi.reshape(-1).copy()
+    want = sv.chunk(0).copy()
     for theta in (0.4, -1.3, 2.2):
         ops = flush(theta)
         with _no_blas():
             assert cache.execute(sv, ops, num_qubits=n)
         for op in ops:
             want = oracle.apply(want, oracle.GATES[op.gate](*op.params), op.qubits, n)
-        np.testing.assert_allclose(sv._psi.reshape(-1), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sv.chunk(0), want, rtol=0, atol=1e-12)
     assert cache.info()["hits"] == 2 and cache.info()["misses"] == 1
     assert sv._kernels.counters["monomial_hits"] == 3
 
@@ -245,8 +249,9 @@ def test_the_walk_is_chosen_at_freeze(bits, controls, pattern, path):
 
 
 #: Locally targeted controlled 2x2s the sharded engine runs as "cc"
-#: entries (qubit 0 is its shard axis, so ``(0, ...)`` is shard-controlled).
-#: The anti-diagonal ones swap the slab pair instead of mixing it.
+#: entries on chunks at the window threshold (qubit 0 is its shard axis,
+#: so ``(0, ...)`` is shard-controlled).  The anti-diagonal ones swap
+#: the slab pair instead of mixing it.
 CY = np.array([[0, -1j], [1j, 0]])
 CC_GATES = [
     ("cnot", (4, 1)), ("cnot", (2, 11)), ("cnot", (11, 10)), ("cnot", (0, 7)),
@@ -260,7 +265,9 @@ CC_GATES = [
 def test_sharded_antidiagonal_cc_swaps_the_pair(monkeypatch, tile, rows, dtype):
     if tile is not None:
         monkeypatch.setattr(kernels, "TILE_AMPS", tile)
-    sv = _engine("sharded", dtype, rows)
+    n = N + 1  # two chunks of 2^12: at the threshold, where "cc" runs
+    sv = _engine("sharded", dtype, rows, n)
+    assert 1 << sv.n_local == sharded._WINDOW_BELOW_AMPS
 
     def refuse(*args):
         raise AssertionError("mix_pair called on an anti-diagonal cc")
@@ -278,7 +285,7 @@ def test_sharded_antidiagonal_cc_swaps_the_pair(monkeypatch, tile, rows, dtype):
         else:
             op, u = Op(name, qs), oracle.GATES[name]()
         sv.apply_ops([op])
-        want = np.stack([oracle.apply(row, u, qs, N) for row in pre])
+        want = np.stack([oracle.apply(row, u, qs, n) for row in pre])
         _check(_rows(sv), want, dtype, name != "cy", f"{name}{qs}")
     # every gate reached "cc": on both chunks, or on the one its shard control keeps
     assert len(seen) == 2 * 5 + 3

@@ -133,7 +133,7 @@ def test_layout_key_merges_touched_qubits_and_rejects_unknown_ids(mode):
     with pytest.raises(SimulationError, match="unknown qubit"):
         sv.layout_key([7, 0])
     key = sv.layout_key([2, 0])
-    assert key[1] == (0, 1) and sv.store_qubits == 2  # 1 still pending
+    assert key[0] == (0, 1) and sv.store_qubits == 2  # 1 still pending
     assert sv.layout_key([2, 0]) == key
 
 

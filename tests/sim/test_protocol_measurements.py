@@ -230,7 +230,7 @@ def test_fan_out_never_materialises_the_measured_half():
         sv = StateVector(16, seed=5, dtype="complex128")
         for q in range(16):
             sv.h(q)
-        register = sv._psi.nbytes
+        register = sv.chunk(0).nbytes
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         e, f = sv.alloc(2)

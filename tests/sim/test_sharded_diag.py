@@ -141,15 +141,9 @@ def test_diag_batch_walks_many_slabs(monkeypatch, engine, batch, rows):
     else:
         starts = [psi0]
     sv.apply_ops(_batch(gates))
-    if engine == "shared":
-        got = [sv.statevector()] if rows == 1 else [
-            np.moveaxis(sv._psi, [N - sv._bit_of[q] for q in range(N)], range(1, N + 1))[o].reshape(-1)
-            for o in (0, 1)
-        ]
-    else:
-        got = np.concatenate(
-            [sv.chunk(c).reshape(rows, -1) for c in range(sv.num_chunks)], axis=1
-        )
+    got = np.concatenate(
+        [sv.chunk(c).reshape(rows, -1) for c in range(sv.num_chunks)], axis=1
+    )
     for start, row in zip(starts, got):
         np.testing.assert_allclose(row, _apply_gates(start, gates), atol=ATOL["complex128"])
 

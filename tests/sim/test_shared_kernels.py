@@ -1,13 +1,14 @@
-"""The shared engine's dense steps through ``KernelDispatch.contract``.
+"""The one-chunk store's dense steps, in place on its one chunk.
 
-Every dense step of :class:`~repro.sim.statevector.StateVector` — a
-kernel-run op (a controlled one on the all-ones slice of its controls),
-a contraction-plan window — is one in-place ``contract`` on the whole
-state.  These tests
-check the results against ``tests/_dense_oracle.py`` on windows of every
-walk path, with and without shot-branch rows, in both dtypes; that a
-window holds no state-sized scratch; and that every place that replaces
-the state array leaves it C-contiguous, which the in-place kernels need.
+On :class:`~repro.sim.statevector.StateVector` (the store with one
+chunk) every multi-qubit step — a generic op, a contraction-plan
+window — is one in-place ``contract`` on the whole state; at this size
+(2^13 amplitudes, over the window threshold) single-target ops run the
+strided ``sq`` / ``cc`` passes.  These tests check the results against
+``tests/_dense_oracle.py`` on windows of every walk path, with and
+without shot-branch rows, in both dtypes; that a window holds no
+state-sized scratch; and that every place that replaces the state array
+leaves it C-contiguous, which the in-place kernels need.
 """
 
 import tracemalloc
@@ -79,7 +80,7 @@ def _engine(rows, dtype, rng):
         (max(rows, 1), 1 << N)
     )
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    sv._psi = psi.astype(dtype).reshape((rows,) * (rows > 0) + (2,) * N)
+    sv._rebuild([psi.astype(dtype)])  # one chunk: the rows, bit 0 least significant
     return sv, psi
 
 
@@ -96,12 +97,13 @@ def test_dense_steps_match_the_oracle(monkeypatch, dtype, rows, tile):
     kd = sv._kernels
     calls = kd.counters["csel_hits"]
     sv.apply_ops([op for op, _, _ in steps])
-    assert kd.counters["csel_hits"] - calls == len(steps)
+    # Multi-target steps are windows; single-target ones the strided passes.
+    assert kd.counters["csel_hits"] - calls == sum(len(op.targets) > 1 for op, _, _ in steps)
     want = psi
     for _, u, qs in steps:
         want = np.stack([oracle.apply(row, u, qs, N) for row in want])
-    got = sv._psi.reshape(len(want), -1)
-    assert sv._psi.flags.c_contiguous
+    got = sv.chunk(0).reshape(len(want), -1)
+    assert sv.chunk(0).flags.c_contiguous
     tol = 1e-12 if dtype == "complex128" else 2e-5
     np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
@@ -120,14 +122,14 @@ def test_plan_windows_match_the_oracle(rows):
     for op in ops:
         m = oracle.GATES[op.gate](*op.params)
         want = np.stack([oracle.apply(row, m, op.qubits, N) for row in want])
-    np.testing.assert_allclose(sv._psi.reshape(len(want), -1), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sv.chunk(0).reshape(len(want), -1), want, rtol=0, atol=1e-12)
 
 
 def test_one_window_holds_no_state_sized_scratch():
     n = 18
     sv = StateVector(n, seed=0)
     sv.layout_key(range(n))
-    state = sv._psi.nbytes
+    state = sv.chunk(0).nbytes
     u = _unitary(np.random.default_rng(40), 4)
     # A scattered window: the staged path, the one that copies.
     op = Op(UNITARY, tuple(n - 1 - b for b in (12, 7, 3, 1)), u=u)
@@ -141,7 +143,7 @@ def test_one_window_holds_no_state_sized_scratch():
     finally:
         tracemalloc.stop()
     assert peak - before < state
-    assert peak - before <= 3 * K.TILE_AMPS * sv._psi.itemsize
+    assert peak - before <= 3 * K.TILE_AMPS * sv.chunk(0).itemsize
 
 
 @pytest.mark.parametrize("engine", [StateVector, ShardedStateVector])
@@ -176,7 +178,7 @@ def test_many_controls_run_on_the_slice(engine):
 
 
 def _contiguous(sv):
-    return sv._psi.flags.c_contiguous
+    return all(c.flags.c_contiguous for c in sv._arrays())
 
 
 @pytest.mark.parametrize("shots", [None, 16], ids=["single", "shots"])
